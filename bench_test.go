@@ -6,6 +6,7 @@
 package mindgap
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -14,23 +15,62 @@ import (
 	"mindgap/internal/experiment"
 	"mindgap/internal/fabric"
 	"mindgap/internal/params"
+	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
-	"mindgap/internal/systems/idealnic"
 	"mindgap/internal/systems/shinjuku"
 	"mindgap/internal/task"
 	"mindgap/internal/telemetry"
+	"mindgap/scenarios"
 )
 
 // benchQ keeps benchmark iterations affordable while preserving shapes.
 var benchQ = Quality{Warmup: 1_000, Measure: 6_000, Seed: 7}
 
+// bimodal is Figure 2's workload (§4.1): 99.5% 5 µs, 0.5% 100 µs.
+var bimodal = dist.Bimodal{P1: 0.995, D1: 5 * time.Microsecond, D2: 100 * time.Microsecond}
+
+// benchRun measures a checked-in preset as rows of kind k at benchQ on
+// the default parallel runner.
+func benchRun[T any](b *testing.B, presetID string, k experiment.Kind[T]) (scenario.Preset, []runner.SeriesResult[T]) {
+	b.Helper()
+	p := scenarios.MustLoad(presetID)
+	res, err := experiment.Run(context.Background(), nil, p, benchQ, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, res
+}
+
+// benchFigure measures a figure preset at benchQ.
+func benchFigure(b *testing.B, presetID string) Figure {
+	b.Helper()
+	return experiment.NewFigure(benchRun(b, presetID, experiment.Plain))
+}
+
+// benchPoint compiles an inline system spec on the Figure 2 workload at
+// 400 kRPS and benchQ.
+func benchPoint(b *testing.B, system string, k scenario.Knobs) experiment.PointConfig {
+	b.Helper()
+	cfg, err := experiment.PointConfigFor(scenario.Spec{
+		System: system, Knobs: &k, Workload: bimodal.String(),
+	}, benchQ)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.OfferedRPS = 400_000
+	return cfg
+}
+
+// figure2Offload is the Figure 2 offload configuration.
+var figure2Offload = scenario.Knobs{Workers: 4, Outstanding: 4, Slice: scenario.Duration(10 * time.Microsecond)}
+
 // F2 — Figure 2: bimodal tail latency, Shinjuku (3 workers) vs
 // Shinjuku-Offload (4 workers).
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiment.Figure2(benchQ)
+		f := benchFigure(b, "figure2")
 		b.ReportMetric(f.Series[0].SaturationPoint(), "offload_sat_rps")
 		b.ReportMetric(f.Series[1].SaturationPoint(), "shinjuku_sat_rps")
 	}
@@ -39,7 +79,7 @@ func BenchmarkFigure2(b *testing.B) {
 // F3 — Figure 3: throughput vs outstanding requests (queuing optimization).
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiment.Figure3(benchQ)
+		f := benchFigure(b, "figure3")
 		w4 := f.Series[1]
 		gain := w4.Results[4].AchievedRPS/w4.Results[0].AchievedRPS - 1
 		b.ReportMetric(gain*100, "k1→k5_gain_%")
@@ -50,7 +90,7 @@ func BenchmarkFigure3(b *testing.B) {
 // F4 — Figure 4: fixed 5µs, no preemption.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiment.Figure4(benchQ)
+		f := benchFigure(b, "figure4")
 		b.ReportMetric(f.Series[0].SaturationPoint(), "offload_sat_rps")
 		b.ReportMetric(f.Series[1].SaturationPoint(), "shinjuku_sat_rps")
 	}
@@ -59,7 +99,7 @@ func BenchmarkFigure4(b *testing.B) {
 // F5 — Figure 5: fixed 100µs, 15/16 workers.
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiment.Figure5(benchQ)
+		f := benchFigure(b, "figure5")
 		b.ReportMetric(f.Series[0].SaturationPoint(), "offload_sat_rps")
 		b.ReportMetric(f.Series[1].SaturationPoint(), "shinjuku_sat_rps")
 	}
@@ -69,7 +109,7 @@ func BenchmarkFigure5(b *testing.B) {
 // dispatcher bottlenecks the offload.
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiment.Figure6(benchQ)
+		f := benchFigure(b, "figure6")
 		b.ReportMetric(f.Series[0].PeakThroughput(), "offload_peak_rps")
 		b.ReportMetric(f.Series[1].PeakThroughput(), "shinjuku_peak_rps")
 	}
@@ -90,7 +130,8 @@ func BenchmarkTimerCosts(b *testing.B) {
 func BenchmarkInterThreadOverhead(b *testing.B) {
 	var r experiment.IPCOverheadResult
 	for i := 0; i < b.N; i++ {
-		r = experiment.IPCOverhead(benchQ)
+		_, res := benchRun(b, "table-ipc", experiment.Plain)
+		r = experiment.IPCOverhead(res)
 	}
 	b.ReportMetric(float64(r.Overhead.Nanoseconds()), "overhead_ns")
 }
@@ -99,7 +140,8 @@ func BenchmarkInterThreadOverhead(b *testing.B) {
 func BenchmarkWorkerWait(b *testing.B) {
 	var r experiment.WorkerWaitResult
 	for i := 0; i < b.N; i++ {
-		r = experiment.WorkerWait(benchQ)
+		_, res := benchRun(b, "table-wait", experiment.Plain)
+		r = experiment.WorkerWait(res)
 	}
 	b.ReportMetric(r.IdleAt100us*100, "idle@100µs_%")
 	b.ReportMetric(r.IdleAt1us*100, "idle@1µs_%")
@@ -123,7 +165,7 @@ func BenchmarkNicHostLatency(b *testing.B) {
 // X1 — §5.1(2) CXL ablation on the Figure 6 configuration.
 func BenchmarkAblationCXL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiment.Figure6CXL(benchQ)
+		f := benchFigure(b, "figure6-cxl")
 		b.ReportMetric(f.Series[0].PeakThroughput(), "cxl_peak_rps")
 	}
 }
@@ -131,7 +173,7 @@ func BenchmarkAblationCXL(b *testing.B) {
 // X2 — §5.1(1) line-rate scheduler ablation.
 func BenchmarkAblationLineRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiment.Figure6LineRate(benchQ)
+		f := benchFigure(b, "figure6-linerate")
 		b.ReportMetric(f.Series[0].PeakThroughput(), "linerate_peak_rps")
 		b.ReportMetric(f.Series[1].PeakThroughput(), "ideal_peak_rps")
 	}
@@ -139,15 +181,11 @@ func BenchmarkAblationLineRate(b *testing.B) {
 
 // X3 — §5.1(3) direct NIC→core interrupts on the Figure 2 workload.
 func BenchmarkAblationDirectInterrupt(b *testing.B) {
-	p := params.Default()
-	slice := 10 * time.Microsecond
+	k := figure2Offload
+	k.DirectInterrupts = true
+	cfg := benchPoint(b, "idealnic", k)
 	for i := 0; i < b.N; i++ {
-		direct := experiment.RunPoint(experiment.PointConfig{
-			Factory:    experiment.IdealNICFactory(directIRQConfig(p, slice)),
-			Service:    experiment.BimodalWorkload,
-			OfferedRPS: 400_000, Warmup: benchQ.Warmup, Measure: benchQ.Measure,
-			Seed: benchQ.Seed,
-		})
+		direct := experiment.RunPoint(cfg)
 		b.ReportMetric(float64(direct.P99.Nanoseconds()), "directirq_p99_ns")
 	}
 }
@@ -156,7 +194,7 @@ func BenchmarkAblationDirectInterrupt(b *testing.B) {
 // the k=1 penalty the paper's prototype saw at 16 workers.
 func BenchmarkAblationBurst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiment.Figure3Burst(benchQ)
+		f := benchFigure(b, "figure3-burst")
 		w16 := f.Series[0]
 		gain := w16.Results[2].AchievedRPS/w16.Results[0].AchievedRPS - 1
 		b.ReportMetric(gain*100, "16w_k1→k3_gain_%")
@@ -177,7 +215,7 @@ func BenchmarkAblationDDIO(b *testing.B) {
 						Slice: 10 * time.Microsecond, DDIOToL1: ddio,
 					}, rec, done)
 				},
-				Service:    experiment.BimodalWorkload,
+				Service:    bimodal,
 				OfferedRPS: 400_000,
 				Warmup:     benchQ.Warmup, Measure: benchQ.Measure, Seed: benchQ.Seed,
 			})
@@ -193,7 +231,7 @@ func BenchmarkAblationDDIO(b *testing.B) {
 func BenchmarkDispersionSensitivity(b *testing.B) {
 	var rows []experiment.DispersionRow
 	for i := 0; i < b.N; i++ {
-		rows = experiment.DispersionSensitivity(benchQ)
+		rows = experiment.DispersionRows(benchRun(b, "table-dispersion", experiment.ShortTail))
 	}
 	b.ReportMetric(rows[0].Win, "fixed_win_x")
 	b.ReportMetric(rows[len(rows)-1].Win, "bimodal_win_x")
@@ -213,7 +251,7 @@ func BenchmarkAblationNUMA(b *testing.B) {
 						P: p, Workers: 4, Slice: 10 * time.Microsecond, Sockets: sockets,
 					}, rec, done)
 				},
-				Service:    experiment.BimodalWorkload,
+				Service:    bimodal,
 				OfferedRPS: 400_000,
 				Warmup:     benchQ.Warmup, Measure: benchQ.Measure, Seed: benchQ.Seed,
 			})
@@ -234,7 +272,7 @@ func BenchmarkMultiTenant(b *testing.B) {
 			return experiment.RunMultiTenant(experiment.MultiTenantConfig{
 				P: params.Default(), Workers: 4, Outstanding: 3,
 				Slice: 15 * time.Microsecond, Priority: priority,
-				Tenants: experiment.DefaultTenants(), Quality: benchQ,
+				Tenants: experiment.DefaultMultiTenant(benchQ).Tenants, Quality: benchQ,
 			})
 		}
 		fifo, prio = mk(false), mk(true)
@@ -248,7 +286,7 @@ func BenchmarkMultiTenant(b *testing.B) {
 func BenchmarkPolicyAblation(b *testing.B) {
 	var rows []experiment.PolicyRow
 	for i := 0; i < b.N; i++ {
-		rows = experiment.PolicyAblation(benchQ)
+		rows = experiment.PolicyRows(benchRun(b, "table-policy", experiment.Plain))
 	}
 	for _, r := range rows {
 		b.ReportMetric(float64(r.P99.Nanoseconds()), r.Policy.String()+"_p99_ns")
@@ -258,7 +296,7 @@ func BenchmarkPolicyAblation(b *testing.B) {
 // X4 — baseline landscape on the bimodal workload.
 func BenchmarkBaselines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiment.BaselineComparison(benchQ)
+		f := benchFigure(b, "baselines")
 		for _, s := range f.Series {
 			_ = s.SaturationPoint()
 		}
@@ -272,15 +310,7 @@ func BenchmarkBaselines(b *testing.B) {
 // the tracked performance baseline — cmd/mindgap-perf compares them
 // against the checked-in BENCH.json and flags >20% regressions in CI.
 func BenchmarkPointThroughput(b *testing.B) {
-	p := params.Default()
-	cfg := experiment.PointConfig{
-		Factory:    experiment.OffloadFactory(p, 4, 4, 10*time.Microsecond),
-		Service:    experiment.BimodalWorkload,
-		OfferedRPS: 400_000,
-		Warmup:     benchQ.Warmup,
-		Measure:    benchQ.Measure,
-		Seed:       benchQ.Seed,
-	}
+	cfg := benchPoint(b, "offload", figure2Offload)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var completed int64
@@ -301,7 +331,8 @@ func BenchmarkAttributionOverhead(b *testing.B) {
 	b.ResetTimer()
 	var rows []experiment.AttributionRow
 	for i := 0; i < b.N; i++ {
-		rows = experiment.Attribution(benchQ)
+		_, res := benchRun(b, "table-attribution", experiment.Attributed)
+		rows = experiment.Rows(res)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points/sec")
 	if len(rows) > 0 {
@@ -447,15 +478,9 @@ func BenchmarkFlowRulePoint(b *testing.B) {
 // BenchmarkSimulatorEventRate measures raw simulator throughput: simulated
 // request completions per wall second on the Figure 2 configuration.
 func BenchmarkSimulatorEventRate(b *testing.B) {
-	p := params.Default()
-	cfg := experiment.PointConfig{
-		Factory:    experiment.OffloadFactory(p, 4, 4, 10*time.Microsecond),
-		Service:    experiment.BimodalWorkload,
-		OfferedRPS: 400_000,
-		Warmup:     500,
-		Measure:    b.N, // scale the measured window with b.N
-		Seed:       7,
-	}
+	cfg := benchPoint(b, "offload", figure2Offload)
+	cfg.Warmup = 500
+	cfg.Measure = b.N // scale the measured window with b.N
 	if cfg.Measure < 1000 {
 		cfg.Measure = 1000
 	}
@@ -464,19 +489,13 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	b.ReportMetric(float64(r.Completed), "requests")
 }
 
-func directIRQConfig(p params.Params, slice time.Duration) idealnic.Config {
-	return idealnic.Config{
-		P: p, Workers: 4, Outstanding: 4, Slice: slice,
-		DirectInterrupts: true,
-	}
-}
-
 // X11 — §3.1 scheduling affinity (extension): preferring a preempted
 // request's previous worker halves cross-core context migrations.
 func BenchmarkAblationAffinity(b *testing.B) {
 	var r experiment.AffinityResult
 	for i := 0; i < b.N; i++ {
-		r = experiment.AffinityAblation(benchQ)
+		_, res := benchRun(b, "table-affinity", experiment.Affinity)
+		r = experiment.AffinityAblation(res)
 	}
 	b.ReportMetric(float64(r.MigrationsOff), "migrations_off")
 	b.ReportMetric(float64(r.MigrationsOn), "migrations_on")

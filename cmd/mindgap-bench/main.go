@@ -26,8 +26,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -41,41 +43,72 @@ import (
 	"mindgap/internal/params"
 	"mindgap/internal/runner"
 	"mindgap/internal/telemetry"
+	"mindgap/scenarios"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
+
+// lookup finds a command-line id in a figure or table registry.
+func lookup(reg []experiment.Entry, id string) (experiment.Entry, bool) {
+	for _, e := range reg {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return experiment.Entry{}, false
+}
+
+// idList joins a registry's command-line ids for help and error text.
+func idList(reg []experiment.Entry) string {
+	ids := make([]string, len(reg))
+	for i, e := range reg {
+		ids[i] = e.ID
+	}
+	return strings.Join(ids, ", ")
+}
+
+// run is main with its process edges passed in: args is os.Args and the
+// result is the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig      = flag.String("fig", "", "figure to run: 2, 3, 3burst, 4, 5, 6, 6cxl, 6linerate, baselines, faults-niccrash, faults-lossyfabric, flowrule (empty = all)")
-		table    = flag.String("table", "", "table to run: timer, ipc, wait, latency, dispersion, policy, affinity, attribution, tenants, faults, flowrule (empty = all)")
-		quality  = flag.String("quality", "full", "sample counts: quick or full")
-		quick    = flag.Bool("quick", false, "shorthand for -quality quick")
-		csv      = flag.Bool("csv", false, "CSV output for figures")
-		plot     = flag.Bool("plot", false, "ASCII chart output for figures")
-		only     = flag.Bool("figs-only", false, "skip tables")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrently simulated points")
-		timeout  = flag.Duration("timeout", 0, "overall deadline; on expiry, completed points are printed (0 = none)")
-		cacheDir = flag.String("cache", "", "directory for the on-disk result cache (empty = no caching)")
-		progress = flag.Bool("progress", false, "live point-completion progress on stderr")
-		list     = flag.Bool("list", false, "list figure/table/hypothesis ids and their scenario presets, then exit")
-		hyp      = flag.String("hypothesis", "", "hypothesis to execute: a corpus name, a spec file path, or \"all\" (prints FINDINGS; exits 1 on a FAIL verdict)")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		fig      = fs.String("fig", "", "figure to run: "+idList(experiment.FigureIDs)+" (empty = all)")
+		table    = fs.String("table", "", "table to run: "+idList(experiment.TableIDs)+" (empty = all)")
+		quality  = fs.String("quality", "full", "sample counts: quick or full")
+		quick    = fs.Bool("quick", false, "shorthand for -quality quick")
+		csv      = fs.Bool("csv", false, "CSV output for figures")
+		plot     = fs.Bool("plot", false, "ASCII chart output for figures")
+		only     = fs.Bool("figs-only", false, "skip tables")
+		jobs     = fs.Int("j", runtime.GOMAXPROCS(0), "max concurrently simulated points")
+		timeout  = fs.Duration("timeout", 0, "overall deadline; on expiry, completed points are printed (0 = none)")
+		cacheDir = fs.String("cache", "", "directory for the on-disk result cache (empty = no caching)")
+		progress = fs.Bool("progress", false, "live point-completion progress on stderr")
+		list     = fs.Bool("list", false, "list figure/table/hypothesis ids and their scenario presets, then exit")
+		hyp      = fs.String("hypothesis", "", "hypothesis to execute: a corpus name, a spec file path, or \"all\" (prints FINDINGS; exits 1 on a FAIL verdict)")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mindgap-bench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mindgap-bench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
+			return 1
 		}
 	}
-	// main exits via os.Exit, so profiles are flushed explicitly, not by
-	// defers.
+	// The caller exits with run's result, so profiles are flushed
+	// explicitly at the end of a completed run, not by defers.
 	writeProfiles := func() {
 		if *cpuProf != "" {
 			pprof.StopCPUProfile()
@@ -83,47 +116,31 @@ func main() {
 		if *memProf != "" {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mindgap-bench: %v\n", err)
+				fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
 				return
 			}
 			runtime.GC() // flush recently-freed objects out of the heap profile
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "mindgap-bench: %v\n", err)
+				fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
 			}
 			f.Close()
 		}
 	}
 
 	if *list {
-		fmt.Println("figures (-fig ID, scenario preset in scenarios/):")
-		for _, e := range [][2]string{
-			{"2", "figure2"}, {"3", "figure3"}, {"3burst", "figure3-burst"},
-			{"4", "figure4"}, {"5", "figure5"}, {"6", "figure6"},
-			{"6cxl", "figure6-cxl"}, {"6linerate", "figure6-linerate"},
-			{"baselines", "baselines"},
-			{"faults-niccrash", "figure-faults-niccrash"},
-			{"faults-lossyfabric", "figure-faults-lossyfabric"},
-			{"flowrule", "figure-flowrule"},
-		} {
-			fmt.Printf("  %-10s scenarios/%s.json\n", e[0], e[1])
+		fmt.Fprintln(stdout, "figures (-fig ID, scenario preset in scenarios/):")
+		for _, f := range experiment.FigureIDs {
+			fmt.Fprintf(stdout, "  %-10s scenarios/%s.json\n", f.ID, f.Source)
 		}
-		fmt.Println("tables (-table ID):")
-		for _, e := range [][2]string{
-			{"timer", "(analytic, no preset)"}, {"ipc", "scenarios/table-ipc.json"},
-			{"wait", "scenarios/table-wait.json"}, {"latency", "(analytic, no preset)"},
-			{"policy", "scenarios/table-policy.json"}, {"dispersion", "scenarios/table-dispersion.json"},
-			{"affinity", "scenarios/table-affinity.json"}, {"attribution", "scenarios/table-attribution.json"},
-			{"tenants", "scenarios/table-tenants.json"},
-			{"faults", "scenarios/figure-faults-*.json"},
-			{"flowrule", "scenarios/figure-flowrule.json"},
-		} {
-			fmt.Printf("  %-10s %s\n", e[0], e[1])
+		fmt.Fprintln(stdout, "tables (-table ID):")
+		for _, t := range experiment.TableIDs {
+			fmt.Fprintf(stdout, "  %-10s %s\n", t.ID, t.Source)
 		}
-		fmt.Println("hypotheses (-hypothesis ID, spec in hypotheses/):")
+		fmt.Fprintln(stdout, "hypotheses (-hypothesis ID, spec in hypotheses/):")
 		for _, name := range hypotheses.Names() {
-			fmt.Printf("  %s\n", name)
+			fmt.Fprintf(stdout, "  %s\n", name)
 		}
-		return
+		return 0
 	}
 
 	q := experiment.Full
@@ -132,8 +149,17 @@ func main() {
 		q = experiment.Quick
 	case *quality == "full":
 	default:
-		fmt.Fprintf(os.Stderr, "mindgap-bench: unknown -quality %q (want quick or full)\n", *quality)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mindgap-bench: unknown -quality %q (want quick or full)\n", *quality)
+		return 2
+	}
+	figure, ok := lookup(experiment.FigureIDs, *fig)
+	if *fig != "" && !ok {
+		fmt.Fprintf(stderr, "mindgap-bench: unknown figure %q (want one of: %s)\n", *fig, idList(experiment.FigureIDs))
+		return 2
+	}
+	if _, ok := lookup(experiment.TableIDs, *table); *table != "" && !ok {
+		fmt.Fprintf(stderr, "mindgap-bench: unknown table %q (want one of: %s)\n", *table, idList(experiment.TableIDs))
+		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -151,8 +177,8 @@ func main() {
 	if *cacheDir != "" {
 		c, err := runner.OpenCache(*cacheDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mindgap-bench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
+			return 1
 		}
 		rn.Cache = c
 	}
@@ -162,7 +188,7 @@ func main() {
 			if ev.Cached {
 				note = " (cached)"
 			}
-			fmt.Fprintf(os.Stderr, "[%s] %d/%d %s #%d%s\n",
+			fmt.Fprintf(stderr, "[%s] %d/%d %s #%d%s\n",
 				ev.Sweep, ev.Done, ev.Total, ev.Series, ev.Index, note)
 		}
 	}
@@ -173,133 +199,119 @@ func main() {
 		if err == nil {
 			return false
 		}
-		fmt.Fprintf(os.Stderr, "mindgap-bench: %v — results below are the completed prefix\n", err)
+		fmt.Fprintf(stderr, "mindgap-bench: %v — results below are the completed prefix\n", err)
 		exitCode = 1
 		return true
 	}
 
-	figures := map[string]func(experiment.Quality) experiment.FigureSpec{
-		"2":         experiment.Figure2Spec,
-		"3":         experiment.Figure3Spec,
-		"3burst":    experiment.Figure3BurstSpec,
-		"4":         experiment.Figure4Spec,
-		"5":         experiment.Figure5Spec,
-		"6":         experiment.Figure6Spec,
-		"6cxl":      experiment.Figure6CXLSpec,
-		"6linerate": experiment.Figure6LineRateSpec,
-		"baselines": experiment.BaselineComparisonSpec,
-
-		"faults-niccrash":    experiment.FigureFaultsNICCrashSpec,
-		"faults-lossyfabric": experiment.FigureFaultsLossyFabricSpec,
-		"flowrule":           experiment.FigureFlowRuleSpec,
-	}
-	order := []string{"2", "3", "3burst", "4", "5", "6", "6cxl", "6linerate", "baselines",
-		"faults-niccrash", "faults-lossyfabric", "flowrule"}
-
-	runFigure := func(id string) {
-		build, ok := figures[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "mindgap-bench: unknown figure %q\n", id)
-			os.Exit(2)
-		}
+	// runFigure measures one registry figure and renders it; a rendering
+	// failure aborts the run.
+	runFigure := func(e experiment.Entry) error {
 		start := time.Now()
-		f, err := build(q).Run(ctx, rn)
+		p := scenarios.MustLoad(e.Source)
+		res, err := experiment.Run(ctx, rn, p, q, experiment.Plain)
 		interrupted(err)
+		f := experiment.NewFigure(p, res)
 		switch {
 		case *csv:
-			if err := f.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "mindgap-bench: %v\n", err)
-				os.Exit(1)
+			if err := f.WriteCSV(stdout); err != nil {
+				return err
 			}
 		case *plot:
-			f.Plot(os.Stdout, 72, 20)
-			fmt.Println()
+			f.Plot(stdout, 72, 20)
+			fmt.Fprintln(stdout)
 		default:
-			f.Render(os.Stdout)
-			fmt.Printf("   (wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
+			f.Render(stdout)
+			fmt.Fprintf(stdout, "   (wall time %v)\n\n", time.Since(start).Round(time.Millisecond))
 		}
+		return nil
 	}
 
 	runTables := func(which string) {
 		p := params.Default()
 		if which == "" || which == "timer" {
-			fmt.Println("== T1: §3.4.4 timer/interrupt costs (host clock 2.3 GHz)")
-			fmt.Printf("%-26s %12s %12s %12s %12s %10s\n",
+			fmt.Fprintln(stdout, "== T1: §3.4.4 timer/interrupt costs (host clock 2.3 GHz)")
+			fmt.Fprintf(stdout, "%-26s %12s %12s %12s %12s %10s\n",
 				"operation", "linux(cyc)", "direct(cyc)", "linux", "direct", "reduction")
 			for _, r := range experiment.TimerCosts(p) {
-				fmt.Printf("%-26s %12.0f %12.0f %12v %12v %9.0f%%\n",
+				fmt.Fprintf(stdout, "%-26s %12.0f %12.0f %12v %12v %9.0f%%\n",
 					r.Operation, r.LinuxCycles, r.DirectCycles, r.LinuxTime, r.DirectTime, r.Reduction*100)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if which == "" || which == "ipc" {
-			fmt.Println("== T2: §2.2 inter-thread communication overhead (paper: ≈2µs added tail)")
-			r, err := experiment.IPCOverheadWith(ctx, rn, q)
+			fmt.Fprintln(stdout, "== T2: §2.2 inter-thread communication overhead (paper: ≈2µs added tail)")
+			res, err := experiment.Run(ctx, rn, scenarios.MustLoad("table-ipc"), q, experiment.Plain)
 			if !interrupted(err) {
-				fmt.Printf("shinjuku p99 = %v, single-thread (rss) p99 = %v, overhead = %v\n\n",
+				r := experiment.IPCOverhead(res)
+				fmt.Fprintf(stdout, "shinjuku p99 = %v, single-thread (rss) p99 = %v, overhead = %v\n\n",
 					r.ShinjukuP99, r.RSSP99, r.Overhead)
 			}
 		}
 		if which == "" || which == "wait" {
-			fmt.Println("== T3: §4 worker wait time at saturation (paper: 1µs workload waits 110% more)")
-			r, err := experiment.WorkerWaitWith(ctx, rn, q)
+			fmt.Fprintln(stdout, "== T3: §4 worker wait time at saturation (paper: 1µs workload waits 110% more)")
+			res, err := experiment.Run(ctx, rn, scenarios.MustLoad("table-wait"), q, experiment.Plain)
 			if !interrupted(err) {
-				fmt.Printf("idle@100µs = %.1f%%, idle@1µs = %.1f%%, extra waiting = %.0f%%\n\n",
+				r := experiment.WorkerWait(res)
+				fmt.Fprintf(stdout, "idle@100µs = %.1f%%, idle@1µs = %.1f%%, extra waiting = %.0f%%\n\n",
 					r.IdleAt100us*100, r.IdleAt1us*100, r.ExtraWaitFrac*100)
 			}
 		}
 		if which == "" || which == "latency" {
-			fmt.Println("== T4: §3.3 NIC↔host one-way latency")
+			fmt.Fprintln(stdout, "== T4: §3.3 NIC↔host one-way latency")
 			r := experiment.CommLatency(p)
-			fmt.Printf("modelled = %v, paper = %v\n\n", r.Modelled, r.Paper)
+			fmt.Fprintf(stdout, "modelled = %v, paper = %v\n\n", r.Modelled, r.Paper)
 		}
 		if which == "" || which == "policy" {
-			fmt.Println("== X10: worker-selection policy ablation (bimodal, k=6, no preemption, ρ=0.75)")
-			fmt.Printf("%-26s %12s %12s %14s\n", "policy", "p50", "p99", "achieved")
-			rows, err := experiment.PolicyAblationWith(ctx, rn, q)
-			for _, r := range rows {
-				fmt.Printf("%-26s %12v %12v %14.0f\n", r.Policy, r.P50, r.P99, r.Achieved)
+			fmt.Fprintln(stdout, "== X10: worker-selection policy ablation (bimodal, k=6, no preemption, ρ=0.75)")
+			fmt.Fprintf(stdout, "%-26s %12s %12s %14s\n", "policy", "p50", "p99", "achieved")
+			preset := scenarios.MustLoad("table-policy")
+			res, err := experiment.Run(ctx, rn, preset, q, experiment.Plain)
+			for _, r := range experiment.PolicyRows(preset, res) {
+				fmt.Fprintf(stdout, "%-26s %12v %12v %14.0f\n", r.Policy, r.P50, r.P99, r.Achieved)
 			}
 			interrupted(err)
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if which == "" || which == "dispersion" {
-			fmt.Println("== X7: preemption win vs service-time dispersion (mean 10µs, ρ=0.7, 4 workers)")
-			fmt.Printf("%-36s %8s %16s %16s %8s\n", "workload", "cv²", "short p99 (pre)", "short p99 (rtc)", "win")
-			rows, err := experiment.DispersionSensitivityWith(ctx, rn, q)
-			for _, r := range rows {
-				fmt.Printf("%-36s %8.2f %16v %16v %7.1fx\n",
+			fmt.Fprintln(stdout, "== X7: preemption win vs service-time dispersion (mean 10µs, ρ=0.7, 4 workers)")
+			fmt.Fprintf(stdout, "%-36s %8s %16s %16s %8s\n", "workload", "cv²", "short p99 (pre)", "short p99 (rtc)", "win")
+			preset := scenarios.MustLoad("table-dispersion")
+			res, err := experiment.Run(ctx, rn, preset, q, experiment.ShortTail)
+			for _, r := range experiment.DispersionRows(preset, res) {
+				fmt.Fprintf(stdout, "%-36s %8.2f %16v %16v %7.1fx\n",
 					r.Workload, r.CV2, r.PreemptShortP99, r.NoPreemptShortP99, r.Win)
 			}
 			interrupted(err)
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if which == "" || which == "affinity" {
-			fmt.Println("== X11: scheduling-affinity ablation (10% 100µs requests, 10µs slice, 8 workers)")
-			r, err := experiment.AffinityAblationWith(ctx, rn, q)
+			fmt.Fprintln(stdout, "== X11: scheduling-affinity ablation (10% 100µs requests, 10µs slice, 8 workers)")
+			res, err := experiment.Run(ctx, rn, scenarios.MustLoad("table-affinity"), q, experiment.Affinity)
 			if !interrupted(err) {
-				fmt.Printf("migrations: off=%d on=%d (preemptions %d); mean: off=%v on=%v; p99: off=%v on=%v\n\n",
+				r := experiment.AffinityAblation(res)
+				fmt.Fprintf(stdout, "migrations: off=%d on=%d (preemptions %d); mean: off=%v on=%v; p99: off=%v on=%v\n\n",
 					r.MigrationsOff, r.MigrationsOn, r.Preemptions,
 					r.MeanOff, r.MeanOn, r.P99Off, r.P99On)
 			}
 		}
 		if which == "" || which == "attribution" {
-			fmt.Println("== X13: latency attribution (per-phase share of the tail + decision audit, 450 krps)")
-			rows, err := experiment.AttributionWith(ctx, rn, q)
-			for _, r := range rows {
-				fmt.Printf("%s — p50=%v p99=%v achieved=%.0f rps\n",
+			fmt.Fprintln(stdout, "== X13: latency attribution (per-phase share of the tail + decision audit, 450 krps)")
+			res, err := experiment.Run(ctx, rn, scenarios.MustLoad("table-attribution"), q, experiment.Attributed)
+			for _, r := range experiment.Rows(res) {
+				fmt.Fprintf(stdout, "%s — p50=%v p99=%v achieved=%.0f rps\n",
 					r.Label, r.Result.P50, r.Result.P99, r.Result.AchievedRPS)
-				fmt.Printf("  %-12s %12s %12s %12s %10s %10s\n",
+				fmt.Fprintf(stdout, "  %-12s %12s %12s %12s %10s %10s\n",
 					"phase", "mean", "p50", "p99", "mean-share", "tail-share")
 				for _, ph := range r.Phases {
 					if ph.Mean == 0 && ph.P99 == 0 {
 						continue // phase the system never enters (e.g. fabric on rss)
 					}
-					fmt.Printf("  %-12s %12v %12v %12v %9.1f%% %9.1f%%\n",
+					fmt.Fprintf(stdout, "  %-12s %12v %12v %12v %9.1f%% %9.1f%%\n",
 						ph.Phase, ph.Mean, ph.P50, ph.P99, ph.MeanShare*100, ph.TailShare*100)
 				}
 				a := r.Audit
-				fmt.Printf("  decisions=%d informed=%d mis-dispatch=%.1f%% staleness(mean/p99)=%v/%v est-err=%v excess(mean/p99)=%v/%v\n\n",
+				fmt.Fprintf(stdout, "  decisions=%d informed=%d mis-dispatch=%.1f%% staleness(mean/p99)=%v/%v est-err=%v excess(mean/p99)=%v/%v\n\n",
 					a.Decisions, a.Informed, a.MisRate*100,
 					a.MeanStaleness, a.P99Staleness, a.MeanEstimateError,
 					a.MeanExcess, a.P99Excess)
@@ -307,62 +319,63 @@ func main() {
 			interrupted(err)
 		}
 		if which == "" || which == "faults" {
-			fmt.Println("== X12: fault recovery timeline (goodput and tail per phase of a faulted run)")
+			fmt.Fprintln(stdout, "== X12: fault recovery timeline (goodput and tail per phase of a faulted run)")
 			for _, id := range experiment.FaultPresetIDs() {
 				r, err := experiment.FaultTimeline(id, q)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "mindgap-bench: %v\n", err)
+					fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
 					exitCode = 1
 					continue
 				}
-				fmt.Printf("%s — %s @ %.0f rps\n", r.Preset, r.Label, r.OfferedRPS)
-				fmt.Printf("  %-10s %16s %10s %12s %12s %12s %12s\n",
+				fmt.Fprintf(stdout, "%s — %s @ %.0f rps\n", r.Preset, r.Label, r.OfferedRPS)
+				fmt.Fprintf(stdout, "  %-10s %16s %10s %12s %12s %12s %12s\n",
 					"phase", "window", "completed", "goodput", "p50", "p99", "max")
 				for _, ph := range r.Phases {
-					fmt.Printf("  %-10s %7v–%-8v %10d %12.0f %12v %12v %12v\n",
+					fmt.Fprintf(stdout, "  %-10s %7v–%-8v %10d %12.0f %12v %12v %12v\n",
 						ph.Phase, ph.Start, ph.End, ph.Completed, ph.GoodputRPS, ph.P50, ph.P99, ph.Max)
 				}
-				fmt.Printf("  retries=%d timeout_drops=%d degraded=%d loss_drops=%d delay_hits=%d drops=%d\n\n",
+				fmt.Fprintf(stdout, "  retries=%d timeout_drops=%d degraded=%d loss_drops=%d delay_hits=%d drops=%d\n\n",
 					r.Retries, r.TimeoutDrops, r.Degraded, r.LossDrops, r.DelayHits, r.RecorderDrops)
 			}
 		}
 		if which == "" || which == "flowrule" {
-			fmt.Println("== X14: flow-rule offload detail (rule-table telemetry behind the figure)")
-			fmt.Printf("%-34s %10s %8s %12s %10s %10s %10s %10s %10s %8s %8s\n",
+			fmt.Fprintln(stdout, "== X14: flow-rule offload detail (rule-table telemetry behind the figure)")
+			fmt.Fprintf(stdout, "%-34s %10s %8s %12s %10s %10s %10s %10s %10s %8s %8s\n",
 				"policy", "flows", "hit", "p99", "fast", "slow", "drop", "inserted", "refused", "evicted", "thr")
-			rows, err := experiment.FlowRuleTableWith(ctx, rn, q)
-			for _, r := range rows {
-				fmt.Printf("%-34s %10d %7.1f%% %12v %10.0f %10.0f %10.0f %10.0f %10.0f %8.0f %8.0f\n",
+			res, err := experiment.Run(ctx, rn, scenarios.MustLoad("figure-flowrule"), q, experiment.FlowRuleDetail)
+			for _, r := range experiment.Rows(res) {
+				fmt.Fprintf(stdout, "%-34s %10d %7.1f%% %12v %10.0f %10.0f %10.0f %10.0f %10.0f %8.0f %8.0f\n",
 					r.Label, r.Flows, r.FastHitRate*100, r.Result.P99,
 					r.FastPackets, r.SlowPackets, r.DropPackets,
 					r.Insertions, r.OffloadRefused, r.LRUEvictions+r.IdleEvictions, r.Threshold)
 			}
 			interrupted(err)
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if which == "" || which == "tenants" {
-			fmt.Println("== X9: multi-tenant isolation (FIFO vs strict class priority)")
+			fmt.Fprintln(stdout, "== X9: multi-tenant isolation (FIFO vs strict class priority)")
 			cmp, err := experiment.MultiTenantComparisonWith(ctx, rn, experiment.DefaultMultiTenant(q))
 			if !interrupted(err) {
-				fmt.Printf("%-22s %-10s %12s %12s %12s %10s\n", "tenant", "sched", "p50", "p99", "mean", "completed")
+				fmt.Fprintf(stdout, "%-22s %-10s %12s %12s %12s %10s\n", "tenant", "sched", "p50", "p99", "mean", "completed")
 				for _, set := range []struct {
 					name string
 					rs   []experiment.TenantResult
 				}{{"fifo", cmp.FIFO}, {"priority", cmp.Priority}} {
 					for _, tr := range set.rs {
-						fmt.Printf("%-22s %-10s %12v %12v %12v %10d\n",
+						fmt.Fprintf(stdout, "%-22s %-10s %12v %12v %12v %10d\n",
 							tr.Tenant.Name, set.name, tr.P50, tr.P99, tr.Mean, tr.Completed)
 					}
 				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 		}
 	}
 
 	// runHypotheses executes checked-in or on-disk hypotheses through the
 	// same cached runner as the figures and prints their FINDINGS. A FAIL
-	// verdict — a claim the simulator no longer supports — exits nonzero.
-	runHypotheses := func(which string) {
+	// verdict — a claim the simulator no longer supports — exits nonzero;
+	// a hypothesis that does not load aborts the run.
+	runHypotheses := func(which string) error {
 		load := func(name string) (hypothesis.Spec, error) {
 			if strings.ContainsAny(name, "/.") {
 				b, err := os.ReadFile(name)
@@ -384,32 +397,41 @@ func main() {
 		for _, name := range names {
 			s, err := load(name)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mindgap-bench: %v\n", err)
-				os.Exit(2)
+				return err
 			}
 			rep, err := hypothesis.Run(ctx, rn, s, q)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mindgap-bench: %v\n", err)
+				fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
 				exitCode = 1
 				continue
 			}
-			os.Stdout.Write(rep.Render())
+			stdout.Write(rep.Render())
 			if !rep.Pass {
 				exitCode = 1
 			}
 		}
+		return nil
 	}
 
 	switch {
 	case *hyp != "":
-		runHypotheses(*hyp)
+		if err := runHypotheses(*hyp); err != nil {
+			fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
+			return 2
+		}
 	case *fig != "":
-		runFigure(*fig)
+		if err := runFigure(figure); err != nil {
+			fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
+			return 1
+		}
 	case *table != "":
 		runTables(*table)
 	default:
-		for _, id := range order {
-			runFigure(id)
+		for _, e := range experiment.FigureIDs {
+			if err := runFigure(e); err != nil {
+				fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
+				return 1
+			}
 		}
 		if !*only {
 			runTables("")
@@ -418,9 +440,9 @@ func main() {
 
 	if rn.Cache != nil {
 		hits, misses := rn.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "mindgap-bench: cache %s: %d hits, %d misses\n",
+		fmt.Fprintf(stderr, "mindgap-bench: cache %s: %d hits, %d misses\n",
 			rn.Cache.Dir(), hits, misses)
 	}
 	writeProfiles()
-	os.Exit(exitCode)
+	return exitCode
 }

@@ -33,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"mindgap/internal/dist"
 	"mindgap/internal/experiment"
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
@@ -120,28 +119,16 @@ func main() {
 		os.Exit(2)
 	}
 	sp.Workload = *distSpec
+	sp.Load = &scenario.LoadSpec{RPS: *rps}
 	if *zipfN > 0 {
 		sp.Keys = &scenario.KeysSpec{N: *zipfN, Skew: *zipfS}
 	}
-	svc, err := dist.Parse(*distSpec)
+	cfg, err := experiment.PointConfigFor(sp, q)
 	if err != nil {
 		log.Fatalf("mindgap-sim: %v", err)
 	}
-	factory, err := scenario.Build(sp)
-	if err != nil {
-		log.Fatalf("mindgap-sim: %v", err)
-	}
-
-	cfg := experiment.PointConfig{
-		Factory:    factory,
-		Service:    svc,
-		OfferedRPS: *rps,
-		Warmup:     q.Warmup,
-		Measure:    q.Measure,
-	}
-	if sp.Keys != nil {
-		cfg.Keys = sp.Keys.Keys()
-	}
+	cfg.OfferedRPS = *rps
+	svc := cfg.Service
 
 	seeds, err := replicateSeeds(*seedList, *replicates, q.Seed)
 	if err != nil {
@@ -150,9 +137,7 @@ func main() {
 
 	start := time.Now()
 	if len(seeds) > 0 {
-		// The spec fingerprint is the canonical cache identity of the
-		// system + workload under test.
-		rep, err := experiment.RunPointReplicatedWith(ctx, rn, sp.Fingerprint(), cfg, seeds)
+		rep, err := experiment.Replicate(ctx, rn, sp, q, seeds)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mindgap-sim: %v — %d/%d replicates completed\n",
 				err, len(rep.Runs), len(seeds))
@@ -176,7 +161,6 @@ func main() {
 		return
 	}
 
-	cfg.Seed = q.Seed
 	r := experiment.RunPoint(cfg)
 	fmt.Printf("system=%s workload=%v offered=%.0f rps\n", r.SystemName, svc, *rps)
 	fmt.Printf("%s\n", r.Point)
@@ -254,14 +238,14 @@ func runScenario(ctx context.Context, rn *runner.Runner, arg string, q experimen
 		return
 	}
 
-	spec, err := experiment.PresetFigureSpec(p, q)
-	if err != nil {
-		log.Fatalf("mindgap-sim: %v", err)
+	res, err := experiment.Run(ctx, rn, p, q, experiment.Plain)
+	if res == nil && err != nil {
+		log.Fatalf("mindgap-sim: %v", err) // the preset did not compile
 	}
-	f, err := spec.Run(ctx, rn)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mindgap-sim: %v — results below are the completed prefix\n", err)
 	}
+	f := experiment.NewFigure(p, res)
 	if csv {
 		if werr := f.WriteCSV(os.Stdout); werr != nil {
 			log.Fatalf("mindgap-sim: %v", werr)

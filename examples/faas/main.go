@@ -15,12 +15,12 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"mindgap/internal/dist"
-	"mindgap/internal/experiment"
 	"mindgap/internal/loadgen"
-	"mindgap/internal/params"
+	"mindgap/internal/scenario"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
@@ -54,29 +54,39 @@ func main() {
 			dist.Uniform{Lo: 300 * time.Microsecond, Hi: 1200 * time.Microsecond}, // batch
 		},
 	)
-	p := params.Default()
 	const workers = 8
 	const rps = 220_000 // ρ ≈ 0.68 on 8 workers
-	slice := 15 * time.Microsecond
+	slice := scenario.Duration(15 * time.Microsecond)
 
 	fmt.Printf("workload: %v (mean %v), %d krps on %d host cores\n\n",
 		workload, workload.Mean(), rps/1000, workers)
 
+	// Every system is declared as a scenario spec and assembled through
+	// the registry.
 	configs := []struct {
-		label   string
-		factory experiment.Factory
+		label string
+		spec  scenario.Spec
 	}{
-		{"shinjuku-offload (preemptive, NIC)", experiment.OffloadFactory(p, workers, 4, slice)},
-		{"shinjuku (preemptive, host core)", experiment.ShinjukuFactory(p, workers-1, slice)},
-		{"rpcvalet (central, no preempt)", experiment.RPCValetFactory(p, workers)},
-		{"zygos (stealing, no preempt)", experiment.ZygOSFactory(p, workers)},
-		{"rss/ix (static, no preempt)", experiment.RSSFactory(p, workers)},
+		{"shinjuku-offload (preemptive, NIC)",
+			scenario.Spec{System: "offload", Knobs: &scenario.Knobs{Workers: workers, Outstanding: 4, Slice: slice}}},
+		{"shinjuku (preemptive, host core)",
+			scenario.Spec{System: "shinjuku", Knobs: &scenario.Knobs{Workers: workers - 1, Slice: slice}}},
+		{"rpcvalet (central, no preempt)",
+			scenario.Spec{System: "rpcvalet", Knobs: &scenario.Knobs{Workers: workers}}},
+		{"zygos (stealing, no preempt)",
+			scenario.Spec{System: "zygos", Knobs: &scenario.Knobs{Workers: workers}}},
+		{"rss/ix (static, no preempt)",
+			scenario.Spec{System: "rss", Knobs: &scenario.Knobs{Workers: workers}}},
 	}
 
 	fmt.Printf("%-36s %14s %14s %14s\n",
 		"p99 per class →", classNames[0], classNames[1], classNames[2])
 	for _, c := range configs {
-		perClass := measure(c.factory, workload, rps)
+		factory, err := scenario.Build(c.spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		perClass := measure(factory, workload, rps)
 		fmt.Printf("%-36s %14v %14v %14v\n",
 			c.label, perClass[0].P99(), perClass[1].P99(), perClass[2].P99())
 	}
@@ -87,7 +97,7 @@ func main() {
 }
 
 // measure runs one system and returns per-class latency histograms.
-func measure(factory experiment.Factory, svc dist.Distribution, rps float64) [3]*stats.Histogram {
+func measure(factory scenario.Factory, svc dist.Distribution, rps float64) [3]*stats.Histogram {
 	eng := sim.New()
 	var hist [3]*stats.Histogram
 	for i := range hist {
@@ -95,7 +105,7 @@ func measure(factory experiment.Factory, svc dist.Distribution, rps float64) [3]
 	}
 	const warmup, measure = 10_000, 80_000
 	completions := 0
-	var sys experiment.System
+	var sys scenario.System
 	sys = factory(eng, nil, func(r *task.Request) {
 		completions++
 		if completions <= warmup {

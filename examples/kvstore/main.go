@@ -9,11 +9,12 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"mindgap/internal/dist"
 	"mindgap/internal/experiment"
-	"mindgap/internal/params"
+	"mindgap/internal/scenario"
 )
 
 func main() {
@@ -25,14 +26,23 @@ func main() {
 			dist.Fixed{D: 50 * time.Microsecond},
 		},
 	)
-	p := params.Default()
 	const workers = 8
 	const rps = 800_000
 
 	fmt.Printf("KVS workload: %v, mean %v, offered %d krps on %d workers\n\n",
 		workload, workload.Mean(), rps/1000, workers)
 
-	run := func(label string, factory experiment.Factory, skew float64) {
+	// Both systems are declared as scenario specs and assembled through
+	// the registry.
+	flowDir := scenario.Spec{System: "flowdir", Knobs: &scenario.Knobs{Workers: workers}}
+	offload := scenario.Spec{System: "offload", Knobs: &scenario.Knobs{
+		Workers: workers, Outstanding: 4, Slice: scenario.Duration(10 * time.Microsecond)}}
+
+	run := func(label string, sp scenario.Spec, skew float64) {
+		factory, err := scenario.Build(sp)
+		if err != nil {
+			log.Fatal(err)
+		}
 		cfg := experiment.PointConfig{
 			Factory:    factory,
 			Service:    workload,
@@ -54,12 +64,12 @@ func main() {
 	}
 
 	fmt.Println("-- uniform key popularity (zipf s=0)")
-	run("flow-director (key-affinity steering)", experiment.FlowDirFactory(p, workers), 0)
-	run("shinjuku-offload (informed NIC scheduler)", experiment.OffloadFactory(p, workers, 4, 10*time.Microsecond), 0)
+	run("flow-director (key-affinity steering)", flowDir, 0)
+	run("shinjuku-offload (informed NIC scheduler)", offload, 0)
 
 	fmt.Println("\n-- skewed key popularity (zipf s=1.1)")
-	run("flow-director (key-affinity steering)", experiment.FlowDirFactory(p, workers), 1.1)
-	run("shinjuku-offload (informed NIC scheduler)", experiment.OffloadFactory(p, workers, 4, 10*time.Microsecond), 1.1)
+	run("flow-director (key-affinity steering)", flowDir, 1.1)
+	run("shinjuku-offload (informed NIC scheduler)", offload, 1.1)
 
 	fmt.Println("\nKey-affinity steering inherits the key skew as core imbalance; the")
 	fmt.Println("centralized scheduler is immune because any worker can serve any key.")

@@ -1,16 +1,10 @@
 package experiment
 
 import (
-	"context"
 	"time"
 
-	"mindgap/internal/dist"
-	"mindgap/internal/loadgen"
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
-	"mindgap/internal/sim"
-	"mindgap/internal/stats"
-	"mindgap/internal/task"
 )
 
 // AffinityResult is the X11 extension experiment: §3.1's scheduling
@@ -28,8 +22,8 @@ type AffinityResult struct {
 	P99Off, P99On   time.Duration
 }
 
-// affinityMeasure is the runner payload of one X11 simulation.
-type affinityMeasure struct {
+// AffinityMeasure is the runner payload of one X11 simulation.
+type AffinityMeasure struct {
 	Migrations, Preemptions uint64
 	Mean, P99               time.Duration
 }
@@ -41,69 +35,29 @@ type migrationCounter interface {
 	Preemptions() uint64
 }
 
-// AffinityAblationWith measures X11 on rn, running the affinity-off and
-// affinity-on configurations (the two series of the table-affinity
-// preset) concurrently. The workload is preemption-heavy: 10% of
-// requests run 100 µs against a 10 µs slice, so every long request is
-// preempted ~9 times and each resume either stays local or migrates.
-func AffinityAblationWith(ctx context.Context, rn *runner.Runner, q Quality) (AffinityResult, error) {
-	p := mustPreset("table-affinity")
-	point := func(i int) (runner.Point[affinityMeasure], error) {
-		sp := p.SpecFor(i)
-		f, err := scenario.Build(sp)
-		if err != nil {
-			return runner.Point[affinityMeasure]{}, err
+// Affinity is the X11 row kind: a measured point plus the system's
+// whole-run migration and preemption counters.
+var Affinity = Kind[AffinityMeasure]{
+	salt: "affinity1",
+	run: func(cfg PointConfig, _ scenario.Spec, _ float64) AffinityMeasure {
+		r, sys := drive(cfg, nil)
+		mc := sys.(migrationCounter)
+		return AffinityMeasure{
+			Migrations:  mc.Migrations(),
+			Preemptions: mc.Preemptions(),
+			Mean:        r.Mean,
+			P99:         r.P99,
 		}
-		svc, err := dist.Parse(sp.Workload)
-		if err != nil {
-			return runner.Point[affinityMeasure]{}, err
-		}
-		eq := qualityFor(sp, q)
-		rps := specLoads(sp, svc)[0]
-		return runner.Point[affinityMeasure]{
-			Key: specPointKey(p.ID, sp, eq, rps),
-			Run: func() affinityMeasure {
-				eng := sim.New()
-				var lat stats.Histogram
-				completions := 0
-				target := eq.Warmup + eq.Measure
-				sys := f(eng, nil, func(r *task.Request) {
-					completions++
-					if completions > eq.Warmup {
-						lat.Record(r.Latency(eng.Now()))
-					}
-					if completions >= target {
-						eng.Halt()
-					}
-				})
-				loadgen.New(eng, loadgen.Config{RPS: rps, Service: svc, Seed: eq.Seed}, sys.Inject).Start()
-				expected := time.Duration(float64(target) / rps * float64(time.Second))
-				eng.At(sim.Time(8*expected+50*time.Millisecond), eng.Halt)
-				eng.Run()
-				mc := sys.(migrationCounter)
-				return affinityMeasure{
-					Migrations:  mc.Migrations(),
-					Preemptions: mc.Preemptions(),
-					Mean:        lat.Mean(),
-					P99:         lat.P99(),
-				}
-			},
-		}, nil
-	}
-	offPt, err := point(0)
-	if err != nil {
-		return AffinityResult{}, err
-	}
-	onPt, err := point(1)
-	if err != nil {
-		return AffinityResult{}, err
-	}
-	runs, err := runner.RunOne(ctx, rn, p.ID,
-		runner.Series[affinityMeasure]{Points: []runner.Point[affinityMeasure]{offPt, onPt}})
-	if len(runs) < 2 {
-		return AffinityResult{}, err
-	}
-	off, on := runs[0], runs[1]
+	},
+}
+
+// AffinityAblation reduces a complete Affinity run of the table-affinity
+// preset — its affinity-off and affinity-on series — to X11. The
+// workload is preemption-heavy: 10% of requests run 100 µs against a
+// 10 µs slice, so every long request is preempted ~9 times and each
+// resume either stays local or migrates.
+func AffinityAblation(res []runner.SeriesResult[AffinityMeasure]) AffinityResult {
+	off, on := res[0].Results[0], res[1].Results[0]
 	return AffinityResult{
 		MigrationsOff: off.Migrations,
 		MigrationsOn:  on.Migrations,
@@ -112,11 +66,5 @@ func AffinityAblationWith(ctx context.Context, rn *runner.Runner, q Quality) (Af
 		MeanOn:        on.Mean,
 		P99Off:        off.P99,
 		P99On:         on.P99,
-	}, err
-}
-
-// AffinityAblation measures X11 on the default parallel runner.
-func AffinityAblation(q Quality) AffinityResult {
-	r, _ := AffinityAblationWith(context.Background(), nil, q)
-	return r
+	}
 }

@@ -1,17 +1,13 @@
 package experiment
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"mindgap/internal/attr"
-	"mindgap/internal/dist"
-	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 )
 
-// This file runs the attribution table: the same scenario measured under
+// This file declares the attribution table: the same scenario measured under
 // informed offload and its baselines, with a latency-attribution
 // collector attached, so the end-to-end percentiles every other table
 // reports can be split into where the time actually went — and every
@@ -60,94 +56,27 @@ func (r AttributionRow) HostQueueTailShare() float64 {
 	return 0
 }
 
-// runAttributionPoint measures one spec at one offered load with a fresh
-// collector. The collector is created inside the point run — never shared
-// across concurrent sweep points — so attribution tables are
-// byte-identical at any runner parallelism.
-func runAttributionPoint(sp scenario.Spec, eq Quality, rps float64) AttributionRow {
-	col := attr.New(attr.Config{TailK: attributionTailK})
-	f, err := scenario.BuildWith(sp, scenario.Options{Attr: col})
-	if err != nil {
-		// The spec already built once during series compilation.
-		panic(fmt.Sprintf("experiment: attribution rebuild failed: %v", err))
-	}
-	svc, err := dist.Parse(sp.Workload)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: attribution workload reparse failed: %v", err))
-	}
-	cfg := PointConfig{
-		Factory:    f,
-		Service:    svc,
-		OfferedRPS: rps,
-		Warmup:     eq.Warmup,
-		Measure:    eq.Measure,
-		Seed:       eq.Seed,
-	}
-	if sp.Keys != nil {
-		cfg.Keys = sp.Keys.Keys()
-	}
-	res := RunPoint(cfg)
-	row := AttributionRow{Label: sp.Name, Result: res, Audit: col.AuditSummary()}
-	for _, ps := range col.PhaseStats() {
-		row.Phases = append(row.Phases, PhaseRow{
-			Phase:     ps.Phase.String(),
-			Mean:      ps.Mean,
-			P50:       ps.P50,
-			P99:       ps.P99,
-			MeanShare: ps.MeanShare,
-			TailShare: ps.TailShare,
-		})
-	}
-	return row
-}
-
-// attributionSeries compiles one resolved spec into a runner series of
-// attribution rows. Cache keys are salted so attribution rows never
-// collide with plain Result entries for the same scenario.
-func attributionSeries(sweepID, label string, sp scenario.Spec, q Quality) (runner.Series[AttributionRow], error) {
-	if _, err := scenario.Build(sp); err != nil {
-		return runner.Series[AttributionRow]{}, err
-	}
-	svc, err := dist.Parse(sp.Workload)
-	if err != nil {
-		return runner.Series[AttributionRow]{}, err
-	}
-	eq := qualityFor(sp, q)
-	loads := specLoads(sp, svc)
-	pts := make([]runner.Point[AttributionRow], len(loads))
-	for i, rps := range loads {
-		sp, rps := sp, rps
-		pts[i] = runner.Point[AttributionRow]{
-			Key: specPointKey(sweepID, sp, eq, rps, "attr1"),
-			Run: func() AttributionRow { return runAttributionPoint(sp, eq, rps) },
+// Attributed is the attribution row kind: the conventional point measured
+// with a latency-attribution collector attached. The collector is created
+// inside the point run — never shared across concurrent sweep points — so
+// attribution tables are byte-identical at any runner parallelism.
+var Attributed = Kind[AttributionRow]{
+	salt: "attr1",
+	run: func(cfg PointConfig, sp scenario.Spec, x float64) AttributionRow {
+		col := attr.New(attr.Config{TailK: attributionTailK})
+		cfg.Factory = observed(sp, scenario.Options{Attr: col})
+		res := Plain.run(cfg, sp, x)
+		row := AttributionRow{Label: sp.Name, Result: res, Audit: col.AuditSummary()}
+		for _, ps := range col.PhaseStats() {
+			row.Phases = append(row.Phases, PhaseRow{
+				Phase:     ps.Phase.String(),
+				Mean:      ps.Mean,
+				P50:       ps.P50,
+				P99:       ps.P99,
+				MeanShare: ps.MeanShare,
+				TailShare: ps.TailShare,
+			})
 		}
-	}
-	return runner.Series[AttributionRow]{Label: label, Points: pts}, nil
-}
-
-// AttributionWith runs the table-attribution preset on rn: informed
-// offload vs. its baselines at the same fixed load, each with a collector
-// attached, returning one row per series.
-func AttributionWith(ctx context.Context, rn *runner.Runner, q Quality) ([]AttributionRow, error) {
-	p := mustPreset("table-attribution")
-	sw := runner.Sweep[AttributionRow]{Name: p.ID}
-	for i := range p.Series {
-		s, err := attributionSeries(p.ID, p.Series[i].Label, p.SpecFor(i), q)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: preset %q series %q: %w", p.ID, p.Series[i].Label, err)
-		}
-		sw.Series = append(sw.Series, s)
-	}
-	res, err := runner.Run(ctx, rn, sw)
-	var out []AttributionRow
-	for _, sr := range res {
-		out = append(out, sr.Results...)
-	}
-	return out, err
-}
-
-// Attribution runs the attribution table on the default parallel runner.
-func Attribution(q Quality) []AttributionRow {
-	r, _ := AttributionWith(context.Background(), nil, q)
-	return r
+		return row
+	},
 }

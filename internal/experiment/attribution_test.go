@@ -5,9 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"mindgap/internal/dist"
 	"mindgap/internal/runner"
-	"mindgap/internal/scenario"
+	"mindgap/scenarios"
 )
 
 // attrTestQuality keeps the attribution tests cheap enough to run under
@@ -23,38 +22,28 @@ var attrTestQuality = Quality{Warmup: 300, Measure: 1500, Seed: 7}
 // equal. Any divergence means an attribution hook scheduled an event or
 // perturbed an RNG stream.
 func TestAttributionObservationInvariance(t *testing.T) {
-	p := mustPreset("table-attribution")
+	p := scenarios.MustLoad("table-attribution")
 	for i := range p.Series {
 		sp := p.SpecFor(i)
 		t.Run(sp.Name, func(t *testing.T) {
-			svc, err := dist.Parse(sp.Workload)
+			attributed, err := SpecSeries("", sp.Name, sp, attrTestQuality, Attributed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eq := qualityFor(sp, attrTestQuality)
-			loads := specLoads(sp, svc)
-			if len(loads) == 0 {
+			if len(attributed.Points) == 0 {
 				t.Fatal("preset series has no load points")
 			}
-			rps := loads[0]
+			row := attributed.Points[0].Run()
 
-			row := runAttributionPoint(sp, eq, rps)
-
-			f, err := scenario.Build(sp)
+			loads, err := SpecLoads(sp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := PointConfig{
-				Factory:    f,
-				Service:    svc,
-				OfferedRPS: rps,
-				Warmup:     eq.Warmup,
-				Measure:    eq.Measure,
-				Seed:       eq.Seed,
+			cfg, err := PointConfigFor(sp, attrTestQuality)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if sp.Keys != nil {
-				cfg.Keys = sp.Keys.Keys()
-			}
+			cfg.OfferedRPS = loads[0]
 			plain := RunPoint(cfg)
 
 			if !reflect.DeepEqual(row.Result, plain) {
@@ -79,12 +68,12 @@ func TestAttributionObservationInvariance(t *testing.T) {
 func TestAttributionParallelismIndependent(t *testing.T) {
 	run := func(par int) []AttributionRow {
 		t.Helper()
-		rows, err := AttributionWith(context.Background(),
-			&runner.Runner{Parallelism: par}, attrTestQuality)
+		res, err := Run(context.Background(), &runner.Runner{Parallelism: par},
+			scenarios.MustLoad("table-attribution"), attrTestQuality, Attributed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows
+		return Rows(res)
 	}
 	j1 := run(1)
 	j4 := run(4)
@@ -100,11 +89,12 @@ func TestAttributionParallelismIndependent(t *testing.T) {
 // test quality: the host-queue share of tail latency is strictly lower
 // under informed offload than under blind RSS steering.
 func TestAttributionHostQueueCollapse(t *testing.T) {
-	rows, err := AttributionWith(context.Background(),
-		&runner.Runner{Parallelism: 4}, attrTestQuality)
+	res, err := Run(context.Background(), &runner.Runner{Parallelism: 4},
+		scenarios.MustLoad("table-attribution"), attrTestQuality, Attributed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := Rows(res)
 	byLabel := map[string]AttributionRow{}
 	for _, r := range rows {
 		byLabel[r.Label] = r

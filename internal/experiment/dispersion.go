@@ -1,16 +1,13 @@
 package experiment
 
 import (
-	"context"
 	"math"
 	"math/rand/v2"
 	"time"
 
 	"mindgap/internal/dist"
-	"mindgap/internal/loadgen"
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
-	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
 )
@@ -36,68 +33,49 @@ type DispersionRow struct {
 	Win float64
 }
 
-// shortTailMeasure is the runner payload of one X7 simulation.
-type shortTailMeasure struct {
+// ShortTailMeasure is the runner payload of one X7 simulation: the p99
+// latency of requests whose service time is at most the workload mean.
+type ShortTailMeasure struct {
 	ShortP99 time.Duration
 }
 
-// DispersionSensitivityWith runs the X7 sweep on rn, as declared by the
-// table-dispersion preset: distributions of increasing dispersion with a
-// 10µs mean at ρ≈0.7 on four workers, on the Shinjuku-Offload system.
-// Each (workload, preemption) cell is an independent simulation, so the
-// whole table fans out in parallel.
-func DispersionSensitivityWith(ctx context.Context, rn *runner.Runner, q Quality) ([]DispersionRow, error) {
-	p := mustPreset("table-dispersion")
-
-	// One series per workload, two points each: the preset's slice, and
-	// preemption off (slice 0).
-	sw := runner.Sweep[shortTailMeasure]{Name: p.ID}
-	workloads := make([]dist.Distribution, len(p.Series))
-	for i := range p.Series {
-		base := p.SpecFor(i)
-		w, err := dist.Parse(base.Workload)
-		if err != nil {
-			return nil, err
-		}
-		workloads[i] = w
-		eq := qualityFor(base, q)
-		rps := specLoads(base, w)[0]
-		point := func(sp scenario.Spec) (runner.Point[shortTailMeasure], error) {
-			f, err := scenario.Build(sp)
-			if err != nil {
-				return runner.Point[shortTailMeasure]{}, err
+// ShortTail is the X7 row kind. Every series of the table-dispersion
+// preset — distributions of increasing dispersion with a 10µs mean at
+// ρ≈0.7 on four workers, on Shinjuku-Offload — is measured twice: with
+// the preset's slice, then with preemption off (slice 0). Each
+// (workload, preemption) cell is an independent point, so the whole
+// table fans out in parallel.
+var ShortTail = Kind[ShortTailMeasure]{
+	salt: "shorttail1",
+	run: func(cfg PointConfig, _ scenario.Spec, _ float64) ShortTailMeasure {
+		mean := cfg.Service.Mean()
+		var short stats.Histogram
+		drive(cfg, func(r *task.Request, latency time.Duration) {
+			if r.Service <= mean {
+				short.Record(latency)
 			}
-			return runner.Point[shortTailMeasure]{
-				Key: specPointKey(p.ID, sp, eq, rps),
-				Run: func() shortTailMeasure {
-					return shortTailMeasure{ShortP99: shortTail(f, w, rps, eq)}
-				},
-			}, nil
-		}
-		on, err := point(base)
-		if err != nil {
-			return nil, err
-		}
-		off, err := point(base.WithSlice(0))
-		if err != nil {
-			return nil, err
-		}
-		sw.Series = append(sw.Series, runner.Series[shortTailMeasure]{
-			Label:  p.Series[i].Label,
-			Points: []runner.Point[shortTailMeasure]{on, off},
 		})
-	}
+		return ShortTailMeasure{ShortP99: short.P99()}
+	},
+	variants: func(sp scenario.Spec) []scenario.Spec {
+		return []scenario.Spec{sp, sp.WithSlice(0)}
+	},
+}
 
-	res, err := runner.Run(ctx, rn, sw)
+// DispersionRows reduces the ShortTail rows of the table-dispersion
+// preset to X7, one row per workload series that completed.
+func DispersionRows(p scenario.Preset, res []runner.SeriesResult[ShortTailMeasure]) []DispersionRow {
 	var rows []DispersionRow
 	for i, sr := range res {
 		if len(sr.Results) < 2 {
 			break // cancelled mid-sweep: keep complete rows only
 		}
+		// Run compiled the series, so its workload parses.
+		w, _ := dist.Parse(p.SpecFor(i).Workload)
 		pre, nopre := sr.Results[0].ShortP99, sr.Results[1].ShortP99
 		row := DispersionRow{
 			Workload:          sr.Label,
-			CV2:               empiricalCV2(workloads[i]),
+			CV2:               empiricalCV2(w),
 			PreemptShortP99:   pre,
 			NoPreemptShortP99: nopre,
 		}
@@ -106,39 +84,7 @@ func DispersionSensitivityWith(ctx context.Context, rn *runner.Runner, q Quality
 		}
 		rows = append(rows, row)
 	}
-	return rows, err
-}
-
-// DispersionSensitivity runs the X7 sweep on the default parallel runner.
-func DispersionSensitivity(q Quality) []DispersionRow {
-	rows, _ := DispersionSensitivityWith(context.Background(), nil, q)
 	return rows
-}
-
-// shortTail measures the p99 latency of requests with Service <= mean on
-// the system built by f (the preemption quantum is already baked into
-// the factory by the scenario spec).
-func shortTail(f Factory, w dist.Distribution, rps float64, q Quality) time.Duration {
-	eng := sim.New()
-	mean := w.Mean()
-	var short stats.Histogram
-	completions := 0
-	target := q.Warmup + q.Measure
-	sys := f(eng, nil, func(r *task.Request) {
-		completions++
-		if completions > q.Warmup && r.Service <= mean {
-			short.Record(r.Latency(eng.Now()))
-		}
-		if completions >= target {
-			eng.Halt()
-		}
-	})
-	loadgen.New(eng, loadgen.Config{RPS: rps, Service: w, Seed: q.Seed}, sys.Inject).Start()
-	// Watchdog mirrors RunPoint's: bounded even if something saturates.
-	expected := time.Duration(float64(target) / rps * float64(time.Second))
-	eng.At(sim.Time(8*expected+50*time.Millisecond), eng.Halt)
-	eng.Run()
-	return short.P99()
 }
 
 // empiricalCV2 estimates the squared coefficient of variation by sampling.

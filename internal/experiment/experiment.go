@@ -6,7 +6,6 @@
 package experiment
 
 import (
-	"context"
 	"time"
 
 	"mindgap/internal/dist"
@@ -64,12 +63,23 @@ type Result struct {
 	Truncated bool
 }
 
-// IsSaturated lets the sweep runner apply its early-stop rule to figure
-// grids (runner.Series.StopAfterSaturated).
+// IsSaturated lets the sweep runner apply its early-stop rule to load
+// grids.
 func (r Result) IsSaturated() bool { return r.Saturated }
 
 // RunPoint simulates one load point to completion and returns its row.
 func RunPoint(cfg PointConfig) Result {
+	r, _ := drive(cfg, nil)
+	return r
+}
+
+// drive is the one open-loop drive loop behind every measured point:
+// build the system, start the generator, discard Warmup completions,
+// record Measure more, stop — or let the watchdog truncate a saturated
+// run. observe, when set, sees every measured completion before its
+// request is recycled (row kinds that keep their own histogram); the
+// finished system is returned for row kinds that read its counters.
+func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)) (Result, System) {
 	if cfg.Warmup < 0 || cfg.Measure <= 0 {
 		panic("experiment: need a positive measurement count")
 	}
@@ -101,7 +111,11 @@ func RunPoint(cfg PointConfig) Result {
 			return
 		}
 		if completions > cfg.Warmup {
-			rec.RecordLatency(r.Latency(eng.Now()))
+			lat := r.Latency(eng.Now())
+			rec.RecordLatency(lat)
+			if observe != nil {
+				observe(r, lat)
+			}
 		}
 		pool.Put(r)
 		if completions >= target {
@@ -180,17 +194,7 @@ func RunPoint(cfg PointConfig) Result {
 		SystemName: sys.Name(),
 		SimTime:    now.Duration(),
 		Truncated:  truncated,
-	}
-}
-
-// Sweep measures one system across a grid of offered loads on the default
-// parallel runner. The returned series stops after the second consecutive
-// saturated point — matching how the paper's figures end shortly after the
-// knee — and is byte-identical to a serial run regardless of parallelism.
-func Sweep(cfg PointConfig, loads []float64) []Result {
-	out, _ := runner.RunOne(context.Background(), nil, "sweep",
-		LoadSeries("", "", cfg, loads))
-	return out
+	}, sys
 }
 
 // Series is a labelled sweep — one curve of a figure.
@@ -206,4 +210,15 @@ type Figure struct {
 	// XLabel / YLabel describe the plotted axes.
 	XLabel, YLabel string
 	Series         []Series
+}
+
+// NewFigure assembles the figure a series preset declares from its
+// measured curves (the output of Run with the Plain kind). After a
+// cancelled run every series holds its completed prefix.
+func NewFigure(p scenario.Preset, res []runner.SeriesResult[Result]) Figure {
+	f := Figure{ID: p.ID, Title: p.Title, XLabel: p.XLabel, YLabel: p.YLabel}
+	for _, sr := range res {
+		f.Series = append(f.Series, Series{Label: sr.Label, Results: sr.Results})
+	}
+	return f
 }

@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"mindgap/internal/dist"
 	"mindgap/internal/params"
+	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/internal/stats"
 )
@@ -14,9 +16,39 @@ import (
 // tiny is a fast quality for unit tests.
 var tiny = Quality{Warmup: 500, Measure: 3000, Seed: 7}
 
+// factoryFor assembles a system through the scenario registry.
+func factoryFor(t *testing.T, system string, k scenario.Knobs) Factory {
+	t.Helper()
+	f, err := scenario.Build(scenario.Spec{System: system, Knobs: &k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// sweepRSS measures an inline RSS spec (fixed service time) across a load
+// grid through the preset compiler, early-stop rule included.
+func sweepRSS(t *testing.T, workers int, workload string, grid scenario.Grid, q Quality) []Result {
+	t.Helper()
+	s, err := SpecSeries("", "", scenario.Spec{
+		System:   "rss",
+		Knobs:    &scenario.Knobs{Workers: workers},
+		Workload: workload,
+		Load:     &scenario.LoadSpec{Grid: &grid},
+	}, q, Plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runner.RunOne(context.Background(), nil, "sweep", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunPointBasics(t *testing.T) {
 	r := RunPoint(PointConfig{
-		Factory:    OffloadFactory(params.Default(), 2, 2, 0),
+		Factory:    factoryFor(t, "offload", scenario.Knobs{Workers: 2, Outstanding: 2}),
 		Service:    dist.Fixed{D: 5 * time.Microsecond},
 		OfferedRPS: 100_000,
 		Warmup:     tiny.Warmup,
@@ -47,7 +79,7 @@ func TestRunPointBasics(t *testing.T) {
 func TestRunPointDetectsSaturation(t *testing.T) {
 	// 2 workers at 5µs ⇒ ~350k capacity; offer 800k.
 	r := RunPoint(PointConfig{
-		Factory:    OffloadFactory(params.Default(), 2, 2, 0),
+		Factory:    factoryFor(t, "offload", scenario.Knobs{Workers: 2, Outstanding: 2}),
 		Service:    dist.Fixed{D: 5 * time.Microsecond},
 		OfferedRPS: 800_000,
 		Warmup:     tiny.Warmup,
@@ -64,7 +96,7 @@ func TestRunPointDetectsSaturation(t *testing.T) {
 
 func TestRunPointWatchdogTruncates(t *testing.T) {
 	r := RunPoint(PointConfig{
-		Factory:    OffloadFactory(params.Default(), 1, 1, 0),
+		Factory:    factoryFor(t, "offload", scenario.Knobs{Workers: 1, Outstanding: 1}),
 		Service:    dist.Fixed{D: 100 * time.Microsecond},
 		OfferedRPS: 1_000_000, // 100× beyond capacity
 		Warmup:     1000,
@@ -81,23 +113,20 @@ func TestRunPointWatchdogTruncates(t *testing.T) {
 }
 
 func TestRunPointValidation(t *testing.T) {
+	f := factoryFor(t, "rss", scenario.Knobs{Workers: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero Measure did not panic")
 		}
 	}()
-	RunPoint(PointConfig{Factory: RSSFactory(params.Default(), 1), Service: dist.Fixed{D: 1}, OfferedRPS: 1000})
+	RunPoint(PointConfig{Factory: f, Service: dist.Fixed{D: 1}, OfferedRPS: 1000})
 }
 
 func TestSweepStopsAfterSaturation(t *testing.T) {
-	cfg := PointConfig{
-		Factory: RSSFactory(params.Default(), 1),
-		Service: dist.Fixed{D: 10 * time.Microsecond}, // capacity ≈ 97k
-		Warmup:  200, Measure: 1500, Seed: 3,
-	}
-	loads := []float64{50_000, 120_000, 150_000, 200_000, 300_000, 400_000}
-	res := Sweep(cfg, loads)
-	if len(res) >= len(loads) {
+	// One worker at 10µs: capacity ≈ 97k.
+	grid := scenario.Grid{Lo: 50_000, Hi: 400_000, Step: 50_000}
+	res := sweepRSS(t, 1, "fixed:10µs", grid, Quality{Warmup: 200, Measure: 1500, Seed: 3})
+	if len(res) >= len(grid.Points()) {
 		t.Fatalf("sweep did not stop early: %d points", len(res))
 	}
 	last := res[len(res)-1]
@@ -131,7 +160,8 @@ func TestCommLatency(t *testing.T) {
 }
 
 func TestIPCOverheadDirection(t *testing.T) {
-	r := IPCOverhead(tiny)
+	_, res := tableRun(t, nil, "table-ipc", tiny, Plain)
+	r := IPCOverhead(res)
 	if r.Overhead <= 0 {
 		t.Fatalf("IPC overhead %v, want positive (paper: ≈2µs)", r.Overhead)
 	}
@@ -141,14 +171,10 @@ func TestIPCOverheadDirection(t *testing.T) {
 }
 
 func TestRenderAndCSV(t *testing.T) {
-	cfg := PointConfig{
-		Factory: RSSFactory(params.Default(), 2),
-		Service: dist.Fixed{D: 5 * time.Microsecond},
-		Warmup:  200, Measure: 1000, Seed: 3,
-	}
+	q := Quality{Warmup: 200, Measure: 1000, Seed: 3}
 	fig := Figure{
 		ID: "test", Title: "t", XLabel: "x", YLabel: "y",
-		Series: []Series{{Label: "s1", Results: Sweep(cfg, []float64{50_000, 100_000})}},
+		Series: []Series{{Label: "s1", Results: sweepRSS(t, 2, "fixed:5µs", scenario.Grid{Lo: 50_000, Hi: 100_000, Step: 50_000}, q)}},
 	}
 	var sb strings.Builder
 	fig.Render(&sb)
@@ -206,14 +232,18 @@ func TestLoadGrid(t *testing.T) {
 	}
 }
 
-func TestRunPointReplicated(t *testing.T) {
-	cfg := PointConfig{
-		Factory:    RSSFactory(params.Default(), 2),
-		Service:    dist.Fixed{D: 5 * time.Microsecond},
-		OfferedRPS: 100_000,
-		Warmup:     200, Measure: 1500,
+func TestReplicate(t *testing.T) {
+	sp := scenario.Spec{
+		System:   "rss",
+		Knobs:    &scenario.Knobs{Workers: 2},
+		Workload: "fixed:5µs",
+		Load:     &scenario.LoadSpec{RPS: 100_000},
 	}
-	rep := RunPointReplicated(cfg, []uint64{1, 2, 3})
+	q := Quality{Warmup: 200, Measure: 1500}
+	rep, err := Replicate(context.Background(), nil, sp, q, []uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rep.Runs) != 3 {
 		t.Fatalf("runs = %d", len(rep.Runs))
 	}
@@ -233,20 +263,20 @@ func TestRunPointReplicated(t *testing.T) {
 				t.Fatal("empty seeds did not panic")
 			}
 		}()
-		RunPointReplicated(cfg, nil)
+		Replicate(context.Background(), nil, sp, q, nil)
 	}()
-	// Setting PointConfig.Seed alongside an explicit seed list must panic:
-	// the list replaces the seed, and silently ignoring it would let a
+	// Pinning Spec.Seed alongside an explicit seed list must panic: the
+	// pin would win over the list, and silently honouring it would let a
 	// replicate summary masquerade as a single-seed run.
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("cfg.Seed + seed list did not panic")
+				t.Fatal("Spec.Seed + seed list did not panic")
 			}
 		}()
-		bad := cfg
+		bad := sp
 		bad.Seed = 42
-		RunPointReplicated(bad, []uint64{1, 2})
+		Replicate(context.Background(), nil, bad, q, []uint64{1, 2})
 	}()
 }
 
@@ -254,7 +284,7 @@ func TestDispersionSensitivityMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	rows := DispersionSensitivity(Quality{Warmup: 500, Measure: 6_000, Seed: 7})
+	rows := DispersionRows(tableRun(t, nil, "table-dispersion", Quality{Warmup: 500, Measure: 6_000, Seed: 7}, ShortTail))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -279,16 +309,12 @@ func TestDispersionSensitivityMonotone(t *testing.T) {
 }
 
 func TestPlotRendersAllSeries(t *testing.T) {
-	cfg := PointConfig{
-		Factory: RSSFactory(params.Default(), 2),
-		Service: dist.Fixed{D: 5 * time.Microsecond},
-		Warmup:  200, Measure: 1000, Seed: 3,
-	}
+	q := Quality{Warmup: 200, Measure: 1000, Seed: 3}
 	fig := Figure{
 		ID: "test", Title: "t", XLabel: "x", YLabel: "y",
 		Series: []Series{
-			{Label: "a", Results: Sweep(cfg, []float64{50_000, 100_000, 150_000})},
-			{Label: "b", Results: Sweep(cfg, []float64{50_000, 100_000})},
+			{Label: "a", Results: sweepRSS(t, 2, "fixed:5µs", scenario.Grid{Lo: 50_000, Hi: 150_000, Step: 50_000}, q)},
+			{Label: "b", Results: sweepRSS(t, 2, "fixed:5µs", scenario.Grid{Lo: 50_000, Hi: 100_000, Step: 50_000}, q)},
 		},
 	}
 	var sb strings.Builder
@@ -328,7 +354,7 @@ func TestPolicyAblationInformedWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	rows := PolicyAblation(Quality{Warmup: 2000, Measure: 20000, Seed: 7})
+	rows := PolicyRows(tableRun(t, nil, "table-policy", Quality{Warmup: 2000, Measure: 20000, Seed: 7}, Plain))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -355,7 +381,8 @@ func TestAffinityAblationReducesMigrations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	r := AffinityAblation(Quality{Warmup: 1000, Measure: 10000, Seed: 7})
+	_, res := tableRun(t, nil, "table-affinity", Quality{Warmup: 1000, Measure: 10000, Seed: 7}, Affinity)
+	r := AffinityAblation(res)
 	if r.MigrationsOff == 0 || r.Preemptions == 0 {
 		t.Fatalf("no preemption activity: %+v", r)
 	}
@@ -373,17 +400,18 @@ func TestAffinityAblationReducesMigrations(t *testing.T) {
 func TestRunPointIsDeterministic(t *testing.T) {
 	// The reproducibility guarantee behind EXPERIMENTS.md: identical
 	// config + seed ⇒ bit-identical measurements, across every system.
-	factories := map[string]Factory{
-		"offload":  OffloadFactory(params.Default(), 3, 3, 10*time.Microsecond),
-		"shinjuku": ShinjukuFactory(params.Default(), 2, 10*time.Microsecond),
-		"rss":      RSSFactory(params.Default(), 3),
-		"zygos":    ZygOSFactory(params.Default(), 3),
-		"rpcvalet": RPCValetFactory(params.Default(), 3),
-		"erss":     ERSSFactory(params.Default(), 3),
+	slice := scenario.Duration(10 * time.Microsecond)
+	systems := map[string]scenario.Knobs{
+		"offload":  {Workers: 3, Outstanding: 3, Slice: slice},
+		"shinjuku": {Workers: 2, Slice: slice},
+		"rss":      {Workers: 3},
+		"zygos":    {Workers: 3},
+		"rpcvalet": {Workers: 3},
+		"erss":     {Workers: 3},
 	}
-	for name, f := range factories {
+	for name, k := range systems {
 		cfg := PointConfig{
-			Factory:    f,
+			Factory:    factoryFor(t, name, k),
 			Service:    dist.Bimodal{P1: 0.95, D1: 3 * time.Microsecond, D2: 50 * time.Microsecond},
 			OfferedRPS: 200_000,
 			Warmup:     300, Measure: 2_000, Seed: 99,

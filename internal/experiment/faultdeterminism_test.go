@@ -2,12 +2,10 @@ package experiment
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"mindgap/internal/runner"
 	"mindgap/scenarios"
 )
 
@@ -19,23 +17,7 @@ var faultQuality = Quality{Warmup: 300, Measure: 2000, Seed: 7}
 // runner parallelism.
 func renderFaultPreset(t *testing.T, name string, parallelism int) []byte {
 	t.Helper()
-	p, err := scenarios.Load(name)
-	if err != nil {
-		t.Fatalf("load preset %s: %v", name, err)
-	}
-	spec, err := PresetFigureSpec(p, faultQuality)
-	if err != nil {
-		t.Fatalf("preset %s: %v", name, err)
-	}
-	f, err := spec.Run(context.Background(), &runner.Runner{Parallelism: parallelism})
-	if err != nil {
-		t.Fatalf("preset %s: %v", name, err)
-	}
-	var buf bytes.Buffer
-	if err := f.WriteCSV(&buf); err != nil {
-		t.Fatalf("preset %s: %v", name, err)
-	}
-	return buf.Bytes()
+	return renderFigure(t, scenarios.MustLoad(name), faultQuality, parallelism)
 }
 
 // TestFaultPresetsDeterministic is the reproducibility gate for the fault

@@ -76,11 +76,14 @@ func FaultTimeline(presetID string, q Quality) (FaultTimelineResult, error) {
 		return FaultTimelineResult{}, fmt.Errorf("experiment: preset %q has no faulted series", presetID)
 	}
 	sp := p.SpecFor(idx)
-	cfg, err := pointConfigFor(sp, q)
+	cfg, err := PointConfigFor(sp, q)
 	if err != nil {
 		return FaultTimelineResult{}, err
 	}
-	loads := specLoads(sp, cfg.Service)
+	loads, err := SpecLoads(sp)
+	if err != nil {
+		return FaultTimelineResult{}, err
+	}
 	if len(loads) == 0 {
 		return FaultTimelineResult{}, fmt.Errorf("experiment: preset %q declares no load", presetID)
 	}

@@ -1,14 +1,5 @@
 package experiment
 
-import (
-	"time"
-
-	"mindgap/internal/dist"
-	"mindgap/internal/params"
-	"mindgap/internal/scenario"
-	"mindgap/internal/systems/idealnic"
-)
-
 // Quality trades run time for statistical confidence.
 type Quality struct {
 	// Warmup completions are discarded; Measure completions recorded.
@@ -24,180 +15,47 @@ var (
 	Full  = Quality{Warmup: 20_000, Measure: 100_000, Seed: 7}
 )
 
-// Workload constants of §4.1.
-var (
-	// BimodalWorkload is Figure 2's distribution: 99.5% 5 µs, 0.5% 100 µs.
-	BimodalWorkload = dist.Bimodal{P1: 0.995, D1: 5 * time.Microsecond, D2: 100 * time.Microsecond}
-	// Fixed1us, Fixed5us, Fixed100us are the fixed service times of
-	// Figures 3–6.
-	Fixed1us   = dist.Fixed{D: 1 * time.Microsecond}
-	Fixed5us   = dist.Fixed{D: 5 * time.Microsecond}
-	Fixed100us = dist.Fixed{D: 100 * time.Microsecond}
-)
+// The figure and table definitions are checked-in scenario presets under
+// scenarios/ — titles, labels, grids, workloads and knobs live in the
+// JSON files — and every one of them is measured by Run. The two
+// registries below are the only place a command-line id is tied to a
+// preset: mindgap-bench's -fig/-table flags, their help text, -list and
+// the all-figures run order, and the mindgap library's Figures(), all
+// derive from them.
 
-// The historical *Factory helpers below are kept for tests and examples
-// but are now thin registry lookups: every one of them assembles its
-// system through scenario.BuildWith, the single audited assembly point.
+// Entry ties a mindgap-bench command-line id to its definition.
+type Entry struct{ ID, Source string }
 
-// mustFactory builds a spec's factory against an explicit calibration;
-// the specs below are static and valid, so failure is a programmer error.
-func mustFactory(sp scenario.Spec, p params.Params) Factory {
-	f, err := scenario.BuildWith(sp, scenario.Options{Params: &p})
-	if err != nil {
-		panic(err)
-	}
-	return f
+// FigureIDs lists every reproducible figure in mindgap-bench's run
+// order: the id `-fig` takes and the name of the scenario preset that
+// declares it.
+var FigureIDs = []Entry{
+	{"2", "figure2"},
+	{"3", "figure3"},
+	{"3burst", "figure3-burst"},
+	{"4", "figure4"},
+	{"5", "figure5"},
+	{"6", "figure6"},
+	{"6cxl", "figure6-cxl"},
+	{"6linerate", "figure6-linerate"},
+	{"baselines", "baselines"},
+	{"faults-niccrash", "figure-faults-niccrash"},
+	{"faults-lossyfabric", "figure-faults-lossyfabric"},
+	{"flowrule", "figure-flowrule"},
 }
 
-// OffloadFactory builds a Shinjuku-Offload system factory.
-func OffloadFactory(p params.Params, workers, outstanding int, slice time.Duration) Factory {
-	return mustFactory(scenario.Spec{System: "offload", Knobs: &scenario.Knobs{
-		Workers: workers, Outstanding: outstanding, Slice: scenario.Duration(slice),
-	}}, p)
+// TableIDs lists every table in mindgap-bench's -list order: the id
+// `-table` takes and where its definition lives.
+var TableIDs = []Entry{
+	{"timer", "(analytic, no preset)"},
+	{"ipc", "scenarios/table-ipc.json"},
+	{"wait", "scenarios/table-wait.json"},
+	{"latency", "(analytic, no preset)"},
+	{"policy", "scenarios/table-policy.json"},
+	{"dispersion", "scenarios/table-dispersion.json"},
+	{"affinity", "scenarios/table-affinity.json"},
+	{"attribution", "scenarios/table-attribution.json"},
+	{"tenants", "scenarios/table-tenants.json"},
+	{"faults", "scenarios/figure-faults-*.json"},
+	{"flowrule", "scenarios/figure-flowrule.json"},
 }
-
-// ShinjukuFactory builds a vanilla Shinjuku system factory.
-func ShinjukuFactory(p params.Params, workers int, slice time.Duration) Factory {
-	return mustFactory(scenario.Spec{System: "shinjuku", Knobs: &scenario.Knobs{
-		Workers: workers, Slice: scenario.Duration(slice),
-	}}, p)
-}
-
-// RSSFactory builds an IX-style RSS run-to-completion factory.
-func RSSFactory(p params.Params, workers int) Factory {
-	return mustFactory(scenario.Spec{System: "rss", Knobs: &scenario.Knobs{Workers: workers}}, p)
-}
-
-// ZygOSFactory builds an RSS + work-stealing factory.
-func ZygOSFactory(p params.Params, workers int) Factory {
-	return mustFactory(scenario.Spec{System: "zygos", Knobs: &scenario.Knobs{Workers: workers}}, p)
-}
-
-// FlowDirFactory builds a MICA-style key-steering factory.
-func FlowDirFactory(p params.Params, workers int) Factory {
-	return mustFactory(scenario.Spec{System: "flowdir", Knobs: &scenario.Knobs{Workers: workers}}, p)
-}
-
-// RPCValetFactory builds an integrated-NI hardware-queue factory.
-func RPCValetFactory(p params.Params, workers int) Factory {
-	return mustFactory(scenario.Spec{System: "rpcvalet", Knobs: &scenario.Knobs{Workers: workers}}, p)
-}
-
-// ERSSFactory builds an Elastic RSS factory (§5.1's cited related work:
-// load feedback resizes the RSS core set, but the policy stays fixed).
-func ERSSFactory(p params.Params, workers int) Factory {
-	return mustFactory(scenario.Spec{System: "erss", Knobs: &scenario.Knobs{Workers: workers}}, p)
-}
-
-// IdealNICFactory builds a §5.1 ablation factory.
-func IdealNICFactory(cfg idealnic.Config) Factory {
-	return mustFactory(scenario.Spec{System: "idealnic", Knobs: &scenario.Knobs{
-		Workers:          cfg.Workers,
-		Outstanding:      cfg.Outstanding,
-		Slice:            scenario.Duration(cfg.Slice),
-		CXL:              cfg.CXL,
-		LineRate:         cfg.LineRate,
-		DirectInterrupts: cfg.DirectInterrupts,
-	}}, cfg.P)
-}
-
-// The figure definitions are checked-in scenario presets under
-// scenarios/; each FigureSpec function compiles its preset against the
-// requested quality. Titles, labels, grids, workloads, and knobs live
-// in the JSON files.
-
-// Figure2Spec declares the bimodal tail-latency figure: 99.5% 5 µs + 0.5%
-// 100 µs, 10 µs slice, Shinjuku with 3 workers vs Shinjuku-Offload with 4
-// workers and up to 4 outstanding requests.
-func Figure2Spec(q Quality) FigureSpec { return presetFigureSpec("figure2", q) }
-
-// Figure2 runs Figure2Spec on the default parallel runner.
-func Figure2(q Quality) Figure { return mustFigure(Figure2Spec(q)) }
-
-// Figure3Spec declares the queuing-optimization figure: fixed 1 µs service
-// time, Shinjuku-Offload throughput at saturation as the per-worker
-// outstanding-request limit k sweeps 1..7, for 4 and 16 workers.
-func Figure3Spec(q Quality) FigureSpec { return presetFigureSpec("figure3", q) }
-
-// Figure3 runs Figure3Spec on the default parallel runner.
-func Figure3(q Quality) Figure { return mustFigure(Figure3Spec(q)) }
-
-// Figure3BurstSpec declares the burst-processing ablation of Figure 3: the
-// same k sweep with the queue-manager core draining DPDK-style bursts (16
-// events) from one input ring before polling the other. Burst processing
-// delays credit handling behind floods of new arrivals, deepening the k=1
-// penalty — the effect that made the paper's 16-worker curve gain 88% from
-// k=1 to k=3 where the fair-polling model gains almost nothing.
-func Figure3BurstSpec(q Quality) FigureSpec { return presetFigureSpec("figure3-burst", q) }
-
-// Figure3Burst runs Figure3BurstSpec on the default parallel runner.
-func Figure3Burst(q Quality) Figure { return mustFigure(Figure3BurstSpec(q)) }
-
-// Figure4Spec declares the fixed 5 µs figure: preemption off, Shinjuku 3
-// workers vs Offload 4 workers (k=4).
-func Figure4Spec(q Quality) FigureSpec { return presetFigureSpec("figure4", q) }
-
-// Figure4 runs Figure4Spec on the default parallel runner.
-func Figure4(q Quality) Figure { return mustFigure(Figure4Spec(q)) }
-
-// Figure5Spec declares the fixed 100 µs figure: Shinjuku 15 workers vs
-// Offload 16 workers (k=2), preemption off.
-func Figure5Spec(q Quality) FigureSpec { return presetFigureSpec("figure5", q) }
-
-// Figure5 runs Figure5Spec on the default parallel runner.
-func Figure5(q Quality) Figure { return mustFigure(Figure5Spec(q)) }
-
-// Figure6Spec declares the fixed 1 µs figure at high worker counts:
-// Shinjuku 15 workers vs Offload 16 workers (k=5). Here the offloaded
-// dispatcher is the bottleneck and vanilla Shinjuku greatly outperforms
-// (§5.1).
-func Figure6Spec(q Quality) FigureSpec { return presetFigureSpec("figure6", q) }
-
-// Figure6 runs Figure6Spec on the default parallel runner.
-func Figure6(q Quality) Figure { return mustFigure(Figure6Spec(q)) }
-
-// Figure6CXLSpec declares the X1 ablation: Figure 6's offload
-// configuration with the §5.1(2) coherent-memory communication path.
-func Figure6CXLSpec(q Quality) FigureSpec { return presetFigureSpec("figure6-cxl", q) }
-
-// Figure6CXL runs Figure6CXLSpec on the default parallel runner.
-func Figure6CXL(q Quality) Figure { return mustFigure(Figure6CXLSpec(q)) }
-
-// Figure6LineRateSpec declares the X2 ablation: Figure 6 with a line-rate
-// hardware scheduler (§5.1-1), alone and combined with CXL.
-func Figure6LineRateSpec(q Quality) FigureSpec { return presetFigureSpec("figure6-linerate", q) }
-
-// Figure6LineRate runs Figure6LineRateSpec on the default parallel runner.
-func Figure6LineRate(q Quality) Figure { return mustFigure(Figure6LineRateSpec(q)) }
-
-// FigureFaultsNICCrashSpec declares the NIC-crash adversity figure: the
-// Figure 2 offload configuration, healthy vs a run whose NIC ARM cores
-// crash for 4 ms (10–14 ms), with a 1 ms request timeout, 3 retries, and
-// degradation to RSS-style hash steering while the cores are down.
-func FigureFaultsNICCrashSpec(q Quality) FigureSpec {
-	return presetFigureSpec("figure-faults-niccrash", q)
-}
-
-// FigureFaultsNICCrash runs FigureFaultsNICCrashSpec on the default
-// parallel runner.
-func FigureFaultsNICCrash(q Quality) Figure { return mustFigure(FigureFaultsNICCrashSpec(q)) }
-
-// FigureFaultsLossyFabricSpec declares the lossy-fabric adversity figure:
-// clean NIC↔host fabric vs seeded loss bursts (5% per-frame) and 20 µs
-// latency spikes, recovered by the timeout/retry machinery.
-func FigureFaultsLossyFabricSpec(q Quality) FigureSpec {
-	return presetFigureSpec("figure-faults-lossyfabric", q)
-}
-
-// FigureFaultsLossyFabric runs FigureFaultsLossyFabricSpec on the default
-// parallel runner.
-func FigureFaultsLossyFabric(q Quality) Figure { return mustFigure(FigureFaultsLossyFabricSpec(q)) }
-
-// BaselineComparisonSpec declares the X4 landscape: every system of §2.1
-// on the bimodal workload, normalized per worker (all systems get equal
-// host cores; systems that burn a core on dispatch get fewer workers).
-func BaselineComparisonSpec(q Quality) FigureSpec { return presetFigureSpec("baselines", q) }
-
-// BaselineComparison runs BaselineComparisonSpec on the default parallel
-// runner.
-func BaselineComparison(q Quality) Figure { return mustFigure(BaselineComparisonSpec(q)) }

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"mindgap/scenarios"
 )
 
 // These integration tests pin the qualitative claims of each paper figure
@@ -12,11 +15,17 @@ import (
 
 func shapeQuality() Quality { return Quality{Warmup: 1_000, Measure: 8_000, Seed: 7} }
 
+// shapeFigure measures a checked-in figure preset on the default runner.
+func shapeFigure(t *testing.T, presetID string, q Quality) Figure {
+	t.Helper()
+	return runFigure(t, scenarios.MustLoad(presetID), q, nil)
+}
+
 func TestFigure2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	f := Figure2(shapeQuality())
+	f := shapeFigure(t, "figure2", shapeQuality())
 	offload, shin := f.Series[0], f.Series[1]
 	// Offload (4 workers) must saturate at a strictly higher load than
 	// Shinjuku (3 workers).
@@ -37,7 +46,7 @@ func TestFigure3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	f := Figure3(shapeQuality())
+	f := shapeFigure(t, "figure3", shapeQuality())
 	w16, w4 := f.Series[0], f.Series[1]
 	t4 := func(k int) float64 { return w4.Results[k-1].AchievedRPS }
 	t16 := func(k int) float64 { return w16.Results[k-1].AchievedRPS }
@@ -68,7 +77,7 @@ func TestFigure4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	f := Figure4(shapeQuality())
+	f := shapeFigure(t, "figure4", shapeQuality())
 	offload, shin := f.Series[0], f.Series[1]
 	// The extra worker must push offload's knee past Shinjuku's by
 	// roughly the worker ratio (4/3 ≈ 1.33; allow 1.15+).
@@ -82,7 +91,7 @@ func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	f := Figure5(shapeQuality())
+	f := shapeFigure(t, "figure5", shapeQuality())
 	offload, shin := f.Series[0], f.Series[1]
 	if offload.SaturationPoint() <= shin.SaturationPoint() {
 		t.Fatalf("offload sat %v ≤ shinjuku sat %v (16 vs 15 workers at 100µs)",
@@ -101,7 +110,7 @@ func TestFigure6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	f := Figure6(shapeQuality())
+	f := shapeFigure(t, "figure6", shapeQuality())
 	offload, shin := f.Series[0], f.Series[1]
 	// The crossover claim: Shinjuku greatly outperforms the offload at
 	// 1µs and high worker counts (paper shows ≥ 2×).
@@ -122,11 +131,11 @@ func TestFigure6AblationsRemoveCrossover(t *testing.T) {
 		t.Skip("figure harness test")
 	}
 	q := shapeQuality()
-	stock := Figure6(q)
+	stock := shapeFigure(t, "figure6", q)
 	stockOffload := stock.Series[0].PeakThroughput()
 	shinPeak := stock.Series[1].PeakThroughput()
 
-	lr := Figure6LineRate(q)
+	lr := shapeFigure(t, "figure6-linerate", q)
 	lrPeak := lr.Series[0].PeakThroughput()
 	if lrPeak < 1.5*stockOffload {
 		t.Fatalf("line-rate ablation peak %.0f not ≥ 1.5× stock offload %.0f", lrPeak, stockOffload)
@@ -141,7 +150,11 @@ func TestWorkerWaitDirection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	r := WorkerWait(shapeQuality())
+	res, err := Run(context.Background(), nil, scenarios.MustLoad("table-wait"), shapeQuality(), Plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := WorkerWait(res)
 	// T3's direction: at saturation, 1µs-workload workers wait far more
 	// than 100µs-workload workers (paper: 110% more).
 	if r.IdleAt1us <= r.IdleAt100us {
@@ -156,7 +169,7 @@ func TestBaselineComparisonShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	f := BaselineComparison(Quality{Warmup: 500, Measure: 5_000, Seed: 7})
+	f := shapeFigure(t, "baselines", Quality{Warmup: 500, Measure: 5_000, Seed: 7})
 	byName := map[string]Series{}
 	for _, s := range f.Series {
 		byName[s.Label] = s

@@ -1,29 +1,15 @@
 package experiment
 
 import (
-	"context"
-	"fmt"
-
-	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/internal/telemetry"
 )
 
-// This file runs the X14 flow-rule offload experiment: the fast-path /
+// This file declares the X14 flow-rule detail table: the fast-path /
 // slow-path SmartNIC steering system swept across concurrent-flow
-// populations (the fsweep axis), both as a latency figure and as a
-// detail table that reads the rule-table telemetry — fast-path hit
-// rate, insertion-pipeline pressure, eviction churn — behind each
-// measured point.
-
-// FigureFlowRuleSpec compiles the figure-flowrule preset: p99 vs
-// concurrent flows for static offload thresholds and the adaptive
-// policy, at a fixed offered batch rate that only the fast path can
-// absorb.
-func FigureFlowRuleSpec(q Quality) FigureSpec { return presetFigureSpec("figure-flowrule", q) }
-
-// FigureFlowRule runs the X14 figure on the default parallel runner.
-func FigureFlowRule(q Quality) Figure { return mustFigure(FigureFlowRuleSpec(q)) }
+// populations (the figure-flowrule preset's fsweep axis), reading the
+// rule-table telemetry — fast-path hit rate, insertion-pipeline
+// pressure, eviction churn — behind each measured point of the figure.
 
 // FlowRuleRow is one measured point of the flow-rule detail table: the
 // conventional latency point plus the rule-table counters that explain
@@ -50,8 +36,8 @@ type FlowRuleRow struct {
 	Resident, Threshold float64
 }
 
-// flowRuleGauges maps FlowRuleRow fields to the registry keys published
-// by internal/systems/flowrule.
+// read fills the row's counters from the registry keys published by
+// internal/systems/flowrule.
 func (r *FlowRuleRow) read(reg *telemetry.Registry) {
 	get := func(key string) float64 {
 		v, _ := reg.GaugeValue(key)
@@ -71,79 +57,18 @@ func (r *FlowRuleRow) read(reg *telemetry.Registry) {
 	}
 }
 
-// runFlowRulePoint measures one spec at one flow population with a
-// fresh telemetry registry. The registry is created inside the point
-// run — never shared across concurrent sweep points — so detail tables
-// are byte-identical at any runner parallelism.
-func runFlowRulePoint(sp scenario.Spec, eq Quality, rps float64) FlowRuleRow {
-	reg := telemetry.NewRegistry()
-	f, err := scenario.BuildWith(sp, scenario.Options{Metrics: reg})
-	if err != nil {
-		// The spec already built once during series compilation.
-		panic(fmt.Sprintf("experiment: flowrule rebuild failed: %v", err))
-	}
-	cfg, err := pointConfigFor(sp, eq)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: flowrule reconfig failed: %v", err))
-	}
-	cfg.Factory = f
-	cfg.OfferedRPS = rps
-	res := RunPoint(cfg)
-	res.Point.OfferedRPS = float64(sp.Flow.Flows) // x-axis is the flow population
-	row := FlowRuleRow{Label: sp.Name, Flows: sp.Flow.Flows, Result: res}
-	row.read(reg)
-	return row
-}
-
-// flowRuleSeries compiles one resolved fsweep spec into a runner series
-// of detail rows, one per flow population. Cache keys are salted so
-// detail rows never collide with plain Result entries for the same
-// scenario.
-func flowRuleSeries(sweepID, label string, sp scenario.Spec, q Quality) (runner.Series[FlowRuleRow], error) {
-	if _, err := scenario.Build(sp); err != nil {
-		return runner.Series[FlowRuleRow]{}, err
-	}
-	if sp.Load == nil || sp.Load.FSweep == nil {
-		return runner.Series[FlowRuleRow]{}, fmt.Errorf("experiment: flowrule table needs an fsweep load")
-	}
-	flows := sp.Load.FSweep.Points()
-	pts := make([]runner.Point[FlowRuleRow], 0, len(flows))
-	for _, n := range flows {
-		spn := sp.WithFlows(n)
-		eq := qualityFor(spn, q)
-		rps := sp.Load.RPS
-		pts = append(pts, runner.Point[FlowRuleRow]{
-			Key: specPointKey(sweepID, spn, eq, rps, fmt.Sprintf("flows=%d", n), "flowdetail1"),
-			Run: func() FlowRuleRow { return runFlowRulePoint(spn, eq, rps) },
-		})
-	}
-	return runner.Series[FlowRuleRow]{Label: label, Points: pts}, nil
-}
-
-// FlowRuleTableWith runs the figure-flowrule preset on rn with a
-// telemetry registry attached to every point, returning one row per
-// (policy, flow population) pair.
-func FlowRuleTableWith(ctx context.Context, rn *runner.Runner, q Quality) ([]FlowRuleRow, error) {
-	p := mustPreset("figure-flowrule")
-	sw := runner.Sweep[FlowRuleRow]{Name: p.ID}
-	for i := range p.Series {
-		s, err := flowRuleSeries(p.ID, p.Series[i].Label, p.SpecFor(i), q)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: preset %q series %q: %w", p.ID, p.Series[i].Label, err)
-		}
-		sw.Series = append(sw.Series, s)
-	}
-	res, err := runner.Run(ctx, rn, sw)
-	var out []FlowRuleRow
-	for _, sr := range res {
-		out = append(out, sr.Results...)
-	}
-	return out, err
-}
-
-// FlowRuleTable runs the flow-rule detail table on the default parallel
-// runner.
-func FlowRuleTable(q Quality) []FlowRuleRow {
-	r, _ := FlowRuleTableWith(context.Background(), nil, q)
-	return r
+// FlowRuleDetail is the X14 detail row kind: the conventional point of
+// a flow sweep measured with a telemetry registry attached. The registry
+// is created inside the point run — never shared across concurrent sweep
+// points — so detail tables are byte-identical at any runner
+// parallelism.
+var FlowRuleDetail = Kind[FlowRuleRow]{
+	salt: "flowdetail1",
+	run: func(cfg PointConfig, sp scenario.Spec, x float64) FlowRuleRow {
+		reg := telemetry.NewRegistry()
+		cfg.Factory = observed(sp, scenario.Options{Metrics: reg})
+		row := FlowRuleRow{Label: sp.Name, Flows: int(x), Result: Plain.run(cfg, sp, x)}
+		row.read(reg)
+		return row
+	},
 }

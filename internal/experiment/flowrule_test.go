@@ -5,8 +5,8 @@ import (
 	"context"
 	"testing"
 
-	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
+	"mindgap/scenarios"
 )
 
 // smallFlowRulePreset shrinks the checked-in figure-flowrule preset to
@@ -14,7 +14,7 @@ import (
 // fsweep grid.
 func smallFlowRulePreset(t *testing.T) scenario.Preset {
 	t.Helper()
-	p := mustPreset("figure-flowrule")
+	p := scenarios.MustLoad("figure-flowrule")
 	load := *p.Load
 	load.FSweep = &scenario.FSweep{Lo: 256, Hi: 4096, Mul: 4}
 	p.Load = &load
@@ -30,23 +30,8 @@ func smallFlowRulePreset(t *testing.T) scenario.Preset {
 // state, so runner parallelism must not leak into results.
 func TestFlowRuleFigureParallelismInvariant(t *testing.T) {
 	q := Quality{Warmup: 300, Measure: 2000, Seed: 7}
-	render := func(parallelism int) []byte {
-		spec, err := PresetFigureSpec(smallFlowRulePreset(t), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := spec.Run(context.Background(), &runner.Runner{Parallelism: parallelism})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := f.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(1)
-	parallel := render(4)
+	serial := renderFigure(t, smallFlowRulePreset(t), q, 1)
+	parallel := renderFigure(t, smallFlowRulePreset(t), q, 4)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("figure-flowrule output differs between -j1 and -j4:\n-- j1 --\n%s\n-- j4 --\n%s", serial, parallel)
 	}
@@ -58,14 +43,7 @@ func TestFlowRuleFigureParallelismInvariant(t *testing.T) {
 // there — its insertion pipeline is flooded by rat flows.
 func TestFlowRuleFigureShowsCrossover(t *testing.T) {
 	q := Quality{Warmup: 300, Measure: 2000, Seed: 7}
-	spec, err := PresetFigureSpec(smallFlowRulePreset(t), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := spec.Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := runFigure(t, smallFlowRulePreset(t), q, nil)
 	for _, s := range f.Series {
 		if len(s.Results) == 0 {
 			t.Fatalf("series %q has no points", s.Label)
@@ -92,10 +70,11 @@ func TestFlowRuleTableRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-preset detail table is not -short sized")
 	}
-	rows, err := FlowRuleTableWith(context.Background(), nil, Quick)
+	res, err := Run(context.Background(), nil, scenarios.MustLoad("figure-flowrule"), Quick, FlowRuleDetail)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := Rows(res)
 	if len(rows) != 20 {
 		t.Fatalf("rows = %d, want 4 series x 5 populations", len(rows))
 	}

@@ -1,34 +1,32 @@
 package experiment
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"mindgap/internal/dist"
+	"mindgap/internal/params"
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
-	"mindgap/scenarios"
 )
 
-// This file bridges the checked-in scenario presets (scenarios/*.json)
-// to the sweep runner: every figure and table definition is loaded from
-// its preset, resolved against a run-time Quality, and compiled into
-// runner series whose cache keys derive from Spec.Fingerprint().
+// This file is the one path from scenario specs (scenarios/*.json, or
+// inline specs such as hypothesis arms) to the sweep runner: a spec is
+// resolved against a run-time Quality, its load axis is expanded into
+// runner points whose cache keys derive from Spec.Fingerprint(), and
+// every point is measured by a row kind. Figures, tables,
+// `mindgap-sim -scenario` and internal/hypothesis all go through
+// SpecSeries and Run.
 
-// mustPreset loads a checked-in preset; the scenarios package's tests
-// validate every embedded file, so a failure here is a programmer error.
-func mustPreset(id string) scenario.Preset {
-	p, err := scenarios.Load(id)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// qualityFor resolves the effective sample counts and seed for one spec:
+// QualityFor resolves the effective sample counts and seed for one spec:
 // the run-time quality, overridden by any spec-pinned QualitySpec, with
 // a spec-pinned seed winning over the quality's.
-func qualityFor(sp scenario.Spec, q Quality) Quality {
+func QualityFor(sp scenario.Spec, q Quality) Quality {
 	if sp.Quality != nil {
 		switch sp.Quality.Preset {
 		case "quick":
@@ -49,30 +47,50 @@ func qualityFor(sp scenario.Spec, q Quality) Quality {
 	return q
 }
 
-// specLoads resolves a spec's load declaration into offered-RPS values.
+// SpecLoads resolves a spec's load declaration into offered-RPS values.
 // Utilization-derived loads (rho) are computed here — never stored as
-// floats in preset files — so the resulting values are bit-identical to
-// the historical in-code formula rho·workers/mean.
-func specLoads(sp scenario.Spec, svc dist.Distribution) []float64 {
+// floats in preset files — so every caller describing the same scenario
+// gets bit-identical loads, and therefore shared cache keys. A k or flow
+// sweep resolves to its one fixed offered rate.
+func SpecLoads(sp scenario.Spec) ([]float64, error) {
 	l := sp.Load
 	switch {
 	case l == nil:
-		return nil
+		return nil, nil
 	case l.Grid != nil:
-		return l.Grid.Points()
+		return l.Grid.Points(), nil
 	case l.Rho > 0:
-		return []float64{l.Rho * float64(sp.KnobsOrZero().Workers) / svc.Mean().Seconds()}
+		svc, err := dist.Parse(sp.Workload)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{l.Rho * float64(sp.KnobsOrZero().Workers) / svc.Mean().Seconds()}, nil
 	default:
-		return []float64{l.RPS}
+		return []float64{l.RPS}, nil
 	}
 }
 
-// specPointKey builds the cache identity of one measured point from the
+// paramsSig fingerprints the calibrated model constants, so cached results
+// are invalidated when the calibration (params.Default) changes.
+var paramsSig = sync.OnceValue(func() string {
+	b, err := json.Marshal(params.Default())
+	if err != nil {
+		// Params is a plain struct of numbers; Marshal cannot fail. Guard
+		// anyway: an empty signature merely widens cache collisions across
+		// calibrations, it never corrupts results.
+		return "params-unknown"
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
+})
+
+// SpecPointKey builds the cache identity of one measured point from the
 // spec fingerprint: the spec with its load pinned to the single offered
 // rate and the effective quality and seed baked in, salted with the
-// calibration fingerprint. Unlike the label-based keys this replaces,
-// two presets that describe the same scenario share cache entries.
-func specPointKey(sweepID string, sp scenario.Spec, q Quality, rps float64, extra ...string) string {
+// calibration fingerprint. Two callers that describe the same scenario
+// under one sweepID share cache entries; extra salts encode what the
+// pinned spec cannot (the swept axis value, the row kind).
+func SpecPointKey(sweepID string, sp scenario.Spec, q Quality, rps float64, extra ...string) string {
 	if sweepID == "" {
 		return "" // anonymous sweeps are not cacheable
 	}
@@ -89,10 +107,10 @@ func specPointKey(sweepID string, sp scenario.Spec, q Quality, rps float64, extr
 	return k
 }
 
-// pointConfigFor compiles a spec into a runnable point config (offered
+// PointConfigFor compiles a spec into a runnable point config (offered
 // load left to the caller): registry build, workload parse, keys, and
 // effective quality.
-func pointConfigFor(sp scenario.Spec, q Quality) (PointConfig, error) {
+func PointConfigFor(sp scenario.Spec, q Quality) (PointConfig, error) {
 	f, err := scenario.Build(sp)
 	if err != nil {
 		return PointConfig{}, err
@@ -101,7 +119,7 @@ func pointConfigFor(sp scenario.Spec, q Quality) (PointConfig, error) {
 	if err != nil {
 		return PointConfig{}, err
 	}
-	eq := qualityFor(sp, q)
+	eq := QualityFor(sp, q)
 	cfg := PointConfig{
 		Factory: f,
 		Service: svc,
@@ -116,128 +134,144 @@ func pointConfigFor(sp scenario.Spec, q Quality) (PointConfig, error) {
 	return cfg, nil
 }
 
-// specSeries compiles one resolved spec into a runner series: a load
-// grid (stopping after the second consecutive saturated point, like the
-// paper's figures), a k sweep (one point per outstanding limit, plotted
-// against k), or a single offered load.
-func specSeries(sweepID, label string, sp scenario.Spec, q Quality) (runner.Series[Result], error) {
-	if sp.Load != nil && sp.Load.KSweep != nil {
-		return kSweepSeries(sweepID, label, sp, q)
-	}
-	if sp.Load != nil && sp.Load.FSweep != nil {
-		return fSweepSeries(sweepID, label, sp, q)
-	}
-	cfg, err := pointConfigFor(sp, q)
+// Kind is a row kind: what measuring one point of a spec yields. The
+// kinds are Plain (a Result), Attributed, FlowRuleDetail, ShortTail and
+// Affinity; each owns its cache-key salt, so rows of different kinds for
+// the same scenario never collide.
+type Kind[T any] struct {
+	salt string
+	// run measures one compiled point of sp (the swept axis value already
+	// applied, offered rate and effective quality set in cfg). x is the
+	// point's reported coordinate: the offered rate, or the k / flow
+	// population of a sweep. It is called on a runner worker and must
+	// share no mutable state with sibling points: a kind that attaches
+	// an observer rebuilds the factory around a fresh one.
+	run func(cfg PointConfig, sp scenario.Spec, x float64) T
+	// variants, when set, measures several configurations derived from
+	// the spec as consecutive points of its series.
+	variants func(sp scenario.Spec) []scenario.Spec
+}
+
+// Plain measures the conventional latency-vs-load row.
+var Plain = Kind[Result]{
+	run: func(cfg PointConfig, _ scenario.Spec, x float64) Result {
+		r := RunPoint(cfg)
+		r.Point.OfferedRPS = x
+		return r
+	},
+}
+
+// observed rebuilds sp's factory with observers attached, for row kinds
+// running on a worker. SpecSeries already built the spec once, so
+// failure means the system cannot carry the observer — a programmer
+// error in the preset, not a run-time condition.
+func observed(sp scenario.Spec, o scenario.Options) Factory {
+	f, err := scenario.BuildWith(sp, o)
 	if err != nil {
-		return runner.Series[Result]{}, err
+		panic(fmt.Sprintf("experiment: rebuild with observers failed: %v", err))
 	}
-	eq := qualityFor(sp, q)
-	loads := specLoads(sp, cfg.Service)
-	pts := make([]runner.Point[Result], len(loads))
-	for i, rps := range loads {
-		c := cfg
-		c.OfferedRPS = rps
-		pts[i] = runner.Point[Result]{
-			Key: specPointKey(sweepID, sp, eq, rps),
-			Run: func() Result { return RunPoint(c) },
-		}
-	}
-	s := runner.Series[Result]{Label: label, Points: pts}
+	return f
+}
+
+// SpecSeries compiles one resolved spec into a runner series of row kind
+// k by expanding its load axis, in axis order: a load grid (ending after
+// the second consecutive saturated point, like the paper's figures), a
+// utilization or fixed rate (one point), a k sweep (one point per
+// outstanding limit at the spec's fixed, saturating rate, reported
+// against k) or a flow sweep (one point per concurrent-flow population,
+// reported against the population; no early stop — its whole point is
+// life on both sides of the fast-path crossover). Every point is keyed
+// by SpecPointKey under sweepID.
+func SpecSeries[T any](sweepID, label string, sp scenario.Spec, q Quality, k Kind[T]) (runner.Series[T], error) {
+	s := runner.Series[T]{Label: label}
 	if sp.Load != nil && sp.Load.Grid != nil {
 		s.StopAfterSaturated = 2
+	}
+	specs := []scenario.Spec{sp}
+	if k.variants != nil {
+		specs = k.variants(sp)
+	}
+	for _, v := range specs {
+		loads, err := SpecLoads(v)
+		if err != nil {
+			return s, err
+		}
+		// A sweep applies each axis value to the spec, tags the cache key
+		// with it and reports it as x; every other load shape measures
+		// the spec itself against its offered rates.
+		type axisValue struct {
+			sp  scenario.Spec
+			x   float64
+			tag string
+		}
+		var axis []axisValue
+		switch l := v.Load; {
+		case l != nil && l.KSweep != nil:
+			for n := l.KSweep.Lo; n <= l.KSweep.Hi; n++ {
+				axis = append(axis, axisValue{v.WithOutstanding(n), float64(n), "k=" + strconv.Itoa(n)})
+			}
+		case l != nil && l.FSweep != nil:
+			for _, n := range l.FSweep.Points() {
+				axis = append(axis, axisValue{v.WithFlows(n), float64(n), "flows=" + strconv.Itoa(n)})
+			}
+		default:
+			axis = []axisValue{{sp: v}}
+		}
+		for _, a := range axis {
+			cfg, err := PointConfigFor(a.sp, q)
+			if err != nil {
+				return s, err
+			}
+			eq := QualityFor(a.sp, q)
+			var extra []string
+			if a.tag != "" {
+				extra = append(extra, a.tag)
+			}
+			if k.salt != "" {
+				extra = append(extra, k.salt)
+			}
+			for _, rps := range loads {
+				cfg, x := cfg, rps
+				cfg.OfferedRPS = rps
+				if a.tag != "" {
+					x = a.x
+				}
+				s.Points = append(s.Points, runner.Point[T]{
+					Key: SpecPointKey(sweepID, a.sp, eq, rps, extra...),
+					Run: func() T { return k.run(cfg, a.sp, x) },
+				})
+			}
+		}
 	}
 	return s, nil
 }
 
-// kSweepSeries compiles a ksweep spec: the per-worker outstanding limit
-// sweeps Lo..Hi at the spec's fixed (saturating) offered load, and the
-// reported x-coordinate is k itself.
-func kSweepSeries(sweepID, label string, sp scenario.Spec, q Quality) (runner.Series[Result], error) {
-	ks := sp.Load.KSweep
-	pts := make([]runner.Point[Result], 0, ks.Hi-ks.Lo+1)
-	for k := ks.Lo; k <= ks.Hi; k++ {
-		k := k
-		spk := sp.WithOutstanding(k)
-		cfg, err := pointConfigFor(spk, q)
-		if err != nil {
-			return runner.Series[Result]{}, err
-		}
-		cfg.OfferedRPS = sp.Load.RPS
-		pts = append(pts, runner.Point[Result]{
-			Key: specPointKey(sweepID, spk, qualityFor(spk, q), sp.Load.RPS,
-				"k="+strconv.Itoa(k)),
-			Run: func() Result {
-				r := RunPoint(cfg)
-				r.Point.OfferedRPS = float64(k) // x-axis is k, not load
-				return r
-			},
-		})
-	}
-	return runner.Series[Result]{Label: label, Points: pts}, nil
-}
-
-// fSweepSeries compiles an fsweep spec: the concurrent-flow population
-// sweeps the geometric grid at the spec's fixed offered batch rate, and
-// the reported x-coordinate is the population. Unlike load grids there
-// is no early stop after saturation — the sweep's whole point is to
-// show life on both sides of the fast-path crossover, including the
-// million-flow tail.
-func fSweepSeries(sweepID, label string, sp scenario.Spec, q Quality) (runner.Series[Result], error) {
-	fs := sp.Load.FSweep
-	flows := fs.Points()
-	pts := make([]runner.Point[Result], 0, len(flows))
-	for _, n := range flows {
-		n := n
-		spn := sp.WithFlows(n)
-		cfg, err := pointConfigFor(spn, q)
-		if err != nil {
-			return runner.Series[Result]{}, err
-		}
-		cfg.OfferedRPS = sp.Load.RPS
-		pts = append(pts, runner.Point[Result]{
-			Key: specPointKey(sweepID, spn, qualityFor(spn, q), sp.Load.RPS,
-				"flows="+strconv.Itoa(n)),
-			Run: func() Result {
-				r := RunPoint(cfg)
-				r.Point.OfferedRPS = float64(n) // x-axis is the flow population
-				return r
-			},
-		})
-	}
-	return runner.Series[Result]{Label: label, Points: pts}, nil
-}
-
-// PresetFigureSpec compiles a series-style preset into a runnable
-// FigureSpec. It is the one path from scenario files to the sweep
-// runner, shared by the figure definitions below and by
-// `mindgap-sim -scenario`.
-func PresetFigureSpec(p scenario.Preset, q Quality) (FigureSpec, error) {
+// Run measures every series of a preset as rows of kind k on rn (nil =
+// default parallel runner) and returns one result per series, in preset
+// order; the output is byte-identical at any parallelism. On
+// cancellation it returns the completed prefix of every series together
+// with the context error. It is the single entry point behind every
+// figure and table; the table types are pure reductions over its output.
+func Run[T any](ctx context.Context, rn *runner.Runner, p scenario.Preset, q Quality, k Kind[T]) ([]runner.SeriesResult[T], error) {
 	if len(p.Tenants) > 0 {
-		return FigureSpec{}, fmt.Errorf("experiment: preset %q is a tenants preset; run it with RunMultiTenant", p.ID)
+		return nil, fmt.Errorf("experiment: preset %q is a tenants preset; run it with RunMultiTenant", p.ID)
 	}
-	sw := runner.Sweep[Result]{Name: p.ID}
+	sw := runner.Sweep[T]{Name: p.ID}
 	for i := range p.Series {
-		s, err := specSeries(p.ID, p.Series[i].Label, p.SpecFor(i), q)
+		s, err := SpecSeries(p.ID, p.Series[i].Label, p.SpecFor(i), q, k)
 		if err != nil {
-			return FigureSpec{}, fmt.Errorf("experiment: preset %q series %q: %w", p.ID, p.Series[i].Label, err)
+			return nil, fmt.Errorf("experiment: preset %q series %q: %w", p.ID, p.Series[i].Label, err)
 		}
 		sw.Series = append(sw.Series, s)
 	}
-	return FigureSpec{
-		ID:     p.ID,
-		Title:  p.Title,
-		XLabel: p.XLabel,
-		YLabel: p.YLabel,
-		Sweep:  sw,
-	}, nil
+	return runner.Run(ctx, rn, sw)
 }
 
-// presetFigureSpec resolves a checked-in preset; embedded presets are
-// validated by tests, so failure is a programmer error.
-func presetFigureSpec(id string, q Quality) FigureSpec {
-	f, err := PresetFigureSpec(mustPreset(id), q)
-	if err != nil {
-		panic(err)
+// Rows flattens per-series results into one row list, in preset order.
+func Rows[T any](res []runner.SeriesResult[T]) []T {
+	var out []T
+	for _, sr := range res {
+		out = append(out, sr.Results...)
 	}
-	return f
+	return out
 }

@@ -3,10 +3,10 @@ package experiment
 import (
 	"context"
 	"math"
-	"strconv"
 	"time"
 
 	"mindgap/internal/runner"
+	"mindgap/internal/scenario"
 )
 
 // Replicated summarizes one load point measured across several independent
@@ -24,38 +24,30 @@ type Replicated struct {
 	AnySaturated bool
 }
 
-// IsSaturated implements the sweep runner's saturation probe.
-func (r Replicated) IsSaturated() bool { return r.AnySaturated }
-
-// RunPointReplicatedWith measures cfg across the given seeds — one
-// independent simulation per seed, fanned out on rn — and returns
-// cross-seed summary statistics. The explicit seed list replaces
-// cfg.Seed; setting both panics, so a replicate summary can never be
-// mistaken for (or silently collapse into) a single-seed run. sysKey must
-// uniquely describe the system under test (cfg.Factory is not
-// introspectable); it enables result caching, and an empty sysKey
-// disables it.
-func RunPointReplicatedWith(ctx context.Context, rn *runner.Runner, sysKey string, cfg PointConfig, seeds []uint64) (Replicated, error) {
+// Replicate measures sp's load point(s) across the given seeds — one
+// independent simulation per seed, fanned out on rn and cached under the
+// same fingerprint-derived keys as every other point — and returns
+// cross-seed summary statistics. The explicit seed list replaces both
+// q.Seed and any spec-pinned seed; a spec that pins one panics, because
+// the pin would win over the list and silently collapse the replicates
+// into one seed.
+func Replicate(ctx context.Context, rn *runner.Runner, sp scenario.Spec, q Quality, seeds []uint64) (Replicated, error) {
 	if len(seeds) == 0 {
 		panic("experiment: need at least one seed")
 	}
-	if cfg.Seed != 0 {
-		panic("experiment: PointConfig.Seed is set alongside an explicit seed list; zero cfg.Seed (the seed list replaces it)")
+	if sp.Seed != 0 {
+		panic("experiment: spec pins a seed alongside an explicit seed list; zero Spec.Seed (the seed list replaces it)")
 	}
-	pts := make([]runner.Point[Result], len(seeds))
-	for i, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		key := ""
-		if sysKey != "" {
-			key = pointKey("replicate", sysKey, c, "seed="+strconv.FormatUint(seed, 10))
+	var all runner.Series[Result]
+	for _, seed := range seeds {
+		q.Seed = seed
+		s, err := SpecSeries("replicate", "", sp, q, Plain)
+		if err != nil {
+			return Replicated{}, err
 		}
-		pts[i] = runner.Point[Result]{
-			Key: key,
-			Run: func() Result { return RunPoint(c) },
-		}
+		all.Points = append(all.Points, s.Points...)
 	}
-	runs, err := runner.RunOne(ctx, rn, "replicate", runner.Series[Result]{Points: pts})
+	runs, err := runner.RunOne(ctx, rn, "replicate", all)
 	rep := Replicated{Runs: runs}
 	var p99s, tputs []float64
 	for _, r := range runs {
@@ -67,13 +59,6 @@ func RunPointReplicatedWith(ctx context.Context, rn *runner.Runner, sysKey strin
 	rep.MeanP99, rep.P99StdDev = time.Duration(mean), time.Duration(sd)
 	rep.MeanAchieved, rep.AchievedStdDev = meanStd(tputs)
 	return rep, err
-}
-
-// RunPointReplicated measures cfg across the given seeds on the default
-// parallel runner. cfg.Seed must be zero — the seed list replaces it.
-func RunPointReplicated(cfg PointConfig, seeds []uint64) Replicated {
-	rep, _ := RunPointReplicatedWith(context.Background(), nil, "", cfg, seeds)
-	return rep
 }
 
 // RelativeP99Spread returns the coefficient of variation of p99 across

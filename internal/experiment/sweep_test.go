@@ -9,23 +9,32 @@ import (
 
 	"mindgap/internal/params"
 	"mindgap/internal/runner"
+	"mindgap/internal/scenario"
+	"mindgap/scenarios"
 )
 
 // testQuality keeps sweep tests fast while still crossing the saturation
 // knee (so truncation is exercised).
 var testQuality = Quality{Warmup: 500, Measure: 3_000, Seed: 7}
 
-// renderFigure executes a spec at the given parallelism and returns its
-// rendered CSV bytes.
-func renderFigure(t *testing.T, spec FigureSpec, parallelism int) []byte {
+// runFigure measures a series preset's Plain rows on rn (nil = default
+// parallel runner) and assembles its figure.
+func runFigure(t *testing.T, p scenario.Preset, q Quality, rn *runner.Runner) Figure {
 	t.Helper()
-	f, err := spec.Run(context.Background(), &runner.Runner{Parallelism: parallelism})
+	res, err := Run(context.Background(), rn, p, q, Plain)
 	if err != nil {
-		t.Fatalf("run (j=%d): %v", parallelism, err)
+		t.Fatalf("preset %s: %v", p.ID, err)
 	}
+	return NewFigure(p, res)
+}
+
+// renderFigure executes a preset at the given parallelism and returns its
+// rendered CSV bytes — what `mindgap-sim -scenario <name> -csv` prints.
+func renderFigure(t *testing.T, p scenario.Preset, q Quality, parallelism int) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := f.WriteCSV(&buf); err != nil {
-		t.Fatalf("render: %v", err)
+	if err := runFigure(t, p, q, &runner.Runner{Parallelism: parallelism}).WriteCSV(&buf); err != nil {
+		t.Fatalf("preset %s: render: %v", p.ID, err)
 	}
 	return buf.Bytes()
 }
@@ -35,10 +44,10 @@ func renderFigure(t *testing.T, spec FigureSpec, parallelism int) []byte {
 // GOMAXPROCS parallelism must be byte-identical, including where the
 // saturation rule truncates each curve.
 func TestFigureByteIdenticalAcrossParallelism(t *testing.T) {
-	spec := Figure2Spec(testQuality)
-	serial := renderFigure(t, spec, 1)
+	p := scenarios.MustLoad("figure2")
+	serial := renderFigure(t, p, testQuality, 1)
 	for _, par := range []int{4, runtime.GOMAXPROCS(0)} {
-		if got := renderFigure(t, spec, par); !bytes.Equal(serial, got) {
+		if got := renderFigure(t, p, testQuality, par); !bytes.Equal(serial, got) {
 			t.Fatalf("figure2 CSV differs between j=1 and j=%d:\n--- j=1 ---\n%s\n--- j=%d ---\n%s",
 				par, serial, par, got)
 		}
@@ -48,16 +57,18 @@ func TestFigureByteIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestFigureCancellation cancels a figure sweep up front: the spec must
+// TestFigureCancellation cancels a figure sweep up front: Run must
 // return the context error and an empty (but well-formed) figure rather
 // than hanging or panicking.
 func TestFigureCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	f, err := Figure2Spec(testQuality).Run(ctx, &runner.Runner{Parallelism: 2})
+	p := scenarios.MustLoad("figure2")
+	res, err := Run(ctx, &runner.Runner{Parallelism: 2}, p, testQuality, Plain)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	f := NewFigure(p, res)
 	if len(f.Series) != 2 {
 		t.Fatalf("got %d series labels, want 2 (with empty prefixes)", len(f.Series))
 	}
@@ -74,7 +85,7 @@ func TestMultiTenantComparisonWith(t *testing.T) {
 	cfg := MultiTenantConfig{
 		P:       params.Default(),
 		Workers: 2, Outstanding: 2, Slice: 10 * time.Microsecond,
-		Tenants: DefaultTenants(),
+		Tenants: DefaultMultiTenant(Quality{}).Tenants,
 		Quality: Quality{Warmup: 200, Measure: 1_000, Seed: 7},
 	}
 	cmp, err := MultiTenantComparisonWith(context.Background(), &runner.Runner{Parallelism: 2}, cfg)

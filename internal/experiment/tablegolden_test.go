@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"mindgap/internal/runner"
+	"mindgap/internal/scenario"
+	"mindgap/scenarios"
 )
 
 // resultFields prints every field of a measured point (Result's own
@@ -23,61 +25,56 @@ func resultFields(r Result) string {
 // T1/T4 tables have no simulation behind them) to a canonical text form
 // on the given runner. The formats mirror the CLI's rows but print every
 // field, so a golden diff points at the number that moved.
+// tableRun measures a checked-in table preset as rows of kind k on rn
+// (nil = default parallel runner).
+func tableRun[T any](t *testing.T, rn *runner.Runner, presetID string, q Quality, k Kind[T]) (scenario.Preset, []runner.SeriesResult[T]) {
+	t.Helper()
+	p := scenarios.MustLoad(presetID)
+	res, err := Run(context.Background(), rn, p, q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, res
+}
+
 var tableRenderers = []struct {
 	name   string
 	render func(t *testing.T, rn *runner.Runner) []byte
 }{
 	{"ipc", func(t *testing.T, rn *runner.Runner) []byte {
-		r, err := IPCOverheadWith(context.Background(), rn, zeroFaultQuality)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := tableRun(t, rn, "table-ipc", zeroFaultQuality, Plain)
+		r := IPCOverhead(res)
 		return []byte(fmt.Sprintf("shinjuku_p99=%v rss_p99=%v overhead=%v\n", r.ShinjukuP99, r.RSSP99, r.Overhead))
 	}},
 	{"wait", func(t *testing.T, rn *runner.Runner) []byte {
-		r, err := WorkerWaitWith(context.Background(), rn, zeroFaultQuality)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := tableRun(t, rn, "table-wait", zeroFaultQuality, Plain)
+		r := WorkerWait(res)
 		return []byte(fmt.Sprintf("idle_100us=%g idle_1us=%g extra=%g\n", r.IdleAt100us, r.IdleAt1us, r.ExtraWaitFrac))
 	}},
 	{"policy", func(t *testing.T, rn *runner.Runner) []byte {
-		rows, err := PolicyAblationWith(context.Background(), rn, zeroFaultQuality)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		for _, r := range rows {
+		for _, r := range PolicyRows(tableRun(t, rn, "table-policy", zeroFaultQuality, Plain)) {
 			fmt.Fprintf(&buf, "%v,%v,%v,%g\n", r.Policy, r.P50, r.P99, r.Achieved)
 		}
 		return buf.Bytes()
 	}},
 	{"dispersion", func(t *testing.T, rn *runner.Runner) []byte {
-		rows, err := DispersionSensitivityWith(context.Background(), rn, zeroFaultQuality)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		for _, r := range rows {
+		for _, r := range DispersionRows(tableRun(t, rn, "table-dispersion", zeroFaultQuality, ShortTail)) {
 			fmt.Fprintf(&buf, "%q,%g,%v,%v,%g\n", r.Workload, r.CV2, r.PreemptShortP99, r.NoPreemptShortP99, r.Win)
 		}
 		return buf.Bytes()
 	}},
 	{"affinity", func(t *testing.T, rn *runner.Runner) []byte {
-		r, err := AffinityAblationWith(context.Background(), rn, zeroFaultQuality)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := tableRun(t, rn, "table-affinity", zeroFaultQuality, Affinity)
+		r := AffinityAblation(res)
 		return []byte(fmt.Sprintf("migrations_off=%d migrations_on=%d preemptions=%d mean_off=%v mean_on=%v p99_off=%v p99_on=%v\n",
 			r.MigrationsOff, r.MigrationsOn, r.Preemptions, r.MeanOff, r.MeanOn, r.P99Off, r.P99On))
 	}},
 	{"attribution", func(t *testing.T, rn *runner.Runner) []byte {
-		rows, err := AttributionWith(context.Background(), rn, zeroFaultQuality)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := tableRun(t, rn, "table-attribution", zeroFaultQuality, Attributed)
 		var buf bytes.Buffer
-		for _, r := range rows {
+		for _, r := range Rows(res) {
 			fmt.Fprintf(&buf, "%q %s\n", r.Label, resultFields(r.Result))
 			for _, ph := range r.Phases {
 				fmt.Fprintf(&buf, "  phase %+v\n", ph)
@@ -87,12 +84,9 @@ var tableRenderers = []struct {
 		return buf.Bytes()
 	}},
 	{"flowrule", func(t *testing.T, rn *runner.Runner) []byte {
-		rows, err := FlowRuleTableWith(context.Background(), rn, zeroFaultQuality)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := tableRun(t, rn, "figure-flowrule", zeroFaultQuality, FlowRuleDetail)
 		var buf bytes.Buffer
-		for _, r := range rows {
+		for _, r := range Rows(res) {
 			fmt.Fprintf(&buf, "%q flows=%d %s\n", r.Label, r.Flows, resultFields(r.Result))
 			fmt.Fprintf(&buf, "  fast=%g slow=%g drop=%g hit=%g inserted=%g lru=%g idle=%g refused=%g resident=%g threshold=%g\n",
 				r.FastPackets, r.SlowPackets, r.DropPackets, r.FastHitRate, r.Insertions,

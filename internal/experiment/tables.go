@@ -1,11 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"time"
 
+	"mindgap/internal/core"
 	"mindgap/internal/params"
 	"mindgap/internal/runner"
+	"mindgap/internal/scenario"
 )
 
 // TimerCostRow is one row of the §3.4.4 timer-cost table (T1).
@@ -43,26 +44,6 @@ func TimerCosts(p params.Params) []TimerCostRow {
 	return rows
 }
 
-// presetPair runs a two-series preset — the shape of the T2/T3
-// experiments, which compare one configuration against another — and
-// returns the two measured points. Both run concurrently under the
-// sweep runner.
-func presetPair(ctx context.Context, rn *runner.Runner, id string, q Quality) ([]Result, error) {
-	spec, err := PresetFigureSpec(mustPreset(id), q)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runner.Run(ctx, rn, spec.Sweep)
-	var out []Result
-	for _, sr := range res {
-		if len(sr.Results) == 0 {
-			break // cancelled mid-sweep: keep the completed prefix
-		}
-		out = append(out, sr.Results[0])
-	}
-	return out, err
-}
-
 // IPCOverheadResult is the T2 experiment: the extra tail latency vanilla
 // Shinjuku's inter-thread communication adds to minimal-work requests
 // compared to single-thread run-to-completion (§2.2 item 4: ≈2 µs).
@@ -72,25 +53,16 @@ type IPCOverheadResult struct {
 	Overhead    time.Duration
 }
 
-// IPCOverheadWith measures T2 (the table-ipc preset) on rn. Both systems
-// run far from saturation with near-zero application work so the path
-// cost dominates.
-func IPCOverheadWith(ctx context.Context, rn *runner.Runner, q Quality) (IPCOverheadResult, error) {
-	res, err := presetPair(ctx, rn, "table-ipc", q)
-	if len(res) < 2 {
-		return IPCOverheadResult{}, err
-	}
+// IPCOverhead reduces a complete Plain run of the table-ipc preset to T2.
+// Both systems run far from saturation with near-zero application work
+// so the path cost dominates.
+func IPCOverhead(res []runner.SeriesResult[Result]) IPCOverheadResult {
+	shin, rss := res[0].Results[0], res[1].Results[0]
 	return IPCOverheadResult{
-		ShinjukuP99: res[0].P99,
-		RSSP99:      res[1].P99,
-		Overhead:    res[0].P99 - res[1].P99,
-	}, err
-}
-
-// IPCOverhead measures T2 on the default parallel runner.
-func IPCOverhead(q Quality) IPCOverheadResult {
-	r, _ := IPCOverheadWith(context.Background(), nil, q)
-	return r
+		ShinjukuP99: shin.P99,
+		RSSP99:      rss.P99,
+		Overhead:    shin.P99 - rss.P99,
+	}
 }
 
 // WorkerWaitResult is the T3 experiment: at their respective saturation
@@ -103,28 +75,49 @@ type WorkerWaitResult struct {
 	ExtraWaitFrac float64 // (IdleAt1us - IdleAt100us) / IdleAt100us
 }
 
-// WorkerWaitWith measures T3 (the table-wait preset) on rn: the Figure 5
-// and Figure 6 offload configurations, each at its knee (just below
-// saturation).
-func WorkerWaitWith(ctx context.Context, rn *runner.Runner, q Quality) (WorkerWaitResult, error) {
-	res, err := presetPair(ctx, rn, "table-wait", q)
-	if len(res) < 2 {
-		return WorkerWaitResult{}, err
-	}
+// WorkerWait reduces a complete Plain run of the table-wait preset to
+// T3: the Figure 5 and Figure 6 offload configurations, each at its knee
+// (just below saturation).
+func WorkerWait(res []runner.SeriesResult[Result]) WorkerWaitResult {
 	r := WorkerWaitResult{
-		IdleAt100us: res[0].WorkerIdleFraction,
-		IdleAt1us:   res[1].WorkerIdleFraction,
+		IdleAt100us: res[0].Results[0].WorkerIdleFraction,
+		IdleAt1us:   res[1].Results[0].WorkerIdleFraction,
 	}
 	if r.IdleAt100us > 0 {
 		r.ExtraWaitFrac = (r.IdleAt1us - r.IdleAt100us) / r.IdleAt100us
 	}
-	return r, err
+	return r
 }
 
-// WorkerWait measures T3 on the default parallel runner.
-func WorkerWait(q Quality) WorkerWaitResult {
-	r, _ := WorkerWaitWith(context.Background(), nil, q)
-	return r
+// PolicyRow is one row of the X10 experiment: the same system and workload
+// under different worker-selection policies, isolating the value of the
+// paper's core idea — host load feedback informing NIC decisions (§3.1).
+type PolicyRow struct {
+	Policy   core.Policy
+	P50, P99 time.Duration
+	Achieved float64
+}
+
+// PolicyRows reduces the Plain rows of the table-policy preset to X10,
+// one row per policy series that completed. Round-robin ignores load
+// entirely; least-outstanding balances request *counts*;
+// informed-least-loaded balances remaining *work* using host feedback.
+// With shallow stashes the centralized FIFO absorbs nearly all imbalance
+// and the policies tie (a finding in itself); the regime in the preset —
+// deep stashes, dispersive non-preemptible service times — is where the
+// informed policy earns its keep.
+func PolicyRows(p scenario.Preset, res []runner.SeriesResult[Result]) []PolicyRow {
+	var rows []PolicyRow
+	for i, sr := range res {
+		if len(sr.Results) == 0 {
+			break // cancelled mid-sweep: keep complete rows only
+		}
+		// Run built the series' system, so its policy knob parses.
+		pol, _ := scenario.ParsePolicy(p.SpecFor(i).KnobsOrZero().Policy)
+		r := sr.Results[0]
+		rows = append(rows, PolicyRow{Policy: pol, P50: r.P50, P99: r.P99, Achieved: r.AchievedRPS})
+	}
+	return rows
 }
 
 // CommLatencyResult is the T4 check: the modelled one-way NIC↔host message

@@ -14,6 +14,7 @@ import (
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
+	"mindgap/scenarios"
 )
 
 // Tenant is one co-located application class (§2.2: "multiple co-located
@@ -194,14 +195,9 @@ func MultiTenantFromPreset(p scenario.Preset, q Quality) (MultiTenantConfig, err
 // scenarios/table-tenants.json: a latency-critical KVS tenant co-located
 // with a batch-analytics tenant on a 4-worker offload server.
 func DefaultMultiTenant(q Quality) MultiTenantConfig {
-	cfg, err := MultiTenantFromPreset(mustPreset("table-tenants"), q)
+	cfg, err := MultiTenantFromPreset(scenarios.MustLoad("table-tenants"), q)
 	if err != nil {
 		panic(err) // the embedded preset is validated by tests
 	}
 	return cfg
-}
-
-// DefaultTenants returns the X9 tenant mix (see DefaultMultiTenant).
-func DefaultTenants() []Tenant {
-	return DefaultMultiTenant(Quality{}).Tenants
 }

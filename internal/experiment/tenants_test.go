@@ -14,7 +14,7 @@ func multiTenantCfg(priority bool, q Quality) MultiTenantConfig {
 		Outstanding: 3,
 		Slice:       15 * time.Microsecond,
 		Priority:    priority,
-		Tenants:     DefaultTenants(),
+		Tenants:     DefaultMultiTenant(q).Tenants,
 		Quality:     q,
 	}
 }

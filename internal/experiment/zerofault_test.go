@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mindgap/internal/runner"
 	"mindgap/scenarios"
 )
 
@@ -67,18 +66,7 @@ func renderPreset(t *testing.T, name string) []byte {
 		}
 		return buf.Bytes()
 	}
-	spec, err := PresetFigureSpec(p, zeroFaultQuality)
-	if err != nil {
-		t.Fatalf("preset %s: %v", name, err)
-	}
-	f, err := spec.Run(context.Background(), &runner.Runner{Parallelism: 4})
-	if err != nil {
-		t.Fatalf("preset %s: %v", name, err)
-	}
-	if err := f.WriteCSV(&buf); err != nil {
-		t.Fatalf("preset %s: %v", name, err)
-	}
-	return buf.Bytes()
+	return renderFigure(t, p, zeroFaultQuality, 4)
 }
 
 // TestZeroFaultGolden guards the fault-injection hooks' overhead-free off

@@ -17,8 +17,8 @@ type MetricDef struct {
 	// Unit labels values in FINDINGS tables ("ns", "rps", "fraction").
 	Unit string
 	// Attribution marks metrics that need a decision-audit collector
-	// attached to the run (mis_dispatch); such points are measured
-	// through experiment.RunAttributionPoint.
+	// attached to the run (mis_dispatch); such points are measured as
+	// experiment.Attributed rows.
 	Attribution bool
 }
 

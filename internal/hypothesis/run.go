@@ -70,9 +70,8 @@ func Run(ctx context.Context, rn *runner.Runner, h Spec, q experiment.Quality) (
 	for _, side := range []struct {
 		label string
 		arm   Arm
-		loads []float64
-	}{{"a", h.A, loadsA}, {"b", h.B, loadsB}} {
-		series, err := armSeries(side.label, side.arm, side.loads, h.Seeds, eq, def)
+	}{{"a", h.A}, {"b", h.B}} {
+		series, err := armSeries(side.label, side.arm, h.Seeds, eq, def)
 		if err != nil {
 			return Report{}, fmt.Errorf("hypothesis %s: arm %s: %w", h.ID, side.label, err)
 		}
@@ -131,51 +130,53 @@ func armLoads(a Arm) ([]float64, error) {
 }
 
 // armSeries compiles one arm into a runner series: seeds outer, loads
-// inner, so per-seed rows are contiguous. Point keys go through
-// experiment.SpecPointKey with the seed substituted into the spec —
-// identical scenarios measured by figures, tables or other hypotheses
-// share cache entries.
-func armSeries(label string, a Arm, loads []float64, seeds []uint64, q experiment.Quality, def MetricDef) (runner.Series[measurement], error) {
-	pts := make([]runner.Point[measurement], 0, len(seeds)*len(loads))
+// inner, so per-seed rows are contiguous. Every seed's points come from
+// experiment.SpecSeries with the seed substituted into the spec — the
+// same compiler, row kinds and fingerprint-derived cache keys as
+// figures and tables, so identical scenarios measured by other
+// hypotheses share cache entries. Arms keep every grid point: a
+// crossover needs both sides of the knee.
+func armSeries(label string, a Arm, seeds []uint64, q experiment.Quality, def MetricDef) (runner.Series[measurement], error) {
+	out := runner.Series[measurement]{Label: label}
 	for _, seed := range seeds {
 		sp := a.Scenario
 		sp.Name = ""
 		sp.Seed = seed
-		eq := q
-		eq.Seed = seed
+		var err error
 		if def.Attribution {
+			// Attribution points carry the audit collector; the kind's
+			// salt keeps them distinct from plain Result entries for
+			// the same scenario.
 			sp.Attribution = true
+			err = appendPoints(&out, sp, q, experiment.Attributed, func(row experiment.AttributionRow) measurement {
+				return measurement{Result: row.Result, MisRate: row.Audit.MisRate}
+			})
+		} else {
+			err = appendPoints(&out, sp, q, experiment.Plain, func(r experiment.Result) measurement {
+				return measurement{Result: r}
+			})
 		}
-		cfg, err := experiment.PointConfigFor(sp, eq)
 		if err != nil {
-			return runner.Series[measurement]{}, err
-		}
-		for _, rps := range loads {
-			sp, rps := sp, rps
-			var p runner.Point[measurement]
-			if def.Attribution {
-				// Attribution points carry the audit collector; the salt
-				// matches the attribution table's, keeping them distinct
-				// from plain Result entries for the same scenario.
-				p = runner.Point[measurement]{
-					Key: experiment.SpecPointKey(sweepID, sp, eq, rps, "attr1"),
-					Run: func() measurement {
-						row := experiment.RunAttributionPoint(sp, eq, rps)
-						return measurement{Result: row.Result, MisRate: row.Audit.MisRate}
-					},
-				}
-			} else {
-				cfg := cfg
-				cfg.OfferedRPS = rps
-				p = runner.Point[measurement]{
-					Key: experiment.SpecPointKey(sweepID, sp, eq, rps),
-					Run: func() measurement { return measurement{Result: experiment.RunPoint(cfg)} },
-				}
-			}
-			pts = append(pts, p)
+			return out, err
 		}
 	}
-	return runner.Series[measurement]{Label: label, Points: pts}, nil
+	return out, nil
+}
+
+// appendPoints compiles sp's load axis as rows of kind k and appends the
+// points to out, each row converted to the cached measurement carrier.
+func appendPoints[T any](out *runner.Series[measurement], sp scenario.Spec, q experiment.Quality, k experiment.Kind[T], conv func(T) measurement) error {
+	s, err := experiment.SpecSeries(sweepID, "", sp, q, k)
+	if err != nil {
+		return err
+	}
+	for _, p := range s.Points {
+		out.Points = append(out.Points, runner.Point[measurement]{
+			Key: p.Key,
+			Run: func() measurement { return conv(p.Run()) },
+		})
+	}
+	return nil
 }
 
 // seedOutcomes pairs the single-load measurements per seed.

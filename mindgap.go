@@ -15,18 +15,26 @@
 //   - internal/sim, fabric, nic/cores models, wire, stats — the substrate.
 //   - internal/live + cmd/{dispatcherd,workerd,loadgen} — a real-socket
 //     implementation of the same scheduler over UDP.
-//   - internal/experiment — figure/table harness (see EXPERIMENTS.md).
+//   - internal/scenario + scenarios/ — the system registry and the
+//     checked-in JSON presets that declare every figure and table.
+//   - internal/experiment — the harness: one entry point,
+//     experiment.Run(ctx, runner, preset, quality, kind), measures any
+//     preset as rows of a kind (experiment.Plain for figures); tables are
+//     pure reductions over its output (see EXPERIMENTS.md).
 //
-// This root package is a thin façade over internal/experiment for
-// programmatic use; the cmd/ binaries expose the same functionality on the
-// command line.
+// This root package is a thin façade over experiment.Run for programmatic
+// use; the cmd/ binaries expose the same functionality on the command
+// line.
 package mindgap
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mindgap/internal/experiment"
+	"mindgap/scenarios"
 )
 
 // Quality trades run time for statistical confidence in figure runs.
@@ -44,34 +52,28 @@ var (
 	Full  = experiment.Full
 )
 
-// figureBuilders maps figure IDs to their harness constructors.
-var figureBuilders = map[string]func(Quality) Figure{
-	"figure2":          experiment.Figure2,
-	"figure3":          experiment.Figure3,
-	"figure3-burst":    experiment.Figure3Burst,
-	"figure4":          experiment.Figure4,
-	"figure5":          experiment.Figure5,
-	"figure6":          experiment.Figure6,
-	"figure6-cxl":      experiment.Figure6CXL,
-	"figure6-linerate": experiment.Figure6LineRate,
-	"baselines":        experiment.BaselineComparison,
-}
-
-// Figures lists the reproducible figure IDs in stable order.
+// Figures lists the reproducible figure IDs (scenario preset names) in
+// stable, sorted order. The set is experiment.FigureIDs — the registry
+// mindgap-bench's -fig flag runs from.
 func Figures() []string {
-	out := make([]string, 0, len(figureBuilders))
-	for id := range figureBuilders {
-		out = append(out, id)
+	out := make([]string, 0, len(experiment.FigureIDs))
+	for _, f := range experiment.FigureIDs {
+		out = append(out, f.Source)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// RunFigure regenerates one paper figure by ID.
+// RunFigure regenerates one paper figure by ID on the default parallel
+// runner.
 func RunFigure(id string, q Quality) (Figure, error) {
-	build, ok := figureBuilders[id]
-	if !ok {
+	if !slices.Contains(Figures(), id) {
 		return Figure{}, fmt.Errorf("mindgap: unknown figure %q (have %v)", id, Figures())
 	}
-	return build(q), nil
+	p, err := scenarios.Load(id)
+	if err != nil {
+		return Figure{}, err
+	}
+	res, err := experiment.Run(context.Background(), nil, p, q, experiment.Plain)
+	return experiment.NewFigure(p, res), err
 }

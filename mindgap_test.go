@@ -1,21 +1,37 @@
 package mindgap
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"mindgap/internal/experiment"
+	"mindgap/scenarios"
 )
 
 func TestFiguresListStableAndComplete(t *testing.T) {
 	ids := Figures()
-	if len(ids) != len(figureBuilders) {
-		t.Fatalf("Figures() returned %d ids, registry has %d", len(ids), len(figureBuilders))
+	if len(ids) != len(experiment.FigureIDs) {
+		t.Fatalf("Figures() returned %d ids, registry has %d", len(ids), len(experiment.FigureIDs))
+	}
+	// The library and mindgap-bench's -fig flag list the same set: both
+	// derive from experiment.FigureIDs, and every entry names a preset
+	// that loads.
+	for _, f := range experiment.FigureIDs {
+		if !slices.Contains(ids, f.Source) {
+			t.Errorf("mindgap-bench -fig %s (preset %s) missing from Figures()", f.ID, f.Source)
+		}
+		if _, err := scenarios.Load(f.Source); err != nil {
+			t.Errorf("-fig %s: %v", f.ID, err)
+		}
 	}
 	for i := 1; i < len(ids); i++ {
 		if ids[i-1] >= ids[i] {
 			t.Fatalf("Figures() not sorted: %v", ids)
 		}
 	}
-	for _, want := range []string{"figure2", "figure3", "figure4", "figure5", "figure6"} {
+	for _, want := range []string{"figure2", "figure3", "figure4", "figure5", "figure6",
+		"figure-faults-niccrash", "figure-faults-lossyfabric", "figure-flowrule"} {
 		found := false
 		for _, id := range ids {
 			if id == want {

@@ -63,3 +63,14 @@ func Load(name string) (scenario.Preset, error) {
 	}
 	return p, nil
 }
+
+// MustLoad is Load for the embedded presets code names literally; the
+// package's tests validate every embedded file, so a failure here is a
+// programmer error.
+func MustLoad(name string) scenario.Preset {
+	p, err := Load(name)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
