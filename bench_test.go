@@ -15,6 +15,7 @@ import (
 	"mindgap/internal/experiment"
 	"mindgap/internal/fabric"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/internal/sim"
@@ -213,7 +214,7 @@ func BenchmarkAblationDDIO(b *testing.B) {
 					return core.NewOffload(eng, core.OffloadConfig{
 						P: p, Workers: 4, Outstanding: 4,
 						Slice: 10 * time.Microsecond, DDIOToL1: ddio,
-					}, rec, done)
+					}, &probe.Probe{Rec: rec}, done)
 				},
 				Service:    bimodal,
 				OfferedRPS: 400_000,
@@ -249,7 +250,7 @@ func BenchmarkAblationNUMA(b *testing.B) {
 				Factory: func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) experiment.System {
 					return shinjuku.New(eng, shinjuku.Config{
 						P: p, Workers: 4, Slice: 10 * time.Microsecond, Sockets: sockets,
-					}, rec, done)
+					}, &probe.Probe{Rec: rec}, done)
 				},
 				Service:    bimodal,
 				OfferedRPS: 400_000,

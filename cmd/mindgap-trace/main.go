@@ -1,14 +1,15 @@
-// Command mindgap-trace runs a short traced simulation of Shinjuku-Offload
-// and prints complete request lifecycles — a debugging lens into the
-// scheduler: arrival, NIC ingress, central-queue entry, dispatch, worker
+// Command mindgap-trace runs a short traced simulation (Shinjuku-Offload
+// by default) and prints complete request lifecycles — a debugging lens
+// into the scheduler: arrival, NIC ingress, queue entry, dispatch, worker
 // start, preemptions, completion, and client response, each with its
 // simulated timestamp.
 //
 // The traced configuration starts from a scenario preset (the checked-in
 // scenarios/trace-default.json unless -scenario names another) and any
 // -workers/-outstanding/-slice/-dist/-rps flags override that preset's
-// knobs. The system is assembled through the scenario registry, so any
-// Observable system (offload, idealnic ablations) can be traced.
+// knobs. The system is assembled through the scenario registry; every
+// registered system reports the same lifecycle stream through its probe,
+// so every one can be traced and attributed (-attr).
 //
 // The -format flag selects the output: "text" (default) prints per-request
 // lifecycles, "chrome" emits Chrome trace-event JSON that opens directly
@@ -21,12 +22,14 @@
 //	mindgap-trace                      # trace 5 requests on the default mix
 //	mindgap-trace -n 3 -dist fixed:30µs -slice 10µs -show preempted
 //	mindgap-trace -scenario my.json    # trace a scenario file's first series
+//	mindgap-trace -scenario table-ipc -attr     # a baseline: vanilla Shinjuku
 //	mindgap-trace -format chrome > trace.json   # then open ui.perfetto.dev
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -43,32 +46,41 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatalf("mindgap-trace: %v", err)
+	}
+}
+
+// run is the whole command: args are the flags, every byte of output
+// goes to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mindgap-trace", flag.ExitOnError)
 	var (
-		n           = flag.Int("n", 5, "number of request lifecycles to print")
-		scenarioArg = flag.String("scenario", "trace-default", "scenario file or embedded preset name; its first series is traced")
-		workers     = flag.Int("workers", 2, "override: worker cores")
-		k           = flag.Int("outstanding", 2, "override: per-worker outstanding limit")
-		slice       = flag.Duration("slice", 10*time.Microsecond, "override: preemption quantum")
-		distSpec    = flag.String("dist", "bimodal:0.8:3µs:40µs", "override: service-time distribution")
-		rps         = flag.Float64("rps", 200_000, "override: offered load")
-		show        = flag.String("show", "any", "which lifecycles: any, preempted")
-		format      = flag.String("format", "text", "output format: text, chrome (Perfetto/chrome://tracing), json")
-		attrFlag    = flag.Bool("attr", false, "attach the latency-attribution collector: text gains a phase waterfall + decision audit summary; chrome gains per-phase slices and audit counter tracks")
+		n           = fs.Int("n", 5, "number of request lifecycles to print")
+		scenarioArg = fs.String("scenario", "trace-default", "scenario file or embedded preset name; its first series is traced")
+		workers     = fs.Int("workers", 2, "override: worker cores")
+		k           = fs.Int("outstanding", 2, "override: per-worker outstanding limit")
+		slice       = fs.Duration("slice", 10*time.Microsecond, "override: preemption quantum")
+		distSpec    = fs.String("dist", "bimodal:0.8:3µs:40µs", "override: service-time distribution")
+		rps         = fs.Float64("rps", 200_000, "override: offered load")
+		show        = fs.String("show", "any", "which lifecycles: any, preempted")
+		format      = fs.String("format", "text", "output format: text, chrome (Perfetto/chrome://tracing), json")
+		attrFlag    = fs.Bool("attr", false, "attach the latency-attribution collector: text gains a phase waterfall + decision audit summary; chrome gains per-phase slices and audit counter tracks")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	switch *format {
 	case "text", "chrome", "json":
 	default:
-		log.Fatalf("mindgap-trace: unknown -format %q (want text, chrome, or json)", *format)
+		return fmt.Errorf("unknown -format %q (want text, chrome, or json)", *format)
 	}
 
 	sp, err := traceSpec(*scenarioArg)
 	if err != nil {
-		log.Fatalf("mindgap-trace: %v", err)
+		return err
 	}
 	// Explicitly-set flags override the preset's knobs (traceSpec
 	// guarantees sp.Knobs is non-nil).
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "workers":
 			sp.Knobs.Workers = *workers
@@ -83,16 +95,16 @@ func main() {
 		}
 	})
 	if err := sp.Validate(); err != nil {
-		log.Fatalf("mindgap-trace: %v", err)
+		return err
 	}
 
 	svc, err := dist.Parse(sp.Workload)
 	if err != nil {
-		log.Fatalf("mindgap-trace: %v", err)
+		return err
 	}
 	offered := sp.Load.RPS
 	if offered <= 0 {
-		log.Fatalf("mindgap-trace: scenario %q needs a single-rps load (got %+v)", sp.Name, *sp.Load)
+		return fmt.Errorf("scenario %q needs a single-rps load (got %+v)", sp.Name, *sp.Load)
 	}
 
 	eng := sim.New()
@@ -105,7 +117,7 @@ func main() {
 	}
 	factory, err := scenario.BuildWith(sp, opts)
 	if err != nil {
-		log.Fatalf("mindgap-trace: %v", err)
+		return err
 	}
 	completions := 0
 	sys := factory(eng, nil, func(*task.Request) {
@@ -118,20 +130,14 @@ func main() {
 	eng.Run()
 
 	if err := buf.ValidateAll(); err != nil {
-		log.Fatalf("mindgap-trace: causality violation: %v", err)
+		return fmt.Errorf("causality violation: %v", err)
 	}
 
 	switch *format {
 	case "chrome":
-		if err := trace.WriteChromeWith(os.Stdout, buf, col.ChromeEvents()); err != nil {
-			log.Fatalf("mindgap-trace: %v", err)
-		}
-		return
+		return trace.WriteChromeWith(stdout, buf, col.ChromeEvents())
 	case "json":
-		if err := trace.WriteJSON(os.Stdout, buf); err != nil {
-			log.Fatalf("mindgap-trace: %v", err)
-		}
-		return
+		return trace.WriteJSON(stdout, buf)
 	}
 
 	printed := 0
@@ -154,48 +160,49 @@ func main() {
 				continue
 			}
 		}
-		fmt.Printf("request %d (%d events, latency %v):\n", id,
+		fmt.Fprintf(stdout, "request %d (%d events, latency %v):\n", id,
 			len(lc), lc[len(lc)-1].At.Sub(lc[0].At))
-		fmt.Print(indent(buf.Format(id)))
+		fmt.Fprint(stdout, indent(buf.Format(id)))
 		printed++
 	}
 	if printed == 0 {
-		fmt.Println("no matching lifecycles; try -show any or a longer run")
+		fmt.Fprintln(stdout, "no matching lifecycles; try -show any or a longer run")
 	}
-	fmt.Printf("traced %d events across %d requests (%d truncated)\n",
+	fmt.Fprintf(stdout, "traced %d events across %d requests (%d truncated)\n",
 		buf.Len(), len(buf.Requests()), buf.Truncated())
 	if col != nil {
-		printAttribution(col)
+		printAttribution(stdout, col)
 	}
+	return nil
 }
 
 // printAttribution renders the collector's waterfall and audit summary
 // after the lifecycle listing.
-func printAttribution(col *attr.Collector) {
-	fmt.Printf("\nlatency attribution (%d completed requests):\n", col.Completed())
-	fmt.Printf("  %-12s %12s %12s %12s %10s %10s\n",
+func printAttribution(w io.Writer, col *attr.Collector) {
+	fmt.Fprintf(w, "\nlatency attribution (%d completed requests):\n", col.Completed())
+	fmt.Fprintf(w, "  %-12s %12s %12s %12s %10s %10s\n",
 		"phase", "mean", "p50", "p99", "mean-share", "tail-share")
 	for _, ps := range col.PhaseStats() {
 		if ps.Mean == 0 && ps.P99 == 0 {
 			continue
 		}
-		fmt.Printf("  %-12s %12v %12v %12v %9.1f%% %9.1f%%\n",
+		fmt.Fprintf(w, "  %-12s %12v %12v %12v %9.1f%% %9.1f%%\n",
 			ps.Phase, ps.Mean, ps.P50, ps.P99, ps.MeanShare*100, ps.TailShare*100)
 	}
 	a := col.AuditSummary()
-	fmt.Printf("decision audit: decisions=%d informed=%d mis-dispatch=%.1f%% staleness(mean/p99)=%v/%v excess(mean/p99)=%v/%v\n",
+	fmt.Fprintf(w, "decision audit: decisions=%d informed=%d mis-dispatch=%.1f%% staleness(mean/p99)=%v/%v excess(mean/p99)=%v/%v\n",
 		a.Decisions, a.Informed, a.MisRate*100,
 		a.MeanStaleness, a.P99Staleness, a.MeanExcess, a.P99Excess)
 	if tail := col.Tail(); len(tail) > 0 {
-		fmt.Printf("slowest %d requests:\n", len(tail))
+		fmt.Fprintf(w, "slowest %d requests:\n", len(tail))
 		for _, t := range tail {
-			fmt.Printf("  req %-6d total=%-10v", t.ReqID, t.Total)
+			fmt.Fprintf(w, "  req %-6d total=%-10v", t.ReqID, t.Total)
 			for p := attr.Phase(0); p < attr.PhaseCount; p++ {
 				if d := t.Phases[p]; d > 0 {
-					fmt.Printf(" %s=%v", p, d)
+					fmt.Fprintf(w, " %s=%v", p, d)
 				}
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 }

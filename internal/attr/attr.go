@@ -23,9 +23,10 @@
 //	             timer costs, and requeue round trips back to the NIC
 //	egress       completion → response reaches the client
 //
-// Systems call the Collector's lifecycle hooks at the matching instants;
-// every hook is a no-op on a nil *Collector, so disabled runs execute the
-// exact same event sequence (attribution only observes, never schedules).
+// Systems report lifecycle instants to their probe.Probe, which forwards
+// them to the Collector's hooks; every hook is a no-op on a nil *Collector,
+// so disabled runs execute the exact same event sequence (attribution only
+// observes, never schedules).
 package attr
 
 import (
@@ -81,6 +82,7 @@ const (
 	mkStart
 	mkPreempt
 	mkComplete
+	mkRespond
 )
 
 // Config sizes the collector.
@@ -132,7 +134,7 @@ type reqState struct {
 // Collector accumulates phase decompositions and dispatch audits for one
 // simulation run. It is an observer: its hooks never schedule engine
 // events, so an attached collector cannot perturb the simulation. All
-// methods are no-ops on a nil receiver — systems call hooks
+// methods are no-ops on a nil receiver — the probe calls hooks
 // unconditionally and disabled runs stay byte-identical.
 //
 // Not safe for concurrent use; each run owns its own collector.
@@ -194,18 +196,24 @@ func (c *Collector) Arrive(at sim.Time, id uint64, service time.Duration) {
 	c.inflight[id] = st
 }
 
-// step advances a request's phase state machine; the (last, k) transition
+// step is the hooks' inlinable front: a nil collector costs the caller a
+// nil check, not a call.
+func (c *Collector) step(at sim.Time, id uint64, k markKind) *reqState {
+	if c == nil {
+		return nil
+	}
+	return c.advance(at, id, k)
+}
+
+// advance moves a request's phase state machine; the (last, k) transition
 // decides which phase the elapsed interval belongs to. Intervals that
 // belong to no direct phase (preempt→requeue notification trips, execution
 // beyond the nominal service time) surface as preempt-ovh residue when the
-// record closes.
-func (c *Collector) step(at sim.Time, id uint64, k markKind) {
-	if c == nil {
-		return
-	}
+// record closes. It returns the request's state, nil when none is open.
+func (c *Collector) advance(at sim.Time, id uint64, k markKind) *reqState {
 	st := c.inflight[id]
 	if st == nil {
-		return
+		return nil
 	}
 	d := at.Sub(st.mark)
 	if d < 0 {
@@ -246,6 +254,10 @@ func (c *Collector) step(at sim.Time, id uint64, k markKind) {
 				st.segs = append(st.segs, Segment{Phase: PhaseService, From: st.mark, To: at})
 			}
 		}
+	case mkRespond:
+		if st.last == mkComplete {
+			phase = PhaseEgress
+		}
 	}
 	if phase >= 0 {
 		st.phases[phase] += d
@@ -254,6 +266,7 @@ func (c *Collector) step(at sim.Time, id uint64, k markKind) {
 		}
 	}
 	st.mark, st.last = at, k
+	return st
 }
 
 // Ingress marks arrival at the scheduler's networking subsystem.
@@ -284,22 +297,9 @@ func (c *Collector) Complete(at sim.Time, id uint64) { c.step(at, id, mkComplete
 // no other phase covers — so the phase vector partitions the end-to-end
 // latency with zero residue.
 func (c *Collector) Respond(at sim.Time, id uint64) {
-	if c == nil {
-		return
-	}
-	st := c.inflight[id]
+	st := c.step(at, id, mkRespond)
 	if st == nil {
 		return
-	}
-	if st.last == mkComplete {
-		d := at.Sub(st.mark)
-		if d < 0 {
-			d = 0
-		}
-		st.phases[PhaseEgress] = d
-		if c.cfg.KeepTimelines && at > st.mark {
-			st.segs = append(st.segs, Segment{Phase: PhaseEgress, From: st.mark, To: at})
-		}
 	}
 	total := at.Sub(st.arrive)
 	if total < 0 {

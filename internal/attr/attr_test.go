@@ -215,8 +215,8 @@ func TestNilCollector(t *testing.T) {
 	if c.Tail() != nil || c.Timelines() != nil || c.PhaseStats() != nil || c.Waterfall() != nil {
 		t.Error("nil collector returned non-nil views")
 	}
-	if got := c.TruthScratch(3); len(got) != 3 {
-		t.Errorf("nil TruthScratch length = %d, want 3", len(got))
+	if got := c.TruthScratch(3); got != nil {
+		t.Errorf("nil TruthScratch = %v, want nil (no audit to scan for)", got)
 	}
 	if got := c.AuditSamples(); got != nil {
 		t.Errorf("nil AuditSamples = %v, want nil", got)

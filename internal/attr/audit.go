@@ -63,10 +63,11 @@ type AuditSample struct {
 }
 
 // TruthScratch returns a reusable length-n slice for ground-truth scans,
-// so per-dispatch audits allocate nothing in steady state.
+// so per-dispatch audits allocate nothing in steady state. A nil collector
+// returns nil: there is no audit to scan for.
 func (c *Collector) TruthScratch(n int) []int64 {
 	if c == nil {
-		return make([]int64, n)
+		return nil
 	}
 	if cap(c.audit.truthScratch) < n {
 		c.audit.truthScratch = make([]int64, n)

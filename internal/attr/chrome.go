@@ -3,7 +3,6 @@ package attr
 import (
 	"fmt"
 
-	"mindgap/internal/sim"
 	"mindgap/internal/trace"
 )
 
@@ -23,8 +22,6 @@ const (
 	chromePidAudit  = 4
 )
 
-func toMicros(t sim.Time) float64 { return float64(t) / 1e3 }
-
 // ChromeEvents renders the retained timelines (KeepTimelines) and audit
 // samples (AuditSamples) as Chrome trace events, ready to append to a
 // trace.Buffer export via trace.WriteChromeWith.
@@ -34,18 +31,18 @@ func (c *Collector) ChromeEvents() []trace.ChromeEvent {
 	}
 	var events []trace.ChromeEvent
 	if len(c.timelines) > 0 {
-		events = append(events, metaEvent("process_name", chromePidPhases, 0, "phases"))
+		events = append(events, trace.MetaEvent("process_name", chromePidPhases, 0, "phases"))
 		for p := Phase(0); p < PhaseCount; p++ {
 			events = append(events,
-				metaEvent("thread_name", chromePidPhases, int(p), p.String()))
+				trace.MetaEvent("thread_name", chromePidPhases, int(p), p.String()))
 		}
 		for _, tl := range c.timelines {
 			name := fmt.Sprintf("req %d", tl.ReqID)
 			for _, seg := range tl.Segments {
-				dur := toMicros(seg.To) - toMicros(seg.From)
+				dur := trace.ToMicros(seg.To) - trace.ToMicros(seg.From)
 				events = append(events, trace.ChromeEvent{
 					Name: name, Cat: "phase", Ph: "X",
-					Ts: toMicros(seg.From), Dur: &dur,
+					Ts: trace.ToMicros(seg.From), Dur: &dur,
 					Pid: chromePidPhases, Tid: int(seg.Phase),
 					Args: map[string]any{"phase": seg.Phase.String()},
 				})
@@ -53,13 +50,13 @@ func (c *Collector) ChromeEvents() []trace.ChromeEvent {
 		}
 	}
 	if len(c.audit.samples) > 0 {
-		events = append(events, metaEvent("process_name", chromePidAudit, 0, "audit"))
+		events = append(events, trace.MetaEvent("process_name", chromePidAudit, 0, "audit"))
 		for _, s := range c.audit.samples {
 			rate := 0.0
 			if s.Decisions > 0 {
 				rate = float64(s.MisDispatches) / float64(s.Decisions)
 			}
-			ts := toMicros(s.At)
+			ts := trace.ToMicros(s.At)
 			events = append(events,
 				trace.ChromeEvent{
 					Name: "mis_dispatch_rate", Ph: "C", Ts: ts,
@@ -80,11 +77,4 @@ func (c *Collector) ChromeEvents() []trace.ChromeEvent {
 		}
 	}
 	return events
-}
-
-func metaEvent(name string, pid, tid int, value string) trace.ChromeEvent {
-	return trace.ChromeEvent{
-		Name: name, Ph: "M", Pid: pid, Tid: tid,
-		Args: map[string]any{"name": value},
-	}
 }

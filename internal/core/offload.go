@@ -10,8 +10,8 @@ import (
 	"mindgap/internal/faults"
 	"mindgap/internal/nicmodel"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
-	"mindgap/internal/stats"
 	"mindgap/internal/task"
 	"mindgap/internal/telemetry"
 	"mindgap/internal/trace"
@@ -64,17 +64,9 @@ type OffloadConfig struct {
 	// the instant a request arrives and can push back before the request
 	// consumes host resources). Zero means unbounded.
 	AdmissionLimit int
-	// Tracer, when set, records every request's lifecycle (arrival,
-	// queueing, dispatch, execution, preemption, response) for debugging
-	// and causality checks.
-	Tracer *trace.Buffer
-	// Attr, when set, receives per-request phase decompositions and a
-	// ground-truth audit of every dispatch decision. The collector only
-	// observes — it never schedules events — so an attached collector
-	// leaves the simulated event sequence byte-identical; nil leaves
-	// every hook off.
-	Attr *attr.Collector
 	// Metrics, when set, wires every component's probes into the registry:
+	// drop counts by cause read from the lifecycle probe ("sched/shed",
+	// "nic/vf_drops", "faults/timeout_drops", their total "offload/drops"),
 	// scheduler queue depth and decision counters ("sched"), per-worker
 	// utilization and preemptions ("worker<i>"), ARM stage occupancy
 	// ("arm-networker", "arm-queue", "arm-tx", "arm-rx"), NIC steering and
@@ -176,18 +168,11 @@ type Offload struct {
 	eng  *sim.Engine
 	cfg  OffloadConfig
 	lgc  SchedulerLogic
-	rec  *stats.Recorder
 	done func(*task.Request)
-	attr *attr.Collector
-	shed uint64
-
-	// Telemetry drop counters (nil when cfg.Metrics is unset): mShed
-	// counts admission-control sheds, mVFDrops counts frames lost at a
-	// worker VF ring, and mDrops is their sum plus timeout abandonments —
-	// it matches the recorder's Dropped() total.
-	mShed    *telemetry.Counter
-	mVFDrops *telemetry.Counter
-	mDrops   *telemetry.Counter
+	// pr is the lifecycle probe: every instant of a request's life and
+	// every drop is reported through it, and the drop accessors and
+	// telemetry counters read its per-reason counts back.
+	pr *probe.Probe
 
 	// flt is the compiled fault schedule (nil on the healthy path). The
 	// maps exist only when the schedule configures a timeout: flights
@@ -197,18 +182,12 @@ type Offload struct {
 	flights   map[uint64]*flight
 	responded map[uint64]bool
 
-	// Fault-layer counters (always maintained while flt is set; mirrored
-	// into telemetry when cfg.Metrics is set).
+	// Fault-layer counters (always maintained while flt is set; telemetry
+	// reads them when cfg.Metrics is set).
 	retries       uint64
-	timeoutDrops  uint64
 	degradedCount uint64
 	staleNotifs   uint64
 	dupResponses  uint64
-	mRetries      *telemetry.Counter
-	mTimeoutDrops *telemetry.Counter
-	mDegraded     *telemetry.Counter
-	mStale        *telemetry.Counter
-	mDup          *telemetry.Counter
 
 	ingress   *fabric.Link
 	egress    *fabric.Link
@@ -294,9 +273,8 @@ func (s *Offload) qevPut(qe *qEvent) {
 }
 
 // NewOffload builds the system on eng. done is invoked at the instant the
-// client receives each response; rec (optional) accumulates drops and
-// preemption counts.
-func NewOffload(eng *sim.Engine, cfg OffloadConfig, rec *stats.Recorder, done func(*task.Request)) *Offload {
+// client receives each response; pr (optional) carries the run's observers.
+func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*task.Request)) *Offload {
 	if cfg.Workers <= 0 {
 		panic("core: offload needs workers")
 	}
@@ -305,6 +283,9 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, rec *stats.Recorder, done fu
 	}
 	if done == nil {
 		panic("core: offload needs a completion callback")
+	}
+	if pr == nil {
+		pr = &probe.Probe{} // Shed/TimeoutDrops read its counts back
 	}
 	p := cfg.P
 	var lgc SchedulerLogic
@@ -325,9 +306,8 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, rec *stats.Recorder, done fu
 		eng:  eng,
 		cfg:  cfg,
 		lgc:  lgc,
-		rec:  rec,
 		done: done,
-		attr: cfg.Attr,
+		pr:   pr,
 	}
 	if cfg.FaultSpec != nil && !cfg.FaultSpec.Empty() {
 		if cfg.DirectInterrupts {
@@ -449,43 +429,12 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, rec *stats.Recorder, done fu
 		w.vf = s.nic.AddFunction(fmt.Sprintf("w%d", i),
 			nicmodel.MACForIndex(i+1), cfg.Outstanding+1)
 		w.vf.OnRx(w.maybeStart)
-		w.vf.OnDrop(func(f nicmodel.Frame) {
-			if s.rec != nil {
-				s.rec.RecordDrop()
-			}
-			if s.mVFDrops != nil {
-				s.mVFDrops.Inc()
-				s.mDrops.Inc()
-			}
-			if d, ok := f.Payload.(degradedReq); ok {
-				// Only degraded frames can legally overflow the ring (the
-				// credit scheme bounds normal dispatches), and nothing
-				// retries them: a terminal loss, visible only here.
-				s.traceDrop(d.req.ID, w.id, trace.DropRingOverflow)
-				s.attr.Drop(s.eng.Now(), d.req.ID, trace.DropRingOverflow)
-			}
+		w.vf.OnDrop(func(f nicmodel.Frame) { s.dropDegraded(f, w.id, trace.DropRingOverflow) })
+		w.vf.OnWireDrop(func(f nicmodel.Frame) { s.dropDegraded(f, w.id, trace.DropWireFault) })
+		w.vf.OnDeliver(func(f nicmodel.Frame) {
+			req, _ := frameReq(f)
+			s.pr.HostArrive(s.eng.Now(), req.ID)
 		})
-		if cfg.Tracer != nil || cfg.Attr != nil {
-			w.vf.OnWireDrop(func(f nicmodel.Frame) {
-				if d, ok := f.Payload.(degradedReq); ok {
-					// A degraded frame lost to an injected fabric fault has
-					// no timeout guarding it — the request silently vanishes
-					// unless recorded here, with the fault-drop reason.
-					s.traceDrop(d.req.ID, w.id, trace.DropWireFault)
-					s.attr.Drop(s.eng.Now(), d.req.ID, trace.DropWireFault)
-				}
-			})
-		}
-		if cfg.Attr != nil {
-			w.vf.OnDeliver(func(f nicmodel.Frame) {
-				switch p := f.Payload.(type) {
-				case *task.Request:
-					s.attr.HostArrive(s.eng.Now(), p.ID)
-				case degradedReq:
-					s.attr.HostArrive(s.eng.Now(), p.req.ID)
-				}
-			})
-		}
 		w.exec = cores.NewExec(eng, i, ec, w.onComplete, w.onPreempt)
 		s.workers = append(s.workers, w)
 	}
@@ -507,16 +456,18 @@ func (s *Offload) nicStretch() faults.StretchFunc {
 // registerTelemetry wires every component's probes into reg. Called once
 // from NewOffload, after all functions and workers exist.
 func (s *Offload) registerTelemetry(reg *telemetry.Registry) {
-	s.mShed = reg.Counter("sched", "shed")
-	s.mVFDrops = reg.Counter("nic", "vf_drops")
-	s.mDrops = reg.Counter("offload", "drops")
+	reg.CounterFunc("sched", "shed", s.Shed)
+	reg.CounterFunc("nic", "vf_drops", func() uint64 { return s.pr.Drops(trace.DropRingOverflow) })
+	// Every drop, whatever its cause: matches the recorder's Dropped()
+	// over a window that spans the run.
+	reg.CounterFunc("offload", "drops", s.pr.Dropped)
 	if s.flt != nil {
 		s.flt.RegisterTelemetry(reg)
-		s.mRetries = reg.Counter("faults", "retries")
-		s.mTimeoutDrops = reg.Counter("faults", "timeout_drops")
-		s.mDegraded = reg.Counter("faults", "degraded_steered")
-		s.mStale = reg.Counter("faults", "stale_notifications")
-		s.mDup = reg.Counter("faults", "duplicate_responses")
+		reg.CounterFunc("faults", "timeout_drops", s.TimeoutDrops)
+		reg.CounterFunc("faults", "retries", s.Retries)
+		reg.CounterFunc("faults", "degraded_steered", s.DegradedSteered)
+		reg.CounterFunc("faults", "stale_notifications", s.StaleNotifications)
+		reg.CounterFunc("faults", "duplicate_responses", s.DuplicateResponses)
 	}
 
 	s.lgc.RegisterTelemetry(reg, "sched", s.eng.Now)
@@ -543,8 +494,7 @@ func (s *Offload) Name() string { return "shinjuku-offload" }
 
 // Inject admits a client request at the current instant (its Arrival time).
 func (s *Offload) Inject(req *task.Request) {
-	s.trace(trace.Arrive, req.ID, -1)
-	s.attr.Arrive(s.eng.Now(), req.ID, req.Service)
+	s.pr.Arrive(s.eng.Now(), req.ID, req.Service)
 	s.ingress.SendT(s.cfg.P.RequestFrameBytes, offIngress, s, req, 0)
 }
 
@@ -554,8 +504,7 @@ func (s *Offload) Inject(req *task.Request) {
 func offIngress(recv, obj any, _ uint64) {
 	s := recv.(*Offload)
 	req := obj.(*task.Request)
-	s.trace(trace.Ingress, req.ID, -1)
-	s.attr.Ingress(s.eng.Now(), req.ID)
+	s.pr.Ingress(s.eng.Now(), req.ID)
 	if s.flt != nil && s.flt.Degrade() && s.flt.NICDown(s.eng.Now()) {
 		// Graceful degradation: the MAC-steering hardware outlives the
 		// ARM cores, so the NIC falls back to RSS-style hash steering
@@ -606,11 +555,7 @@ func shmDispatch(recv, obj any, worker uint64) {
 func (s *Offload) steerDegraded(req *task.Request) {
 	w := s.workers[int(steerHash(req)%uint64(len(s.workers)))]
 	s.degradedCount++
-	if s.mDegraded != nil {
-		s.mDegraded.Inc()
-	}
-	s.trace(trace.Dispatch, req.ID, w.id)
-	s.attr.Dispatch(s.eng.Now(), req.ID)
+	s.pr.Dispatch(s.eng.Now(), req.ID, w.id)
 	s.nic.Send(nicmodel.Frame{
 		Dst:     w.vf.MAC(),
 		Src:     s.armFn.MAC(),
@@ -644,9 +589,6 @@ func (s *Offload) respond(req *task.Request) {
 	if s.responded != nil {
 		if s.responded[req.ID] {
 			s.dupResponses++
-			if s.mDup != nil {
-				s.mDup.Inc()
-			}
 			return
 		}
 		s.responded[req.ID] = true
@@ -654,33 +596,43 @@ func (s *Offload) respond(req *task.Request) {
 	s.done(req)
 }
 
-// trace records a lifecycle event when tracing is enabled.
+// frameReq unwraps the request a worker-bound frame carries and whether it
+// was degraded-steered (no credit, no FINISH notification).
 //
 //mindgap:noalloc
-func (s *Offload) trace(kind trace.Kind, reqID uint64, worker int) {
-	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Record(s.eng.Now(), kind, reqID, worker)
+func frameReq(f nicmodel.Frame) (req *task.Request, degraded bool) {
+	if d, ok := f.Payload.(degradedReq); ok {
+		return d.req, true
 	}
+	return f.Payload.(*task.Request), false
 }
 
-// traceDrop records a Drop event carrying its reason.
+// dropDegraded records the terminal loss of a degraded-steered frame: at a
+// full VF ring (only degraded frames can legally overflow it — credits
+// bound normal dispatches) or to an injected fabric fault. Nothing retries
+// a degraded frame, so the request silently vanishes unless recorded here;
+// a credited dispatch lost the same way is retried or abandoned by the
+// timeout machinery instead.
 //
 //mindgap:noalloc
-func (s *Offload) traceDrop(reqID uint64, worker int, reason trace.DropReason) {
-	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.RecordDrop(s.eng.Now(), reqID, worker, reason)
+func (s *Offload) dropDegraded(f nicmodel.Frame, worker int, reason trace.DropReason) {
+	if req, deg := frameReq(f); deg {
+		s.pr.Drop(s.eng.Now(), req.ID, worker, reason)
 	}
 }
 
 // auditDispatch presents one dispatch decision to the attribution layer:
 // the ground-truth resident backlog of every worker at this instant, plus
 // the estimate (and its staleness) the scheduler acted on, when it held
-// one. Only runs when a collector is attached — the truth scan touches
-// every worker.
+// one. The truth scan touches every worker, so it is skipped unless a
+// collector is attached.
 //
 //mindgap:noalloc
 func (s *Offload) auditDispatch(now sim.Time, a Assignment) {
-	truth := s.attr.TruthScratch(len(s.workers))
+	truth := s.pr.AuditTruth(len(s.workers))
+	if truth == nil {
+		return
+	}
 	for i, w := range s.workers {
 		truth[i] = w.trueLoad()
 	}
@@ -688,7 +640,7 @@ func (s *Offload) auditDispatch(now sim.Time, a Assignment) {
 	if l, ok := s.lgc.(*Logic); ok {
 		d.Estimate, d.EstimateAge, d.Informed = l.EstimateFor(now, a.Worker)
 	}
-	s.attr.Audit(d)
+	s.pr.Audit(d)
 }
 
 // handleQueueEvent runs on the queue-manager ARM core.
@@ -703,20 +655,10 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 			// NIC-side load shedding: the request is dropped before it
 			// consumes any host resource (§5.2). The client sees no
 			// response — open-loop clients count it as a loss.
-			s.shed++
-			s.traceDrop(ev.id, -1, trace.DropShed)
-			s.attr.Drop(now, ev.id, trace.DropShed)
-			if s.rec != nil {
-				s.rec.RecordDrop()
-			}
-			if s.mShed != nil {
-				s.mShed.Inc()
-				s.mDrops.Inc()
-			}
+			s.pr.Drop(now, ev.id, -1, trace.DropShed)
 			return
 		}
-		s.trace(trace.Enqueue, ev.id, -1)
-		s.attr.Enqueue(now, ev.id)
+		s.pr.Enqueue(now, ev.id)
 		as = s.lgc.EnqueueTo(as, now, ev.req)
 	case evFinish:
 		if s.flights != nil {
@@ -725,7 +667,7 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 				// A completion from an abandoned dispatch attempt: its
 				// credit was already reclaimed synthetically at timeout, so
 				// releasing again would violate the credit invariant.
-				s.recordStale()
+				s.staleNotifs++
 				return
 			}
 			if fl.timer != nil {
@@ -740,7 +682,7 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 			if fl == nil || fl.req != ev.req {
 				// A preemption from an abandoned dispatch attempt: drop it
 				// entirely — re-queueing it would duplicate the retry clone.
-				s.recordStale()
+				s.staleNotifs++
 				return
 			}
 			if fl.timer != nil {
@@ -748,8 +690,7 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 			}
 			fl.worker = -1
 		}
-		s.trace(trace.Enqueue, ev.id, -1)
-		s.attr.Enqueue(now, ev.id)
+		s.pr.Enqueue(now, ev.id)
 		as = s.lgc.PreemptedTo(as, now, ev.worker, ev.req)
 	case evLoad:
 		s.lgc.ReportLoadAt(now, ev.worker, ev.load)
@@ -757,25 +698,14 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 		as = s.handleTimeout(as, now, ev)
 	}
 	for _, a := range as {
-		s.trace(trace.Dispatch, a.Req.ID, a.Worker)
-		if s.attr != nil {
-			s.attr.Dispatch(now, a.Req.ID)
-			s.auditDispatch(now, a)
-		}
+		s.pr.Dispatch(now, a.Req.ID, a.Worker)
+		s.auditDispatch(now, a)
 		if s.flights != nil {
 			s.trackDispatch(a)
 		}
 		s.shmQTx.SendT(0, shmDispatch, s, a.Req, uint64(a.Worker))
 	}
 	s.asScratch = as[:0]
-}
-
-//mindgap:noalloc
-func (s *Offload) recordStale() {
-	s.staleNotifs++
-	if s.mStale != nil {
-		s.mStale.Inc()
-	}
 }
 
 // trackDispatch records a dispatch attempt and arms its timeout. The
@@ -818,16 +748,7 @@ func (s *Offload) handleTimeout(as []Assignment, now sim.Time, ev qEvent) []Assi
 		// from a still-executing original must not resurrect it.
 		delete(s.flights, ev.id)
 		s.responded[ev.id] = true
-		s.timeoutDrops++
-		s.traceDrop(ev.id, -1, trace.DropTimeout)
-		s.attr.Drop(now, ev.id, trace.DropTimeout)
-		if s.rec != nil {
-			s.rec.RecordDrop()
-		}
-		if s.mTimeoutDrops != nil {
-			s.mTimeoutDrops.Inc()
-			s.mDrops.Inc()
-		}
+		s.pr.Drop(now, ev.id, -1, trace.DropTimeout)
 		return s.lgc.CompleteTo(as, w)
 	}
 	// Retry: the original dispatch may still be alive (merely slow), and
@@ -837,9 +758,6 @@ func (s *Offload) handleTimeout(as []Assignment, now sim.Time, ev qEvent) []Assi
 	// whichever copy answers first.
 	fl.attempt++
 	s.retries++
-	if s.mRetries != nil {
-		s.mRetries.Inc()
-	}
 	// Clone from the flight's snapshot, not from ev.req: the captured
 	// pointer may already have been recycled into a different request.
 	clone := task.New(ev.id, fl.arrival, fl.service)
@@ -849,8 +767,7 @@ func (s *Offload) handleTimeout(as []Assignment, now sim.Time, ev qEvent) []Assi
 	fl.worker = -1
 	fl.timer = nil
 	as = s.lgc.CompleteTo(as, w)
-	s.trace(trace.Enqueue, clone.ID, -1)
-	s.attr.Enqueue(now, clone.ID)
+	s.pr.Enqueue(now, clone.ID)
 	return s.lgc.EnqueueTo(as, now, clone)
 }
 
@@ -878,17 +795,8 @@ func workerPickup(recv, _ any, _ uint64) {
 	if !ok {
 		return
 	}
-	var req *task.Request
-	deg := false
-	switch p := frame.Payload.(type) {
-	case *task.Request:
-		req = p
-	case degradedReq:
-		req = p.req
-		deg = true
-	}
-	w.sys.trace(trace.Start, req.ID, w.id)
-	w.sys.attr.Start(w.sys.eng.Now(), req.ID)
+	req, deg := frameReq(frame)
+	w.sys.pr.Start(w.sys.eng.Now(), req.ID, w.id)
 	if deg {
 		// Hash-steered while the NIC was down: run to completion, like
 		// the RSS baseline this mode degrades to.
@@ -936,8 +844,7 @@ func remoteSliceFire(recv, obj any, gen uint64) {
 func (w *offWorker) onComplete(req *task.Request) {
 	p := w.sys.cfg.P
 	sys := w.sys
-	sys.trace(trace.Complete, req.ID, w.id)
-	sys.attr.Complete(sys.eng.Now(), req.ID)
+	sys.pr.Complete(sys.eng.Now(), req.ID, w.id)
 	deg := w.curDegraded
 	w.curDegraded = false
 	w.post = true
@@ -980,8 +887,7 @@ func workerResponseBuilt(recv, obj any, deg uint64) {
 func egressRespond(recv, obj any, _ uint64) {
 	s := recv.(*Offload)
 	req := obj.(*task.Request)
-	s.trace(trace.Respond, req.ID, -1)
-	s.attr.Respond(s.eng.Now(), req.ID)
+	s.pr.Respond(s.eng.Now(), req.ID)
 	s.respond(req)
 }
 
@@ -1004,11 +910,7 @@ func workerNotifyFinish(recv, obj any, id uint64) {
 func (w *offWorker) onPreempt(req *task.Request) {
 	p := w.sys.cfg.P
 	sys := w.sys
-	sys.trace(trace.Preempt, req.ID, w.id)
-	sys.attr.Preempt(sys.eng.Now(), req.ID)
-	if sys.rec != nil {
-		sys.rec.RecordPreemption()
-	}
+	sys.pr.Preempt(sys.eng.Now(), req.ID, w.id)
 	w.post = true
 	w.afterE(p.WorkerNotifyCost, workerNotifyPreempt, req, req.ID)
 	if sys.cfg.LoadFeedback {
@@ -1058,12 +960,8 @@ func (w *offWorker) trueLoad() int64 {
 	}
 	//lint:allow hotalloc non-escaping iterator closure: the compiler stack-allocates it, which the escape budget verifies
 	w.vf.Each(func(f nicmodel.Frame) {
-		switch p := f.Payload.(type) {
-		case *task.Request:
-			load += int64(p.Remaining)
-		case degradedReq:
-			load += int64(p.req.Remaining)
-		}
+		req, _ := frameReq(f)
+		load += int64(req.Remaining)
 	})
 	return load
 }
@@ -1098,10 +996,7 @@ func (s *Offload) QueueLen() int { return s.lgc.QueueLen() }
 
 // Shed returns the number of arrivals rejected by NIC-side admission
 // control (only nonzero when AdmissionLimit is set).
-func (s *Offload) Shed() uint64 { return s.shed }
-
-// Scheduler exposes the underlying scheduler state machine.
-func (s *Offload) Scheduler() SchedulerLogic { return s.lgc }
+func (s *Offload) Shed() uint64 { return s.pr.Drops(trace.DropShed) }
 
 // DispatcherUtilization returns the busy fraction of the queue-manager ARM
 // core since its tracker was armed — the bottleneck metric of §5.1.
@@ -1145,7 +1040,7 @@ func (s *Offload) Retries() uint64 { return s.retries }
 
 // TimeoutDrops returns how many requests were abandoned after the retry
 // budget ran out.
-func (s *Offload) TimeoutDrops() uint64 { return s.timeoutDrops }
+func (s *Offload) TimeoutDrops() uint64 { return s.pr.Drops(trace.DropTimeout) }
 
 // DegradedSteered returns how many arrivals were hash-steered past the
 // dead ARM complex.

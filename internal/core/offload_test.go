@@ -7,6 +7,7 @@ import (
 	"mindgap/internal/dist"
 	"mindgap/internal/loadgen"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
@@ -23,7 +24,7 @@ func runOffload(t *testing.T, cfg OffloadConfig, rps float64, svc dist.Distribut
 	rec.Arm(0)
 	completions := 0
 	var sys *Offload
-	sys = NewOffload(eng, cfg, rec, func(r *task.Request) {
+	sys = NewOffload(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) {
 		rec.RecordLatency(r.Latency(eng.Now()))
 		completions++
 		if completions >= measure {
@@ -224,7 +225,7 @@ func TestOffloadDirectInterruptAblation(t *testing.T) {
 	rec := &stats.Recorder{}
 	rec.Arm(0)
 	completed := 0
-	sys := NewOffload(eng, cfg, rec, func(r *task.Request) { completed++ })
+	sys := NewOffload(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) { completed++ })
 	for i := uint64(1); i <= 4; i++ {
 		sys.Inject(task.New(i, 0, 35*time.Microsecond))
 	}
@@ -270,9 +271,8 @@ func TestOffloadTracesAreCausallyValid(t *testing.T) {
 	eng := sim.New()
 	cfg := defaultCfg(3, 2, 10*time.Microsecond)
 	buf := trace.New(0)
-	cfg.Tracer = buf
 	completions := 0
-	sys := NewOffload(eng, cfg, nil, func(*task.Request) {
+	sys := NewOffload(eng, cfg, &probe.Probe{Trace: buf}, func(*task.Request) {
 		completions++
 		if completions >= 2000 {
 			eng.Halt()

@@ -8,6 +8,7 @@ import (
 	"mindgap/internal/dist"
 	"mindgap/internal/loadgen"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
@@ -27,10 +28,9 @@ func TestDropPathTraceAndCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := defaultCfg(1, 1, 0)
 	cfg.AdmissionLimit = 2
-	cfg.Tracer = buf
 	cfg.Metrics = reg
 
-	sys := NewOffload(eng, cfg, rec, func(r *task.Request) {
+	sys := NewOffload(eng, cfg, &probe.Probe{Rec: rec, Trace: buf}, func(r *task.Request) {
 		rec.RecordLatency(r.Latency(eng.Now()))
 	})
 	// Burst of 40 slow requests at t=0: one worker with k=1 and a
@@ -69,8 +69,8 @@ func TestDropPathTraceAndCounters(t *testing.T) {
 		t.Fatalf("trace has %d Drop events, recorder counted %d", drops, rec.Dropped())
 	}
 
-	// offload/drops aggregates both shed points (admission control and VF
-	// ring overflow) — exactly the places the recorder counts drops.
+	// offload/drops and the recorder are fed by the same probe call, so
+	// they agree; here every drop is an admission shed.
 	snap := reg.Snapshot()
 	if got := snap.Counters["offload/drops"]; got != rec.Dropped() {
 		t.Fatalf("offload/drops = %d, Recorder.Dropped() = %d", got, rec.Dropped())
@@ -92,7 +92,7 @@ func TestTelemetrySnapshotMatchesRecorder(t *testing.T) {
 	cfg := defaultCfg(2, 2, 20*time.Microsecond)
 	cfg.Metrics = reg
 
-	sys := NewOffload(eng, cfg, rec, func(r *task.Request) {
+	sys := NewOffload(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) {
 		rec.RecordLatency(r.Latency(eng.Now()))
 	})
 	sys.ArmWorkerTrackers(0)

@@ -4,8 +4,16 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
+	"mindgap/internal/attr"
+	"mindgap/internal/faults"
 	"mindgap/internal/runner"
+	"mindgap/internal/scenario"
+	"mindgap/internal/sim"
+	"mindgap/internal/stats"
+	"mindgap/internal/task"
+	"mindgap/internal/trace"
 	"mindgap/scenarios"
 )
 
@@ -14,47 +22,181 @@ import (
 // requests per point.
 var attrTestQuality = Quality{Warmup: 300, Measure: 1500, Seed: 7}
 
-// TestAttributionObservationInvariance is the observer contract: attaching
-// a collector must not change the measurement. Every series of the
-// attribution preset is run twice from identical configurations — once
-// plain, once with a collector attached — and the conventional Result
-// (latency percentiles, throughput, completion counts) must be deeply
-// equal. Any divergence means an attribution hook scheduled an event or
-// perturbed an RNG stream.
-func TestAttributionObservationInvariance(t *testing.T) {
-	p := scenarios.MustLoad("table-attribution")
-	for i := range p.Series {
-		sp := p.SpecFor(i)
-		t.Run(sp.Name, func(t *testing.T) {
-			attributed, err := SpecSeries("", sp.Name, sp, attrTestQuality, Attributed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(attributed.Points) == 0 {
-				t.Fatal("preset series has no load points")
-			}
-			row := attributed.Points[0].Run()
+// probeCase is one point of the lifecycle-probe contract test.
+type probeCase struct {
+	name string
+	spec scenario.Spec
+	rps  float64
+	// drops lists the reasons a drop-producing spec must exercise.
+	drops []trace.DropReason
+	// measure overrides the default completion count (a fault window that
+	// opens late needs a longer run).
+	measure int
+	// retries marks specs whose timeout machinery re-issues request IDs: a
+	// slow original and its retry clone may both run to completion (the
+	// client still sees one response), which single-life trace validation
+	// rightly calls a double completion.
+	retries bool
+}
 
+// probeSystemPoints names a checked-in preset series for every
+// registered system, so the contract runs each model as the figures do.
+var probeSystemPoints = map[string]struct {
+	preset string
+	series int
+}{
+	"offload": {"baselines", 0}, "shinjuku": {"baselines", 1}, "rss": {"baselines", 2},
+	"zygos": {"baselines", 3}, "flowdir": {"baselines", 4}, "rpcvalet": {"baselines", 5},
+	"erss": {"baselines", 6}, "idealnic": {"figure6-cxl", 0}, "flowrule": {"figure-flowrule", 1},
+}
+
+func probeCases(t *testing.T) []probeCase {
+	t.Helper()
+	preset := func(id string, series int, rps float64) probeCase {
+		sp := scenarios.MustLoad(id).SpecFor(series)
+		sp.Quality = nil
+		if rps == 0 {
 			loads, err := SpecLoads(sp)
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || len(loads) == 0 {
+				t.Fatalf("%s series %d: no load points (err %v)", id, series, err)
 			}
-			cfg, err := PointConfigFor(sp, attrTestQuality)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.OfferedRPS = loads[0]
-			plain := RunPoint(cfg)
+			rps = loads[0]
+		}
+		return probeCase{name: id + "/" + sp.Name, spec: sp, rps: rps}
+	}
+	var cases []probeCase
+	for i := range scenarios.MustLoad("table-attribution").Series {
+		cases = append(cases, preset("table-attribution", i, 0))
+	}
+	for _, b := range scenario.Systems() {
+		pt, ok := probeSystemPoints[b.Name]
+		if !ok {
+			t.Errorf("no contract point for system %q — extend probeSystemPoints", b.Name)
+			continue
+		}
+		c := preset(pt.preset, pt.series, 400_000)
+		c.name = "system/" + b.Name
+		cases = append(cases, c)
+	}
 
-			if !reflect.DeepEqual(row.Result, plain) {
-				t.Errorf("attaching the collector changed the measurement\nwith:    %+v\nwithout: %+v",
-					row.Result, plain)
+	shed := preset("baselines", 0, 1_500_000)
+	shed.name, shed.drops = "drops/offload-admission-limit", []trace.DropReason{trace.DropShed}
+	shed.spec.Knobs.AdmissionLimit = 8
+	capped := preset("baselines", 2, 1_500_000)
+	capped.name, capped.drops = "drops/rss-queue-cap", []trace.DropReason{trace.DropQueueCap}
+	capped.spec.Knobs.QueueCap = 4
+	crash := preset("figure-faults-niccrash", 1, 300_000)
+	crash.name, crash.drops, crash.retries = "drops/figure-faults-niccrash", []trace.DropReason{trace.DropRingOverflow}, true
+	crash.measure = 5000 // past the 10–14 ms crash window
+	// No checked-in preset combines an ARM crash with fabric loss, so no
+	// golden pins what happens to a degraded (hash-steered) frame an
+	// injected wire fault eats: nothing retries it, and before the probe
+	// spine the recorder never heard of it.
+	lossy := preset("figure-faults-niccrash", 1, 300_000)
+	lossy.name, lossy.drops, lossy.retries = "drops/crash+loss", []trace.DropReason{trace.DropWireFault}, true
+	lossy.spec.Faults = &faults.Spec{
+		NICCrash: []faults.Window{{Start: faults.Duration(time.Millisecond), End: faults.Duration(3 * time.Millisecond)}},
+		LinkLoss: []faults.Window{{Start: 0, End: faults.Duration(5 * time.Millisecond)}},
+		LossRate: 0.3,
+		Timeout:  faults.Duration(time.Millisecond),
+		Retries:  1,
+		Degrade:  true,
+	}
+	return append(cases, shed, capped, crash, lossy)
+}
+
+// TestAttributionObservationInvariance is the lifecycle-probe contract,
+// run over every registered system, every attribution-table series and
+// the drop-producing specs. Each point runs twice from identical
+// configurations — bare, then with a tracer and a collector attached:
+//
+//   - the Result and the engine's executed-event count must be deeply
+//     equal (a probe consumer that schedules an event or touches an RNG
+//     stream shows here);
+//   - every traced lifecycle must be causally valid;
+//   - every completed request's phase vector must sum to exactly the
+//     latency the client observed;
+//   - the recorder, the trace and the collector — all fed by the same
+//     probe call — must agree on drops and preemptions.
+//
+// Measurement starts at t=0 (no warm-up) so the recorder's window covers
+// the same requests the trace and the collector see.
+func TestAttributionObservationInvariance(t *testing.T) {
+	q := Quality{Warmup: 0, Measure: 1500, Seed: 7}
+	run := func(t *testing.T, c probeCase, o scenario.Options) (Result, uint64, map[uint64]time.Duration) {
+		t.Helper()
+		cfg, err := PointConfigFor(c.spec, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.OfferedRPS = c.rps
+		if c.measure > 0 {
+			cfg.Measure = c.measure
+		}
+		build := observed(c.spec, o)
+		var eng *sim.Engine
+		cfg.Factory = func(e *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
+			eng = e
+			return build(e, rec, done)
+		}
+		lats := map[uint64]time.Duration{}
+		res, _ := drive(cfg, func(r *task.Request, lat time.Duration) { lats[r.ID] = lat })
+		return res, eng.Executed(), lats
+	}
+	for _, c := range probeCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			bare, bareEvents, _ := run(t, c, scenario.Options{})
+			buf := trace.New(0)
+			col := attr.New(attr.Config{KeepTimelines: true})
+			probed, events, lats := run(t, c, scenario.Options{Tracer: buf, Attr: col})
+
+			if !reflect.DeepEqual(probed, bare) || events != bareEvents {
+				t.Errorf("attaching observers changed the run\nwith:    %+v (%d events)\nwithout: %+v (%d events)",
+					probed, events, bare, bareEvents)
 			}
-			if row.Audit.Decisions == 0 {
-				t.Error("collector audited no dispatch decisions")
+			if buf.Truncated() > 0 {
+				t.Fatalf("trace buffer truncated %d events; the totals below would not be comparable", buf.Truncated())
 			}
-			if len(row.Phases) == 0 {
-				t.Error("collector produced no phase rows")
+			if err := buf.ValidateAll(); err != nil && !c.retries {
+				t.Errorf("trace: %v", err)
+			}
+
+			if col.Completed() == 0 || len(col.PhaseStats()) == 0 {
+				t.Error("collector closed no records")
+			}
+			for _, tl := range col.Timelines() {
+				var sum time.Duration
+				for _, d := range tl.Phases {
+					sum += d
+				}
+				if lat, ok := lats[tl.ReqID]; !ok || sum != lat || tl.Total != lat {
+					t.Fatalf("req %d: phases sum to %v, collector total %v, client latency %v (observed: %v)",
+						tl.ReqID, sum, tl.Total, lat, ok)
+				}
+			}
+
+			var traceDrops, tracePreempts, attrDrops int64
+			for _, e := range buf.Events() {
+				switch e.Kind {
+				case trace.Drop:
+					traceDrops++
+				case trace.Preempt:
+					tracePreempts++
+				}
+			}
+			for r := 0; r < trace.DropReasonCount; r++ {
+				attrDrops += int64(col.DropCount(trace.DropReason(r)))
+			}
+			if probed.Dropped != traceDrops || probed.Dropped != attrDrops {
+				t.Errorf("drop totals disagree: recorder %d, trace %d, collector %d", probed.Dropped, traceDrops, attrDrops)
+			}
+			if probed.Preemptions != tracePreempts {
+				t.Errorf("preemptions disagree: recorder %d, trace %d", probed.Preemptions, tracePreempts)
+			}
+			for _, r := range c.drops {
+				if col.DropCount(r) == 0 {
+					t.Errorf("spec produced no %v drops; the case no longer exercises that path", r)
+				}
 			}
 		})
 	}

@@ -49,6 +49,8 @@ var simSegments = map[string]bool{
 	"hypothesis": true,
 	"analytic":   true,
 	"hypotheses": true,
+	// ISSUE 13: the lifecycle probe every system model reports through.
+	"probe": true,
 }
 
 // exemptPrefixes are path fragments that are never simulation packages

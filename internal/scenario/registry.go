@@ -8,6 +8,7 @@ import (
 	"mindgap/internal/attr"
 	"mindgap/internal/core"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/systems/erss"
@@ -23,19 +24,28 @@ import (
 
 // Options carries per-run wiring that is not part of a scenario's
 // identity: the calibration constants and optional observability sinks.
+// Tracer and Attr are consumers of the lifecycle probe every system
+// reports through, so every system accepts them.
 type Options struct {
 	// Params overrides the hardware cost model (nil = params.Default()).
 	Params *params.Params
-	// Tracer, when non-nil, records request lifecycles. Only systems
-	// that support tracing accept it; others refuse to build.
+	// Tracer, when non-nil, records request lifecycles.
 	Tracer *trace.Buffer
 	// Metrics, when non-nil, wires component probes into the registry.
-	// Only systems that support telemetry accept it.
+	// Only systems whose builders declare Observable accept it.
 	Metrics *telemetry.Registry
 	// Attr, when non-nil, attaches the latency-attribution collector:
 	// per-request phase decomposition plus a ground-truth decision audit.
-	// Only systems whose builders declare Attributable accept it.
 	Attr *attr.Collector
+}
+
+// factory adapts a model constructor — they all share one shape — to the
+// Factory signature, assembling the run's lifecycle probe from the
+// factory's recorder and the options' tracer and collector.
+func factory[C any, S System](o Options, cfg C, build func(*sim.Engine, C, *probe.Probe, func(*task.Request)) S) (Factory, error) {
+	return func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
+		return build(eng, cfg, &probe.Probe{Rec: rec, Trace: o.Tracer, Attr: o.Attr}, done)
+	}, nil
 }
 
 func (o Options) params() params.Params {
@@ -55,17 +65,14 @@ type Builder struct {
 	// Knobs lists the JSON names of the knobs this kind accepts; Build
 	// rejects specs that set any other knob.
 	Knobs []string
-	// Observable marks systems that accept Options.Tracer / Options.Metrics.
+	// Observable marks systems that accept Options.Metrics: they wire
+	// component probes into a telemetry registry. Others refuse one
+	// instead of silently returning an empty snapshot.
 	Observable bool
 	// Faultable marks systems that accept a Spec.Faults schedule — they
 	// can stretch, drop, retry, and degrade. Systems without the machinery
 	// refuse faulted specs instead of silently simulating healthy hardware.
 	Faultable bool
-	// Attributable marks systems wired with latency-attribution hooks:
-	// they accept Options.Attr / Spec.Attribution and feed the collector
-	// phase marks and dispatch audits. Others refuse, instead of silently
-	// returning empty waterfalls.
-	Attributable bool
 	// FlowWorkload marks systems that key on flow identity: they require
 	// a Spec.Flow block (and are driven by the flow generator), while
 	// every other system rejects one — the workload model is part of the
@@ -149,42 +156,15 @@ func Build(sp Spec) (Factory, error) { return BuildWith(sp, Options{}) }
 
 // BuildWith assembles the spec's system factory with explicit options.
 func BuildWith(sp Spec, o Options) (Factory, error) {
-	b, ok := Lookup(sp.System)
-	if !ok {
-		return nil, unknownSystemError(sp.System)
-	}
-	k := sp.KnobsOrZero()
-	if err := b.checkKnobs(k); err != nil {
+	b, err := sp.builder()
+	if err != nil {
 		return nil, err
 	}
-	if k.Workers < 1 {
+	if sp.KnobsOrZero().Workers < 1 {
 		return nil, fmt.Errorf("scenario: system %q needs workers >= 1", sp.System)
 	}
-	if (o.Tracer != nil || o.Metrics != nil || sp.Trace || sp.Telemetry) && !b.Observable {
-		return nil, fmt.Errorf("scenario: system %q does not support tracing/telemetry", sp.System)
-	}
-	if err := sp.checkFlow(b); err != nil {
-		return nil, err
-	}
-	if (o.Attr != nil || sp.Attribution) && !b.Attributable {
-		return nil, fmt.Errorf("scenario: system %q does not support latency attribution", sp.System)
-	}
-	if sp.Faults != nil {
-		if sp.Faults.Empty() {
-			return nil, fmt.Errorf("scenario: %s: faults block present but empty — drop it for a healthy system", sp.System)
-		}
-		if !b.Faultable {
-			return nil, fmt.Errorf("scenario: system %q cannot degrade and rejects fault schedules", sp.System)
-		}
-		if err := sp.Faults.Validate(); err != nil {
-			return nil, fmt.Errorf("scenario: %s: %w", sp.System, err)
-		}
-		if sp.Seed == 0 {
-			return nil, fmt.Errorf("scenario: %s: faulted specs must pin a nonzero seed", sp.System)
-		}
-		if len(sp.Seeds) > 0 {
-			return nil, fmt.Errorf("scenario: %s: faulted specs take a single pinned seed, not a seeds list", sp.System)
-		}
+	if (o.Metrics != nil || sp.Telemetry) && !b.Observable {
+		return nil, fmt.Errorf("scenario: system %q does not support telemetry", sp.System)
 	}
 	return b.Build(o, sp)
 }
@@ -209,20 +189,16 @@ func ParsePolicy(s string) (core.Policy, error) {
 // Flow Director differ only in steering and stealing).
 func rtcBuilder(name, doc string, cfg func(k Knobs) rtc.Config) Builder {
 	return Builder{
-		Name:         name,
-		Doc:          doc,
-		Knobs:        []string{"workers", "queue_cap"},
-		Attributable: true,
+		Name:  name,
+		Doc:   doc,
+		Knobs: []string{"workers", "queue_cap"},
 		Build: func(o Options, sp Spec) (Factory, error) {
 			k := sp.KnobsOrZero()
 			c := cfg(k)
 			c.P = o.params()
 			c.Workers = k.Workers
 			c.QueueCap = k.QueueCap
-			c.Attr = o.Attr
-			return func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
-				return rtc.New(eng, c, rec, done)
-			}, nil
+			return factory(o, c, rtc.New)
 		},
 	}
 }
@@ -233,9 +209,8 @@ func init() {
 		Doc:  "Shinjuku-Offload: the paper's informed NIC-resident scheduler (§3)",
 		Knobs: []string{"workers", "outstanding", "slice", "policy", "load_feedback",
 			"dispatch_burst", "ddio_to_l1", "admission_limit", "affinity"},
-		Observable:   true,
-		Faultable:    true,
-		Attributable: true,
+		Observable: true,
+		Faultable:  true,
 		Build: func(o Options, sp Spec) (Factory, error) {
 			k := sp.KnobsOrZero()
 			pol, err := ParsePolicy(k.Policy)
@@ -256,8 +231,6 @@ func init() {
 				DDIOToL1:       k.DDIOToL1,
 				AdmissionLimit: k.AdmissionLimit,
 				Affinity:       k.Affinity,
-				Tracer:         o.Tracer,
-				Attr:           o.Attr,
 				Metrics:        o.Metrics,
 			}
 			if sp.Faults != nil {
@@ -268,17 +241,14 @@ func init() {
 				cfg.FaultSpec = sp.Faults
 				cfg.FaultSeed = sp.Seed
 			}
-			return func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
-				return core.NewOffload(eng, cfg, rec, done)
-			}, nil
+			return factory(o, cfg, core.NewOffload)
 		},
 	})
 
 	Register(Builder{
-		Name:         "shinjuku",
-		Doc:          "vanilla Shinjuku: host-core networker + dispatcher baseline (§2.1)",
-		Knobs:        []string{"workers", "outstanding", "slice", "policy", "sockets"},
-		Attributable: true,
+		Name:  "shinjuku",
+		Doc:   "vanilla Shinjuku: host-core networker + dispatcher baseline (§2.1)",
+		Knobs: []string{"workers", "outstanding", "slice", "policy", "sockets"},
 		Build: func(o Options, sp Spec) (Factory, error) {
 			k := sp.KnobsOrZero()
 			pol, err := ParsePolicy(k.Policy)
@@ -292,11 +262,8 @@ func init() {
 				Outstanding: k.Outstanding,
 				Policy:      pol,
 				Sockets:     k.Sockets,
-				Attr:        o.Attr,
 			}
-			return func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
-				return shinjuku.New(eng, cfg, rec, done)
-			}, nil
+			return factory(o, cfg, shinjuku.New)
 		},
 	})
 
@@ -317,9 +284,7 @@ func init() {
 		Build: func(o Options, sp Spec) (Factory, error) {
 			k := sp.KnobsOrZero()
 			cfg := rpcvalet.Config{P: o.params(), Workers: k.Workers}
-			return func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
-				return rpcvalet.New(eng, cfg, rec, done)
-			}, nil
+			return factory(o, cfg, rpcvalet.New)
 		},
 	})
 
@@ -337,9 +302,7 @@ func init() {
 				UpThreshold:   k.UpThreshold,
 				DownThreshold: k.DownThreshold,
 			}
-			return func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
-				return erss.New(eng, cfg, rec, done)
-			}, nil
+			return factory(o, cfg, erss.New)
 		},
 	})
 
@@ -350,12 +313,8 @@ func init() {
 			"offload_threshold", "adaptive_threshold", "adapt_interval", "idle_timeout",
 			"fast_latency", "slow_latency", "slow_queue"},
 		Observable:   true,
-		Attributable: true,
 		FlowWorkload: true,
 		Build: func(o Options, sp Spec) (Factory, error) {
-			if o.Tracer != nil || sp.Trace {
-				return nil, fmt.Errorf("scenario: flowrule exposes telemetry probes, not request traces")
-			}
 			k := sp.KnobsOrZero()
 			cfg := flowrule.Config{
 				P:              o.params(),
@@ -371,11 +330,8 @@ func init() {
 				SlowLatency:    k.SlowLatency.D(),
 				SlowQueueCap:   k.SlowQueue,
 				Metrics:        o.Metrics,
-				Attr:           o.Attr,
 			}
-			return func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
-				return flowrule.New(eng, cfg, rec, done)
-			}, nil
+			return factory(o, cfg, flowrule.New)
 		},
 	})
 
@@ -402,12 +358,9 @@ func init() {
 				CXL:              k.CXL,
 				LineRate:         k.LineRate,
 				DirectInterrupts: k.DirectInterrupts,
-				Tracer:           o.Tracer,
 				Metrics:          o.Metrics,
 			}
-			return func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
-				return idealnic.New(eng, cfg, rec, done)
-			}, nil
+			return factory(o, cfg, idealnic.New)
 		},
 	})
 }

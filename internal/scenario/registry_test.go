@@ -114,10 +114,14 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(Spec{System: "offload", Knobs: &Knobs{Workers: 2, Outstanding: 2, Policy: "banana"}}); err == nil {
 		t.Error("offload with unknown policy built; want error")
 	}
-	// Non-observable systems must refuse tracing/telemetry requests
-	// instead of silently dropping them.
-	if _, err := Build(Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Trace: true}); err == nil {
-		t.Error("rss with trace:true built; want rejection")
+	// Non-observable systems must refuse telemetry requests instead of
+	// silently dropping them; tracing and attribution ride the lifecycle
+	// probe every system reports through, so every system accepts them.
+	if _, err := Build(Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Telemetry: true}); err == nil {
+		t.Error("rss with telemetry:true built; want rejection")
+	}
+	if _, err := Build(Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Trace: true, Attribution: true}); err != nil {
+		t.Errorf("rss with trace+attribution: %v", err)
 	}
 }
 

@@ -333,17 +333,16 @@ type Spec struct {
 	// Seeds requests replicated runs across an explicit seed list.
 	Seeds []uint64 `json:"seeds,omitempty"`
 	// Telemetry asks the run to wire a metrics registry through the
-	// system's probes; Trace asks for request-lifecycle tracing. Both
-	// are only honored by systems that support them.
+	// system's probes (Observable systems only); Trace asks for
+	// request-lifecycle tracing, which every system supports.
 	Telemetry bool `json:"telemetry,omitempty"`
 	Trace     bool `json:"trace,omitempty"`
 	// Attribution asks the run to attach a latency-attribution collector:
 	// per-request phase decomposition (ingress / nic-queue / fabric /
 	// host-queue / service / preemption overhead) plus a ground-truth
-	// audit of every dispatch decision. Only systems whose builders
-	// declare Attributable accept it. Absent (false), the field is
-	// omitted from the canonical encoding, so pre-attribution specs keep
-	// their fingerprints.
+	// audit of every dispatch decision. Every system feeds one. Absent
+	// (false), the field is omitted from the canonical encoding, so
+	// pre-attribution specs keep their fingerprints.
 	Attribution bool `json:"attribution,omitempty"`
 	// Faults optionally attaches a deterministic fault schedule (NIC
 	// ARM-core crash/slowdown windows, fabric loss/latency bursts, host
@@ -441,11 +440,7 @@ func (s Spec) Fingerprint() string {
 // system is registered, only knobs that system accepts are set, the
 // workload parses, and the load declaration is coherent.
 func (s Spec) Validate() error {
-	b, ok := Lookup(s.System)
-	if !ok {
-		return unknownSystemError(s.System)
-	}
-	if err := b.checkKnobs(s.KnobsOrZero()); err != nil {
+	if _, err := s.builder(); err != nil {
 		return err
 	}
 	if s.Workload != "" {
@@ -453,38 +448,48 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: spec %q: %w", s.System, err)
 		}
 	}
-	if s.Attribution && !b.Attributable {
-		return fmt.Errorf("scenario: system %q does not support latency attribution", s.System)
-	}
 	if s.Keys != nil && (s.Keys.N <= 0 || s.Keys.Skew < 0) {
 		return fmt.Errorf("scenario: keys need n > 0 and skew >= 0 (got n=%d skew=%g)", s.Keys.N, s.Keys.Skew)
 	}
-	if err := s.checkFlow(b); err != nil {
-		return err
-	}
 	if s.Load != nil {
-		if err := s.Load.validate(); err != nil {
-			return err
-		}
-	}
-	if s.Faults != nil {
-		if s.Faults.Empty() {
-			return fmt.Errorf("scenario: %s: faults block present but empty — drop it for a healthy system", s.System)
-		}
-		if !b.Faultable {
-			return fmt.Errorf("scenario: system %q cannot degrade and rejects fault schedules", s.System)
-		}
-		if err := s.Faults.Validate(); err != nil {
-			return fmt.Errorf("scenario: %s: %w", s.System, err)
-		}
-		if s.Seed == 0 {
-			return fmt.Errorf("scenario: %s: faulted specs must pin a nonzero seed — the fault timeline is part of the scenario identity", s.System)
-		}
-		if len(s.Seeds) > 0 {
-			return fmt.Errorf("scenario: %s: faulted specs take a single pinned seed, not a seeds list", s.System)
-		}
+		return s.Load.validate()
 	}
 	return nil
+}
+
+// builder resolves the spec's registered system and applies the gates
+// Validate and BuildWith share: only knobs that system accepts, the
+// flow-workload contract, and the fault-schedule contract.
+func (s Spec) builder() (Builder, error) {
+	b, ok := Lookup(s.System)
+	if !ok {
+		return b, unknownSystemError(s.System)
+	}
+	if err := b.checkKnobs(s.KnobsOrZero()); err != nil {
+		return b, err
+	}
+	if err := s.checkFlow(b); err != nil {
+		return b, err
+	}
+	if s.Faults == nil {
+		return b, nil
+	}
+	if s.Faults.Empty() {
+		return b, fmt.Errorf("scenario: %s: faults block present but empty — drop it for a healthy system", s.System)
+	}
+	if !b.Faultable {
+		return b, fmt.Errorf("scenario: system %q cannot degrade and rejects fault schedules", s.System)
+	}
+	if err := s.Faults.Validate(); err != nil {
+		return b, fmt.Errorf("scenario: %s: %w", s.System, err)
+	}
+	if s.Seed == 0 {
+		return b, fmt.Errorf("scenario: %s: faulted specs must pin a nonzero seed — the fault timeline is part of the scenario identity", s.System)
+	}
+	if len(s.Seeds) > 0 {
+		return b, fmt.Errorf("scenario: %s: faulted specs take a single pinned seed, not a seeds list", s.System)
+	}
+	return b, nil
 }
 
 // checkFlow gates the flow-workload block: flow-keyed systems require

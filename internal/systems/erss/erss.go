@@ -17,9 +17,9 @@ import (
 	"mindgap/internal/cores"
 	"mindgap/internal/fabric"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/queue"
 	"mindgap/internal/sim"
-	"mindgap/internal/stats"
 	"mindgap/internal/task"
 )
 
@@ -44,8 +44,8 @@ type Config struct {
 type ERSS struct {
 	eng  *sim.Engine
 	cfg  Config
-	rec  *stats.Recorder
 	done func(*task.Request)
+	pr   *probe.Probe
 
 	ingress *fabric.Link
 	egress  *fabric.Link
@@ -66,8 +66,9 @@ type worker struct {
 	post     bool
 }
 
-// New builds the system. done runs when the client receives each response.
-func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Request)) *ERSS {
+// New builds the system. done runs when the client receives each response;
+// pr (optional) carries the run's observers.
+func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request)) *ERSS {
 	if cfg.Workers <= 0 {
 		panic("erss: need workers")
 	}
@@ -91,7 +92,7 @@ func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Reque
 	}
 	p := cfg.P
 	s := &ERSS{
-		eng: eng, cfg: cfg, rec: rec, done: done,
+		eng: eng, cfg: cfg, done: done, pr: pr,
 		provisioned: cfg.MinWorkers,
 	}
 	s.ingress = fabric.NewLink(eng, "client→nic", fabric.LinkConfig{
@@ -119,6 +120,7 @@ func (s *ERSS) Name() string { return "erss" }
 
 // Inject admits a client request at the current instant.
 func (s *ERSS) Inject(req *task.Request) {
+	s.pr.Arrive(s.eng.Now(), req.ID, req.Service)
 	s.ingress.SendT(s.cfg.P.RequestFrameBytes, erssIngress, s, req, 0)
 }
 
@@ -130,6 +132,12 @@ func erssIngress(recv, obj any, _ uint64) {
 	s := recv.(*ERSS)
 	req := obj.(*task.Request)
 	w := s.workers[int(splitmix64(req.ID)%uint64(s.provisioned))]
+	// As in rtc, steering collapses ingress, dispatch and DMA into one instant.
+	now := s.eng.Now()
+	s.pr.Ingress(now, req.ID)
+	s.pr.Enqueue(now, req.ID)
+	s.pr.Dispatch(now, req.ID, w.id)
+	s.pr.HostArrive(now, req.ID)
 	w.q.Push(req)
 	w.maybeStart()
 }
@@ -184,12 +192,14 @@ func erssPickup(recv, _ any, _ uint64) {
 	w := recv.(*worker)
 	w.starting = false
 	if req, ok := w.q.Pop(); ok {
+		w.sys.pr.Start(w.sys.eng.Now(), req.ID, w.id)
 		w.exec.Start(req)
 	}
 }
 
 //mindgap:noalloc
 func (w *worker) onComplete(req *task.Request) {
+	w.sys.pr.Complete(w.sys.eng.Now(), req.ID, w.id)
 	w.post = true
 	w.sys.eng.AfterE(w.sys.cfg.P.WorkerResponseCost, erssResponseBuilt, w, req, 0)
 }
@@ -209,7 +219,10 @@ func erssResponseBuilt(recv, obj any, _ uint64) {
 //
 //mindgap:noalloc
 func erssRespond(recv, obj any, _ uint64) {
-	recv.(*ERSS).done(obj.(*task.Request))
+	s := recv.(*ERSS)
+	req := obj.(*task.Request)
+	s.pr.Respond(s.eng.Now(), req.ID)
+	s.done(req)
 }
 
 // Provisioned returns the current RSS set size.

@@ -7,6 +7,7 @@ import (
 	"mindgap/internal/dist"
 	"mindgap/internal/loadgen"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
@@ -19,7 +20,7 @@ func run(t *testing.T, cfg Config, rps float64, svc dist.Distribution, measure i
 	rec.Arm(0)
 	completions := 0
 	var sys *ERSS
-	sys = New(eng, cfg, rec, func(r *task.Request) {
+	sys = New(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) {
 		rec.RecordLatency(r.Latency(eng.Now()))
 		completions++
 		if completions >= measure {

@@ -24,13 +24,14 @@ package flowrule
 import (
 	"time"
 
-	"mindgap/internal/attr"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/queue"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
 	"mindgap/internal/telemetry"
+	"mindgap/internal/trace"
 )
 
 // maxThreshold caps adaptive threshold growth (2^20 packets: far past
@@ -72,17 +73,14 @@ type Config struct {
 	SlowQueueCap int
 	// Metrics, when set, exposes the rule-table probes.
 	Metrics *telemetry.Registry
-	// Attr, when set, receives per-request phase marks.
-	Attr *attr.Collector
 }
 
 // FlowRule is the simulated flow-rule offload system.
 type FlowRule struct {
 	eng  *sim.Engine
 	cfg  Config
-	rec  *stats.Recorder
 	done func(*task.Request)
-	col  *attr.Collector
+	pr   *probe.Probe
 
 	wire       time.Duration // client↔NIC one-way propagation
 	insertCost time.Duration // pipeline service time per rule
@@ -117,8 +115,8 @@ type slowServer struct {
 }
 
 // New builds the system. done runs when the client receives each
-// response.
-func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Request)) *FlowRule {
+// response; pr (optional) carries the run's observers.
+func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request)) *FlowRule {
 	if cfg.Workers <= 0 {
 		panic("flowrule: need slow-path workers")
 	}
@@ -153,7 +151,7 @@ func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Reque
 		cfg.SlowQueueCap = 4096
 	}
 	s := &FlowRule{
-		eng: eng, cfg: cfg, rec: rec, done: done, col: cfg.Attr,
+		eng: eng, cfg: cfg, done: done, pr: pr,
 		wire:       cfg.P.ClientWireOneWay,
 		insertCost: time.Duration(float64(time.Second) / cfg.InsertRate),
 		threshold:  cfg.Threshold,
@@ -235,9 +233,9 @@ func frIngress(recv, obj any, _ uint64) {
 			s.fastBatches++
 			s.fastPackets += pkts
 			f.ReleaseIfIdle()
-			s.col.Arrive(req.Arrival, req.ID, 0)
-			s.col.Ingress(now, req.ID)
-			s.col.Dispatch(now, req.ID)
+			s.pr.Arrive(req.Arrival, req.ID, 0)
+			s.pr.Ingress(now, req.ID)
+			s.pr.Dispatch(now, req.ID, -1)
 			s.eng.AfterE(s.cfg.FastLatency, frFastDone, s, req, 0)
 			return
 		}
@@ -247,16 +245,15 @@ func frIngress(recv, obj any, _ uint64) {
 	if s.slowQ.Len() >= s.cfg.SlowQueueCap {
 		s.dropBatches++
 		s.dropPackets += pkts
-		if s.rec != nil {
-			s.rec.RecordDrop()
-		}
+		s.pr.Arrive(req.Arrival, req.ID, req.Service)
+		s.pr.Drop(now, req.ID, -1, trace.DropQueueCap)
 		return
 	}
 	s.slowBatches++
 	s.slowPackets += pkts
-	s.col.Arrive(req.Arrival, req.ID, req.Service)
-	s.col.Ingress(now, req.ID)
-	s.col.Enqueue(now, req.ID)
+	s.pr.Arrive(req.Arrival, req.ID, req.Service)
+	s.pr.Ingress(now, req.ID)
+	s.pr.Enqueue(now, req.ID)
 	s.slowQ.Push(req)
 	s.kickServers()
 }
@@ -394,8 +391,11 @@ func frFastDone(recv, obj any, _ uint64) {
 	s := recv.(*FlowRule)
 	req := obj.(*task.Request)
 	now := s.eng.Now()
-	s.col.HostArrive(now, req.ID)
-	s.col.Complete(now, req.ID)
+	// The hardware path has no worker: landing, starting and completing
+	// coincide at the end of the transit.
+	s.pr.HostArrive(now, req.ID)
+	s.pr.Start(now, req.ID, -1)
+	s.pr.Complete(now, req.ID, -1)
 	s.eng.AfterE(s.wire, frRespond, s, req, 0)
 }
 
@@ -426,8 +426,8 @@ func (w *slowServer) start() {
 	now := w.sys.eng.Now()
 	w.busy = true
 	w.track.SetBusy(now, true)
-	w.sys.col.Dispatch(now, req.ID)
-	w.sys.col.Start(now, req.ID)
+	w.sys.pr.Dispatch(now, req.ID, w.id)
+	w.sys.pr.Start(now, req.ID, w.id)
 	w.sys.eng.AfterE(req.Service, frSlowDone, w, req, 0)
 }
 
@@ -444,7 +444,7 @@ func frSlowDone(recv, obj any, _ uint64) {
 	w.completions++
 	w.busy = false
 	w.track.SetBusy(now, false)
-	s.col.Complete(now, req.ID)
+	s.pr.Complete(now, req.ID, w.id)
 	s.eng.AfterE(s.cfg.SlowLatency+s.wire, frRespond, s, req, 0)
 	if s.slowQ.Len() > 0 {
 		w.start()
@@ -457,7 +457,7 @@ func frSlowDone(recv, obj any, _ uint64) {
 func frRespond(recv, obj any, _ uint64) {
 	s := recv.(*FlowRule)
 	req := obj.(*task.Request)
-	s.col.Respond(s.eng.Now(), req.ID)
+	s.pr.Respond(s.eng.Now(), req.ID)
 	s.done(req)
 }
 

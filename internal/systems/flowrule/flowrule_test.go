@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
@@ -25,7 +26,7 @@ func newSys(t *testing.T, cfg Config) (*sim.Engine, *FlowRule, *[]completion) {
 	if cfg.P.ClientWireOneWay == 0 {
 		cfg.P = params.Default()
 	}
-	s := New(eng, cfg, &stats.Recorder{}, func(r *task.Request) {
+	s := New(eng, cfg, nil, func(r *task.Request) {
 		done = append(done, completion{req: r, at: eng.Now()})
 	})
 	return eng, s, &done
@@ -178,7 +179,7 @@ func TestSlowQueueSaturationDrops(t *testing.T) {
 		Workers:      1,
 		SlowQueueCap: 1,
 	}
-	s := New(eng, cfg, rec, func(r *task.Request) { done = append(done, r) })
+	s := New(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) { done = append(done, r) })
 	rec.Arm(0)
 	// Three flowless batches in one instant: one in service, one queued,
 	// one dropped.

@@ -19,11 +19,10 @@ import (
 
 	"mindgap/internal/core"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
-	"mindgap/internal/stats"
 	"mindgap/internal/task"
 	"mindgap/internal/telemetry"
-	"mindgap/internal/trace"
 )
 
 // Config describes the ablation point.
@@ -41,9 +40,7 @@ type Config struct {
 	LineRate         bool
 	DirectInterrupts bool
 
-	// Tracer and Metrics forward to the underlying Offload's
-	// observability hooks.
-	Tracer  *trace.Buffer
+	// Metrics forwards to the underlying Offload's telemetry wiring.
 	Metrics *telemetry.Registry
 }
 
@@ -58,7 +55,7 @@ type System struct {
 func (s *System) Name() string { return s.name }
 
 // New assembles the ablated system on top of the core Offload machinery.
-func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Request)) *System {
+func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request)) *System {
 	p := cfg.P
 	if cfg.CXL {
 		p = p.WithCXL()
@@ -73,9 +70,8 @@ func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Reque
 		Slice:            cfg.Slice,
 		Policy:           cfg.Policy,
 		DirectInterrupts: cfg.DirectInterrupts,
-		Tracer:           cfg.Tracer,
 		Metrics:          cfg.Metrics,
-	}, rec, done)
+	}, pr, done)
 	return &System{Offload: off, name: NameFor(cfg)}
 }
 

@@ -13,8 +13,8 @@ import (
 	"mindgap/internal/cores"
 	"mindgap/internal/fabric"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
-	"mindgap/internal/stats"
 	"mindgap/internal/task"
 )
 
@@ -49,8 +49,8 @@ type Valet struct {
 	eng  *sim.Engine
 	cfg  Config
 	lgc  *core.Logic
-	rec  *stats.Recorder
 	done func(*task.Request)
+	pr   *probe.Probe
 
 	ingress *fabric.Link
 	egress  *fabric.Link
@@ -73,8 +73,9 @@ type worker struct {
 	stash    []*task.Request
 }
 
-// New builds the system. done runs when the client receives each response.
-func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Request)) *Valet {
+// New builds the system. done runs when the client receives each response;
+// pr (optional) carries the run's observers.
+func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request)) *Valet {
 	if cfg.Workers <= 0 {
 		panic("rpcvalet: need workers")
 	}
@@ -85,8 +86,8 @@ func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Reque
 	s := &Valet{
 		eng: eng, cfg: cfg,
 		lgc:  core.NewLogic(cfg.Workers, 1, core.LeastOutstanding),
-		rec:  rec,
 		done: done,
+		pr:   pr,
 	}
 	s.ingress = fabric.NewLink(eng, "client→ni", fabric.LinkConfig{
 		Latency: p.ClientWireOneWay, BandwidthBps: p.WireBandwidth,
@@ -123,6 +124,7 @@ func (s *Valet) Name() string { return "rpcvalet" }
 
 // Inject admits a client request at the current instant.
 func (s *Valet) Inject(req *task.Request) {
+	s.pr.Arrive(s.eng.Now(), req.ID, req.Service)
 	s.ingress.SendT(s.cfg.P.RequestFrameBytes, niIngress, s, req, 0)
 }
 
@@ -131,19 +133,24 @@ func (s *Valet) Inject(req *task.Request) {
 //mindgap:noalloc
 func niIngress(recv, obj any, _ uint64) {
 	s := recv.(*Valet)
-	s.ni.Submit(ncNew, niEvent{kind: evNew, req: obj.(*task.Request)})
+	req := obj.(*task.Request)
+	s.pr.Ingress(s.eng.Now(), req.ID)
+	s.ni.Submit(ncNew, niEvent{kind: evNew, req: req})
 }
 
 //mindgap:noalloc
 func (s *Valet) handleNIEvent(ev niEvent) {
 	as := s.asScratch[:0]
+	now := s.eng.Now()
 	switch ev.kind {
 	case evNew:
-		as = s.lgc.EnqueueTo(as, s.eng.Now(), ev.req)
+		s.pr.Enqueue(now, ev.req.ID)
+		as = s.lgc.EnqueueTo(as, now, ev.req)
 	case evFinish:
 		as = s.lgc.CompleteTo(as, ev.worker)
 	}
 	for _, a := range as {
+		s.pr.Dispatch(now, a.Req.ID, a.Worker)
 		w := s.workers[a.Worker]
 		w.fromNI.SendT(0, niDeliver, w, a.Req, 0)
 	}
@@ -159,6 +166,7 @@ func niDeliver(recv, obj any, _ uint64) {
 
 //mindgap:noalloc
 func (w *worker) receive(req *task.Request) {
+	w.sys.pr.HostArrive(w.sys.eng.Now(), req.ID)
 	w.stash = append(w.stash, req)
 	w.maybeStart()
 }
@@ -183,11 +191,13 @@ func niPickup(recv, _ any, _ uint64) {
 	}
 	req := w.stash[0]
 	w.stash = w.stash[1:]
+	w.sys.pr.Start(w.sys.eng.Now(), req.ID, w.id)
 	w.exec.Start(req)
 }
 
 //mindgap:noalloc
 func (w *worker) onComplete(req *task.Request) {
+	w.sys.pr.Complete(w.sys.eng.Now(), req.ID, w.id)
 	w.post = true
 	w.sys.eng.AfterE(w.sys.cfg.P.WorkerResponseCost, niResponseBuilt, w, req, 0)
 }
@@ -209,7 +219,10 @@ func niResponseBuilt(recv, obj any, _ uint64) {
 //
 //mindgap:noalloc
 func niRespond(recv, obj any, _ uint64) {
-	recv.(*Valet).done(obj.(*task.Request))
+	s := recv.(*Valet)
+	req := obj.(*task.Request)
+	s.pr.Respond(s.eng.Now(), req.ID)
+	s.done(req)
 }
 
 // niNotifyFinish fires when the completion notification reaches the NI.

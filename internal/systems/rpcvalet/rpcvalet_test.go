@@ -7,6 +7,7 @@ import (
 	"mindgap/internal/dist"
 	"mindgap/internal/loadgen"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
@@ -19,7 +20,7 @@ func run(t *testing.T, workers int, rps float64, svc dist.Distribution, measure 
 	rec.Arm(0)
 	completions := 0
 	var sys *Valet
-	sys = New(eng, Config{P: params.Default(), Workers: workers}, rec, func(r *task.Request) {
+	sys = New(eng, Config{P: params.Default(), Workers: workers}, &probe.Probe{Rec: rec}, func(r *task.Request) {
 		rec.RecordLatency(r.Latency(eng.Now()))
 		completions++
 		if completions >= measure {

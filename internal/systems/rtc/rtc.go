@@ -21,9 +21,9 @@ import (
 	"mindgap/internal/cores"
 	"mindgap/internal/fabric"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/queue"
 	"mindgap/internal/sim"
-	"mindgap/internal/stats"
 	"mindgap/internal/task"
 	"mindgap/internal/trace"
 )
@@ -54,19 +54,14 @@ type Config struct {
 	QueueCap int
 	// NameOverride replaces the derived system name.
 	NameOverride string
-	// Attr, when set, receives per-request phase decompositions and a
-	// ground-truth audit of every steering decision; nil leaves every
-	// hook off and the event sequence untouched.
-	Attr *attr.Collector
 }
 
 // Pool is the simulated run-to-completion system.
 type Pool struct {
 	eng  *sim.Engine
 	cfg  Config
-	rec  *stats.Recorder
 	done func(*task.Request)
-	attr *attr.Collector
+	pr   *probe.Probe
 
 	ingress *fabric.Link
 	egress  *fabric.Link
@@ -84,8 +79,8 @@ type worker struct {
 }
 
 // New builds the pool. done runs at the instant the client receives each
-// response.
-func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Request)) *Pool {
+// response; pr (optional) carries the run's observers.
+func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request)) *Pool {
 	if cfg.Workers <= 0 {
 		panic("rtc: need workers")
 	}
@@ -93,7 +88,7 @@ func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Reque
 		panic("rtc: need a completion callback")
 	}
 	p := cfg.P
-	s := &Pool{eng: eng, cfg: cfg, rec: rec, done: done, attr: cfg.Attr}
+	s := &Pool{eng: eng, cfg: cfg, done: done, pr: pr}
 	s.ingress = fabric.NewLink(eng, "client→nic", fabric.LinkConfig{
 		Latency: p.ClientWireOneWay, BandwidthBps: p.WireBandwidth,
 	})
@@ -131,7 +126,7 @@ func (s *Pool) Name() string {
 
 // Inject admits a client request at the current instant.
 func (s *Pool) Inject(req *task.Request) {
-	s.attr.Arrive(s.eng.Now(), req.ID, req.Service)
+	s.pr.Arrive(s.eng.Now(), req.ID, req.Service)
 	s.ingress.SendT(s.cfg.P.RequestFrameBytes, rtcIngress, s, req, 0)
 }
 
@@ -165,11 +160,14 @@ func (w *worker) trueLoad() int64 {
 //
 //mindgap:noalloc
 func (s *Pool) auditSteer(now sim.Time, req *task.Request, chosen int) {
-	truth := s.attr.TruthScratch(len(s.workers))
+	truth := s.pr.AuditTruth(len(s.workers))
+	if truth == nil {
+		return
+	}
 	for i, w := range s.workers {
 		truth[i] = w.trueLoad()
 	}
-	s.attr.Audit(attr.Decision{At: now, ReqID: req.ID, Chosen: chosen, Truth: truth})
+	s.pr.Audit(attr.Decision{At: now, ReqID: req.ID, Chosen: chosen, Truth: truth})
 }
 
 // steer implements the NIC steering function.
@@ -189,22 +187,17 @@ func (s *Pool) steer(req *task.Request) {
 	now := s.eng.Now()
 	target := s.workers[w]
 	if s.cfg.QueueCap > 0 && target.q.Len() >= s.cfg.QueueCap {
-		if s.rec != nil {
-			s.rec.RecordDrop()
-		}
-		s.attr.Drop(now, req.ID, trace.DropQueueCap)
+		s.pr.Drop(now, req.ID, w, trace.DropQueueCap)
 		return
 	}
 	// Steering collapses ingress-processing, dispatch and the NIC→core
 	// DMA into one instant: the request's wait from here to Start is pure
 	// host-queue time, which is where run-to-completion tails live.
-	if s.attr != nil {
-		s.attr.Ingress(now, req.ID)
-		s.attr.Enqueue(now, req.ID)
-		s.attr.Dispatch(now, req.ID)
-		s.auditSteer(now, req, w)
-		s.attr.HostArrive(now, req.ID)
-	}
+	s.pr.Ingress(now, req.ID)
+	s.pr.Enqueue(now, req.ID)
+	s.pr.Dispatch(now, req.ID, w)
+	s.auditSteer(now, req, w)
+	s.pr.HostArrive(now, req.ID)
 	target.q.Push(req)
 	target.maybeStart()
 	if s.cfg.WorkStealing {
@@ -272,14 +265,14 @@ func rtcPickup(recv, _ any, _ uint64) {
 
 //mindgap:noalloc
 func (s *Pool) begin(w *worker, req *task.Request) {
-	s.attr.Start(s.eng.Now(), req.ID)
+	s.pr.Start(s.eng.Now(), req.ID, w.id)
 	w.exec.Start(req)
 }
 
 //mindgap:noalloc
 func (w *worker) onComplete(req *task.Request) {
 	sys := w.sys
-	sys.attr.Complete(sys.eng.Now(), req.ID)
+	sys.pr.Complete(sys.eng.Now(), req.ID, w.id)
 	w.post = true
 	sys.eng.AfterE(sys.cfg.P.WorkerResponseCost, rtcResponseBuilt, w, req, 0)
 }
@@ -306,7 +299,7 @@ func rtcResponseBuilt(recv, obj any, _ uint64) {
 func rtcRespond(recv, obj any, _ uint64) {
 	s := recv.(*Pool)
 	req := obj.(*task.Request)
-	s.attr.Respond(s.eng.Now(), req.ID)
+	s.pr.Respond(s.eng.Now(), req.ID)
 	s.done(req)
 }
 

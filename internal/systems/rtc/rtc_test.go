@@ -7,6 +7,7 @@ import (
 	"mindgap/internal/dist"
 	"mindgap/internal/loadgen"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
@@ -19,7 +20,7 @@ func run(t *testing.T, cfg Config, rps float64, svc dist.Distribution, keys *dis
 	rec.Arm(0)
 	completions := 0
 	var sys *Pool
-	sys = New(eng, cfg, rec, func(r *task.Request) {
+	sys = New(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) {
 		rec.RecordLatency(r.Latency(eng.Now()))
 		completions++
 		if completions >= measure {
@@ -144,7 +145,7 @@ func TestBoundedQueuesDrop(t *testing.T) {
 	eng := sim.New()
 	rec := &stats.Recorder{}
 	rec.Arm(0)
-	sys := New(eng, Config{P: params.Default(), Workers: 1, QueueCap: 2}, rec, func(*task.Request) {})
+	sys := New(eng, Config{P: params.Default(), Workers: 1, QueueCap: 2}, &probe.Probe{Rec: rec}, func(*task.Request) {})
 	// Burst of simultaneous arrivals at one instant: queue cap 2 forces
 	// drops once the backlog exceeds it.
 	for i := uint64(0); i < 10; i++ {

@@ -23,8 +23,8 @@ import (
 	"mindgap/internal/cores"
 	"mindgap/internal/fabric"
 	"mindgap/internal/params"
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
-	"mindgap/internal/stats"
 	"mindgap/internal/task"
 )
 
@@ -49,10 +49,6 @@ type Config struct {
 	// picks workers with no knowledge of packet placement. 0 or 1 means a
 	// single socket.
 	Sockets int
-	// Attr, when set, receives per-request phase decompositions and a
-	// ground-truth audit of every dispatch decision; nil leaves every hook
-	// off and the event sequence untouched.
-	Attr *attr.Collector
 }
 
 // dEventKind tags dispatcher inputs.
@@ -82,9 +78,8 @@ type Shinjuku struct {
 	eng  *sim.Engine
 	cfg  Config
 	lgc  *core.Logic
-	rec  *stats.Recorder
 	done func(*task.Request)
-	attr *attr.Collector
+	pr   *probe.Probe
 
 	ingress    *fabric.Link
 	egress     *fabric.Link
@@ -117,8 +112,8 @@ type worker struct {
 }
 
 // New builds the system. done runs at the instant the client receives each
-// response.
-func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Request)) *Shinjuku {
+// response; pr (optional) carries the run's observers.
+func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request)) *Shinjuku {
 	if cfg.Workers <= 0 {
 		panic("shinjuku: need workers")
 	}
@@ -133,9 +128,8 @@ func New(eng *sim.Engine, cfg Config, rec *stats.Recorder, done func(*task.Reque
 		eng:  eng,
 		cfg:  cfg,
 		lgc:  core.NewLogic(cfg.Workers, cfg.Outstanding, cfg.Policy),
-		rec:  rec,
 		done: done,
-		attr: cfg.Attr,
+		pr:   pr,
 	}
 	s.ingress = fabric.NewLink(eng, "client→nic", fabric.LinkConfig{
 		Latency: p.ClientWireOneWay, BandwidthBps: p.WireBandwidth,
@@ -189,7 +183,7 @@ func (s *Shinjuku) Name() string { return "shinjuku" }
 
 // Inject admits a client request at the current instant.
 func (s *Shinjuku) Inject(req *task.Request) {
-	s.attr.Arrive(s.eng.Now(), req.ID, req.Service)
+	s.pr.Arrive(s.eng.Now(), req.ID, req.Service)
 	s.ingress.SendT(s.cfg.P.RequestFrameBytes, shinIngress, s, req, 0)
 }
 
@@ -199,7 +193,7 @@ func (s *Shinjuku) Inject(req *task.Request) {
 func shinIngress(recv, obj any, _ uint64) {
 	s := recv.(*Shinjuku)
 	req := obj.(*task.Request)
-	s.attr.Ingress(s.eng.Now(), req.ID)
+	s.pr.Ingress(s.eng.Now(), req.ID)
 	s.networker.Submit(req)
 }
 
@@ -235,13 +229,16 @@ func (w *worker) trueLoad() int64 {
 //
 //mindgap:noalloc
 func (s *Shinjuku) auditDispatch(now sim.Time, a core.Assignment) {
-	truth := s.attr.TruthScratch(len(s.workers))
+	truth := s.pr.AuditTruth(len(s.workers))
+	if truth == nil {
+		return
+	}
 	for i, w := range s.workers {
 		truth[i] = w.trueLoad()
 	}
 	d := attr.Decision{At: now, ReqID: a.Req.ID, Chosen: a.Worker, Truth: truth}
 	d.Estimate, d.EstimateAge, d.Informed = s.lgc.EstimateFor(now, a.Worker)
-	s.attr.Audit(d)
+	s.pr.Audit(d)
 }
 
 //mindgap:noalloc
@@ -250,19 +247,17 @@ func (s *Shinjuku) handleDispatcherEvent(ev dEvent) {
 	now := s.eng.Now()
 	switch ev.kind {
 	case evNew:
-		s.attr.Enqueue(now, ev.req.ID)
+		s.pr.Enqueue(now, ev.req.ID)
 		as = s.lgc.EnqueueTo(as, now, ev.req)
 	case evFinish:
 		as = s.lgc.CompleteTo(as, ev.worker)
 	case evPreempted:
-		s.attr.Enqueue(now, ev.req.ID)
+		s.pr.Enqueue(now, ev.req.ID)
 		as = s.lgc.PreemptedTo(as, now, ev.worker, ev.req)
 	}
 	for _, a := range as {
-		if s.attr != nil {
-			s.attr.Dispatch(now, a.Req.ID)
-			s.auditDispatch(now, a)
-		}
+		s.pr.Dispatch(now, a.Req.ID, a.Worker)
+		s.auditDispatch(now, a)
 		w := s.workers[a.Worker]
 		w.fromDisp.SendT(0, dispDeliver, w, a.Req, 0)
 	}
@@ -319,7 +314,7 @@ func (w *worker) socket() int {
 //
 //mindgap:noalloc
 func (w *worker) receive(req *task.Request) {
-	w.sys.attr.HostArrive(w.sys.eng.Now(), req.ID)
+	w.sys.pr.HostArrive(w.sys.eng.Now(), req.ID)
 	w.stash = append(w.stash, req)
 	w.maybeStart()
 }
@@ -351,7 +346,7 @@ func shinPickup(recv, _ any, _ uint64) {
 	}
 	req := w.stash[0]
 	w.stash = w.stash[1:]
-	w.sys.attr.Start(w.sys.eng.Now(), req.ID)
+	w.sys.pr.Start(w.sys.eng.Now(), req.ID, w.id)
 	w.exec.Start(req)
 	if w.sys.cfg.Slice > 0 && req.Remaining > w.sys.cfg.Slice {
 		w.sys.armSlice(w, req)
@@ -361,7 +356,7 @@ func shinPickup(recv, _ any, _ uint64) {
 //mindgap:noalloc
 func (w *worker) onComplete(req *task.Request) {
 	sys := w.sys
-	sys.attr.Complete(sys.eng.Now(), req.ID)
+	sys.pr.Complete(sys.eng.Now(), req.ID, w.id)
 	w.post = true
 	sys.eng.AfterE(sys.cfg.P.WorkerResponseCost, shinResponseBuilt, w, req, 0)
 }
@@ -388,7 +383,7 @@ func shinResponseBuilt(recv, obj any, _ uint64) {
 func shinRespond(recv, obj any, _ uint64) {
 	s := recv.(*Shinjuku)
 	req := obj.(*task.Request)
-	s.attr.Respond(s.eng.Now(), req.ID)
+	s.pr.Respond(s.eng.Now(), req.ID)
 	s.done(req)
 }
 
@@ -404,10 +399,7 @@ func shinNotifyFinish(recv, _ any, _ uint64) {
 //mindgap:noalloc
 func (w *worker) onPreempt(req *task.Request) {
 	sys := w.sys
-	sys.attr.Preempt(sys.eng.Now(), req.ID)
-	if sys.rec != nil {
-		sys.rec.RecordPreemption()
-	}
+	sys.pr.Preempt(sys.eng.Now(), req.ID, w.id)
 	w.post = true
 	w.toDisp.SendT(0, shinNotifyPreempt, w, req, 0)
 	w.post = false

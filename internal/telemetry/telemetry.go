@@ -30,9 +30,11 @@ import (
 	"mindgap/internal/stats"
 )
 
-// Counter is a monotonically increasing event count.
+// Counter is a monotonically increasing event count: either incremented
+// (Inc/Add) or backed by a probe function that is evaluated on every read.
 type Counter struct {
-	v atomic.Int64
+	v  atomic.Int64
+	fn func() uint64
 }
 
 // Inc adds one.
@@ -46,8 +48,13 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value returns the current count, evaluating the probe if one is attached.
+func (c *Counter) Value() int64 {
+	if c.fn != nil {
+		return int64(c.fn())
+	}
+	return c.v.Load()
+}
 
 // Gauge is an instantaneous scalar: either settable (Set) or backed by a
 // probe function that is evaluated on every read.
@@ -145,6 +152,8 @@ func NewRegistry() *Registry {
 func Key(component, name string) string { return component + "/" + name }
 
 // Counter returns the counter for component/name, creating it if needed.
+// It panics if the key is already a probe-backed counter, whose value an
+// Inc could not move.
 func (r *Registry) Counter(component, name string) *Counter {
 	k := Key(component, name)
 	r.mu.Lock()
@@ -154,7 +163,24 @@ func (r *Registry) Counter(component, name string) *Counter {
 		c = &Counter{}
 		r.counters[k] = c
 	}
+	if c.fn != nil {
+		panic(fmt.Sprintf("telemetry: counter %q is probe-backed", k))
+	}
 	return c
+}
+
+// CounterFunc registers a probe-backed counter whose value is fn() at read
+// time — how a component exposes a count it already keeps (models count in
+// uint64) without mirroring every increment. Re-registering a key replaces
+// its probe.
+func (r *Registry) CounterFunc(component, name string, fn func() uint64) {
+	if fn == nil {
+		panic("telemetry: nil counter probe")
+	}
+	k := Key(component, name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters[k] = &Counter{fn: fn}
 }
 
 // Gauge returns the settable gauge for component/name, creating it if

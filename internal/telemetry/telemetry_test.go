@@ -41,6 +41,16 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("probe gauge not re-evaluated: %g", v)
 	}
 
+	drops := uint64(3)
+	reg.CounterFunc("nic", "drops", func() uint64 { return drops })
+	drops = 4
+	if v, ok := reg.CounterValue("nic/drops"); !ok || v != 4 {
+		t.Fatalf("probe counter = %d, %v; want 4 re-evaluated at read time", v, ok)
+	}
+	if got := reg.Snapshot().Counters["nic/drops"]; got != 4 {
+		t.Fatalf("snapshot lists the probe counter as %d, want 4 among the counters", got)
+	}
+
 	h := reg.Histogram("fabric", "latency")
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)

@@ -47,15 +47,16 @@ const (
 	chromePidWorkers   = 2
 )
 
-func toMicros(t sim.Time) float64 { return float64(t) / 1e3 }
+// ToMicros converts engine time to the format's microsecond timestamps.
+func ToMicros(t sim.Time) float64 { return float64(t) / 1e3 }
 
 // ChromeTraceEvents converts the buffer to trace-event objects. Events are
 // emitted per request in lifecycle order, after the metadata naming the
 // process and worker-thread tracks.
 func ChromeTraceEvents(b *Buffer) []ChromeEvent {
 	events := []ChromeEvent{
-		metaEvent("process_name", chromePidScheduler, 0, "scheduler"),
-		metaEvent("process_name", chromePidWorkers, 0, "workers"),
+		MetaEvent("process_name", chromePidScheduler, 0, "scheduler"),
+		MetaEvent("process_name", chromePidWorkers, 0, "workers"),
 	}
 	namedWorkers := map[int]bool{}
 	for _, id := range b.Requests() {
@@ -64,7 +65,7 @@ func ChromeTraceEvents(b *Buffer) []ChromeEvent {
 		asyncID := fmt.Sprintf("0x%x", id)
 		async := func(ph string, at sim.Time, name string) ChromeEvent {
 			return ChromeEvent{
-				Name: name, Cat: "request", Ph: ph, Ts: toMicros(at),
+				Name: name, Cat: "request", Ph: ph, Ts: ToMicros(at),
 				Pid: chromePidScheduler, Tid: 0, ID: asyncID,
 			}
 		}
@@ -74,10 +75,10 @@ func ChromeTraceEvents(b *Buffer) []ChromeEvent {
 			if openStart == nil {
 				return
 			}
-			dur := toMicros(end.At) - toMicros(openStart.At)
+			dur := ToMicros(end.At) - ToMicros(openStart.At)
 			events = append(events, ChromeEvent{
 				Name: reqName, Cat: "exec", Ph: "X",
-				Ts: toMicros(openStart.At), Dur: &dur,
+				Ts: ToMicros(openStart.At), Dur: &dur,
 				Pid: chromePidWorkers, Tid: openStart.Worker,
 				Args: map[string]any{"end": end.Kind.String()},
 			})
@@ -108,7 +109,7 @@ func ChromeTraceEvents(b *Buffer) []ChromeEvent {
 				if e.Worker >= 0 && !namedWorkers[e.Worker] {
 					namedWorkers[e.Worker] = true
 					events = append(events,
-						metaEvent("thread_name", chromePidWorkers, e.Worker,
+						MetaEvent("thread_name", chromePidWorkers, e.Worker,
 							fmt.Sprintf("worker %d", e.Worker)))
 				}
 			case Preempt, Complete:
@@ -126,20 +127,16 @@ func ChromeTraceEvents(b *Buffer) []ChromeEvent {
 	return events
 }
 
-func metaEvent(name string, pid, tid int, value string) ChromeEvent {
+// MetaEvent builds a metadata event naming a process or thread track.
+func MetaEvent(name string, pid, tid int, value string) ChromeEvent {
 	return ChromeEvent{
 		Name: name, Ph: "M", Pid: pid, Tid: tid,
 		Args: map[string]any{"name": value},
 	}
 }
 
-// WriteChrome serializes the buffer as Chrome trace-event JSON, ready for
-// ui.perfetto.dev or chrome://tracing.
-func WriteChrome(w io.Writer, b *Buffer) error {
-	return WriteChromeWith(w, b, nil)
-}
-
-// WriteChromeWith serializes the buffer plus pre-built extra events —
+// WriteChromeWith serializes the buffer as Chrome trace-event JSON, ready
+// for ui.perfetto.dev or chrome://tracing, plus pre-built extra events —
 // the attribution layer appends per-phase slice tracks and decision-audit
 // counter tracks this way without the trace package knowing about them.
 func WriteChromeWith(w io.Writer, b *Buffer, extra []ChromeEvent) error {

@@ -37,7 +37,7 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, b); err != nil {
+	if err := WriteChromeWith(&buf, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	var ct ChromeTrace
@@ -115,7 +115,7 @@ func TestWriteChromeDroppedRequestHasNoSlices(t *testing.T) {
 	b.Record(80, Drop, 7, -1)
 
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, b); err != nil {
+	if err := WriteChromeWith(&buf, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	var ct ChromeTrace
@@ -144,7 +144,7 @@ func TestWriteChromeInFlightRequestBalanced(t *testing.T) {
 	b.Record(300, Start, 9, 0) // halted mid-execution
 
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, b); err != nil {
+	if err := WriteChromeWith(&buf, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	var ct ChromeTrace

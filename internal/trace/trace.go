@@ -95,18 +95,13 @@ func (r DropReason) String() string {
 	return fmt.Sprintf("reason(%d)", uint8(r))
 }
 
-// PolicyDrop reports whether the reason is a deliberate scheduling
-// decision (shed, queue cap) rather than an injected-fault loss.
-func (r DropReason) PolicyDrop() bool { return r == DropShed || r == DropQueueCap }
-
 // Event is one recorded lifecycle step.
 type Event struct {
 	At     sim.Time
 	Kind   Kind
 	ReqID  uint64
 	Worker int // meaningful for Dispatch/Start/Preempt/Complete; else -1
-	// Reason is set on Drop events recorded through RecordDrop; zero
-	// everywhere else.
+	// Reason is set on Drop events that carry one; zero everywhere else.
 	Reason DropReason
 }
 
@@ -140,24 +135,20 @@ func New(max int) *Buffer {
 	return &Buffer{max: max, events: make([]Event, 0, min(max, 4096))}
 }
 
-// Record appends an event if capacity remains.
+// Record appends a lifecycle event if capacity remains.
 func (b *Buffer) Record(at sim.Time, kind Kind, reqID uint64, worker int) {
-	if len(b.events) >= b.max {
-		b.dropped++
-		return
-	}
-	b.events = append(b.events, Event{At: at, Kind: kind, ReqID: reqID, Worker: worker})
+	b.Add(Event{At: at, Kind: kind, ReqID: reqID, Worker: worker})
 }
 
-// RecordDrop appends a Drop event carrying the reason the request was
-// lost, so attribution can distinguish policy drops (shed, queue cap)
-// from injected-fault losses.
-func (b *Buffer) RecordDrop(at sim.Time, reqID uint64, worker int, reason DropReason) {
+// Add appends a fully-formed event if capacity remains — the way to record
+// a Drop carrying the reason the request was lost, so attribution can
+// distinguish policy drops (shed, queue cap) from injected-fault losses.
+func (b *Buffer) Add(e Event) {
 	if len(b.events) >= b.max {
 		b.dropped++
 		return
 	}
-	b.events = append(b.events, Event{At: at, Kind: Drop, ReqID: reqID, Worker: worker, Reason: reason})
+	b.events = append(b.events, e)
 }
 
 // Len returns the number of stored events.
@@ -271,11 +262,4 @@ func (b *Buffer) ValidateAll() error {
 		}
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
