@@ -1,7 +1,10 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -121,6 +124,14 @@ func probeCases(t *testing.T) []probeCase {
 //
 // Measurement starts at t=0 (no warm-up) so the recorder's window covers
 // the same requests the trace and the collector see.
+//
+// The bare run of every case is also pinned across commits: its executed
+// event count and full Result must match testdata/probe_points.golden, so
+// a model refactor that adds, drops or reorders an event fails here and
+// not only in the benchmark's exact counts. Regenerate (only for
+// intentional model changes):
+//
+//	go test ./internal/experiment -run TestAttributionObservationInvariance -update
 func TestAttributionObservationInvariance(t *testing.T) {
 	q := Quality{Warmup: 0, Measure: 1500, Seed: 7}
 	run := func(t *testing.T, c probeCase, o scenario.Options) (Result, uint64, map[uint64]time.Duration) {
@@ -143,9 +154,11 @@ func TestAttributionObservationInvariance(t *testing.T) {
 		res, _ := drive(cfg, func(r *task.Request, lat time.Duration) { lats[r.ID] = lat })
 		return res, eng.Executed(), lats
 	}
+	var pinned bytes.Buffer
 	for _, c := range probeCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			bare, bareEvents, _ := run(t, c, scenario.Options{})
+			fmt.Fprintf(&pinned, "%s events=%d %s\n", c.name, bareEvents, resultFields(bare))
 			buf := trace.New(0)
 			col := attr.New(attr.Config{KeepTimelines: true})
 			probed, events, lats := run(t, c, scenario.Options{Tracer: buf, Attr: col})
@@ -199,6 +212,21 @@ func TestAttributionObservationInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	const golden = "testdata/probe_points.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, pinned.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if !bytes.Equal(pinned.Bytes(), want) {
+		t.Errorf("bare runs diverged from %s\ngot:\n%swant:\n%s", golden, pinned.Bytes(), want)
 	}
 }
 
