@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mindgap/internal/attr"
 	"mindgap/internal/cores"
 	"mindgap/internal/fabric"
 	"mindgap/internal/faults"
@@ -165,9 +164,15 @@ const (
 //	worker ──2.56µs──▶ RX core(ARM) ──shm──▶ queue mgr(ARM)   [notifications]
 //	worker ──wire──▶ client                                    [responses]
 type Offload struct {
-	eng  *sim.Engine
-	cfg  OffloadConfig
-	lgc  SchedulerLogic
+	// Host is the shared host-worker kit: the client wire, the worker
+	// cores and the worker-set surface. Each core's inbox is its VF ring.
+	*cores.Host
+	eng *sim.Engine
+	cfg OffloadConfig
+	lgc SchedulerLogic
+	// est is lgc when it keeps per-worker load estimates the decision
+	// audit can grade (nil under priority classes).
+	est  *Logic
 	done func(*task.Request)
 	// pr is the lifecycle probe: every instant of a request's life and
 	// every drop is reported through it, and the drop accessors and
@@ -189,8 +194,6 @@ type Offload struct {
 	staleNotifs   uint64
 	dupResponses  uint64
 
-	ingress   *fabric.Link
-	egress    *fabric.Link
 	networker *fabric.Stage[*task.Request]
 	queueMgr  *fabric.MultiStage[qEvent]
 	txCore    *fabric.Stage[Assignment]
@@ -219,38 +222,16 @@ type Offload struct {
 	qevFree []*qEvent
 }
 
-// offWorker is one host worker core: its SR-IOV virtual function (whose RX
-// descriptor ring is where the dispatcher stashes requests, §3.4.5) plus
-// the execution engine.
+// offWorker is one host worker core's channel to the NIC: the kit core
+// plus its SR-IOV virtual function, whose RX descriptor ring is where the
+// dispatcher stashes requests (§3.4.5) and therefore the core's inbox.
 type offWorker struct {
-	sys  *Offload
-	id   int
-	vf   *nicmodel.Function
-	exec *cores.Exec
-	// pickupPending guards against double-scheduling the pickup delay.
-	pickupPending bool
-	// post is set while the core is building response/notification packets
-	// after finishing or preempting a request; the core is serial, so the
-	// next pickup waits for it.
-	post bool
-	// stretch dilates the worker's off-exec overheads (pickup, response
-	// and notify building) through the stall timeline; nil when this
-	// worker never stalls.
-	stretch faults.StretchFunc
-	// curDegraded marks the in-execution request as hash-steered while
+	sys *Offload
+	*cores.Worker
+	vf *nicmodel.Function
+	// curDegraded marks the request last picked up as hash-steered while
 	// the NIC was down: run to completion, no FINISH notification.
 	curDegraded bool
-}
-
-// afterE schedules fn(w, obj, arg) once d of worker busy time elapses,
-// dilating d through the stall timeline when one applies.
-//
-//mindgap:noalloc
-func (w *offWorker) afterE(d time.Duration, fn sim.EventFunc, obj any, arg uint64) {
-	if w.stretch != nil {
-		d = w.stretch(w.sys.eng.Now(), d)
-	}
-	w.sys.eng.AfterE(d, fn, w, obj, arg)
 }
 
 // qevGet borrows a qEvent box from the free list.
@@ -275,39 +256,26 @@ func (s *Offload) qevPut(qe *qEvent) {
 // NewOffload builds the system on eng. done is invoked at the instant the
 // client receives each response; pr (optional) carries the run's observers.
 func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*task.Request)) *Offload {
-	if cfg.Workers <= 0 {
-		panic("core: offload needs workers")
-	}
 	if cfg.Outstanding <= 0 {
 		cfg.Outstanding = 1
-	}
-	if done == nil {
-		panic("core: offload needs a completion callback")
 	}
 	if pr == nil {
 		pr = &probe.Probe{} // Shed/TimeoutDrops read its counts back
 	}
 	p := cfg.P
-	var lgc SchedulerLogic
+	s := &Offload{eng: eng, cfg: cfg, done: done, pr: pr}
 	if cfg.PriorityClasses > 1 {
 		pl := NewPriorityLogic(cfg.Workers, cfg.Outstanding, cfg.PriorityClasses, cfg.Policy, cfg.ClassOf)
 		if cfg.Affinity {
 			pl.EnableAffinity()
 		}
-		lgc = pl
+		s.lgc = pl
 	} else {
-		l := NewLogic(cfg.Workers, cfg.Outstanding, cfg.Policy)
+		s.est = NewLogic(cfg.Workers, cfg.Outstanding, cfg.Policy)
 		if cfg.Affinity {
-			l.EnableAffinity()
+			s.est.EnableAffinity()
 		}
-		lgc = l
-	}
-	s := &Offload{
-		eng:  eng,
-		cfg:  cfg,
-		lgc:  lgc,
-		done: done,
-		pr:   pr,
+		s.lgc = s.est
 	}
 	if cfg.FaultSpec != nil && !cfg.FaultSpec.Empty() {
 		if cfg.DirectInterrupts {
@@ -317,15 +285,18 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		if s.flt.Timeout() > 0 {
 			s.flights = make(map[uint64]*flight)
 			s.responded = make(map[uint64]bool)
+			done = s.respondOnce
 		}
 	}
+	s.Host = cores.NewHost(eng, cores.HostConfig{
+		P: p, Workers: cfg.Workers, Pickup: p.PickupCost(cfg.DDIOToL1),
+		Slice: cfg.Slice, SelfArm: !cfg.DirectInterrupts,
+	}, pr, s.ingress, done)
+	s.Started, s.Finished, s.Preempted = s.started, s.finished, s.preempted
+	if cfg.LoadFeedback {
+		s.Completed = s.reportLoad
+	}
 
-	s.ingress = fabric.NewLink(eng, "client→nic", fabric.LinkConfig{
-		Latency: p.ClientWireOneWay, BandwidthBps: p.WireBandwidth,
-	})
-	s.egress = fabric.NewLink(eng, "nic→client", fabric.LinkConfig{
-		Latency: p.ClientWireOneWay, BandwidthBps: p.WireBandwidth,
-	})
 	s.shmNetQ = fabric.NewLink(eng, "shm net→q", fabric.LinkConfig{Latency: p.ArmShm})
 	s.shmQTx = fabric.NewLink(eng, "shm q→tx", fabric.LinkConfig{Latency: p.ArmShm})
 	s.shmRxQ = fabric.NewLink(eng, "shm rx→q", fabric.LinkConfig{Latency: p.ArmShm})
@@ -398,15 +369,6 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 			s.shmRxQ.SendT(0, shmNotif, s, qe, 0)
 		})
 
-	execCfg := cores.ExecConfig{
-		Clock:      p.HostClock,
-		Timer:      p.HostTimer,
-		Slice:      cfg.Slice,
-		SelfArm:    !cfg.DirectInterrupts,
-		CtxSave:    p.CtxSaveCost,
-		CtxResume:  p.CtxResumeCost,
-		CtxMigrate: p.CtxMigratePenalty,
-	}
 	if st := s.nicStretch(); st != nil {
 		// Every ARM-complex stage shares the NIC crash/slowdown timeline:
 		// a crashed ARM complex freezes the networker, queue manager, TX
@@ -416,26 +378,24 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		s.txCore.SetStretch(st)
 		s.rxCore.SetStretch(st)
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		w := &offWorker{sys: s, id: i}
-		ec := execCfg
+	for i, kw := range s.Host.Workers {
+		w := &offWorker{sys: s, Worker: kw}
 		if s.flt != nil {
-			w.stretch = s.flt.WorkerStretch(i)
-			ec.Stretch = w.stretch
+			w.SetStretch(s.flt.WorkerStretch(i))
 		}
 		// The VF ring holds the stashed requests; credits guarantee it
 		// never overflows, and the +1 headroom plus drop accounting guard
 		// the invariant.
 		w.vf = s.nic.AddFunction(fmt.Sprintf("w%d", i),
 			nicmodel.MACForIndex(i+1), cfg.Outstanding+1)
-		w.vf.OnRx(w.maybeStart)
-		w.vf.OnDrop(func(f nicmodel.Frame) { s.dropDegraded(f, w.id, trace.DropRingOverflow) })
-		w.vf.OnWireDrop(func(f nicmodel.Frame) { s.dropDegraded(f, w.id, trace.DropWireFault) })
+		w.UseRing(cores.Inbox{Len: w.vf.Pending, Pop: w.pop, Backlog: w.stashed})
+		w.vf.OnRx(w.Wake)
+		w.vf.OnDrop(func(f nicmodel.Frame) { s.dropDegraded(f, w.ID, trace.DropRingOverflow) })
+		w.vf.OnWireDrop(func(f nicmodel.Frame) { s.dropDegraded(f, w.ID, trace.DropWireFault) })
 		w.vf.OnDeliver(func(f nicmodel.Frame) {
 			req, _ := frameReq(f)
 			s.pr.HostArrive(s.eng.Now(), req.ID)
 		})
-		w.exec = cores.NewExec(eng, i, ec, w.onComplete, w.onPreempt)
 		s.workers = append(s.workers, w)
 	}
 	if cfg.Metrics != nil {
@@ -475,15 +435,11 @@ func (s *Offload) registerTelemetry(reg *telemetry.Registry) {
 	s.queueMgr.RegisterTelemetry(reg, "arm-queue")
 	s.txCore.RegisterTelemetry(reg, "arm-tx")
 	s.rxCore.RegisterTelemetry(reg, "arm-rx")
-	s.ingress.RegisterTelemetry(reg, "fabric/client→nic")
-	s.egress.RegisterTelemetry(reg, "fabric/nic→client")
 	s.shmNetQ.RegisterTelemetry(reg, "fabric/shm-net→q")
 	s.shmQTx.RegisterTelemetry(reg, "fabric/shm-q→tx")
 	s.shmRxQ.RegisterTelemetry(reg, "fabric/shm-rx→q")
 	s.nic.RegisterTelemetry(reg)
-	for i, w := range s.workers {
-		w.exec.RegisterTelemetry(reg, fmt.Sprintf("worker%d", i))
-	}
+	s.Host.RegisterTelemetry(reg)
 	reg.GaugeFunc("offload", "worker_idle_fraction", func() float64 {
 		return s.WorkerIdleFraction(s.eng.Now())
 	})
@@ -492,18 +448,10 @@ func (s *Offload) registerTelemetry(reg *telemetry.Registry) {
 // Name implements the experiment System interface.
 func (s *Offload) Name() string { return "shinjuku-offload" }
 
-// Inject admits a client request at the current instant (its Arrival time).
-func (s *Offload) Inject(req *task.Request) {
-	s.pr.Arrive(s.eng.Now(), req.ID, req.Service)
-	s.ingress.SendT(s.cfg.P.RequestFrameBytes, offIngress, s, req, 0)
-}
-
-// offIngress fires when a client request frame reaches the NIC port.
+// ingress runs when a client request frame reaches the NIC port.
 //
 //mindgap:noalloc
-func offIngress(recv, obj any, _ uint64) {
-	s := recv.(*Offload)
-	req := obj.(*task.Request)
+func (s *Offload) ingress(req *task.Request) {
 	s.pr.Ingress(s.eng.Now(), req.ID)
 	if s.flt != nil && s.flt.Degrade() && s.flt.NICDown(s.eng.Now()) {
 		// Graceful degradation: the MAC-steering hardware outlives the
@@ -555,7 +503,7 @@ func shmDispatch(recv, obj any, worker uint64) {
 func (s *Offload) steerDegraded(req *task.Request) {
 	w := s.workers[int(steerHash(req)%uint64(len(s.workers)))]
 	s.degradedCount++
-	s.pr.Dispatch(s.eng.Now(), req.ID, w.id)
+	s.pr.Dispatch(s.eng.Now(), req.ID, w.ID)
 	s.nic.Send(nicmodel.Frame{
 		Dst:     w.vf.MAC(),
 		Src:     s.armFn.MAC(),
@@ -580,19 +528,17 @@ func steerHash(req *task.Request) uint64 {
 	return h
 }
 
-// respond delivers the response to the client exactly once per request
-// ID: under timeout/retry a slow original and its retry clone can both
-// finish, and the client must see a single response.
+// respondOnce stands in for done under timeout/retry, where a slow
+// original and its retry clone can both finish: the client must see a
+// single response per request ID.
 //
 //mindgap:noalloc
-func (s *Offload) respond(req *task.Request) {
-	if s.responded != nil {
-		if s.responded[req.ID] {
-			s.dupResponses++
-			return
-		}
-		s.responded[req.ID] = true
+func (s *Offload) respondOnce(req *task.Request) {
+	if s.responded[req.ID] {
+		s.dupResponses++
+		return
 	}
+	s.responded[req.ID] = true
 	s.done(req)
 }
 
@@ -619,28 +565,6 @@ func (s *Offload) dropDegraded(f nicmodel.Frame, worker int, reason trace.DropRe
 	if req, deg := frameReq(f); deg {
 		s.pr.Drop(s.eng.Now(), req.ID, worker, reason)
 	}
-}
-
-// auditDispatch presents one dispatch decision to the attribution layer:
-// the ground-truth resident backlog of every worker at this instant, plus
-// the estimate (and its staleness) the scheduler acted on, when it held
-// one. The truth scan touches every worker, so it is skipped unless a
-// collector is attached.
-//
-//mindgap:noalloc
-func (s *Offload) auditDispatch(now sim.Time, a Assignment) {
-	truth := s.pr.AuditTruth(len(s.workers))
-	if truth == nil {
-		return
-	}
-	for i, w := range s.workers {
-		truth[i] = w.trueLoad()
-	}
-	d := attr.Decision{At: now, ReqID: a.Req.ID, Chosen: a.Worker, Truth: truth}
-	if l, ok := s.lgc.(*Logic); ok {
-		d.Estimate, d.EstimateAge, d.Informed = l.EstimateFor(now, a.Worker)
-	}
-	s.pr.Audit(d)
 }
 
 // handleQueueEvent runs on the queue-manager ARM core.
@@ -699,7 +623,7 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 	}
 	for _, a := range as {
 		s.pr.Dispatch(now, a.Req.ID, a.Worker)
-		s.auditDispatch(now, a)
+		auditDispatch(s.pr, s.Host, s.est, now, a)
 		if s.flights != nil {
 			s.trackDispatch(a)
 		}
@@ -754,7 +678,7 @@ func (s *Offload) handleTimeout(as []Assignment, now sim.Time, ev qEvent) []Assi
 	// Retry: the original dispatch may still be alive (merely slow), and
 	// the worker will keep mutating that request object — so the retry is
 	// a fresh clone with the full service time and the original arrival
-	// (client-observed latency spans all attempts). respond() dedupes
+	// (client-observed latency spans all attempts). respondOnce dedupes
 	// whichever copy answers first.
 	fl.attempt++
 	s.retries++
@@ -771,124 +695,90 @@ func (s *Offload) handleTimeout(as []Assignment, now sim.Time, ev qEvent) []Assi
 	return s.lgc.EnqueueTo(as, now, clone)
 }
 
-// maybeStart begins the next stashed request if the core is free. The
-// pickup cost models pulling the packet out of the VF's RX ring and
-// spawning or resuming a context (§3.4.3).
+// pop is the core's inbox Pop: pull the next frame out of the VF ring. A
+// request hash-steered while the NIC was down runs to completion, like the
+// RSS baseline that mode degrades to.
 //
 //mindgap:noalloc
-func (w *offWorker) maybeStart() {
-	if w.exec.Busy() || w.post || w.pickupPending || w.vf.Pending() == 0 {
-		return
-	}
-	w.pickupPending = true
-	w.afterE(w.sys.cfg.P.PickupCost(w.sys.cfg.DDIOToL1), workerPickup, nil, 0)
-}
-
-// workerPickup fires once the pickup cost has elapsed: pull the frame out
-// of the VF ring and start (or resume) the request it carries.
-//
-//mindgap:noalloc
-func workerPickup(recv, _ any, _ uint64) {
-	w := recv.(*offWorker)
-	w.pickupPending = false
+func (w *offWorker) pop() (req *task.Request, rtc, ok bool) {
 	frame, ok := w.vf.Poll()
 	if !ok {
-		return
+		return nil, false, false
 	}
-	req, deg := frameReq(frame)
-	w.sys.pr.Start(w.sys.eng.Now(), req.ID, w.id)
-	if deg {
-		// Hash-steered while the NIC was down: run to completion, like
-		// the RSS baseline this mode degrades to.
-		w.curDegraded = true
-		w.exec.StartRTC(req)
-	} else {
-		w.exec.Start(req)
-	}
-	if w.sys.cfg.LoadFeedback {
-		w.reportLoad()
-	}
-	if w.sys.cfg.DirectInterrupts && w.sys.cfg.Slice > 0 && req.Remaining > w.sys.cfg.Slice {
-		w.armRemoteSlice(req)
-	}
+	req, w.curDegraded = frameReq(frame)
+	return req, w.curDegraded, true
 }
 
-// armRemoteSlice models the §5.1(3) ablation: the NIC tracks the slice and
-// posts an interrupt over the low-latency path when it expires.
+// stashed is the core's inbox Backlog: remaining work waiting in the VF
+// ring.
 //
 //mindgap:noalloc
-func (w *offWorker) armRemoteSlice(req *task.Request) {
-	slice := w.sys.cfg.Slice
-	delivery := w.sys.cfg.P.CXLOneWay
-	// The generation guards against pooled-request reuse: by the time the
-	// interrupt lands, req may have completed, been recycled, and started
-	// over on this same worker as a different request.
-	w.sys.eng.AfterE(slice+delivery, remoteSliceFire, w, req, uint64(req.Gen))
+func (w *offWorker) stashed() int64 {
+	var load int64
+	//lint:allow hotalloc non-escaping iterator closure: the compiler stack-allocates it, which the escape budget verifies
+	w.vf.Each(func(f nicmodel.Frame) {
+		req, _ := frameReq(f)
+		load += int64(req.Remaining)
+	})
+	return load
+}
+
+// started runs once a request is executing on kw.
+//
+//mindgap:noalloc
+func (s *Offload) started(kw *cores.Worker, req *task.Request) {
+	if s.cfg.LoadFeedback {
+		s.reportLoad(kw, req)
+	}
+	if s.cfg.DirectInterrupts && s.cfg.Slice > 0 && req.Remaining > s.cfg.Slice {
+		// The §5.1(3) ablation: the NIC tracks the slice and posts an
+		// interrupt over the low-latency path when it expires. The
+		// generation guards against pooled-request reuse: by the time the
+		// interrupt lands, req may have completed, been recycled, and
+		// started over on this same worker as a different request.
+		s.eng.AfterE(s.cfg.Slice+s.cfg.P.CXLOneWay, remoteSliceFire, kw, req, uint64(req.Gen))
+	}
 }
 
 // remoteSliceFire posts the NIC-tracked preemption interrupt (§5.1(3)).
 //
 //mindgap:noalloc
 func remoteSliceFire(recv, obj any, gen uint64) {
-	w := recv.(*offWorker)
+	w := recv.(*cores.Worker)
 	req := obj.(*task.Request)
-	if w.exec.Current() == req && uint64(req.Gen) == gen {
-		w.exec.Interrupt()
+	if w.Exec.Current() == req && uint64(req.Gen) == gen {
+		w.Exec.Interrupt()
 	}
 }
 
-// onComplete handles a finished request: build and send the client response
-// and the FINISH notification, then pick up the next stashed request.
+// finished runs once kw has sent a response: build the FINISH notification
+// that returns the request's credit, then pick up the next stashed request.
 //
 //mindgap:noalloc
-func (w *offWorker) onComplete(req *task.Request) {
-	p := w.sys.cfg.P
-	sys := w.sys
-	sys.pr.Complete(sys.eng.Now(), req.ID, w.id)
-	deg := w.curDegraded
-	w.curDegraded = false
-	w.post = true
-	var degArg uint64
-	if deg {
-		degArg = 1
-	}
-	w.afterE(p.WorkerResponseCost, workerResponseBuilt, req, degArg)
-	if sys.cfg.LoadFeedback {
-		w.reportLoad()
-	}
-}
-
-// workerResponseBuilt fires once the worker has built the response packet:
-// transmit it, then (unless the request was degraded-steered) build the
-// FINISH notification.
-//
-//mindgap:noalloc
-func workerResponseBuilt(recv, obj any, deg uint64) {
-	w := recv.(*offWorker)
-	sys := w.sys
-	req := obj.(*task.Request)
-	p := sys.cfg.P
-	sys.egress.SendT(p.ResponseFrameBytes, egressRespond, sys, req, 0)
-	if deg != 0 {
+func (s *Offload) finished(kw *cores.Worker, req *task.Request) {
+	w := s.workers[kw.ID]
+	if w.curDegraded {
 		// Degraded requests consumed no credit and the dispatcher never
 		// saw them: no FINISH notification to build.
-		w.post = false
-		w.maybeStart()
+		w.curDegraded = false
+		w.Release()
 		return
 	}
 	// The ID rides as the event argument: the response is now in flight, so
 	// by the time the notification is built req may already be recycled.
-	w.afterE(p.WorkerNotifyCost, workerNotifyFinish, req, req.ID)
+	w.After(s.cfg.P.WorkerNotifyCost, workerNotifyFinish, w, req, req.ID)
 }
 
-// egressRespond fires when the response frame reaches the client.
+// preempted runs on a slice expiry: notify the dispatcher (only the
+// descriptor travels, §3.4.3) and start the next stashed request.
 //
 //mindgap:noalloc
-func egressRespond(recv, obj any, _ uint64) {
-	s := recv.(*Offload)
-	req := obj.(*task.Request)
-	s.pr.Respond(s.eng.Now(), req.ID)
-	s.respond(req)
+func (s *Offload) preempted(kw *cores.Worker, req *task.Request) {
+	w := s.workers[kw.ID]
+	w.After(s.cfg.P.WorkerNotifyCost, workerNotifyPreempt, w, req, req.ID)
+	if s.cfg.LoadFeedback {
+		s.reportLoad(kw, req)
+	}
 }
 
 // workerNotifyFinish fires once the FINISH notification is built. id is the
@@ -897,25 +787,8 @@ func egressRespond(recv, obj any, _ uint64) {
 //mindgap:noalloc
 func workerNotifyFinish(recv, obj any, id uint64) {
 	w := recv.(*offWorker)
-	w.notifyDispatcher(qEvent{kind: evFinish, worker: w.id, req: obj.(*task.Request), id: id})
-	w.post = false
-	w.maybeStart()
-}
-
-// onPreempt handles a slice expiry: notify the dispatcher (the request body
-// and context stay in host DRAM; only the descriptor travels, §3.4.3) and
-// start the next stashed request.
-//
-//mindgap:noalloc
-func (w *offWorker) onPreempt(req *task.Request) {
-	p := w.sys.cfg.P
-	sys := w.sys
-	sys.pr.Preempt(sys.eng.Now(), req.ID, w.id)
-	w.post = true
-	w.afterE(p.WorkerNotifyCost, workerNotifyPreempt, req, req.ID)
-	if sys.cfg.LoadFeedback {
-		w.reportLoad()
-	}
+	w.notifyDispatcher(qEvent{kind: evFinish, worker: w.ID, req: obj.(*task.Request), id: id})
+	w.Release()
 }
 
 // workerNotifyPreempt fires once the PREEMPTED notification is built.
@@ -923,9 +796,8 @@ func (w *offWorker) onPreempt(req *task.Request) {
 //mindgap:noalloc
 func workerNotifyPreempt(recv, obj any, id uint64) {
 	w := recv.(*offWorker)
-	w.notifyDispatcher(qEvent{kind: evPreempted, worker: w.id, req: obj.(*task.Request), id: id})
-	w.post = false
-	w.maybeStart()
+	w.notifyDispatcher(qEvent{kind: evPreempted, worker: w.ID, req: obj.(*task.Request), id: id})
+	w.Release()
 }
 
 // notifyDispatcher sends a worker→dispatcher control frame through the NIC
@@ -947,48 +819,12 @@ func (w *offWorker) notifyDispatcher(ev qEvent) {
 	}
 }
 
-// trueLoad returns the worker's resident backlog in ns at this instant:
-// remaining work executing plus remaining work stashed in the VF ring.
-// This is both what reportLoad tells the NIC and the ground truth the
-// decision audit compares estimates against.
+// reportLoad sends kw's instantaneous load (remaining work in ns, executing
+// plus stashed) to the NIC — the fine-grained feedback of §3.1.
 //
 //mindgap:noalloc
-func (w *offWorker) trueLoad() int64 {
-	var load int64
-	if cur := w.exec.Current(); cur != nil {
-		load += int64(cur.Remaining)
-	}
-	//lint:allow hotalloc non-escaping iterator closure: the compiler stack-allocates it, which the escape budget verifies
-	w.vf.Each(func(f nicmodel.Frame) {
-		req, _ := frameReq(f)
-		load += int64(req.Remaining)
-	})
-	return load
-}
-
-// reportLoad sends the worker's instantaneous load (remaining work in ns,
-// executing plus stashed) to the NIC — the fine-grained feedback of §3.1.
-//
-//mindgap:noalloc
-func (w *offWorker) reportLoad() {
-	w.notifyDispatcher(qEvent{kind: evLoad, worker: w.id, load: w.trueLoad()})
-}
-
-// WorkerIdleFraction returns the mean idle fraction across worker cores.
-func (s *Offload) WorkerIdleFraction(now sim.Time) float64 {
-	var sum float64
-	for _, w := range s.workers {
-		sum += w.exec.Track.IdleFraction(now)
-	}
-	return sum / float64(len(s.workers))
-}
-
-// ArmWorkerTrackers starts worker busy-time accounting at now (measurement
-// window start).
-func (s *Offload) ArmWorkerTrackers(now sim.Time) {
-	for _, w := range s.workers {
-		w.exec.Track.Arm(now)
-	}
+func (s *Offload) reportLoad(kw *cores.Worker, _ *task.Request) {
+	s.workers[kw.ID].notifyDispatcher(qEvent{kind: evLoad, worker: kw.ID, load: kw.Backlog()})
 }
 
 // QueueLen exposes the central queue depth (tests and debugging).
@@ -1010,24 +846,6 @@ func (s *Offload) ArmDispatcherTracker(now sim.Time) {
 	s.networker.BusyTracker().Arm(now)
 	s.txCore.BusyTracker().Arm(now)
 	s.rxCore.BusyTracker().Arm(now)
-}
-
-// Completions returns total completed requests across workers.
-func (s *Offload) Completions() uint64 {
-	var n uint64
-	for _, w := range s.workers {
-		n += w.exec.Completions()
-	}
-	return n
-}
-
-// Preemptions returns total preemptions taken across workers.
-func (s *Offload) Preemptions() uint64 {
-	var n uint64
-	for _, w := range s.workers {
-		n += w.exec.Preemptions()
-	}
-	return n
 }
 
 // FaultSchedule exposes the compiled fault schedule (nil on the healthy
@@ -1053,13 +871,3 @@ func (s *Offload) StaleNotifications() uint64 { return s.staleNotifs }
 // DuplicateResponses returns how many completed copies of a request lost
 // the response race to an earlier copy.
 func (s *Offload) DuplicateResponses() uint64 { return s.dupResponses }
-
-// Migrations returns how many preempted requests resumed on a different
-// core than they last ran on (each paid the cache-migration penalty).
-func (s *Offload) Migrations() uint64 {
-	var n uint64
-	for _, w := range s.workers {
-		n += w.exec.Migrations()
-	}
-	return n
-}

@@ -10,6 +10,7 @@ import (
 	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
+	"mindgap/internal/systems/systest"
 	"mindgap/internal/task"
 	"mindgap/internal/trace"
 )
@@ -19,26 +20,9 @@ import (
 // experiment harness handles warmup for real runs).
 func runOffload(t *testing.T, cfg OffloadConfig, rps float64, svc dist.Distribution, measure int) (*stats.Recorder, *Offload, *sim.Engine) {
 	t.Helper()
-	eng := sim.New()
-	rec := &stats.Recorder{}
-	rec.Arm(0)
-	completions := 0
-	var sys *Offload
-	sys = NewOffload(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) {
-		rec.RecordLatency(r.Latency(eng.Now()))
-		completions++
-		if completions >= measure {
-			eng.Halt()
-		}
-	})
-	sys.ArmWorkerTrackers(0)
-	gen := loadgen.New(eng, loadgen.Config{RPS: rps, Service: svc, Seed: 42}, sys.Inject)
-	gen.Start()
-	eng.Run()
-	if completions < measure {
-		t.Fatalf("only %d/%d completions before engine drained", completions, measure)
-	}
-	return rec, sys, eng
+	return systest.Run(t, func(eng *sim.Engine, pr *probe.Probe, done func(*task.Request)) *Offload {
+		return NewOffload(eng, cfg, pr, done)
+	}, loadgen.Config{RPS: rps, Service: svc, Seed: 42}, measure)
 }
 
 func defaultCfg(workers, k int, slice time.Duration) OffloadConfig {

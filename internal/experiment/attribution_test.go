@@ -53,34 +53,47 @@ var probeSystemPoints = map[string]struct {
 	"erss": {"baselines", 6}, "idealnic": {"figure6-cxl", 0}, "flowrule": {"figure-flowrule", 1},
 }
 
-func probeCases(t *testing.T) []probeCase {
+// presetCase is the contract point for one series of a checked-in preset,
+// at rps or (0) the series' first load point.
+func presetCase(t *testing.T, id string, series int, rps float64) probeCase {
 	t.Helper()
-	preset := func(id string, series int, rps float64) probeCase {
-		sp := scenarios.MustLoad(id).SpecFor(series)
-		sp.Quality = nil
-		if rps == 0 {
-			loads, err := SpecLoads(sp)
-			if err != nil || len(loads) == 0 {
-				t.Fatalf("%s series %d: no load points (err %v)", id, series, err)
-			}
-			rps = loads[0]
+	sp := scenarios.MustLoad(id).SpecFor(series)
+	sp.Quality = nil
+	if rps == 0 {
+		loads, err := SpecLoads(sp)
+		if err != nil || len(loads) == 0 {
+			t.Fatalf("%s series %d: no load points (err %v)", id, series, err)
 		}
-		return probeCase{name: id + "/" + sp.Name, spec: sp, rps: rps}
+		rps = loads[0]
 	}
+	return probeCase{name: id + "/" + sp.Name, spec: sp, rps: rps}
+}
+
+// systemCases returns one healthy 400 kRPS point per registered system.
+func systemCases(t *testing.T) []probeCase {
+	t.Helper()
 	var cases []probeCase
-	for i := range scenarios.MustLoad("table-attribution").Series {
-		cases = append(cases, preset("table-attribution", i, 0))
-	}
 	for _, b := range scenario.Systems() {
 		pt, ok := probeSystemPoints[b.Name]
 		if !ok {
 			t.Errorf("no contract point for system %q — extend probeSystemPoints", b.Name)
 			continue
 		}
-		c := preset(pt.preset, pt.series, 400_000)
+		c := presetCase(t, pt.preset, pt.series, 400_000)
 		c.name = "system/" + b.Name
 		cases = append(cases, c)
 	}
+	return cases
+}
+
+func probeCases(t *testing.T) []probeCase {
+	t.Helper()
+	preset := func(id string, series int, rps float64) probeCase { return presetCase(t, id, series, rps) }
+	var cases []probeCase
+	for i := range scenarios.MustLoad("table-attribution").Series {
+		cases = append(cases, preset("table-attribution", i, 0))
+	}
+	cases = append(cases, systemCases(t)...)
 
 	shed := preset("baselines", 0, 1_500_000)
 	shed.name, shed.drops = "drops/offload-admission-limit", []trace.DropReason{trace.DropShed}
@@ -185,6 +198,20 @@ func TestAttributionObservationInvariance(t *testing.T) {
 				if lat, ok := lats[tl.ReqID]; !ok || sum != lat || tl.Total != lat {
 					t.Fatalf("req %d: phases sum to %v, collector total %v, client latency %v (observed: %v)",
 						tl.ReqID, sum, tl.Total, lat, ok)
+				}
+			}
+
+			// Every model but flowrule grades its steering decisions against
+			// the workers' true backlogs, and hash steering does so holding
+			// no estimate.
+			audit := col.AuditSummary()
+			if c.spec.System != "flowrule" && audit.Decisions == 0 {
+				t.Errorf("%s audited no dispatch decisions", c.spec.System)
+			}
+			switch c.spec.System {
+			case "rss", "zygos", "flowdir", "erss":
+				if audit.Informed != 0 {
+					t.Errorf("%s recorded %d informed decisions, want 0 (hash steering holds no estimate)", c.spec.System, audit.Informed)
 				}
 			}
 

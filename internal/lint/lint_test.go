@@ -66,6 +66,7 @@ func moduleRoot(t *testing.T) string {
 // explicit, reviewed diff, not a drive-by comment.
 var auditedSuppressions = map[string]int{
 	"internal/core/offload.go hotalloc":   2,
+	"internal/cores/host.go hotalloc":     1,
 	"internal/dist/dist.go floateq":       3,
 	"internal/faults/faults.go floateq":   3,
 	"internal/hypothesis/spec.go floateq": 3,
@@ -74,7 +75,6 @@ var auditedSuppressions = map[string]int{
 	"internal/hypothesis/verdict.go floateq": 2,
 	"internal/live/dispatcher.go maporder":   2,
 	"internal/scenario/spec.go floateq":      3,
-	"internal/systems/rtc/rtc.go hotalloc":   1,
 }
 
 // TestTreeSuppressionsAudited parses every non-testdata Go file in the

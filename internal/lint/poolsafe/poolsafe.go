@@ -11,7 +11,7 @@
 // until the run stalled, and was only caught dynamically under fault
 // presets.
 //
-// The analyzer enforces three rules in simulation packages:
+// The analyzer enforces these rules in simulation packages:
 //
 //  1. Immediate release: after a request is passed to task.Pool.Put or
 //     delivered through a func(*task.Request)-typed value (the done /
@@ -27,6 +27,13 @@
 //     arg at build time instead. This is the exact PR-7 credit-leak
 //     shape: the response path recycled the request before the FINISH
 //     notification was processed.
+//
+//     The release may also sit behind the host-worker kit
+//     (internal/cores.Host), which sends the response and only then
+//     calls the model's hook: a function shaped like a kit hook —
+//     it takes a *cores.Worker and a *task.Request — is treated as if
+//     it had itself scheduled the releasing respond event, so every
+//     callback it schedules with that request is held to the same rule.
 //
 //  3. Snapshot shadowing: a struct that carries both a *task.Request
 //     and a build-time snapshot of one of its identity fields (qEvent's
@@ -60,7 +67,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-const taskPkg = "mindgap/internal/task"
+const (
+	taskPkg  = "mindgap/internal/task"
+	coresPkg = "mindgap/internal/cores"
+)
 
 // identity are the task.Request fields that name the logical request.
 // They are only meaningful while the request is live: Pool.Get rewrites
@@ -73,8 +83,8 @@ var identity = map[string]bool{
 	"Service":  true,
 }
 
-// isReqPtr reports whether t is *task.Request.
-func isReqPtr(t types.Type) bool {
+// isPtrTo reports whether t is a pointer to the named type pkg.name.
+func isPtrTo(t types.Type, pkg, name string) bool {
 	p, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -84,7 +94,25 @@ func isReqPtr(t types.Type) bool {
 		return false
 	}
 	obj := n.Obj()
-	return obj.Name() == "Request" && obj.Pkg() != nil && obj.Pkg().Path() == taskPkg
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkg
+}
+
+// isReqPtr reports whether t is *task.Request.
+func isReqPtr(t types.Type) bool { return isPtrTo(t, taskPkg, "Request") }
+
+// isKitHook reports whether fn has the shape of a host-worker kit hook:
+// it receives the *cores.Worker a request ran on. The kit calls its
+// Finished hook after putting the response on the wire, so the request
+// such a function receives may be recycled before anything it schedules
+// fires.
+func isKitHook(fn *types.Func) bool {
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if isPtrTo(params.At(i).Type(), coresPkg, "Worker") {
+			return true
+		}
+	}
+	return false
 }
 
 // isEventShaped reports whether fn has the sim.EventFunc signature
@@ -221,9 +249,8 @@ func run(pass *analysis.Pass) (any, error) {
 	// Rule 2: pair releasing and non-releasing captures of one request
 	// in one function; the non-releasing callback races the release.
 	type witness struct {
-		site     string // function that scheduled both events
-		releaser string // the releasing callback
-		pos      token.Pos
+		race string // what releases the request, and where both were scheduled
+		pos  token.Pos
 	}
 	hazardous := map[*types.Func]witness{}
 	for _, fn := range order {
@@ -232,14 +259,17 @@ func run(pass *analysis.Pass) (any, error) {
 			byObj[cap.obj] = append(byObj[cap.obj], cap)
 		}
 		for _, caps := range byObj {
-			var rel *capture
+			race := ""
 			for i := range caps {
 				if c.releasing[caps[i].cb] {
-					rel = &caps[i]
+					race = caps[i].cb.Name() + " releases the request back to the pool (both are scheduled in " + fn.Name() + ")"
 					break
 				}
 			}
-			if rel == nil {
+			if race == "" && isKitHook(fn) {
+				race = "the host-worker kit's respond event releases the request back to the pool (" + fn.Name() + " is a kit hook: the response is already on the wire when it runs)"
+			}
+			if race == "" {
 				continue
 			}
 			for _, cap := range caps {
@@ -248,7 +278,7 @@ func run(pass *analysis.Pass) (any, error) {
 				}
 				w, ok := hazardous[cap.cb]
 				if !ok || cap.call.Pos() < w.pos {
-					hazardous[cap.cb] = witness{site: fn.Name(), releaser: rel.cb.Name(), pos: cap.call.Pos()}
+					hazardous[cap.cb] = witness{race: race, pos: cap.call.Pos()}
 				}
 			}
 		}
@@ -268,8 +298,8 @@ func run(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			allow.Reportf(c.pass, sel.Pos(),
-				"read of recyclable field %s in event callback %s, which can fire after %s releases the request back to the pool (both are scheduled in %s); snapshot the field into the event arg at build time or guard the read with a Gen compare",
-				sel.Sel.Name, cb.Name(), w.releaser, w.site)
+				"read of recyclable field %s in event callback %s, which can fire after %s; snapshot the field into the event arg at build time or guard the read with a Gen compare",
+				sel.Sel.Name, cb.Name(), w.race)
 			return true
 		})
 	}

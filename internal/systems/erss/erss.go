@@ -14,11 +14,10 @@ package erss
 import (
 	"time"
 
+	"mindgap/internal/attr"
 	"mindgap/internal/cores"
-	"mindgap/internal/fabric"
 	"mindgap/internal/params"
 	"mindgap/internal/probe"
-	"mindgap/internal/queue"
 	"mindgap/internal/sim"
 	"mindgap/internal/task"
 )
@@ -40,16 +39,15 @@ type Config struct {
 	UpThreshold, DownThreshold float64
 }
 
-// ERSS is the simulated Elastic RSS system.
+// ERSS is the simulated Elastic RSS system: the shared host-worker kit
+// with RSS steering over an elastic prefix of the cores. WorkerIdleFraction
+// averages over all cores, deprovisioned ones included — eRSS's efficiency
+// win is that idle cores can do other work, which the statistic surfaces.
 type ERSS struct {
-	eng  *sim.Engine
-	cfg  Config
-	done func(*task.Request)
-	pr   *probe.Probe
-
-	ingress *fabric.Link
-	egress  *fabric.Link
-	workers []*worker
+	*cores.Host
+	eng *sim.Engine
+	cfg Config
+	pr  *probe.Probe
 
 	// provisioned is the current RSS indirection set size: arrivals hash
 	// into workers [0, provisioned).
@@ -57,24 +55,9 @@ type ERSS struct {
 	resizes     uint64
 }
 
-type worker struct {
-	sys      *ERSS
-	id       int
-	q        queue.FIFO[*task.Request]
-	exec     *cores.Exec
-	starting bool
-	post     bool
-}
-
 // New builds the system. done runs when the client receives each response;
 // pr (optional) carries the run's observers.
 func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request)) *ERSS {
-	if cfg.Workers <= 0 {
-		panic("erss: need workers")
-	}
-	if done == nil {
-		panic("erss: need a completion callback")
-	}
 	if cfg.MinWorkers <= 0 {
 		cfg.MinWorkers = 1
 	}
@@ -91,25 +74,12 @@ func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request))
 		cfg.DownThreshold = 0.5
 	}
 	p := cfg.P
-	s := &ERSS{
-		eng: eng, cfg: cfg, done: done, pr: pr,
-		provisioned: cfg.MinWorkers,
-	}
-	s.ingress = fabric.NewLink(eng, "client→nic", fabric.LinkConfig{
-		Latency: p.ClientWireOneWay, BandwidthBps: p.WireBandwidth,
-	})
-	s.egress = fabric.NewLink(eng, "nic→client", fabric.LinkConfig{
-		Latency: p.ClientWireOneWay, BandwidthBps: p.WireBandwidth,
-	})
-	execCfg := cores.ExecConfig{
-		Clock: p.HostClock, Timer: p.HostTimer,
-		Slice: 0, SelfArm: false, // no preemption: eRSS's fixed policy
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{sys: s, id: i}
-		w.exec = cores.NewExec(eng, i, execCfg, w.onComplete, nil)
-		s.workers = append(s.workers, w)
-	}
+	s := &ERSS{eng: eng, cfg: cfg, pr: pr, provisioned: cfg.MinWorkers}
+	// No Slice: no preemption is eRSS's fixed policy. Each core parses its
+	// own packets, as in rtc.
+	s.Host = cores.NewHost(eng, cores.HostConfig{
+		P: p, Workers: cfg.Workers, Pickup: p.HostNetworkerCost + p.PickupCost(false),
+	}, pr, s.steer, done)
 	// The reprovisioning loop runs on the NIC from host load feedback.
 	eng.AfterE(cfg.Interval, erssReprovision, s, nil, 0)
 	return s
@@ -118,28 +88,23 @@ func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request))
 // Name implements the experiment System interface.
 func (s *ERSS) Name() string { return "erss" }
 
-// Inject admits a client request at the current instant.
-func (s *ERSS) Inject(req *task.Request) {
-	s.pr.Arrive(s.eng.Now(), req.ID, req.Service)
-	s.ingress.SendT(s.cfg.P.RequestFrameBytes, erssIngress, s, req, 0)
-}
-
-// erssIngress fires when a request frame reaches the NIC: RSS hash over
-// the provisioned set only.
+// steer runs when a request frame reaches the NIC: RSS hash over the
+// provisioned set only.
 //
 //mindgap:noalloc
-func erssIngress(recv, obj any, _ uint64) {
-	s := recv.(*ERSS)
-	req := obj.(*task.Request)
-	w := s.workers[int(splitmix64(req.ID)%uint64(s.provisioned))]
-	// As in rtc, steering collapses ingress, dispatch and DMA into one instant.
+func (s *ERSS) steer(req *task.Request) {
+	w := s.Workers[int(cores.RSSHash(req.ID)%uint64(s.provisioned))]
+	// As in rtc, steering collapses ingress, dispatch and DMA into one
+	// instant, and the hash holds no belief about core backlogs: load
+	// feedback resizes the set, it does not pick the core.
 	now := s.eng.Now()
 	s.pr.Ingress(now, req.ID)
 	s.pr.Enqueue(now, req.ID)
-	s.pr.Dispatch(now, req.ID, w.id)
-	s.pr.HostArrive(now, req.ID)
-	w.q.Push(req)
-	w.maybeStart()
+	s.pr.Dispatch(now, req.ID, w.ID)
+	if truth := s.AuditTruth(); truth != nil {
+		s.pr.Audit(attr.Decision{At: now, ReqID: req.ID, Chosen: w.ID, Truth: truth})
+	}
+	w.Deliver(req)
 }
 
 // erssReprovision is the periodic reprovisioning tick.
@@ -156,8 +121,8 @@ func erssReprovision(recv, _ any, _ uint64) {
 func (s *ERSS) reprovision() {
 	backlog := 0
 	for i := 0; i < s.provisioned; i++ {
-		backlog += s.workers[i].q.Len()
-		if s.workers[i].exec.Busy() {
+		backlog += s.Workers[i].Queued()
+		if s.Workers[i].Exec.Busy() {
 			backlog++
 		}
 	}
@@ -175,95 +140,8 @@ func (s *ERSS) reprovision() {
 	s.eng.AfterE(s.cfg.Interval, erssReprovision, s, nil, 0)
 }
 
-//mindgap:noalloc
-func (w *worker) maybeStart() {
-	if w.exec.Busy() || w.starting || w.post || w.q.Len() == 0 {
-		return
-	}
-	w.starting = true
-	cost := w.sys.cfg.P.HostNetworkerCost + w.sys.cfg.P.PickupCost(false)
-	w.sys.eng.AfterE(cost, erssPickup, w, nil, 0)
-}
-
-// erssPickup fires once parse+pickup has elapsed.
-//
-//mindgap:noalloc
-func erssPickup(recv, _ any, _ uint64) {
-	w := recv.(*worker)
-	w.starting = false
-	if req, ok := w.q.Pop(); ok {
-		w.sys.pr.Start(w.sys.eng.Now(), req.ID, w.id)
-		w.exec.Start(req)
-	}
-}
-
-//mindgap:noalloc
-func (w *worker) onComplete(req *task.Request) {
-	w.sys.pr.Complete(w.sys.eng.Now(), req.ID, w.id)
-	w.post = true
-	w.sys.eng.AfterE(w.sys.cfg.P.WorkerResponseCost, erssResponseBuilt, w, req, 0)
-}
-
-// erssResponseBuilt fires once the worker has built the response packet.
-//
-//mindgap:noalloc
-func erssResponseBuilt(recv, obj any, _ uint64) {
-	w := recv.(*worker)
-	sys := w.sys
-	sys.egress.SendT(sys.cfg.P.ResponseFrameBytes, erssRespond, sys, obj, 0)
-	w.post = false
-	w.maybeStart()
-}
-
-// erssRespond fires when the response frame reaches the client.
-//
-//mindgap:noalloc
-func erssRespond(recv, obj any, _ uint64) {
-	s := recv.(*ERSS)
-	req := obj.(*task.Request)
-	s.pr.Respond(s.eng.Now(), req.ID)
-	s.done(req)
-}
-
 // Provisioned returns the current RSS set size.
 func (s *ERSS) Provisioned() int { return s.provisioned }
 
 // Resizes returns how many reprovisioning steps have fired.
 func (s *ERSS) Resizes() uint64 { return s.resizes }
-
-// WorkerIdleFraction returns the mean idle fraction across all cores
-// (including deprovisioned ones — eRSS's efficiency win is that idle cores
-// can do other work, which this statistic surfaces).
-func (s *ERSS) WorkerIdleFraction(now sim.Time) float64 {
-	var sum float64
-	for _, w := range s.workers {
-		sum += w.exec.Track.IdleFraction(now)
-	}
-	return sum / float64(len(s.workers))
-}
-
-// ArmWorkerTrackers starts busy-time accounting at now.
-func (s *ERSS) ArmWorkerTrackers(now sim.Time) {
-	for _, w := range s.workers {
-		w.exec.Track.Arm(now)
-	}
-}
-
-// Completions returns total completed requests.
-func (s *ERSS) Completions() uint64 {
-	var n uint64
-	for _, w := range s.workers {
-		n += w.exec.Completions()
-	}
-	return n
-}
-
-// splitmix64 is the SplitMix64 finalizer (the stand-in RSS hash).
-//
-//mindgap:noalloc
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

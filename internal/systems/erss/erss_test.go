@@ -10,30 +10,15 @@ import (
 	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
+	"mindgap/internal/systems/systest"
 	"mindgap/internal/task"
 )
 
 func run(t *testing.T, cfg Config, rps float64, svc dist.Distribution, measure int) (*stats.Recorder, *ERSS, *sim.Engine) {
 	t.Helper()
-	eng := sim.New()
-	rec := &stats.Recorder{}
-	rec.Arm(0)
-	completions := 0
-	var sys *ERSS
-	sys = New(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) {
-		rec.RecordLatency(r.Latency(eng.Now()))
-		completions++
-		if completions >= measure {
-			eng.Halt()
-		}
-	})
-	sys.ArmWorkerTrackers(0)
-	loadgen.New(eng, loadgen.Config{RPS: rps, Service: svc, Seed: 17}, sys.Inject).Start()
-	eng.Run()
-	if completions < measure {
-		t.Fatalf("only %d/%d completions", completions, measure)
-	}
-	return rec, sys, eng
+	return systest.Run(t, func(eng *sim.Engine, pr *probe.Probe, done func(*task.Request)) *ERSS {
+		return New(eng, cfg, pr, done)
+	}, loadgen.Config{RPS: rps, Service: svc, Seed: 17}, measure)
 }
 
 func cfg(workers int) Config {

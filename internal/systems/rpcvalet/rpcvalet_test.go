@@ -10,30 +10,15 @@ import (
 	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
+	"mindgap/internal/systems/systest"
 	"mindgap/internal/task"
 )
 
 func run(t *testing.T, workers int, rps float64, svc dist.Distribution, measure int) (*stats.Recorder, *Valet, *sim.Engine) {
 	t.Helper()
-	eng := sim.New()
-	rec := &stats.Recorder{}
-	rec.Arm(0)
-	completions := 0
-	var sys *Valet
-	sys = New(eng, Config{P: params.Default(), Workers: workers}, &probe.Probe{Rec: rec}, func(r *task.Request) {
-		rec.RecordLatency(r.Latency(eng.Now()))
-		completions++
-		if completions >= measure {
-			eng.Halt()
-		}
-	})
-	sys.ArmWorkerTrackers(0)
-	loadgen.New(eng, loadgen.Config{RPS: rps, Service: svc, Seed: 3}, sys.Inject).Start()
-	eng.Run()
-	if completions < measure {
-		t.Fatalf("only %d/%d completions", completions, measure)
-	}
-	return rec, sys, eng
+	return systest.Run(t, func(eng *sim.Engine, pr *probe.Probe, done func(*task.Request)) *Valet {
+		return New(eng, Config{P: params.Default(), Workers: workers}, pr, done)
+	}, loadgen.Config{RPS: rps, Service: svc, Seed: 3}, measure)
 }
 
 func TestLowLatencyFloor(t *testing.T) {
@@ -59,8 +44,8 @@ func TestCentralQueueEliminatesImbalance(t *testing.T) {
 	// Single queue: at moderate load every worker shares evenly.
 	_, sys, _ := run(t, 4, 800_000, dist.Fixed{D: time.Microsecond}, 8000)
 	min, max := uint64(1<<62), uint64(0)
-	for _, w := range sys.workers {
-		c := w.exec.Completions()
+	for _, w := range sys.Workers {
+		c := w.Exec.Completions()
 		if c < min {
 			min = c
 		}

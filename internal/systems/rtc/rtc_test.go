@@ -10,30 +10,15 @@ import (
 	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
+	"mindgap/internal/systems/systest"
 	"mindgap/internal/task"
 )
 
 func run(t *testing.T, cfg Config, rps float64, svc dist.Distribution, keys *dist.ZipfKeys, measure int) (*stats.Recorder, *Pool, *sim.Engine) {
 	t.Helper()
-	eng := sim.New()
-	rec := &stats.Recorder{}
-	rec.Arm(0)
-	completions := 0
-	var sys *Pool
-	sys = New(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) {
-		rec.RecordLatency(r.Latency(eng.Now()))
-		completions++
-		if completions >= measure {
-			eng.Halt()
-		}
-	})
-	sys.ArmWorkerTrackers(0)
-	loadgen.New(eng, loadgen.Config{RPS: rps, Service: svc, Keys: keys, Seed: 11}, sys.Inject).Start()
-	eng.Run()
-	if completions < measure {
-		t.Fatalf("only %d/%d completions", completions, measure)
-	}
-	return rec, sys, eng
+	return systest.Run(t, func(eng *sim.Engine, pr *probe.Probe, done func(*task.Request)) *Pool {
+		return New(eng, cfg, pr, done)
+	}, loadgen.Config{RPS: rps, Service: svc, Keys: keys, Seed: 11}, measure)
 }
 
 func TestNames(t *testing.T) {
@@ -66,9 +51,9 @@ func TestRSSSpreadsLoad(t *testing.T) {
 	_, sys, eng := run(t, Config{P: params.Default(), Workers: 4}, 800_000,
 		dist.Fixed{D: time.Microsecond}, nil, 8000)
 	// All four cores must have done meaningful work.
-	for i, w := range sys.workers {
-		if w.exec.Completions() < 1000 {
-			t.Fatalf("worker %d only completed %d (RSS imbalance too extreme)", i, w.exec.Completions())
+	for i, w := range sys.Workers {
+		if w.Exec.Completions() < 1000 {
+			t.Fatalf("worker %d only completed %d (RSS imbalance too extreme)", i, w.Exec.Completions())
 		}
 	}
 	_ = eng
@@ -85,11 +70,11 @@ func TestKeySteeringIsSticky(t *testing.T) {
 	}
 	eng.Run()
 	busy := 0
-	for _, w := range sys.workers {
-		if w.exec.Completions() > 0 {
+	for _, w := range sys.Workers {
+		if w.Exec.Completions() > 0 {
 			busy++
-			if w.exec.Completions() != 50 {
-				t.Fatalf("sticky worker completed %d, want 50", w.exec.Completions())
+			if w.Exec.Completions() != 50 {
+				t.Fatalf("sticky worker completed %d, want 50", w.Exec.Completions())
 			}
 		}
 	}
@@ -206,17 +191,5 @@ func TestQueueLensSnapshot(t *testing.T) {
 	}
 	if sys.String() == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestSplitmix64Distribution(t *testing.T) {
-	counts := make([]int, 8)
-	for i := uint64(0); i < 80_000; i++ {
-		counts[splitmix64(i)%8]++
-	}
-	for b, c := range counts {
-		if c < 9_000 || c > 11_000 {
-			t.Fatalf("bucket %d count %d, want ≈10000", b, c)
-		}
 	}
 }

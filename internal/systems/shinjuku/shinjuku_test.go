@@ -10,30 +10,17 @@ import (
 	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
+	"mindgap/internal/systems/systest"
 	"mindgap/internal/task"
 )
 
 func run(t *testing.T, cfg Config, rps float64, svc dist.Distribution, measure int) (*stats.Recorder, *Shinjuku, *sim.Engine) {
 	t.Helper()
-	eng := sim.New()
-	rec := &stats.Recorder{}
-	rec.Arm(0)
-	completions := 0
-	var sys *Shinjuku
-	sys = New(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) {
-		rec.RecordLatency(r.Latency(eng.Now()))
-		completions++
-		if completions >= measure {
-			eng.Halt()
-		}
-	})
-	sys.ArmWorkerTrackers(0)
-	loadgen.New(eng, loadgen.Config{RPS: rps, Service: svc, Seed: 5}, sys.Inject).Start()
-	eng.Run()
-	if completions < measure {
-		t.Fatalf("only %d/%d completions", completions, measure)
-	}
-	return rec, sys, eng
+	return systest.Run(t, func(eng *sim.Engine, pr *probe.Probe, done func(*task.Request)) *Shinjuku {
+		sys := New(eng, cfg, pr, done)
+		sys.ArmDispatcherTracker(0)
+		return sys
+	}, loadgen.Config{RPS: rps, Service: svc, Seed: 5}, measure)
 }
 
 func cfg(workers int, slice time.Duration) Config {
@@ -127,10 +114,8 @@ func TestDispatcherCapBounds(t *testing.T) {
 	if got < 2_500_000 {
 		t.Fatalf("throughput %.0f far below dispatcher cap", got)
 	}
-	if util := sys.DispatcherUtilization(eng.Now()); util >= 0 && util < 0.9 {
-		// Tracker armed at 0 via ArmDispatcherTracker? Not armed in this
-		// test — BusyFraction returns 0; only check when armed.
-		_ = util
+	if util := sys.DispatcherUtilization(eng.Now()); util < 0.9 {
+		t.Fatalf("dispatcher utilization %.2f at saturating load, want >= 0.9", util)
 	}
 }
 
@@ -205,8 +190,8 @@ func TestSocketAssignmentBlocks(t *testing.T) {
 	c.Sockets = 2
 	sys := New(eng, c, nil, func(*task.Request) {})
 	got := []int{}
-	for _, w := range sys.workers {
-		got = append(got, w.socket())
+	for _, w := range sys.Workers {
+		got = append(got, sys.socket(w.ID))
 	}
 	want := []int{0, 0, 1, 1}
 	for i := range want {
