@@ -131,14 +131,11 @@ func (e *Exec) RegisterTelemetry(reg *telemetry.Registry, component string) {
 //mindgap:noalloc
 func (e *Exec) Start(req *task.Request) { e.start(req, true) }
 
-// StartRTC begins executing req run-to-completion: no slice timer is
-// armed (and no arm cost charged), so the request holds the core until
-// it finishes. The degraded hash-steering path uses it — RSS-style
-// steering has no preemption (§2.1).
+// start begins executing req. With allowSlice false no slice timer is
+// armed (and no arm cost charged), so the request holds the core until it
+// finishes: the degraded hash-steering path runs requests this way —
+// RSS-style steering has no preemption (§2.1).
 //
-//mindgap:noalloc
-func (e *Exec) StartRTC(req *task.Request) { e.start(req, false) }
-
 //mindgap:noalloc
 func (e *Exec) start(req *task.Request, allowSlice bool) {
 	if e.busy {

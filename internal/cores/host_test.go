@@ -1,0 +1,191 @@
+package cores
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"mindgap/internal/params"
+	"mindgap/internal/sim"
+	"mindgap/internal/task"
+)
+
+const testPickup = 100 * time.Nanosecond
+
+// newTestHost builds a host whose NIC steers everything to core 0 and
+// appends "start" and "respond" to log as they happen.
+func newTestHost(t *testing.T, eng *sim.Engine, workers int, slice time.Duration, log *[]string) *Host {
+	t.Helper()
+	var h *Host
+	h = NewHost(eng, HostConfig{P: params.Default(), Workers: workers, Slice: slice, SelfArm: true, Pickup: testPickup},
+		nil,
+		func(r *task.Request) { h.Workers[0].Deliver(r) },
+		func(r *task.Request) { *log = append(*log, "respond") })
+	h.Started = func(w *Worker, r *task.Request) { *log = append(*log, "start") }
+	return h
+}
+
+func TestHostSerialCoreAndReleaseRule(t *testing.T) {
+	// Two requests land together on one core. The second may only start
+	// once the first's Finished hook has called Release — here a
+	// notification build later — plus the pickup delay, however long ago the
+	// first finished executing.
+	const notify = 700 * time.Nanosecond
+	eng := sim.New()
+	var log []string
+	h := newTestHost(t, eng, 1, 0, &log)
+	var firstBuilt, secondStart sim.Time
+	h.Completed = func(*Worker, *task.Request) { log = append(log, "complete") }
+	h.Finished = func(w *Worker, _ *task.Request) {
+		log = append(log, "finished")
+		if firstBuilt == 0 {
+			firstBuilt = eng.Now()
+		}
+		if w.Idle() || w.Running() {
+			t.Error("core left the post state before Release")
+		}
+		w.After(notify, func(recv, _ any, _ uint64) { recv.(*Worker).Release() }, w, nil, 0)
+	}
+	h.Started = func(w *Worker, r *task.Request) {
+		log = append(log, "start")
+		if r.ID == 2 {
+			secondStart = eng.Now()
+		}
+	}
+	h.Inject(task.New(1, 0, time.Microsecond))
+	h.Inject(task.New(2, 0, time.Microsecond))
+	if got := h.Workers[0].Queued(); got != 0 {
+		t.Fatalf("queued before the wire delivered: %d", got)
+	}
+	eng.Run()
+
+	// The responses are still crossing the client wire while the core moves
+	// on — which is why a Finished hook must not re-read the request later.
+	want := []string{"start", "complete", "finished", "start", "complete", "finished", "respond", "respond"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("lifecycle order = %v, want %v", log, want)
+	}
+	if want := firstBuilt.Add(notify + testPickup); secondStart != want {
+		t.Fatalf("second request started at %v, want %v (first response built at %v + notify + pickup)", secondStart, want, firstBuilt)
+	}
+	if h.Completions() != 2 || h.Preemptions() != 0 || h.Migrations() != 0 {
+		t.Fatalf("completions=%d preemptions=%d migrations=%d", h.Completions(), h.Preemptions(), h.Migrations())
+	}
+	if !h.Workers[0].Idle() {
+		t.Fatal("core not idle after draining")
+	}
+}
+
+func TestHostBacklogAndAuditTruthSkip(t *testing.T) {
+	eng := sim.New()
+	var log []string
+	h := newTestHost(t, eng, 2, 0, &log)
+	w := h.Workers[0]
+	w.Deliver(task.New(1, 0, 5*time.Microsecond))
+	w.Deliver(task.New(2, 0, 7*time.Microsecond))
+	if got := w.Backlog(); got != 12_000 {
+		t.Fatalf("backlog with both queued = %d ns, want 12000", got)
+	}
+	eng.RunUntil(sim.Time(testPickup)) // pickup done: request 1 executing, 2 queued
+	if !w.Running() || w.Queued() != 1 || w.Backlog() != 12_000 {
+		t.Fatalf("running=%v queued=%d backlog=%d", w.Running(), w.Queued(), w.Backlog())
+	}
+	if h.Workers[1].Backlog() != 0 || !h.Workers[1].Idle() {
+		t.Fatal("untouched core reports work")
+	}
+	if h.AuditTruth() != nil {
+		t.Fatal("truth scan ran with no collector attached")
+	}
+}
+
+func TestHostRingInbox(t *testing.T) {
+	// A model-owned ring stands in for the FIFO; a request it flags rtc
+	// holds the core to completion even though the host self-arms slices.
+	eng := sim.New()
+	var log []string
+	h := newTestHost(t, eng, 1, 10*time.Microsecond, &log)
+	h.Preempted = func(w *Worker, _ *task.Request) { log = append(log, "preempt"); w.Release() }
+	w := h.Workers[0]
+	ring := []*task.Request{task.New(1, 0, 25*time.Microsecond), task.New(2, 0, 25*time.Microsecond)}
+	w.UseRing(Inbox{
+		Len: func() int { return len(ring) },
+		Pop: func() (*task.Request, bool, bool) {
+			r := ring[0]
+			ring = ring[1:]
+			return r, r.ID == 1, true
+		},
+		Backlog: func() int64 { return 1 },
+	})
+	if w.Queued() != 2 || w.Backlog() != 1 {
+		t.Fatalf("ring not consulted: queued=%d backlog=%d", w.Queued(), w.Backlog())
+	}
+	w.Wake()
+	eng.Run()
+	// Request 1 ran to completion; request 2 was sliced once and, with
+	// nothing re-delivering it, never finished.
+	want := []string{"start", "start", "respond", "preempt"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("lifecycle = %v, want %v", log, want)
+	}
+}
+
+func TestHostStealAfter(t *testing.T) {
+	eng := sim.New()
+	var log []string
+	h := newTestHost(t, eng, 2, 0, &log)
+	busy, thief := h.Workers[0], h.Workers[1]
+	for id := uint64(1); id <= 3; id++ {
+		busy.Deliver(task.New(id, 0, 10*time.Microsecond))
+	}
+	thief.StealAfter(200*time.Nanosecond, busy)
+	if thief.Idle() || !thief.Running() {
+		t.Fatal("steal did not reserve the thief")
+	}
+	eng.RunUntil(sim.Time(200))
+	if cur := thief.Exec.Current(); cur == nil || cur.ID != 3 {
+		t.Fatalf("thief runs %v, want the victim's tail (request 3)", cur)
+	}
+	if busy.Queued() != 1 {
+		t.Fatalf("victim queue = %d, want 1", busy.Queued())
+	}
+	// A steal that finds the victim drained falls back to the thief's own inbox.
+	eng.Run()
+	thief.Deliver(task.New(4, 0, time.Microsecond))
+	eng.Run()
+	thief.StealAfter(200*time.Nanosecond, busy)
+	thief.inbox.Push(task.New(5, 0, time.Microsecond))
+	eng.Run()
+	if h.Completions() != 5 {
+		t.Fatalf("completions = %d, want 5", h.Completions())
+	}
+}
+
+func TestHostValidation(t *testing.T) {
+	eng := sim.New()
+	nop := func(*task.Request) {}
+	for name, f := range map[string]func(){
+		"no workers": func() { NewHost(eng, HostConfig{P: params.Default()}, nil, nop, nop) },
+		"nil done":   func() { NewHost(eng, HostConfig{P: params.Default(), Workers: 1}, nil, nop, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func TestRSSHashDistribution(t *testing.T) {
+	counts := make([]int, 8)
+	for i := uint64(0); i < 80_000; i++ {
+		counts[RSSHash(i)%8]++
+	}
+	for b, c := range counts {
+		if c < 9_000 || c > 11_000 {
+			t.Fatalf("bucket %d count %d, want ≈10000", b, c)
+		}
+	}
+}

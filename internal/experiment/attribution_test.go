@@ -88,27 +88,26 @@ func systemCases(t *testing.T) []probeCase {
 
 func probeCases(t *testing.T) []probeCase {
 	t.Helper()
-	preset := func(id string, series int, rps float64) probeCase { return presetCase(t, id, series, rps) }
 	var cases []probeCase
 	for i := range scenarios.MustLoad("table-attribution").Series {
-		cases = append(cases, preset("table-attribution", i, 0))
+		cases = append(cases, presetCase(t, "table-attribution", i, 0))
 	}
 	cases = append(cases, systemCases(t)...)
 
-	shed := preset("baselines", 0, 1_500_000)
+	shed := presetCase(t, "baselines", 0, 1_500_000)
 	shed.name, shed.drops = "drops/offload-admission-limit", []trace.DropReason{trace.DropShed}
 	shed.spec.Knobs.AdmissionLimit = 8
-	capped := preset("baselines", 2, 1_500_000)
+	capped := presetCase(t, "baselines", 2, 1_500_000)
 	capped.name, capped.drops = "drops/rss-queue-cap", []trace.DropReason{trace.DropQueueCap}
 	capped.spec.Knobs.QueueCap = 4
-	crash := preset("figure-faults-niccrash", 1, 300_000)
+	crash := presetCase(t, "figure-faults-niccrash", 1, 300_000)
 	crash.name, crash.drops, crash.retries = "drops/figure-faults-niccrash", []trace.DropReason{trace.DropRingOverflow}, true
 	crash.measure = 5000 // past the 10–14 ms crash window
 	// No checked-in preset combines an ARM crash with fabric loss, so no
 	// golden pins what happens to a degraded (hash-steered) frame an
 	// injected wire fault eats: nothing retries it, and before the probe
 	// spine the recorder never heard of it.
-	lossy := preset("figure-faults-niccrash", 1, 300_000)
+	lossy := presetCase(t, "figure-faults-niccrash", 1, 300_000)
 	lossy.name, lossy.drops, lossy.retries = "drops/crash+loss", []trace.DropReason{trace.DropWireFault}, true
 	lossy.spec.Faults = &faults.Spec{
 		NICCrash: []faults.Window{{Start: faults.Duration(time.Millisecond), End: faults.Duration(3 * time.Millisecond)}},
