@@ -1,11 +1,13 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"mindgap/internal/sim"
+	"mindgap/internal/telemetry"
 )
 
 func TestLinkLatencyOnly(t *testing.T) {
@@ -212,12 +214,22 @@ func TestStageUtilization(t *testing.T) {
 	eng := sim.New()
 	s := NewStage[int](eng, "arm", 0, FixedCost[int](time.Microsecond), func(int) {})
 	s.BusyTracker().Arm(0)
+	reg := telemetry.NewRegistry()
+	s.RegisterTelemetry(reg, "arm")
 	s.Submit(1)
 	eng.Run()
 	eng.RunUntil(sim.Time(2000))
 	got := s.BusyTracker().BusyFraction(eng.Now())
 	if got != 0.5 {
 		t.Fatalf("busy fraction = %v, want 0.5", got)
+	}
+	// A Stage's gauges are the one-class set: no per-class breakdown.
+	want := []string{"arm/busy", "arm/dropped", "arm/processed", "arm/queue_depth", "arm/utilization"}
+	if keys := reg.GaugeKeys(); !slices.Equal(keys, want) {
+		t.Fatalf("stage gauges = %v, want %v", keys, want)
+	}
+	if u, _ := reg.GaugeValue("arm/utilization"); u != 0.5 {
+		t.Fatalf("utilization gauge = %v, want 0.5", u)
 	}
 }
 
@@ -228,28 +240,4 @@ func TestStageNilDonePanics(t *testing.T) {
 		}
 	}()
 	NewStage[int](sim.New(), "x", 0, nil, nil)
-}
-
-func TestDequeCompaction(t *testing.T) {
-	var d deque[int]
-	for i := 0; i < 1000; i++ {
-		d.pushBack(i)
-	}
-	for i := 0; i < 900; i++ {
-		v, ok := d.popFront()
-		if !ok || v != i {
-			t.Fatalf("popFront = %d,%v want %d", v, ok, i)
-		}
-	}
-	// Trigger compaction path.
-	d.pushBack(1000)
-	for i := 900; i <= 1000; i++ {
-		v, ok := d.popFront()
-		if !ok || v != i {
-			t.Fatalf("after compaction popFront = %d,%v want %d", v, ok, i)
-		}
-	}
-	if _, ok := d.popFront(); ok {
-		t.Fatal("popFront on empty deque succeeded")
-	}
 }

@@ -99,16 +99,9 @@ const (
 // receiver once serialization and propagation complete. It reports false
 // (and counts a drop) when the bounded queue is full or an injected wire
 // fault loses the message. FIFO order is guaranteed: deliveries happen in
-// Send order.
+// Send order. The closure form allocates; hot paths should use SendT/SendTEx.
 func (l *Link) Send(bytes int, deliver func()) bool {
-	return l.SendEx(bytes, deliver) == SendAccepted
-}
-
-// SendEx is Send with a distinguishable outcome, so callers can tell a
-// queue-overflow drop from an injected wire fault. The closure form
-// allocates; hot paths should use SendT/SendTEx.
-func (l *Link) SendEx(bytes int, deliver func()) SendOutcome {
-	return l.SendTEx(bytes, callClosure, deliver, nil, 0)
+	return l.SendTEx(bytes, callClosure, deliver, nil, 0) == SendAccepted
 }
 
 // callClosure adapts the legacy closure delivery onto the typed path.

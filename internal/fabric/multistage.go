@@ -4,40 +4,50 @@ import (
 	"fmt"
 	"time"
 
+	"mindgap/internal/queue"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/telemetry"
 )
 
-// MultiStage is a serial processing element with multiple input queues
-// served round-robin — the way a real dispatcher core polls several shared
-// memory rings (new requests from the networker, notifications from the RX
-// core) so that a flood on one input cannot starve the other (§3.4.1).
+// MultiStage is the one serial server: a processing element that handles
+// one item at a time, each costing some processing time, fed by one or more
+// optionally bounded input queues served round-robin — the way a real
+// dispatcher core polls several shared memory rings (new requests from the
+// networker, notifications from the RX core) so that a flood on one input
+// cannot starve the other (§3.4.1). Stage is its one-class view.
 //
 // Without this fairness a saturating open-loop workload would bury worker
 // completion notifications behind an unbounded backlog of new-request
 // admissions and throughput would collapse instead of plateauing at the
 // stage's service rate.
 type MultiStage[T any] struct {
-	eng  *sim.Engine
+	eng *sim.Engine
+	// cost returns the processing time for an item.
 	cost func(T) time.Duration
+	// done is invoked after an item's processing time has elapsed.
 	done func(T)
 
 	name   string
-	qs     []deque[T]
+	qs     []queue.FIFO[T]
 	limits []int
 	rr     int
 	burst  int // items served from one class before switching (min 1)
 	inRun  int // items served consecutively from class rr
 	busy   bool
-	// cur is the item in service (see Stage.cur: one item per serial
-	// server, so the completion event carries no payload).
+	// cur is the item in service. A serial server holds exactly one, so the
+	// completion event needs no payload: it reads cur from the receiver,
+	// which keeps scheduling allocation-free.
 	cur T
-	// served is multiStageServed[T] bound once (see Stage.served).
+	// served is multiStageServed[T] bound once at construction: materializing
+	// a generic function value inside a generic method would allocate a
+	// dictionary closure per event.
 	served sim.EventFunc
 
-	// stretch mirrors Stage.stretch: fault-timeline cost dilation, nil on
-	// the healthy path.
+	// stretch, when set, converts an item's processing cost into the wall
+	// duration it takes under the active fault timeline (crash windows
+	// freeze the core, slowdown windows dilate it). Nil — the only state
+	// healthy systems ever see — leaves costs untouched.
 	stretch func(sim.Time, time.Duration) time.Duration
 
 	processed uint64
@@ -46,8 +56,8 @@ type MultiStage[T any] struct {
 }
 
 // NewMultiStage creates a round-robin server with the given number of input
-// classes. limits optionally bounds each class queue (nil or 0 entries mean
-// unbounded).
+// classes. cost may be nil for a free stage; limits optionally bounds each
+// class queue (nil or entries <= 0 mean unbounded).
 func NewMultiStage[T any](eng *sim.Engine, name string, classes int, limits []int, cost func(T) time.Duration, done func(T)) *MultiStage[T] {
 	if classes <= 0 {
 		panic("fabric: multistage needs at least one class")
@@ -61,7 +71,7 @@ func NewMultiStage[T any](eng *sim.Engine, name string, classes int, limits []in
 	s := &MultiStage[T]{
 		eng:    eng,
 		name:   name,
-		qs:     make([]deque[T], classes),
+		qs:     make([]queue.FIFO[T], classes),
 		limits: limits,
 		burst:  1,
 		cost:   cost,
@@ -97,16 +107,17 @@ func (s *MultiStage[T]) Submit(class int, item T) bool {
 		s.serve(item)
 		return true
 	}
-	if s.limits != nil && s.limits[class] > 0 && s.qs[class].len() >= s.limits[class] {
+	if s.limits != nil && s.limits[class] > 0 && s.qs[class].Len() >= s.limits[class] {
 		s.dropped++
 		return false
 	}
-	s.qs[class].pushBack(item)
+	s.qs[class].Push(item)
 	return true
 }
 
 // SetStretch installs a fault-timeline cost dilation (see the stretch
-// field). Install before the simulation starts.
+// field). Install before the simulation starts; fabric carries the raw
+// func type so it does not depend on the faults package.
 func (s *MultiStage[T]) SetStretch(f func(sim.Time, time.Duration) time.Duration) { s.stretch = f }
 
 // serve processes one item then pulls the next in round-robin class order.
@@ -150,14 +161,14 @@ func multiStageServed[T any](recv, _ any, _ uint64) {
 func (s *MultiStage[T]) next() (T, bool) {
 	n := len(s.qs)
 	if s.inRun < s.burst {
-		if v, ok := s.qs[s.rr].popFront(); ok {
+		if v, ok := s.qs[s.rr].Pop(); ok {
 			s.inRun++
 			return v, true
 		}
 	}
 	for i := 1; i <= n; i++ {
 		c := (s.rr + i) % n
-		if v, ok := s.qs[c].popFront(); ok {
+		if v, ok := s.qs[c].Pop(); ok {
 			s.rr = c
 			s.inRun = 1
 			return v, true
@@ -168,13 +179,13 @@ func (s *MultiStage[T]) next() (T, bool) {
 }
 
 // QueueLen returns the queued item count for one class.
-func (s *MultiStage[T]) QueueLen(class int) int { return s.qs[class].len() }
+func (s *MultiStage[T]) QueueLen(class int) int { return s.qs[class].Len() }
 
 // TotalQueued returns queued items across all classes.
 func (s *MultiStage[T]) TotalQueued() int {
 	total := 0
 	for i := range s.qs {
-		total += s.qs[i].len()
+		total += s.qs[i].Len()
 	}
 	return total
 }
@@ -191,19 +202,24 @@ func (s *MultiStage[T]) Dropped() uint64 { return s.dropped }
 // Name returns the diagnostic name.
 func (s *MultiStage[T]) Name() string { return s.name }
 
-// BusyTracker exposes utilization accounting.
+// BusyTracker exposes the stage's utilization accounting.
 func (s *MultiStage[T]) BusyTracker() *stats.BusyTracker { return &s.busyTrack }
 
 // RegisterTelemetry exposes the stage's occupancy, throughput, and
-// utilization probes on reg under the given component label, including a
-// per-class queue-depth gauge ("queue_depth_0", "queue_depth_1", …).
+// utilization probes on reg under the given component label. A multi-class
+// stage adds a per-class queue-depth gauge ("queue_depth_0",
+// "queue_depth_1", …); with one class that would repeat the total.
+// Utilization reads the stage's BusyTracker at the engine's current
+// instant, so it is only meaningful after the tracker has been armed.
 func (s *MultiStage[T]) RegisterTelemetry(reg *telemetry.Registry, component string) {
 	reg.GaugeFunc(component, "queue_depth", func() float64 { return float64(s.TotalQueued()) })
-	for c := range s.qs {
-		c := c
-		reg.GaugeFunc(component, fmt.Sprintf("queue_depth_%d", c), func() float64 {
-			return float64(s.qs[c].len())
-		})
+	if len(s.qs) > 1 {
+		for c := range s.qs {
+			c := c
+			reg.GaugeFunc(component, fmt.Sprintf("queue_depth_%d", c), func() float64 {
+				return float64(s.qs[c].Len())
+			})
+		}
 	}
 	reg.GaugeFunc(component, "busy", func() float64 { return boolGauge(s.busy) })
 	reg.GaugeFunc(component, "processed", func() float64 { return float64(s.processed) })
@@ -211,4 +227,12 @@ func (s *MultiStage[T]) RegisterTelemetry(reg *telemetry.Registry, component str
 	reg.GaugeFunc(component, "utilization", func() float64 {
 		return s.busyTrack.BusyFraction(s.eng.Now())
 	})
+}
+
+// boolGauge renders a boolean as a 0/1 gauge sample.
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

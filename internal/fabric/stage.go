@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"mindgap/internal/sim"
-	"mindgap/internal/stats"
-	"mindgap/internal/telemetry"
 )
 
 // Stage models a serial processing element — a CPU core (or pipeline stage
@@ -18,46 +16,16 @@ import (
 // reproduces the paper's Figure 3 and Figure 6: near saturation, waiting
 // time at the ARM stages inflates the dispatch round trip well beyond the
 // 2.56 µs wire latency.
-type Stage[T any] struct {
-	eng *sim.Engine
-	// cost returns the processing time for an item.
-	cost func(T) time.Duration
-	// done is invoked after an item's processing time has elapsed.
-	done func(T)
-
-	name  string
-	limit int
-	q     deque[T]
-	busy  bool
-	// cur is the item in service. A serial stage holds exactly one, so the
-	// completion event needs no payload: it reads cur from the receiver,
-	// which keeps scheduling allocation-free.
-	cur T
-	// served is stageServed[T] bound once at construction: materializing a
-	// generic function value inside a generic method would allocate a
-	// dictionary closure per event.
-	served sim.EventFunc
-
-	// stretch, when set, converts an item's processing cost into the wall
-	// duration it takes under the active fault timeline (crash windows
-	// freeze the core, slowdown windows dilate it). Nil — the only state
-	// healthy systems ever see — leaves costs untouched.
-	stretch func(sim.Time, time.Duration) time.Duration
-
-	processed uint64
-	dropped   uint64
-	busyTrack stats.BusyTracker
-}
+//
+// A Stage is the class-0 view of a one-class MultiStage: the server, its
+// counters, busy tracking, fault stretch and telemetry are MultiStage's;
+// only the class argument of Submit and QueueLen disappears.
+type Stage[T any] struct{ *MultiStage[T] }
 
 // NewStage creates a serial server. cost may be nil for a free stage;
 // limit <= 0 means an unbounded input queue.
 func NewStage[T any](eng *sim.Engine, name string, limit int, cost func(T) time.Duration, done func(T)) *Stage[T] {
-	if done == nil {
-		panic("fabric: stage requires a done callback")
-	}
-	s := &Stage[T]{eng: eng, name: name, limit: limit, cost: cost, done: done}
-	s.served = stageServed[T]
-	return s
+	return &Stage[T]{NewMultiStage(eng, name, 1, []int{limit}, cost, done)}
 }
 
 // FixedCost adapts a constant processing time to the Stage cost signature.
@@ -69,135 +37,8 @@ func FixedCost[T any](d time.Duration) func(T) time.Duration {
 // if the bounded queue is full.
 //
 //mindgap:noalloc
-func (s *Stage[T]) Submit(item T) bool {
-	if !s.busy {
-		s.start(item)
-		return true
-	}
-	if s.limit > 0 && s.q.len() >= s.limit {
-		s.dropped++
-		return false
-	}
-	s.q.pushBack(item)
-	return true
-}
-
-// SetStretch installs a fault-timeline cost dilation (see the stretch
-// field). Install before the simulation starts; fabric carries the raw
-// func type so it does not depend on the faults package.
-func (s *Stage[T]) SetStretch(f func(sim.Time, time.Duration) time.Duration) { s.stretch = f }
-
-//mindgap:noalloc
-func (s *Stage[T]) start(item T) {
-	s.busy = true
-	s.busyTrack.SetBusy(s.eng.Now(), true)
-	var d time.Duration
-	if s.cost != nil {
-		d = s.cost(item)
-	}
-	if s.stretch != nil {
-		d = s.stretch(s.eng.Now(), d)
-	}
-	s.cur = item
-	s.eng.AfterE(d, s.served, s, nil, 0)
-}
-
-// stageServed fires when the in-service item's processing time elapses.
-//
-//mindgap:noalloc
-func stageServed[T any](recv, _ any, _ uint64) {
-	s := recv.(*Stage[T])
-	item := s.cur
-	s.done(item)
-	if next, ok := s.q.popFront(); ok {
-		s.processed++
-		s.start(next)
-		return
-	}
-	s.processed++
-	s.busy = false
-	var zero T
-	s.cur = zero
-	s.busyTrack.SetBusy(s.eng.Now(), false)
-}
+func (s *Stage[T]) Submit(item T) bool { return s.MultiStage.Submit(0, item) }
 
 // QueueLen returns the number of items waiting (excluding the one in
 // service).
-func (s *Stage[T]) QueueLen() int { return s.q.len() }
-
-// Busy reports whether an item is currently in service.
-func (s *Stage[T]) Busy() bool { return s.busy }
-
-// Processed returns the number of items fully processed.
-func (s *Stage[T]) Processed() uint64 { return s.processed }
-
-// Dropped returns the number of items rejected by the bounded queue.
-func (s *Stage[T]) Dropped() uint64 { return s.dropped }
-
-// Name returns the diagnostic name.
-func (s *Stage[T]) Name() string { return s.name }
-
-// BusyTracker exposes the stage's utilization accounting.
-func (s *Stage[T]) BusyTracker() *stats.BusyTracker { return &s.busyTrack }
-
-// RegisterTelemetry exposes the stage's occupancy, throughput, and
-// utilization probes on reg under the given component label. Utilization
-// reads the stage's BusyTracker at the engine's current instant, so it is
-// only meaningful after the tracker has been armed.
-func (s *Stage[T]) RegisterTelemetry(reg *telemetry.Registry, component string) {
-	reg.GaugeFunc(component, "queue_depth", func() float64 { return float64(s.q.len()) })
-	reg.GaugeFunc(component, "busy", func() float64 { return boolGauge(s.busy) })
-	reg.GaugeFunc(component, "processed", func() float64 { return float64(s.processed) })
-	reg.GaugeFunc(component, "dropped", func() float64 { return float64(s.dropped) })
-	reg.GaugeFunc(component, "utilization", func() float64 {
-		return s.busyTrack.BusyFraction(s.eng.Now())
-	})
-}
-
-// boolGauge renders a boolean as a 0/1 gauge sample.
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// deque is a minimal amortized-O(1) FIFO used by Stage.
-type deque[T any] struct {
-	items []T
-	head  int
-}
-
-//mindgap:noalloc
-func (d *deque[T]) len() int { return len(d.items) - d.head }
-
-//mindgap:noalloc
-func (d *deque[T]) pushBack(v T) {
-	// Compact when the dead prefix dominates, keeping memory bounded.
-	if d.head > 64 && d.head*2 >= len(d.items) {
-		n := copy(d.items, d.items[d.head:])
-		var zero T
-		for i := n; i < len(d.items); i++ {
-			d.items[i] = zero
-		}
-		d.items = d.items[:n]
-		d.head = 0
-	}
-	d.items = append(d.items, v)
-}
-
-//mindgap:noalloc
-func (d *deque[T]) popFront() (T, bool) {
-	var zero T
-	if d.len() == 0 {
-		return zero, false
-	}
-	v := d.items[d.head]
-	d.items[d.head] = zero
-	d.head++
-	if d.head == len(d.items) {
-		d.items = d.items[:0]
-		d.head = 0
-	}
-	return v, true
-}
+func (s *Stage[T]) QueueLen() int { return s.MultiStage.QueueLen(0) }

@@ -9,7 +9,7 @@
 // put allocations back:
 //
 //   - the closure-scheduling engine APIs (Engine.At / After /
-//     AfterTimer, Link.Send / SendEx): every call allocates a closure
+//     AfterTimer, Link.Send): every call allocates a closure
 //     and an adapter event; the typed AtE / AfterE / AfterTimerE /
 //     SendT forms exist precisely so hot code never pays that;
 //   - closure literals that capture variables (each is a heap
@@ -192,7 +192,6 @@ var closureAPI = map[string]string{
 	"mindgap/internal/sim.Engine.After":      "AfterE",
 	"mindgap/internal/sim.Engine.AfterTimer": "AfterTimerE",
 	"mindgap/internal/fabric.Link.Send":      "SendT",
-	"mindgap/internal/fabric.Link.SendEx":    "SendTEx",
 }
 
 func methodKey(fn *types.Func) string {

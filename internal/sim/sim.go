@@ -51,8 +51,8 @@ type EventFunc func(recv, obj any, arg uint64)
 
 // event is a pending callback. seq provides FIFO ordering among events that
 // share a timestamp. loc/level/slot/idx record where the event currently
-// lives (wheel slot, overflow heap, or ready buffer) so cancellation
-// (Timer.Stop) can remove it without a linear scan. gen guards recycled
+// lives (wheel slot or ready buffer) so cancellation (Timer.Stop) can
+// remove it without a linear scan. gen guards recycled
 // events against stale Timer handles: each reuse increments it.
 type event struct {
 	at    Time
@@ -72,10 +72,10 @@ type event struct {
 // New. Engine is not safe for concurrent use: a simulation is a single
 // logical thread of control, which is what makes it reproducible.
 //
-// Internally the engine is a hierarchical timing wheel (see wheel.go) with
-// a binary-heap overflow level for events beyond the wheel horizon; the
-// combination preserves the exact (time, seq) total order of the original
-// pure-heap scheduler while making schedule/fire O(1) in steady state.
+// Internally the engine is a hierarchical timing wheel (see wheel.go) whose
+// levels cover every representable Time; it preserves the exact (time, seq)
+// total order of a binary-heap scheduler while making schedule/fire O(1) in
+// steady state.
 type Engine struct {
 	now Time
 	seq uint64
@@ -86,13 +86,6 @@ type Engine struct {
 	base  Time
 	occ   [wheelLevels]uint64 // per-level slot-occupancy bitmaps
 	slots [wheelLevels][wheelSlots][]*event
-
-	// heap holds overflow events beyond the wheel horizon from base,
-	// ordered by (at, seq). With refHeap set it holds every event and the
-	// engine degenerates to the original binary-heap scheduler, kept as
-	// the reference implementation for differential tests.
-	heap    []*event
-	refHeap bool
 
 	// ready buffers the earliest pending instant's events in seq order;
 	// readyPos is the drain cursor. Cancelled-while-ready events are
@@ -110,7 +103,7 @@ type Engine struct {
 
 // New returns an engine positioned at time zero with an empty event queue.
 func New() *Engine {
-	return &Engine{heap: make([]*event, 0, 64)}
+	return &Engine{}
 }
 
 // Now returns the current simulation time.
@@ -206,8 +199,8 @@ func (e *Engine) recycle(ev *event) {
 	}
 }
 
-// schedule enters a freshly allocated event into the wheel (or overflow
-// heap) and maintains the pending high-water mark.
+// schedule enters a freshly allocated event into the wheel and maintains
+// the pending high-water mark.
 //
 //mindgap:noalloc
 func (e *Engine) schedule(ev *event) {
@@ -282,7 +275,7 @@ func (t *Timer) live() bool {
 		return false
 	}
 	switch t.ev.loc {
-	case locWheel, locHeap, locReady:
+	case locWheel, locReady:
 		return true
 	}
 	return false

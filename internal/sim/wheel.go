@@ -1,11 +1,12 @@
 // Hierarchical timing wheel.
 //
-// The scheduler is a 7-level radix-64 calendar queue indexed by the digits
-// of the event's absolute nanosecond timestamp, with a binary heap as an
-// overflow level for events beyond the wheel horizon (64^7 ns ≈ 73 min
-// from the wheel origin). Scheduling and firing are O(1) amortized; the
-// heap — formerly the whole scheduler — now touches only far-future events
-// such as watchdogs.
+// The scheduler is an 11-level radix-64 calendar queue indexed by the digits
+// of the event's absolute nanosecond timestamp. 11 levels span 66 bits, more
+// than the 63 value bits of Time, so every schedulable instant has a slot
+// and there is no overflow structure. Scheduling and firing are O(1)
+// amortized. A measured pure binary heap was ≈1.4× slower end to end
+// (ROADMAP, "Event diet"); it survives only as the test-only reference
+// scheduler in wheel_test.go.
 //
 // Leveling uses the XOR-prefix rule: an event lives at the level of its
 // highest radix-64 digit that differs from the wheel origin `base`
@@ -23,7 +24,7 @@
 //
 // Level-0 slots are single nanosecond instants (all events in one slot
 // share a timestamp), so draining a slot and sorting it by sequence number
-// reproduces the exact (time, seq) FIFO order of the old heap. Higher-level
+// reproduces the exact (time, seq) FIFO order of a heap. Higher-level
 // slots are unordered bags; when the lowest occupied level L > 0, the wheel
 // origin advances to the start of that slot's 64^L window and the slot's
 // events cascade into levels < L.
@@ -38,10 +39,9 @@ import "math/bits"
 
 const (
 	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits          // 64 slots per level
-	wheelLevels = 7                       // 64^7 ns ≈ 73 min horizon
-	wheelSpan   = wheelBits * wheelLevels // bits covered by the wheel
-	wheelMask   = uint64(wheelSlots) - 1  // low-digit mask
+	wheelSlots  = 1 << wheelBits         // 64 slots per level
+	wheelLevels = 11                     // 66 bits: all of Time (the top level uses slots 0..7)
+	wheelMask   = uint64(wheelSlots) - 1 // low-digit mask
 )
 
 // Event locations, recorded in event.loc so cancellation knows which
@@ -49,22 +49,16 @@ const (
 const (
 	locNone      uint8 = iota // fired, cancelled, or on the free list
 	locWheel                  // slots[level][slot][idx]
-	locHeap                   // overflow heap at idx
 	locReady                  // drained into the ready buffer, not yet fired
 	locReadyDead              // cancelled while in the ready buffer
 )
 
-// file places ev into the wheel level selected by the XOR-prefix rule, or
-// into the overflow heap when at is beyond the wheel horizon from base.
+// file places ev into the wheel level selected by the XOR-prefix rule.
 // Requires ev.at >= e.base.
 //
 //mindgap:noalloc
 func (e *Engine) file(ev *event) {
 	diff := uint64(ev.at) ^ uint64(e.base)
-	if e.refHeap || diff>>wheelSpan != 0 {
-		e.heapPush(ev)
-		return
-	}
 	lvl := 0
 	if diff != 0 {
 		lvl = (bits.Len64(diff) - 1) / wheelBits
@@ -77,7 +71,7 @@ func (e *Engine) file(ev *event) {
 }
 
 // lowestOccupied returns the lowest level > 0 with any occupied slot, or 0
-// when levels 1..6 are all empty (level 0 is checked by the caller).
+// when every level above 0 is empty (level 0 is checked by the caller).
 //
 //mindgap:noalloc
 func (e *Engine) lowestOccupied() int {
@@ -90,9 +84,9 @@ func (e *Engine) lowestOccupied() int {
 }
 
 // ensureReady guarantees the ready buffer holds the earliest pending
-// instant's events in seq order, cascading higher wheel levels and the
-// overflow heap as needed. It reports false when nothing is pending. Only
-// Step may call it: it advances the wheel origin.
+// instant's events in seq order, cascading higher wheel levels as needed.
+// It reports false when nothing is pending. Only Step may call it: it
+// advances the wheel origin.
 //
 //mindgap:noalloc
 func (e *Engine) ensureReady() bool {
@@ -137,6 +131,8 @@ func (e *Engine) ensureReady() bool {
 			slot := bits.TrailingZeros64(e.occ[lvl])
 			e.occ[lvl] &^= 1 << slot
 			shift := uint(lvl * wheelBits)
+			// At the top level shift+wheelBits exceeds 64: the shift yields
+			// 0, the mask is all ones, and the whole old origin is cleared.
 			newBase := uint64(e.base) &^ (1<<(shift+wheelBits) - 1)
 			newBase |= uint64(slot) << shift
 			e.base = Time(newBase)
@@ -146,30 +142,6 @@ func (e *Engine) ensureReady() bool {
 			}
 			clear(sl)
 			e.slots[lvl][slot] = sl[:0]
-			continue
-		}
-
-		if len(e.heap) > 0 {
-			if e.refHeap {
-				// Reference mode: pop one instant straight off the heap.
-				// (at, seq) heap order delivers it already seq-sorted.
-				t := e.heap[0].at
-				for len(e.heap) > 0 && e.heap[0].at == t {
-					ev := e.heapPop()
-					ev.loc = locReady
-					e.ready = append(e.ready, ev)
-				}
-				e.readyTime = t
-				e.base = t
-				return true
-			}
-			// New overflow epoch: jump the origin to the earliest overflow
-			// event and pull everything now within the horizon into the
-			// wheel.
-			e.base = e.heap[0].at
-			for len(e.heap) > 0 && (uint64(e.heap[0].at)^uint64(e.base))>>wheelSpan == 0 {
-				e.file(e.heapPop())
-			}
 			continue
 		}
 
@@ -222,15 +194,12 @@ func (e *Engine) peekTime() (Time, bool) {
 		}
 		return best, true
 	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
-	}
 	return 0, false
 }
 
 // remove cancels a pending event wherever it currently lives. Events
 // already drained into the ready buffer are tombstoned in place (the drain
-// cursor recycles them); wheel and heap residents are removed immediately.
+// cursor recycles them); wheel residents are removed immediately.
 //
 //mindgap:noalloc
 func (e *Engine) remove(ev *event) {
@@ -247,10 +216,6 @@ func (e *Engine) remove(ev *event) {
 				e.occ[ev.level] &^= 1 << ev.slot
 			}
 		}
-		e.pending--
-		e.recycle(ev)
-	case locHeap:
-		e.heapRemove(ev)
 		e.pending--
 		e.recycle(ev)
 	case locReady:
@@ -274,96 +239,4 @@ func sortBySeq(sl []*event) {
 		}
 		sl[j+1] = ev
 	}
-}
-
-// Overflow heap: the original binary-heap scheduler, ordered by (at, seq),
-// with index-tracked removal. Doubles as the reference implementation when
-// refHeap is set.
-
-//mindgap:noalloc
-func heapLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-//mindgap:noalloc
-func (e *Engine) heapPush(ev *event) {
-	ev.loc = locHeap
-	ev.idx = int32(len(e.heap))
-	e.heap = append(e.heap, ev)
-	e.heapUp(int(ev.idx))
-}
-
-//mindgap:noalloc
-func (e *Engine) heapPop() *event {
-	ev := e.heap[0]
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.heap[0].idx = 0
-	e.heap[last] = nil
-	e.heap = e.heap[:last]
-	if last > 0 {
-		e.heapDown(0)
-	}
-	ev.loc = locNone
-	return ev
-}
-
-//mindgap:noalloc
-func (e *Engine) heapRemove(ev *event) {
-	i := int(ev.idx)
-	last := len(e.heap) - 1
-	if i < 0 || i > last || e.heap[i] != ev {
-		return
-	}
-	e.heap[i] = e.heap[last]
-	e.heap[i].idx = int32(i)
-	e.heap[last] = nil
-	e.heap = e.heap[:last]
-	if i < last {
-		e.heapDown(i)
-		e.heapUp(i)
-	}
-	ev.loc = locNone
-}
-
-//mindgap:noalloc
-func (e *Engine) heapUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapLess(e.heap[i], e.heap[parent]) {
-			break
-		}
-		e.heapSwap(i, parent)
-		i = parent
-	}
-}
-
-//mindgap:noalloc
-func (e *Engine) heapDown(i int) {
-	n := len(e.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && heapLess(e.heap[right], e.heap[left]) {
-			smallest = right
-		}
-		if !heapLess(e.heap[smallest], e.heap[i]) {
-			break
-		}
-		e.heapSwap(i, smallest)
-		i = smallest
-	}
-}
-
-//mindgap:noalloc
-func (e *Engine) heapSwap(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-	e.heap[i].idx = int32(i)
-	e.heap[j].idx = int32(j)
 }

@@ -1,22 +1,105 @@
 package sim
 
 import (
+	"cmp"
+	"container/heap"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 )
 
-// The timing wheel must be observationally identical to the original
-// binary-heap scheduler: same fire order, same timestamps, same Executed()
-// and Pending() counts, same Timer.Stop results. The heap survives as the
-// overflow level, and refHeap routes every event through it, turning the
-// engine back into the old pure-heap scheduler — the reference
-// implementation these tests compare against.
+// The timing wheel must be observationally identical to a plain binary-heap
+// scheduler: same fire order, same timestamps, same Executed(), Pending()
+// and HighWater() counts, same Timer.Stop results. refSched below is that
+// scheduler, written against container/heap and sharing no code with the
+// Engine — the reference implementation these tests compare against.
 
-func newRefEngine() *Engine {
-	e := New()
-	e.refHeap = true
-	return e
+// refEvent is one reference-scheduler entry. fn is nil once the event has
+// fired or been stopped; stopped events stay in the heap until they surface.
+type refEvent struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+type refQueue []*refEvent
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)   { *q = append(*q, x.(*refEvent)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	ev := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return ev
+}
+
+// refSched exposes just the calls script drives.
+type refSched struct {
+	now                Time
+	seq, executed      uint64
+	pending, highWater int
+	q                  refQueue
+}
+
+func (r *refSched) after(d time.Duration, fn func()) *refEvent {
+	r.seq++
+	ev := &refEvent{at: r.now.Add(d), seq: r.seq, fn: fn}
+	heap.Push(&r.q, ev)
+	r.pending++
+	r.highWater = max(r.highWater, r.pending)
+	return ev
+}
+
+// stop reports whether ev was still pending.
+func (r *refSched) stop(ev *refEvent) bool {
+	if ev.fn == nil {
+		return false
+	}
+	ev.fn = nil
+	r.pending--
+	return true
+}
+
+// peek returns the earliest live event, discarding stopped ones on the way.
+func (r *refSched) peek() *refEvent {
+	for len(r.q) > 0 && r.q[0].fn == nil {
+		heap.Pop(&r.q)
+	}
+	if len(r.q) == 0 {
+		return nil
+	}
+	return r.q[0]
+}
+
+func (r *refSched) step() bool {
+	ev := r.peek()
+	if ev == nil {
+		return false
+	}
+	heap.Pop(&r.q)
+	r.now = ev.at
+	r.pending--
+	r.executed++
+	fn := ev.fn
+	ev.fn = nil
+	fn()
+	return true
+}
+
+func (r *refSched) runUntil(t Time) {
+	for ev := r.peek(); ev != nil && ev.at <= t; ev = r.peek() {
+		r.step()
+	}
+	r.now = max(r.now, t)
 }
 
 // firing is one observed callback execution.
@@ -25,34 +108,32 @@ type firing struct {
 	at Time
 }
 
-// side is one engine plus its observation log.
+// side is one scheduler's observation log.
 type side struct {
-	eng *Engine
+	now func() Time
 	log []firing
 }
 
-func (s *side) add(id int) { s.log = append(s.log, firing{id, s.eng.Now()}) }
+func (s *side) add(id int) { s.log = append(s.log, firing{id, s.now()}) }
 
 // logFire is the typed-API observation callback.
-func logFire(recv, _ any, arg uint64) {
-	s := recv.(*side)
-	s.add(int(arg))
-}
+func logFire(recv, _ any, arg uint64) { recv.(*side).add(int(arg)) }
 
 // script interprets data as a deterministic op stream applied identically
-// to the wheel engine and the reference heap engine, then verifies the two
+// to the wheel engine and the reference scheduler, then verifies the two
 // observations match exactly. It exercises: delays across every wheel
-// level and the overflow horizon, same-instant bursts, scheduling at the
-// current instant from inside a callback (drain-time insertion),
-// cancellation from the wheel, the heap, and the ready buffer,
-// cancel-then-reschedule, partial stepping, and RunUntil boundaries.
+// level, same-instant bursts, scheduling at the current instant from inside
+// a callback (drain-time insertion), cancellation from the wheel and the
+// ready buffer, cancel-then-reschedule, partial stepping, and RunUntil
+// boundaries.
 func script(t *testing.T, data []byte) {
 	t.Helper()
-	wheel := &side{eng: New()}
-	ref := &side{eng: newRefEngine()}
-	sides := [2]*side{wheel, ref}
+	eng, ref := New(), &refSched{}
+	wheel := &side{now: eng.Now}
+	refs := &side{now: func() Time { return ref.now }}
 
-	var timers [2][]*Timer // parallel per-side handles
+	var timers []*Timer
+	var refTimers []*refEvent // parallel to timers
 	nextID := 0
 	pos := 0
 	next := func() byte {
@@ -66,7 +147,7 @@ func script(t *testing.T, data []byte) {
 
 	for pos < len(data) {
 		switch op := next() % 7; op {
-		case 0, 1: // schedule one event; delay spans all levels + overflow
+		case 0, 1: // schedule one event; delay spans every wheel level
 			lo := uint64(next()) | uint64(next())<<8
 			shift := uint(next()) % 48
 			d := time.Duration(lo << shift)
@@ -75,90 +156,90 @@ func script(t *testing.T, data []byte) {
 			}
 			// Keep deadlines clear of Time overflow: the engine panics on
 			// wrapped deadlines, and the point here is scheduling order.
-			if rem := MaxTime - wheel.eng.Now(); Time(d) > rem/2 {
+			if rem := MaxTime - eng.Now(); Time(d) > rem/2 {
 				d = time.Duration(rem / 2)
 			}
 			id := nextID
 			nextID++
 			if op == 0 { // typed API
-				for i, s := range sides {
-					timers[i] = append(timers[i], s.eng.AfterTimerE(d, logFire, s, nil, uint64(id)))
-				}
+				timers = append(timers, eng.AfterTimerE(d, logFire, wheel, nil, uint64(id)))
 			} else { // legacy closure API
-				for i, s := range sides {
-					s := s
-					timers[i] = append(timers[i], s.eng.AfterTimer(d, func() { s.add(id) }))
-				}
+				timers = append(timers, eng.AfterTimer(d, func() { wheel.add(id) }))
 			}
+			refTimers = append(refTimers, ref.after(d, func() { refs.add(id) }))
 		case 2: // same-instant burst
 			n := int(next())%6 + 2
 			d := time.Duration(next())
 			for k := 0; k < n; k++ {
 				id := nextID
 				nextID++
-				for _, s := range sides {
-					s.eng.AfterE(d, logFire, s, nil, uint64(id))
-				}
+				eng.AfterE(d, logFire, wheel, nil, uint64(id))
+				ref.after(d, func() { refs.add(id) })
 			}
 		case 3: // event that schedules another at its own instant (drain-time insert)
 			d := time.Duration(uint64(next()) << (uint(next()) % 20))
 			id := nextID
 			nextID += 2
-			for _, s := range sides {
-				s := s
-				s.eng.After(d, func() {
-					s.add(id)
-					s.eng.AtE(s.eng.Now(), logFire, s, nil, uint64(id+1))
-				})
-			}
+			eng.After(d, func() {
+				wheel.add(id)
+				eng.AtE(eng.Now(), logFire, wheel, nil, uint64(id+1))
+			})
+			ref.after(d, func() {
+				refs.add(id)
+				ref.after(0, func() { refs.add(id + 1) })
+			})
 		case 4: // cancel a prior timer on both sides; results must agree
-			if len(timers[0]) == 0 {
+			if len(timers) == 0 {
 				continue
 			}
-			i := int(next()) % len(timers[0])
-			a := timers[0][i].Stop()
-			b := timers[1][i].Stop()
+			i := int(next()) % len(timers)
+			a := timers[i].Stop()
+			b := ref.stop(refTimers[i])
 			if a != b {
 				t.Fatalf("Stop() diverged on timer %d: wheel=%v ref=%v", i, a, b)
 			}
 		case 5: // partial stepping
 			n := int(next()) % 16
 			for k := 0; k < n; k++ {
-				a := wheel.eng.Step()
-				b := ref.eng.Step()
+				a := eng.Step()
+				b := ref.step()
 				if a != b {
 					t.Fatalf("Step() diverged: wheel=%v ref=%v", a, b)
 				}
 			}
 		case 6: // bounded run
 			d := time.Duration(uint64(next())<<uint(next()%24) + 1)
-			until := wheel.eng.Now().Add(d)
-			wheel.eng.RunUntil(until)
-			ref.eng.RunUntil(until)
+			until := eng.Now().Add(d)
+			eng.RunUntil(until)
+			ref.runUntil(until)
 		}
-		if wheel.eng.Now() != ref.eng.Now() {
-			t.Fatalf("clocks diverged: wheel=%v ref=%v", wheel.eng.Now(), ref.eng.Now())
+		if eng.Now() != ref.now {
+			t.Fatalf("clocks diverged: wheel=%v ref=%v", eng.Now(), ref.now)
 		}
-		if wheel.eng.Pending() != ref.eng.Pending() {
-			t.Fatalf("Pending diverged: wheel=%d ref=%d", wheel.eng.Pending(), ref.eng.Pending())
+		if eng.Pending() != ref.pending {
+			t.Fatalf("Pending diverged: wheel=%d ref=%d", eng.Pending(), ref.pending)
 		}
 	}
 
-	wheel.eng.Run()
-	ref.eng.Run()
+	eng.Run()
+	for ref.step() {
+	}
 
-	if wheel.eng.Executed() != ref.eng.Executed() {
-		t.Fatalf("Executed diverged: wheel=%d ref=%d", wheel.eng.Executed(), ref.eng.Executed())
+	if eng.Executed() != ref.executed {
+		t.Fatalf("Executed diverged: wheel=%d ref=%d", eng.Executed(), ref.executed)
 	}
-	if wheel.eng.Pending() != 0 || ref.eng.Pending() != 0 {
-		t.Fatalf("events left pending after Run: wheel=%d ref=%d", wheel.eng.Pending(), ref.eng.Pending())
+	if eng.HighWater() != ref.highWater {
+		t.Fatalf("HighWater diverged: wheel=%d ref=%d", eng.HighWater(), ref.highWater)
 	}
-	if len(wheel.log) != len(ref.log) {
-		t.Fatalf("fire counts diverged: wheel=%d ref=%d", len(wheel.log), len(ref.log))
+	if eng.Pending() != 0 || ref.pending != 0 {
+		t.Fatalf("events left pending after Run: wheel=%d ref=%d", eng.Pending(), ref.pending)
+	}
+	if len(wheel.log) != len(refs.log) {
+		t.Fatalf("fire counts diverged: wheel=%d ref=%d", len(wheel.log), len(refs.log))
 	}
 	for i := range wheel.log {
-		if wheel.log[i] != ref.log[i] {
-			t.Fatalf("firing %d diverged: wheel=%+v ref=%+v", i, wheel.log[i], ref.log[i])
+		if wheel.log[i] != refs.log[i] {
+			t.Fatalf("firing %d diverged: wheel=%+v ref=%+v", i, wheel.log[i], refs.log[i])
 		}
 	}
 }
@@ -182,7 +263,8 @@ func TestWheelVsHeapRandomized(t *testing.T) {
 
 // FuzzWheelVsHeap lets the fuzzer search for schedules where the wheel and
 // the reference heap disagree. The checked-in corpus covers each op plus
-// known-delicate shapes: overflow-horizon delays, cancel-while-ready, and
+// known-delicate shapes: delays past 2^42 ns (the old 7-level horizon),
+// cancel-while-ready, and
 // same-instant bursts straddling a cascade.
 func FuzzWheelVsHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0})
@@ -197,45 +279,106 @@ func FuzzWheelVsHeap(f *testing.F) {
 	})
 }
 
-// TestWheelDeepLevelsAndOverflow pins the cascade and overflow-epoch paths
-// directly: events at every level boundary plus several beyond the 64^7 ns
-// horizon must still fire in global (time, seq) order.
-func TestWheelDeepLevelsAndOverflow(t *testing.T) {
+// TestWheelEveryLevel pins the cascade path at all 11 levels: one event per
+// level, the last two representable instants, and the first instant past
+// the old 7-level horizon must fire in global (time, seq) order, with a
+// far-level timer stopped and re-armed and read-only RunUntil probes in
+// between.
+func TestWheelEveryLevel(t *testing.T) {
 	e := New()
-	var got []Time
-	var want []Time
+	type fire struct {
+		at Time
+		id uint64
+	}
+	var got, want []fire
+	rec := func(_, _ any, id uint64) { got = append(got, fire{e.Now(), id}) }
+	var id uint64
 	at := func(tm Time) {
-		want = append(want, tm)
-		e.AtE(tm, func(recv, _ any, _ uint64) {
-			eng := recv.(*Engine)
-			got = append(got, eng.Now())
-		}, e, nil, 0)
+		id++
+		want = append(want, fire{tm, id})
+		e.AtE(tm, rec, nil, nil, id)
 	}
-	// One event per level: 64^k + 1 for k = 0..6, then overflow.
-	var ts []Time
-	v := Time(1)
-	for k := 0; k < 7; k++ {
-		ts = append(ts, v+1)
-		v *= 64
+	// Two events share MaxTime so seq order is checked at the top level.
+	ts := []Time{MaxTime, MaxTime, MaxTime - 1, 1<<42 + 7}
+	for k, v := 0, Time(1); k < wheelLevels; k, v = k+1, v*64 {
+		ts = append(ts, v+1) // level k from origin 0
 	}
-	ts = append(ts, Time(1)<<wheelSpan+7, Time(1)<<wheelSpan+7+Time(1)<<wheelSpan)
 	// Schedule in reverse so insertion order disagrees with time order.
 	for i := len(ts) - 1; i >= 0; i-- {
 		at(ts[i])
 	}
-	// Sort want (ascending times).
-	for i := 1; i < len(want); i++ {
-		for j := i; j > 0 && want[j] < want[j-1]; j-- {
-			want[j], want[j-1] = want[j-1], want[j]
+	var tm Timer
+	e.ArmAfterE(&tm, 1<<50, rec, nil, nil, 0) // level 8
+	resident := 0
+	for lvl := range e.slots {
+		if e.occ[lvl] == 0 {
+			t.Fatalf("level %d holds no event", lvl)
+		}
+		for _, sl := range e.slots[lvl] {
+			resident += len(sl)
 		}
 	}
-	e.Run()
-	if len(got) != len(want) {
-		t.Fatalf("fired %d, want %d", len(got), len(want))
+	if resident != e.Pending() {
+		t.Fatalf("%d of %d pending events have a wheel slot", resident, e.Pending())
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fire %d at %v, want %v (full: %v)", i, got[i], want[i], got)
+
+	// Fires levels 0..4; the probe that ends the run reads level 5.
+	e.RunUntil(1 << 30)
+	if len(got) != 5 || e.Now() != 1<<30 {
+		t.Fatalf("after RunUntil(2^30): fired %d at %v, want 5", len(got), e.Now())
+	}
+	if n := e.Pending(); !tm.Stop() || tm.Pending() || tm.Stop() || e.Pending() != n-1 {
+		t.Fatalf("far-level Stop: pending %d -> %d, timer pending %v", n, e.Pending(), tm.Pending())
+	}
+	e.RunUntil(1<<42 + 6)
+	if len(got) != 8 {
+		t.Fatalf("after RunUntil(2^42+6): fired %d, want 8", len(got))
+	}
+	id++
+	want = append(want, fire{1 << 55, id})
+	e.ArmAfterE(&tm, (Time(1) << 55).Sub(e.Now()), rec, nil, nil, id) // level 9
+	e.RunUntil(MaxTime - 2)
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d before the last two instants, want 3", e.Pending())
+	}
+	e.Run()
+
+	slices.SortFunc(want, func(a, b fire) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("fire order\n got %v\nwant %v", got, want)
+	}
+	if e.Pending() != 0 || e.Now() != MaxTime {
+		t.Fatalf("Pending = %d, Now = %v after Run", e.Pending(), e.Now())
+	}
+	if len(e.free) != e.HighWater() {
+		t.Fatalf("free list holds %d events, want HighWater %d", len(e.free), e.HighWater())
+	}
+}
+
+// TestDeadlineOverflowPanics: a timer deadline that wraps Time must not
+// enter the schedule (every pending event is >= the wheel origin).
+func TestDeadlineOverflowPanics(t *testing.T) {
+	for name, arm := range map[string]func(*Engine){
+		"AfterTimerE": func(e *Engine) { e.AfterTimerE(math.MaxInt64, logFire, nil, nil, 0) },
+		"ArmAfterE":   func(e *Engine) { e.ArmAfterE(new(Timer), math.MaxInt64, logFire, nil, nil, 0) },
+	} {
+		e := New()
+		e.RunUntil(1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past MaxTime did not panic", name)
+				}
+			}()
+			arm(e)
+		}()
+		if e.Pending() != 0 {
+			t.Errorf("%s left %d events pending", name, e.Pending())
 		}
 	}
 }
