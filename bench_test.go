@@ -343,7 +343,7 @@ func BenchmarkAttributionOverhead(b *testing.B) {
 
 // engineBenchDelays spreads re-arm deadlines across the timing wheel's
 // levels — immediate, near (level 0), mid-level, and far enough to land
-// in upper levels and, at the top, the overflow heap.
+// in upper levels (12 ms is level 3 of 11).
 var engineBenchDelays = [...]time.Duration{
 	0,
 	200 * time.Nanosecond,

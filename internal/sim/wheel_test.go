@@ -264,8 +264,7 @@ func TestWheelVsHeapRandomized(t *testing.T) {
 // FuzzWheelVsHeap lets the fuzzer search for schedules where the wheel and
 // the reference heap disagree. The checked-in corpus covers each op plus
 // known-delicate shapes: delays past 2^42 ns (the old 7-level horizon),
-// cancel-while-ready, and
-// same-instant bursts straddling a cascade.
+// cancel-while-ready, and same-instant bursts straddling a cascade.
 func FuzzWheelVsHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0})
 	f.Add([]byte{2, 5, 0, 0, 1, 255, 255, 47, 4, 0, 5, 15})
@@ -286,17 +285,13 @@ func FuzzWheelVsHeap(f *testing.F) {
 // between.
 func TestWheelEveryLevel(t *testing.T) {
 	e := New()
-	type fire struct {
-		at Time
-		id uint64
-	}
-	var got, want []fire
-	rec := func(_, _ any, id uint64) { got = append(got, fire{e.Now(), id}) }
-	var id uint64
+	var got, want []firing
+	rec := func(_, _ any, id uint64) { got = append(got, firing{int(id), e.Now()}) }
+	id := 0
 	at := func(tm Time) {
 		id++
-		want = append(want, fire{tm, id})
-		e.AtE(tm, rec, nil, nil, id)
+		want = append(want, firing{id, tm})
+		e.AtE(tm, rec, nil, nil, uint64(id))
 	}
 	// Two events share MaxTime so seq order is checked at the top level.
 	ts := []Time{MaxTime, MaxTime, MaxTime - 1, 1<<42 + 7}
@@ -335,19 +330,16 @@ func TestWheelEveryLevel(t *testing.T) {
 		t.Fatalf("after RunUntil(2^42+6): fired %d, want 8", len(got))
 	}
 	id++
-	want = append(want, fire{1 << 55, id})
-	e.ArmAfterE(&tm, (Time(1) << 55).Sub(e.Now()), rec, nil, nil, id) // level 9
+	want = append(want, firing{id, 1 << 55})
+	e.ArmAfterE(&tm, (Time(1) << 55).Sub(e.Now()), rec, nil, nil, uint64(id)) // level 9
 	e.RunUntil(MaxTime - 2)
 	if e.Pending() != 3 {
 		t.Fatalf("Pending = %d before the last two instants, want 3", e.Pending())
 	}
 	e.Run()
 
-	slices.SortFunc(want, func(a, b fire) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		return cmp.Compare(a.id, b.id)
+	slices.SortFunc(want, func(a, b firing) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id))
 	})
 	if !slices.Equal(got, want) {
 		t.Fatalf("fire order\n got %v\nwant %v", got, want)
