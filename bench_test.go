@@ -267,19 +267,13 @@ func BenchmarkAblationNUMA(b *testing.B) {
 // the NIC scheduler protect the critical tenant's tail while the batch
 // tenant keeps completing.
 func BenchmarkMultiTenant(b *testing.B) {
-	var fifo, prio []experiment.TenantResult
+	var mixes [][]experiment.TenantResult
 	for i := 0; i < b.N; i++ {
-		mk := func(priority bool) []experiment.TenantResult {
-			return experiment.RunMultiTenant(experiment.MultiTenantConfig{
-				P: params.Default(), Workers: 4, Outstanding: 3,
-				Slice: 15 * time.Microsecond, Priority: priority,
-				Tenants: experiment.DefaultMultiTenant(benchQ).Tenants, Quality: benchQ,
-			})
-		}
-		fifo, prio = mk(false), mk(true)
+		_, res := benchRun(b, "table-tenants", experiment.TenantMix)
+		mixes = experiment.Rows(res)
 	}
-	b.ReportMetric(float64(fifo[0].P99.Nanoseconds()), "fifo_critical_p99_ns")
-	b.ReportMetric(float64(prio[0].P99.Nanoseconds()), "prio_critical_p99_ns")
+	b.ReportMetric(float64(mixes[0][0].P99.Nanoseconds()), "fifo_critical_p99_ns")
+	b.ReportMetric(float64(mixes[1][0].P99.Nanoseconds()), "prio_critical_p99_ns")
 }
 
 // X10 — worker-selection policy ablation (extension): what the "informed"

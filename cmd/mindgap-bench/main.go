@@ -321,7 +321,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if which == "" || which == "faults" {
 			fmt.Fprintln(stdout, "== X12: fault recovery timeline (goodput and tail per phase of a faulted run)")
 			for _, id := range experiment.FaultPresetIDs() {
-				r, err := experiment.FaultTimeline(id, q)
+				r, err := experiment.FaultTimeline(ctx, rn, id, q)
 				if err != nil {
 					fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
 					exitCode = 1
@@ -354,16 +354,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if which == "" || which == "tenants" {
 			fmt.Fprintln(stdout, "== X9: multi-tenant isolation (FIFO vs strict class priority)")
-			cmp, err := experiment.MultiTenantComparisonWith(ctx, rn, experiment.DefaultMultiTenant(q))
+			res, err := experiment.Run(ctx, rn, scenarios.MustLoad("table-tenants"), q, experiment.TenantMix)
 			if !interrupted(err) {
 				fmt.Fprintf(stdout, "%-22s %-10s %12s %12s %12s %10s\n", "tenant", "sched", "p50", "p99", "mean", "completed")
-				for _, set := range []struct {
-					name string
-					rs   []experiment.TenantResult
-				}{{"fifo", cmp.FIFO}, {"priority", cmp.Priority}} {
-					for _, tr := range set.rs {
+				for _, mix := range experiment.Rows(res) {
+					for _, tr := range mix {
 						fmt.Fprintf(stdout, "%-22s %-10s %12v %12v %12v %10d\n",
-							tr.Tenant.Name, set.name, tr.P50, tr.P99, tr.Mean, tr.Completed)
+							tr.Tenant.Name, tr.Sched, tr.P50, tr.P99, tr.Mean, tr.Completed)
 					}
 				}
 				fmt.Fprintln(stdout)

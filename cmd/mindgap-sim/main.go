@@ -213,23 +213,25 @@ func runScenario(ctx context.Context, rn *runner.Runner, arg string, q experimen
 		log.Fatalf("mindgap-sim: %v", err)
 	}
 
-	if len(p.Tenants) > 0 {
-		cfg, err := experiment.MultiTenantFromPreset(p, q)
-		if err != nil {
-			log.Fatalf("mindgap-sim: %v", err)
+	// A preset whose every series is a tenant mix prints per-tenant
+	// profiles, each mix on one FIFO and then under its class priorities.
+	mixes := true
+	for i := range p.Series {
+		mixes = mixes && len(p.SpecFor(i).Tenants) > 0
+	}
+	if mixes {
+		res, err := experiment.Run(ctx, rn, p, q, experiment.TenantMix)
+		if res == nil && err != nil {
+			log.Fatalf("mindgap-sim: %v", err) // the preset did not compile
 		}
-		cmp, err := experiment.MultiTenantComparisonWith(ctx, rn, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mindgap-sim: %v\n", err)
 		}
 		fmt.Printf("# scenario %s (multi-tenant)\n", p.ID)
-		for _, set := range []struct {
-			name string
-			rs   []experiment.TenantResult
-		}{{"fifo", cmp.FIFO}, {"priority", cmp.Priority}} {
-			for _, tr := range set.rs {
+		for _, mix := range experiment.Rows(res) {
+			for _, tr := range mix {
 				fmt.Printf("%s,%s,%s,%v,%v,%v,%d\n",
-					p.ID, set.name, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
+					p.ID, tr.Sched, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
 			}
 		}
 		if err != nil {

@@ -135,18 +135,16 @@ func centralPreempted(recv, obj any, worker uint64) {
 // auditDispatch presents one dispatch decision to the attribution layer:
 // the ground-truth resident backlog of every worker at this instant, plus
 // the estimate (and its staleness) the scheduler acted on, when it held
-// one (est is nil for a scheduler that keeps none). The truth scan touches
-// every worker, so it is skipped unless a collector is attached.
+// one. The truth scan touches every worker, so it is skipped unless a
+// collector is attached.
 //
 //mindgap:noalloc
-func auditDispatch(pr *probe.Probe, host *cores.Host, est *Logic, now sim.Time, a Assignment) {
+func auditDispatch(pr *probe.Probe, host *cores.Host, lgc *Logic, now sim.Time, a Assignment) {
 	truth := host.AuditTruth()
 	if truth == nil {
 		return
 	}
 	d := attr.Decision{At: now, ReqID: a.Req.ID, Chosen: a.Worker, Truth: truth}
-	if est != nil {
-		d.Estimate, d.EstimateAge, d.Informed = est.EstimateFor(now, a.Worker)
-	}
+	d.Estimate, d.EstimateAge, d.Informed = lgc.EstimateFor(now, a.Worker)
 	pr.Audit(d)
 }

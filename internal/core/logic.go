@@ -4,9 +4,10 @@
 // The package has two halves:
 //
 //   - Logic is the pure scheduling state machine — the centralized FIFO task
-//     queue, per-worker outstanding-request credits (the queuing
-//     optimization of §3.4.5), worker selection, and the host load-feedback
-//     interface (§3.1/§3.2 requirement 2). It has no dependency on the
+//     queue (optionally split into strict-priority latency classes, §2.2),
+//     per-worker outstanding-request credits (the queuing optimization of
+//     §3.4.5), worker selection, and the host load-feedback interface
+//     (§3.1/§3.2 requirement 2). It has no dependency on the
 //     simulator, so the live UDP implementation (internal/live) runs the
 //     exact same scheduler the simulation evaluates.
 //
@@ -73,7 +74,8 @@ type Assignment struct {
 //   - 0 <= outstanding[w] <= k for every worker.
 //   - A request is either in the central queue or covered by exactly one
 //     credit; it is never both, never neither, until completed.
-//   - The central queue drains in FIFO order.
+//   - The central queue drains in FIFO order within a class, and no class
+//     is served while a higher one holds a request.
 type Logic struct {
 	k      int
 	policy Policy
@@ -85,8 +87,16 @@ type Logic struct {
 	rrNext      int
 	affinity    bool
 
-	q queue.FIFO[*task.Request]
+	// classes is the central queue, one FIFO per strict-priority latency
+	// class, highest first; classOf maps a request to its class. The
+	// default is the paper's single queue (§3.4.1): one class, nil classOf.
+	classes []queue.FIFO[*task.Request]
+	classOf func(*task.Request) int
 
+	// Decision counters, read by the telemetry gauges. scanSteps is the
+	// cumulative number of per-worker probes the selection policy made —
+	// the queue-scan cost that grows with the worker count and bounds an
+	// ARM dispatcher core's decision rate (§5.1).
 	assigned    uint64
 	completed   uint64
 	requeued    uint64
@@ -111,6 +121,7 @@ func NewLogic(workers, k int, policy Policy) *Logic {
 		load:        make([]int64, workers),
 		hasLoad:     make([]bool, workers),
 		loadAt:      make([]sim.Time, workers),
+		classes:     make([]queue.FIFO[*task.Request], 1),
 	}
 }
 
@@ -120,20 +131,41 @@ func NewLogic(workers, k int, policy Policy) *Logic {
 // core's caches. Fresh requests are unaffected.
 func (l *Logic) EnableAffinity() { l.affinity = true }
 
+// SetClasses splits the central queue into n strict-priority classes —
+// §2.2's "multiple co-located applications from different latency
+// classes" sharing one server. classOf assigns each request a class,
+// clamped into [0, n); class 0 is served first, so a latency-critical
+// class never waits behind best-effort work in the central queue
+// (preemption still protects requests from long ones within a class).
+// Credit accounting is untouched: only queue selection differs. Call it
+// before the first enqueue.
+func (l *Logic) SetClasses(n int, classOf func(*task.Request) int) {
+	if n <= 0 {
+		panic("core: need at least one priority class")
+	}
+	l.classes = make([]queue.FIFO[*task.Request], n)
+	if classOf != nil {
+		l.classOf = func(r *task.Request) int { return min(max(classOf(r), 0), n-1) }
+	}
+}
+
 // Workers returns the number of workers.
 func (l *Logic) Workers() int { return len(l.outstanding) }
 
 // CreditLimit returns k, the per-worker outstanding-request limit.
 func (l *Logic) CreditLimit() int { return l.k }
 
-// QueueLen returns the central queue depth.
-func (l *Logic) QueueLen() int { return l.q.Len() }
+// QueueLen returns the central queue depth, summed across classes.
+func (l *Logic) QueueLen() int {
+	total := 0
+	for c := range l.classes {
+		total += l.classes[c].Len()
+	}
+	return total
+}
 
 // Outstanding returns worker w's outstanding request count.
 func (l *Logic) Outstanding(w int) int { return l.outstanding[w] }
-
-// Assigned returns the total number of assignments emitted.
-func (l *Logic) Assigned() uint64 { return l.assigned }
 
 // Enqueue admits a new request at the tail of the central queue and returns
 // any assignment it enables (at most one).
@@ -146,7 +178,7 @@ func (l *Logic) Enqueue(now sim.Time, req *task.Request) []Assignment {
 // a fresh assignment slice per input.
 func (l *Logic) EnqueueTo(out []Assignment, now sim.Time, req *task.Request) []Assignment {
 	req.Enqueued = now
-	l.q.Push(req)
+	l.queueFor(req).Push(req)
 	return l.drain(out)
 }
 
@@ -164,7 +196,7 @@ func (l *Logic) CompleteTo(out []Assignment, w int) []Assignment {
 }
 
 // Preempted processes a PREEMPTED notification: worker w's credit is
-// released and req re-enters the tail of the central queue (§3.4.1 — "once
+// released and req re-enters the tail of its class queue (§3.4.1 — "once
 // the request reaches the front of the queue again, it can be assigned to
 // any worker").
 func (l *Logic) Preempted(now sim.Time, w int, req *task.Request) []Assignment {
@@ -176,29 +208,26 @@ func (l *Logic) PreemptedTo(out []Assignment, now sim.Time, w int, req *task.Req
 	l.release(w)
 	l.requeued++
 	req.Enqueued = now
-	l.q.Push(req)
+	l.queueFor(req).Push(req)
 	return l.drain(out)
 }
 
-// ReportLoad records host load feedback for worker w — the instantaneous
-// load information an informed NIC folds into its decisions (§3.1). The
-// unit is caller-defined (the simulation reports remaining work in ns).
-func (l *Logic) ReportLoad(w int, load int64) {
+// ReportLoadAt records host load feedback for worker w — the instantaneous
+// load information an informed NIC folds into its decisions (§3.1) — with
+// its receipt instant, enabling staleness accounting: by the time a report
+// influences a decision it is already one NIC↔host hop old, and the gap
+// only grows between reports. The unit is caller-defined (the simulation
+// reports remaining work in ns).
+func (l *Logic) ReportLoadAt(now sim.Time, w int, load int64) {
 	l.load[w] = load
 	l.hasLoad[w] = true
+	l.loadAt[w] = now
 	l.loadReports++
 }
 
-// ReportLoadAt is ReportLoad plus a receipt timestamp, enabling staleness
-// accounting: by the time a report influences a decision it is already
-// one NIC↔host hop old, and the gap only grows between reports.
-func (l *Logic) ReportLoadAt(now sim.Time, w int, load int64) {
-	l.ReportLoad(w, load)
-	l.loadAt[w] = now
-}
-
 // LoadAge returns how stale worker w's last load report is at instant
-// now; ok is false if w never reported (or reported without a timestamp).
+// now; ok is false if w never reported (a report stamped with instant 0
+// reads as never timed).
 func (l *Logic) LoadAge(now sim.Time, w int) (age time.Duration, ok bool) {
 	if !l.hasLoad[w] || l.loadAt[w] == 0 {
 		return 0, false
@@ -232,27 +261,28 @@ func (l *Logic) OldestLoadAge(now sim.Time) time.Duration {
 	return worst
 }
 
-// LoadReports returns the total number of load reports received.
-func (l *Logic) LoadReports() uint64 { return l.loadReports }
-
 // Completed returns the number of FINISH notifications processed.
 func (l *Logic) Completed() uint64 { return l.completed }
 
-// Requeued returns the number of preempted requests re-admitted to the
-// central queue.
-func (l *Logic) Requeued() uint64 { return l.requeued }
-
-// ScanSteps returns the cumulative number of per-worker probes the
-// selection policy performed — the queue-scan cost that grows with the
-// worker count and bounds an ARM dispatcher core's decision rate (§5.1).
-func (l *Logic) ScanSteps() uint64 { return l.scanSteps }
-
 // RegisterTelemetry exposes the scheduler's decision counters and queue
-// probes on reg under the given component label. now supplies the current
-// instant for the load-staleness gauge (nil disables it).
+// probes on reg under the given component label, plus one depth gauge per
+// class when the queue has more than one. now supplies the current instant
+// for the load-staleness gauge (nil disables it).
 func (l *Logic) RegisterTelemetry(reg *telemetry.Registry, component string, now func() sim.Time) {
 	reg.GaugeFunc(component, "queue_depth", func() float64 { return float64(l.QueueLen()) })
-	reg.GaugeFunc(component, "queue_high_water", func() float64 { return float64(l.q.HighWater()) })
+	reg.GaugeFunc(component, "queue_high_water", func() float64 {
+		h := 0
+		for c := range l.classes {
+			h += l.classes[c].HighWater()
+		}
+		return float64(h)
+	})
+	if len(l.classes) > 1 {
+		for c := range l.classes {
+			q := &l.classes[c]
+			reg.GaugeFunc(component, fmt.Sprintf("queue_depth_class%d", c), func() float64 { return float64(q.Len()) })
+		}
+	}
 	reg.GaugeFunc(component, "assigned", func() float64 { return float64(l.assigned) })
 	reg.GaugeFunc(component, "completed", func() float64 { return float64(l.completed) })
 	reg.GaugeFunc(component, "requeued", func() float64 { return float64(l.requeued) })
@@ -272,25 +302,40 @@ func (l *Logic) release(w int) {
 	l.outstanding[w]--
 }
 
-// drain dispatches from the queue head while a worker has spare credit.
+// queueFor returns the class queue req waits in. SetClasses already
+// clamped classOf, which keeps this small enough to inline on the
+// per-request enqueue path.
+func (l *Logic) queueFor(req *task.Request) *queue.FIFO[*task.Request] {
+	c := 0
+	if l.classOf != nil {
+		c = l.classOf(req)
+	}
+	return &l.classes[c]
+}
+
+// drain dispatches from the head of the highest non-empty class while a
+// worker has spare credit.
 func (l *Logic) drain(out []Assignment) []Assignment {
-	for l.q.Len() > 0 {
-		head, _ := l.q.Peek()
-		w := -1
-		if l.affinity && head.Preemptions > 0 &&
-			head.LastWorker >= 0 && head.LastWorker < len(l.outstanding) &&
-			l.outstanding[head.LastWorker] < l.k {
-			w = head.LastWorker
-		} else {
-			w = l.pick()
+	for c := range l.classes {
+		q := &l.classes[c]
+		for q.Len() > 0 {
+			head, _ := q.Peek()
+			w := -1
+			if l.affinity && head.Preemptions > 0 &&
+				head.LastWorker >= 0 && head.LastWorker < len(l.outstanding) &&
+				l.outstanding[head.LastWorker] < l.k {
+				w = head.LastWorker
+			} else {
+				w = l.pick()
+			}
+			if w < 0 {
+				return out
+			}
+			req, _ := q.Pop()
+			l.outstanding[w]++
+			l.assigned++
+			out = append(out, Assignment{Worker: w, Req: req})
 		}
-		if w < 0 {
-			break
-		}
-		req, _ := l.q.Pop()
-		l.outstanding[w]++
-		l.assigned++
-		out = append(out, Assignment{Worker: w, Req: req})
 	}
 	return out
 }

@@ -126,9 +126,9 @@ func TestLogicRoundRobinFairness(t *testing.T) {
 
 func TestLogicInformedSelection(t *testing.T) {
 	l := NewLogic(3, 4, InformedLeastLoaded)
-	l.ReportLoad(0, 50_000)
-	l.ReportLoad(1, 1_000)
-	l.ReportLoad(2, 90_000)
+	l.ReportLoadAt(0, 0, 50_000)
+	l.ReportLoadAt(0, 1, 1_000)
+	l.ReportLoadAt(0, 2, 90_000)
 	as := l.Enqueue(0, req(1))
 	if as[0].Worker != 1 {
 		t.Fatalf("informed policy picked worker %d, want 1 (least loaded)", as[0].Worker)

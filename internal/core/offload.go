@@ -52,7 +52,7 @@ type OffloadConfig struct {
 	// worker's L1 without polluting it, waiving the near-cache fetch
 	// penalty on pickup.
 	DDIOToL1 bool
-	// PriorityClasses > 1 switches the central queue to strict priority
+	// PriorityClasses > 1 splits the central queue into strict priority
 	// classes (§2.2's co-located latency classes); ClassOf maps each
 	// request to a class in [0, PriorityClasses), highest first.
 	PriorityClasses int
@@ -167,12 +167,9 @@ type Offload struct {
 	// Host is the shared host-worker kit: the client wire, the worker
 	// cores and the worker-set surface. Each core's inbox is its VF ring.
 	*cores.Host
-	eng *sim.Engine
-	cfg OffloadConfig
-	lgc SchedulerLogic
-	// est is lgc when it keeps per-worker load estimates the decision
-	// audit can grade (nil under priority classes).
-	est  *Logic
+	eng  *sim.Engine
+	cfg  OffloadConfig
+	lgc  *Logic
 	done func(*task.Request)
 	// pr is the lifecycle probe: every instant of a request's life and
 	// every drop is reported through it, and the drop accessors and
@@ -264,18 +261,12 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 	}
 	p := cfg.P
 	s := &Offload{eng: eng, cfg: cfg, done: done, pr: pr}
+	s.lgc = NewLogic(cfg.Workers, cfg.Outstanding, cfg.Policy)
 	if cfg.PriorityClasses > 1 {
-		pl := NewPriorityLogic(cfg.Workers, cfg.Outstanding, cfg.PriorityClasses, cfg.Policy, cfg.ClassOf)
-		if cfg.Affinity {
-			pl.EnableAffinity()
-		}
-		s.lgc = pl
-	} else {
-		s.est = NewLogic(cfg.Workers, cfg.Outstanding, cfg.Policy)
-		if cfg.Affinity {
-			s.est.EnableAffinity()
-		}
-		s.lgc = s.est
+		s.lgc.SetClasses(cfg.PriorityClasses, cfg.ClassOf)
+	}
+	if cfg.Affinity {
+		s.lgc.EnableAffinity()
 	}
 	if cfg.FaultSpec != nil && !cfg.FaultSpec.Empty() {
 		if cfg.DirectInterrupts {
@@ -623,7 +614,7 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 	}
 	for _, a := range as {
 		s.pr.Dispatch(now, a.Req.ID, a.Worker)
-		auditDispatch(s.pr, s.Host, s.est, now, a)
+		auditDispatch(s.pr, s.Host, s.lgc, now, a)
 		if s.flights != nil {
 			s.trackDispatch(a)
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"mindgap/internal/loadgen"
 	"mindgap/internal/sim"
 	"mindgap/internal/task"
+	"mindgap/internal/telemetry"
 )
 
 // classBySvc classifies by service time: < 10µs is latency-critical.
@@ -20,8 +23,16 @@ func classBySvc(r *task.Request) int {
 	return 1
 }
 
+// classful builds a Logic whose central queue is split into strict
+// priority classes.
+func classful(workers, k, classes int, policy Policy, classOf func(*task.Request) int) *Logic {
+	l := NewLogic(workers, k, policy)
+	l.SetClasses(classes, classOf)
+	return l
+}
+
 func TestPriorityLogicStrictOrder(t *testing.T) {
-	l := NewPriorityLogic(1, 1, 2, LeastOutstanding, classBySvc)
+	l := classful(1, 1, 2, LeastOutstanding, classBySvc)
 	long := task.New(1, 0, 100*time.Microsecond)
 	as := l.Enqueue(0, long) // assigned immediately
 	if len(as) != 1 {
@@ -32,8 +43,8 @@ func TestPriorityLogicStrictOrder(t *testing.T) {
 	hp := task.New(3, 0, time.Microsecond)
 	l.Enqueue(0, lp)
 	l.Enqueue(0, hp)
-	if l.ClassQueueLen(0) != 1 || l.ClassQueueLen(1) != 1 {
-		t.Fatalf("class queues: %d/%d", l.ClassQueueLen(0), l.ClassQueueLen(1))
+	if l.classes[0].Len() != 1 || l.classes[1].Len() != 1 {
+		t.Fatalf("class queues: %d/%d", l.classes[0].Len(), l.classes[1].Len())
 	}
 	// The high-priority request must dispatch first despite arriving last.
 	as = l.Complete(0)
@@ -47,7 +58,7 @@ func TestPriorityLogicStrictOrder(t *testing.T) {
 }
 
 func TestPriorityLogicPreemptedKeepsClass(t *testing.T) {
-	l := NewPriorityLogic(1, 1, 2, LeastOutstanding, classBySvc)
+	l := classful(1, 1, 2, LeastOutstanding, classBySvc)
 	long := task.New(1, 0, 100*time.Microsecond)
 	l.Enqueue(0, long)
 	l.Enqueue(0, task.New(2, 0, 30*time.Microsecond)) // low prio queued
@@ -63,7 +74,7 @@ func TestPriorityLogicPreemptedKeepsClass(t *testing.T) {
 }
 
 func TestPriorityLogicClampsClasses(t *testing.T) {
-	l := NewPriorityLogic(1, 1, 2, LeastOutstanding, func(r *task.Request) int {
+	l := classful(1, 1, 2, LeastOutstanding, func(r *task.Request) int {
 		return int(r.ID) - 10 // produces negative and overflowing classes
 	})
 	l.Enqueue(0, task.New(1, 0, time.Microsecond))  // class -9 → 0
@@ -79,28 +90,28 @@ func TestPriorityLogicValidation(t *testing.T) {
 			t.Fatal("zero classes did not panic")
 		}
 	}()
-	NewPriorityLogic(1, 1, 0, LeastOutstanding, nil)
+	classful(1, 1, 0, LeastOutstanding, nil)
 }
 
 func TestPriorityLogicNilClassOfDefaults(t *testing.T) {
-	l := NewPriorityLogic(2, 1, 3, LeastOutstanding, nil)
+	l := classful(2, 1, 3, LeastOutstanding, nil)
 	as := l.Enqueue(0, task.New(1, 0, time.Microsecond))
 	if len(as) != 1 {
 		t.Fatalf("assignments = %v", as)
 	}
-	if l.Classes() != 3 || l.String() == "" {
-		t.Fatal("accessors broken")
+	if len(l.classes) != 3 {
+		t.Fatalf("classes = %d, want 3", len(l.classes))
 	}
 }
 
-// Property: conservation holds for PriorityLogic exactly as for Logic.
+// Property: conservation holds for a classful Logic exactly as for one queue.
 func TestQuickPriorityLogicConservation(t *testing.T) {
 	f := func(seed uint64, classesRaw, kRaw uint8, steps uint16) bool {
 		classes := int(classesRaw%4) + 1
 		k := int(kRaw%3) + 1
 		const workers = 3
 		rng := rand.New(rand.NewPCG(seed, 99))
-		l := NewPriorityLogic(workers, k, classes, LeastOutstanding, func(r *task.Request) int {
+		l := classful(workers, k, classes, LeastOutstanding, func(r *task.Request) int {
 			return int(r.ID % uint64(classes))
 		})
 		inFlight := make([]map[uint64]*task.Request, workers)
@@ -252,5 +263,114 @@ func TestOffloadAdmissionControlBoundsTail(t *testing.T) {
 	}
 	if boundedWorst >= unboundedWorst/2 {
 		t.Fatalf("bounded worst %v not ≪ unbounded worst %v", boundedWorst, unboundedWorst)
+	}
+}
+
+// Property: classes are only a queue-selection rule. A Logic told it has
+// one class (whatever classOf says) emits exactly the assignment sequence
+// of a plain NewLogic on any enqueue/complete/preempt/load-report script,
+// under every policy, with and without affinity.
+func TestQuickOneClassMatchesPlainLogic(t *testing.T) {
+	f := func(seed uint64, workersRaw, kRaw uint8, affinity bool, steps uint16) bool {
+		workers := int(workersRaw%6) + 1
+		k := int(kRaw%4) + 1
+		for _, policy := range []Policy{LeastOutstanding, RoundRobin, InformedLeastLoaded} {
+			rng := rand.New(rand.NewPCG(seed, uint64(policy)))
+			plain := NewLogic(workers, k, policy)
+			one := classful(workers, k, 1, policy, func(r *task.Request) int { return int(r.ID%5) - 2 })
+			if affinity {
+				plain.EnableAffinity()
+				one.EnableAffinity()
+			}
+			inFlight := make([][]*task.Request, workers)
+			same := func(a, b []Assignment) bool {
+				if len(a) != len(b) {
+					return false
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						return false
+					}
+					r := a[i].Req
+					r.LastWorker = a[i].Worker
+					inFlight[a[i].Worker] = append(inFlight[a[i].Worker], r)
+				}
+				return true
+			}
+			take := func(w int) *task.Request {
+				n := len(inFlight[w])
+				if n == 0 {
+					return nil
+				}
+				i := rng.IntN(n)
+				r := inFlight[w][i]
+				inFlight[w] = append(inFlight[w][:i], inFlight[w][i+1:]...)
+				return r
+			}
+			nextID := uint64(1)
+			for s := 0; s < int(steps%400); s++ {
+				now := sim.Time(s + 1)
+				w := rng.IntN(workers)
+				switch rng.IntN(4) {
+				case 0:
+					r := task.New(nextID, now, time.Microsecond)
+					nextID++
+					if !same(plain.Enqueue(now, r), one.Enqueue(now, r)) {
+						return false
+					}
+				case 1:
+					if take(w) != nil && !same(plain.Complete(w), one.Complete(w)) {
+						return false
+					}
+				case 2:
+					if r := take(w); r != nil {
+						r.Preemptions++
+						if !same(plain.Preempted(now, w, r), one.Preempted(now, w, r)) {
+							return false
+						}
+					}
+				case 3:
+					load := rng.Int64N(1_000_000)
+					plain.ReportLoadAt(now, w, load)
+					one.ReportLoadAt(now, w, load)
+				}
+				if plain.QueueLen() != one.QueueLen() {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLogicGaugeSet pins the sched/* registry surface: a plain Logic
+// registers exactly the single-queue gauge set (attr_offload and the
+// benchmark ledger read that registry — no per-class key may leak into
+// it), and a classful one adds one depth gauge per class.
+func TestLogicGaugeSet(t *testing.T) {
+	keys := func(l *Logic) []string {
+		reg := telemetry.NewRegistry()
+		l.RegisterTelemetry(reg, "sched", func() sim.Time { return 0 })
+		var out []string
+		for k := range reg.Snapshot().Gauges {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
+	}
+	plain := []string{
+		"sched/assigned", "sched/completed", "sched/load_reports", "sched/load_staleness_ns",
+		"sched/queue_depth", "sched/queue_high_water", "sched/requeued", "sched/scan_steps",
+	}
+	if got := keys(NewLogic(2, 1, LeastOutstanding)); !slices.Equal(got, plain) {
+		t.Fatalf("plain Logic gauges = %v, want %v", got, plain)
+	}
+	want := append([]string{"sched/queue_depth_class0", "sched/queue_depth_class1"}, plain...)
+	sort.Strings(want)
+	if got := keys(classful(2, 1, 2, LeastOutstanding, nil)); !slices.Equal(got, want) {
+		t.Fatalf("two-class Logic gauges = %v, want %v", got, want)
 	}
 }

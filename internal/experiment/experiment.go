@@ -39,6 +39,10 @@ type PointConfig struct {
 	// (population, elephant/rat mix, batches, trains) instead of the
 	// open-loop i.i.d. stream; OfferedRPS is then the batch rate.
 	Flow *scenario.FlowSpec
+	// Tenants, when set, drives the point with one open-loop stream per
+	// co-located tenant instead of the single Service stream; OfferedRPS
+	// is then their combined rate.
+	Tenants []Tenant
 	// OfferedRPS is the open-loop arrival rate.
 	OfferedRPS float64
 	// Warmup completions are discarded; Measure completions are recorded.
@@ -49,6 +53,13 @@ type PointConfig struct {
 	// from the expected run length. Points that hit the bound are
 	// truncated (and almost always saturated).
 	MaxSimTime time.Duration
+}
+
+// Tenant is one tenant's request stream: its own offered rate and
+// service-time distribution (§2.2's co-located applications).
+type Tenant struct {
+	RPS     float64
+	Service dist.Distribution
 }
 
 // Result bundles the measured point with auxiliary observations.
@@ -74,10 +85,10 @@ func RunPoint(cfg PointConfig) Result {
 }
 
 // drive is the one open-loop drive loop behind every measured point:
-// build the system, start the generator, discard Warmup completions,
-// record Measure more, stop — or let the watchdog truncate a saturated
-// run. observe, when set, sees every measured completion before its
-// request is recycled (row kinds that keep their own histogram); the
+// build the system, start the generator (one per tenant), discard Warmup
+// completions, record Measure more, stop — or let the watchdog truncate a
+// saturated run. observe, when set, sees every measured completion before
+// its request is recycled (row kinds that keep their own histogram); the
 // finished system is returned for row kinds that read its counters.
 func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)) (Result, System) {
 	if cfg.Warmup < 0 || cfg.Measure <= 0 {
@@ -151,14 +162,23 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 		}, sys.Inject)
 		fgen.Start()
 	} else {
-		gen := loadgen.New(eng, loadgen.Config{
-			RPS:     cfg.OfferedRPS,
-			Service: cfg.Service,
-			Keys:    cfg.Keys,
-			Seed:    cfg.Seed,
-			Pool:    pool,
-		}, sys.Inject)
-		gen.Start()
+		// One stream per tenant, each stamping its requests with the
+		// tenant's index and seeded apart from its siblings; a point
+		// without tenants is the one-tenant case.
+		streams := cfg.Tenants
+		if len(streams) == 0 {
+			streams = []Tenant{{RPS: cfg.OfferedRPS, Service: cfg.Service}}
+		}
+		for i, t := range streams {
+			loadgen.New(eng, loadgen.Config{
+				RPS:      t.RPS,
+				Service:  t.Service,
+				Keys:     cfg.Keys,
+				Seed:     cfg.Seed + 7919*uint64(i),
+				ClientID: uint32(i),
+				Pool:     pool,
+			}, sys.Inject).Start()
+		}
 	}
 
 	maxT := cfg.MaxSimTime

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -55,11 +56,11 @@ func TestFaultPresetsDeterministic(t *testing.T) {
 // counters.
 func TestFaultTimelineDeterministic(t *testing.T) {
 	for _, name := range FaultPresetIDs() {
-		a, err := FaultTimeline(name, faultQuality)
+		a, err := FaultTimeline(context.Background(), nil, name, faultQuality)
 		if err != nil {
 			t.Fatalf("FaultTimeline(%s): %v", name, err)
 		}
-		b, err := FaultTimeline(name, faultQuality)
+		b, err := FaultTimeline(context.Background(), nil, name, faultQuality)
 		if err != nil {
 			t.Fatalf("FaultTimeline(%s) rerun: %v", name, err)
 		}
@@ -78,7 +79,7 @@ func TestFaultTimelineShowsRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full-horizon faulted simulation")
 	}
-	r, err := FaultTimeline("figure-faults-niccrash", faultQuality)
+	r, err := FaultTimeline(context.Background(), nil, "figure-faults-niccrash", faultQuality)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"mindgap/internal/core"
-	"mindgap/internal/loadgen"
-	"mindgap/internal/sim"
+	"mindgap/internal/faults"
+	"mindgap/internal/runner"
+	"mindgap/internal/scenario"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
 	"mindgap/scenarios"
@@ -48,133 +51,87 @@ type FaultTimelineResult struct {
 	RecorderDrops                   int64
 }
 
-// faultObs is one completion: when it finished and how long it took.
-type faultObs struct {
-	at  sim.Time
-	lat time.Duration
+// faultTimeline is the X12 row kind: one faulted run measured from a cold
+// start to a fixed horizon, its completions bucketed into phases around
+// the first crash window of the spec's compiled fault schedule — lead-in,
+// the window, an equal-length recovery interval, then a recovered tail as
+// long as the lead-in. A schedule without crash windows gets one
+// whole-run "faulted" phase sized to the quality's measurement count.
+var faultTimeline = Kind[FaultTimelineResult]{
+	salt: "faultline1",
+	run: func(cfg PointConfig, sp scenario.Spec, x float64) FaultTimelineResult {
+		res := FaultTimelineResult{Label: sp.Name, OfferedRPS: x}
+		horizon := time.Duration(float64(cfg.Measure) / x * float64(time.Second))
+		res.Phases = []FaultPhase{{Phase: "faulted", End: horizon}}
+		if ws := faults.New(*sp.Faults, sp.Seed).CrashWindows(); len(ws) > 0 {
+			start, end := ws[0].Start.D(), ws[0].End.D()
+			crashLen := end - start
+			horizon = end + crashLen + start
+			res.Phases = []FaultPhase{
+				{Phase: "healthy", End: start},
+				{Phase: "crash", Start: start, End: end},
+				{Phase: "recovery", Start: end, End: end + crashLen},
+				{Phase: "recovered", Start: end + crashLen, End: horizon},
+			}
+		}
+		// The horizon, not a completion count, ends the run.
+		cfg.Warmup, cfg.Measure, cfg.MaxSimTime = 0, math.MaxInt, horizon
+		hist := make([]stats.Histogram, len(res.Phases))
+		r, sys := drive(cfg, func(req *task.Request, latency time.Duration) {
+			at := req.Arrival.Add(latency).Duration()
+			for i, ph := range res.Phases {
+				if at >= ph.Start && at < ph.End {
+					hist[i].Record(latency)
+				}
+			}
+		})
+		for i := range res.Phases {
+			ph, h := &res.Phases[i], &hist[i]
+			ph.Completed = h.Count()
+			ph.GoodputRPS = float64(h.Count()) / (ph.End - ph.Start).Seconds()
+			ph.P50, ph.P99, ph.Max = h.P50(), h.P99(), h.Max()
+		}
+		// Only the offload system is Faultable, so a faulted spec built one.
+		off := sys.(*core.Offload)
+		res.Retries, res.TimeoutDrops, res.Degraded = off.Retries(), off.TimeoutDrops(), off.DegradedSteered()
+		res.LossDrops, res.DelayHits = off.FaultSchedule().LossDrops(), off.FaultSchedule().DelayHits()
+		res.RecorderDrops = r.Dropped
+		return res
+	},
 }
 
-// FaultTimeline runs the first faulted series of the named preset at the
-// top of its load grid — where degraded hash steering visibly hurts the
-// tail, which is the point of the table — and buckets completions into
-// phases derived from the compiled fault schedule's crash windows. The
-// run is a single deterministic simulation (no sweep): same preset, same
-// bytes out.
-func FaultTimeline(presetID string, q Quality) (FaultTimelineResult, error) {
+// FaultTimeline measures the recovery table of the named preset on rn:
+// its first faulted series, pinned to the top of its load grid — where
+// degraded hash steering visibly hurts the tail, which is the point of
+// the table — as one faultTimeline row. Same preset, same bytes out, at
+// any parallelism.
+func FaultTimeline(ctx context.Context, rn *runner.Runner, presetID string, q Quality) (FaultTimelineResult, error) {
 	p, err := scenarios.Load(presetID)
 	if err != nil {
 		return FaultTimelineResult{}, err
 	}
-	idx := -1
 	for i := range p.Series {
-		if p.SpecFor(i).Faults != nil {
-			idx = i
-			break
+		sp := p.SpecFor(i)
+		if sp.Faults == nil {
+			continue
 		}
-	}
-	if idx < 0 {
-		return FaultTimelineResult{}, fmt.Errorf("experiment: preset %q has no faulted series", presetID)
-	}
-	sp := p.SpecFor(idx)
-	cfg, err := PointConfigFor(sp, q)
-	if err != nil {
+		loads, err := SpecLoads(sp)
+		if err != nil {
+			return FaultTimelineResult{}, err
+		}
+		if len(loads) == 0 {
+			return FaultTimelineResult{}, fmt.Errorf("experiment: preset %q declares no load", presetID)
+		}
+		sp.Load = &scenario.LoadSpec{RPS: loads[len(loads)-1]}
+		p.Series = []scenario.SeriesSpec{{Label: p.Series[i].Label, Spec: sp}}
+		res, err := Run(ctx, rn, p, q, faultTimeline)
+		if rows := Rows(res); len(rows) > 0 {
+			rows[0].Preset = presetID
+			return rows[0], err
+		}
 		return FaultTimelineResult{}, err
 	}
-	loads, err := SpecLoads(sp)
-	if err != nil {
-		return FaultTimelineResult{}, err
-	}
-	if len(loads) == 0 {
-		return FaultTimelineResult{}, fmt.Errorf("experiment: preset %q declares no load", presetID)
-	}
-	rps := loads[len(loads)-1]
-
-	eng := sim.New()
-	rec := &stats.Recorder{}
-	rec.Arm(0)
-	var obs []faultObs
-	done := func(r *task.Request) {
-		lat := r.Latency(eng.Now())
-		rec.RecordLatency(lat)
-		obs = append(obs, faultObs{at: eng.Now(), lat: lat})
-	}
-	sys := cfg.Factory(eng, rec, done)
-	sys.ArmWorkerTrackers(0)
-
-	off, ok := sys.(*core.Offload)
-	if !ok || off.FaultSchedule() == nil {
-		return FaultTimelineResult{}, fmt.Errorf("experiment: preset %q did not build a faulted offload system", presetID)
-	}
-	sched := off.FaultSchedule()
-
-	// Phase boundaries: lead-in, the first crash window, an equal-length
-	// recovery interval, then a recovered tail as long as the lead-in.
-	// Presets without crash windows get one whole-run "faulted" phase
-	// sized to the quality's measurement count.
-	type bound struct {
-		name       string
-		start, end time.Duration
-	}
-	var bounds []bound
-	var horizon time.Duration
-	if ws := sched.CrashWindows(); len(ws) > 0 {
-		start, end := ws[0].Start.D(), ws[0].End.D()
-		crashLen := end - start
-		horizon = end + crashLen + start
-		bounds = []bound{
-			{"healthy", 0, start},
-			{"crash", start, end},
-			{"recovery", end, end + crashLen},
-			{"recovered", end + crashLen, horizon},
-		}
-	} else {
-		horizon = time.Duration(float64(q.Measure) / rps * float64(time.Second))
-		bounds = []bound{{"faulted", 0, horizon}}
-	}
-
-	gen := loadgen.New(eng, loadgen.Config{
-		RPS:     rps,
-		Service: cfg.Service,
-		Keys:    cfg.Keys,
-		Seed:    cfg.Seed,
-	}, sys.Inject)
-	gen.Start()
-	eng.At(sim.Time(horizon), func() {
-		rec.Stop(eng.Now())
-		eng.Halt()
-	})
-	eng.Run()
-
-	res := FaultTimelineResult{
-		Preset:        presetID,
-		Label:         p.Series[idx].Label,
-		OfferedRPS:    rps,
-		Retries:       off.Retries(),
-		TimeoutDrops:  off.TimeoutDrops(),
-		Degraded:      off.DegradedSteered(),
-		LossDrops:     sched.LossDrops(),
-		DelayHits:     sched.DelayHits(),
-		RecorderDrops: rec.Dropped(),
-	}
-	for _, b := range bounds {
-		var h stats.Histogram
-		for _, o := range obs {
-			if o.at >= sim.Time(b.start) && o.at < sim.Time(b.end) {
-				h.Record(o.lat)
-			}
-		}
-		res.Phases = append(res.Phases, FaultPhase{
-			Phase:      b.name,
-			Start:      b.start,
-			End:        b.end,
-			Completed:  h.Count(),
-			GoodputRPS: float64(h.Count()) / (b.end - b.start).Seconds(),
-			P50:        h.P50(),
-			P99:        h.P99(),
-			Max:        h.Max(),
-		})
-	}
-	return res, nil
+	return FaultTimelineResult{}, fmt.Errorf("experiment: preset %q has no faulted series", presetID)
 }
 
 // FaultPresetIDs lists the checked-in fault presets the faults table

@@ -51,10 +51,17 @@ func QualityFor(sp scenario.Spec, q Quality) Quality {
 // Utilization-derived loads (rho) are computed here — never stored as
 // floats in preset files — so every caller describing the same scenario
 // gets bit-identical loads, and therefore shared cache keys. A k or flow
-// sweep resolves to its one fixed offered rate.
+// sweep resolves to its one fixed offered rate, a tenant mix to its
+// tenants' combined rate.
 func SpecLoads(sp scenario.Spec) ([]float64, error) {
 	l := sp.Load
 	switch {
+	case len(sp.Tenants) > 0:
+		var total float64
+		for _, t := range sp.Tenants {
+			total += t.RPS
+		}
+		return []float64{total}, nil
 	case l == nil:
 		return nil, nil
 	case l.Grid != nil:
@@ -99,7 +106,6 @@ func SpecPointKey(sweepID string, sp scenario.Spec, q Quality, rps float64, extr
 	id.Load = &scenario.LoadSpec{RPS: rps}
 	id.Quality = &scenario.QualitySpec{Warmup: q.Warmup, Measure: q.Measure}
 	id.Seed = q.Seed
-	id.Seeds = nil
 	k := sweepID + "|" + id.Fingerprint() + "|params=" + paramsSig()
 	for _, e := range extra {
 		k += "|" + e
@@ -108,24 +114,31 @@ func SpecPointKey(sweepID string, sp scenario.Spec, q Quality, rps float64, extr
 }
 
 // PointConfigFor compiles a spec into a runnable point config (offered
-// load left to the caller): registry build, workload parse, keys, and
-// effective quality.
+// load left to the caller): registry build, workload parse (the spec's
+// own, or one per tenant), keys, and effective quality.
 func PointConfigFor(sp scenario.Spec, q Quality) (PointConfig, error) {
 	f, err := scenario.Build(sp)
-	if err != nil {
-		return PointConfig{}, err
-	}
-	svc, err := dist.Parse(sp.Workload)
 	if err != nil {
 		return PointConfig{}, err
 	}
 	eq := QualityFor(sp, q)
 	cfg := PointConfig{
 		Factory: f,
-		Service: svc,
 		Warmup:  eq.Warmup,
 		Measure: eq.Measure,
 		Seed:    eq.Seed,
+	}
+	for _, t := range sp.Tenants {
+		svc, err := dist.Parse(t.Workload)
+		if err != nil {
+			return PointConfig{}, err
+		}
+		cfg.Tenants = append(cfg.Tenants, Tenant{RPS: t.RPS, Service: svc})
+	}
+	if len(cfg.Tenants) == 0 {
+		if cfg.Service, err = dist.Parse(sp.Workload); err != nil {
+			return PointConfig{}, err
+		}
 	}
 	if sp.Keys != nil {
 		cfg.Keys = sp.Keys.Keys()
@@ -135,9 +148,9 @@ func PointConfigFor(sp scenario.Spec, q Quality) (PointConfig, error) {
 }
 
 // Kind is a row kind: what measuring one point of a spec yields. The
-// kinds are Plain (a Result), Attributed, FlowRuleDetail, ShortTail and
-// Affinity; each owns its cache-key salt, so rows of different kinds for
-// the same scenario never collide.
+// kinds are Plain (a Result), Attributed, FlowRuleDetail, ShortTail,
+// Affinity and TenantMix; each owns its cache-key salt, so rows of
+// different kinds for the same scenario never collide.
 type Kind[T any] struct {
 	salt string
 	// run measures one compiled point of sp (the swept axis value already
@@ -253,9 +266,6 @@ func SpecSeries[T any](sweepID, label string, sp scenario.Spec, q Quality, k Kin
 // with the context error. It is the single entry point behind every
 // figure and table; the table types are pure reductions over its output.
 func Run[T any](ctx context.Context, rn *runner.Runner, p scenario.Preset, q Quality, k Kind[T]) ([]runner.SeriesResult[T], error) {
-	if len(p.Tenants) > 0 {
-		return nil, fmt.Errorf("experiment: preset %q is a tenants preset; run it with RunMultiTenant", p.ID)
-	}
 	sw := runner.Sweep[T]{Name: p.ID}
 	for i := range p.Series {
 		s, err := SpecSeries(p.ID, p.Series[i].Label, p.SpecFor(i), q, k)

@@ -5,9 +5,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"time"
 
-	"mindgap/internal/params"
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/scenarios"
@@ -75,33 +73,6 @@ func TestFigureCancellation(t *testing.T) {
 	for _, s := range f.Series {
 		if len(s.Results) != 0 {
 			t.Fatalf("series %q has %d results before any point could run", s.Label, len(s.Results))
-		}
-	}
-}
-
-// TestMultiTenantComparisonWith checks the concurrent FIFO/priority pair
-// matches two direct serial runs.
-func TestMultiTenantComparisonWith(t *testing.T) {
-	cfg := MultiTenantConfig{
-		P:       params.Default(),
-		Workers: 2, Outstanding: 2, Slice: 10 * time.Microsecond,
-		Tenants: DefaultMultiTenant(Quality{}).Tenants,
-		Quality: Quality{Warmup: 200, Measure: 1_000, Seed: 7},
-	}
-	cmp, err := MultiTenantComparisonWith(context.Background(), &runner.Runner{Parallelism: 2}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialFIFO := RunMultiTenant(cfg)
-	prio := cfg
-	prio.Priority = true
-	serialPrio := RunMultiTenant(prio)
-	for i := range serialFIFO {
-		if cmp.FIFO[i] != serialFIFO[i] {
-			t.Fatalf("fifo tenant %d: concurrent %+v != serial %+v", i, cmp.FIFO[i], serialFIFO[i])
-		}
-		if cmp.Priority[i] != serialPrio[i] {
-			t.Fatalf("priority tenant %d: concurrent %+v != serial %+v", i, cmp.Priority[i], serialPrio[i])
 		}
 	}
 }

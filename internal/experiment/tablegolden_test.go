@@ -95,25 +95,19 @@ var tableRenderers = []struct {
 		return buf.Bytes()
 	}},
 	{"tenants", func(t *testing.T, rn *runner.Runner) []byte {
-		cmp, err := MultiTenantComparisonWith(context.Background(), rn, DefaultMultiTenant(zeroFaultQuality))
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := tableRun(t, rn, "table-tenants", zeroFaultQuality, TenantMix)
 		var buf bytes.Buffer
-		for _, set := range []struct {
-			name string
-			rs   []TenantResult
-		}{{"fifo", cmp.FIFO}, {"priority", cmp.Priority}} {
-			for _, tr := range set.rs {
-				fmt.Fprintf(&buf, "%s,%s,%v,%v,%v,%d\n", set.name, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
+		for _, mix := range Rows(res) {
+			for _, tr := range mix {
+				fmt.Fprintf(&buf, "%s,%s,%v,%v,%v,%d\n", tr.Sched, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
 			}
 		}
 		return buf.Bytes()
 	}},
-	{"faults", func(t *testing.T, _ *runner.Runner) []byte {
+	{"faults", func(t *testing.T, rn *runner.Runner) []byte {
 		var buf bytes.Buffer
 		for _, id := range FaultPresetIDs() {
-			r, err := FaultTimeline(id, zeroFaultQuality)
+			r, err := FaultTimeline(context.Background(), rn, id, zeroFaultQuality)
 			if err != nil {
 				t.Fatal(err)
 			}

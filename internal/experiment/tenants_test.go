@@ -1,26 +1,30 @@
 package experiment
 
 import (
+	"context"
 	"testing"
-	"time"
 
-	"mindgap/internal/params"
+	"mindgap/internal/scenario"
+	"mindgap/scenarios"
 )
 
-func multiTenantCfg(priority bool, q Quality) MultiTenantConfig {
-	return MultiTenantConfig{
-		P:           params.Default(),
-		Workers:     4,
-		Outstanding: 3,
-		Slice:       15 * time.Microsecond,
-		Priority:    priority,
-		Tenants:     DefaultMultiTenant(q).Tenants,
-		Quality:     q,
+// tenantMix measures the checked-in X9 mix and returns its two rows: the
+// tenants on one shared FIFO, then under strict class priority.
+func tenantMix(t *testing.T, q Quality) (fifo, prio []TenantResult) {
+	t.Helper()
+	res, err := Run(context.Background(), nil, scenarios.MustLoad("table-tenants"), q, TenantMix)
+	if err != nil {
+		t.Fatal(err)
 	}
+	rows := Rows(res)
+	if len(rows) != 2 || rows[0][0].Sched != "fifo" || rows[1][0].Sched != "priority" {
+		t.Fatalf("rows = %+v, want a fifo and a priority profile", rows)
+	}
+	return rows[0], rows[1]
 }
 
 func TestMultiTenantBothTenantsServed(t *testing.T) {
-	res := RunMultiTenant(multiTenantCfg(false, Quality{Warmup: 1000, Measure: 8000, Seed: 7}))
+	res, _ := tenantMix(t, Quality{Warmup: 1000, Measure: 8000, Seed: 7})
 	if len(res) != 2 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -42,9 +46,7 @@ func TestMultiTenantPriorityProtectsCriticalClass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure harness test")
 	}
-	q := Quality{Warmup: 2000, Measure: 20000, Seed: 7}
-	fifo := RunMultiTenant(multiTenantCfg(false, q))
-	prio := RunMultiTenant(multiTenantCfg(true, q))
+	fifo, prio := tenantMix(t, Quality{Warmup: 2000, Measure: 20000, Seed: 7})
 	// With strict priority, the critical tenant's p99 must improve
 	// substantially over single-FIFO scheduling...
 	if prio[0].P99 >= fifo[0].P99 {
@@ -56,11 +58,21 @@ func TestMultiTenantPriorityProtectsCriticalClass(t *testing.T) {
 	}
 }
 
+// TestMultiTenantValidation checks an empty tenant list is refused: the
+// series then declares no workload at all, and a mix of nothing has no
+// rows to profile.
 func TestMultiTenantValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty tenants accepted")
-		}
-	}()
-	RunMultiTenant(MultiTenantConfig{P: params.Default(), Workers: 1, Quality: Quick})
+	p := scenarios.MustLoad("table-tenants") // a fresh decode: safe to edit
+	p.Series[0].Tenants = nil
+	if err := p.Validate(); err == nil {
+		t.Fatal("empty tenants accepted")
+	}
+	p.Series[0].Workload, p.Series[0].Load = "fixed:2µs", &scenario.LoadSpec{RPS: 1000}
+	res, err := Run(context.Background(), nil, p, Quick, TenantMix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := Rows(res); len(rows) != 0 {
+		t.Fatalf("a series without tenants produced %d tenant-mix rows", len(rows))
+	}
 }

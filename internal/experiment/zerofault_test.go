@@ -36,9 +36,9 @@ func isFaultPreset(name string) bool {
 }
 
 // renderPreset produces the canonical textual form of one preset's
-// measured output: the figure CSV for series presets, or the fixed-load
-// tenant comparison lines for multi-tenant presets. This mirrors what
-// `mindgap-sim -scenario <name> -csv` prints.
+// measured output: the figure CSV, or the per-tenant comparison lines for
+// a tenant mix. This mirrors what `mindgap-sim -scenario <name> -csv`
+// prints.
 func renderPreset(t *testing.T, name string) []byte {
 	t.Helper()
 	p, err := scenarios.Load(name)
@@ -46,27 +46,20 @@ func renderPreset(t *testing.T, name string) []byte {
 		t.Fatalf("load preset %s: %v", name, err)
 	}
 	var buf bytes.Buffer
-	if len(p.Tenants) > 0 {
-		cfg, err := MultiTenantFromPreset(p, zeroFaultQuality)
-		if err != nil {
-			t.Fatalf("preset %s: %v", name, err)
-		}
-		cmp, err := MultiTenantComparisonWith(context.Background(), nil, cfg)
-		if err != nil {
-			t.Fatalf("preset %s: %v", name, err)
-		}
-		for _, set := range []struct {
-			name string
-			rs   []TenantResult
-		}{{"fifo", cmp.FIFO}, {"priority", cmp.Priority}} {
-			for _, tr := range set.rs {
-				fmt.Fprintf(&buf, "%s,%s,%s,%v,%v,%v,%d\n",
-					p.ID, set.name, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
-			}
-		}
-		return buf.Bytes()
+	if len(p.SpecFor(0).Tenants) == 0 {
+		return renderFigure(t, p, zeroFaultQuality, 4)
 	}
-	return renderFigure(t, p, zeroFaultQuality, 4)
+	res, err := Run(context.Background(), nil, p, zeroFaultQuality, TenantMix)
+	if err != nil {
+		t.Fatalf("preset %s: %v", name, err)
+	}
+	for _, mix := range Rows(res) {
+		for _, tr := range mix {
+			fmt.Fprintf(&buf, "%s,%s,%s,%v,%v,%v,%d\n",
+				p.ID, tr.Sched, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
+		}
+	}
+	return buf.Bytes()
 }
 
 // TestZeroFaultGolden guards the fault-injection hooks' overhead-free off

@@ -209,10 +209,6 @@ func (l *Link) Delivered() uint64 { return l.delivered }
 // Dropped returns the number of messages rejected by the bounded queue.
 func (l *Link) Dropped() uint64 { return l.dropped }
 
-// Stalls returns how many messages waited behind an earlier message's
-// serialization before departing.
-func (l *Link) Stalls() uint64 { return l.stalls }
-
 // SetFault installs a per-message fault hook (see the fault field).
 // Install before the simulation starts.
 func (l *Link) SetFault(f func(sim.Time) (drop bool, extra time.Duration)) { l.fault = f }

@@ -3,9 +3,7 @@ package hypothesis
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"sort"
-	"strings"
 
 	"mindgap/internal/scenario"
 )
@@ -13,33 +11,12 @@ import (
 // A hypothesis is only as good as its experimental design: if the arms
 // differ in a dimension the claim does not mention, the comparison is
 // confounded. This file diffs the two arm scenarios dimension by
-// dimension — every scenario knob plus the structural dimensions below —
-// and requires the spec to declare exactly the differing set in Varied.
-// Controlled is the complementary assertion: dimensions listed there
-// must be set in both arms and equal, so a later edit that quietly
+// dimension — every scenario knob plus the structural dimensions of
+// specDims — and requires the spec to declare exactly the differing set
+// in Varied. Controlled is the complementary assertion: dimensions listed
+// there must be set in both arms and equal, so a later edit that quietly
 // unbalances a controlled knob fails validation instead of shipping a
 // confounded FINDINGS report.
-
-// Structural (non-knob) dimensions of a scenario spec.
-var structuralDims = []string{
-	"system", "workload", "keys", "flow", "load",
-	"telemetry", "trace", "attribution", "faults",
-}
-
-// knobDims returns the JSON names of every scenario knob, derived from
-// the Knobs struct tags so a knob added to the scenario schema is
-// automatically diffable here.
-func knobDims() []string {
-	t := reflect.TypeOf(scenario.Knobs{})
-	out := make([]string, 0, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		tag := t.Field(i).Tag.Get("json")
-		if name, _, _ := strings.Cut(tag, ","); name != "" && name != "-" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
 
 // dimValue renders one dimension of a spec as canonical JSON; "" means
 // the dimension is unset. Values are compared as encoded bytes — never
@@ -56,22 +33,24 @@ func encodeDim(v any) string {
 	}
 	s := string(b)
 	switch s {
-	case "null", `""`, "0", "false":
+	case "null", `""`, "0", "false", "[]":
 		return "" // zero values read as "unset", matching omitempty
 	}
 	return s
 }
 
-// specDims explodes a scenario into its dimension map.
+// specDims explodes a scenario into its dimension map: the structural
+// (non-knob) dimensions, then every knob by the name the scenario schema
+// reflects from its struct tags, so a knob added there is diffable here.
 func specDims(sp scenario.Spec) map[string]string {
 	out := map[string]string{
 		"system":      encodeDim(sp.System),
 		"workload":    encodeDim(sp.Workload),
 		"keys":        encodeDim(sp.Keys),
 		"flow":        encodeDim(sp.Flow),
+		"tenants":     encodeDim(sp.Tenants),
 		"load":        encodeDim(sp.Load),
 		"telemetry":   encodeDim(sp.Telemetry),
-		"trace":       encodeDim(sp.Trace),
 		"attribution": encodeDim(sp.Attribution),
 		"faults":      encodeDim(sp.Faults),
 	}
@@ -84,12 +63,9 @@ func specDims(sp scenario.Spec) map[string]string {
 	if err := json.Unmarshal(kb, &km); err != nil {
 		return out
 	}
-	for _, name := range knobDims() {
-		if raw, ok := km[name]; ok {
-			out[name] = string(raw)
-		} else {
-			out[name] = ""
-		}
+	all, _ := kn.Names()
+	for _, name := range all {
+		out[name] = string(km[name]) // absent (unset) reads as ""
 	}
 	return out
 }

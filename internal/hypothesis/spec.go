@@ -46,7 +46,7 @@ const (
 )
 
 // Arm is one side of the comparison: a label and an inline scenario.
-// The scenario must leave Seed, Seeds and Quality unset — the hypothesis
+// The scenario must leave Seed and Quality unset — the hypothesis
 // pins those for both arms, so the only differences between A and B are
 // the ones the varied list declares.
 type Arm struct {
@@ -239,7 +239,7 @@ func (s Spec) validateArms() error {
 			return fmt.Errorf("hypothesis %s: arm %s needs a label", s.ID, side.name)
 		}
 		sp := side.arm.Scenario
-		if sp.Seed != 0 || len(sp.Seeds) != 0 {
+		if sp.Seed != 0 {
 			return fmt.Errorf("hypothesis %s: arm %s must not pin seeds — the hypothesis seed list drives both arms", s.ID, side.name)
 		}
 		if sp.Quality != nil {

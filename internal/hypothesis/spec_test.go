@@ -83,9 +83,6 @@ func TestValidateArmPins(t *testing.T) {
 	s.A.Scenario.Seed = 3
 	wantErr(t, s, "must not pin seeds")
 	s = base()
-	s.B.Scenario.Seeds = []uint64{1}
-	wantErr(t, s, "must not pin seeds")
-	s = base()
 	s.A.Scenario.Quality = &scenario.QualitySpec{Warmup: 10}
 	wantErr(t, s, "must not pin quality")
 	s = base()

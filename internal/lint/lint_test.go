@@ -74,7 +74,6 @@ var auditedSuppressions = map[string]int{
 	// exactly zero", a defined tie, not a float comparison.
 	"internal/hypothesis/verdict.go floateq": 2,
 	"internal/live/dispatcher.go maporder":   2,
-	"internal/scenario/spec.go floateq":      3,
 }
 
 // TestTreeSuppressionsAudited parses every non-testdata Go file in the

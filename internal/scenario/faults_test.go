@@ -29,8 +29,7 @@ func faultedSpec() Spec {
 
 // TestFaultGate covers the registry's fault-admission rules: only
 // systems that opted into degradation accept a fault block, faulted
-// specs must pin a single nonzero seed, and the block itself must
-// validate.
+// specs must pin a nonzero seed, and the block itself must validate.
 func TestFaultGate(t *testing.T) {
 	good := faultedSpec()
 	if _, err := Build(good); err != nil {
@@ -48,7 +47,6 @@ func TestFaultGate(t *testing.T) {
 		}, "cannot degrade"},
 		{"empty fault block", func(s *Spec) { s.Faults = &faults.Spec{} }, "empty"},
 		{"zero seed", func(s *Spec) { s.Seed = 0 }, "seed"},
-		{"seeds list", func(s *Spec) { s.Seeds = []uint64{1, 2} }, "seeds"},
 		{"invalid fault block", func(s *Spec) { s.Faults.Retries = -1 }, "retries"},
 	}
 	for _, tc := range cases {

@@ -4,18 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-
-	"mindgap/internal/dist"
 )
 
 // Preset is a checked-in scenario file: presentation metadata plus one
 // or more series, each a full Spec. Preset-level Workload, Keys, Load
 // and Seed are defaults inherited by series that leave them unset, so a
 // figure whose curves share a workload and load grid states them once.
-//
-// A preset with a Tenants list instead describes a multi-tenant
-// topology (the X9 experiment): several co-located load classes driven
-// against one server described by System + Knobs.
 type Preset struct {
 	// ID names the preset; checked-in files are named <id>.json.
 	ID string `json:"id"`
@@ -31,11 +25,6 @@ type Preset struct {
 	Seed     uint64    `json:"seed,omitempty"`
 	// Series holds one entry per measured curve.
 	Series []SeriesSpec `json:"series,omitempty"`
-	// System, Knobs and Tenants describe a multi-tenant preset: the
-	// shared server and the co-located load classes driving it.
-	System  string       `json:"system,omitempty"`
-	Knobs   *Knobs       `json:"knobs,omitempty"`
-	Tenants []TenantSpec `json:"tenants,omitempty"`
 }
 
 // SeriesSpec is one labelled curve of a preset.
@@ -43,20 +32,6 @@ type SeriesSpec struct {
 	// Label names the curve in rendered figures and cache keys.
 	Label string `json:"label"`
 	Spec
-}
-
-// TenantSpec is one co-located application class of a multi-tenant
-// preset (§2.2: "multiple co-located applications from different
-// latency classes").
-type TenantSpec struct {
-	// Name labels the tenant in reports.
-	Name string `json:"name"`
-	// RPS is the tenant's offered load.
-	RPS float64 `json:"rps"`
-	// Workload is the tenant's service-time distribution.
-	Workload string `json:"workload"`
-	// Class is the tenant's priority class (0 = highest).
-	Class int `json:"class,omitempty"`
 }
 
 // SpecFor resolves series i against the preset defaults: the series
@@ -113,7 +88,7 @@ func DecodePreset(b []byte) (Preset, error) {
 // accepts both shapes.
 func DecodeAny(b []byte) (Preset, error) {
 	p, perr := DecodePreset(b)
-	if perr == nil && (len(p.Series) > 0 || len(p.Tenants) > 0) {
+	if perr == nil && len(p.Series) > 0 {
 		return p, nil
 	}
 	sp, serr := Decode(b)
@@ -130,31 +105,13 @@ func DecodeAny(b []byte) (Preset, error) {
 	if perr != nil {
 		return Preset{}, perr
 	}
-	return Preset{}, fmt.Errorf("scenario: file declares neither series nor tenants nor a system")
+	return Preset{}, fmt.Errorf("scenario: file declares neither series nor a system")
 }
 
 // Validate checks the preset and every resolved series spec.
 func (p Preset) Validate() error {
 	if p.ID == "" {
 		return fmt.Errorf("scenario: preset needs an id")
-	}
-	if len(p.Tenants) > 0 {
-		if len(p.Series) > 0 {
-			return fmt.Errorf("scenario: preset %q mixes series and tenants", p.ID)
-		}
-		sp := Spec{System: p.System, Knobs: p.Knobs}
-		if err := sp.Validate(); err != nil {
-			return fmt.Errorf("scenario: preset %q: %w", p.ID, err)
-		}
-		for _, t := range p.Tenants {
-			if t.Name == "" || t.RPS <= 0 {
-				return fmt.Errorf("scenario: preset %q: tenant needs a name and rps > 0", p.ID)
-			}
-			if _, err := dist.Parse(t.Workload); err != nil {
-				return fmt.Errorf("scenario: preset %q tenant %q: %w", p.ID, t.Name, err)
-			}
-		}
-		return nil
 	}
 	if len(p.Series) == 0 {
 		return fmt.Errorf("scenario: preset %q has no series", p.ID)
@@ -166,6 +123,9 @@ func (p Preset) Validate() error {
 		sp := p.SpecFor(i)
 		if err := sp.Validate(); err != nil {
 			return fmt.Errorf("scenario: preset %q series %q: %w", p.ID, s.Label, err)
+		}
+		if len(sp.Tenants) > 0 {
+			continue // the tenants are the workload and the load
 		}
 		if sp.Workload == "" {
 			return fmt.Errorf("scenario: preset %q series %q has no workload", p.ID, s.Label)

@@ -78,6 +78,10 @@ type Builder struct {
 	// every other system rejects one — the workload model is part of the
 	// contract, not a silent default.
 	FlowWorkload bool
+	// PriorityClasses marks systems whose central queue can be split into
+	// strict priority classes; every other system refuses a tenant whose
+	// class is above 0 instead of quietly serving it from one FIFO.
+	PriorityClasses bool
 	// Build assembles the factory from the validated spec (knobs have
 	// passed checkKnobs; faulted specs have passed the fault gate).
 	Build func(o Options, sp Spec) (Factory, error)
@@ -90,7 +94,8 @@ func (b Builder) checkKnobs(k Knobs) error {
 		allowed[n] = true
 	}
 	var bad []string
-	for _, n := range k.set() {
+	_, set := k.Names()
+	for _, n := range set {
 		if !allowed[n] {
 			bad = append(bad, n)
 		}
@@ -209,8 +214,9 @@ func init() {
 		Doc:  "Shinjuku-Offload: the paper's informed NIC-resident scheduler (§3)",
 		Knobs: []string{"workers", "outstanding", "slice", "policy", "load_feedback",
 			"dispatch_burst", "ddio_to_l1", "admission_limit", "affinity"},
-		Observable: true,
-		Faultable:  true,
+		Observable:      true,
+		Faultable:       true,
+		PriorityClasses: true,
 		Build: func(o Options, sp Spec) (Factory, error) {
 			k := sp.KnobsOrZero()
 			pol, err := ParsePolicy(k.Policy)
@@ -232,6 +238,14 @@ func init() {
 				AdmissionLimit: k.AdmissionLimit,
 				Affinity:       k.Affinity,
 				Metrics:        o.Metrics,
+			}
+			for _, t := range sp.Tenants {
+				cfg.PriorityClasses = max(cfg.PriorityClasses, t.Class+1)
+			}
+			if cfg.PriorityClasses > 1 {
+				// drive stamps each request with its tenant's index.
+				tenants := sp.Tenants
+				cfg.ClassOf = func(r *task.Request) int { return tenants[r.ClientID].Class }
 			}
 			if sp.Faults != nil {
 				// Each system instance compiles its own schedule: the loss

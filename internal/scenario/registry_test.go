@@ -120,8 +120,8 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Telemetry: true}); err == nil {
 		t.Error("rss with telemetry:true built; want rejection")
 	}
-	if _, err := Build(Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Trace: true, Attribution: true}); err != nil {
-		t.Errorf("rss with trace+attribution: %v", err)
+	if _, err := Build(Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Attribution: true}); err != nil {
+		t.Errorf("rss with attribution: %v", err)
 	}
 }
 

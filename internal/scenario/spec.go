@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"time"
 
 	"mindgap/internal/dist"
@@ -121,44 +123,21 @@ type Knobs struct {
 	SlowQueue   int      `json:"slow_queue,omitempty"`
 }
 
-// set returns the JSON names of every non-zero knob, in declaration
-// order, for per-kind validation and error messages.
-func (k Knobs) set() []string {
-	var out []string
-	add := func(name string, isSet bool) {
-		if isSet {
-			out = append(out, name)
+// Names returns the JSON names of the knobs in declaration order, read
+// from the struct tags so a knob added to the schema needs no second
+// list: all of them, and the ones k sets. Set means non-zero — the
+// omitempty rule, so a knob is set exactly when the canonical encoding
+// carries it.
+func (k Knobs) Names() (all, set []string) {
+	v := reflect.ValueOf(k)
+	for i := 0; i < v.NumField(); i++ {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		all = append(all, name)
+		if !v.Field(i).IsZero() {
+			set = append(set, name)
 		}
 	}
-	add("workers", k.Workers != 0)
-	add("outstanding", k.Outstanding != 0)
-	add("slice", k.Slice != 0)
-	add("policy", k.Policy != "")
-	add("load_feedback", k.LoadFeedback)
-	add("dispatch_burst", k.DispatchBurst != 0)
-	add("ddio_to_l1", k.DDIOToL1)
-	add("admission_limit", k.AdmissionLimit != 0)
-	add("affinity", k.Affinity)
-	add("sockets", k.Sockets != 0)
-	add("queue_cap", k.QueueCap != 0)
-	add("min_workers", k.MinWorkers != 0)
-	add("interval", k.Interval != 0)
-	add("up_threshold", k.UpThreshold != 0)     //lint:allow floateq exact zero means "field unset", not a computed value
-	add("down_threshold", k.DownThreshold != 0) //lint:allow floateq exact zero means "field unset", not a computed value
-	add("cxl", k.CXL)
-	add("linerate", k.LineRate)
-	add("directirq", k.DirectInterrupts)
-	add("rule_capacity", k.RuleCapacity != 0)
-	add("insert_rate", k.InsertRate != 0) //lint:allow floateq exact zero means "field unset", not a computed value
-	add("insert_queue", k.InsertQueue != 0)
-	add("offload_threshold", k.OffloadThreshold != 0)
-	add("adaptive_threshold", k.AdaptiveThreshold)
-	add("adapt_interval", k.AdaptInterval != 0)
-	add("idle_timeout", k.IdleTimeout != 0)
-	add("fast_latency", k.FastLatency != 0)
-	add("slow_latency", k.SlowLatency != 0)
-	add("slow_queue", k.SlowQueue != 0)
-	return out
+	return all, set
 }
 
 // KeysSpec samples per-request application keys from a Zipf popularity
@@ -269,6 +248,20 @@ func (f FlowSpec) validate(hasFSweep bool) error {
 	return nil
 }
 
+// TenantSpec is one co-located application class (§2.2: "multiple
+// co-located applications from different latency classes"): its own
+// open-loop request stream against the shared server.
+type TenantSpec struct {
+	// Name labels the tenant in reports.
+	Name string `json:"name"`
+	// RPS is the tenant's offered load.
+	RPS float64 `json:"rps"`
+	// Workload is the tenant's service-time distribution.
+	Workload string `json:"workload"`
+	// Class is the tenant's priority class (0 = highest).
+	Class int `json:"class,omitempty"`
+}
+
 // LoadSpec declares how a scenario is loaded. Exactly one of RPS, Rho
 // or Grid applies; KSweep additionally requires RPS (the saturating
 // load the k sweep runs at).
@@ -323,6 +316,14 @@ type Spec struct {
 	// field is omitted from the canonical encoding, so pre-flow specs
 	// keep their fingerprints.
 	Flow *FlowSpec `json:"flow,omitempty"`
+	// Tenants drives the system with one open-loop stream per co-located
+	// tenant instead of the single Workload at Load: the block is both
+	// the workload and the load, so it excludes Workload, Flow and Load.
+	// Requests carry their tenant's index as ClientID; on a system with
+	// a class-aware central queue the tenants' classes become its strict
+	// priority classes. Absent (nil), the field is omitted from the
+	// canonical encoding, so single-stream specs keep their fingerprints.
+	Tenants []TenantSpec `json:"tenants,omitempty"`
 	// Load declares the offered load (single point, utilization-derived
 	// point, load grid, k sweep, or flow-population sweep).
 	Load *LoadSpec `json:"load,omitempty"`
@@ -330,13 +331,9 @@ type Spec struct {
 	Quality *QualitySpec `json:"quality,omitempty"`
 	// Seed fixes the workload streams (0 = take the run-time default).
 	Seed uint64 `json:"seed,omitempty"`
-	// Seeds requests replicated runs across an explicit seed list.
-	Seeds []uint64 `json:"seeds,omitempty"`
 	// Telemetry asks the run to wire a metrics registry through the
-	// system's probes (Observable systems only); Trace asks for
-	// request-lifecycle tracing, which every system supports.
+	// system's probes (Observable systems only).
 	Telemetry bool `json:"telemetry,omitempty"`
-	Trace     bool `json:"trace,omitempty"`
 	// Attribution asks the run to attach a latency-attribution collector:
 	// per-request phase decomposition (ingress / nic-queue / fabric /
 	// host-queue / service / preemption overhead) plus a ground-truth
@@ -390,6 +387,19 @@ func (s Spec) WithFlows(n int) Spec {
 	}
 	fl.Flows = n
 	s.Flow = &fl
+	return s
+}
+
+// WithFlatTenants returns a copy of the spec with every tenant in class
+// 0 — the same mix on one shared FIFO, the baseline of the tenants
+// table. The receiver's tenant list is left untouched.
+func (s Spec) WithFlatTenants() Spec {
+	flat := make([]TenantSpec, len(s.Tenants))
+	for i, t := range s.Tenants {
+		t.Class = 0
+		flat[i] = t
+	}
+	s.Tenants = flat
 	return s
 }
 
@@ -459,7 +469,8 @@ func (s Spec) Validate() error {
 
 // builder resolves the spec's registered system and applies the gates
 // Validate and BuildWith share: only knobs that system accepts, the
-// flow-workload contract, and the fault-schedule contract.
+// flow-workload contract, the tenants contract, and the fault-schedule
+// contract.
 func (s Spec) builder() (Builder, error) {
 	b, ok := Lookup(s.System)
 	if !ok {
@@ -469,6 +480,9 @@ func (s Spec) builder() (Builder, error) {
 		return b, err
 	}
 	if err := s.checkFlow(b); err != nil {
+		return b, err
+	}
+	if err := s.checkTenants(b); err != nil {
 		return b, err
 	}
 	if s.Faults == nil {
@@ -485,9 +499,6 @@ func (s Spec) builder() (Builder, error) {
 	}
 	if s.Seed == 0 {
 		return b, fmt.Errorf("scenario: %s: faulted specs must pin a nonzero seed — the fault timeline is part of the scenario identity", s.System)
-	}
-	if len(s.Seeds) > 0 {
-		return b, fmt.Errorf("scenario: %s: faulted specs take a single pinned seed, not a seeds list", s.System)
 	}
 	return b, nil
 }
@@ -508,6 +519,39 @@ func (s Spec) checkFlow(b Builder) error {
 	}
 	if s.Flow != nil {
 		return s.Flow.validate(hasFSweep)
+	}
+	return nil
+}
+
+// checkTenants gates the tenants block. It is the workload and the load,
+// so the fields that otherwise declare them must be unset; every tenant
+// needs a name, a rate and a workload that parses; classes are dense
+// ranks, and one above 0 needs a system whose central queue is
+// class-aware — elsewhere it would silently run as one FIFO. The fault
+// layer tracks dispatches by request ID, which tenant streams reuse.
+func (s Spec) checkTenants(b Builder) error {
+	if len(s.Tenants) == 0 {
+		return nil
+	}
+	if s.Workload != "" || s.Load != nil || s.Flow != nil {
+		return fmt.Errorf("scenario: %s: tenants carry their own workloads and rates; drop workload, load and flow", s.System)
+	}
+	if s.Faults != nil {
+		return fmt.Errorf("scenario: %s: fault schedules track requests by id, which tenant streams do not keep unique", s.System)
+	}
+	for _, t := range s.Tenants {
+		if t.Name == "" || t.RPS <= 0 {
+			return fmt.Errorf("scenario: %s: tenant needs a name and rps > 0", s.System)
+		}
+		if _, err := dist.Parse(t.Workload); err != nil {
+			return fmt.Errorf("scenario: %s: tenant %q: %w", s.System, t.Name, err)
+		}
+		if t.Class < 0 || t.Class >= len(s.Tenants) {
+			return fmt.Errorf("scenario: %s: tenant %q: class %d outside [0, %d)", s.System, t.Name, t.Class, len(s.Tenants))
+		}
+		if t.Class > 0 && !b.PriorityClasses {
+			return fmt.Errorf("scenario: system %q has no class-aware queue and rejects tenant %q's class %d", s.System, t.Name, t.Class)
+		}
 	}
 	return nil
 }

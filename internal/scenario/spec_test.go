@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -76,9 +77,6 @@ func randomSpec(r *rand.Rand) Spec {
 	}
 	if r.IntN(4) == 0 {
 		sp.Quality = &QualitySpec{Preset: "quick"}
-	}
-	if r.IntN(4) == 0 {
-		sp.Seeds = []uint64{1, 2, 3}
 	}
 	return sp
 }
@@ -207,6 +205,123 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodePreset([]byte(`{"id":"x","seriez":[]}`)); err == nil {
 		t.Error("preset with unknown field decoded; want error")
 	}
+	// Fields the schema used to carry but nothing ever read.
+	for _, gone := range []string{`"seeds":[1,2]`, `"trace":true`} {
+		if _, err := Decode([]byte(`{"system":"offload",` + gone + `}`)); err == nil {
+			t.Errorf("spec with retired field %s decoded; want error", gone)
+		}
+	}
+	// The pre-fold tenants preset shape: server and tenants at top level.
+	if _, err := DecodePreset([]byte(`{"id":"x","system":"offload","tenants":[{"name":"a","rps":1,"workload":"fixed:1µs"}]}`)); err == nil {
+		t.Error("preset with top-level system/tenants decoded; want error")
+	}
+}
+
+// TestValidateTenants checks the tenants contract: the block replaces
+// workload, load and flow; tenants are well-formed; and a class above 0
+// needs a system with a class-aware queue.
+func TestValidateTenants(t *testing.T) {
+	base := func() Spec {
+		return Spec{
+			System: "offload",
+			Knobs:  &Knobs{Workers: 2, Outstanding: 2},
+			Tenants: []TenantSpec{
+				{Name: "hi", RPS: 1000, Workload: "fixed:1µs"},
+				{Name: "lo", RPS: 100, Workload: "exp:50µs", Class: 1},
+			},
+		}
+	}
+	if _, err := Build(base()); err != nil {
+		t.Fatalf("valid tenants spec rejected: %v", err)
+	}
+	flat := base().WithFlatTenants()
+	flat.System, flat.Knobs = "rss", &Knobs{Workers: 2}
+	if err := flat.Validate(); err != nil {
+		t.Errorf("class-0 tenants on rss rejected: %v", err)
+	}
+	p := Preset{ID: "t", Series: []SeriesSpec{{Label: "mix", Spec: base()}}}
+	if err := p.Validate(); err != nil {
+		t.Errorf("tenants series needs no workload or load, yet: %v", err)
+	}
+	p.Series[0].Tenants = nil
+	if err := p.Validate(); err == nil {
+		t.Error("series with neither tenants nor workload validated; want rejection")
+	}
+
+	cases := []struct {
+		name string
+		mut  func(*Spec)
+		want string
+	}{
+		{"with workload", func(s *Spec) { s.Workload = "fixed:1µs" }, "drop workload"},
+		{"with load", func(s *Spec) { s.Load = &LoadSpec{RPS: 1000} }, "drop workload"},
+		{"with flow", func(s *Spec) { s.Flow = &FlowSpec{Flows: 8} }, "flow"},
+		{"with faults", func(s *Spec) {
+			s.Seed = 7
+			s.Faults = faultedSpec().Faults
+		}, "tenant streams"},
+		{"class on rss", func(s *Spec) { s.System, s.Knobs = "rss", &Knobs{Workers: 2} }, "no class-aware queue"},
+		{"class out of range", func(s *Spec) { s.Tenants[1].Class = 2 }, "outside"},
+		{"negative class", func(s *Spec) { s.Tenants[0].Class = -1 }, "outside"},
+		{"unnamed", func(s *Spec) { s.Tenants[0].Name = "" }, "name"},
+		{"zero rate", func(s *Spec) { s.Tenants[1].RPS = 0 }, "rps"},
+		{"bad workload", func(s *Spec) { s.Tenants[1].Workload = "banana" }, `tenant "lo"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := base()
+			tc.mut(&sp)
+			err := sp.Validate()
+			if err == nil {
+				t.Fatalf("Validate accepted tenants %s", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestWithFlatTenants checks the FIFO variant of a tenant mix is a copy:
+// deriving it must not flatten the spec it came from.
+func TestWithFlatTenants(t *testing.T) {
+	sp := Spec{Tenants: []TenantSpec{{Name: "a"}, {Name: "b", Class: 1}}}
+	flat := sp.WithFlatTenants()
+	if flat.Tenants[1].Class != 0 || flat.Tenants[1].Name != "b" {
+		t.Errorf("flat variant = %+v, want class 0 with the tenant otherwise intact", flat.Tenants[1])
+	}
+	if sp.Tenants[1].Class != 1 {
+		t.Error("WithFlatTenants rewrote the receiver's tenant list")
+	}
+}
+
+// TestKnobNames checks the reflected knob list against the schema: every
+// field is tagged, and a knob is set exactly when the encoding carries it.
+func TestKnobNames(t *testing.T) {
+	k := Knobs{Workers: 4, UpThreshold: 0.5, CXL: true, Slice: Duration(time.Microsecond)}
+	all, set := k.Names()
+	if len(all) != reflect.TypeOf(k).NumField() {
+		t.Fatalf("all = %d names for %d fields", len(all), reflect.TypeOf(k).NumField())
+	}
+	for _, n := range all {
+		if n == "" || n == "-" {
+			t.Fatalf("knob without a JSON name in %v", all)
+		}
+	}
+	if want := []string{"workers", "slice", "up_threshold", "cxl"}; !reflect.DeepEqual(set, want) {
+		t.Errorf("set = %v, want %v (declaration order)", set, want)
+	}
+	b, err := json.Marshal(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc map[string]json.RawMessage
+	if err := json.Unmarshal(b, &enc); err != nil {
+		t.Fatal(err)
+	}
+	if len(enc) != len(set) {
+		t.Errorf("encoding carries %d knobs, Names reports %d set", len(enc), len(set))
+	}
 }
 
 // TestDecodeAny checks both accepted file shapes.
@@ -234,6 +349,6 @@ func TestDecodeAny(t *testing.T) {
 	}
 
 	if _, err := DecodeAny([]byte(`{"id":"empty"}`)); err == nil {
-		t.Error("file with neither series nor tenants nor system decoded; want error")
+		t.Error("file with neither series nor system decoded; want error")
 	}
 }

@@ -38,9 +38,6 @@ func (r *Recorder) Stop(now sim.Time) {
 	r.stopped = now
 }
 
-// Armed reports whether observations are currently being kept.
-func (r *Recorder) Armed() bool { return r.armed }
-
 // RecordLatency records one completed request's client-observed latency.
 func (r *Recorder) RecordLatency(d time.Duration) {
 	if !r.armed {

@@ -525,11 +525,10 @@ func (s *FlowRule) Completions() uint64 {
 	return n
 }
 
-// FastPackets, SlowPackets and DroppedPackets return packet counts by
-// path; FastBatches, SlowBatches and DroppedBatches the batch counts.
+// FastPackets and SlowPackets return packet counts by path; FastBatches,
+// SlowBatches and DroppedBatches the batch counts.
 func (s *FlowRule) FastPackets() uint64    { return s.fastPackets }
 func (s *FlowRule) SlowPackets() uint64    { return s.slowPackets }
-func (s *FlowRule) DroppedPackets() uint64 { return s.dropPackets }
 func (s *FlowRule) FastBatches() uint64    { return s.fastBatches }
 func (s *FlowRule) SlowBatches() uint64    { return s.slowBatches }
 func (s *FlowRule) DroppedBatches() uint64 { return s.dropBatches }

@@ -56,14 +56,6 @@ func TestPresetSystemsBuild(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if len(p.Tenants) > 0 {
-			// Tenants presets build their shared server from System+Knobs.
-			sp := scenario.Spec{System: p.System, Knobs: p.Knobs}
-			if _, err := scenario.Build(sp); err != nil {
-				t.Errorf("%s: server spec: %v", name, err)
-			}
-			continue
-		}
 		for i, s := range p.Series {
 			sp := p.SpecFor(i)
 			if sp.Load != nil && sp.Load.KSweep != nil {
