@@ -199,14 +199,31 @@ func (e *Engine) recycle(ev *event) {
 	}
 }
 
-// schedule enters a freshly allocated event into the wheel and maintains
-// the pending high-water mark.
+// schedule enters a freshly allocated event into the schedule and maintains
+// the pending high-water mark. An event for the instant being drained
+// (at == now == readyTime) joins the tail of the ready buffer: every event
+// of that instant already left the wheel when the instant was drained, and
+// the new event holds the highest seq so far, so appending keeps seq order
+// and saves the trip through a level-0 slot. readyTime lags now once
+// RunUntil has advanced the clock past the last drained instant; such
+// schedules take the wheel.
 //
 //mindgap:noalloc
 func (e *Engine) schedule(ev *event) {
 	e.pending++
 	if e.pending > e.highWater {
 		e.highWater = e.pending
+	}
+	if ev.at == e.now && ev.at == e.readyTime {
+		if e.readyPos == len(e.ready) {
+			// Fully drained: restart the buffer so a same-instant chain
+			// reuses its head instead of growing it.
+			e.ready = e.ready[:0]
+			e.readyPos = 0
+		}
+		ev.loc = locReady
+		e.ready = append(e.ready, ev)
+		return
 	}
 	e.file(ev)
 }

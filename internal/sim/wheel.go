@@ -26,8 +26,11 @@
 // share a timestamp), so draining a slot and sorting it by sequence number
 // reproduces the exact (time, seq) FIFO order of a heap. Higher-level
 // slots are unordered bags; when the lowest occupied level L > 0, the wheel
-// origin advances to the start of that slot's 64^L window and the slot's
-// events cascade into levels < L.
+// origin advances to the earliest instant in that level's earliest slot,
+// that instant's events become the ready buffer, and the rest of the slot
+// cascades into levels < L (see ensureReady). An event scheduled for the
+// instant being drained never enters the wheel at all (see schedule), so a
+// typical event is filed once.
 //
 // The origin only advances inside Step (while firing), never from a peek:
 // user code runs between steps and may schedule at any t >= now, so base
@@ -84,69 +87,82 @@ func (e *Engine) lowestOccupied() int {
 }
 
 // ensureReady guarantees the ready buffer holds the earliest pending
-// instant's events in seq order, cascading higher wheel levels as needed.
-// It reports false when nothing is pending. Only Step may call it: it
-// advances the wheel origin.
+// instant's events in seq order, cascading one higher wheel level if
+// level 0 is empty. It reports false when nothing is pending. Only Step
+// may call it: it advances the wheel origin.
 //
 //mindgap:noalloc
 func (e *Engine) ensureReady() bool {
-	for {
-		// Drain cursor first: skip tombstones left by Timer.Stop on events
-		// that were already drained into the ready buffer.
-		for e.readyPos < len(e.ready) {
-			ev := e.ready[e.readyPos]
-			if ev.loc == locReady {
-				return true
-			}
-			e.ready[e.readyPos] = nil
-			e.readyPos++
-			e.recycle(ev) // pending was decremented at Stop time
-		}
-		e.ready = e.ready[:0]
-		e.readyPos = 0
-
-		if e.occ[0] != 0 {
-			// A level-0 slot is a single instant: drain it whole, sort by
-			// seq, and it becomes the ready buffer. The buffers swap so
-			// both retain their capacity across instants.
-			slot := bits.TrailingZeros64(e.occ[0])
-			e.occ[0] &^= 1 << slot
-			sl := e.slots[0][slot]
-			e.slots[0][slot] = e.ready
-			e.ready = sl
-			e.readyTime = sl[0].at
-			e.base = e.readyTime
-			if len(sl) > 1 {
-				sortBySeq(sl)
-			}
-			for _, ev := range sl {
-				ev.loc = locReady
-			}
+	// Drain cursor first: skip tombstones left by Timer.Stop on events
+	// that were already drained into the ready buffer.
+	for e.readyPos < len(e.ready) {
+		ev := e.ready[e.readyPos]
+		if ev.loc == locReady {
 			return true
 		}
+		e.ready[e.readyPos] = nil
+		e.readyPos++
+		e.recycle(ev) // pending was decremented at Stop time
+	}
+	e.ready = e.ready[:0]
+	e.readyPos = 0
 
-		if lvl := e.lowestOccupied(); lvl > 0 {
-			// Cascade: advance the origin to the start of the earliest
-			// occupied slot's window; its events re-file strictly below lvl.
-			slot := bits.TrailingZeros64(e.occ[lvl])
-			e.occ[lvl] &^= 1 << slot
-			shift := uint(lvl * wheelBits)
-			// At the top level shift+wheelBits exceeds 64: the shift yields
-			// 0, the mask is all ones, and the whole old origin is cleared.
-			newBase := uint64(e.base) &^ (1<<(shift+wheelBits) - 1)
-			newBase |= uint64(slot) << shift
-			e.base = Time(newBase)
-			sl := e.slots[lvl][slot]
-			for _, ev := range sl {
-				e.file(ev)
-			}
-			clear(sl)
-			e.slots[lvl][slot] = sl[:0]
-			continue
+	if e.occ[0] != 0 {
+		// A level-0 slot is a single instant: drain it whole, sort by
+		// seq, and it becomes the ready buffer. The buffers swap so
+		// both retain their capacity across instants.
+		slot := bits.TrailingZeros64(e.occ[0])
+		e.occ[0] &^= 1 << slot
+		sl := e.slots[0][slot]
+		e.slots[0][slot] = e.ready
+		e.ready = sl
+		e.readyTime = sl[0].at
+		e.base = e.readyTime
+		if len(sl) > 1 {
+			sortBySeq(sl)
 		}
+		for _, ev := range sl {
+			ev.loc = locReady
+		}
+		return true
+	}
 
+	lvl := e.lowestOccupied()
+	if lvl == 0 {
 		return false
 	}
+	// Cascade to the minimum: the earliest occupied slot's earliest instant
+	// is the next to fire, so its events go straight to the ready buffer and
+	// the origin advances to that instant, not to the start of the slot's
+	// window. The origin is still <= every pending event, and it keeps its
+	// digits above lvl and takes this slot's at lvl, so both wheel
+	// invariants hold. The rest of the slot agrees with the new origin on
+	// every digit >= lvl, so it re-files strictly below lvl and the slot is
+	// cleared in the same pass.
+	slot := bits.TrailingZeros64(e.occ[lvl])
+	e.occ[lvl] &^= 1 << slot
+	sl := e.slots[lvl][slot]
+	first := sl[0].at
+	for _, ev := range sl[1:] {
+		if ev.at < first {
+			first = ev.at
+		}
+	}
+	e.base, e.readyTime = first, first
+	for i, ev := range sl {
+		sl[i] = nil
+		if ev.at == first {
+			ev.loc = locReady
+			e.ready = append(e.ready, ev)
+		} else {
+			e.file(ev)
+		}
+	}
+	e.slots[lvl][slot] = sl[:0]
+	if len(e.ready) > 1 {
+		sortBySeq(e.ready)
+	}
+	return true
 }
 
 // next returns the earliest pending event, removed from the schedule, or

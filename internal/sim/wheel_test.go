@@ -125,7 +125,11 @@ func logFire(recv, _ any, arg uint64) { recv.(*side).add(int(arg)) }
 // level, same-instant bursts, scheduling at the current instant from inside
 // a callback (drain-time insertion), cancellation from the wheel and the
 // ready buffer, cancel-then-reschedule, partial stepping, and RunUntil
-// boundaries.
+// boundaries — and, for the engine's two filing shortcuts (same-instant
+// append, cascade-to-minimum): a zero-delay timer stopped inside the
+// appended ready tail, zero-delay chains, current-instant schedules between
+// RunUntil probes with a fresh and a stale readyTime, and bursts that share
+// a far-level slot with tied and distinct instants.
 func script(t *testing.T, data []byte) {
 	t.Helper()
 	eng, ref := New(), &refSched{}
@@ -145,8 +149,16 @@ func script(t *testing.T, data []byte) {
 		return b
 	}
 
+	// emit schedules one plain logged event d from now on both sides.
+	emit := func(d time.Duration) {
+		id := nextID
+		nextID++
+		eng.AfterE(d, logFire, wheel, nil, uint64(id))
+		ref.after(d, func() { refs.add(id) })
+	}
+
 	for pos < len(data) {
-		switch op := next() % 7; op {
+		switch op := next() % 11; op {
 		case 0, 1: // schedule one event; delay spans every wheel level
 			lo := uint64(next()) | uint64(next())<<8
 			shift := uint(next()) % 48
@@ -171,10 +183,7 @@ func script(t *testing.T, data []byte) {
 			n := int(next())%6 + 2
 			d := time.Duration(next())
 			for k := 0; k < n; k++ {
-				id := nextID
-				nextID++
-				eng.AfterE(d, logFire, wheel, nil, uint64(id))
-				ref.after(d, func() { refs.add(id) })
+				emit(d)
 			}
 		case 3: // event that schedules another at its own instant (drain-time insert)
 			d := time.Duration(uint64(next()) << (uint(next()) % 20))
@@ -212,6 +221,84 @@ func script(t *testing.T, data []byte) {
 			until := eng.Now().Add(d)
 			eng.RunUntil(until)
 			ref.runUntil(until)
+		case 7: // a callback arms a zero-delay timer; a later callback of the same instant may stop it (tombstone in the appended ready tail)
+			d := time.Duration(uint64(next()) << (uint(next()) % 20))
+			stop := next()%2 == 0
+			id := nextID
+			nextID += 4
+			var tm *Timer
+			eng.After(d, func() {
+				wheel.add(id)
+				tm = eng.AfterTimerE(0, logFire, wheel, nil, uint64(id+1))
+			})
+			eng.After(d, func() {
+				wheel.add(id + 2)
+				if stop && tm.Stop() {
+					wheel.add(id + 3)
+				}
+			})
+			var rt *refEvent
+			ref.after(d, func() {
+				refs.add(id)
+				rt = ref.after(0, func() { refs.add(id + 1) })
+			})
+			ref.after(d, func() {
+				refs.add(id + 2)
+				if stop && ref.stop(rt) {
+					refs.add(id + 3)
+				}
+			})
+		case 8: // zero-delay chain of depth n started from inside a callback
+			d := time.Duration(uint64(next()) << (uint(next()) % 20))
+			n := int(next())%40 + 1
+			id := nextID
+			nextID += n + 1
+			var link, refLink func(k int)
+			link = func(k int) {
+				wheel.add(id + k)
+				if k < n {
+					eng.After(0, func() { link(k + 1) })
+				}
+			}
+			refLink = func(k int) {
+				refs.add(id + k)
+				if k < n {
+					ref.after(0, func() { refLink(k + 1) })
+				}
+			}
+			eng.After(d, func() { link(0) })
+			ref.after(d, func() { refLink(0) })
+		case 9: // current-instant schedules between RunUntil probes with nothing else pending
+			eng.Run()
+			for ref.step() {
+			}
+			// readyTime == now: the instant just drained.
+			emit(0)
+			emit(0)
+			eng.RunUntil(eng.Now())
+			ref.runUntil(ref.now)
+			// The clock moves on with nothing fired: readyTime is stale.
+			until := eng.Now().Add(time.Duration(next()) + 1)
+			eng.RunUntil(until)
+			ref.runUntil(until)
+			emit(0)
+			emit(time.Duration(next() % 2))
+			eng.RunUntil(eng.Now())
+			ref.runUntil(ref.now)
+			emit(0)
+		case 10: // burst sharing a far-level slot: ties at the minimum and distinct instants (cascade-to-minimum)
+			d := time.Duration((uint64(next()) + 1) << (12 + uint(next())%30))
+			n := int(next())%6 + 3
+			for k := 0; k < n; k++ {
+				var off uint64
+				switch b := next(); b % 4 {
+				case 1:
+					off = uint64(b) // levels 0-1 after the cascade
+				case 2:
+					off = uint64(b) << 6 // levels 1-2
+				}
+				emit(d + time.Duration(off))
+			}
 		}
 		if eng.Now() != ref.now {
 			t.Fatalf("clocks diverged: wheel=%v ref=%v", eng.Now(), ref.now)
@@ -264,12 +351,21 @@ func TestWheelVsHeapRandomized(t *testing.T) {
 // FuzzWheelVsHeap lets the fuzzer search for schedules where the wheel and
 // the reference heap disagree. The checked-in corpus covers each op plus
 // known-delicate shapes: delays past 2^42 ns (the old 7-level horizon),
-// cancel-while-ready, and same-instant bursts straddling a cascade.
+// cancel-while-ready, same-instant bursts straddling a cascade, and one
+// seed per filing shortcut.
 func FuzzWheelVsHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0})
 	f.Add([]byte{2, 5, 0, 0, 1, 255, 255, 47, 4, 0, 5, 15})
 	f.Add([]byte{0, 255, 255, 47, 0, 1, 0, 0, 4, 0, 4, 1, 5, 9})
 	f.Add([]byte{3, 200, 18, 3, 0, 0, 5, 3, 4, 0, 6, 9, 23})
+	// The filing shortcuts: a zero-delay timer stopped (and left to fire)
+	// inside the appended ready tail; a deep zero-delay chain behind a
+	// cascade; current-instant schedules around a stale readyTime; far-slot
+	// bursts with ties at the minimum, fired in part, then cancelled into.
+	f.Add([]byte{7, 9, 0, 0, 7, 9, 0, 1, 7, 200, 13, 0, 5, 15})
+	f.Add([]byte{8, 77, 14, 39, 2, 3, 0, 8, 0, 0, 5, 6, 15})
+	f.Add([]byte{0, 9, 0, 0, 9, 40, 1, 5, 2, 9, 0, 0, 2, 3, 0})
+	f.Add([]byte{10, 3, 0, 5, 0, 4, 1, 2, 0, 130, 10, 3, 0, 2, 0, 0, 0, 5, 4, 10, 0, 20, 3, 0, 0, 8, 6, 1, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip("cap script length")
