@@ -35,6 +35,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"mindgap/hypotheses"
@@ -47,6 +48,9 @@ import (
 )
 
 func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
+
+// flowRulePreset declares both the X14 figure and its detail table.
+const flowRulePreset = "figure-flowrule"
 
 // lookup finds a command-line id in a figure or table registry.
 func lookup(reg []experiment.Entry, id string) (experiment.Entry, bool) {
@@ -204,12 +208,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return true
 	}
 
+	// flowRule measures the X14 preset, once per invocation, as detail
+	// rows: its figure and its detail table are two reductions of them.
+	flowRule := sync.OnceValues(func() ([]runner.SeriesResult[experiment.FlowRuleRow], error) {
+		return experiment.Run(ctx, rn, scenarios.MustLoad(flowRulePreset), q, experiment.FlowRuleDetail)
+	})
+
 	// runFigure measures one registry figure and renders it; a rendering
 	// failure aborts the run.
 	runFigure := func(e experiment.Entry) error {
 		start := time.Now()
 		p := scenarios.MustLoad(e.Source)
-		res, err := experiment.Run(ctx, rn, p, q, experiment.Plain)
+		var res []runner.SeriesResult[experiment.Result]
+		var err error
+		if e.Source == flowRulePreset {
+			var rows []runner.SeriesResult[experiment.FlowRuleRow]
+			rows, err = flowRule()
+			res = experiment.FlowRuleResults(rows)
+		} else {
+			res, err = experiment.Run(ctx, rn, p, q, experiment.Plain)
+		}
 		interrupted(err)
 		f := experiment.NewFigure(p, res)
 		switch {
@@ -342,7 +360,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "== X14: flow-rule offload detail (rule-table telemetry behind the figure)")
 			fmt.Fprintf(stdout, "%-34s %10s %8s %12s %10s %10s %10s %10s %10s %8s %8s\n",
 				"policy", "flows", "hit", "p99", "fast", "slow", "drop", "inserted", "refused", "evicted", "thr")
-			res, err := experiment.Run(ctx, rn, scenarios.MustLoad("figure-flowrule"), q, experiment.FlowRuleDetail)
+			res, err := flowRule()
 			for _, r := range experiment.Rows(res) {
 				fmt.Fprintf(stdout, "%-34s %10d %7.1f%% %12v %10.0f %10.0f %10.0f %10.0f %10.0f %8.0f %8.0f\n",
 					r.Label, r.Flows, r.FastHitRate*100, r.Result.P99,

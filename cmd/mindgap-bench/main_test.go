@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"mindgap/internal/experiment"
+	"mindgap/scenarios"
 )
 
 // TestUnknownIDsRejected pins the flag contract: an id outside the
@@ -42,5 +44,42 @@ func TestKnownTableRuns(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout.String(), "== T1:") {
 		t.Fatalf("-table timer: unexpected output %q", stdout.String())
+	}
+}
+
+// TestFlowRuleFigureAndTableShareOneRun pins the X14 arrangement: the
+// figure the CLI prints is byte for byte what a Plain run of the preset
+// renders, yet it is measured as detail rows under the detail rows' cache
+// keys — so the table that follows finds every point already measured.
+func TestFlowRuleFigureAndTableShareOneRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the checked-in flow-rule preset twice")
+	}
+	cache := t.TempDir()
+	var fig, table, stderr bytes.Buffer
+	if code := run([]string{"mindgap-bench", "-fig", "flowrule", "-quick", "-csv", "-cache", cache}, &fig, &stderr); code != 0 {
+		t.Fatalf("-fig flowrule: exit %d, stderr %q", code, stderr.String())
+	}
+	p := scenarios.MustLoad(flowRulePreset)
+	res, err := experiment.Run(context.Background(), nil, p, experiment.Quick, experiment.Plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := experiment.NewFigure(p, res).WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fig.Bytes(), want.Bytes()) {
+		t.Fatalf("-fig flowrule -csv:\n%s\nPlain run renders:\n%s", fig.Bytes(), want.Bytes())
+	}
+	stderr.Reset()
+	if code := run([]string{"mindgap-bench", "-table", "flowrule", "-quick", "-cache", cache}, &table, &stderr); code != 0 {
+		t.Fatalf("-table flowrule: exit %d, stderr %q", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), ": 20 hits, 0 misses") {
+		t.Fatalf("-table flowrule after -fig flowrule re-measured points: %q", stderr.String())
+	}
+	if n := strings.Count(table.String(), "\n"); n != 23 {
+		t.Fatalf("-table flowrule printed %d lines, want header + 20 rows + blank:\n%s", n, table.String())
 	}
 }

@@ -1,15 +1,18 @@
 package experiment
 
 import (
+	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/internal/telemetry"
 )
 
-// This file declares the X14 flow-rule detail table: the fast-path /
+// This file declares the X14 flow-rule detail rows: the fast-path /
 // slow-path SmartNIC steering system swept across concurrent-flow
 // populations (the figure-flowrule preset's fsweep axis), reading the
 // rule-table telemetry — fast-path hit rate, insertion-pipeline
-// pressure, eviction churn — behind each measured point of the figure.
+// pressure, eviction churn — behind each measured point. The X14 figure
+// and its detail table are both reductions of these rows: one run, one
+// set of cache keys.
 
 // FlowRuleRow is one measured point of the flow-rule detail table: the
 // conventional latency point plus the rule-table counters that explain
@@ -71,4 +74,20 @@ var FlowRuleDetail = Kind[FlowRuleRow]{
 		row.read(reg)
 		return row
 	},
+}
+
+// FlowRuleResults reduces detail rows to the X14 figure's curves: the
+// conventional point each row was measured with. The observer contract
+// (a telemetry registry changes no simulated statistic) makes that point
+// identical to the Plain result of the same spec, so the figure needs no
+// run of its own.
+func FlowRuleResults(res []runner.SeriesResult[FlowRuleRow]) []runner.SeriesResult[Result] {
+	out := make([]runner.SeriesResult[Result], len(res))
+	for i, sr := range res {
+		out[i].Label = sr.Label
+		for _, row := range sr.Results {
+			out[i].Results = append(out[i].Results, row.Result)
+		}
+	}
+	return out
 }

@@ -3,8 +3,10 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
+	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/scenarios"
 )
@@ -106,5 +108,31 @@ func TestFlowRuleTableRows(t *testing.T) {
 	}
 	if maxFlows < 1_000_000 {
 		t.Errorf("largest population = %d, want >= 1M concurrent flows", maxFlows)
+	}
+}
+
+// TestFlowRuleFigureIsDetailReduction is the contract that lets the X14
+// figure and its detail table share one run: the detail rows reduced to
+// their conventional points are the preset's Plain results, at any
+// parallelism — the checked-in preset up to its million-flow point, or
+// the shrunken one under -short.
+func TestFlowRuleFigureIsDetailReduction(t *testing.T) {
+	p, q := scenarios.MustLoad("figure-flowrule"), Quick
+	if testing.Short() {
+		p, q = smallFlowRulePreset(t), Quality{Warmup: 300, Measure: 2000, Seed: 7}
+	}
+	for _, par := range []int{1, 4} {
+		rn := &runner.Runner{Parallelism: par}
+		plain, err := Run(context.Background(), rn, p, q, Plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		detail, err := Run(context.Background(), rn, p, q, FlowRuleDetail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FlowRuleResults(detail); !reflect.DeepEqual(got, plain) {
+			t.Fatalf("-j%d: detail rows reduce to\n%+v\nPlain measures\n%+v", par, got, plain)
+		}
 	}
 }

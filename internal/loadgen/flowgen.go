@@ -39,7 +39,10 @@ type FlowConfig struct {
 	// Flows is the concurrent flow population, held exactly constant: a
 	// retiring flow is replaced by a fresh one the same instant. Churn
 	// (and with it rule-table pressure) comes from the flows' finite
-	// packet trains, not from a drifting population.
+	// packet trains, not from a drifting population. The initial
+	// population is virtual — a flow gets its state record when a batch
+	// first selects it — so a point pays for the flows it touches, not
+	// for the population it declares.
 	Flows int
 	// ElephantFraction is the fraction of spawned flows that are
 	// elephants, applied exactly via an error accumulator (a fraction of
@@ -82,8 +85,14 @@ type FlowGenerator struct {
 
 	// active is the dense live-flow population; batch arrivals index it
 	// uniformly and retirement swap-deletes, so selection is O(1) and
-	// allocation-free.
+	// allocation-free. A nil slot at position i is initial flow i+1, not
+	// yet selected by any batch; nil slots never move (the swap-delete
+	// materialises the tail before moving it), so position alone
+	// identifies them.
 	active []*task.Flow
+	// initElephant holds one class bit per initial flow: all that Start's
+	// pass over the population keeps of a flow no batch has selected.
+	initElephant []uint64
 
 	nextReqID  uint64
 	nextFlowID task.FlowID
@@ -131,14 +140,23 @@ func NewFlow(eng *sim.Engine, cfg FlowConfig, sink func(*task.Request)) *FlowGen
 	}
 }
 
-// Start spawns the initial flow population and schedules the first
-// batch arrival. Generation continues open-loop until MaxArrivals (if
-// set) or until the engine halts.
+// Start declares the initial flow population and schedules the first
+// batch arrival. Every initial flow's class is fixed here, by the same
+// accumulator in the same order as if each were spawned, but only the
+// class bit is kept: the record is built by materialise on first
+// selection. Generation continues open-loop until MaxArrivals (if set) or
+// until the engine halts.
 func (g *FlowGenerator) Start() {
-	g.active = make([]*task.Flow, 0, g.cfg.Flows)
-	for i := 0; i < g.cfg.Flows; i++ {
-		g.spawn()
+	n := g.cfg.Flows
+	g.active = make([]*task.Flow, n)
+	g.initElephant = make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		if g.nextClass() == task.ClassElephant {
+			g.initElephant[i/64] |= 1 << (i % 64)
+		}
 	}
+	g.nextFlowID = task.FlowID(n)
+	g.flows = uint64(n)
 	g.eng.AfterE(expGap(g.rng, g.cfg.RPS), flowGenBatch, g, nil, 0)
 }
 
@@ -149,26 +167,53 @@ func (g *FlowGenerator) Population() int { return len(g.active) }
 // RetiredFlows returns how many flows have exhausted their trains.
 func (g *FlowGenerator) RetiredFlows() uint64 { return g.retiredFlows }
 
-// spawn starts one flow: assign its class by exact proportion, draw its
-// train, and add it to the live population.
+// nextClass assigns the next spawned flow's class by exact proportion.
+//
+//mindgap:noalloc
+func (g *FlowGenerator) nextClass() task.FlowClass {
+	g.elephantCredit += g.cfg.ElephantFraction
+	if g.elephantCredit >= 1 {
+		g.elephantCredit--
+		return task.ClassElephant
+	}
+	return task.ClassRat
+}
+
+// record builds a flow's state record with its class's full train.
+//
+//mindgap:noalloc
+func (g *FlowGenerator) record(id task.FlowID, class task.FlowClass) *task.Flow {
+	train := uint32(g.cfg.RatTrain)
+	if class == task.ClassElephant {
+		train = uint32(g.cfg.ElephantTrain)
+	}
+	if g.cfg.FlowPool != nil {
+		return g.cfg.FlowPool.Get(id, class, train)
+	}
+	return task.NewFlow(id, class, train)
+}
+
+// materialise gives the still-virtual initial flow at slot i its record.
+//
+//mindgap:noalloc
+func (g *FlowGenerator) materialise(i int) *task.Flow {
+	class := task.ClassRat
+	if g.initElephant[i/64]&(1<<(i%64)) != 0 {
+		class = task.ClassElephant
+	}
+	f := g.record(task.FlowID(i+1), class)
+	g.active[i] = f
+	return f
+}
+
+// spawn starts the flow that replaces a retired one and adds it to the
+// live population.
 //
 //mindgap:noalloc
 func (g *FlowGenerator) spawn() {
 	g.nextFlowID++
-	class, train := task.ClassRat, uint32(g.cfg.RatTrain)
-	g.elephantCredit += g.cfg.ElephantFraction
-	if g.elephantCredit >= 1 {
-		g.elephantCredit--
-		class, train = task.ClassElephant, uint32(g.cfg.ElephantTrain)
-	}
-	var f *task.Flow
-	if g.cfg.FlowPool != nil {
-		f = g.cfg.FlowPool.Get(g.nextFlowID, class, train)
-	} else {
-		f = task.NewFlow(g.nextFlowID, class, train)
-	}
 	g.flows++
-	g.active = append(g.active, f)
+	g.active = append(g.active, g.record(g.nextFlowID, g.nextClass()))
 }
 
 // flowGenBatch fires at each batch arrival instant: pick a live flow
@@ -185,6 +230,9 @@ func flowGenBatch(recv, _ any, _ uint64) {
 	}
 	idx := g.rng.IntN(len(g.active))
 	f := g.active[idx]
+	if f == nil {
+		f = g.materialise(idx)
+	}
 	batch := uint32(g.cfg.RatBatch)
 	if f.Class == task.ClassElephant {
 		batch = uint32(g.cfg.ElephantBatch)
@@ -215,7 +263,11 @@ func flowGenBatch(recv, _ any, _ uint64) {
 		// and is freed by whoever drops its last reference.
 		f.Retired = true
 		last := len(g.active) - 1
-		g.active[idx] = g.active[last]
+		tail := g.active[last]
+		if tail == nil {
+			tail = g.materialise(last)
+		}
+		g.active[idx] = tail
 		g.active[last] = nil
 		g.active = g.active[:last]
 		g.retiredFlows++

@@ -98,13 +98,21 @@ func (f *Flow) ReleaseIfIdle() bool {
 // FlowPool recycles Flow records with the same generation-guarded
 // discipline as Pool: each reuse bumps Gen, Put panics on double
 // release, and the free list is capped at the measured high-water mark
-// of concurrently live flows — so a million-flow point holds a
-// million-record footprint, not a leak.
+// of concurrently live records. Fresh records are carved from
+// flowChunk-record slabs, so a point's footprint follows the flows it
+// touches — not the population it declares — at one allocation per
+// flowChunk of them.
 type FlowPool struct {
-	free []*Flow
-	live int // currently checked-out flows
-	high int // peak live; caps the free list
+	free  []*Flow
+	chunk []Flow // the current slab's records not yet handed out
+	live  int    // currently checked-out flows
+	high  int    // peak live; caps the free list
 }
+
+// flowChunk is the slab size: large enough that slab allocations vanish
+// from a point's allocation count, small enough (≈5 KB) that a
+// few-flow point does not pay for records it never uses.
+const flowChunk = 64
 
 // Get returns a flow with the full packet train remaining, recycled
 // from the pool when possible.
@@ -115,24 +123,27 @@ func (p *FlowPool) Get(id FlowID, class FlowClass, train uint32) *Flow {
 	if p.live > p.high {
 		p.high = p.live
 	}
-	n := len(p.free)
-	if n == 0 {
-		f := NewFlow(id, class, train)
-		f.pool = p
-		return f
+	var f *Flow
+	var gen uint32
+	if n := len(p.free); n > 0 {
+		f = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		gen = f.Gen // survives recycling; bumped at Put
+	} else {
+		if len(p.chunk) == 0 {
+			p.grow()
+		}
+		f = &p.chunk[0]
+		p.chunk = p.chunk[1:]
 	}
-	f := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	*f = Flow{
-		ID:        id,
-		Class:     class,
-		Remaining: train,
-		Gen:       f.Gen, // survives recycling; bumped at Put
-		pool:      p,
-	}
+	*f = Flow{ID: id, Class: class, Remaining: train, Gen: gen, pool: p}
 	return f
 }
+
+// grow starts a new slab. It is the pool's one allocation site, kept out
+// of the annotated Get the way NewFlow keeps the unpooled one.
+func (p *FlowPool) grow() { p.chunk = make([]Flow, flowChunk) }
 
 // Put releases a flow back to the pool. The caller must hold the only
 // live reference; ReleaseIfIdle is the usual (reference-counted) way

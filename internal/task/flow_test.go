@@ -112,3 +112,30 @@ func TestFlowPoolPutClearsLRULinks(t *testing.T) {
 		t.Fatal("Put left LRU links dangling")
 	}
 }
+
+// TestFlowPoolCarvesSlabs: fresh records come flowChunk to an allocation,
+// each its own record with the full train and the pool's back-pointer.
+func TestFlowPoolCarvesSlabs(t *testing.T) {
+	const n = 10 * flowChunk
+	var p *FlowPool
+	flows := make([]*Flow, n)
+	allocs := testing.AllocsPerRun(1, func() {
+		p = &FlowPool{}
+		for i := range flows {
+			flows[i] = p.Get(FlowID(i), ClassElephant, 1024)
+		}
+	})
+	if allocs > 1+n/flowChunk {
+		t.Fatalf("a pool and %d fresh records cost %.0f allocations, want at most 1 + %d slabs", n, allocs, n/flowChunk)
+	}
+	seen := map[*Flow]bool{}
+	for i, f := range flows {
+		if seen[f] || f.ID != FlowID(i) || f.Remaining != 1024 || f.pool != p {
+			t.Fatalf("record %d = %+v (duplicate %v)", i, *f, seen[f])
+		}
+		seen[f] = true
+	}
+	if p.Live() != n {
+		t.Fatalf("live = %d, want %d", p.Live(), n)
+	}
+}
