@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,120 @@ func TestQuickLinkOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkEventsPerMessage pins when a hop costs one engine event and when
+// two: a link with no serializer and no queue bound schedules the delivery
+// directly; a serializing link or one behind a QueueLimit keeps its
+// departure event; a fault hook that only adds latency changes the delivery
+// instant, not the count; a fault drop costs nothing.
+func TestLinkEventsPerMessage(t *testing.T) {
+	spike := func(sim.Time) (bool, time.Duration) { return false, 500 * time.Nanosecond }
+	loss := func(sim.Time) (bool, time.Duration) { return true, 0 }
+	for _, tc := range []struct {
+		name      string
+		cfg       LinkConfig
+		fault     func(sim.Time) (bool, time.Duration)
+		events    uint64
+		delivered bool
+		at        sim.Time
+	}{
+		{"zero serialization", LinkConfig{Latency: time.Microsecond}, nil, 1, true, 1000},
+		{"serializing", LinkConfig{Latency: time.Microsecond, BandwidthBps: 10e9}, nil, 2, true, 1800},
+		{"queue limit", LinkConfig{Latency: time.Microsecond, QueueLimit: 4}, nil, 2, true, 1000},
+		{"fault adds latency", LinkConfig{Latency: time.Microsecond}, spike, 1, true, 1500},
+		{"fault drop", LinkConfig{Latency: time.Microsecond}, loss, 0, false, 0},
+	} {
+		eng := sim.New()
+		l := NewLink(eng, tc.name, tc.cfg)
+		if tc.fault != nil {
+			l.SetFault(tc.fault)
+		}
+		var at sim.Time
+		delivered := false
+		if ok := l.Send(1000, func() { delivered, at = true, eng.Now() }); ok != tc.delivered {
+			t.Errorf("%s: Send = %v, want %v", tc.name, ok, tc.delivered)
+		}
+		eng.Run()
+		if eng.Executed() != tc.events || delivered != tc.delivered || at != tc.at {
+			t.Errorf("%s: %d events, delivered %v at %v; want %d, %v at %v",
+				tc.name, eng.Executed(), delivered, at, tc.events, tc.delivered, tc.at)
+		}
+		if l.Queued() != 0 {
+			t.Errorf("%s: %d messages left queued", tc.name, l.Queued())
+		}
+	}
+}
+
+// refLink is the two-event link every zero-serialization hop used to be:
+// a departure event at the send instant, then the delivery a latency
+// later. It is the oracle for the direct-delivery path.
+type refLink struct {
+	eng     *sim.Engine
+	latency time.Duration
+}
+
+func (r *refLink) Send(_ int, deliver func()) bool {
+	r.eng.After(0, func() { r.eng.After(r.latency, deliver) })
+	return true
+}
+
+// TestLinkDirectDeliveryMatchesTwoEventReference: in a network of nothing
+// but zero-serialization links — equal and unequal latencies, zero
+// included, sends issued from delivery callbacks and from same-instant
+// injections — direct delivery hands over every message at the same
+// instant and in the same order as the two-event reference.
+func TestLinkDirectDeliveryMatchesTwoEventReference(t *testing.T) {
+	type sender interface {
+		Send(bytes int, deliver func()) bool
+	}
+	type hop struct {
+		msg int
+		at  sim.Time
+	}
+	latencies := []time.Duration{0, 100, 100, 250, 2560}
+	run := func(seed uint64, build func(*sim.Engine, time.Duration) sender) ([]hop, uint64) {
+		rng := rand.New(rand.NewPCG(seed, 0x6c696e6b))
+		eng := sim.New()
+		links := make([]sender, 2+rng.IntN(3))
+		for i := range links {
+			links[i] = build(eng, latencies[rng.IntN(len(latencies))])
+		}
+		var log []hop
+		budget := 400
+		var forward func(msg int)
+		forward = func(msg int) {
+			log = append(log, hop{msg, eng.Now()})
+			for k := rng.IntN(3); k > 0 && budget > 0; k-- {
+				budget--
+				next := msg*3 + k
+				links[rng.IntN(len(links))].Send(64, func() { forward(next) })
+			}
+		}
+		for i := 0; i < 12; i++ {
+			msg, l := i+1, links[rng.IntN(len(links))]
+			// Few distinct instants, so injections tie with deliveries.
+			eng.At(sim.Time(rng.IntN(4)*50), func() { l.Send(64, func() { forward(msg) }) })
+		}
+		eng.Run()
+		return log, eng.Executed()
+	}
+	for seed := uint64(0); seed < 200; seed++ {
+		got, events := run(seed, func(eng *sim.Engine, lat time.Duration) sender {
+			return NewLink(eng, "direct", LinkConfig{Latency: lat})
+		})
+		want, refEvents := run(seed, func(eng *sim.Engine, lat time.Duration) sender {
+			return &refLink{eng: eng, latency: lat}
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: deliveries diverge\n got %v\nwant %v", seed, got, want)
+		}
+		// 12 injections, then one event per hop against the reference's two.
+		if hops := uint64(len(got)); events != 12+hops || refEvents != 12+2*hops {
+			t.Fatalf("seed %d: %d hops cost %d events (reference %d), want %d (%d)",
+				seed, hops, events, refEvents, 12+hops, 12+2*hops)
+		}
 	}
 }
 

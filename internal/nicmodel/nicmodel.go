@@ -134,8 +134,10 @@ func (n *NIC) AddFunction(name string, mac wire.MAC, ringCap int) *Function {
 }
 
 // Send steers a frame by destination MAC through the NIC. It reports false
-// (and counts the drop) when the MAC is unknown or the target ring is full
-// at delivery time.
+// (and counts the drop) when the MAC is unknown or an injected wire fault
+// loses the frame. A full target ring is not reported here: the overflow
+// happens at delivery time, after Send has returned true, and is counted
+// in RingDrops and reported through OnDrop.
 //
 //mindgap:noalloc
 func (n *NIC) Send(f Frame) bool {
