@@ -84,9 +84,9 @@ var FlowRuleDetail = Kind[FlowRuleRow]{
 func FlowRuleResults(res []runner.SeriesResult[FlowRuleRow]) []runner.SeriesResult[Result] {
 	out := make([]runner.SeriesResult[Result], len(res))
 	for i, sr := range res {
-		out[i].Label = sr.Label
-		for _, row := range sr.Results {
-			out[i].Results = append(out[i].Results, row.Result)
+		out[i] = runner.SeriesResult[Result]{Label: sr.Label, Results: make([]Result, len(sr.Results))}
+		for j, row := range sr.Results {
+			out[i].Results[j] = row.Result
 		}
 	}
 	return out

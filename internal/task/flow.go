@@ -124,12 +124,10 @@ func (p *FlowPool) Get(id FlowID, class FlowClass, train uint32) *Flow {
 		p.high = p.live
 	}
 	var f *Flow
-	var gen uint32
 	if n := len(p.free); n > 0 {
 		f = p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		gen = f.Gen // survives recycling; bumped at Put
 	} else {
 		if len(p.chunk) == 0 {
 			p.grow()
@@ -137,7 +135,8 @@ func (p *FlowPool) Get(id FlowID, class FlowClass, train uint32) *Flow {
 		f = &p.chunk[0]
 		p.chunk = p.chunk[1:]
 	}
-	*f = Flow{ID: id, Class: class, Remaining: train, Gen: gen, pool: p}
+	// Gen survives recycling (bumped at Put); a fresh record starts at 0.
+	*f = Flow{ID: id, Class: class, Remaining: train, Gen: f.Gen, pool: p}
 	return f
 }
 
