@@ -1,8 +1,9 @@
-// Benchmarks regenerating every experiment of the paper's evaluation — one
-// testing.B target per entry in DESIGN.md's experiment index. Each
-// iteration runs the full figure/table harness at a reduced (benchmark)
-// quality; reported custom metrics carry the reproduction's headline
-// numbers so `go test -bench .` doubles as a results summary.
+// Benchmarks regenerating the experiments of the paper's evaluation — the
+// testing.B targets named in DESIGN.md's experiment index. Each iteration
+// runs the full figure/table harness at a reduced (benchmark) quality;
+// reported custom metrics carry the reproduction's headline numbers so
+// `go test -bench .` doubles as a results summary. Host time is not
+// measured here: that is benchmark/run.sh's job.
 package mindgap
 
 import (
@@ -22,7 +23,6 @@ import (
 	"mindgap/internal/stats"
 	"mindgap/internal/systems/shinjuku"
 	"mindgap/internal/task"
-	"mindgap/internal/telemetry"
 	"mindgap/scenarios"
 )
 
@@ -49,23 +49,6 @@ func benchFigure(b *testing.B, presetID string) Figure {
 	b.Helper()
 	return experiment.NewFigure(benchRun(b, presetID, experiment.Plain))
 }
-
-// benchPoint compiles an inline system spec on the Figure 2 workload at
-// 400 kRPS and benchQ.
-func benchPoint(b *testing.B, system string, k scenario.Knobs) experiment.PointConfig {
-	b.Helper()
-	cfg, err := experiment.PointConfigFor(scenario.Spec{
-		System: system, Knobs: &k, Workload: bimodal.String(),
-	}, benchQ)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.OfferedRPS = 400_000
-	return cfg
-}
-
-// figure2Offload is the Figure 2 offload configuration.
-var figure2Offload = scenario.Knobs{Workers: 4, Outstanding: 4, Slice: scenario.Duration(10 * time.Microsecond)}
 
 // F2 — Figure 2: bimodal tail latency, Shinjuku (3 workers) vs
 // Shinjuku-Offload (4 workers).
@@ -182,9 +165,18 @@ func BenchmarkAblationLineRate(b *testing.B) {
 
 // X3 — §5.1(3) direct NIC→core interrupts on the Figure 2 workload.
 func BenchmarkAblationDirectInterrupt(b *testing.B) {
-	k := figure2Offload
-	k.DirectInterrupts = true
-	cfg := benchPoint(b, "idealnic", k)
+	cfg, err := experiment.PointConfigFor(scenario.Spec{
+		System:   "idealnic",
+		Workload: bimodal.String(),
+		Knobs: &scenario.Knobs{
+			Workers: 4, Outstanding: 4, Slice: scenario.Duration(10 * time.Microsecond),
+			DirectInterrupts: true,
+		},
+	}, benchQ)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.OfferedRPS = 400_000
 	for i := 0; i < b.N; i++ {
 		direct := experiment.RunPoint(cfg)
 		b.ReportMetric(float64(direct.P99.Nanoseconds()), "directirq_p99_ns")
@@ -297,191 +289,6 @@ func BenchmarkBaselines(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(f.Series)), "systems")
 	}
-}
-
-// BenchmarkPointThroughput measures harness throughput on the canonical
-// Figure 2 point: full sweep points per wall second, wall nanoseconds per
-// simulated request, and allocations per point. These three metrics are
-// the tracked performance baseline — cmd/mindgap-perf compares them
-// against the checked-in BENCH.json and flags >20% regressions in CI.
-func BenchmarkPointThroughput(b *testing.B) {
-	cfg := benchPoint(b, "offload", figure2Offload)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var completed int64
-	for i := 0; i < b.N; i++ {
-		completed = experiment.RunPoint(cfg).Completed
-	}
-	reqs := float64(completed) * float64(b.N)
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points/sec")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/reqs, "ns/request")
-}
-
-// BenchmarkAttributionOverhead measures the same point with a latency
-// attribution collector attached (internal/attr): the delta against
-// BenchmarkPointThroughput is the cost of full phase decomposition plus
-// per-dispatch ground-truth audits.
-func BenchmarkAttributionOverhead(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	var rows []experiment.AttributionRow
-	for i := 0; i < b.N; i++ {
-		_, res := benchRun(b, "table-attribution", experiment.Attributed)
-		rows = experiment.Rows(res)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points/sec")
-	if len(rows) > 0 {
-		b.ReportMetric(rows[0].Audit.MisRate*100, "mis_dispatch_%")
-	}
-}
-
-// engineBenchDelays spreads re-arm deadlines across the timing wheel's
-// levels — immediate, near (level 0), mid-level, and far enough to land
-// in upper levels (12 ms is level 3 of 11).
-var engineBenchDelays = [...]time.Duration{
-	0,
-	200 * time.Nanosecond,
-	3 * time.Microsecond,
-	50 * time.Microsecond,
-	800 * time.Microsecond,
-	12 * time.Millisecond,
-}
-
-// engineBenchChain is one self-rescheduling event chain; left is shared
-// across chains so the run fires exactly b.N events.
-type engineBenchChain struct {
-	eng  *sim.Engine
-	left *int
-	i    int
-}
-
-func engineBenchFire(recv, _ any, _ uint64) {
-	c := recv.(*engineBenchChain)
-	if *c.left <= 0 {
-		return
-	}
-	*c.left--
-	d := engineBenchDelays[c.i%len(engineBenchDelays)]
-	c.i++
-	c.eng.AfterE(d, engineBenchFire, c, nil, 0)
-}
-
-// BenchmarkEngineSchedule measures the raw event engine: the cost of one
-// schedule+fire cycle through the hierarchical timing wheel, with 64
-// concurrent chains whose deadlines rotate across wheel levels. allocs/op
-// is allocations per event — near zero once the wheel and free list are
-// warm. Tracked by cmd/mindgap-perf against BENCH.json.
-func BenchmarkEngineSchedule(b *testing.B) {
-	eng := sim.New()
-	left := b.N
-	chains := 64
-	if chains > b.N {
-		chains = b.N
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for c := 0; c < chains; c++ {
-		ch := &engineBenchChain{eng: eng, left: &left, i: c}
-		left--
-		eng.AfterE(engineBenchDelays[c%len(engineBenchDelays)], engineBenchFire, ch, nil, 0)
-	}
-	eng.Run()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkRequestPool measures the request pool's steady-state recycle
-// path with a rolling window of live requests (mimicking in-flight
-// turnover): every Get after warm-up is a free-list pop, so allocs/op
-// must be ~0. Tracked by cmd/mindgap-perf against BENCH.json.
-func BenchmarkRequestPool(b *testing.B) {
-	var pool task.Pool
-	const window = 256
-	ring := make([]*task.Request, window)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slot := i % window
-		if r := ring[slot]; r != nil {
-			pool.Put(r)
-		}
-		ring[slot] = pool.Get(uint64(i), sim.Time(i), time.Microsecond)
-	}
-	b.ReportMetric(float64(pool.HighWater()), "live_highwater")
-}
-
-// BenchmarkFlowRulePoint measures one X14 flow-rule offload point: the
-// figure-flowrule threshold-16 configuration at its 4096-flow anchor
-// population, flow-keyed generator and all. allocs/op covers the full
-// point — flow records and rule-table state are pooled, so the number
-// must stay flat as Measure grows. Tracked by cmd/mindgap-perf against
-// BENCH.json; fast_hit_% is the headline steering split.
-func BenchmarkFlowRulePoint(b *testing.B) {
-	sp := scenario.Spec{
-		System:   "flowrule",
-		Workload: "fixed:170ns",
-		Flow: &scenario.FlowSpec{
-			Flows:            4096,
-			ElephantFraction: 0.2,
-			RatTrain:         16,
-		},
-		Knobs: &scenario.Knobs{
-			Workers:          1,
-			RuleCapacity:     1536,
-			InsertRate:       20_000,
-			InsertQueue:      256,
-			OffloadThreshold: 16,
-			IdleTimeout:      scenario.Duration(50 * time.Millisecond),
-			SlowQueue:        512,
-		},
-	}
-	if err := sp.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var hit float64
-	var completed int64
-	for i := 0; i < b.N; i++ {
-		reg := telemetry.NewRegistry()
-		f, err := scenario.BuildWith(sp, scenario.Options{Metrics: reg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := experiment.RunPoint(experiment.PointConfig{
-			Factory:    f,
-			Service:    dist.Fixed{D: 170 * time.Nanosecond},
-			Flow:       sp.Flow,
-			OfferedRPS: 400_000,
-			Warmup:     benchQ.Warmup,
-			Measure:    benchQ.Measure,
-			Seed:       benchQ.Seed,
-		})
-		completed = r.Completed
-		fast, _ := reg.GaugeValue("flowrule/fast_packets")
-		slow, _ := reg.GaugeValue("flowrule/slow_packets")
-		drop, _ := reg.GaugeValue("flowrule/drop_packets")
-		if total := fast + slow + drop; total > 0 {
-			hit = fast / total
-		}
-	}
-	reqs := float64(completed) * float64(b.N)
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "points/sec")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/reqs, "ns/request")
-	b.ReportMetric(hit*100, "fast_hit_%")
-}
-
-// BenchmarkSimulatorEventRate measures raw simulator throughput: simulated
-// request completions per wall second on the Figure 2 configuration.
-func BenchmarkSimulatorEventRate(b *testing.B) {
-	cfg := benchPoint(b, "offload", figure2Offload)
-	cfg.Warmup = 500
-	cfg.Measure = b.N // scale the measured window with b.N
-	if cfg.Measure < 1000 {
-		cfg.Measure = 1000
-	}
-	b.ResetTimer()
-	r := experiment.RunPoint(cfg)
-	b.ReportMetric(float64(r.Completed), "requests")
 }
 
 // X11 — §3.1 scheduling affinity (extension): preferring a preempted

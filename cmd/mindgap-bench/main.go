@@ -43,7 +43,6 @@ import (
 	"mindgap/internal/hypothesis"
 	"mindgap/internal/params"
 	"mindgap/internal/runner"
-	"mindgap/internal/telemetry"
 	"mindgap/scenarios"
 )
 
@@ -100,24 +99,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
-			return 1
-		}
-	}
-	// The caller exits with run's result, so profiles are flushed
-	// explicitly at the end of a completed run, not by defers.
-	writeProfiles := func() {
-		if *cpuProf != "" {
-			pprof.StopCPUProfile()
-		}
-		if *memProf != "" {
+	// run returns its exit code instead of exiting, so these defers flush
+	// the profiles on every return below, error exits included. The heap
+	// profile is registered first: it is written after the CPU profile has
+	// stopped.
+	if *memProf != "" {
+		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
 				fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
@@ -127,8 +114,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
 			}
-			f.Close()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
+			}
+		}()
+	}
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
+			return 1
 		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
+			f.Close()
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
+			}
+		}()
 	}
 
 	if *list {
@@ -174,10 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	rn := &runner.Runner{
-		Parallelism: *jobs,
-		Metrics:     telemetry.NewRegistry(),
-	}
+	rn := &runner.Runner{Parallelism: *jobs}
 	if *cacheDir != "" {
 		c, err := runner.OpenCache(*cacheDir)
 		if err != nil {
@@ -458,6 +462,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mindgap-bench: cache %s: %d hits, %d misses\n",
 			rn.Cache.Dir(), hits, misses)
 	}
-	writeProfiles()
 	return exitCode
 }

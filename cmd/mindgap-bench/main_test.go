@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,6 +46,30 @@ func TestKnownTableRuns(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout.String(), "== T1:") {
 		t.Fatalf("-table timer: unexpected output %q", stdout.String())
+	}
+}
+
+// TestErrorExitFlushesCPUProfile: a run that fails after profiling started
+// (here the cache directory cannot be created) still stops the profiler
+// and leaves a complete, gzip-framed profile behind.
+func TestErrorExitFlushesCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	notADir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prof := filepath.Join(dir, "cpu.prof")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"mindgap-bench", "-cpuprofile", prof, "-cache", filepath.Join(notADir, "cache"), "-table", "timer"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("unusable -cache: exit %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("CPU profile after an error exit holds %d bytes and no gzip header: the profiler was never stopped", len(b))
 	}
 }
 

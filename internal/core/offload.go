@@ -640,11 +640,17 @@ func (s *Offload) trackDispatch(a Assignment) {
 	fl.service = a.Req.Service
 	fl.clientID = a.Req.ClientID
 	fl.key = a.Req.Key
-	req, wk, att, id := a.Req, a.Worker, fl.attempt, a.Req.ID
-	//lint:allow hotalloc fault-layer-only path: one timer per dispatch sits off the steady-state loop and the closure snapshots request identity at arm time
-	fl.timer = s.eng.AfterTimer(s.flt.AttemptTimeout(att), func() {
-		s.queueMgr.Submit(qcNotif, qEvent{kind: evTimeout, worker: wk, req: req, id: id, attempt: att})
-	})
+	fl.timer = s.eng.AfterTimerE(s.flt.AttemptTimeout(fl.attempt), flightTimeout, s, fl, a.Req.ID)
+}
+
+// flightTimeout is a dispatch timer's expiry. Every change to a flight
+// either stops its timer (FINISH, PREEMPTED) or happens while handling that
+// timer's own expiry, so the flight still describes the dispatch the timer
+// was armed for; only the ID, which the flight does not store, rides as the
+// event argument.
+func flightTimeout(recv, obj any, id uint64) {
+	s, fl := recv.(*Offload), obj.(*flight)
+	s.queueMgr.Submit(qcNotif, qEvent{kind: evTimeout, worker: fl.worker, req: fl.req, id: id, attempt: fl.attempt})
 }
 
 // handleTimeout decides a dispatch-timeout expiry on the queue-manager

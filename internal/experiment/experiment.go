@@ -188,10 +188,7 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 		expected := time.Duration(float64(target) / cfg.OfferedRPS * float64(time.Second))
 		maxT = 8*expected + 50*time.Millisecond
 	}
-	eng.At(sim.Time(maxT), func() {
-		truncated = true
-		stop()
-	})
+	eng.AtE(sim.Time(maxT), truncate, &truncated, stop, 0)
 	eng.Run()
 
 	now := eng.Now()
@@ -215,6 +212,13 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 		SimTime:    now.Duration(),
 		Truncated:  truncated,
 	}, sys
+}
+
+// truncate is drive's MaxSimTime watchdog: it marks the point truncated
+// (recv, drive's flag) and halts the run (obj, drive's stop closure).
+func truncate(recv, obj any, _ uint64) {
+	*recv.(*bool) = true
+	obj.(func())()
 }
 
 // Series is a labelled sweep — one curve of a figure.

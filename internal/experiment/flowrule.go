@@ -3,13 +3,13 @@ package experiment
 import (
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
-	"mindgap/internal/telemetry"
+	"mindgap/internal/systems/flowrule"
 )
 
 // This file declares the X14 flow-rule detail rows: the fast-path /
 // slow-path SmartNIC steering system swept across concurrent-flow
 // populations (the figure-flowrule preset's fsweep axis), reading the
-// rule-table telemetry — fast-path hit rate, insertion-pipeline
+// rule-table counters — fast-path hit rate, insertion-pipeline
 // pressure, eviction churn — behind each measured point. The X14 figure
 // and its detail table are both reductions of these rows: one run, one
 // set of cache keys.
@@ -39,48 +39,40 @@ type FlowRuleRow struct {
 	Resident, Threshold float64
 }
 
-// read fills the row's counters from the registry keys published by
-// internal/systems/flowrule.
-func (r *FlowRuleRow) read(reg *telemetry.Registry) {
-	get := func(key string) float64 {
-		v, _ := reg.GaugeValue(key)
-		return v
-	}
-	r.FastPackets = get("flowrule/fast_packets")
-	r.SlowPackets = get("flowrule/slow_packets")
-	r.DropPackets = get("flowrule/drop_packets")
-	r.Insertions = get("flowrule/rule_insertions")
-	r.LRUEvictions = get("flowrule/rule_evictions_lru")
-	r.IdleEvictions = get("flowrule/rule_evictions_idle")
-	r.OffloadRefused = get("flowrule/offload_refused")
-	r.Resident = get("flowrule/rules_resident")
-	r.Threshold = get("flowrule/offload_threshold")
-	if total := r.FastPackets + r.SlowPackets + r.DropPackets; total > 0 {
-		r.FastHitRate = r.FastPackets / total
-	}
-}
-
 // FlowRuleDetail is the X14 detail row kind: the conventional point of
-// a flow sweep measured with a telemetry registry attached. The registry
-// is created inside the point run — never shared across concurrent sweep
-// points — so detail tables are byte-identical at any runner
-// parallelism.
+// a flow sweep plus the finished system's rule-table counters.
 var FlowRuleDetail = Kind[FlowRuleRow]{
 	salt: "flowdetail1",
 	run: func(cfg PointConfig, sp scenario.Spec, x float64) FlowRuleRow {
-		reg := telemetry.NewRegistry()
-		cfg.Factory = observed(sp, scenario.Options{Metrics: reg})
-		row := FlowRuleRow{Label: sp.Name, Flows: int(x), Result: Plain.run(cfg, sp, x)}
-		row.read(reg)
+		r, sys := drive(cfg, nil)
+		r.Point.OfferedRPS = x
+		// Only the flowrule system takes a flow workload, so a flow-sweep
+		// spec built one.
+		fr := sys.(*flowrule.FlowRule)
+		row := FlowRuleRow{
+			Label:          sp.Name,
+			Flows:          int(x),
+			Result:         r,
+			FastPackets:    float64(fr.FastPackets()),
+			SlowPackets:    float64(fr.SlowPackets()),
+			DropPackets:    float64(fr.DropPackets()),
+			Insertions:     float64(fr.Insertions()),
+			LRUEvictions:   float64(fr.LRUEvictions()),
+			IdleEvictions:  float64(fr.IdleEvictions()),
+			OffloadRefused: float64(fr.OverOffload()),
+			Resident:       float64(fr.Resident()),
+			Threshold:      float64(fr.Threshold()),
+		}
+		if total := row.FastPackets + row.SlowPackets + row.DropPackets; total > 0 {
+			row.FastHitRate = row.FastPackets / total
+		}
 		return row
 	},
 }
 
 // FlowRuleResults reduces detail rows to the X14 figure's curves: the
-// conventional point each row was measured with. The observer contract
-// (a telemetry registry changes no simulated statistic) makes that point
-// identical to the Plain result of the same spec, so the figure needs no
-// run of its own.
+// conventional point each row was measured with — the Plain result of the
+// same spec, so the figure needs no run of its own.
 func FlowRuleResults(res []runner.SeriesResult[FlowRuleRow]) []runner.SeriesResult[Result] {
 	out := make([]runner.SeriesResult[Result], len(res))
 	for i, sr := range res {

@@ -99,12 +99,13 @@ const (
 // receiver once serialization and propagation complete. It reports false
 // (and counts a drop) when the bounded queue is full or an injected wire
 // fault loses the message. FIFO order is guaranteed: deliveries happen in
-// Send order. The closure form allocates; hot paths should use SendT/SendTEx.
+// Send order. The closure form allocates and serves tests; models use
+// SendT/SendTEx.
 func (l *Link) Send(bytes int, deliver func()) bool {
 	return l.SendTEx(bytes, callClosure, deliver, nil, 0) == SendAccepted
 }
 
-// callClosure adapts the legacy closure delivery onto the typed path.
+// callClosure adapts the closure delivery onto the typed path.
 func callClosure(recv, _ any, _ uint64) { recv.(func())() }
 
 // SendT is the typed, zero-alloc Send: fn(recv, obj, arg) runs at the

@@ -30,8 +30,8 @@ import (
 
 // Duration is a time.Duration that serializes as a human-readable string
 // ("500µs") in scenario files; plain nanosecond numbers are also accepted
-// on decode. It mirrors scenario.Duration, which cannot be imported here
-// (the scenario package embeds this package's Spec).
+// on decode. scenario.Duration is an alias of it (the scenario package
+// embeds this package's Spec, so the type lives here).
 type Duration time.Duration
 
 // D converts back to the standard library type.

@@ -50,7 +50,6 @@ func specDims(sp scenario.Spec) map[string]string {
 		"flow":        encodeDim(sp.Flow),
 		"tenants":     encodeDim(sp.Tenants),
 		"load":        encodeDim(sp.Load),
-		"telemetry":   encodeDim(sp.Telemetry),
 		"attribution": encodeDim(sp.Attribution),
 		"faults":      encodeDim(sp.Faults),
 	}

@@ -5,8 +5,8 @@
 // fans points out across host cores, keys every result by its grid index
 // so output ordering — and therefore rendered figures — is byte-identical
 // at any parallelism, honours context cancellation between points, reports
-// live progress through an internal/telemetry registry, and can memoise
-// results in an on-disk cache so re-renders skip already-measured points.
+// live progress through a callback, and can memoise results in an on-disk
+// cache so re-renders skip already-measured points.
 //
 // The package is deliberately generic: a Sweep[T] measures values of any
 // JSON-serializable type T, so the figure grids (T = experiment.Result),
@@ -19,8 +19,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-
-	"mindgap/internal/telemetry"
 )
 
 // Point is one schedulable unit of work: a closure that runs one
@@ -55,7 +53,7 @@ type Series[T any] struct {
 
 // Sweep is a named declarative grid of measurement points.
 type Sweep[T any] struct {
-	// Name identifies the sweep in progress reports and telemetry.
+	// Name identifies the sweep in progress reports.
 	Name   string
 	Series []Series[T]
 }
@@ -79,18 +77,14 @@ type Event struct {
 	Cached bool
 }
 
-// Runner owns the execution policy for sweeps: parallelism, telemetry,
-// caching, and progress reporting. The zero value is a ready-to-use
-// serial-equivalent runner at GOMAXPROCS parallelism with no cache.
-// A single Runner may execute many sweeps, concurrently if desired.
+// Runner owns the execution policy for sweeps: parallelism, caching, and
+// progress reporting. The zero value is a ready-to-use serial-equivalent
+// runner at GOMAXPROCS parallelism with no cache. A single Runner may
+// execute many sweeps, concurrently if desired.
 type Runner struct {
 	// Parallelism bounds concurrently running points; values <= 0 mean
 	// runtime.GOMAXPROCS(0).
 	Parallelism int
-	// Metrics optionally receives live progress: counters
-	// runner/points_total, runner/points_done, runner/cache_hits,
-	// runner/points_skipped and gauge runner/inflight.
-	Metrics *telemetry.Registry
 	// Cache optionally memoises results of points with non-empty keys.
 	Cache *Cache
 	// Progress is invoked after every completed point (from worker
@@ -153,19 +147,6 @@ func Run[T any](ctx context.Context, r *Runner, sw Sweep[T]) ([]SeriesResult[T],
 	total := len(tasks)
 
 	var (
-		cTotal, cDone, cHits, cSkip *telemetry.Counter
-		gInflight                   *telemetry.Gauge
-	)
-	if r.Metrics != nil {
-		cTotal = r.Metrics.Counter("runner", "points_total")
-		cDone = r.Metrics.Counter("runner", "points_done")
-		cHits = r.Metrics.Counter("runner", "cache_hits")
-		cSkip = r.Metrics.Counter("runner", "points_skipped")
-		gInflight = r.Metrics.Gauge("runner", "inflight")
-		cTotal.Add(int64(total))
-	}
-
-	var (
 		mu       sync.Mutex
 		done     int
 		panicked any
@@ -216,12 +197,6 @@ func Run[T any](ctx context.Context, r *Runner, sw Sweep[T]) ([]SeriesResult[T],
 		done++
 		doneNow := done
 		mu.Unlock()
-		if cDone != nil {
-			cDone.Inc()
-			if cached {
-				cHits.Inc()
-			}
-		}
 		if r.Progress != nil {
 			r.Progress(Event{
 				Sweep:  sw.Name,
@@ -260,9 +235,6 @@ func Run[T any](ctx context.Context, r *Runner, sw Sweep[T]) ([]SeriesResult[T],
 			}()
 			for t := range ch {
 				if pruned(t) {
-					if cSkip != nil {
-						cSkip.Inc()
-					}
 					continue
 				}
 				p := sw.Series[t.si].Points[t.pi]
@@ -273,13 +245,7 @@ func Run[T any](ctx context.Context, r *Runner, sw Sweep[T]) ([]SeriesResult[T],
 						continue
 					}
 				}
-				if gInflight != nil {
-					gInflight.Add(1)
-				}
 				v := p.Run()
-				if gInflight != nil {
-					gInflight.Add(-1)
-				}
 				if r.Cache != nil && p.Key != "" {
 					r.Cache.put(p.Key, v)
 				}

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"mindgap/internal/telemetry"
 )
 
 // meas is a toy measurement with the saturation probe the runner looks for.
@@ -226,24 +224,6 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	if ran.Load() != 7 {
 		t.Fatalf("keyless point was not executed")
-	}
-}
-
-// TestTelemetryCounters checks the wired metrics reflect a completed sweep.
-func TestTelemetryCounters(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	sw := jitterSweep(2, 3)
-	if _, err := Run(context.Background(), &Runner{Parallelism: 2, Metrics: reg}, sw); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("runner", "points_total").Value(); got != 6 {
-		t.Fatalf("points_total = %d, want 6", got)
-	}
-	if got := reg.Counter("runner", "points_done").Value(); got != 6 {
-		t.Fatalf("points_done = %d, want 6", got)
-	}
-	if got := reg.Gauge("runner", "inflight").Value(); got != 0 {
-		t.Fatalf("inflight = %v, want 0 after completion", got)
 	}
 }
 

@@ -168,7 +168,7 @@ func BuildWith(sp Spec, o Options) (Factory, error) {
 	if sp.KnobsOrZero().Workers < 1 {
 		return nil, fmt.Errorf("scenario: system %q needs workers >= 1", sp.System)
 	}
-	if (o.Metrics != nil || sp.Telemetry) && !b.Observable {
+	if o.Metrics != nil && !b.Observable {
 		return nil, fmt.Errorf("scenario: system %q does not support telemetry", sp.System)
 	}
 	return b.Build(o, sp)

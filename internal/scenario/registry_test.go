@@ -9,6 +9,7 @@ import (
 
 	"mindgap/internal/sim"
 	"mindgap/internal/task"
+	"mindgap/internal/telemetry"
 )
 
 // TestRegistryCompleteness pins the registry against DESIGN.md's system
@@ -117,8 +118,8 @@ func TestBuildValidation(t *testing.T) {
 	// Non-observable systems must refuse telemetry requests instead of
 	// silently dropping them; tracing and attribution ride the lifecycle
 	// probe every system reports through, so every system accepts them.
-	if _, err := Build(Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Telemetry: true}); err == nil {
-		t.Error("rss with telemetry:true built; want rejection")
+	if _, err := BuildWith(Spec{System: "rss", Knobs: &Knobs{Workers: 2}}, Options{Metrics: telemetry.NewRegistry()}); err == nil {
+		t.Error("rss with a metrics registry built; want rejection")
 	}
 	if _, err := Build(Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Attribution: true}); err != nil {
 		t.Errorf("rss with attribution: %v", err)

@@ -22,38 +22,9 @@ const SchemaVersion = "mindgap-scenario/1"
 
 // Duration is a time.Duration that serializes as a human-readable
 // string ("10µs") in scenario files; plain nanosecond numbers are also
-// accepted on decode.
-type Duration time.Duration
-
-// D converts back to the standard library type.
-func (d Duration) D() time.Duration { return time.Duration(d) }
-
-// MarshalJSON implements json.Marshaler.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("scenario: bad duration %q: %v", s, err)
-		}
-		*d = Duration(v)
-		return nil
-	}
-	var n int64
-	if err := json.Unmarshal(b, &n); err != nil {
-		return err
-	}
-	*d = Duration(n)
-	return nil
-}
+// accepted on decode. One type serves the scenario schema and the fault
+// block it embeds.
+type Duration = faults.Duration
 
 // Knobs is the union of every per-system configuration knob. Which
 // fields a given system kind accepts is declared by its registry
@@ -331,9 +302,6 @@ type Spec struct {
 	Quality *QualitySpec `json:"quality,omitempty"`
 	// Seed fixes the workload streams (0 = take the run-time default).
 	Seed uint64 `json:"seed,omitempty"`
-	// Telemetry asks the run to wire a metrics registry through the
-	// system's probes (Observable systems only).
-	Telemetry bool `json:"telemetry,omitempty"`
 	// Attribution asks the run to attach a latency-attribution collector:
 	// per-request phase decomposition (ingress / nic-queue / fabric /
 	// host-queue / service / preemption overhead) plus a ground-truth

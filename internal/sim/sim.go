@@ -8,13 +8,13 @@
 // same instant fire in the order they were scheduled, so a simulation with a
 // fixed seed always produces identical results.
 //
-// Two scheduling APIs coexist. The legacy closure form (At, After,
-// AfterTimer) takes a func() and is convenient for cold paths. The typed
-// form (AtE, AfterE, AfterTimerE) takes a plain function plus a receiver,
-// an object pointer and a scalar argument; because the function is not a
-// closure and pointers stored in interfaces do not allocate, a typed
-// schedule performs zero heap allocations in steady state. The hot paths
-// of every system model use the typed form.
+// Models schedule through the typed form (AtE, AfterE, AfterTimerE,
+// ArmAfterE): a plain function plus a receiver, an object pointer and a
+// scalar argument. Because the function is not a closure and pointers
+// stored in interfaces do not allocate, a typed schedule performs zero
+// heap allocations in steady state. The closure form (At, After,
+// AfterTimer, and fabric's Link.Send) takes a func() and allocates; it is a
+// convenience for tests and has no production caller.
 package sim
 
 import (
@@ -121,12 +121,12 @@ func (e *Engine) HighWater() int { return e.highWater }
 
 // At schedules fn to run at the absolute instant t. Scheduling in the past
 // panics: a component that needs to "run now" should schedule at e.Now().
-// This closure form allocates; hot paths should use AtE.
+// This closure form allocates; models use AtE.
 func (e *Engine) At(t Time, fn func()) {
 	e.AtE(t, runClosure, fn, nil, 0)
 }
 
-// runClosure adapts the legacy closure API onto the typed event path.
+// runClosure adapts the closure API onto the typed event path.
 func runClosure(recv, _ any, _ uint64) { recv.(func())() }
 
 // AtE schedules the typed event fn(recv, obj, arg) at the absolute instant
@@ -237,7 +237,7 @@ type Timer struct {
 }
 
 // AfterTimer schedules fn to run d from now and returns a cancellable
-// handle. This closure form allocates; hot paths should use AfterTimerE.
+// handle. This closure form allocates; models use AfterTimerE.
 func (e *Engine) AfterTimer(d time.Duration, fn func()) *Timer {
 	return e.AfterTimerE(d, runClosure, fn, nil, 0)
 }

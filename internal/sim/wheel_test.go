@@ -496,3 +496,61 @@ func TestFreeListTracksHighWater(t *testing.T) {
 		t.Fatalf("free list grew to %d, beyond high-water %d", got, n)
 	}
 }
+
+// warmChainDelays spreads re-arm deadlines across the wheel: the ready
+// buffer (0), level 1, levels 1–2, level 2, level 3, and far enough to land
+// in level 3 or 4 (12 ms).
+var warmChainDelays = [...]time.Duration{
+	0,
+	200 * time.Nanosecond,
+	3 * time.Microsecond,
+	50 * time.Microsecond,
+	800 * time.Microsecond,
+	12 * time.Millisecond,
+}
+
+// warmChain is one self-rescheduling event chain; left is shared across
+// chains so a run fires a fixed number of events.
+type warmChain struct {
+	eng  *Engine
+	left *int
+	i    int
+}
+
+func warmChainFire(recv, _ any, _ uint64) {
+	c := recv.(*warmChain)
+	if *c.left <= 0 {
+		return
+	}
+	*c.left--
+	c.i++
+	c.eng.AfterE(warmChainDelays[c.i%len(warmChainDelays)], warmChainFire, c, nil, 0)
+}
+
+// TestWarmScheduleFireZeroAlloc: once the free list and the slot buffers
+// have grown to the workload's peak, a typed schedule+fire cycle allocates
+// nothing on any wheel level. The warm-up runs past 64⁵ ns so every level-4
+// slot has been filled once; the measured runs end before 2·64⁵ ns, where
+// the next never-used level-5 slot would be touched.
+func TestWarmScheduleFireZeroAlloc(t *testing.T) {
+	e := New()
+	var left int
+	chains := make([]*warmChain, 64)
+	for i := range chains {
+		chains[i] = &warmChain{eng: e, left: &left, i: i}
+	}
+	run := func(events int) {
+		left = events
+		for _, c := range chains {
+			e.AfterE(warmChainDelays[c.i%len(warmChainDelays)], warmChainFire, c, nil, 0)
+		}
+		e.Run()
+	}
+	run(40_000)
+	if allocs := testing.AllocsPerRun(10, func() { run(1_000) }); allocs != 0 {
+		t.Fatalf("warm schedule+fire cycle allocates %.0f objects per 1000 events, want 0", allocs)
+	}
+	if lo, hi := Time(1<<30), Time(2<<30); e.Now() < lo || e.Now() >= hi {
+		t.Fatalf("run ended at %v, outside [%v, %v): re-tune the warm-up", e.Now(), lo, hi)
+	}
+}

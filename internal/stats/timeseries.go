@@ -42,13 +42,18 @@ func NewTimeSeries(eng *sim.Engine, interval time.Duration, max int, probe func(
 }
 
 func (ts *TimeSeries) arm() {
-	ts.timer = ts.eng.AfterTimer(ts.interval, func() {
-		ts.times = append(ts.times, ts.eng.Now())
-		ts.values = append(ts.values, ts.probe())
-		if len(ts.values) < ts.max {
-			ts.arm()
-		}
-	})
+	ts.timer = ts.eng.AfterTimerE(ts.interval, sampleTimeSeries, ts, nil, 0)
+}
+
+// sampleTimeSeries is the sampling timer's expiry: record one sample and
+// re-arm until the buffer is full.
+func sampleTimeSeries(recv, _ any, _ uint64) {
+	ts := recv.(*TimeSeries)
+	ts.times = append(ts.times, ts.eng.Now())
+	ts.values = append(ts.values, ts.probe())
+	if len(ts.values) < ts.max {
+		ts.arm()
+	}
 }
 
 // Stop ends sampling.

@@ -525,10 +525,11 @@ func (s *FlowRule) Completions() uint64 {
 	return n
 }
 
-// FastPackets and SlowPackets return packet counts by path; FastBatches,
-// SlowBatches and DroppedBatches the batch counts.
+// FastPackets, SlowPackets and DropPackets return packet counts by steering
+// outcome; FastBatches, SlowBatches and DroppedBatches the batch counts.
 func (s *FlowRule) FastPackets() uint64    { return s.fastPackets }
 func (s *FlowRule) SlowPackets() uint64    { return s.slowPackets }
+func (s *FlowRule) DropPackets() uint64    { return s.dropPackets }
 func (s *FlowRule) FastBatches() uint64    { return s.fastBatches }
 func (s *FlowRule) SlowBatches() uint64    { return s.slowBatches }
 func (s *FlowRule) DroppedBatches() uint64 { return s.dropBatches }

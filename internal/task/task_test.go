@@ -41,3 +41,30 @@ func TestLatency(t *testing.T) {
 		t.Fatalf("Latency = %v, want 7µs", got)
 	}
 }
+
+// TestWarmPoolCycleZeroAlloc: once the pool has seen its peak of live
+// requests, a Get/Put cycle over a rolling window of in-flight requests is
+// a free-list pop and push — no allocation, and no growth of the peak.
+func TestWarmPoolCycleZeroAlloc(t *testing.T) {
+	var pool Pool
+	const window = 256
+	ring := make([]*Request, window)
+	next := 0
+	cycle := func() {
+		for i := 0; i < 4*window; i++ {
+			slot := next % window
+			if r := ring[slot]; r != nil {
+				pool.Put(r)
+			}
+			ring[slot] = pool.Get(uint64(next), sim.Time(next), time.Microsecond)
+			next++
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("warm Get/Put cycle allocates %.0f objects per %d requests, want 0", allocs, 4*window)
+	}
+	if pool.HighWater() != window || pool.Live() != window {
+		t.Fatalf("HighWater = %d, Live = %d, want %d", pool.HighWater(), pool.Live(), window)
+	}
+}

@@ -1,9 +1,35 @@
+// Package wire implements the mindgap request protocol that live-mode
+// clients, the dispatcher and workers exchange inside kernel UDP datagrams
+// (the paper's systems speak UDP, §3.4.2), and the MAC address type the
+// simulated NIC steers by.
+//
+// Decoding fills a caller-owned Header and the payload slice aliases the
+// input buffer, so steady-state parsing performs no allocations.
 package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
+
+// Codec errors.
+var (
+	ErrShortBuffer = errors.New("wire: buffer too short")
+	ErrBadVersion  = errors.New("wire: unsupported protocol version")
+	ErrBadChecksum = errors.New("wire: checksum mismatch")
+	ErrBadLength   = errors.New("wire: length field inconsistent")
+)
+
+// MAC is a 48-bit Ethernet address. The SmartNIC steers frames by
+// destination MAC: each SR-IOV virtual function (one per worker) and the
+// dispatcher own distinct addresses (§3.4.2).
+type MAC [6]byte
+
+// String formats the address in the conventional colon-separated form.
+func (m MAC) String() string {
+	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+}
 
 // Version is the mindgap protocol version carried in every header.
 const Version = 1
@@ -132,6 +158,23 @@ func (h *Header) Unmarshal(b []byte) error {
 	h.RemainingNS = binary.BigEndian.Uint32(b[24:28])
 	h.PayloadLen = binary.BigEndian.Uint16(b[28:30])
 	return nil
+}
+
+// internetChecksum is the RFC 1071 ones-complement sum. Computing it over a
+// header whose checksum field holds the transmitted checksum yields zero.
+func internetChecksum(b []byte) uint16 {
+	var sum uint32
+	for len(b) >= 2 {
+		sum += uint32(binary.BigEndian.Uint16(b[:2]))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint32(b[0]) << 8
+	}
+	for sum > 0xffff {
+		sum = (sum >> 16) + (sum & 0xffff)
+	}
+	return ^uint16(sum)
 }
 
 // Datagram encoding: header + payload, the format live mode sends inside a

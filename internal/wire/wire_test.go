@@ -13,82 +13,6 @@ func TestMACString(t *testing.T) {
 	}
 }
 
-func TestEthernetRoundTrip(t *testing.T) {
-	e := Ethernet{
-		Dst:       MAC{1, 2, 3, 4, 5, 6},
-		Src:       MAC{7, 8, 9, 10, 11, 12},
-		EtherType: EtherTypeIPv4,
-	}
-	buf := make([]byte, EthernetSize)
-	if err := e.MarshalTo(buf); err != nil {
-		t.Fatal(err)
-	}
-	var got Ethernet
-	if err := got.Unmarshal(buf); err != nil {
-		t.Fatal(err)
-	}
-	if got != e {
-		t.Fatalf("round trip: got %+v want %+v", got, e)
-	}
-}
-
-func TestEthernetShortBuffer(t *testing.T) {
-	var e Ethernet
-	if err := e.MarshalTo(make([]byte, 13)); err != ErrShortBuffer {
-		t.Fatalf("MarshalTo short = %v", err)
-	}
-	if err := e.Unmarshal(make([]byte, 13)); err != ErrShortBuffer {
-		t.Fatalf("Unmarshal short = %v", err)
-	}
-}
-
-func TestIPv4RoundTripAndChecksum(t *testing.T) {
-	ip := IPv4{
-		TOS: 0, TotalLen: 60, ID: 42, TTL: 64, Protocol: IPProtoUDP,
-		Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{10, 0, 0, 2},
-	}
-	buf := make([]byte, 64)
-	if err := ip.MarshalTo(buf); err != nil {
-		t.Fatal(err)
-	}
-	if ip.Checksum == 0 {
-		t.Fatal("checksum not computed")
-	}
-	var got IPv4
-	if err := got.Unmarshal(buf); err != nil {
-		t.Fatal(err)
-	}
-	if got != ip {
-		t.Fatalf("round trip: got %+v want %+v", got, ip)
-	}
-	// Corrupt one byte: checksum must catch it.
-	buf[13] ^= 0xff
-	if err := got.Unmarshal(buf); err != ErrBadChecksum {
-		t.Fatalf("corrupted header error = %v, want ErrBadChecksum", err)
-	}
-}
-
-func TestIPv4RejectsOptions(t *testing.T) {
-	buf := make([]byte, 64)
-	ip := IPv4{TotalLen: 60, TTL: 64, Protocol: IPProtoUDP}
-	_ = ip.MarshalTo(buf)
-	buf[0] = 0x46 // IHL = 6: options present
-	var got IPv4
-	if err := got.Unmarshal(buf); err != ErrBadIPHeader {
-		t.Fatalf("options error = %v, want ErrBadIPHeader", err)
-	}
-}
-
-func TestIPv4LengthValidation(t *testing.T) {
-	buf := make([]byte, IPv4Size)
-	ip := IPv4{TotalLen: 4096, TTL: 64, Protocol: IPProtoUDP}
-	_ = ip.MarshalTo(buf)
-	var got IPv4
-	if err := got.Unmarshal(buf); err != ErrBadLength {
-		t.Fatalf("oversized TotalLen error = %v, want ErrBadLength", err)
-	}
-}
-
 func TestInternetChecksumKnownVector(t *testing.T) {
 	// RFC 1071 example bytes.
 	data := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
@@ -99,21 +23,6 @@ func TestInternetChecksumKnownVector(t *testing.T) {
 	odd := []byte{0x01}
 	if got := internetChecksum(odd); got != ^uint16(0x0100) {
 		t.Fatalf("odd checksum = %#04x", got)
-	}
-}
-
-func TestUDPRoundTrip(t *testing.T) {
-	u := UDP{SrcPort: 9000, DstPort: 9001, Length: 40}
-	buf := make([]byte, UDPSize)
-	if err := u.MarshalTo(buf); err != nil {
-		t.Fatal(err)
-	}
-	var got UDP
-	if err := got.Unmarshal(buf); err != nil {
-		t.Fatal(err)
-	}
-	if got != u {
-		t.Fatalf("round trip: got %+v want %+v", got, u)
 	}
 }
 
@@ -217,76 +126,6 @@ func TestDatagramTruncatedPayload(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	f := Frame{
-		Eth: Ethernet{Dst: MAC{1, 1, 1, 1, 1, 1}, Src: MAC{2, 2, 2, 2, 2, 2}},
-		IP:  IPv4{ID: 7, Src: [4]byte{192, 168, 0, 1}, Dst: [4]byte{192, 168, 0, 2}},
-		UDP: UDP{SrcPort: 5000, DstPort: 6000},
-		App: Header{Type: MsgRequest, ReqID: 12345, ClientID: 9, ServiceNS: 5_000},
-	}
-	f.Payload = []byte("payload bytes")
-	buf := make([]byte, 1500)
-	n, err := EncodeFrame(buf, &f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != FrameOverhead+len(f.Payload) {
-		t.Fatalf("encoded %d bytes, want %d", n, FrameOverhead+len(f.Payload))
-	}
-	var got Frame
-	if err := DecodeFrame(buf[:n], &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Eth != f.Eth || got.UDP.SrcPort != 5000 || got.App.ReqID != 12345 {
-		t.Fatalf("frame mismatch: %+v", got)
-	}
-	if !bytes.Equal(got.Payload, f.Payload) {
-		t.Fatalf("payload = %q", got.Payload)
-	}
-}
-
-func TestFrameRejectsNonIPv4(t *testing.T) {
-	f := Frame{App: Header{Type: MsgRequest}}
-	buf := make([]byte, 256)
-	n, _ := EncodeFrame(buf, &f)
-	buf[12] = 0x86 // EtherType → IPv6
-	buf[13] = 0xdd
-	var got Frame
-	if err := DecodeFrame(buf[:n], &got); err != ErrBadEtherType {
-		t.Fatalf("error = %v, want ErrBadEtherType", err)
-	}
-}
-
-func TestFrameRejectsNonUDP(t *testing.T) {
-	f := Frame{App: Header{Type: MsgRequest}}
-	buf := make([]byte, 256)
-	n, _ := EncodeFrame(buf, &f)
-	// Flip protocol to TCP and fix the IP checksum so only the protocol
-	// check fires.
-	ipHdr := buf[EthernetSize : EthernetSize+IPv4Size]
-	ipHdr[9] = 6
-	ipHdr[10], ipHdr[11] = 0, 0
-	ck := internetChecksum(ipHdr)
-	ipHdr[10], ipHdr[11] = byte(ck>>8), byte(ck)
-	var got Frame
-	if err := DecodeFrame(buf[:n], &got); err != ErrBadIPProtocol {
-		t.Fatalf("error = %v, want ErrBadIPProtocol", err)
-	}
-}
-
-func TestFrameWireSizeMinimum(t *testing.T) {
-	f := Frame{}
-	// Header stack alone (74 B) already exceeds Ethernet's 60 B minimum,
-	// so the empty frame is 74+FCS.
-	if got := f.WireSize(); got != FrameOverhead+4 {
-		t.Fatalf("minimum frame WireSize = %d, want %d", got, FrameOverhead+4)
-	}
-	f.Payload = make([]byte, 1000)
-	if got := f.WireSize(); got != FrameOverhead+1000+4 {
-		t.Fatalf("WireSize = %d", got)
-	}
-}
-
 // Property: any header round-trips exactly through marshal/unmarshal.
 func TestQuickHeaderRoundTrip(t *testing.T) {
 	f := func(typ uint8, flags uint16, reqID uint64, client, worker, svc, rem uint32) bool {
@@ -310,80 +149,8 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: frames with arbitrary payloads round-trip and random single-bit
-// corruption is either detected or yields an identical decode (corruption in
-// the padding/payload body is outside header checksums by design).
-func TestQuickFrameRoundTrip(t *testing.T) {
-	f := func(payload []byte, srcPort, dstPort uint16, reqID uint64) bool {
-		if len(payload) > 1400 {
-			payload = payload[:1400]
-		}
-		fr := Frame{
-			UDP:     UDP{SrcPort: srcPort, DstPort: dstPort},
-			App:     Header{Type: MsgRequest, ReqID: reqID},
-			Payload: payload,
-		}
-		buf := make([]byte, 2048)
-		n, err := EncodeFrame(buf, &fr)
-		if err != nil {
-			return false
-		}
-		var got Frame
-		if err := DecodeFrame(buf[:n], &got); err != nil {
-			return false
-		}
-		return bytes.Equal(got.Payload, payload) && got.App.ReqID == reqID
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeFrameShortInputs(t *testing.T) {
-	// Every truncation length must produce an error, never a panic.
-	fr := Frame{App: Header{Type: MsgRequest, ReqID: 5}, Payload: []byte("xyz")}
-	buf := make([]byte, 256)
-	n, _ := EncodeFrame(buf, &fr)
-	for l := 0; l < n; l++ {
-		var got Frame
-		if err := DecodeFrame(buf[:l], &got); err == nil {
-			t.Fatalf("truncation to %d bytes decoded successfully", l)
-		}
-	}
-}
-
-func BenchmarkEncodeFrame(b *testing.B) {
-	f := Frame{
-		App:     Header{Type: MsgRequest, ReqID: 1, ServiceNS: 5000},
-		Payload: make([]byte, 64),
-	}
-	buf := make([]byte, 1500)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeFrame(buf, &f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeFrame(b *testing.B) {
-	f := Frame{
-		App:     Header{Type: MsgRequest, ReqID: 1, ServiceNS: 5000},
-		Payload: make([]byte, 64),
-	}
-	buf := make([]byte, 1500)
-	n, _ := EncodeFrame(buf, &f)
-	var got Frame
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeFrame(buf[:n], &got); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Property: DecodeFrame and DecodeDatagram never panic on arbitrary input —
-// they return errors for everything malformed.
+// Property: DecodeDatagram never panics on arbitrary input — it returns an
+// error for everything malformed.
 func TestQuickDecodeNeverPanics(t *testing.T) {
 	f := func(data []byte) (ok bool) {
 		defer func() {
@@ -391,8 +158,6 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		var fr Frame
-		_ = DecodeFrame(data, &fr)
 		var h Header
 		_, _ = DecodeDatagram(data, &h)
 		return true
@@ -402,43 +167,27 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-// Property: flipping any single bit of a valid frame either fails to decode
-// or — when the flip lands in the raw payload bytes, which no header
-// checksum covers — decodes with only the payload changed.
+// Property: flipping any single bit of a valid datagram either fails to
+// decode or — when the flip lands in the payload bytes, which the header
+// checksum does not cover — decodes with only the payload changed.
 func TestQuickBitFlipDetection(t *testing.T) {
-	base := Frame{
-		App:     Header{Type: MsgRequest, ReqID: 7, ServiceNS: 1000},
-		Payload: []byte("0123456789abcdef"),
-	}
-	buf := make([]byte, 256)
-	n, err := EncodeFrame(buf, &base)
+	base := Header{Type: MsgRequest, ReqID: 7, ServiceNS: 1000}
+	valid, err := EncodeDatagram(nil, &base, []byte("0123456789abcdef"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := buf[:n]
-	for bit := 0; bit < n*8; bit++ {
+	for bit := 0; bit < len(valid)*8; bit++ {
 		corrupted := append([]byte(nil), valid...)
 		corrupted[bit/8] ^= 1 << (bit % 8)
-		var fr Frame
-		err := DecodeFrame(corrupted, &fr)
-		byteIdx := bit / 8
-		inPayload := byteIdx >= FrameOverhead
-		inEth := byteIdx < EthernetSize
-		// UDP over IPv4 may legally omit its checksum (this codec does);
-		// port flips therefore go undetected at this layer.
-		inUDP := byteIdx >= EthernetSize+IPv4Size && byteIdx < EthernetSize+IPv4Size+UDPSize
+		var h Header
+		_, err := DecodeDatagram(corrupted, &h)
 		switch {
 		case err != nil:
 			// rejected: fine
-		case inPayload:
-			// payload flips are legal (headers don't cover them)
-		case inEth:
-			// MAC address flips decode fine; steering hardware rejects
-			// them instead
-		case inUDP:
-			// uncovered by design (checksum-less UDP)
-		default:
-			t.Fatalf("undetected header corruption at bit %d (byte %d)", bit, byteIdx)
+		case bit/8 < HeaderSize:
+			t.Fatalf("undetected header corruption at bit %d (byte %d)", bit, bit/8)
+		case h != base:
+			t.Fatalf("payload flip at bit %d changed the header: %+v", bit, h)
 		}
 	}
 }
