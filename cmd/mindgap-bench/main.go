@@ -46,7 +46,10 @@ import (
 	"mindgap/scenarios"
 )
 
-func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
+func main() {
+	runner.PaceGC()
+	os.Exit(run(os.Args, os.Stdout, os.Stderr))
+}
 
 // flowRulePreset declares both the X14 figure and its detail table.
 const flowRulePreset = "figure-flowrule"

@@ -40,6 +40,7 @@ import (
 )
 
 func main() {
+	runner.PaceGC()
 	var (
 		system      = flag.String("system", "offload", "system registry name (see -list-systems)")
 		workers     = flag.Int("workers", 4, "worker cores")

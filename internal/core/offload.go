@@ -139,7 +139,7 @@ type flight struct {
 	req      *task.Request
 	worker   int
 	attempt  int
-	timer    *sim.Timer
+	timer    sim.Timer
 	arrival  sim.Time
 	service  time.Duration
 	clientID uint32
@@ -180,9 +180,10 @@ type Offload struct {
 	// maps exist only when the schedule configures a timeout: flights
 	// tracks in-flight dispatch attempts by request ID, responded dedupes
 	// client responses when retries race original completions.
-	flt       *faults.Schedule
-	flights   map[uint64]*flight
-	responded map[uint64]bool
+	flt        *faults.Schedule
+	flights    map[uint64]*flight
+	flightFree []*flight // finished flight records, reused by trackDispatch
+	responded  map[uint64]bool
 
 	// Fault-layer counters (always maintained while flt is set; telemetry
 	// reads them when cfg.Metrics is set).
@@ -248,6 +249,17 @@ func (s *Offload) qevGet() *qEvent {
 func (s *Offload) qevPut(qe *qEvent) {
 	*qe = qEvent{}
 	s.qevFree = append(s.qevFree, qe)
+}
+
+// flightPut retires a finished flight: out of the map, timer disarmed, and
+// onto the free list.
+//
+//mindgap:noalloc
+func (s *Offload) flightPut(id uint64, fl *flight) {
+	delete(s.flights, id)
+	fl.timer.Stop()
+	*fl = flight{}
+	s.flightFree = append(s.flightFree, fl)
 }
 
 // NewOffload builds the system on eng. done is invoked at the instant the
@@ -585,10 +597,7 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 				s.staleNotifs++
 				return
 			}
-			if fl.timer != nil {
-				fl.timer.Stop()
-			}
-			delete(s.flights, ev.id)
+			s.flightPut(ev.id, fl)
 		}
 		as = s.lgc.CompleteTo(as, ev.worker)
 	case evPreempted:
@@ -600,9 +609,7 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 				s.staleNotifs++
 				return
 			}
-			if fl.timer != nil {
-				fl.timer.Stop()
-			}
+			fl.timer.Stop()
 			fl.worker = -1
 		}
 		s.pr.Enqueue(now, ev.id)
@@ -631,7 +638,11 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 func (s *Offload) trackDispatch(a Assignment) {
 	fl := s.flights[a.Req.ID]
 	if fl == nil {
-		fl = &flight{}
+		if n := len(s.flightFree); n > 0 {
+			fl, s.flightFree = s.flightFree[n-1], s.flightFree[:n-1]
+		} else {
+			fl = &flight{}
+		}
 		s.flights[a.Req.ID] = fl
 	}
 	fl.req = a.Req
@@ -640,7 +651,10 @@ func (s *Offload) trackDispatch(a Assignment) {
 	fl.service = a.Req.Service
 	fl.clientID = a.Req.ClientID
 	fl.key = a.Req.Key
-	fl.timer = s.eng.AfterTimerE(s.flt.AttemptTimeout(fl.attempt), flightTimeout, s, fl, a.Req.ID)
+	// Still armed only if a PREEMPTED overtook an expiry on its way through
+	// the ring and that expiry was then taken for the re-dispatch's own.
+	fl.timer.Stop()
+	s.eng.ArmAfterE(&fl.timer, s.flt.AttemptTimeout(fl.attempt), flightTimeout, s, fl, a.Req.ID)
 }
 
 // flightTimeout is a dispatch timer's expiry. Every change to a flight
@@ -667,7 +681,7 @@ func (s *Offload) handleTimeout(as []Assignment, now sim.Time, ev qEvent) []Assi
 	if fl.attempt >= s.flt.Retries() {
 		// Retry budget exhausted: abandon the request. A late response
 		// from a still-executing original must not resurrect it.
-		delete(s.flights, ev.id)
+		s.flightPut(ev.id, fl)
 		s.responded[ev.id] = true
 		s.pr.Drop(now, ev.id, -1, trace.DropTimeout)
 		return s.lgc.CompleteTo(as, w)
@@ -686,7 +700,6 @@ func (s *Offload) handleTimeout(as []Assignment, now sim.Time, ev qEvent) []Assi
 	clone.Key = fl.key
 	fl.req = clone
 	fl.worker = -1
-	fl.timer = nil
 	as = s.lgc.CompleteTo(as, w)
 	s.pr.Enqueue(now, clone.ID)
 	return s.lgc.EnqueueTo(as, now, clone)

@@ -30,7 +30,7 @@ func factoryFor(t *testing.T, system string, k scenario.Knobs) Factory {
 // grid through the preset compiler, early-stop rule included.
 func sweepRSS(t *testing.T, workers int, workload string, grid scenario.Grid, q Quality) []Result {
 	t.Helper()
-	s, err := SpecSeries("", "", scenario.Spec{
+	s, err := SpecSeries("", scenario.Spec{
 		System:   "rss",
 		Knobs:    &scenario.Knobs{Workers: workers},
 		Workload: workload,

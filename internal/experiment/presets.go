@@ -94,19 +94,17 @@ var paramsSig = sync.OnceValue(func() string {
 // SpecPointKey builds the cache identity of one measured point from the
 // spec fingerprint: the spec with its load pinned to the single offered
 // rate and the effective quality and seed baked in, salted with the
-// calibration fingerprint. Two callers that describe the same scenario
-// under one sweepID share cache entries; extra salts encode what the
+// calibration fingerprint. Any two callers that describe the same scenario
+// — series of different figures, a table and a figure, a replicate — share
+// the entry, on disk and in the runner's memo; extra salts encode what the
 // pinned spec cannot (the swept axis value, the row kind).
-func SpecPointKey(sweepID string, sp scenario.Spec, q Quality, rps float64, extra ...string) string {
-	if sweepID == "" {
-		return "" // anonymous sweeps are not cacheable
-	}
+func SpecPointKey(sp scenario.Spec, q Quality, rps float64, extra ...string) string {
 	id := sp
 	id.Name = ""
 	id.Load = &scenario.LoadSpec{RPS: rps}
 	id.Quality = &scenario.QualitySpec{Warmup: q.Warmup, Measure: q.Measure}
 	id.Seed = q.Seed
-	k := sweepID + "|" + id.Fingerprint() + "|params=" + paramsSig()
+	k := id.Fingerprint() + "|params=" + paramsSig()
 	for _, e := range extra {
 		k += "|" + e
 	}
@@ -194,8 +192,8 @@ func observed(sp scenario.Spec, o scenario.Options) Factory {
 // against k) or a flow sweep (one point per concurrent-flow population,
 // reported against the population; no early stop — its whole point is
 // life on both sides of the fast-path crossover). Every point is keyed
-// by SpecPointKey under sweepID.
-func SpecSeries[T any](sweepID, label string, sp scenario.Spec, q Quality, k Kind[T]) (runner.Series[T], error) {
+// by SpecPointKey.
+func SpecSeries[T any](label string, sp scenario.Spec, q Quality, k Kind[T]) (runner.Series[T], error) {
 	s := runner.Series[T]{Label: label}
 	if sp.Load != nil && sp.Load.Grid != nil {
 		s.StopAfterSaturated = 2
@@ -241,7 +239,10 @@ func SpecSeries[T any](sweepID, label string, sp scenario.Spec, q Quality, k Kin
 				extra = append(extra, a.tag)
 			}
 			if k.salt != "" {
-				extra = append(extra, k.salt)
+				// Salted kinds may label their rows with the series name
+				// (Attributed, FlowRuleDetail, the fault timeline), which the
+				// fingerprint leaves out, so it is part of their identity.
+				extra = append(extra, k.salt+":"+a.sp.Name)
 			}
 			for _, rps := range loads {
 				cfg, x := cfg, rps
@@ -250,7 +251,7 @@ func SpecSeries[T any](sweepID, label string, sp scenario.Spec, q Quality, k Kin
 					x = a.x
 				}
 				s.Points = append(s.Points, runner.Point[T]{
-					Key: SpecPointKey(sweepID, a.sp, eq, rps, extra...),
+					Key: SpecPointKey(a.sp, eq, rps, extra...),
 					Run: func() T { return k.run(cfg, a.sp, x) },
 				})
 			}
@@ -268,7 +269,7 @@ func SpecSeries[T any](sweepID, label string, sp scenario.Spec, q Quality, k Kin
 func Run[T any](ctx context.Context, rn *runner.Runner, p scenario.Preset, q Quality, k Kind[T]) ([]runner.SeriesResult[T], error) {
 	sw := runner.Sweep[T]{Name: p.ID}
 	for i := range p.Series {
-		s, err := SpecSeries(p.ID, p.Series[i].Label, p.SpecFor(i), q, k)
+		s, err := SpecSeries(p.Series[i].Label, p.SpecFor(i), q, k)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: preset %q series %q: %w", p.ID, p.Series[i].Label, err)
 		}

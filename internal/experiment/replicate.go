@@ -41,7 +41,7 @@ func Replicate(ctx context.Context, rn *runner.Runner, sp scenario.Spec, q Quali
 	var all runner.Series[Result]
 	for _, seed := range seeds {
 		q.Seed = seed
-		s, err := SpecSeries("replicate", "", sp, q, Plain)
+		s, err := SpecSeries("", sp, q, Plain)
 		if err != nil {
 			return Replicated{}, err
 		}

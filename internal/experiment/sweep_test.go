@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mindgap/internal/runner"
@@ -73,6 +74,62 @@ func TestFigureCancellation(t *testing.T) {
 	for _, s := range f.Series {
 		if len(s.Results) != 0 {
 			t.Fatalf("series %q has %d results before any point could run", s.Label, len(s.Results))
+		}
+	}
+}
+
+// pointKeys compiles one series of a preset, optionally renamed, as rows of
+// kind k and returns its points' cache keys.
+func pointKeys[T any](t *testing.T, preset string, series int, rename string, k Kind[T]) []string {
+	t.Helper()
+	p := scenarios.MustLoad(preset)
+	sp := p.SpecFor(series)
+	if rename != "" {
+		sp.Name = rename
+	}
+	s, err := SpecSeries(p.Series[series].Label, sp, Quick, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(s.Points))
+	for i, pt := range s.Points {
+		keys[i] = pt.Key
+	}
+	return keys
+}
+
+// TestPointKeysIdentifyTheScenarioNotTheSweep: two presets that declare the
+// same series (figure6 and figure6-cxl both plot shinjuku on 15 workers)
+// key its points identically, so one run of the grid measures them once;
+// what a key must still separate — another series, another row kind, and
+// for row kinds that label their rows another series name — it does.
+func TestPointKeysIdentifyTheScenarioNotTheSweep(t *testing.T) {
+	shared := pointKeys(t, "figure6", 1, "", Plain)
+	if len(shared) == 0 || shared[0] == "" {
+		t.Fatalf("figure6's shinjuku series has no keyed points: %q", shared)
+	}
+	for what, same := range map[string][]string{
+		"under figure6-cxl":  pointKeys(t, "figure6-cxl", 1, "", Plain),
+		"under another name": pointKeys(t, "figure6", 1, "renamed", Plain),
+	} {
+		if !slices.Equal(same, shared) {
+			t.Errorf("the series is keyed differently %s:\n%q\n%q", what, same, shared)
+		}
+	}
+	attributed := pointKeys(t, "figure6", 1, "", Attributed)
+	for what, other := range map[string][]string{
+		"another series":   pointKeys(t, "figure6", 0, "", Plain),
+		"another row kind": attributed,
+	} {
+		for _, k := range other {
+			if slices.Contains(shared, k) {
+				t.Errorf("%s shares key %q", what, k)
+			}
+		}
+	}
+	for _, k := range pointKeys(t, "figure6", 1, "renamed", Attributed) {
+		if slices.Contains(attributed, k) {
+			t.Errorf("an attributed row, which carries the series name, keeps key %q when renamed", k)
 		}
 	}
 }

@@ -29,14 +29,20 @@ type LinkConfig struct {
 
 // Link is a point-to-point, order-preserving message pipe. Not safe for
 // concurrent use — it lives inside a single-threaded simulation.
+//
+// A hop is one engine event when the link neither serializes nor bounds its
+// queue, two otherwise (departure, then delivery). A plain link files the
+// receiver's own event (sim.AtE, or sim.AtRelayE through the departure) and
+// keeps no per-message state; an observed (RegisterTelemetry) or bounded
+// link is tabled: messages park in pend and linkDepart/linkDeliver keep the
+// gauges exact. Both take the same positions in the (time, seq) order, so
+// attaching a registry changes neither a delivery nor Engine.Executed().
 type Link struct {
 	eng  *sim.Engine
 	cfg  LinkConfig
 	name string
 
 	lastDeparture sim.Time
-	queued        int
-	delivered     uint64
 	dropped       uint64
 	stalls        uint64
 
@@ -48,21 +54,19 @@ type Link struct {
 	fault        func(sim.Time) (drop bool, extra time.Duration)
 	faultDropped uint64
 
-	// latency, when attached, records each message's send→deliver time —
-	// the NIC↔host message-latency distribution of §3.3, inflated by
-	// serialization waits near saturation.
-	latency *telemetry.Histogram
-
-	// pend is the in-flight message table: each accepted send claims a slot
-	// holding its delivery callback and timing, and the slot index rides
-	// through both engine events as the scalar argument. The table plus the
-	// typed event API make an accepted send allocate nothing in steady
-	// state (slots recycle through freeSlots).
+	// Tabled-path state, read only by the registry's gauges (a plain link
+	// does not maintain it). latency is each message's send→deliver time —
+	// the NIC↔host message latency of §3.3, inflated by serialization waits
+	// near saturation. A pend slot's index rides through both events as the
+	// scalar and recycles through freeSlots: no send allocates when warm.
+	queued    int
+	delivered uint64
+	latency   *telemetry.Histogram
 	pend      []pendingMsg
 	freeSlots []uint32
 }
 
-// pendingMsg is one accepted, not-yet-delivered message.
+// pendingMsg is one accepted, not-yet-delivered message on a tabled link.
 type pendingMsg struct {
 	fn        sim.EventFunc
 	recv, obj any
@@ -116,16 +120,8 @@ func (l *Link) SendT(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) boo
 	return l.SendTEx(bytes, fn, recv, obj, arg) == SendAccepted
 }
 
-// SendTEx is SendT with a distinguishable outcome. A message normally
-// costs two events — departure after serialization, then delivery after
-// propagation. A link that never serializes and bounds no queue has no
-// transmit stage to model: every message departs the instant it is sent,
-// so its delivery (fault-added latency included) is scheduled directly,
-// one event per hop. Links that serialize keep both events even when
-// idle: the delivery would take its seq at send time instead of at
-// departure, and that was measured to flip a same-instant tie against a
-// non-link event (zero-fault baselines golden, zygos @ 450 kRPS, mean
-// 17 402 → 17 403 ns); the zero-serialization rule moved no golden byte.
+// SendTEx is SendT with a distinguishable outcome. See Link for when a hop
+// costs one event or two and which path carries it.
 //
 //mindgap:noalloc
 func (l *Link) SendTEx(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) SendOutcome {
@@ -154,6 +150,16 @@ func (l *Link) SendTEx(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) S
 	}
 	depart = depart.Add(l.serialization(bytes))
 	l.lastDeparture = depart
+	deliverAt := depart.Add(latency)
+
+	if l.latency == nil && l.cfg.QueueLimit == 0 { // plain: nothing watches the message in flight
+		if l.cfg.BandwidthBps <= 0 {
+			l.eng.AtE(deliverAt, fn, recv, obj, arg)
+		} else {
+			l.eng.AtRelayE(depart, deliverAt, fn, recv, obj, arg)
+		}
+		return SendAccepted
+	}
 
 	var slot uint32
 	if n := len(l.freeSlots); n > 0 {
@@ -163,9 +169,9 @@ func (l *Link) SendTEx(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) S
 		slot = uint32(len(l.pend))
 		l.pend = append(l.pend, pendingMsg{})
 	}
-	l.pend[slot] = pendingMsg{fn: fn, recv: recv, obj: obj, arg: arg, sent: now, deliverAt: depart.Add(latency)}
+	l.pend[slot] = pendingMsg{fn: fn, recv: recv, obj: obj, arg: arg, sent: now, deliverAt: deliverAt}
 	if l.cfg.BandwidthBps <= 0 && l.cfg.QueueLimit == 0 {
-		l.eng.AtE(l.pend[slot].deliverAt, linkDeliver, l, nil, uint64(slot))
+		l.eng.AtE(deliverAt, linkDeliver, l, nil, uint64(slot))
 		return SendAccepted
 	}
 	l.queued++
@@ -173,8 +179,8 @@ func (l *Link) SendTEx(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) S
 	return SendAccepted
 }
 
-// linkDepart fires when a message finishes serialization: the transmit
-// queue slot frees and the propagation leg begins.
+// linkDepart fires when a tabled message finishes serialization: the
+// transmit queue slot frees and the propagation leg begins.
 //
 //mindgap:noalloc
 func linkDepart(recv, _ any, slot uint64) {
@@ -183,8 +189,8 @@ func linkDepart(recv, _ any, slot uint64) {
 	l.eng.AtE(l.pend[slot].deliverAt, linkDeliver, l, nil, slot)
 }
 
-// linkDeliver fires at the receiver and hands off to the message's
-// callback after releasing the in-flight slot.
+// linkDeliver fires at the receiver of a tabled message and hands off to
+// its callback after releasing the in-flight slot.
 //
 //mindgap:noalloc
 func linkDeliver(recv, _ any, slot uint64) {
@@ -210,12 +216,6 @@ func (l *Link) serialization(bytes int) time.Duration {
 	return time.Duration(float64(bytes*8) / l.cfg.BandwidthBps * 1e9)
 }
 
-// Queued returns the number of messages waiting to finish serialization.
-func (l *Link) Queued() int { return l.queued }
-
-// Delivered returns the number of messages delivered so far.
-func (l *Link) Delivered() uint64 { return l.delivered }
-
 // Dropped returns the number of messages rejected by the bounded queue.
 func (l *Link) Dropped() uint64 { return l.dropped }
 
@@ -229,7 +229,9 @@ func (l *Link) FaultDropped() uint64 { return l.faultDropped }
 
 // RegisterTelemetry exposes the link's counters on reg under the given
 // component label and starts recording per-message latency into the
-// registry's component/"latency" histogram.
+// registry's component/"latency" histogram. It moves the link onto the
+// tabled path (see Link); attach before the simulation starts, as messages
+// already in flight are not counted.
 func (l *Link) RegisterTelemetry(reg *telemetry.Registry, component string) {
 	l.latency = reg.Histogram(component, "latency")
 	reg.GaugeFunc(component, "queued", func() float64 { return float64(l.queued) })

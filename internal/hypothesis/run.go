@@ -9,7 +9,9 @@ import (
 	"mindgap/internal/scenario"
 )
 
-// sweepID keys every hypothesis point in the runner cache. It is shared
+// sweepID prefixes every hypothesis point's key in the runner cache: the
+// executor caches its own carrier type (measurement), so its entries must
+// not meet a figure's Result under the scenario's bare key. It is shared
 // across hypotheses on purpose: the cache identity of a point is the
 // scenario it measures (fingerprint with load/quality/seed baked in),
 // so two hypotheses whose arms describe the same scenario — or a
@@ -166,13 +168,13 @@ func armSeries(label string, a Arm, seeds []uint64, q experiment.Quality, def Me
 // appendPoints compiles sp's load axis as rows of kind k and appends the
 // points to out, each row converted to the cached measurement carrier.
 func appendPoints[T any](out *runner.Series[measurement], sp scenario.Spec, q experiment.Quality, k experiment.Kind[T], conv func(T) measurement) error {
-	s, err := experiment.SpecSeries(sweepID, "", sp, q, k)
+	s, err := experiment.SpecSeries("", sp, q, k)
 	if err != nil {
 		return err
 	}
 	for _, p := range s.Points {
 		out.Points = append(out.Points, runner.Point[measurement]{
-			Key: p.Key,
+			Key: sweepID + "|" + p.Key,
 			Run: func() measurement { return conv(p.Run()) },
 		})
 	}

@@ -10,8 +10,9 @@
 //
 //   - the closure-scheduling engine APIs (Engine.At / After /
 //     AfterTimer, Link.Send): every call allocates a closure
-//     and an adapter event; the typed AtE / AfterE / AfterTimerE /
-//     SendT forms exist precisely so hot code never pays that;
+//     and an adapter event; the typed AtE / AfterE / AtRelayE /
+//     AfterTimerE / ArmAfterE / SendT forms exist precisely so hot code
+//     never pays that;
 //   - closure literals that capture variables (each is a heap
 //     allocation per event);
 //   - calls into package fmt and conversions to string (both allocate

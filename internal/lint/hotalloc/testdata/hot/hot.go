@@ -39,6 +39,18 @@ func hotTyped(eng *sim.Engine, id uint64) {
 
 func fire(_, _ any, _ uint64) {}
 
+// hotRelay registers its callback through the relay form: typed like the
+// rest, so the call itself is clean and the callback joins the path.
+//
+//mindgap:noalloc
+func hotRelay(eng *sim.Engine, id uint64) {
+	eng.AtRelayE(eng.Now(), eng.Now()+1, relayed, eng, nil, id)
+}
+
+func relayed(_, _ any, id uint64) {
+	fmt.Println("req", id) // want `fmt\.Println allocates on every call \(on the //mindgap:noalloc path via hotRelay\)`
+}
+
 // coldPath is not annotated and not reachable from any annotated
 // function: the closure API is fine here (it is how setup code works).
 func coldPath(eng *sim.Engine) {

@@ -53,23 +53,19 @@ type NIC struct {
 	eng *sim.Engine
 	cfg Config
 
-	fns      []*Function
+	fns []*Function
+	// macTable registers every function and steers foreign MACs; byIndex
+	// steers MACForIndex addresses (all a model provisions) by the function
+	// number they encode, while it is in range, without hashing.
 	macTable map[wire.MAC]*Function
+	byIndex  [256]*Function
 
 	steered     uint64
 	unknownDrop uint64
-
-	// pend is the in-flight frame table (same technique as fabric.Link's
-	// message table): each steered frame parks here between send and
-	// delivery, and its slot index rides through the delivery event as the
-	// scalar argument, so steering allocates nothing in steady state.
-	pend      []Frame
-	freeSlots []uint32
 }
 
 // Function is one NIC interface: the ARM complex's port or a worker's VF.
 type Function struct {
-	nic  *NIC
 	mac  wire.MAC
 	name string
 
@@ -107,6 +103,13 @@ func MACForIndex(i int) wire.MAC {
 	return wire.MAC{0x02, 0x6d, 0x67, byte(i >> 16), byte(i >> 8), byte(i)}
 }
 
+// indexOfMAC inverts MACForIndex.
+//
+//mindgap:noalloc
+func indexOfMAC(m wire.MAC) (int, bool) {
+	return int(m[3])<<16 | int(m[4])<<8 | int(m[5]), m[0] == 0x02 && m[1] == 0x6d && m[2] == 0x67
+}
+
 // AddFunction registers an interface with the given MAC. It panics on a
 // duplicate MAC — NIC provisioning is static configuration.
 func (n *NIC) AddFunction(name string, mac wire.MAC, ringCap int) *Function {
@@ -117,7 +120,6 @@ func (n *NIC) AddFunction(name string, mac wire.MAC, ringCap int) *Function {
 		ringCap = n.cfg.RingCap
 	}
 	f := &Function{
-		nic:  n,
 		mac:  mac,
 		name: name,
 		rx:   queue.NewRing[Frame](ringCap),
@@ -130,6 +132,9 @@ func (n *NIC) AddFunction(name string, mac wire.MAC, ringCap int) *Function {
 	}
 	n.fns = append(n.fns, f)
 	n.macTable[mac] = f
+	if i, ok := indexOfMAC(mac); ok && i < len(n.byIndex) {
+		n.byIndex[i] = f
+	}
 	return f
 }
 
@@ -139,29 +144,31 @@ func (n *NIC) AddFunction(name string, mac wire.MAC, ringCap int) *Function {
 // happens at delivery time, after Send has returned true, and is counted
 // in RingDrops and reported through OnDrop.
 //
+// The frame rides in its delivery event — payload as the object, source MAC
+// and size (16 bits, as on Ethernet) packed into the scalar — so steering
+// keeps no in-flight table and allocates nothing.
+//
 //mindgap:noalloc
 func (n *NIC) Send(f Frame) bool {
-	target, ok := n.macTable[f.Dst]
-	if !ok {
+	var target *Function
+	if i, ok := indexOfMAC(f.Dst); ok && i < len(n.byIndex) {
+		target = n.byIndex[i] // nil: an in-range index nobody registered
+	} else {
+		target = n.macTable[f.Dst]
+	}
+	if target == nil {
 		n.unknownDrop++
 		return false
 	}
+	if f.Bytes < 0 || f.Bytes > 0xffff {
+		panic("nicmodel: frame size outside [0, 65535] bytes")
+	}
 	n.steered++
-	var slot uint32
-	if m := len(n.freeSlots); m > 0 {
-		slot = n.freeSlots[m-1]
-		n.freeSlots = n.freeSlots[:m-1]
-	} else {
-		slot = uint32(len(n.pend))
-		n.pend = append(n.pend, Frame{})
+	var src uint64
+	for _, b := range f.Src {
+		src = src<<8 | uint64(b)
 	}
-	n.pend[slot] = f
-	outcome := target.deliver.SendTEx(f.Bytes, nicDeliver, target, nil, uint64(slot))
-	if outcome != fabric.SendAccepted {
-		// The delivery event will never fire; reclaim the slot now.
-		n.pend[slot] = Frame{}
-		n.freeSlots = append(n.freeSlots, slot)
-	}
+	outcome := target.deliver.SendTEx(f.Bytes, nicDeliver, target, f.Payload, src<<16|uint64(f.Bytes))
 	if outcome == fabric.SendFaultDrop && target.onWireDrop != nil {
 		target.onWireDrop(f)
 	}
@@ -169,16 +176,16 @@ func (n *NIC) Send(f Frame) bool {
 }
 
 // nicDeliver fires when a steered frame crosses the NIC-internal fabric
-// into its target function: release the in-flight slot, then land the
-// frame in the RX ring (or drop it if the ring is full, like hardware).
+// into its target function: rebuild the frame from the event, then land it
+// in the RX ring (or drop it if the ring is full, like hardware).
 //
 //mindgap:noalloc
-func nicDeliver(recv, _ any, slot uint64) {
+func nicDeliver(recv, payload any, arg uint64) {
 	target := recv.(*Function)
-	n := target.nic
-	f := n.pend[slot]
-	n.pend[slot] = Frame{}
-	n.freeSlots = append(n.freeSlots, uint32(slot))
+	f := Frame{Dst: target.mac, Bytes: int(arg & 0xffff), Payload: payload}
+	for i, src := 5, arg>>16; i >= 0; i, src = i-1, src>>8 {
+		f.Src[i] = byte(src)
+	}
 	if !target.rx.Push(f) {
 		target.ringDrops++
 		if target.onDrop != nil {

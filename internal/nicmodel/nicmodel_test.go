@@ -1,6 +1,7 @@
 package nicmodel
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -46,6 +47,122 @@ func TestUnknownMACDropped(t *testing.T) {
 	}
 	if nic.UnknownMACDrops() != 1 {
 		t.Fatalf("UnknownMACDrops = %d", nic.UnknownMACDrops())
+	}
+}
+
+// TestSteeringDenseAndForeignMACs: MACForIndex addresses steer through the
+// dense index and any other registered MAC through the table, to the same
+// effect; an unregistered address of either shape — a foreign MAC, an
+// index inside the dense range nobody registered, one beyond it — is an
+// unknown-MAC drop that schedules nothing.
+func TestSteeringDenseAndForeignMACs(t *testing.T) {
+	eng := sim.New()
+	nic := newNIC(eng)
+	maxDenseIndex := len(nic.byIndex)
+	foreign := wire.MAC{0x00, 0x1b, 0x21, 0xaa, 0xbb, 0xcc}
+	fns := map[wire.MAC]*Function{
+		MACForIndex(0):                 nic.AddFunction("arm", MACForIndex(0), 0),
+		MACForIndex(3):                 nic.AddFunction("w3", MACForIndex(3), 0), // leaves 1 and 2 unregistered
+		MACForIndex(maxDenseIndex + 5): nic.AddFunction("far", MACForIndex(maxDenseIndex+5), 0),
+		foreign:                        nic.AddFunction("foreign", foreign, 0),
+	}
+	for mac, fn := range fns {
+		if !nic.Send(Frame{Dst: mac, Src: foreign, Bytes: 64, Payload: fn.Name()}) {
+			t.Fatalf("send to %s (%v) rejected", fn.Name(), mac)
+		}
+	}
+	unknown := []wire.MAC{
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+		MACForIndex(2),
+		MACForIndex(4),
+		MACForIndex(maxDenseIndex + 6),
+		{0x02, 0x6d, 0x66, 0, 0, 3}, // w3's index under another prefix
+	}
+	for _, mac := range unknown {
+		if nic.Send(Frame{Dst: mac, Bytes: 64}) {
+			t.Fatalf("unknown MAC %v accepted", mac)
+		}
+	}
+	if got := nic.UnknownMACDrops(); got != uint64(len(unknown)) {
+		t.Fatalf("UnknownMACDrops = %d, want %d", got, len(unknown))
+	}
+	if eng.Pending() != len(fns) {
+		t.Fatalf("%d events pending, want one per steered frame (%d)", eng.Pending(), len(fns))
+	}
+	eng.Run()
+	for mac, fn := range fns {
+		f, ok := fn.Poll()
+		if !ok || f.Payload != fn.Name() || f.Dst != mac || fn.Pending() != 0 {
+			t.Fatalf("%s polled %+v, %v (pending %d)", fn.Name(), f, ok, fn.Pending())
+		}
+	}
+}
+
+// TestFrameArrivesIntact: a frame is rebuilt from its delivery event, so
+// every field must survive the trip to each place a frame surfaces —
+// OnDeliver, Poll, OnDrop (ring overflow) and OnWireDrop — for a function's
+// MAC and a foreign one as source, at both ends of the size range and with
+// a nil payload.
+func TestFrameArrivesIntact(t *testing.T) {
+	eng := sim.New()
+	lose := false
+	nic := New(eng, Config{InternalLatency: 2560 * time.Nanosecond, RingCap: 3,
+		LinkFault: func(sim.Time) (bool, time.Duration) { return lose, 0 }})
+	src := nic.AddFunction("src", MACForIndex(0), 0)
+	dst := nic.AddFunction("dst", MACForIndex(1), 0)
+	payload := &struct{ n int }{7}
+	frames := []Frame{
+		{Dst: dst.MAC(), Src: src.MAC(), Bytes: 64, Payload: payload},
+		{Dst: dst.MAC(), Src: wire.MAC{0xff, 0xfe, 0xfd, 0xfc, 0xfb, 0xfa}, Bytes: 0xffff, Payload: "edge"},
+		{Dst: dst.MAC(), Bytes: 0},
+		{Dst: dst.MAC(), Src: src.MAC(), Bytes: 1500, Payload: 4}, // overflows the ring
+	}
+	var delivered, dropped, wireDropped []Frame
+	dst.OnDeliver(func(f Frame) { delivered = append(delivered, f) })
+	dst.OnDrop(func(f Frame) { dropped = append(dropped, f) })
+	dst.OnWireDrop(func(f Frame) { wireDropped = append(wireDropped, f) })
+	for _, f := range frames {
+		nic.Send(f)
+	}
+	lose = true
+	if nic.Send(frames[1]) {
+		t.Fatal("send accepted while the fabric loses every frame")
+	}
+	eng.Run()
+	if !slices.Equal(delivered, frames[:3]) {
+		t.Fatalf("OnDeliver saw %+v, want %+v", delivered, frames[:3])
+	}
+	if !slices.Equal(dropped, frames[3:]) {
+		t.Fatalf("OnDrop saw %+v, want %+v", dropped, frames[3:])
+	}
+	if !slices.Equal(wireDropped, frames[1:2]) {
+		t.Fatalf("OnWireDrop saw %+v, want %+v", wireDropped, frames[1:2])
+	}
+	for i, want := range frames[:3] {
+		if got, ok := dst.Poll(); !ok || got != want {
+			t.Fatalf("Poll %d = %+v, %v; want %+v", i, got, ok, want)
+		}
+	}
+}
+
+// TestOversizeFramePanics: the size rides in 16 bits of the delivery event;
+// a frame no Ethernet port could carry is a model bug, not a truncation.
+func TestOversizeFramePanics(t *testing.T) {
+	for _, bytes := range []int{-1, 0x10000} {
+		eng := sim.New()
+		nic := newNIC(eng)
+		dst := nic.AddFunction("dst", MACForIndex(0), 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d-byte frame accepted", bytes)
+				}
+			}()
+			nic.Send(Frame{Dst: dst.MAC(), Bytes: bytes})
+		}()
+		if eng.Pending() != 0 {
+			t.Errorf("%d-byte frame left an event pending", bytes)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // simulation model changes in a way that alters measurements without
 // changing point configurations (calibration tweaks, scheduler fixes), so
 // stale entries from older binaries are never served.
-const CacheSchemaVersion = "mindgap-runner/1"
+const CacheSchemaVersion = "mindgap-runner/2"
 
 // Cache memoises point results on disk, one JSON file per point, named by
 // the SHA-256 of (CacheSchemaVersion, point key). Point keys must encode

@@ -5,8 +5,9 @@
 // fans points out across host cores, keys every result by its grid index
 // so output ordering — and therefore rendered figures — is byte-identical
 // at any parallelism, honours context cancellation between points, reports
-// live progress through a callback, and can memoise results in an on-disk
-// cache so re-renders skip already-measured points.
+// live progress through a callback, measures each distinct keyed point once
+// per Runner (an in-memory memo across its sweeps), and can memoise results
+// in an on-disk cache so re-renders skip already-measured points.
 //
 // The package is deliberately generic: a Sweep[T] measures values of any
 // JSON-serializable type T, so the figure grids (T = experiment.Result),
@@ -17,9 +18,23 @@ package runner
 
 import (
 	"context"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
+
+// PaceGC is called first thing by the batch CLIs: unless the user set GOGC,
+// it raises the collector's target from 100 to 400. A sweep's live heap
+// stays under 40 MB while its points churn through short-lived engines, so
+// at the default pace the quick grid ran 86 collections whose concurrent
+// mark kept write barriers on in the event loop; at 400 it runs about 15,
+// for up to ~100 MB more peak RSS (EXPERIMENTS.md, "Profiling the engine").
+func PaceGC() {
+	if _, set := os.LookupEnv("GOGC"); !set {
+		debug.SetGCPercent(400)
+	}
+}
 
 // Point is one schedulable unit of work: a closure that runs one
 // simulation to completion and returns its measurement.
@@ -73,7 +88,8 @@ type Event struct {
 	Index         int
 	// Done and Total count completed and scheduled points of the sweep.
 	Done, Total int
-	// Cached is set when the result came from the on-disk cache.
+	// Cached is set when the result came from the Runner's memo or the
+	// on-disk cache.
 	Cached bool
 }
 
@@ -90,6 +106,42 @@ type Runner struct {
 	// Progress is invoked after every completed point (from worker
 	// goroutines; it must be safe for concurrent use).
 	Progress func(Event)
+
+	// memo maps a point key to the result this Runner last ran or loaded
+	// for it, so sweeps that share a point (a figure's baseline series
+	// repeated in the next figure) measure it once per process. It is keyed
+	// like the disk cache and consulted before it. Results are handed out
+	// shared: callers treat them as immutable.
+	memo sync.Map
+}
+
+// recall returns the memoised or disk-cached result for key. A memo entry
+// of another type (a key reused for a different carrier) is a miss.
+func recall[T any](r *Runner, key string) (v T, ok bool) {
+	if key == "" {
+		return v, false
+	}
+	if m, hit := r.memo.Load(key); hit {
+		if v, ok = m.(T); ok {
+			return v, true
+		}
+	}
+	if r.Cache != nil && r.Cache.get(key, &v) {
+		r.memo.Store(key, v)
+		return v, true
+	}
+	return v, false
+}
+
+// remember files a freshly run result under key, in the memo and on disk.
+func remember[T any](r *Runner, key string, v T) {
+	if key == "" {
+		return
+	}
+	r.memo.Store(key, v)
+	if r.Cache != nil {
+		r.Cache.put(key, v)
+	}
 }
 
 // saturated reports whether a measurement flags itself saturated.
@@ -238,17 +290,12 @@ func Run[T any](ctx context.Context, r *Runner, sw Sweep[T]) ([]SeriesResult[T],
 					continue
 				}
 				p := sw.Series[t.si].Points[t.pi]
-				if r.Cache != nil && p.Key != "" {
-					var v T
-					if r.Cache.get(p.Key, &v) {
-						complete(t, v, true)
-						continue
-					}
+				if v, ok := recall[T](r, p.Key); ok {
+					complete(t, v, true)
+					continue
 				}
 				v := p.Run()
-				if r.Cache != nil && p.Key != "" {
-					r.Cache.put(p.Key, v)
-				}
+				remember(r, p.Key, v)
 				complete(t, v, false)
 			}
 		}()

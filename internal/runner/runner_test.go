@@ -227,6 +227,62 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMemoMeasuresEachKeyOncePerRunner: sweeps run on one Runner share its
+// memo — a key measured by an earlier sweep is served (and reported Cached)
+// without running or touching the disk cache; a memo entry of another type
+// is a miss; keyless points always run; a fresh Runner starts empty and
+// falls back to the disk cache.
+func TestMemoMeasuresEachKeyOncePerRunner(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran, cached atomic.Int64
+	rn := &Runner{Parallelism: 1, Cache: cache, Progress: func(ev Event) {
+		if ev.Cached {
+			cached.Add(1)
+		}
+	}}
+	point := func(key string, v int) Point[meas] {
+		return Point[meas]{Key: key, Run: func() meas { ran.Add(1); return meas{V: v} }}
+	}
+	run := func(rn *Runner, pts ...Point[meas]) []meas {
+		t.Helper()
+		got, err := RunOne(context.Background(), rn, "memo", Series[meas]{Points: pts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	run(rn, point("a", 1), point("b", 2), point("", 3))
+	// The shared keys come back as first measured, whatever this sweep's
+	// closures would have returned.
+	got := run(rn, point("b", -2), point("c", 4), point("a", -1), point("", 5))
+	if want := []meas{{V: 2}, {V: 4}, {V: 1}, {V: 5}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("second sweep = %+v, want %+v", got, want)
+	}
+	if ran.Load() != 5 || cached.Load() != 2 {
+		t.Fatalf("ran %d points with %d served, want 5 and 2", ran.Load(), cached.Load())
+	}
+	if hits, misses := cache.Stats(); hits != 0 || misses != 3 {
+		t.Fatalf("disk cache saw %d hits / %d misses, want 0/3 (the memo answers first)", hits, misses)
+	}
+
+	// Another carrier type under the key: not served. (The disk entry is
+	// not type-checked, which is why callers that cache a different carrier
+	// salt their keys.)
+	rn.memo.Store("d", "not a meas")
+	if got := run(rn, point("d", 6)); got[0].V != 6 {
+		t.Fatalf("memo entry of another type served as %+v", got[0])
+	}
+
+	// A fresh Runner on the same cache: nothing memoised, everything on disk.
+	before := ran.Load()
+	if got := run(&Runner{Cache: cache}, point("c", -4)); got[0].V != 4 || ran.Load() != before {
+		t.Fatalf("fresh runner: got %+v after %d runs", got[0], ran.Load()-before)
+	}
+}
+
 // TestPointPanicPropagates ensures a panicking point surfaces to the
 // caller after the pool drains, rather than crashing a bare goroutine.
 func TestPointPanicPropagates(t *testing.T) {

@@ -8,11 +8,11 @@
 // same instant fire in the order they were scheduled, so a simulation with a
 // fixed seed always produces identical results.
 //
-// Models schedule through the typed form (AtE, AfterE, AfterTimerE,
-// ArmAfterE): a plain function plus a receiver, an object pointer and a
-// scalar argument. Because the function is not a closure and pointers
-// stored in interfaces do not allocate, a typed schedule performs zero
-// heap allocations in steady state. The closure form (At, After,
+// Models schedule through the typed form (AtE, AfterE, AtRelayE,
+// AfterTimerE, ArmAfterE): a plain function plus a receiver, an object
+// pointer and a scalar argument. Because the function is not a closure and
+// pointers stored in interfaces do not allocate, a typed schedule performs
+// zero heap allocations in steady state. The closure form (At, After,
 // AfterTimer, and fabric's Link.Send) takes a func() and allocates; it is a
 // convenience for tests and has no production caller.
 package sim
@@ -53,7 +53,8 @@ type EventFunc func(recv, obj any, arg uint64)
 // share a timestamp. loc/level/slot/idx record where the event currently
 // lives (wheel slot or ready buffer) so cancellation (Timer.Stop) can
 // remove it without a linear scan. gen guards recycled
-// events against stale Timer handles: each reuse increments it.
+// events against stale Timer handles: each reuse increments it. relay marks
+// an AtRelayE event on its first leg; then is the instant of its second.
 type event struct {
 	at    Time
 	seq   uint64
@@ -61,11 +62,13 @@ type event struct {
 	recv  any
 	obj   any
 	arg   uint64
+	then  Time
 	gen   uint32
 	loc   uint8
 	level uint8
 	slot  uint16
 	idx   int32
+	relay bool
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -112,7 +115,8 @@ func (e *Engine) Now() Time { return e.now }
 // Pending reports the number of scheduled (not yet fired) events.
 func (e *Engine) Pending() int { return e.pending }
 
-// Executed reports how many events have fired since the engine was created.
+// Executed reports how many positions of the (time, seq) order have had
+// their turn: a callback ran, or a relay (AtRelayE) started its second leg.
 func (e *Engine) Executed() uint64 { return e.stepped }
 
 // HighWater reports the maximum number of simultaneously pending events
@@ -139,6 +143,24 @@ func (e *Engine) AtE(t Time, fn EventFunc, recv, obj any, arg uint64) {
 		panic(fmt.Sprintf("sim: scheduling event at %v which is before now %v", t, e.now))
 	}
 	e.schedule(e.alloc(t, fn, recv, obj, arg))
+}
+
+// AtRelayE is AtE(t1, r) where r does nothing but AtE(t2, fn, recv, obj,
+// arg), in one event: when its turn comes at t1, Step re-files the same
+// event at t2 under a freshly drawn seq instead of calling anything. The
+// seq is drawn where r would have drawn it and the first leg counts in
+// Executed() and Pending(), so order and counts equal the two-event form's.
+// For stages that only delay (a link's serializer). t1 < now or t2 < t1
+// panics.
+//
+//mindgap:noalloc
+func (e *Engine) AtRelayE(t1, t2 Time, fn EventFunc, recv, obj any, arg uint64) {
+	if t1 < e.now || t2 < t1 {
+		panic(fmt.Sprintf("sim: relay %v -> %v runs backwards from now %v", t1, t2, e.now))
+	}
+	ev := e.alloc(t1, fn, recv, obj, arg)
+	ev.then, ev.relay = t2, true
+	e.schedule(ev)
 }
 
 // After schedules fn to run d after the current instant. Negative d panics.
@@ -199,8 +221,9 @@ func (e *Engine) recycle(ev *event) {
 	}
 }
 
-// schedule enters a freshly allocated event into the schedule and maintains
-// the pending high-water mark. An event for the instant being drained
+// schedule enters an event that holds the newest seq — freshly allocated,
+// or a relay starting its second leg — into the schedule and maintains the
+// pending high-water mark. An event for the instant being drained
 // (at == now == readyTime) joins the tail of the ready buffer: every event
 // of that instant already left the wheel when the instant was drained, and
 // the new event holds the highest seq so far, so appending keeps seq order
@@ -325,8 +348,9 @@ func (t *Timer) Deadline() Time {
 	return t.ev.at
 }
 
-// Step executes the single earliest pending event. It reports false when the
-// queue is empty or the engine has been halted.
+// Step executes the single earliest pending event (for a relay on its first
+// leg: moves it on to its second). It reports false when the queue is empty
+// or the engine has been halted.
 //
 //mindgap:noalloc
 func (e *Engine) Step() bool {
@@ -340,6 +364,14 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.pending--
 	e.stepped++
+	if ev.relay {
+		ev.relay = false
+		ev.at = ev.then
+		e.seq++
+		ev.seq = e.seq
+		e.schedule(ev)
+		return true
+	}
 	fn, recv, obj, arg := ev.fn, ev.recv, ev.obj, ev.arg
 	e.recycle(ev)
 	fn(recv, obj, arg)
