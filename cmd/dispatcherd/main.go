@@ -31,21 +31,16 @@ func main() {
 		listen      = flag.String("listen", "127.0.0.1:9000", "UDP address to listen on")
 		workers     = flag.Int("workers", 2, "number of workers that will register")
 		outstanding = flag.Int("outstanding", 5, "per-worker outstanding-request limit (queuing optimization)")
-		policy      = flag.String("policy", "least-outstanding", "worker selection: least-outstanding, round-robin, informed")
+		policy      = flag.String("policy", "least-outstanding", "worker selection: least-outstanding, round-robin")
 		statsEvery  = flag.Duration("stats", 5*time.Second, "stats print interval (0 = quiet)")
 		metricsAddr = flag.String("metrics", "", "HTTP address serving /metrics and /debug/vars (empty = off)")
 	)
 	flag.Parse()
 
-	var pol core.Policy
-	switch *policy {
-	case "least-outstanding":
-		pol = core.LeastOutstanding
-	case "round-robin":
-		pol = core.RoundRobin
-	case "informed":
-		pol = core.InformedLeastLoaded
-	default:
+	pol, ok := map[string]core.Policy{
+		"least-outstanding": core.LeastOutstanding, "round-robin": core.RoundRobin,
+	}[*policy]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "dispatcherd: unknown policy %q\n", *policy)
 		os.Exit(2)
 	}

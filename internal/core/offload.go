@@ -96,9 +96,7 @@ const (
 	evFinish
 	evPreempted
 	evLoad
-	// evTimeout is a dispatch-timeout expiry (fault layer): the NIC never
-	// heard back about a dispatched request within its timeout and must
-	// decide between retry and abandonment.
+	// evTimeout is a dispatch-timeout expiry: no ack came back in time.
 	evTimeout
 )
 
@@ -109,14 +107,12 @@ type qEvent struct {
 	req    *task.Request
 	// id is req.ID snapshotted when the event was built, while the sender
 	// still owned a live request. Requests are pooled: by the time a FINISH
-	// notification crosses the NIC the response may already have reached the
-	// client and recycled req into a different logical request, so consumers
-	// must key the flights/responded maps by this snapshot, never by req.ID
-	// read at processing time. (req itself stays useful as an attempt
-	// identity: pointer comparisons are stable across recycling.)
-	id      uint64
-	load    int64 // evLoad only: reported instantaneous load (ns)
-	attempt int   // evTimeout only: the dispatch attempt the timer guarded
+	// crosses the NIC the response may have reached the client and recycled
+	// req into a different logical request, so Recovery is keyed by this
+	// snapshot, never by req.ID read at processing time. (req stays useful
+	// as the attempt token: pointer comparisons are stable across recycling.)
+	id   uint64
+	load int64 // evLoad only: reported instantaneous load (ns)
 }
 
 // degradedReq wraps a request hash-steered directly to a worker VF while
@@ -126,24 +122,14 @@ type degradedReq struct {
 	req *task.Request
 }
 
-// flight tracks one dispatched request under the fault layer's timeout
-// machinery: which worker and attempt the armed timer guards. worker is
-// -1 while the request sits in the central queue (preempted or awaiting
-// a retry dispatch).
-//
-// The arrival/service/clientID/key fields snapshot the request's immutable
-// identity at dispatch time: a timeout-retry clone must copy them from the
-// flight, not from the (possibly already pooled and recycled) request the
-// timer captured.
+// flight is the transport's half of one Recovery record, indexed by its
+// slot: the dispatch timer, the expiry it submits (which attempt on which
+// worker it guards), and the request as dispatched — a retry clone copies
+// its identity from here, not from the pointer, which may be recycled.
 type flight struct {
-	req      *task.Request
-	worker   int
-	attempt  int
-	timer    sim.Timer
-	arrival  sim.Time
-	service  time.Duration
-	clientID uint32
-	key      uint64
+	timer  sim.Timer
+	expiry qEvent
+	orig   task.Request
 }
 
 // Queue-manager input classes: the networker's new-request ring and the RX
@@ -176,17 +162,13 @@ type Offload struct {
 	// telemetry counters read its per-reason counts back.
 	pr *probe.Probe
 
-	// flt is the compiled fault schedule (nil on the healthy path). The
-	// maps exist only when the schedule configures a timeout: flights
-	// tracks in-flight dispatch attempts by request ID, responded dedupes
-	// client responses when retries race original completions.
-	flt        *faults.Schedule
-	flights    map[uint64]*flight
-	flightFree []*flight // finished flight records, reused by trackDispatch
-	responded  map[uint64]bool
+	// flt is the compiled fault schedule (nil on the healthy path); rec the
+	// loss-recovery protocol (nil without a timeout), flights its slots.
+	flt     *faults.Schedule
+	rec     *Recovery[uint64, *task.Request]
+	flights []*flight
 
-	// Fault-layer counters (always maintained while flt is set; telemetry
-	// reads them when cfg.Metrics is set).
+	// Fault-layer counters, read by telemetry when cfg.Metrics is set.
 	retries       uint64
 	degradedCount uint64
 	staleNotifs   uint64
@@ -251,17 +233,6 @@ func (s *Offload) qevPut(qe *qEvent) {
 	s.qevFree = append(s.qevFree, qe)
 }
 
-// flightPut retires a finished flight: out of the map, timer disarmed, and
-// onto the free list.
-//
-//mindgap:noalloc
-func (s *Offload) flightPut(id uint64, fl *flight) {
-	delete(s.flights, id)
-	fl.timer.Stop()
-	*fl = flight{}
-	s.flightFree = append(s.flightFree, fl)
-}
-
 // NewOffload builds the system on eng. done is invoked at the instant the
 // client receives each response; pr (optional) carries the run's observers.
 func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*task.Request)) *Offload {
@@ -286,9 +257,8 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		}
 		s.flt = faults.New(*cfg.FaultSpec, cfg.FaultSeed)
 		if s.flt.Timeout() > 0 {
-			s.flights = make(map[uint64]*flight)
-			s.responded = make(map[uint64]bool)
-			done = s.respondOnce
+			s.rec = NewRecovery[uint64, *task.Request](s.flt.Retries(), true)
+			done = s.respond
 		}
 	}
 	s.Host = cores.NewHost(eng, cores.HostConfig{
@@ -372,10 +342,11 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 			s.shmRxQ.SendT(0, shmNotif, s, qe, 0)
 		})
 
-	if st := s.nicStretch(); st != nil {
-		// Every ARM-complex stage shares the NIC crash/slowdown timeline:
-		// a crashed ARM complex freezes the networker, queue manager, TX
-		// and RX cores together.
+	if s.flt != nil {
+		// Every ARM-complex stage shares the NIC crash/slowdown timeline
+		// (nil without NIC windows): a crashed ARM complex freezes the
+		// networker, queue manager, TX and RX cores together.
+		st := s.flt.NICStretch()
 		s.networker.SetStretch(st)
 		s.queueMgr.SetStretch(st)
 		s.txCore.SetStretch(st)
@@ -407,15 +378,6 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 	return s
 }
 
-// nicStretch returns the ARM-complex stretch function, nil when no fault
-// schedule (or no NIC windows) applies.
-func (s *Offload) nicStretch() faults.StretchFunc {
-	if s.flt == nil {
-		return nil
-	}
-	return s.flt.NICStretch()
-}
-
 // registerTelemetry wires every component's probes into reg. Called once
 // from NewOffload, after all functions and workers exist.
 func (s *Offload) registerTelemetry(reg *telemetry.Registry) {
@@ -429,8 +391,8 @@ func (s *Offload) registerTelemetry(reg *telemetry.Registry) {
 		reg.CounterFunc("faults", "timeout_drops", s.TimeoutDrops)
 		reg.CounterFunc("faults", "retries", s.Retries)
 		reg.CounterFunc("faults", "degraded_steered", s.DegradedSteered)
-		reg.CounterFunc("faults", "stale_notifications", s.StaleNotifications)
-		reg.CounterFunc("faults", "duplicate_responses", s.DuplicateResponses)
+		reg.CounterFunc("faults", "stale_notifications", func() uint64 { return s.staleNotifs })
+		reg.CounterFunc("faults", "duplicate_responses", func() uint64 { return s.dupResponses })
 	}
 
 	s.lgc.RegisterTelemetry(reg, "sched", s.eng.Now)
@@ -531,17 +493,15 @@ func steerHash(req *task.Request) uint64 {
 	return h
 }
 
-// respondOnce stands in for done under timeout/retry, where a slow
-// original and its retry clone can both finish: the client must see a
-// single response per request ID.
+// respond stands in for done under timeout/retry, where a slow original
+// and its retry clone can both finish: the client sees one response per ID.
 //
 //mindgap:noalloc
-func (s *Offload) respondOnce(req *task.Request) {
-	if s.responded[req.ID] {
+func (s *Offload) respond(req *task.Request) {
+	if s.rec.Responded(req.ID) == Duplicate {
 		s.dupResponses++
 		return
 	}
-	s.responded[req.ID] = true
 	s.done(req)
 }
 
@@ -560,8 +520,7 @@ func frameReq(f nicmodel.Frame) (req *task.Request, degraded bool) {
 // full VF ring (only degraded frames can legally overflow it — credits
 // bound normal dispatches) or to an injected fabric fault. Nothing retries
 // a degraded frame, so the request silently vanishes unless recorded here;
-// a credited dispatch lost the same way is retried or abandoned by the
-// timeout machinery instead.
+// a credited dispatch lost the same way is Recovery's to retry or abandon.
 //
 //mindgap:noalloc
 func (s *Offload) dropDegraded(f nicmodel.Frame, worker int, reason trace.DropReason) {
@@ -588,119 +547,86 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 		s.pr.Enqueue(now, ev.id)
 		as = s.lgc.EnqueueTo(as, now, ev.req)
 	case evFinish:
-		if s.flights != nil {
-			fl := s.flights[ev.id]
-			if fl == nil || fl.req != ev.req {
-				// A completion from an abandoned dispatch attempt: its
-				// credit was already reclaimed synthetically at timeout, so
-				// releasing again would violate the credit invariant.
-				s.staleNotifs++
-				return
-			}
-			s.flightPut(ev.id, fl)
+		if s.rec != nil && !s.acked(s.rec.Finish(ev.id, ev.req, ev.worker)) {
+			return
 		}
 		as = s.lgc.CompleteTo(as, ev.worker)
 	case evPreempted:
-		if s.flights != nil {
-			fl := s.flights[ev.id]
-			if fl == nil || fl.req != ev.req {
-				// A preemption from an abandoned dispatch attempt: drop it
-				// entirely — re-queueing it would duplicate the retry clone.
-				s.staleNotifs++
-				return
-			}
-			fl.timer.Stop()
-			fl.worker = -1
+		if s.rec != nil && !s.acked(s.rec.Preempted(ev.id, ev.req, ev.worker)) {
+			return
 		}
 		s.pr.Enqueue(now, ev.id)
 		as = s.lgc.PreemptedTo(as, now, ev.worker, ev.req)
 	case evLoad:
 		s.lgc.ReportLoadAt(now, ev.worker, ev.load)
 	case evTimeout:
-		as = s.handleTimeout(as, now, ev)
+		as = s.expired(as, now, ev)
 	}
 	for _, a := range as {
 		s.pr.Dispatch(now, a.Req.ID, a.Worker)
 		auditDispatch(s.pr, s.Host, s.lgc, now, a)
-		if s.flights != nil {
-			s.trackDispatch(a)
+		if s.rec != nil {
+			s.armTimeout(a)
 		}
 		s.shmQTx.SendT(0, shmDispatch, s, a.Req, uint64(a.Worker))
 	}
 	s.asScratch = as[:0]
 }
 
-// trackDispatch records a dispatch attempt and arms its timeout. The
-// timer routes its expiry through the notification ring, so timeout
-// processing pays ARM queueing — and crash-window stretch — like every
-// other control event (a dead dispatcher cannot retry until it
-// recovers).
-func (s *Offload) trackDispatch(a Assignment) {
-	fl := s.flights[a.Req.ID]
-	if fl == nil {
-		if n := len(s.flightFree); n > 0 {
-			fl, s.flightFree = s.flightFree[n-1], s.flightFree[:n-1]
-		} else {
-			fl = &flight{}
-		}
-		s.flights[a.Req.ID] = fl
+// acked applies Recovery's verdict on a FINISH or PREEMPTED: a stale one's
+// credit was already reclaimed; an accepted one disarms the dispatch timer.
+//
+//mindgap:noalloc
+func (s *Offload) acked(v Verdict, slot int) bool {
+	if v == Stale {
+		s.staleNotifs++
+		return false
 	}
-	fl.req = a.Req
-	fl.worker = a.Worker
-	fl.arrival = a.Req.Arrival
-	fl.service = a.Req.Service
-	fl.clientID = a.Req.ClientID
-	fl.key = a.Req.Key
-	// Still armed only if a PREEMPTED overtook an expiry on its way through
-	// the ring and that expiry was then taken for the re-dispatch's own.
+	s.flights[slot].timer.Stop()
+	return true
+}
+
+// armTimeout reports a dispatch to Recovery and arms its timeout. The
+// expiry goes through the notification ring, so it pays ARM queueing and
+// crash-window stretch (a dead dispatcher cannot retry until it recovers).
+func (s *Offload) armTimeout(a Assignment) {
+	slot, attempt := s.rec.Dispatched(a.Req.ID, a.Req, a.Worker)
+	if slot == len(s.flights) {
+		s.flights = append(s.flights, new(flight))
+	}
+	fl := s.flights[slot]
+	fl.expiry = qEvent{kind: evTimeout, worker: a.Worker, req: a.Req, id: a.Req.ID}
+	fl.orig = *a.Req
+	s.eng.ArmAfterE(&fl.timer, s.flt.AttemptTimeout(attempt), flightTimeout, s, fl, 0)
+}
+
+// flightTimeout is a dispatch timer's expiry.
+func flightTimeout(recv, obj any, _ uint64) {
+	recv.(*Offload).queueMgr.Submit(qcNotif, obj.(*flight).expiry)
+}
+
+// expired applies Recovery's verdict on a dispatch-timeout expiry. Retry and
+// Abandon both reclaim the suspected-lost credit: the worker never got the
+// frame, or its notification path is broken. The original may be merely
+// slow and still mutating its request, so the fresh attempt is a clone with
+// the full service time and the original arrival (latency spans attempts).
+func (s *Offload) expired(as []Assignment, now sim.Time, ev qEvent) []Assignment {
+	v, slot := s.rec.Expired(ev.id, ev.req, ev.worker)
+	if v == Stale {
+		return as // the notification won the race
+	}
+	fl := s.flights[slot]
+	// Still armed only if a PREEMPTED was ahead of this expiry in the ring
+	// and it was then taken for the re-dispatch's own.
 	fl.timer.Stop()
-	s.eng.ArmAfterE(&fl.timer, s.flt.AttemptTimeout(fl.attempt), flightTimeout, s, fl, a.Req.ID)
-}
-
-// flightTimeout is a dispatch timer's expiry. Every change to a flight
-// either stops its timer (FINISH, PREEMPTED) or happens while handling that
-// timer's own expiry, so the flight still describes the dispatch the timer
-// was armed for; only the ID, which the flight does not store, rides as the
-// event argument.
-func flightTimeout(recv, obj any, id uint64) {
-	s, fl := recv.(*Offload), obj.(*flight)
-	s.queueMgr.Submit(qcNotif, qEvent{kind: evTimeout, worker: fl.worker, req: fl.req, id: id, attempt: fl.attempt})
-}
-
-// handleTimeout decides a dispatch-timeout expiry on the queue-manager
-// core: ignore if stale (the notification won the race), retry with a
-// fresh clone while budget remains, abandon otherwise. Either live
-// outcome synthetically reclaims the suspected-lost credit — the worker
-// either never got the frame or its notification path is broken.
-func (s *Offload) handleTimeout(as []Assignment, now sim.Time, ev qEvent) []Assignment {
-	fl := s.flights[ev.id]
-	if fl == nil || fl.req != ev.req || fl.worker != ev.worker || fl.attempt != ev.attempt || fl.worker < 0 {
-		return as
-	}
-	w := fl.worker
-	if fl.attempt >= s.flt.Retries() {
-		// Retry budget exhausted: abandon the request. A late response
-		// from a still-executing original must not resurrect it.
-		s.flightPut(ev.id, fl)
-		s.responded[ev.id] = true
+	if v == Abandon {
 		s.pr.Drop(now, ev.id, -1, trace.DropTimeout)
-		return s.lgc.CompleteTo(as, w)
+		return s.lgc.CompleteTo(as, ev.worker)
 	}
-	// Retry: the original dispatch may still be alive (merely slow), and
-	// the worker will keep mutating that request object — so the retry is
-	// a fresh clone with the full service time and the original arrival
-	// (client-observed latency spans all attempts). respondOnce dedupes
-	// whichever copy answers first.
-	fl.attempt++
 	s.retries++
-	// Clone from the flight's snapshot, not from ev.req: the captured
-	// pointer may already have been recycled into a different request.
-	clone := task.New(ev.id, fl.arrival, fl.service)
-	clone.ClientID = fl.clientID
-	clone.Key = fl.key
-	fl.req = clone
-	fl.worker = -1
-	as = s.lgc.CompleteTo(as, w)
+	clone := task.New(ev.id, fl.orig.Arrival, fl.orig.Service)
+	clone.ClientID, clone.Key = fl.orig.ClientID, fl.orig.Key
+	as = s.lgc.CompleteTo(as, ev.worker)
 	s.pr.Enqueue(now, clone.ID)
 	return s.lgc.EnqueueTo(as, now, clone)
 }
@@ -862,8 +788,7 @@ func (s *Offload) ArmDispatcherTracker(now sim.Time) {
 // path) — the bench recovery table reads its crash windows.
 func (s *Offload) FaultSchedule() *faults.Schedule { return s.flt }
 
-// Retries returns how many dispatch attempts the timeout machinery
-// re-issued.
+// Retries returns how many expiries Recovery answered with a retry.
 func (s *Offload) Retries() uint64 { return s.retries }
 
 // TimeoutDrops returns how many requests were abandoned after the retry
@@ -873,11 +798,3 @@ func (s *Offload) TimeoutDrops() uint64 { return s.pr.Drops(trace.DropTimeout) }
 // DegradedSteered returns how many arrivals were hash-steered past the
 // dead ARM complex.
 func (s *Offload) DegradedSteered() uint64 { return s.degradedCount }
-
-// StaleNotifications returns how many worker notifications arrived for
-// already-abandoned dispatch attempts.
-func (s *Offload) StaleNotifications() uint64 { return s.staleNotifs }
-
-// DuplicateResponses returns how many completed copies of a request lost
-// the response race to an earlier copy.
-func (s *Offload) DuplicateResponses() uint64 { return s.dupResponses }

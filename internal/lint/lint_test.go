@@ -73,7 +73,6 @@ var auditedSuppressions = map[string]int{
 	// relMargin/symGap: zero denominators mean "both arms measured
 	// exactly zero", a defined tie, not a float comparison.
 	"internal/hypothesis/verdict.go floateq": 2,
-	"internal/live/dispatcher.go maporder":   2,
 }
 
 // TestTreeSuppressionsAudited parses every non-testdata Go file in the

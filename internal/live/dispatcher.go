@@ -1,7 +1,8 @@
 // Package live is a real-socket implementation of the Shinjuku-Offload
-// protocol: the same core.Logic scheduler that the simulator evaluates,
-// driven by UDP datagrams (§3.4.2 — the dispatcher and workers communicate
-// by sending UDP packets) encoded with internal/wire.
+// protocol: the same core.Logic scheduler and core.Recovery loss-recovery
+// machine that the simulator evaluates, driven by UDP datagrams (§3.4.2 —
+// the dispatcher and workers communicate by sending UDP packets) encoded
+// with internal/wire.
 //
 // It exists to demonstrate that the scheduling library is an executable
 // artifact, not just a model: cmd/dispatcherd, cmd/workerd and cmd/loadgen
@@ -47,14 +48,15 @@ type DispatcherConfig struct {
 	Policy core.Policy
 	// RetryTimeout, when positive, enables at-least-once delivery: an
 	// assignment not acknowledged (FINISH or PREEMPTED) within this window
-	// is presumed lost — a dropped datagram or a dead worker — and the
-	// request re-enters the tail of the central queue. Duplicate responses
-	// caused by false timeouts are deduplicated by request ID at the
-	// client. Zero disables retries (the simulator's fabric is lossless;
-	// real UDP is not).
+	// is presumed lost — a dropped datagram or a dead worker — its credit is
+	// reclaimed and a fresh attempt of the request enters the tail of the
+	// central queue. Duplicate responses caused by false timeouts are
+	// deduplicated by request ID at the client. Zero disables retries (the
+	// simulator's fabric is lossless; real UDP is not).
 	RetryTimeout time.Duration
-	// MaxAttempts caps deliveries per request under RetryTimeout (default
-	// 5); beyond it the request is dropped and its credit reclaimed.
+	// MaxAttempts caps the attempts a request gets under RetryTimeout
+	// (default 5): the expiry of the last one drops the request. A
+	// preemption continues an attempt; only an expiry starts the next.
 	MaxAttempts int
 }
 
@@ -70,7 +72,8 @@ type Dispatcher struct {
 	registered int
 	pending    []*task.Request // buffered until all workers register
 	clients    map[reqKey]*net.UDPAddr
-	inflight   map[reqKey]*inflightEntry
+	rec        *core.Recovery[reqKey, uint16]
+	flights    []flight // by Recovery slot
 	started    time.Time
 
 	assigned   atomic.Uint64
@@ -78,6 +81,7 @@ type Dispatcher struct {
 	preempted  atomic.Uint64
 	retried    atomic.Uint64
 	abandoned  atomic.Uint64
+	stale      atomic.Uint64
 	closed     atomic.Bool
 	quit       chan struct{}
 	loopDone   chan struct{}
@@ -116,7 +120,7 @@ func NewDispatcher(addr string, cfg DispatcherConfig) (*Dispatcher, error) {
 		lgc:        core.NewLogic(cfg.Workers, cfg.Outstanding, cfg.Policy),
 		workerAddr: make([]*net.UDPAddr, cfg.Workers),
 		clients:    make(map[reqKey]*net.UDPAddr),
-		inflight:   make(map[reqKey]*inflightEntry),
+		rec:        core.NewRecovery[reqKey, uint16](cfg.MaxAttempts-1, false),
 		quit:       make(chan struct{}),
 		loopDone:   make(chan struct{}),
 		sendBuf:    make([]byte, 0, maxDatagram),
@@ -139,12 +143,14 @@ type reqKey struct {
 func keyOfHeader(h *wire.Header) reqKey { return reqKey{client: h.ClientID, id: h.ReqID} }
 func keyOfReq(r *task.Request) reqKey   { return reqKey{client: r.ClientID, id: r.ID} }
 
-// inflightEntry tracks one delivered assignment awaiting acknowledgement.
-type inflightEntry struct {
-	req      *task.Request
-	worker   int
-	sentAt   time.Time
-	attempts int
+// flight is the transport's half of one Recovery record: the request and,
+// while an ASSIGN awaits its acknowledgement, when which attempt went to
+// which worker (sentAt is zero otherwise).
+type flight struct {
+	req     *task.Request
+	worker  int
+	attempt uint16
+	sentAt  time.Time
 }
 
 // Addr returns the dispatcher's bound UDP address.
@@ -183,63 +189,55 @@ func (d *Dispatcher) Close() error {
 }
 
 func (d *Dispatcher) handle(h *wire.Header, payload []byte, from *net.UDPAddr) {
+	key, w := keyOfHeader(h), int(h.WorkerID)
+	var as []core.Assignment
+	d.mu.Lock()
 	switch h.Type {
 	case wire.MsgHello:
-		d.hello(h.WorkerID, from)
+		as = d.hello(h.WorkerID, from)
 	case wire.MsgRequest:
 		req := task.New(h.ReqID, sim.Time(time.Since(d.started)), time.Duration(h.ServiceNS))
 		req.ClientID = h.ClientID
-		d.mu.Lock()
-		d.clients[keyOfHeader(h)] = from
+		d.clients[key] = from
 		if d.registered < d.cfg.Workers {
 			d.pending = append(d.pending, req)
-			d.mu.Unlock()
-			return
+		} else {
+			as = d.lgc.Enqueue(req.Arrival, req)
 		}
-		as := d.lgc.Enqueue(req.Arrival, req)
-		d.mu.Unlock()
-		d.dispatch(as)
 	case wire.MsgFinish:
-		d.mu.Lock()
-		e, ok := d.inflight[keyOfHeader(h)]
-		if !ok || e.worker != int(h.WorkerID) {
-			// Stale or duplicate acknowledgement (e.g. the request was
-			// already retried elsewhere): its credit was reclaimed when it
-			// timed out, so there is nothing to release.
-			d.mu.Unlock()
-			return
+		if d.acked(d.rec.Finish(key, h.Flags, w)) != nil {
+			delete(d.clients, key)
+			d.completed.Add(1)
+			as = d.lgc.Complete(w)
 		}
-		delete(d.inflight, keyOfHeader(h))
-		delete(d.clients, keyOfHeader(h))
-		as := d.lgc.Complete(e.worker)
-		d.mu.Unlock()
-		d.completed.Add(1)
-		d.dispatch(as)
 	case wire.MsgPreempted:
-		d.mu.Lock()
-		e, ok := d.inflight[keyOfHeader(h)]
-		if !ok || e.worker != int(h.WorkerID) {
-			d.mu.Unlock()
-			return
+		if fl := d.acked(d.rec.Preempted(key, h.Flags, w)); fl != nil {
+			fl.req.Remaining = time.Duration(h.RemainingNS)
+			fl.req.Preemptions++
+			d.preempted.Add(1)
+			as = d.lgc.Preempted(0, w, fl.req)
 		}
-		delete(d.inflight, keyOfHeader(h))
-		e.req.Remaining = time.Duration(h.RemainingNS)
-		e.req.Preemptions++
-		as := d.lgc.Preempted(0, e.worker, e.req)
-		d.mu.Unlock()
-		d.preempted.Add(1)
-		d.dispatch(as)
 	}
+	d.mu.Unlock()
+	d.dispatch(as)
 }
 
-// reaper implements at-least-once delivery: assignments unacknowledged for
-// RetryTimeout are requeued (or abandoned past MaxAttempts).
-func (d *Dispatcher) reaper() {
-	interval := d.cfg.RetryTimeout / 2
-	if interval < time.Millisecond {
-		interval = time.Millisecond
+// acked applies Recovery's verdict on a FINISH or PREEMPTED: an accepted
+// one's flight is returned disarmed; a stale one — a duplicate, or from an
+// attempt whose credit an expiry already reclaimed — is counted, nil.
+func (d *Dispatcher) acked(v core.Verdict, slot int) *flight {
+	if v == core.Stale {
+		d.stale.Add(1)
+		return nil
 	}
-	ticker := time.NewTicker(interval)
+	d.flights[slot].sentAt = time.Time{}
+	return &d.flights[slot]
+}
+
+// reaper is the transport's timer: it finds assignments unacknowledged for
+// RetryTimeout and reports each to Recovery as expired.
+func (d *Dispatcher) reaper() {
+	ticker := time.NewTicker(max(d.cfg.RetryTimeout/2, time.Millisecond))
 	defer ticker.Stop()
 	for {
 		select {
@@ -250,22 +248,22 @@ func (d *Dispatcher) reaper() {
 		now := time.Now()
 		d.mu.Lock()
 		var as []core.Assignment
-		for id, e := range d.inflight {
-			if now.Sub(e.sentAt) < d.cfg.RetryTimeout {
+		for i := range d.flights {
+			fl := &d.flights[i]
+			if fl.sentAt.IsZero() || now.Sub(fl.sentAt) < d.cfg.RetryTimeout {
 				continue
 			}
-			delete(d.inflight, id)
-			if e.attempts >= d.cfg.MaxAttempts {
-				// Reclaim the credit and give up on the request.
+			fl.sentAt = time.Time{}
+			switch v, _ := d.rec.Expired(keyOfReq(fl.req), fl.attempt, fl.worker); v {
+			case core.Retry:
+				d.retried.Add(1)
+				as = d.lgc.CompleteTo(as, fl.worker)
+				as = d.lgc.EnqueueTo(as, sim.Time(now.Sub(d.started)), fl.req)
+			case core.Abandon:
 				d.abandoned.Add(1)
-				delete(d.clients, id)
-				//lint:allow maporder live retry path is wall-clock driven; retry order among timed-out requests is not a determinism contract
-				as = append(as, d.lgc.Complete(e.worker)...)
-				continue
+				delete(d.clients, keyOfReq(fl.req))
+				as = d.lgc.CompleteTo(as, fl.worker)
 			}
-			d.retried.Add(1)
-			//lint:allow maporder live retry path is wall-clock driven; retry order among timed-out requests is not a determinism contract
-			as = append(as, d.lgc.Preempted(0, e.worker, e.req)...)
 		}
 		d.mu.Unlock()
 		d.dispatch(as)
@@ -273,24 +271,19 @@ func (d *Dispatcher) reaper() {
 }
 
 // hello registers a worker and, once the roster is complete, admits any
-// buffered client requests.
-func (d *Dispatcher) hello(id uint32, from *net.UDPAddr) {
-	d.mu.Lock()
-	var flush []*task.Request
-	if int(id) < len(d.workerAddr) && d.workerAddr[id] == nil {
-		d.workerAddr[id] = from
-		d.registered++
-		if d.registered == d.cfg.Workers {
-			flush = d.pending
-			d.pending = nil
+// buffered client requests. The caller holds d.mu.
+func (d *Dispatcher) hello(id uint32, from *net.UDPAddr) (as []core.Assignment) {
+	if int(id) >= len(d.workerAddr) || d.workerAddr[id] != nil {
+		return nil
+	}
+	d.workerAddr[id] = from
+	if d.registered++; d.registered == d.cfg.Workers {
+		for _, req := range d.pending {
+			as = d.lgc.EnqueueTo(as, req.Arrival, req)
 		}
+		d.pending = nil
 	}
-	var as []core.Assignment
-	for _, req := range flush {
-		as = append(as, d.lgc.Enqueue(req.Arrival, req)...)
-	}
-	d.mu.Unlock()
-	d.dispatch(as)
+	return as
 }
 
 // dispatch transmits assignments to workers. The payload carries the
@@ -299,17 +292,17 @@ func (d *Dispatcher) hello(id uint32, from *net.UDPAddr) {
 func (d *Dispatcher) dispatch(as []core.Assignment) {
 	for _, a := range as {
 		d.mu.Lock()
-		addr := d.workerAddr[a.Worker]
-		client := d.clients[keyOfReq(a.Req)]
-		a.Req.Assignments++
-		d.inflight[keyOfReq(a.Req)] = &inflightEntry{
-			req:      a.Req,
-			worker:   a.Worker,
-			sentAt:   time.Now(),
-			attempts: a.Req.Assignments,
+		addr, key := d.workerAddr[a.Worker], keyOfReq(a.Req)
+		client := d.clients[key]
+		attempt := uint16(d.rec.Attempt(key))
+		slot, _ := d.rec.Dispatched(key, attempt, a.Worker)
+		if slot == len(d.flights) {
+			d.flights = append(d.flights, flight{})
 		}
+		d.flights[slot] = flight{req: a.Req, worker: a.Worker, attempt: attempt, sentAt: time.Now()}
 		h := wire.Header{
 			Type:        wire.MsgAssign,
+			Flags:       attempt,
 			ReqID:       a.Req.ID,
 			ClientID:    a.Req.ClientID,
 			WorkerID:    uint32(a.Worker),

@@ -7,6 +7,8 @@ import (
 
 	"mindgap/internal/core"
 	"mindgap/internal/dist"
+	"mindgap/internal/telemetry"
+	"mindgap/internal/wire"
 )
 
 // startSystem boots a dispatcher and workers on loopback, returning a
@@ -344,5 +346,124 @@ func TestLiveMultipleClientsDoNotCollide(t *testing.T) {
 		if r.rep.Received < 396 {
 			t.Fatalf("client received %d/400 with concurrent clients", r.rep.Received)
 		}
+	}
+}
+
+// TestLiveSupersededAttemptFinishIsStale drives the dispatcher with a
+// hand-operated worker. The only worker sits on attempt 0 until it times
+// out and is re-sent as attempt 1 — to the same worker, so the worker ID
+// alone cannot tell them apart — and then acknowledges attempt 0. The
+// attempt number echoed in the header flags must make that FINISH stale:
+// no credit is released twice, the request is not completed under attempt
+// 1's feet, and the client still gets one response.
+func TestLiveSupersededAttemptFinishIsStale(t *testing.T) {
+	const k = 2
+	d, err := NewDispatcher("127.0.0.1:0", DispatcherConfig{
+		Workers: 1, Outstanding: k, RetryTimeout: 200 * time.Millisecond, MaxAttempts: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	go func() { _ = d.Serve() }()
+	reg := telemetry.NewRegistry()
+	d.RegisterMetrics(reg)
+	outstanding := func() int {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.lgc.Outstanding(0)
+	}
+
+	worker, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer worker.Close()
+	send := func(h wire.Header, to *net.UDPAddr) {
+		t.Helper()
+		buf, err := wire.EncodeDatagram(nil, &h, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := worker.WriteToUDP(buf, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// recvAssign waits for the ASSIGN of the given attempt (the dispatcher
+	// re-sends on every timeout, so earlier ones may repeat).
+	recvAssign := func(attempt uint16) (h wire.Header, client *net.UDPAddr) {
+		t.Helper()
+		buf := make([]byte, maxDatagram)
+		for {
+			_ = worker.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, _, err := worker.ReadFromUDP(buf)
+			if err != nil {
+				t.Fatalf("waiting for ASSIGN attempt %d: %v", attempt, err)
+			}
+			payload, err := wire.DecodeDatagram(buf[:n], &h)
+			if err != nil || h.Type != wire.MsgAssign || h.Flags != attempt {
+				continue
+			}
+			client, _ = decodeAddr(payload)
+			return h, client
+		}
+	}
+	send(wire.Header{Type: wire.MsgHello, WorkerID: 0}, d.Addr())
+
+	type result struct {
+		rep *ClientReport
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		rep, err := RunClient(ClientConfig{
+			Dispatcher: d.Addr(), RPS: 1000, Service: dist.Fixed{D: time.Microsecond},
+			Requests: 1, Seed: 1, Timeout: 5 * time.Second,
+		})
+		got <- result{rep, err}
+	}()
+
+	first, _ := recvAssign(0)
+	second, client := recvAssign(1) // attempt 0 timed out; its credit was reclaimed
+	if d.Retried() != 1 || outstanding() != 1 {
+		t.Fatalf("after the retry: retried=%d outstanding=%d", d.Retried(), outstanding())
+	}
+	ack := wire.Header{Type: wire.MsgFinish, Flags: first.Flags, ReqID: first.ReqID, ClientID: first.ClientID}
+	send(ack, d.Addr())
+	deadline := time.Now().Add(2 * time.Second)
+	for reg.Snapshot().Gauges["dispatcher/stale_acks"] != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("attempt 0's FINISH was not counted stale: %+v", reg.Snapshot().Gauges)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, completed, _, _ := d.Stats(); completed != 0 || outstanding() != 1 {
+		t.Fatalf("stale FINISH took effect: completed=%d outstanding=%d", completed, outstanding())
+	}
+
+	// Both attempts answer the client; attempt 1's FINISH is the real one.
+	resp := wire.Header{Type: wire.MsgResponse, ReqID: second.ReqID, ClientID: second.ClientID}
+	send(resp, client)
+	send(resp, client)
+	ack.Flags = second.Flags
+	send(ack, d.Addr())
+	for {
+		if _, completed, _, _ := d.Stats(); completed == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("attempt 1's FINISH was not accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if out := outstanding(); out != 0 {
+		t.Fatalf("outstanding = %d after the only request finished", out)
+	}
+	r := <-got
+	if r.err != nil || r.rep.Received != 1 {
+		t.Fatalf("client: %+v, %v; want one response", r.rep, r.err)
+	}
+	if d.Abandoned() != 0 {
+		t.Fatalf("abandoned = %d", d.Abandoned())
 	}
 }

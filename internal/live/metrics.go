@@ -67,21 +67,17 @@ func (d *Dispatcher) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("dispatcher", "preempted", func() float64 { return float64(d.preempted.Load()) })
 	reg.GaugeFunc("dispatcher", "retried", func() float64 { return float64(d.retried.Load()) })
 	reg.GaugeFunc("dispatcher", "abandoned", func() float64 { return float64(d.abandoned.Load()) })
-	reg.GaugeFunc("dispatcher", "queue_depth", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.lgc.QueueLen())
-	})
-	reg.GaugeFunc("dispatcher", "inflight", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(len(d.inflight))
-	})
-	reg.GaugeFunc("dispatcher", "workers_registered", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.registered)
-	})
+	reg.GaugeFunc("dispatcher", "stale_acks", func() float64 { return float64(d.stale.Load()) })
+	locked := func(name string, read func() int) {
+		reg.GaugeFunc("dispatcher", name, func() float64 {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return float64(read())
+		})
+	}
+	locked("queue_depth", d.lgc.QueueLen)
+	locked("inflight", d.rec.Len)
+	locked("workers_registered", func() int { return d.registered })
 }
 
 // RegisterMetrics exposes the worker's execution counters on reg under

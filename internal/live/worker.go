@@ -110,36 +110,24 @@ func (w *Worker) execute(h *wire.Header, payload []byte) {
 		chunk = w.cfg.Slice
 	}
 	w.work(chunk)
+	// Every reply echoes the assignment's identity, attempt number included.
+	reply := *h
+	reply.WorkerID = w.cfg.ID
 	if preempt {
 		w.preempted.Add(1)
-		_ = w.send(&wire.Header{
-			Type:        wire.MsgPreempted,
-			ReqID:       h.ReqID,
-			ClientID:    h.ClientID,
-			WorkerID:    w.cfg.ID,
-			ServiceNS:   h.ServiceNS,
-			RemainingNS: uint32(remaining - chunk),
-		}, nil, w.cfg.Dispatcher)
+		reply.Type, reply.RemainingNS = wire.MsgPreempted, uint32(remaining-chunk)
+		_ = w.send(&reply, nil, w.cfg.Dispatcher)
 		return
 	}
 	w.completed.Add(1)
 	// Respond to the client first (latency path), then notify the
 	// dispatcher (§3.4.5 ordering).
 	if client, ok := decodeAddr(payload); ok {
-		_ = w.send(&wire.Header{
-			Type:      wire.MsgResponse,
-			ReqID:     h.ReqID,
-			ClientID:  h.ClientID,
-			WorkerID:  w.cfg.ID,
-			ServiceNS: h.ServiceNS,
-		}, nil, client)
+		reply.Type = wire.MsgResponse
+		_ = w.send(&reply, nil, client)
 	}
-	_ = w.send(&wire.Header{
-		Type:     wire.MsgFinish,
-		ReqID:    h.ReqID,
-		ClientID: h.ClientID,
-		WorkerID: w.cfg.ID,
-	}, nil, w.cfg.Dispatcher)
+	reply.Type = wire.MsgFinish
+	_ = w.send(&reply, nil, w.cfg.Dispatcher)
 }
 
 // work burns d of wall time: busy-spin for precision on short chunks,

@@ -35,8 +35,8 @@ func (m MAC) String() string {
 const Version = 1
 
 // MsgType distinguishes the messages of the dispatcher/worker/client
-// protocol (§3.4: request hand-off, completion/preemption notifications,
-// responses, and the host→NIC load feedback the paper advocates for).
+// protocol (§3.4: request hand-off, completion/preemption notifications
+// and responses).
 type MsgType uint8
 
 // Protocol message types.
@@ -56,15 +56,11 @@ const (
 	MsgResponse
 	// MsgHello registers a worker with the dispatcher (live mode).
 	MsgHello
-	// MsgLoadInfo is host→NIC load feedback: instantaneous per-core load
-	// the NIC folds into scheduling decisions (§3.1).
-	MsgLoadInfo
 	msgTypeCount // sentinel
 )
 
 var msgTypeNames = [...]string{
-	"invalid", "request", "assign", "finish", "preempted", "response",
-	"hello", "loadinfo",
+	"invalid", "request", "assign", "finish", "preempted", "response", "hello",
 }
 
 // String returns the lowercase message-type name.
@@ -89,7 +85,7 @@ const HeaderSize = 32
 //	offset size field
 //	0      1    Version
 //	1      1    Type
-//	2      2    Flags
+//	2      2    Flags (ASSIGN: the attempt number; FINISH/PREEMPTED echo it)
 //	4      8    ReqID
 //	12     4    ClientID
 //	16     4    WorkerID

@@ -33,8 +33,8 @@ func TestMsgTypeStringAndValid(t *testing.T) {
 	if MsgInvalid.Valid() {
 		t.Fatal("MsgInvalid reported valid")
 	}
-	if !MsgLoadInfo.Valid() {
-		t.Fatal("MsgLoadInfo reported invalid")
+	if MsgType(7).Valid() {
+		t.Fatal("retired type 7 (load info) reported valid")
 	}
 	if MsgType(200).Valid() {
 		t.Fatal("out-of-range type reported valid")
