@@ -398,26 +398,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// verdict — a claim the simulator no longer supports — exits nonzero;
 	// a hypothesis that does not load aborts the run.
 	runHypotheses := func(which string) error {
-		load := func(name string) (hypothesis.Spec, error) {
-			if strings.ContainsAny(name, "/.") {
-				b, err := os.ReadFile(name)
-				if err != nil {
-					return hypothesis.Spec{}, err
-				}
-				s, err := hypothesis.Decode(b)
-				if err != nil {
-					return hypothesis.Spec{}, err
-				}
-				return s, s.Validate()
-			}
-			return hypotheses.Load(name)
-		}
 		names := []string{which}
 		if which == "all" {
 			names = hypotheses.Names()
 		}
 		for _, name := range names {
-			s, err := load(name)
+			s, err := scenarios.LoadArg(name, hypothesis.Decode, hypotheses.Load)
+			if err == nil {
+				err = s.Validate()
+			}
 			if err != nil {
 				return err
 			}

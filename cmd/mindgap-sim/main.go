@@ -206,7 +206,7 @@ func specFromFlags(system string, workers, outstanding int, slice time.Duration,
 // compiles it through the experiment harness, and prints every measured
 // series. Output is byte-identical at any -j parallelism.
 func runScenario(ctx context.Context, rn *runner.Runner, arg string, q experiment.Quality, csv bool) {
-	p, err := loadPresetArg(arg)
+	p, err := scenarios.LoadArg(arg, scenario.DecodeAny, scenarios.Load)
 	if err != nil {
 		log.Fatalf("mindgap-sim: %v", err)
 	}
@@ -259,16 +259,6 @@ func runScenario(ctx context.Context, rn *runner.Runner, arg string, q experimen
 	if err != nil {
 		os.Exit(1)
 	}
-}
-
-// loadPresetArg resolves the -scenario argument: a path to a JSON file
-// (preset or bare single-spec) if one exists, else an embedded preset
-// name.
-func loadPresetArg(arg string) (scenario.Preset, error) {
-	if b, err := os.ReadFile(arg); err == nil {
-		return scenario.DecodeAny(b)
-	}
-	return scenarios.Load(strings.TrimSuffix(arg, ".json"))
 }
 
 // replicateSeeds resolves the -seeds / -replicates flags: an explicit list

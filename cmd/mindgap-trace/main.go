@@ -7,9 +7,12 @@
 // The traced configuration starts from a scenario preset (the checked-in
 // scenarios/trace-default.json unless -scenario names another) and any
 // -workers/-outstanding/-slice/-dist/-rps flags override that preset's
-// knobs. The system is assembled through the scenario registry; every
-// registered system reports the same lifecycle stream through its probe,
-// so every one can be traced and attributed (-attr).
+// knobs. The spec is compiled and measured by internal/experiment like
+// any other point (no warm-up, 500 completions) — flow populations,
+// tenant mixes and keyed workloads trace under the generator the figures
+// use — with the tracer and collector attached as registry observers;
+// every registered system reports the same lifecycle stream through its
+// probe, so every one can be traced and attributed (-attr).
 //
 // The -format flag selects the output: "text" (default) prints per-request
 // lifecycles, "chrome" emits Chrome trace-event JSON that opens directly
@@ -32,15 +35,11 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"mindgap/internal/attr"
-	"mindgap/internal/dist"
-	"mindgap/internal/loadgen"
+	"mindgap/internal/experiment"
 	"mindgap/internal/scenario"
-	"mindgap/internal/sim"
-	"mindgap/internal/task"
 	"mindgap/internal/trace"
 	"mindgap/scenarios"
 )
@@ -98,16 +97,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	svc, err := dist.Parse(sp.Workload)
-	if err != nil {
-		return err
-	}
-	offered := sp.Load.RPS
-	if offered <= 0 {
-		return fmt.Errorf("scenario %q needs a single-rps load (got %+v)", sp.Name, *sp.Load)
-	}
-
-	eng := sim.New()
 	buf := trace.New(0)
 	opts := scenario.Options{Tracer: buf}
 	var col *attr.Collector
@@ -115,19 +104,11 @@ func run(args []string, stdout io.Writer) error {
 		col = attr.New(attr.Config{KeepTimelines: true, AuditSamples: 4096})
 		opts.Attr = col
 	}
-	factory, err := scenario.BuildWith(sp, opts)
+	cfg, err := tracedPoint(sp, opts)
 	if err != nil {
 		return err
 	}
-	completions := 0
-	sys := factory(eng, nil, func(*task.Request) {
-		completions++
-		if completions >= 500 {
-			eng.Halt()
-		}
-	})
-	loadgen.New(eng, loadgen.Config{RPS: offered, Service: svc, Seed: sp.Seed}, sys.Inject).Start()
-	eng.Run()
+	experiment.RunPoint(cfg)
 
 	if err := buf.ValidateAll(); err != nil {
 		return fmt.Errorf("causality violation: %v", err)
@@ -219,19 +200,35 @@ func indent(s string) string {
 	return out
 }
 
+// tracedPoint compiles sp into the point the command measures: the
+// spec's own generator, keys and tenants, its system built with the
+// observers in o attached, no warm-up and 500 recorded completions at
+// the spec's one offered rate.
+func tracedPoint(sp scenario.Spec, o scenario.Options) (experiment.PointConfig, error) {
+	cfg, err := experiment.PointConfigFor(sp, experiment.Quality{})
+	if err != nil {
+		return cfg, err
+	}
+	if cfg.Factory, err = scenario.BuildWith(sp, o); err != nil {
+		return cfg, err
+	}
+	loads, err := experiment.SpecLoads(sp)
+	if err != nil {
+		return cfg, err
+	}
+	if len(loads) != 1 || loads[0] <= 0 {
+		return cfg, fmt.Errorf("scenario %q needs a single offered rate (pass -rps)", sp.Name)
+	}
+	cfg.OfferedRPS = loads[0]
+	cfg.Warmup, cfg.Measure = 0, 500
+	return cfg, nil
+}
+
 // traceSpec resolves -scenario (file path or embedded preset name) and
 // returns its first series' spec, with Knobs guaranteed non-nil so flag
 // overrides can write through it.
 func traceSpec(arg string) (scenario.Spec, error) {
-	var (
-		p   scenario.Preset
-		err error
-	)
-	if b, rerr := os.ReadFile(arg); rerr == nil {
-		p, err = scenario.DecodeAny(b)
-	} else {
-		p, err = scenarios.Load(strings.TrimSuffix(arg, ".json"))
-	}
+	p, err := scenarios.LoadArg(arg, scenario.DecodeAny, scenarios.Load)
 	if err != nil {
 		return scenario.Spec{}, err
 	}

@@ -4,7 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"strconv"
 	"testing"
+
+	"mindgap/internal/attr"
+	"mindgap/internal/experiment"
+	"mindgap/internal/scenario"
+	"mindgap/internal/sim"
+	"mindgap/internal/stats"
+	"mindgap/internal/task"
+	"mindgap/internal/trace"
 )
 
 // TestTraceDefaultGolden pins the default run's text output with -attr
@@ -46,6 +55,71 @@ func TestEverySystemTraces(t *testing.T) {
 		}
 		if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil || len(doc.TraceEvents) == 0 {
 			t.Errorf("%s: chrome export is not a populated trace (err %v)", preset, err)
+		}
+	}
+}
+
+// TestTracedPointIsThePointTheFiguresMeasure runs the CLI over a flow
+// population, a tenant mix and a keyed series, then measures each spec
+// twice through the CLI's own compile step — bare, and with the tracer and
+// collector attached: the traced run must be causally valid and agree with
+// the untraced one on every Result field and on Engine.Executed(). The
+// drive loop is experiment's, so the flow generator, one stream per tenant
+// and the zipf keys are the ones the figures use; attaching observers
+// moves nothing.
+func TestTracedPointIsThePointTheFiguresMeasure(t *testing.T) {
+	for _, c := range []struct {
+		preset string
+		rps    float64 // a grid preset needs the one rate -rps gives it
+	}{
+		{preset: "figure-flowrule"},
+		{preset: "table-tenants"},
+		{preset: "baselines", rps: 400_000},
+	} {
+		args := []string{"-scenario", c.preset, "-attr"}
+		if c.rps > 0 {
+			args = append(args, "-rps", strconv.FormatFloat(c.rps, 'f', -1, 64))
+		}
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !bytes.Contains(out.Bytes(), []byte("respond req=")) || !bytes.Contains(out.Bytes(), []byte("latency attribution (")) {
+			t.Errorf("%v: output lacks lifecycles or the waterfall:\n%s", args, out.Bytes())
+		}
+
+		sp, err := traceSpec(c.preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.rps > 0 {
+			sp.Load = &scenario.LoadSpec{RPS: c.rps}
+		}
+		measure := func(o scenario.Options) (experiment.Result, uint64) {
+			cfg, err := tracedPoint(sp, o)
+			if err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			build := cfg.Factory
+			var eng *sim.Engine
+			cfg.Factory = func(e *sim.Engine, rec *stats.Recorder, done func(*task.Request)) scenario.System {
+				eng = e
+				return build(e, rec, done)
+			}
+			return experiment.RunPoint(cfg), eng.Executed()
+		}
+		bare, bareEvents := measure(scenario.Options{})
+		buf := trace.New(0)
+		traced, events := measure(scenario.Options{Tracer: buf, Attr: attr.New(attr.Config{})})
+		if err := buf.ValidateAll(); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+		if traced != bare || events != bareEvents {
+			t.Errorf("%v: attaching observers changed the run\nwith:    %+v (%d events)\nwithout: %+v (%d events)",
+				args, traced, events, bare, bareEvents)
+		}
+		if bare.Completed != 500 || bare.P50 <= 0 || bare.P99 < bare.P50 {
+			t.Errorf("%v: implausible point %+v", args, bare)
 		}
 	}
 }

@@ -46,8 +46,8 @@ func TestSpecsAreCanonical(t *testing.T) {
 
 func TestSpecsValidate(t *testing.T) {
 	names := Names()
-	if len(names) < 4 {
-		t.Fatalf("corpus holds %d hypotheses, want at least 4", len(names))
+	if len(names) < 8 {
+		t.Fatalf("corpus holds %d hypotheses, want at least 8", len(names))
 	}
 	twins := 0
 	for _, name := range names {

@@ -294,21 +294,30 @@ func TestOffloadQueueDynamicsAfterBurst(t *testing.T) {
 	// zero within the work's drain time plus pipeline overheads.
 	eng := sim.New()
 	sys := NewOffload(eng, defaultCfg(4, 2, 0), nil, func(*task.Request) {})
-	qdepth := stats.NewTimeSeries(eng, 5*time.Microsecond, 0, func() float64 {
-		return float64(sys.QueueLen())
-	})
+	// peak is the deepest sample, settled the first sample from which the
+	// queue stays empty (-1 while it is not).
+	peak, settled := 0, sim.Time(-1)
+	var sample func()
+	sample = func() {
+		switch d := sys.QueueLen(); {
+		case d > 0:
+			peak, settled = max(peak, d), -1
+		case settled < 0:
+			settled = eng.Now()
+		}
+		eng.After(5*time.Microsecond, sample)
+	}
+	sample()
 	const n = 200
 	svc := 5 * time.Microsecond
 	for i := uint64(1); i <= n; i++ {
 		sys.Inject(task.New(i, 0, svc))
 	}
 	eng.RunUntil(sim.Time(int64(2 * time.Millisecond)))
-	qdepth.Stop()
-	if qdepth.Max() < 100 {
-		t.Fatalf("queue never spiked: max depth %v", qdepth.Max())
+	if peak < 100 {
+		t.Fatalf("queue never spiked: max depth %v", peak)
 	}
-	settled, ok := qdepth.LastBelow(0)
-	if !ok {
+	if settled < 0 {
 		t.Fatal("queue never drained")
 	}
 	// Ideal drain: 200 × 5µs / 4 workers = 250µs; allow pipeline slack.

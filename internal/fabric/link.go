@@ -4,8 +4,7 @@
 // cache-line channels, and the coherent CXL window of the §5 ideal NIC.
 //
 // All substrates share one abstraction, Link: a FIFO, point-to-point pipe
-// with a propagation latency, an optional serialization bandwidth, and an
-// optional bounded queue that drops on overflow.
+// with a propagation latency and an optional serialization bandwidth.
 package fabric
 
 import (
@@ -22,33 +21,28 @@ type LinkConfig struct {
 	// BandwidthBps is the serialization rate in bits per second; zero means
 	// infinitely fast serialization (appropriate for cache-line channels).
 	BandwidthBps float64
-	// QueueLimit bounds the number of messages waiting to serialize; zero
-	// means unbounded. Messages arriving at a full queue are dropped.
-	QueueLimit int
 }
 
 // Link is a point-to-point, order-preserving message pipe. Not safe for
 // concurrent use — it lives inside a single-threaded simulation.
 //
-// A hop is one engine event when the link neither serializes nor bounds its
-// queue, two otherwise (departure, then delivery). A plain link files the
-// receiver's own event (sim.AtE, or sim.AtRelayE through the departure) and
-// keeps no per-message state; an observed (RegisterTelemetry) or bounded
-// link is tabled: messages park in pend and linkDepart/linkDeliver keep the
-// gauges exact. Both take the same positions in the (time, seq) order, so
-// attaching a registry changes neither a delivery nor Engine.Executed().
+// A hop is one engine event when the link does not serialize, two otherwise
+// (departure, then delivery). A plain link files the receiver's own event
+// (sim.AtE, or sim.AtRelayE through the departure) and keeps no per-message
+// state; an observed link (RegisterTelemetry) is tabled: messages park in
+// pend and linkDepart/linkDeliver keep the gauges exact. Both take the same
+// positions in the (time, seq) order, so attaching a registry changes
+// neither a delivery nor Engine.Executed().
 type Link struct {
 	eng  *sim.Engine
 	cfg  LinkConfig
 	name string
 
 	lastDeparture sim.Time
-	dropped       uint64
 	stalls        uint64
 
 	// fault, when set, is consulted once per message at send time: a true
-	// drop loses the message on the wire (counted in faultDropped, not
-	// dropped — queue overflow and wire loss are different failures), and
+	// drop loses the message on the wire (counted in faultDropped), and
 	// extra adds propagation latency (a fabric latency spike). Nil — the
 	// only state healthy systems ever see — leaves Send untouched.
 	fault        func(sim.Time) (drop bool, extra time.Duration)
@@ -83,52 +77,24 @@ func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
 // Name returns the diagnostic name.
 func (l *Link) Name() string { return l.name }
 
-// SendOutcome classifies the synchronous fate of a Send: accepted for
-// delivery, rejected by the bounded queue, or lost to an injected wire
-// fault. The distinction lets callers attribute the loss (queue overflow
-// is backpressure; a wire fault is the failure the fault layer injected).
-type SendOutcome uint8
-
-const (
-	// SendAccepted: the message will be delivered.
-	SendAccepted SendOutcome = iota
-	// SendQueueDrop: the bounded queue was full (counted in Dropped).
-	SendQueueDrop
-	// SendFaultDrop: an injected fault lost the message on the wire
-	// (counted in FaultDropped).
-	SendFaultDrop
-)
-
 // Send enqueues a message of the given wire size; deliver runs at the
 // receiver once serialization and propagation complete. It reports false
-// (and counts a drop) when the bounded queue is full or an injected wire
-// fault loses the message. FIFO order is guaranteed: deliveries happen in
-// Send order. The closure form allocates and serves tests; models use
-// SendT/SendTEx.
+// (and counts a drop) when an injected wire fault loses the message. FIFO
+// order is guaranteed: deliveries happen in Send order. The closure form
+// allocates and serves tests; models use SendT.
 func (l *Link) Send(bytes int, deliver func()) bool {
-	return l.SendTEx(bytes, callClosure, deliver, nil, 0) == SendAccepted
+	return l.SendT(bytes, callClosure, deliver, nil, 0)
 }
 
 // callClosure adapts the closure delivery onto the typed path.
 func callClosure(recv, _ any, _ uint64) { recv.(func())() }
 
 // SendT is the typed, zero-alloc Send: fn(recv, obj, arg) runs at the
-// receiver once serialization and propagation complete.
+// receiver once serialization and propagation complete. See Link for when
+// a hop costs one event or two and which path carries it.
 //
 //mindgap:noalloc
 func (l *Link) SendT(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) bool {
-	return l.SendTEx(bytes, fn, recv, obj, arg) == SendAccepted
-}
-
-// SendTEx is SendT with a distinguishable outcome. See Link for when a hop
-// costs one event or two and which path carries it.
-//
-//mindgap:noalloc
-func (l *Link) SendTEx(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) SendOutcome {
-	if l.cfg.QueueLimit > 0 && l.queued >= l.cfg.QueueLimit {
-		l.dropped++
-		return SendQueueDrop
-	}
 	now := l.eng.Now()
 	latency := l.cfg.Latency
 	if l.fault != nil {
@@ -137,7 +103,7 @@ func (l *Link) SendTEx(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) S
 			// Lost on the wire: the message occupies no queue slot and no
 			// serialization time, and the receiver never hears of it.
 			l.faultDropped++
-			return SendFaultDrop
+			return false
 		}
 		latency += extra
 	}
@@ -152,13 +118,13 @@ func (l *Link) SendTEx(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) S
 	l.lastDeparture = depart
 	deliverAt := depart.Add(latency)
 
-	if l.latency == nil && l.cfg.QueueLimit == 0 { // plain: nothing watches the message in flight
+	if l.latency == nil { // plain: nothing watches the message in flight
 		if l.cfg.BandwidthBps <= 0 {
 			l.eng.AtE(deliverAt, fn, recv, obj, arg)
 		} else {
 			l.eng.AtRelayE(depart, deliverAt, fn, recv, obj, arg)
 		}
-		return SendAccepted
+		return true
 	}
 
 	var slot uint32
@@ -170,13 +136,13 @@ func (l *Link) SendTEx(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) S
 		l.pend = append(l.pend, pendingMsg{})
 	}
 	l.pend[slot] = pendingMsg{fn: fn, recv: recv, obj: obj, arg: arg, sent: now, deliverAt: deliverAt}
-	if l.cfg.BandwidthBps <= 0 && l.cfg.QueueLimit == 0 {
+	if l.cfg.BandwidthBps <= 0 {
 		l.eng.AtE(deliverAt, linkDeliver, l, nil, uint64(slot))
-		return SendAccepted
+		return true
 	}
 	l.queued++
 	l.eng.AtE(depart, linkDepart, l, nil, uint64(slot))
-	return SendAccepted
+	return true
 }
 
 // linkDepart fires when a tabled message finishes serialization: the
@@ -216,15 +182,12 @@ func (l *Link) serialization(bytes int) time.Duration {
 	return time.Duration(float64(bytes*8) / l.cfg.BandwidthBps * 1e9)
 }
 
-// Dropped returns the number of messages rejected by the bounded queue.
-func (l *Link) Dropped() uint64 { return l.dropped }
-
 // SetFault installs a per-message fault hook (see the fault field).
 // Install before the simulation starts.
 func (l *Link) SetFault(f func(sim.Time) (drop bool, extra time.Duration)) { l.fault = f }
 
 // FaultDropped returns the number of messages lost to injected wire
-// faults (distinct from bounded-queue drops).
+// faults.
 func (l *Link) FaultDropped() uint64 { return l.faultDropped }
 
 // RegisterTelemetry exposes the link's counters on reg under the given
@@ -236,7 +199,6 @@ func (l *Link) RegisterTelemetry(reg *telemetry.Registry, component string) {
 	l.latency = reg.Histogram(component, "latency")
 	reg.GaugeFunc(component, "queued", func() float64 { return float64(l.queued) })
 	reg.GaugeFunc(component, "delivered", func() float64 { return float64(l.delivered) })
-	reg.GaugeFunc(component, "dropped", func() float64 { return float64(l.dropped) })
 	reg.GaugeFunc(component, "stalls", func() float64 { return float64(l.stalls) })
 	reg.GaugeFunc(component, "fault_dropped", func() float64 { return float64(l.faultDropped) })
 }

@@ -299,12 +299,6 @@ func TestNICDownAndRecovery(t *testing.T) {
 	if s.NICDown(sim.Time(14 * time.Millisecond)) {
 		t.Fatal("NICDown true at crash end (window is half-open)")
 	}
-	if got := s.NICRecoveryAt(sim.Time(12 * time.Millisecond)); got != sim.Time(14*time.Millisecond) {
-		t.Fatalf("NICRecoveryAt inside crash = %v, want 14ms", got)
-	}
-	if got := s.NICRecoveryAt(sim.Time(20 * time.Millisecond)); got != sim.Time(20*time.Millisecond) {
-		t.Fatalf("NICRecoveryAt outside crash = %v, want now", got)
-	}
 }
 
 func TestEmpty(t *testing.T) {

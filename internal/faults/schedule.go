@@ -111,10 +111,6 @@ func (s *Schedule) WorkerStretch(id int) StretchFunc {
 // NICDown reports whether every NIC ARM core is inside a crash window.
 func (s *Schedule) NICDown(now sim.Time) bool { return s.crash.contains(now) }
 
-// NICRecoveryAt returns the end of the crash window containing now, or
-// now itself when the NIC is up.
-func (s *Schedule) NICRecoveryAt(now sim.Time) sim.Time { return s.crash.endOf(now) }
-
 // CrashWindows returns the resolved crash windows — the bench recovery
 // table uses them to place its phase boundaries.
 func (s *Schedule) CrashWindows() []Window {

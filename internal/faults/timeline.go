@@ -86,16 +86,6 @@ func (t timeline) contains(now sim.Time) bool {
 	return i < len(t) && t[i].start <= now
 }
 
-// endOf returns the end of the span containing now, or now itself if no
-// span covers it.
-func (t timeline) endOf(now sim.Time) sim.Time {
-	i := sort.Search(len(t), func(j int) bool { return t[j].end > now })
-	if i < len(t) && t[i].start <= now {
-		return t[i].end
-	}
-	return now
-}
-
 // stretch converts an amount of work starting at `at` into the wall
 // (simulation-clock) duration it takes under the timeline: inside a
 // factor-f span, work completes at f times the healthy rate; inside a

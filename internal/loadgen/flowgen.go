@@ -60,8 +60,6 @@ type FlowConfig struct {
 	// MaxArrivals stops generation after this many batches (0 = run
 	// until the engine halts).
 	MaxArrivals uint64
-	// ClientID is stamped on every request.
-	ClientID uint32
 	// Pool, when set, recycles Request objects (as in Config).
 	Pool *task.Pool
 	// FlowPool, when set, recycles Flow records. Records are released by
@@ -250,7 +248,6 @@ func flowGenBatch(recv, _ any, _ uint64) {
 	} else {
 		req = task.New(g.nextReqID, g.eng.Now(), svc)
 	}
-	req.ClientID = g.cfg.ClientID
 	req.FlowID = f.ID
 	req.FlowState = f
 	req.Packets = batch

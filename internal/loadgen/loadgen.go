@@ -28,7 +28,9 @@ type Config struct {
 	// MaxArrivals stops generation after this many requests (0 = run until
 	// the engine halts).
 	MaxArrivals uint64
-	// ClientID is stamped on every request.
+	// ClientID is stamped on every request and is the high word of its
+	// ID (a client numbers its requests from ClientID<<32 + 1), so the
+	// streams of one run — a tenant mix — never share a request ID.
 	ClientID uint32
 	// Pool, when set, recycles Request objects: arrivals draw from it and
 	// the harness returns each request at response time. Nil allocates a
@@ -64,10 +66,11 @@ func New(eng *sim.Engine, cfg Config, sink func(*task.Request)) *Generator {
 		panic("loadgen: sink required")
 	}
 	return &Generator{
-		eng:  eng,
-		cfg:  cfg,
-		rng:  rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x6d696e64676170)), // "mindgap"
-		sink: sink,
+		eng:    eng,
+		cfg:    cfg,
+		rng:    rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x6d696e64676170)), // "mindgap"
+		sink:   sink,
+		nextID: uint64(cfg.ClientID) << 32,
 	}
 }
 

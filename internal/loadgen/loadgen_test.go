@@ -58,8 +58,8 @@ func TestRequestFieldsPopulated(t *testing.T) {
 	}
 	seenKey := false
 	for i, r := range got {
-		if r.ID != uint64(i+1) {
-			t.Fatalf("IDs not sequential: %d at %d", r.ID, i)
+		if r.ID != 42<<32+uint64(i+1) {
+			t.Fatalf("IDs not sequential from the client's base: %d at %d", r.ID, i)
 		}
 		if r.Service != 5*time.Microsecond || r.Remaining != r.Service {
 			t.Fatalf("service not set: %+v", r)

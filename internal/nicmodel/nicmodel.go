@@ -168,11 +168,12 @@ func (n *NIC) Send(f Frame) bool {
 	for _, b := range f.Src {
 		src = src<<8 | uint64(b)
 	}
-	outcome := target.deliver.SendTEx(f.Bytes, nicDeliver, target, f.Payload, src<<16|uint64(f.Bytes))
-	if outcome == fabric.SendFaultDrop && target.onWireDrop != nil {
+	// A link refuses a message only when an injected wire fault loses it.
+	ok := target.deliver.SendT(f.Bytes, nicDeliver, target, f.Payload, src<<16|uint64(f.Bytes))
+	if !ok && target.onWireDrop != nil {
 		target.onWireDrop(f)
 	}
-	return outcome == fabric.SendAccepted
+	return ok
 }
 
 // nicDeliver fires when a steered frame crosses the NIC-internal fabric
@@ -253,10 +254,6 @@ func (f *Function) Received() uint64 { return f.received }
 // FaultDropped returns frames this function's delivery link lost to
 // injected fabric faults.
 func (f *Function) FaultDropped() uint64 { return f.deliver.FaultDropped() }
-
-// PeakPending returns the highest RX ring occupancy ever reached — how
-// close the function came to dropping frames.
-func (f *Function) PeakPending() int { return f.rx.HighWater() }
 
 // RegisterTelemetry exposes device-level steering counters plus, for every
 // function registered at call time, its RX-ring occupancy probes

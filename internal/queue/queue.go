@@ -124,10 +124,9 @@ type Ring[T any] struct {
 	head  int
 	count int
 
-	pushes   uint64
-	pops     uint64
-	rejected uint64
-	highWat  int
+	pushes  uint64
+	pops    uint64
+	highWat int
 }
 
 // NewRing creates a ring with the given capacity (must be positive).
@@ -155,7 +154,6 @@ func (r *Ring[T]) Empty() bool { return r.count == 0 }
 //mindgap:noalloc
 func (r *Ring[T]) Push(v T) bool {
 	if r.count == len(r.buf) {
-		r.rejected++
 		return false
 	}
 	r.buf[(r.head+r.count)%len(r.buf)] = v
@@ -188,9 +186,6 @@ func (r *Ring[T]) Pushes() uint64 { return r.pushes }
 
 // Pops returns the total number of items ever dequeued.
 func (r *Ring[T]) Pops() uint64 { return r.pops }
-
-// Rejected returns how many Push calls failed on a full ring.
-func (r *Ring[T]) Rejected() uint64 { return r.rejected }
 
 // HighWater returns the peak occupancy the ring ever reached.
 func (r *Ring[T]) HighWater() int { return r.highWat }

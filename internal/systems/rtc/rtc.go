@@ -106,9 +106,9 @@ func (s *Pool) steer(req *task.Request) {
 		w = int(cores.RSSHash(req.Key) % uint64(len(s.Workers)))
 	default:
 		// RSS: hash the flow identity. Open-loop clients use a fresh
-		// ephemeral port per request, so the request ID stands in for the
-		// 5-tuple.
-		w = int(cores.RSSHash(req.ID^uint64(req.ClientID)<<32) % uint64(len(s.Workers)))
+		// ephemeral port per request, so the request ID (whose high word
+		// is the client) stands in for the 5-tuple.
+		w = int(cores.RSSHash(req.ID) % uint64(len(s.Workers)))
 	}
 	now := s.eng.Now()
 	target := s.Workers[w]

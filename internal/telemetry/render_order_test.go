@@ -5,35 +5,19 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
-
-	"mindgap/internal/sim"
 )
 
-// renderSeriesTable emits the per-gauge sampled-series table the way a
-// results consumer does: one CSV row per sampled key via Sampler.Keys,
-// followed by the registry snapshot. This is the emission path maporder
-// flagged — Sampler.Keys used to return keys in map-iteration order,
-// which would have made this table's row order random per process.
+// renderSeriesTable emits a registry's gauges the way a results consumer
+// does: the snapshot as CSV. The registry keeps its metrics in maps, so
+// this is the emission path maporder guards — rows in map-iteration order
+// would make the table's order random per process.
 func renderSeriesTable() []byte {
-	eng := sim.New()
 	reg := NewRegistry()
 	for i := 0; i < 16; i++ {
 		v := float64(i)
 		reg.GaugeFunc(fmt.Sprintf("comp%02d", i), "depth", func() float64 { return v })
 	}
-	smp := reg.SampleGauges(eng, time.Microsecond, 4)
-	eng.RunUntil(sim.Time(10 * time.Microsecond))
-	smp.Stop()
-
 	var buf bytes.Buffer
-	for _, k := range smp.Keys() {
-		fmt.Fprintf(&buf, "%s", k)
-		for _, v := range smp.Series(k).Values() {
-			fmt.Fprintf(&buf, ",%g", v)
-		}
-		fmt.Fprintln(&buf)
-	}
 	if err := reg.Snapshot().WriteCSV(&buf); err != nil {
 		panic(err)
 	}

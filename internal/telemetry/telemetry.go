@@ -6,9 +6,8 @@
 // The paper's argument (§5.1) rests on seeing inside the system —
 // queueing delay at each NIC ARM core, NIC↔host message latency,
 // preemption counts, worker idle gaps. Components expose those signals
-// here; consumers take a point-in-time Snapshot (JSON/CSV/expvar text),
-// auto-sample gauges into stats.TimeSeries on a sim.Engine, or scrape the
-// registry over HTTP in live mode (internal/live.MetricsServer).
+// here; consumers take a point-in-time Snapshot (JSON/CSV/expvar text) or
+// scrape the registry over HTTP in live mode (internal/live.MetricsServer).
 //
 // Concurrency: counters and settable gauges are atomic, histograms take a
 // mutex per observation, and the registry itself is lock-protected, so
@@ -236,29 +235,6 @@ func (r *Registry) GaugeValue(key string) (float64, bool) {
 		return 0, false
 	}
 	return g.Value(), true
-}
-
-// CounterValue reads one counter by key; ok is false for unknown keys.
-func (r *Registry) CounterValue(key string) (int64, bool) {
-	r.mu.Lock()
-	c, ok := r.counters[key]
-	r.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	return c.Value(), true
-}
-
-// GaugeKeys returns the registered gauge keys in sorted order.
-func (r *Registry) GaugeKeys() []string {
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.gauges))
-	for k := range r.gauges {
-		keys = append(keys, k)
-	}
-	r.mu.Unlock()
-	sort.Strings(keys)
-	return keys
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry.

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"mindgap/internal/sim"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -44,11 +42,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	drops := uint64(3)
 	reg.CounterFunc("nic", "drops", func() uint64 { return drops })
 	drops = 4
-	if v, ok := reg.CounterValue("nic/drops"); !ok || v != 4 {
-		t.Fatalf("probe counter = %d, %v; want 4 re-evaluated at read time", v, ok)
-	}
 	if got := reg.Snapshot().Counters["nic/drops"]; got != 4 {
-		t.Fatalf("snapshot lists the probe counter as %d, want 4 among the counters", got)
+		t.Fatalf("snapshot lists the probe counter as %d, want 4 re-evaluated at read time", got)
 	}
 
 	h := reg.Histogram("fabric", "latency")
@@ -124,58 +119,6 @@ func TestSnapshotFormats(t *testing.T) {
 	txt := txtBuf.String()
 	if !strings.Contains(txt, "a/events 3\n") || !strings.Contains(txt, "b/depth 1.5\n") {
 		t.Fatalf("text format wrong:\n%s", txt)
-	}
-}
-
-func TestSampleGauges(t *testing.T) {
-	eng := sim.New()
-	reg := NewRegistry()
-	depth := 0.0
-	reg.GaugeFunc("queue", "depth", func() float64 { return depth })
-	reg.Gauge("other", "x").Set(1)
-
-	// Depth steps up at 25µs and down at 75µs; samples every 10µs.
-	eng.At(sim.Time(25*time.Microsecond), func() { depth = 4 })
-	eng.At(sim.Time(75*time.Microsecond), func() { depth = 1 })
-
-	smp := reg.SampleGauges(eng, 10*time.Microsecond, 10, "queue/depth", "no/such_gauge")
-	if smp.Series("no/such_gauge") != nil {
-		t.Fatal("unknown gauge produced a series")
-	}
-	ts := smp.Series("queue/depth")
-	if ts == nil {
-		t.Fatal("queue/depth not sampled")
-	}
-	eng.RunUntil(sim.Time(200 * time.Microsecond))
-
-	if ts.Len() != 10 {
-		t.Fatalf("samples = %d, want 10 (max)", ts.Len())
-	}
-	if ts.Max() != 4 {
-		t.Fatalf("sampled max = %g, want 4", ts.Max())
-	}
-	// Sample at 30µs..70µs sees 4; at 80µs+ sees 1.
-	if _, v := ts.At(2); v != 4 {
-		t.Fatalf("sample at 30µs = %g, want 4", v)
-	}
-	if _, v := ts.At(7); v != 1 {
-		t.Fatalf("sample at 80µs = %g, want 1", v)
-	}
-}
-
-func TestSampleGaugesDefaultAll(t *testing.T) {
-	eng := sim.New()
-	reg := NewRegistry()
-	reg.GaugeFunc("a", "x", func() float64 { return 1 })
-	reg.GaugeFunc("b", "y", func() float64 { return 2 })
-	smp := reg.SampleGauges(eng, time.Microsecond, 3)
-	if len(smp.Keys()) != 2 {
-		t.Fatalf("sampled %d gauges, want 2", len(smp.Keys()))
-	}
-	eng.RunUntil(sim.Time(10 * time.Microsecond))
-	smp.Stop()
-	if smp.Series("b/y").Len() != 3 {
-		t.Fatalf("series len = %d, want 3", smp.Series("b/y").Len())
 	}
 }
 

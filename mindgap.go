@@ -43,14 +43,8 @@ type Quality = experiment.Quality
 // Figure is a reproduced paper figure (labelled series of measured points).
 type Figure = experiment.Figure
 
-// Result is one measured load point.
-type Result = experiment.Result
-
-// Preset qualities: Quick for CI-sized runs, Full for EXPERIMENTS.md runs.
-var (
-	Quick = experiment.Quick
-	Full  = experiment.Full
-)
+// Quick is the CI-sized preset quality.
+var Quick = experiment.Quick
 
 // Figures lists the reproducible figure IDs (scenario preset names) in
 // stable, sorted order. The set is experiment.FigureIDs — the registry

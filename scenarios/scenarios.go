@@ -13,6 +13,7 @@ package scenarios
 import (
 	"embed"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 
@@ -62,6 +63,19 @@ func Load(name string) (scenario.Preset, error) {
 		return scenario.Preset{}, err
 	}
 	return p, nil
+}
+
+// LoadArg resolves a command-line argument that names a checked-in JSON
+// document or a file of the same schema: the path of an existing file is
+// decoded with decode (the caller validates), anything else is handed to
+// embedded as a name, with or without its .json suffix. Scenario presets
+// (scenario.DecodeAny, Load) and hypothesis specs (hypothesis.Decode,
+// hypotheses.Load) both resolve through it.
+func LoadArg[T any](arg string, decode func([]byte) (T, error), embedded func(name string) (T, error)) (T, error) {
+	if b, err := os.ReadFile(arg); err == nil {
+		return decode(b)
+	}
+	return embedded(strings.TrimSuffix(arg, ".json"))
 }
 
 // MustLoad is Load for the embedded presets code names literally; the
