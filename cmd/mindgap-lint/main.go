@@ -6,15 +6,13 @@
 //	floateq     no ==/!= between floats in sim/stats code
 //	lockedsend  no blocking channel ops while a mutex is held
 //	poolsafe    no reads of recycled task.Request identity fields after release
-//	hotalloc    no closures/boxing/fmt in //mindgap:noalloc functions
 //	timerstop   every armed sim.Timer is fired or stopped
 //	lintallow   every //lint:allow suppression names an analyzer and a reason
 //
 // Usage:
 //
 //	mindgap-lint [packages]             # standalone, defaults to ./...
-//	mindgap-lint -escapes               # escape-budget gate vs ESCAPES.json
-//	mindgap-lint -escapes -write        # regenerate ESCAPES.json
+//	mindgap-lint -escapes               # zero-escape gate on //mindgap:noalloc functions
 //	go vet -vettool=$(which mindgap-lint) ./...
 //
 // Standalone mode exits 0 if the tree is clean, 1 if there are
@@ -22,16 +20,17 @@
 // the go vet driver (-V=full handshake or a *.cfg argument) it speaks
 // the unitchecker protocol instead.
 //
-// The -escapes mode is the dynamic complement to hotalloc: it runs
+// The -escapes mode is the allocation check: it runs
 // `go build -gcflags=-m`, counts the compiler's heap-escape diagnostics
-// inside every //mindgap:noalloc function, and fails if any function
-// exceeds its entry in the checked-in ESCAPES.json budget (all zeros).
+// inside every //mindgap:noalloc function, and exits 1 naming each
+// function with a nonzero count.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"golang.org/x/tools/go/analysis/unitchecker"
@@ -51,17 +50,16 @@ func main() {
 	}
 
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mindgap-lint [-escapes [-write]] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: mindgap-lint [-escapes] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", "-escapes", "compare compiler heap escapes in //mindgap:noalloc functions against "+escapes.BudgetFile)
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", "-escapes", "fail on any compiler heap escape in a "+escapes.Directive+" function")
 	}
-	escapesMode := flag.Bool("escapes", false, "run the escape-budget gate instead of the analyzers")
-	write := flag.Bool("write", false, "with -escapes: rewrite "+escapes.BudgetFile+" from the observed counts")
+	escapesMode := flag.Bool("escapes", false, "run the zero-escape gate instead of the analyzers")
 	flag.Parse()
 	if *escapesMode {
-		runEscapes(*write)
+		runEscapes()
 		return
 	}
 	patterns := flag.Args()
@@ -83,38 +81,26 @@ func main() {
 	}
 }
 
-// runEscapes executes the escape-budget gate and exits.
-func runEscapes(write bool) {
-	moduleDir, err := escapes.ModuleDir()
+// runEscapes executes the zero-escape gate and exits.
+func runEscapes() {
+	counts, err := escapes.Collect()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mindgap-lint: %v\n", err)
 		os.Exit(2)
 	}
-	observed, err := escapes.Collect(moduleDir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mindgap-lint: %v\n", err)
-		os.Exit(2)
-	}
-	if write {
-		if err := escapes.Save(moduleDir, observed); err != nil {
-			fmt.Fprintf(os.Stderr, "mindgap-lint: %v\n", err)
-			os.Exit(2)
+	var bad []string
+	for key, n := range counts {
+		if n > 0 {
+			bad = append(bad, fmt.Sprintf("%s: %d heap escape(s)", key, n))
 		}
-		fmt.Printf("mindgap-lint: wrote %s with %d annotated function(s)\n", escapes.BudgetFile, len(observed))
-		return
 	}
-	budget, err := escapes.Load(moduleDir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mindgap-lint: loading %s: %v (run mindgap-lint -escapes -write to create it)\n", escapes.BudgetFile, err)
-		os.Exit(2)
-	}
-	violations := escapes.Check(observed, budget)
-	for _, v := range violations {
+	sort.Strings(bad)
+	for _, v := range bad {
 		fmt.Println(v)
 	}
-	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "mindgap-lint: escape budget violated: %d mismatch(es)\n", len(violations))
+	if len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "mindgap-lint: %d %s function(s) allocate; fix them, or unannotate one that must allocate\n", len(bad), escapes.Directive)
 		os.Exit(1)
 	}
-	fmt.Printf("mindgap-lint: escape budget clean: %d //mindgap:noalloc function(s), all within budget\n", len(observed))
+	fmt.Printf("mindgap-lint: escape gate clean: %d %s function(s), zero heap escapes\n", len(counts), escapes.Directive)
 }

@@ -229,12 +229,12 @@ func (w *world) deliver(f xframe) {
 		if v, slot := w.rec.Finish(id, req, wk); v == Accept {
 			w.timers[slot].armed = false
 			w.done[id] = true
-			w.dispatch(w.lgc.Complete(wk))
+			w.dispatch(w.lgc.CompleteTo(nil, wk))
 		}
 	case xPreempted:
 		if v, slot := w.rec.Preempted(id, req, wk); v == Accept {
 			w.timers[slot].armed = false
-			w.dispatch(w.lgc.Preempted(0, wk, req))
+			w.dispatch(w.lgc.PreemptedTo(nil, 0, wk, req))
 		}
 	case xExpiry:
 		switch v, slot := w.rec.Expired(id, req, wk); v {
@@ -243,10 +243,10 @@ func (w *world) deliver(f xframe) {
 			w.timers[slot].armed = false
 			w.drops[id]++
 			w.done[id] = true
-			w.dispatch(w.lgc.Complete(wk))
+			w.dispatch(w.lgc.CompleteTo(nil, wk))
 		case Retry:
 			w.expired[id]++
-			as := w.lgc.Complete(wk)
+			as := w.lgc.CompleteTo(nil, wk)
 			fresh := w.sc.atts[int(f.att)-int(req.Key)+w.rec.Attempt(id)]
 			w.dispatch(w.lgc.EnqueueTo(as, 0, fresh))
 		}
@@ -259,7 +259,7 @@ func (w *world) apply(s xstep) {
 	switch s.op {
 	case opArrive:
 		w.arrived++
-		w.dispatch(w.lgc.Enqueue(0, w.sc.atts[(w.arrived-1)*(w.sc.retries+1)]))
+		w.dispatch(w.lgc.EnqueueTo(nil, 0, w.sc.atts[(w.arrived-1)*(w.sc.retries+1)]))
 	case opDeliver:
 		w.take(s.f)
 		w.deliver(s.f)

@@ -156,6 +156,8 @@ func (l *Logic) Workers() int { return len(l.outstanding) }
 func (l *Logic) CreditLimit() int { return l.k }
 
 // QueueLen returns the central queue depth, summed across classes.
+//
+//mindgap:noalloc
 func (l *Logic) QueueLen() int {
 	total := 0
 	for c := range l.classes {
@@ -167,43 +169,34 @@ func (l *Logic) QueueLen() int {
 // Outstanding returns worker w's outstanding request count.
 func (l *Logic) Outstanding(w int) int { return l.outstanding[w] }
 
-// Enqueue admits a new request at the tail of the central queue and returns
-// any assignment it enables (at most one).
-func (l *Logic) Enqueue(now sim.Time, req *task.Request) []Assignment {
-	return l.EnqueueTo(nil, now, req)
-}
-
-// EnqueueTo is Enqueue appending to a caller-provided slice, so a hot
-// caller can reuse one scratch buffer across events instead of allocating
-// a fresh assignment slice per input.
+// EnqueueTo admits a new request at the tail of the central queue and
+// appends any assignment it enables (at most one) to out. A hot caller
+// reuses one scratch buffer across events; nil allocates a fresh one.
+//
+//mindgap:noalloc
 func (l *Logic) EnqueueTo(out []Assignment, now sim.Time, req *task.Request) []Assignment {
 	req.Enqueued = now
 	l.queueFor(req).Push(req)
 	return l.drain(out)
 }
 
-// Complete processes a FINISH notification from worker w: the credit is
-// released, possibly dispatching the queue head (at most one assignment).
-func (l *Logic) Complete(w int) []Assignment {
-	return l.CompleteTo(nil, w)
-}
-
-// CompleteTo is Complete appending to a caller-provided slice.
+// CompleteTo processes a FINISH notification from worker w: the credit is
+// released, possibly dispatching the queue head (at most one assignment,
+// appended to out).
+//
+//mindgap:noalloc
 func (l *Logic) CompleteTo(out []Assignment, w int) []Assignment {
 	l.release(w)
 	l.completed++
 	return l.drain(out)
 }
 
-// Preempted processes a PREEMPTED notification: worker w's credit is
+// PreemptedTo processes a PREEMPTED notification: worker w's credit is
 // released and req re-enters the tail of its class queue (§3.4.1 — "once
 // the request reaches the front of the queue again, it can be assigned to
-// any worker").
-func (l *Logic) Preempted(now sim.Time, w int, req *task.Request) []Assignment {
-	return l.PreemptedTo(nil, now, w, req)
-}
-
-// PreemptedTo is Preempted appending to a caller-provided slice.
+// any worker"). Assignments are appended to out.
+//
+//mindgap:noalloc
 func (l *Logic) PreemptedTo(out []Assignment, now sim.Time, w int, req *task.Request) []Assignment {
 	l.release(w)
 	l.requeued++
@@ -218,6 +211,8 @@ func (l *Logic) PreemptedTo(out []Assignment, now sim.Time, w int, req *task.Req
 // influences a decision it is already one NIC↔host hop old, and the gap
 // only grows between reports. The unit is caller-defined (the simulation
 // reports remaining work in ns).
+//
+//mindgap:noalloc
 func (l *Logic) ReportLoadAt(now sim.Time, w int, load int64) {
 	l.load[w] = load
 	l.hasLoad[w] = true
@@ -228,6 +223,8 @@ func (l *Logic) ReportLoadAt(now sim.Time, w int, load int64) {
 // LoadAge returns how stale worker w's last load report is at instant
 // now; ok is false if w never reported (a report stamped with instant 0
 // reads as never timed).
+//
+//mindgap:noalloc
 func (l *Logic) LoadAge(now sim.Time, w int) (age time.Duration, ok bool) {
 	if !l.hasLoad[w] || l.loadAt[w] == 0 {
 		return 0, false
@@ -240,6 +237,8 @@ func (l *Logic) LoadAge(now sim.Time, w int) (age time.Duration, ok bool) {
 // scheduler holds no numeric belief about w — an uninformed policy, or an
 // informed one before w's first load report — in which case a decision
 // audit should classify the dispatch as uninformed.
+//
+//mindgap:noalloc
 func (l *Logic) EstimateFor(now sim.Time, w int) (est int64, age time.Duration, ok bool) {
 	if l.policy != InformedLeastLoaded || !l.hasLoad[w] {
 		return 0, 0, false
@@ -295,6 +294,7 @@ func (l *Logic) RegisterTelemetry(reg *telemetry.Registry, component string, now
 	}
 }
 
+//mindgap:noalloc
 func (l *Logic) release(w int) {
 	if l.outstanding[w] <= 0 {
 		panic(fmt.Sprintf("core: credit underflow on worker %d", w))
@@ -305,6 +305,8 @@ func (l *Logic) release(w int) {
 // queueFor returns the class queue req waits in. SetClasses already
 // clamped classOf, which keeps this small enough to inline on the
 // per-request enqueue path.
+//
+//mindgap:noalloc
 func (l *Logic) queueFor(req *task.Request) *queue.FIFO[*task.Request] {
 	c := 0
 	if l.classOf != nil {
@@ -315,6 +317,8 @@ func (l *Logic) queueFor(req *task.Request) *queue.FIFO[*task.Request] {
 
 // drain dispatches from the head of the highest non-empty class while a
 // worker has spare credit.
+//
+//mindgap:noalloc
 func (l *Logic) drain(out []Assignment) []Assignment {
 	for c := range l.classes {
 		q := &l.classes[c]
@@ -341,6 +345,8 @@ func (l *Logic) drain(out []Assignment) []Assignment {
 }
 
 // pick returns the chosen worker, or -1 if no worker has spare credit.
+//
+//mindgap:noalloc
 func (l *Logic) pick() int {
 	n := len(l.outstanding)
 	switch l.policy {

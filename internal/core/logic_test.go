@@ -13,7 +13,7 @@ func req(id uint64) *task.Request { return task.New(id, 0, time.Microsecond) }
 
 func TestLogicImmediateAssign(t *testing.T) {
 	l := NewLogic(2, 1, LeastOutstanding)
-	as := l.Enqueue(0, req(1))
+	as := l.EnqueueTo(nil, 0, req(1))
 	if len(as) != 1 || as[0].Req.ID != 1 {
 		t.Fatalf("assignments = %v", as)
 	}
@@ -28,19 +28,19 @@ func TestLogicImmediateAssign(t *testing.T) {
 func TestLogicCreditExhaustion(t *testing.T) {
 	l := NewLogic(2, 1, LeastOutstanding)
 	for i := uint64(1); i <= 2; i++ {
-		if got := l.Enqueue(0, req(i)); len(got) != 1 {
+		if got := l.EnqueueTo(nil, 0, req(i)); len(got) != 1 {
 			t.Fatalf("req %d assignments = %v", i, got)
 		}
 	}
 	// Both workers at k=1: third request queues.
-	if got := l.Enqueue(0, req(3)); len(got) != 0 {
+	if got := l.EnqueueTo(nil, 0, req(3)); len(got) != 0 {
 		t.Fatalf("over-capacity assignment: %v", got)
 	}
 	if l.QueueLen() != 1 {
 		t.Fatalf("QueueLen = %d", l.QueueLen())
 	}
 	// Completion frees a credit and dispatches the queued request.
-	as := l.Complete(0)
+	as := l.CompleteTo(nil, 0)
 	if len(as) != 1 || as[0].Req.ID != 3 || as[0].Worker != 0 {
 		t.Fatalf("post-completion assignments = %v", as)
 	}
@@ -48,11 +48,11 @@ func TestLogicCreditExhaustion(t *testing.T) {
 
 func TestLogicFIFOOrder(t *testing.T) {
 	l := NewLogic(1, 1, LeastOutstanding)
-	l.Enqueue(0, req(1))
-	l.Enqueue(0, req(2))
-	l.Enqueue(0, req(3))
+	l.EnqueueTo(nil, 0, req(1))
+	l.EnqueueTo(nil, 0, req(2))
+	l.EnqueueTo(nil, 0, req(3))
 	for want := uint64(2); want <= 3; want++ {
-		as := l.Complete(0)
+		as := l.CompleteTo(nil, 0)
 		if len(as) != 1 || as[0].Req.ID != want {
 			t.Fatalf("FIFO violated: got %v want id %d", as, want)
 		}
@@ -63,7 +63,7 @@ func TestLogicQueuingOptimizationStashing(t *testing.T) {
 	// k=5: a single worker accepts five outstanding requests (§3.4.5).
 	l := NewLogic(1, 5, LeastOutstanding)
 	for i := uint64(1); i <= 7; i++ {
-		l.Enqueue(0, req(i))
+		l.EnqueueTo(nil, 0, req(i))
 	}
 	if l.Outstanding(0) != 5 {
 		t.Fatalf("outstanding = %d, want 5", l.Outstanding(0))
@@ -76,19 +76,19 @@ func TestLogicQueuingOptimizationStashing(t *testing.T) {
 func TestLogicPreemptedRequeuesAtTail(t *testing.T) {
 	l := NewLogic(1, 1, LeastOutstanding)
 	r1 := req(1)
-	l.Enqueue(0, r1) // assigned
-	l.Enqueue(0, req(2))
-	l.Enqueue(0, req(3))
+	l.EnqueueTo(nil, 0, r1) // assigned
+	l.EnqueueTo(nil, 0, req(2))
+	l.EnqueueTo(nil, 0, req(3))
 	// Worker preempts r1: r1 goes behind 2 and 3.
-	as := l.Preempted(100, 0, r1)
+	as := l.PreemptedTo(nil, 100, 0, r1)
 	if len(as) != 1 || as[0].Req.ID != 2 {
 		t.Fatalf("post-preemption dispatch = %v, want id 2", as)
 	}
-	as = l.Complete(0)
+	as = l.CompleteTo(nil, 0)
 	if as[0].Req.ID != 3 {
 		t.Fatalf("next = %v, want id 3", as)
 	}
-	as = l.Complete(0)
+	as = l.CompleteTo(nil, 0)
 	if as[0].Req.ID != 1 {
 		t.Fatalf("requeued preempted request not at tail: %v", as)
 	}
@@ -99,9 +99,9 @@ func TestLogicPreemptedRequeuesAtTail(t *testing.T) {
 
 func TestLogicPreferIdleWorker(t *testing.T) {
 	l := NewLogic(3, 2, LeastOutstanding)
-	a1 := l.Enqueue(0, req(1))
-	a2 := l.Enqueue(0, req(2))
-	a3 := l.Enqueue(0, req(3))
+	a1 := l.EnqueueTo(nil, 0, req(1))
+	a2 := l.EnqueueTo(nil, 0, req(2))
+	a3 := l.EnqueueTo(nil, 0, req(3))
 	// Three requests must land on three distinct workers before any worker
 	// gets a second one.
 	seen := map[int]bool{a1[0].Worker: true, a2[0].Worker: true, a3[0].Worker: true}
@@ -114,7 +114,7 @@ func TestLogicRoundRobinFairness(t *testing.T) {
 	l := NewLogic(4, 8, RoundRobin)
 	counts := make([]int, 4)
 	for i := uint64(0); i < 16; i++ {
-		as := l.Enqueue(0, req(i))
+		as := l.EnqueueTo(nil, 0, req(i))
 		counts[as[0].Worker]++
 	}
 	for w, c := range counts {
@@ -129,7 +129,7 @@ func TestLogicInformedSelection(t *testing.T) {
 	l.ReportLoadAt(0, 0, 50_000)
 	l.ReportLoadAt(0, 1, 1_000)
 	l.ReportLoadAt(0, 2, 90_000)
-	as := l.Enqueue(0, req(1))
+	as := l.EnqueueTo(nil, 0, req(1))
 	if as[0].Worker != 1 {
 		t.Fatalf("informed policy picked worker %d, want 1 (least loaded)", as[0].Worker)
 	}
@@ -138,8 +138,8 @@ func TestLogicInformedSelection(t *testing.T) {
 func TestLogicInformedFallsBackToOutstanding(t *testing.T) {
 	l := NewLogic(2, 4, InformedLeastLoaded)
 	// No load reports: behaves like least-outstanding.
-	a1 := l.Enqueue(0, req(1))
-	a2 := l.Enqueue(0, req(2))
+	a1 := l.EnqueueTo(nil, 0, req(1))
+	a2 := l.EnqueueTo(nil, 0, req(2))
 	if a1[0].Worker == a2[0].Worker {
 		t.Fatal("informed fallback did not spread load")
 	}
@@ -152,7 +152,7 @@ func TestLogicCreditUnderflowPanics(t *testing.T) {
 			t.Fatal("Complete without outstanding did not panic")
 		}
 	}()
-	l.Complete(0)
+	l.CompleteTo(nil, 0)
 }
 
 func TestLogicConstructorValidation(t *testing.T) {
@@ -212,7 +212,7 @@ func TestQuickLogicInvariants(t *testing.T) {
 		for s := 0; s < int(steps%500); s++ {
 			switch rng.IntN(3) {
 			case 0: // new request
-				if !apply(l.Enqueue(0, req(nextID))) {
+				if !apply(l.EnqueueTo(nil, 0, req(nextID))) {
 					return false
 				}
 				nextID++
@@ -227,7 +227,7 @@ func TestQuickLogicInvariants(t *testing.T) {
 					break
 				}
 				finished++
-				if !apply(l.Complete(w)) {
+				if !apply(l.CompleteTo(nil, w)) {
 					return false
 				}
 			case 2: // preemption on a random busy worker
@@ -241,7 +241,7 @@ func TestQuickLogicInvariants(t *testing.T) {
 					delete(inFlight[w], id)
 					break
 				}
-				if !apply(l.Preempted(0, w, victim)) {
+				if !apply(l.PreemptedTo(nil, 0, w, victim)) {
 					return false
 				}
 			}
@@ -285,19 +285,19 @@ func TestAffinityPrefersLastWorker(t *testing.T) {
 	l.EnableAffinity()
 	for trial := 0; trial < 20; trial++ {
 		r := req(uint64(trial + 1))
-		as := l.Enqueue(0, r)
+		as := l.EnqueueTo(nil, 0, r)
 		w := as[0].Worker
 		// The core model stamps LastWorker when execution starts.
 		r.LastWorker = w
 		r.Preemptions = 1
 		// Preempt r: its worker frees, the other two are also free —
 		// affinity must send it straight back to w.
-		as = l.Preempted(0, w, r)
+		as = l.PreemptedTo(nil, 0, w, r)
 		if len(as) != 1 || as[0].Req != r || as[0].Worker != w {
 			t.Fatalf("trial %d: affinity resume = %v, want worker %d", trial, as, w)
 		}
 		// Clean up for the next trial.
-		l.Complete(as[0].Worker)
+		l.CompleteTo(nil, as[0].Worker)
 	}
 }
 
@@ -305,22 +305,22 @@ func TestAffinityFallsBackWhenLastWorkerBusy(t *testing.T) {
 	l := NewLogic(2, 1, LeastOutstanding)
 	l.EnableAffinity()
 	r := req(1)
-	as := l.Enqueue(0, r) // -> worker A
+	as := l.EnqueueTo(nil, 0, r) // -> worker A
 	aw := as[0].Worker
 	r.LastWorker = aw
 	r.Preemptions = 1
-	l.Enqueue(0, req(2)) // worker B busy
-	l.Enqueue(0, req(3)) // queued behind full credits
+	l.EnqueueTo(nil, 0, req(2)) // worker B busy
+	l.EnqueueTo(nil, 0, req(3)) // queued behind full credits
 	// Preempt r from worker A: the queue head is request 3 (FIFO), which
 	// is fresh, so it takes worker A; r waits at the tail.
-	as = l.Preempted(0, aw, r)
+	as = l.PreemptedTo(nil, 0, aw, r)
 	if len(as) != 1 || as[0].Req.ID != 3 {
 		t.Fatalf("dispatch = %v, want fresh request 3", as)
 	}
 	// The other worker (not r's last) completes: r must still dispatch
 	// there — affinity is a preference, not a constraint.
 	other := 1 - aw
-	as = l.Complete(other)
+	as = l.CompleteTo(nil, other)
 	if len(as) != 1 || as[0].Req != r || as[0].Worker != other {
 		t.Fatalf("fallback dispatch = %v, want r on worker %d", as, other)
 	}
@@ -330,8 +330,8 @@ func TestAffinityIgnoresFreshRequests(t *testing.T) {
 	l := NewLogic(2, 2, LeastOutstanding)
 	l.EnableAffinity()
 	// Fresh requests must spread normally (no affinity distortion).
-	a1 := l.Enqueue(0, req(1))
-	a2 := l.Enqueue(0, req(2))
+	a1 := l.EnqueueTo(nil, 0, req(1))
+	a2 := l.EnqueueTo(nil, 0, req(2))
 	if a1[0].Worker == a2[0].Worker {
 		t.Fatal("fresh requests not spread across workers")
 	}

@@ -601,6 +601,8 @@ func (s *Offload) armTimeout(a Assignment) {
 }
 
 // flightTimeout is a dispatch timer's expiry.
+//
+//mindgap:noalloc
 func flightTimeout(recv, obj any, _ uint64) {
 	recv.(*Offload).queueMgr.Submit(qcNotif, obj.(*flight).expiry)
 }
@@ -610,6 +612,8 @@ func flightTimeout(recv, obj any, _ uint64) {
 // frame, or its notification path is broken. The original may be merely
 // slow and still mutating its request, so the fresh attempt is a clone with
 // the full service time and the original arrival (latency spans attempts).
+//
+//mindgap:noalloc
 func (s *Offload) expired(as []Assignment, now sim.Time, ev qEvent) []Assignment {
 	v, slot := s.rec.Expired(ev.id, ev.req, ev.worker)
 	if v == Stale {
@@ -651,7 +655,6 @@ func (w *offWorker) pop() (req *task.Request, rtc, ok bool) {
 //mindgap:noalloc
 func (w *offWorker) stashed() int64 {
 	var load int64
-	//lint:allow hotalloc non-escaping iterator closure: the compiler stack-allocates it, which the escape budget verifies
 	w.vf.Each(func(f nicmodel.Frame) {
 		req, _ := frameReq(f)
 		load += int64(req.Remaining)

@@ -34,24 +34,24 @@ func classful(workers, k, classes int, policy Policy, classOf func(*task.Request
 func TestPriorityLogicStrictOrder(t *testing.T) {
 	l := classful(1, 1, 2, LeastOutstanding, classBySvc)
 	long := task.New(1, 0, 100*time.Microsecond)
-	as := l.Enqueue(0, long) // assigned immediately
+	as := l.EnqueueTo(nil, 0, long) // assigned immediately
 	if len(as) != 1 {
 		t.Fatalf("assignments = %v", as)
 	}
 	// Queue a low-priority and then a high-priority request.
 	lp := task.New(2, 0, 50*time.Microsecond)
 	hp := task.New(3, 0, time.Microsecond)
-	l.Enqueue(0, lp)
-	l.Enqueue(0, hp)
+	l.EnqueueTo(nil, 0, lp)
+	l.EnqueueTo(nil, 0, hp)
 	if l.classes[0].Len() != 1 || l.classes[1].Len() != 1 {
 		t.Fatalf("class queues: %d/%d", l.classes[0].Len(), l.classes[1].Len())
 	}
 	// The high-priority request must dispatch first despite arriving last.
-	as = l.Complete(0)
+	as = l.CompleteTo(nil, 0)
 	if len(as) != 1 || as[0].Req.ID != 3 {
 		t.Fatalf("dispatched %v, want high-priority id 3", as)
 	}
-	as = l.Complete(0)
+	as = l.CompleteTo(nil, 0)
 	if len(as) != 1 || as[0].Req.ID != 2 {
 		t.Fatalf("dispatched %v, want id 2", as)
 	}
@@ -60,14 +60,14 @@ func TestPriorityLogicStrictOrder(t *testing.T) {
 func TestPriorityLogicPreemptedKeepsClass(t *testing.T) {
 	l := classful(1, 1, 2, LeastOutstanding, classBySvc)
 	long := task.New(1, 0, 100*time.Microsecond)
-	l.Enqueue(0, long)
-	l.Enqueue(0, task.New(2, 0, 30*time.Microsecond)) // low prio queued
+	l.EnqueueTo(nil, 0, long)
+	l.EnqueueTo(nil, 0, task.New(2, 0, 30*time.Microsecond)) // low prio queued
 	// Preempting the long request requeues it in class 1 behind id 2.
-	as := l.Preempted(5, 0, long)
+	as := l.PreemptedTo(nil, 5, 0, long)
 	if len(as) != 1 || as[0].Req.ID != 2 {
 		t.Fatalf("dispatched %v, want id 2", as)
 	}
-	as = l.Complete(0)
+	as = l.CompleteTo(nil, 0)
 	if len(as) != 1 || as[0].Req.ID != 1 {
 		t.Fatalf("dispatched %v, want requeued id 1", as)
 	}
@@ -77,9 +77,9 @@ func TestPriorityLogicClampsClasses(t *testing.T) {
 	l := classful(1, 1, 2, LeastOutstanding, func(r *task.Request) int {
 		return int(r.ID) - 10 // produces negative and overflowing classes
 	})
-	l.Enqueue(0, task.New(1, 0, time.Microsecond))  // class -9 → 0
-	l.Enqueue(0, task.New(99, 0, time.Microsecond)) // class 89 → 1
-	if l.QueueLen() != 1 {                          // one assigned, one queued
+	l.EnqueueTo(nil, 0, task.New(1, 0, time.Microsecond))  // class -9 → 0
+	l.EnqueueTo(nil, 0, task.New(99, 0, time.Microsecond)) // class 89 → 1
+	if l.QueueLen() != 1 {                                 // one assigned, one queued
 		t.Fatalf("QueueLen = %d", l.QueueLen())
 	}
 }
@@ -95,7 +95,7 @@ func TestPriorityLogicValidation(t *testing.T) {
 
 func TestPriorityLogicNilClassOfDefaults(t *testing.T) {
 	l := classful(2, 1, 3, LeastOutstanding, nil)
-	as := l.Enqueue(0, task.New(1, 0, time.Microsecond))
+	as := l.EnqueueTo(nil, 0, task.New(1, 0, time.Microsecond))
 	if len(as) != 1 {
 		t.Fatalf("assignments = %v", as)
 	}
@@ -135,7 +135,7 @@ func TestQuickPriorityLogicConservation(t *testing.T) {
 		for s := 0; s < int(steps%400); s++ {
 			switch rng.IntN(3) {
 			case 0:
-				if !apply(l.Enqueue(0, task.New(nextID, 0, time.Microsecond))) {
+				if !apply(l.EnqueueTo(nil, 0, task.New(nextID, 0, time.Microsecond))) {
 					return false
 				}
 				nextID++
@@ -150,7 +150,7 @@ func TestQuickPriorityLogicConservation(t *testing.T) {
 					break
 				}
 				finished++
-				if !apply(l.Complete(w)) {
+				if !apply(l.CompleteTo(nil, w)) {
 					return false
 				}
 			case 2:
@@ -164,7 +164,7 @@ func TestQuickPriorityLogicConservation(t *testing.T) {
 					delete(inFlight[w], id)
 					break
 				}
-				if !apply(l.Preempted(0, w, victim)) {
+				if !apply(l.PreemptedTo(nil, 0, w, victim)) {
 					return false
 				}
 			}
@@ -315,17 +315,17 @@ func TestQuickOneClassMatchesPlainLogic(t *testing.T) {
 				case 0:
 					r := task.New(nextID, now, time.Microsecond)
 					nextID++
-					if !same(plain.Enqueue(now, r), one.Enqueue(now, r)) {
+					if !same(plain.EnqueueTo(nil, now, r), one.EnqueueTo(nil, now, r)) {
 						return false
 					}
 				case 1:
-					if take(w) != nil && !same(plain.Complete(w), one.Complete(w)) {
+					if take(w) != nil && !same(plain.CompleteTo(nil, w), one.CompleteTo(nil, w)) {
 						return false
 					}
 				case 2:
 					if r := take(w); r != nil {
 						r.Preemptions++
-						if !same(plain.Preempted(now, w, r), one.Preempted(now, w, r)) {
+						if !same(plain.PreemptedTo(nil, now, w, r), one.PreemptedTo(nil, now, w, r)) {
 							return false
 						}
 					}

@@ -7,12 +7,12 @@ const (
 	// Stale: not from the believed-live attempt; its credit was already
 	// reclaimed. Ignore the input.
 	Stale Verdict = iota
-	// Accept: FINISH → Logic.Complete, PREEMPTED → Logic.Preempted, a
+	// Accept: FINISH → Logic.CompleteTo, PREEMPTED → Logic.PreemptedTo, a
 	// response → the client.
 	Accept
-	// Retry: Logic.Complete, then Logic.Enqueue a fresh attempt at the tail.
+	// Retry: Logic.CompleteTo, then Logic.EnqueueTo a fresh attempt at the tail.
 	Retry
-	// Abandon: Logic.Complete, and the caller counts one drop.
+	// Abandon: Logic.CompleteTo, and the caller counts one drop.
 	Abandon
 	// Duplicate: the client was answered already, or the request abandoned.
 	Duplicate
@@ -105,6 +105,8 @@ func (r *Recovery[K, T]) Expired(k K, t T, worker int) (Verdict, int) {
 
 // judge answers Stale unless (t, worker) is k's believed-live attempt; then
 // it answers v and retires the record or queues the request again.
+//
+//mindgap:noalloc
 func (r *Recovery[K, T]) judge(k K, t T, worker int, v Verdict, retire bool) (Verdict, int) {
 	a, ok := r.recs[k]
 	if !ok || worker < 0 || int(a.worker) != worker || a.token != t {

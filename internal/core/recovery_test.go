@@ -244,14 +244,14 @@ func TestRecoveryPreemptedOvertakesExpiry(t *testing.T) {
 	rec := NewRecovery[uint64, *task.Request](1, true)
 	tok := req(1)
 
-	as := lgc.Enqueue(0, tok)
+	as := lgc.EnqueueTo(nil, 0, tok)
 	rec.Dispatched(1, tok, as[0].Worker)
 	// The slice ends, the dispatch timer fires: PREEMPTED, then the expiry,
 	// are now both queued for the dispatcher.
 	if v, _ := rec.Preempted(1, tok, 0); v != Accept {
 		t.Fatalf("PREEMPTED: %d", v)
 	}
-	as = lgc.Preempted(0, 0, tok)
+	as = lgc.PreemptedTo(nil, 0, 0, tok)
 	if len(as) != 1 || as[0].Worker != 0 {
 		t.Fatalf("re-dispatch = %+v", as)
 	}
@@ -263,7 +263,7 @@ func TestRecoveryPreemptedOvertakesExpiry(t *testing.T) {
 	// The premature retry is still a correct one: credit reclaimed, a fresh
 	// attempt queued, and the attempt it superseded can no longer be acked.
 	fresh := req(1)
-	as = lgc.EnqueueTo(lgc.Complete(0), 0, fresh)
+	as = lgc.EnqueueTo(lgc.CompleteTo(nil, 0), 0, fresh)
 	if len(as) != 1 || lgc.Outstanding(0) != 1 {
 		t.Fatalf("after the retry: assignments %+v, outstanding %d", as, lgc.Outstanding(0))
 	}

@@ -239,7 +239,6 @@ func (w *Worker) Backlog() int64 {
 	if w.ring != nil {
 		return load + w.ring.Backlog()
 	}
-	//lint:allow hotalloc non-escaping iterator closure: the compiler stack-allocates it, which the escape budget verifies
 	w.inbox.Do(func(r *task.Request) { load += int64(r.Remaining) })
 	return load
 }

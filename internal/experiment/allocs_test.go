@@ -3,19 +3,22 @@ package experiment
 import "testing"
 
 // TestSteadyStateAllocsPerRequest holds every registered system's healthy
-// point, and the lossy-fabric point with its per-dispatch timeout machinery
-// (pooled flight records, embedded timers), to the pooled hot path's
-// promise: once warm, serving a request allocates (almost) nothing. Each
-// point runs at two lengths; the run is
-// deterministic, so the longer one repeats the shorter and then serves
-// extra requests, and the difference in heap allocations is what those
-// requests cost. hotalloc cannot see append growth, which is how a worker
-// inbox consumed with s = s[1:] once allocated a fresh backing array per
-// request inside functions annotated //mindgap:noalloc.
+// point, the lossy-fabric point with its per-dispatch timeout machinery
+// (pooled flight records, embedded timers), and the NIC-crash point whose
+// measured stretch spans the 10–14 ms degraded window (hash-steered frames,
+// degraded drops), to the pooled hot path's promise: once warm, serving a
+// request allocates (almost) nothing. Each point runs at two lengths; the
+// run is deterministic, so the longer one repeats the shorter and then
+// serves extra requests, and the difference in heap allocations is what
+// those requests cost. The escape gate cannot see append growth or an
+// unannotated callee: a worker inbox consumed with s = s[1:] once allocated
+// a fresh backing array per request inside //mindgap:noalloc functions.
 func TestSteadyStateAllocsPerRequest(t *testing.T) {
 	const short, long = 2000, 8000
-	lossy := presetCase(t, "figure-faults-lossyfabric", 1, 300_000)
-	for _, c := range append(systemCases(t), lossy) {
+	cases := append(systemCases(t),
+		presetCase(t, "figure-faults-lossyfabric", 1, 300_000),
+		presetCase(t, "figure-faults-niccrash", 1, 300_000))
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			allocs := func(measure int) float64 {
 				cfg, err := PointConfigFor(c.spec, Quality{Warmup: 500, Measure: measure, Seed: 7})

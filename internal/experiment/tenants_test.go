@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/scenarios"
 )
@@ -74,5 +76,45 @@ func TestMultiTenantValidation(t *testing.T) {
 	}
 	if rows := Rows(res); len(rows) != 0 {
 		t.Fatalf("a series without tenants produced %d tenant-mix rows", len(rows))
+	}
+}
+
+// TestMultiTenantUnderFaults runs the X9 mix under each checked-in fault
+// block. Each tenant numbers its requests from its own ClientID<<32, so
+// the fault layer's per-ID recovery records never collide across tenants:
+// every tenant completes work in both rows, and the rows are identical at
+// -j1 and -j4.
+func TestMultiTenantUnderFaults(t *testing.T) {
+	for _, id := range []string{"figure-faults-lossyfabric", "figure-faults-niccrash"} {
+		t.Run(id, func(t *testing.T) {
+			p := scenarios.MustLoad("table-tenants")
+			p.Series[0].Seed = 7
+			p.Series[0].Faults = scenarios.MustLoad(id).SpecFor(1).Faults
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			rows := func(par int) [][]TenantResult {
+				res, err := Run(context.Background(), &runner.Runner{Parallelism: par}, p,
+					Quality{Warmup: 1000, Measure: 8000, Seed: 7}, TenantMix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Rows(res)
+			}
+			j1 := rows(1)
+			if len(j1) != 2 {
+				t.Fatalf("rows = %d, want a fifo and a priority profile", len(j1))
+			}
+			for _, row := range j1 {
+				for _, r := range row {
+					if r.Completed == 0 {
+						t.Errorf("%s: tenant %q completed nothing", r.Sched, r.Tenant.Name)
+					}
+				}
+			}
+			if j4 := rows(4); !reflect.DeepEqual(j1, j4) {
+				t.Errorf("-j1 rows %+v differ from -j4 rows %+v", j1, j4)
+			}
+		})
 	}
 }

@@ -1,15 +1,13 @@
-// Package escapes implements the mindgap-lint escape-budget gate.
+// Package escapes implements the mindgap-lint escape gate, the one static
+// allocation check.
 //
-// The hotalloc analyzer proves the absence of *syntactic* allocation
-// (closures, boxing, fmt) in //mindgap:noalloc functions, but the
-// compiler's escape analysis is the ground truth for what actually
-// reaches the heap. This gate runs `go build -gcflags=-m`, attributes
-// every "escapes to heap" / "moved to heap" diagnostic to the annotated
-// function enclosing it, and compares the per-function counts against a
-// checked-in budget file (ESCAPES.json at the module root). Any
-// annotated function that gains a heap escape relative to its budget
-// fails the build, so a regression in the zero-alloc hot path is caught
-// at lint time rather than by a benchmark's allocs/op drifting later.
+// The compiler's escape analysis is the ground truth for what reaches the
+// heap. This gate runs `go build -gcflags=-m`, attributes every "escapes to
+// heap" / "moved to heap" diagnostic to the //mindgap:noalloc function
+// enclosing it, and fails on any annotated function with a nonzero count.
+// A function that must allocate (a free-list miss, a clone) stays
+// unannotated; slice growth and unannotated callees are left to the
+// runtime allocs tests.
 //
 // Two classes of diagnostics inside annotated functions are exempt:
 //
@@ -26,8 +24,7 @@
 //     callee is still compiled standalone and reports the same escape
 //     at its own line, so annotated callees lose no coverage from this
 //     exemption; only attribution across the inlining boundary is
-//     suppressed. (Syntactic allocation at a call site — fmt, closures
-//     — is hotalloc's job and is caught before this gate runs.)
+//     suppressed.
 package escapes
 
 import (
@@ -44,20 +41,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"mindgap/internal/lint/hotalloc"
 )
 
-// BudgetFile is the name of the checked-in budget, relative to the
-// module root.
-const BudgetFile = "ESCAPES.json"
-
-// Budget maps a fully qualified function key — e.g.
-// "mindgap/internal/sim.(*Engine).AtE" — to its allowed number of heap
-// escapes. The checked-in budget is all zeros; the file exists so that
-// a future, deliberate exception is an explicit reviewed diff rather
-// than a silent drift.
-type Budget map[string]int
+// Directive marks a function as part of the zero-allocation hot path.
+const Directive = "//mindgap:noalloc"
 
 // fn is one annotated function found in the source tree.
 type fn struct {
@@ -69,8 +56,8 @@ type fn struct {
 
 type lineRange struct{ start, end int }
 
-// ModuleDir resolves the root directory of the main module.
-func ModuleDir() (string, error) {
+// moduleRoot resolves the root directory of the main module.
+func moduleRoot() (string, error) {
 	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
 	if err != nil {
 		return "", fmt.Errorf("escapes: resolving module root: %w", err)
@@ -104,7 +91,7 @@ func listPackages(moduleDir string) (dirs map[string][]string, pkgPaths map[stri
 }
 
 // funcKey renders a FuncDecl as "(*Recv).Name", "Recv.Name" or "Name".
-// Type parameters are dropped: the budget is per generic origin, with
+// Type parameters are dropped: a generic function is one entry, with
 // shape-instantiation diagnostics deduplicated by source position.
 func funcKey(d *ast.FuncDecl) string {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
@@ -152,47 +139,54 @@ func annotated(moduleDir string) ([]fn, error) {
 			if err != nil {
 				return nil, err
 			}
-			rel = filepath.ToSlash(rel)
-			for _, decl := range f.Decls {
-				d, ok := decl.(*ast.FuncDecl)
-				if !ok || d.Body == nil || !hasDirective(d) {
-					continue
-				}
-				e := fn{
-					key:   pkgPaths[dir] + "." + funcKey(d),
-					file:  rel,
-					start: fset.Position(d.Body.Pos()).Line,
-					end:   fset.Position(d.Body.End()).Line,
-				}
-				ast.Inspect(d.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-						e.panics = append(e.panics, lineRange{
-							start: fset.Position(call.Pos()).Line,
-							end:   fset.Position(call.End()).Line,
-						})
-					}
-					return true
-				})
-				fns = append(fns, e)
-			}
+			fns = append(fns, fileFuncs(fset, f, pkgPaths[dir], filepath.ToSlash(rel))...)
 		}
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i].key < fns[j].key })
 	return fns, nil
 }
 
+// fileFuncs returns the annotated functions of one parsed file of package
+// pkgPath, found at rel under the module root.
+func fileFuncs(fset *token.FileSet, f *ast.File, pkgPath, rel string) []fn {
+	var fns []fn
+	for _, decl := range f.Decls {
+		d, ok := decl.(*ast.FuncDecl)
+		if !ok || d.Body == nil || !hasDirective(d) {
+			continue
+		}
+		e := fn{
+			key:   pkgPath + "." + funcKey(d),
+			file:  rel,
+			start: fset.Position(d.Body.Pos()).Line,
+			end:   fset.Position(d.Body.End()).Line,
+		}
+		ast.Inspect(d.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+				e.panics = append(e.panics, lineRange{
+					start: fset.Position(call.Pos()).Line,
+					end:   fset.Position(call.End()).Line,
+				})
+			}
+			return true
+		})
+		fns = append(fns, e)
+	}
+	return fns
+}
+
 // hasDirective reports whether the declaration's doc group contains the
-// //mindgap:noalloc directive (same recognition rule as hotalloc).
+// //mindgap:noalloc directive.
 func hasDirective(d *ast.FuncDecl) bool {
 	if d.Doc == nil {
 		return false
 	}
 	for _, c := range d.Doc.List {
-		if c.Text == hotalloc.Directive || strings.HasPrefix(c.Text, hotalloc.Directive+" ") {
+		if c.Text == Directive || strings.HasPrefix(c.Text, Directive+" ") {
 			return true
 		}
 	}
@@ -208,12 +202,14 @@ type pos struct {
 }
 
 // Collect runs the compiler's escape analysis over the whole module and
-// returns the observed per-annotated-function escape counts. Every
-// annotated function appears in the result, so a function with zero
-// escapes is an explicit zero, and Check can detect budget entries for
-// functions that no longer exist.
-func Collect(moduleDir string) (Budget, error) {
-	fns, err := annotated(moduleDir)
+// returns the heap-escape count of every annotated function, keyed
+// "pkgpath.(*Recv).Name". A clean tree maps every key to zero.
+func Collect() (map[string]int, error) {
+	dir, err := moduleRoot()
+	if err != nil {
+		return nil, err
+	}
+	fns, err := annotated(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -222,24 +218,27 @@ func Collect(moduleDir string) (Budget, error) {
 	// which would silently under-count. The rebuild is the price of a
 	// trustworthy reading.
 	cmd := exec.Command("go", "build", "-a", "-gcflags=-m", "./...")
-	cmd.Dir = moduleDir
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	cmd.Stdout = os.Stdout
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("escapes: go build -gcflags=-m failed: %w\n%s", err, stderr.String())
 	}
+	return count(fns, stderr.String()), nil
+}
 
+// count attributes the heap escapes in a `-gcflags=-m` transcript to the
+// annotated functions enclosing them. An escaping position counts once:
+// every shape instantiation of a generic function repeats its escapes,
+// spelled differently ("k" in its own package, "core.k" in an importer).
+func count(fns []fn, diags string) map[string]int {
 	// First pass: positions that are inlined call sites. Escapes there
 	// belong to the (standalone-compiled) callee, not the caller.
 	inlined := map[pos]bool{}
-	type escape struct {
-		p   pos
-		msg string
-	}
-	var escs []escape
-	seen := map[string]bool{} // dedupe shape-instantiation repeats
-	for _, line := range strings.Split(stderr.String(), "\n") {
+	var escs []pos
+	seen := map[pos]bool{}
+	for _, line := range strings.Split(diags, "\n") {
 		m := diagLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -252,29 +251,29 @@ func Collect(moduleDir string) (Budget, error) {
 		case strings.HasPrefix(msg, "inlining call to "):
 			inlined[p] = true
 		case strings.HasSuffix(msg, "escapes to heap") || strings.HasPrefix(msg, "moved to heap"):
-			if !seen[line] {
-				seen[line] = true
-				escs = append(escs, escape{p: p, msg: msg})
+			if !seen[p] {
+				seen[p] = true
+				escs = append(escs, p)
 			}
 		}
 	}
 
-	counts := Budget{}
+	counts := map[string]int{}
 	for _, f := range fns {
 		counts[f.key] = 0
 	}
-	for _, e := range escs {
-		if inlined[e.p] {
+	for _, p := range escs {
+		if inlined[p] {
 			continue
 		}
 		for i := range fns {
 			f := &fns[i]
-			if f.file != e.p.file || e.p.line < f.start || e.p.line > f.end {
+			if f.file != p.file || p.line < f.start || p.line > f.end {
 				continue
 			}
 			exempt := false
 			for _, pr := range f.panics {
-				if e.p.line >= pr.start && e.p.line <= pr.end {
+				if p.line >= pr.start && p.line <= pr.end {
 					exempt = true
 					break
 				}
@@ -285,52 +284,5 @@ func Collect(moduleDir string) (Budget, error) {
 			break
 		}
 	}
-	return counts, nil
-}
-
-// Load reads the budget file under moduleDir.
-func Load(moduleDir string) (Budget, error) {
-	data, err := os.ReadFile(filepath.Join(moduleDir, BudgetFile))
-	if err != nil {
-		return nil, err
-	}
-	var b Budget
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("escapes: parsing %s: %w", BudgetFile, err)
-	}
-	return b, nil
-}
-
-// Save writes the budget file with sorted keys.
-func Save(moduleDir string, b Budget) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(moduleDir, BudgetFile), append(data, '\n'), 0o644)
-}
-
-// Check compares observed counts against the budget and returns one
-// human-readable violation per mismatch, sorted. An empty slice means
-// the gate passes.
-func Check(observed, budget Budget) []string {
-	var out []string
-	for key, n := range observed {
-		want, ok := budget[key]
-		switch {
-		case !ok:
-			out = append(out, fmt.Sprintf("%s: annotated //mindgap:noalloc but missing from %s (run mindgap-lint -escapes -write and review the diff)", key, BudgetFile))
-		case n > want:
-			out = append(out, fmt.Sprintf("%s: %d heap escape(s), budget allows %d — the zero-alloc hot path regressed", key, n, want))
-		case n < want:
-			out = append(out, fmt.Sprintf("%s: %d heap escape(s), budget allows %d — tighten the budget (run mindgap-lint -escapes -write)", key, n, want))
-		}
-	}
-	for key := range budget {
-		if _, ok := observed[key]; !ok {
-			out = append(out, fmt.Sprintf("%s: budgeted in %s but no //mindgap:noalloc function with this name exists (stale entry?)", key, BudgetFile))
-		}
-	}
-	sort.Strings(out)
-	return out
+	return counts
 }

@@ -4,13 +4,13 @@
 // family (simclock, maporder, floateq, lockedsend) guards the
 // evaluation methodology: simulation output must be a deterministic
 // function of (config, seed), byte-identical at -j1 and -jN. The
-// hot-path family (poolsafe, hotalloc, timerstop) guards the
-// performance architecture introduced by the pooling/timing-wheel
-// rewrite: pooled requests must not be read after release, annotated
-// //mindgap:noalloc functions must not allocate, and armed timers must
-// not leak. See the individual analyzer packages for the rules, and
-// package allow for the //lint:allow <analyzer> <reason> suppression
-// mechanism.
+// hot-path family (poolsafe, timerstop) guards the pooled-request and
+// timing-wheel architecture: pooled requests must not be read after
+// release, and armed timers must not leak. That //mindgap:noalloc
+// functions do not allocate is the compiler's to prove, through the
+// escape gate in package escapes. See the individual analyzer packages
+// for the rules, and package allow for the //lint:allow <analyzer>
+// <reason> suppression mechanism.
 package lint
 
 import (
@@ -18,7 +18,6 @@ import (
 
 	"mindgap/internal/lint/allow"
 	"mindgap/internal/lint/floateq"
-	"mindgap/internal/lint/hotalloc"
 	"mindgap/internal/lint/lockedsend"
 	"mindgap/internal/lint/maporder"
 	"mindgap/internal/lint/poolsafe"
@@ -34,7 +33,6 @@ func Analyzers() []*analysis.Analyzer {
 		floateq.Analyzer,
 		lockedsend.Analyzer,
 		poolsafe.Analyzer,
-		hotalloc.Analyzer,
 		timerstop.Analyzer,
 		allow.Analyzer,
 	}

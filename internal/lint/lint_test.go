@@ -65,8 +65,6 @@ func moduleRoot(t *testing.T) string {
 // must update this table — the point is that every new exemption is an
 // explicit, reviewed diff, not a drive-by comment.
 var auditedSuppressions = map[string]int{
-	"internal/core/offload.go hotalloc":   1,
-	"internal/cores/host.go hotalloc":     1,
 	"internal/dist/dist.go floateq":       3,
 	"internal/faults/faults.go floateq":   3,
 	"internal/hypothesis/spec.go floateq": 3,

@@ -202,20 +202,20 @@ func (d *Dispatcher) handle(h *wire.Header, payload []byte, from *net.UDPAddr) {
 		if d.registered < d.cfg.Workers {
 			d.pending = append(d.pending, req)
 		} else {
-			as = d.lgc.Enqueue(req.Arrival, req)
+			as = d.lgc.EnqueueTo(as, req.Arrival, req)
 		}
 	case wire.MsgFinish:
 		if d.acked(d.rec.Finish(key, h.Flags, w)) != nil {
 			delete(d.clients, key)
 			d.completed.Add(1)
-			as = d.lgc.Complete(w)
+			as = d.lgc.CompleteTo(as, w)
 		}
 	case wire.MsgPreempted:
 		if fl := d.acked(d.rec.Preempted(key, h.Flags, w)); fl != nil {
 			fl.req.Remaining = time.Duration(h.RemainingNS)
 			fl.req.Preemptions++
 			d.preempted.Add(1)
-			as = d.lgc.Preempted(0, w, fl.req)
+			as = d.lgc.PreemptedTo(as, 0, w, fl.req)
 		}
 	}
 	d.mu.Unlock()

@@ -495,17 +495,13 @@ func (s Spec) checkFlow(b Builder) error {
 // so the fields that otherwise declare them must be unset; every tenant
 // needs a name, a rate and a workload that parses; classes are dense
 // ranks, and one above 0 needs a system whose central queue is
-// class-aware — elsewhere it would silently run as one FIFO. The fault
-// layer tracks dispatches by request ID, which tenant streams reuse.
+// class-aware — elsewhere it would silently run as one FIFO.
 func (s Spec) checkTenants(b Builder) error {
 	if len(s.Tenants) == 0 {
 		return nil
 	}
 	if s.Workload != "" || s.Load != nil || s.Flow != nil {
 		return fmt.Errorf("scenario: %s: tenants carry their own workloads and rates; drop workload, load and flow", s.System)
-	}
-	if s.Faults != nil {
-		return fmt.Errorf("scenario: %s: fault schedules track requests by id, which tenant streams do not keep unique", s.System)
 	}
 	for _, t := range s.Tenants {
 		if t.Name == "" || t.RPS <= 0 {

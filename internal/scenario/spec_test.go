@@ -256,10 +256,6 @@ func TestValidateTenants(t *testing.T) {
 		{"with workload", func(s *Spec) { s.Workload = "fixed:1µs" }, "drop workload"},
 		{"with load", func(s *Spec) { s.Load = &LoadSpec{RPS: 1000} }, "drop workload"},
 		{"with flow", func(s *Spec) { s.Flow = &FlowSpec{Flows: 8} }, "flow"},
-		{"with faults", func(s *Spec) {
-			s.Seed = 7
-			s.Faults = faultedSpec().Faults
-		}, "tenant streams"},
 		{"class on rss", func(s *Spec) { s.System, s.Knobs = "rss", &Knobs{Workers: 2} }, "no class-aware queue"},
 		{"class out of range", func(s *Spec) { s.Tenants[1].Class = 2 }, "outside"},
 		{"negative class", func(s *Spec) { s.Tenants[0].Class = -1 }, "outside"},

@@ -32,6 +32,8 @@ const MaxTime = Time(math.MaxInt64)
 
 // Add returns the instant d after t. Negative durations are allowed and move
 // the instant backwards.
+//
+//mindgap:noalloc
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
 // Sub returns the duration elapsed from u to t.
