@@ -6,8 +6,11 @@
 //	floateq     no ==/!= between floats in sim/stats code
 //	lockedsend  no blocking channel ops while a mutex is held
 //	poolsafe    no reads of recycled task.Request identity fields after release
-//	timerstop   every armed sim.Timer is fired or stopped
 //	lintallow   every //lint:allow suppression names an analyzer and a reason
+//
+// Leaked timers, credits and pooled records are not a static question
+// here: every simulated point audits its own conservation at halt
+// (probe.Conserve).
 //
 // Usage:
 //

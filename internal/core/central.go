@@ -27,7 +27,7 @@ type centralEvent struct {
 // the NIC↔host gap. It is Logic on one serial stage that round-robins
 // between new arrivals and worker notifications, joined to every worker by
 // a pair of fixed-latency links, and it installs itself as the host's
-// Finished and Preempted hooks.
+// Finished, Preempted and Account hooks.
 type Central struct {
 	eng   *sim.Engine
 	pr    *probe.Probe
@@ -61,6 +61,7 @@ func NewCentral(eng *sim.Engine, pr *probe.Probe, host *cores.Host, lgc *Logic, 
 	}
 	host.Finished = c.finished
 	host.Preempted = c.preempted
+	host.Account = func(l *probe.Ledger) { l.K, l.Outstanding = lgc.k, lgc.outstanding }
 	return c
 }
 

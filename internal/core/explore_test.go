@@ -238,10 +238,12 @@ func (w *world) deliver(f xframe) {
 		}
 	case xExpiry:
 		switch v, slot := w.rec.Expired(id, req, wk); v {
-		case Abandon:
+		case Abandon, Accept: // Accept: answered already, only the FINISH was lost
 			w.expired[id]++
 			w.timers[slot].armed = false
-			w.drops[id]++
+			if v == Abandon {
+				w.drops[id]++
+			}
 			w.done[id] = true
 			w.dispatch(w.lgc.CompleteTo(nil, wk))
 		case Retry:
@@ -610,9 +612,9 @@ func TestExploreCounterexampleDuplicateHeld(t *testing.T) {
 
 // TestExploreAnsweredThenAbandoned pins a double count the six invariants
 // do not cover: a request whose response got through but whose FINISH was
-// lost is abandoned at its last expiry, so it is counted completed and
-// dropped. Recovery knows (the record is marked responded); not counting
-// that drop moves the fault goldens, so it is ROADMAP item 2's to decide.
+// lost reaches its last expiry. Recovery knows it was answered, so that
+// expiry is accepted like the FINISH — its credit comes back and no drop is
+// counted — instead of abandoning a request already counted completed.
 func TestExploreAnsweredThenAbandoned(t *testing.T) {
 	w := newWorld(newScope(1, 1, 1, 0, 1, 0, 0))
 	for _, s := range []xstep{
@@ -625,8 +627,9 @@ func TestExploreAnsweredThenAbandoned(t *testing.T) {
 	} {
 		w.apply(s)
 	}
-	if w.resp[1] != 1 || w.drops[1] != 1 {
-		t.Fatalf("responses=%d drops=%d: the double count is gone — update ROADMAP item 2", w.resp[1], w.drops[1])
+	if w.resp[1] != 1 || w.drops[1] != 0 || !w.done[1] || w.lgc.Outstanding(0) != 0 {
+		t.Fatalf("responses=%d drops=%d done=%v outstanding=%d: want one response, no drop, the credit back",
+			w.resp[1], w.drops[1], w.done[1], w.lgc.Outstanding(0))
 	}
 }
 

@@ -42,15 +42,13 @@ type OffloadConfig struct {
 	// Policy == InformedLeastLoaded).
 	LoadFeedback bool
 	// DispatchBurst is the queue-manager core's DPDK-style burst size: how
-	// many events it drains from one input ring before polling the other.
-	// 1 (the default) alternates fairly; the paper's prototype processes
-	// rx_burst-sized batches, which delays credit handling under a flood
-	// of new arrivals (see the Figure 3 burst ablation). 0 means 1.
+	// many events it drains from one input ring before polling the other
+	// (0 or 1 alternates fairly; rx_burst-sized batches delay credit
+	// handling under a flood of arrivals, the Figure 3 burst ablation).
 	DispatchBurst int
-	// DDIOToL1 models §5.2: because the scheduler bounds outstanding
-	// requests per core, the NIC can place packets directly into each
-	// worker's L1 without polluting it, waiving the near-cache fetch
-	// penalty on pickup.
+	// DDIOToL1 models §5.2: with outstanding requests per core bounded, the
+	// NIC places packets straight into the worker's L1, waiving the
+	// near-cache fetch penalty on pickup.
 	DDIOToL1 bool
 	// PriorityClasses > 1 splits the central queue into strict priority
 	// classes (§2.2's co-located latency classes); ClassOf maps each
@@ -58,32 +56,21 @@ type OffloadConfig struct {
 	PriorityClasses int
 	ClassOf         func(*task.Request) int
 	// AdmissionLimit bounds the central queue: when it holds this many
-	// requests the NIC sheds new arrivals instead of queuing them (the
-	// §5.2 congestion-control co-design idea — the NIC knows the backlog
-	// the instant a request arrives and can push back before the request
-	// consumes host resources). Zero means unbounded.
+	// requests the NIC sheds new arrivals before they consume any host
+	// resource (§5.2's congestion-control co-design). Zero means unbounded.
 	AdmissionLimit int
-	// Metrics, when set, wires every component's probes into the registry:
-	// drop counts by cause read from the lifecycle probe ("sched/shed",
-	// "nic/vf_drops", "faults/timeout_drops", their total "offload/drops"),
-	// scheduler queue depth and decision counters ("sched"), per-worker
-	// utilization and preemptions ("worker<i>"), ARM stage occupancy
-	// ("arm-networker", "arm-queue", "arm-tx", "arm-rx"), NIC steering and
-	// per-function ring occupancy ("nic", "nicfn-*"), and fabric link
-	// latency histograms ("fabric/*").
+	// Metrics, when set, wires every component's probes into the registry,
+	// each under its component's name (registerTelemetry).
 	Metrics *telemetry.Registry
 	// Affinity makes the scheduler resume preempted requests on the worker
 	// that last ran them when possible (§3.1 cache affinity), avoiding the
 	// CtxMigratePenalty of pulling the context across cores.
 	Affinity bool
-	// FaultSpec, when set, injects the deterministic fault schedule into
-	// the assembled system (NIC ARM crash/slowdown windows, NIC↔host link
-	// loss/latency bursts, worker stalls) and enables the timeout/retry
-	// and hash-steering degradation machinery it configures. FaultSeed
-	// seeds the schedule's own random stream; each Offload instance
-	// compiles its own faults.Schedule so concurrent sweep points never
-	// share fault state. Nil leaves every hook nil — the healthy path is
-	// byte-identical to a build without the fault layer.
+	// FaultSpec, when set, injects the deterministic fault schedule (NIC
+	// crash/slowdown windows, NIC↔host loss/latency bursts, worker stalls)
+	// and the timeout/retry and degradation machinery it configures, seeded
+	// by FaultSeed; each Offload compiles its own schedule, so concurrent
+	// points share no fault state. Nil leaves the healthy path untouched.
 	FaultSpec *faults.Spec
 	FaultSeed uint64
 }
@@ -105,12 +92,10 @@ type qEvent struct {
 	kind   qEventKind
 	worker int
 	req    *task.Request
-	// id is req.ID snapshotted when the event was built, while the sender
-	// still owned a live request. Requests are pooled: by the time a FINISH
-	// crosses the NIC the response may have reached the client and recycled
-	// req into a different logical request, so Recovery is keyed by this
-	// snapshot, never by req.ID read at processing time. (req stays useful
-	// as the attempt token: pointer comparisons are stable across recycling.)
+	// id is req.ID snapshotted while the sender still owned a live request:
+	// by the time a FINISH crosses the NIC the response may have recycled
+	// req into another request, so Recovery is keyed by this snapshot. (req
+	// stays the attempt token: pointers are stable across recycling.)
 	id   uint64
 	load int64 // evLoad only: reported instantaneous load (ns)
 }
@@ -157,9 +142,8 @@ type Offload struct {
 	cfg  OffloadConfig
 	lgc  *Logic
 	done func(*task.Request)
-	// pr is the lifecycle probe: every instant of a request's life and
-	// every drop is reported through it, and the drop accessors and
-	// telemetry counters read its per-reason counts back.
+	// pr is the lifecycle probe; the drop accessors, telemetry counters and
+	// the audit's ledger read its counts back.
 	pr *probe.Probe
 
 	// flt is the compiled fault schedule (nil on the healthy path); rec the
@@ -265,7 +249,7 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		P: p, Workers: cfg.Workers, Pickup: p.PickupCost(cfg.DDIOToL1),
 		Slice: cfg.Slice, SelfArm: !cfg.DirectInterrupts,
 	}, pr, s.ingress, done)
-	s.Started, s.Finished, s.Preempted = s.started, s.finished, s.preempted
+	s.Started, s.Finished, s.Preempted, s.Account = s.started, s.finished, s.preempted, s.account
 	if cfg.LoadFeedback {
 		s.Completed = s.reportLoad
 	}
@@ -505,6 +489,16 @@ func (s *Offload) respond(req *task.Request) {
 	s.done(req)
 }
 
+// account is the host's Account hook: the credits, and under recovery what
+// Recovery believes; a response it refused as a duplicate answered no one.
+func (s *Offload) account(l *probe.Ledger) {
+	l.K, l.Outstanding, l.Retries = s.lgc.k, s.lgc.outstanding, s.retries
+	l.Responded -= s.dupResponses
+	if s.rec != nil {
+		l.Believed, l.Stubs = s.rec.census(len(s.workers))
+	}
+}
+
 // frameReq unwraps the request a worker-bound frame carries and whether it
 // was degraded-steered (no credit, no FINISH notification).
 //
@@ -607,11 +601,12 @@ func flightTimeout(recv, obj any, _ uint64) {
 	recv.(*Offload).queueMgr.Submit(qcNotif, obj.(*flight).expiry)
 }
 
-// expired applies Recovery's verdict on a dispatch-timeout expiry. Retry and
-// Abandon both reclaim the suspected-lost credit: the worker never got the
-// frame, or its notification path is broken. The original may be merely
-// slow and still mutating its request, so the fresh attempt is a clone with
-// the full service time and the original arrival (latency spans attempts).
+// expired applies Recovery's verdict on a dispatch-timeout expiry. Every
+// verdict but Stale reclaims the suspected-lost credit: the worker never got
+// the frame, or its notification path is broken. Abandon counts a drop;
+// Accept (the client was answered) does not. The original may be merely
+// slow and still mutating its request, so a retry is a clone with the full
+// service time and the original arrival (latency spans attempts).
 //
 //mindgap:noalloc
 func (s *Offload) expired(as []Assignment, now sim.Time, ev qEvent) []Assignment {
@@ -623,14 +618,16 @@ func (s *Offload) expired(as []Assignment, now sim.Time, ev qEvent) []Assignment
 	// Still armed only if a PREEMPTED was ahead of this expiry in the ring
 	// and it was then taken for the re-dispatch's own.
 	fl.timer.Stop()
+	as = s.lgc.CompleteTo(as, ev.worker)
 	if v == Abandon {
 		s.pr.Drop(now, ev.id, -1, trace.DropTimeout)
-		return s.lgc.CompleteTo(as, ev.worker)
+	}
+	if v != Retry {
+		return as
 	}
 	s.retries++
 	clone := task.New(ev.id, fl.orig.Arrival, fl.orig.Service)
 	clone.ClientID, clone.Key = fl.orig.ClientID, fl.orig.Key
-	as = s.lgc.CompleteTo(as, ev.worker)
 	s.pr.Enqueue(now, clone.ID)
 	return s.lgc.EnqueueTo(as, now, clone)
 }

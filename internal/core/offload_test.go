@@ -67,21 +67,6 @@ func TestOffloadSingleRequestPath(t *testing.T) {
 	}
 }
 
-func TestOffloadConservation(t *testing.T) {
-	// Every injected request completes exactly once, with no drops.
-	rec, sys, _ := runOffload(t, defaultCfg(4, 4, 10*time.Microsecond),
-		300_000, dist.Bimodal{P1: 0.995, D1: 5 * time.Microsecond, D2: 100 * time.Microsecond}, 5000)
-	if rec.Dropped() != 0 {
-		t.Fatalf("drops = %d", rec.Dropped())
-	}
-	if got := rec.Completed(); got != 5000 {
-		t.Fatalf("completed = %d", got)
-	}
-	if sys.Completions() < 5000 {
-		t.Fatalf("worker completions = %d", sys.Completions())
-	}
-}
-
 func TestOffloadPreemptionProtectsShortRequests(t *testing.T) {
 	// One 100µs request then a stream of 5µs requests on one worker. With
 	// a 10µs slice the short requests must not wait for the long one.

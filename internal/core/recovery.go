@@ -8,7 +8,8 @@ const (
 	// reclaimed. Ignore the input.
 	Stale Verdict = iota
 	// Accept: FINISH → Logic.CompleteTo, PREEMPTED → Logic.PreemptedTo, a
-	// response → the client.
+	// response → the client. The last expiry of a request the client has
+	// been answered is accepted like its FINISH: Logic.CompleteTo, no drop.
 	Accept
 	// Retry: Logic.CompleteTo, then Logic.EnqueueTo a fresh attempt at the tail.
 	Retry
@@ -114,6 +115,9 @@ func (r *Recovery[K, T]) judge(k K, t T, worker int, v Verdict, retire bool) (Ve
 	}
 	if v == Retry && int(a.ordinal) >= r.retries {
 		v, retire = Abandon, true
+		if a.responded {
+			v = Accept // only the FINISH was lost
+		}
 	}
 	a.worker = queued
 	if v == Retry {
@@ -131,6 +135,20 @@ func (r *Recovery[K, T]) judge(k K, t T, worker int, v Verdict, retire bool) (Ve
 		r.recs[k] = a
 	}
 	return v, int(a.slot)
+}
+
+// census counts the records believed live on each of workers, and the
+// closed stubs.
+func (r *Recovery[K, T]) census(workers int) (live []int, stubs uint64) {
+	live = make([]int, workers)
+	for _, a := range r.recs {
+		if a.worker >= 0 {
+			live[a.worker]++
+		} else if a.worker == closed {
+			stubs++
+		}
+	}
+	return live, stubs
 }
 
 // Responded judges a response about to reach k's client: Accept for the

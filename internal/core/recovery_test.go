@@ -195,6 +195,15 @@ func TestRecoveryDedupeLifetime(t *testing.T) {
 	if _, ord := r.Dispatched(2, 22, 0); ord != 0 || r.Responded(2) != Accept {
 		t.Fatal("a closed stub leaked into the next request under its key")
 	}
+	// Answered, the FINISH lost, the budget spent: the last expiry is the
+	// lost FINISH's stand-in, accepted, not an abandon of an answered request.
+	r.Dispatched(4, 40, 0)
+	r.Expired(4, 40, 0)
+	r.Dispatched(4, 41, 0)
+	r.Responded(4)
+	if v, _ := r.Expired(4, 41, 0); v != Accept || r.Responded(4) != Duplicate {
+		t.Fatalf("last expiry of an answered request: %d, want Accept and the stub kept", v)
+	}
 
 	bare := NewRecovery[int, int](0, false)
 	bare.Dispatched(1, 10, 0)

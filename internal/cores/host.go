@@ -70,6 +70,9 @@ type Host struct {
 	// Preempted runs when a slice expiry takes a request off its core and
 	// must call Release like Finished. Required when Slice > 0.
 	Preempted func(*Worker, *task.Request)
+	// Account, when set, adds what the model's scheduler holds to Ledger:
+	// its credits and loss-recovery records.
+	Account func(*probe.Ledger)
 }
 
 // Inbox stands a model's own queue in for a worker's FIFO: Offload's
@@ -386,6 +389,20 @@ func (h *Host) ArmWorkerTrackers(now sim.Time) {
 	for _, w := range h.Workers {
 		w.Exec.Track.Arm(now)
 	}
+}
+
+// Ledger is the host's account for the conservation audit: the probe's
+// counts, the model's Account, and a bound on the events the system holds
+// besides one per open request — per core a posted slice interrupt or a
+// pickup, per credit a notification and a dispatch timer, plus the
+// scheduler's stages and ticks.
+func (h *Host) Ledger() probe.Ledger {
+	l := h.pr.Ledger()
+	if h.Account != nil {
+		h.Account(&l)
+	}
+	l.Events += 4*len(h.Workers)*max(l.K, 1) + 8
+	return l
 }
 
 // total sums one per-core counter across the workers.

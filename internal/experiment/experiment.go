@@ -6,10 +6,12 @@
 package experiment
 
 import (
+	"fmt"
 	"time"
 
 	"mindgap/internal/dist"
 	"mindgap/internal/loadgen"
+	"mindgap/internal/probe"
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/internal/sim"
@@ -87,9 +89,11 @@ func RunPoint(cfg PointConfig) Result {
 // drive is the one open-loop drive loop behind every measured point:
 // build the system, start the generator (one per tenant), discard Warmup
 // completions, record Measure more, stop — or let the watchdog truncate a
-// saturated run. observe, when set, sees every measured completion before
-// its request is recycled (row kinds that keep their own histogram); the
-// finished system is returned for row kinds that read its counters.
+// saturated run — and audit the halted run (probe.Conserve), panicking
+// with the broken equation. observe, when set, sees every measured
+// completion before its request is recycled (row kinds that keep their own
+// histogram); the finished system is returned for row kinds that read its
+// counters.
 func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)) (Result, System) {
 	if cfg.Warmup < 0 || cfg.Measure <= 0 {
 		panic("experiment: need a positive measurement count")
@@ -143,11 +147,16 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 		sys.ArmWorkerTrackers(0)
 	}
 
+	// gens are the arrival counters the audit sums at halt.
+	var gens []*loadgen.Counters
+	var fgen *loadgen.FlowGenerator
+	var flows *task.FlowPool
 	if fl := cfg.Flow; fl != nil {
 		// Flow records are pooled like requests; records are released by
 		// whichever side (generator or system) drops a flow's last
 		// reference.
-		fgen := loadgen.NewFlow(eng, loadgen.FlowConfig{
+		flows = &task.FlowPool{}
+		fgen = loadgen.NewFlow(eng, loadgen.FlowConfig{
 			RPS:              cfg.OfferedRPS,
 			Service:          cfg.Service,
 			Flows:            fl.Flows,
@@ -158,9 +167,10 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 			ElephantTrain:    fl.ElephantTrain,
 			Seed:             cfg.Seed,
 			Pool:             pool,
-			FlowPool:         &task.FlowPool{},
+			FlowPool:         flows,
 		}, sys.Inject)
 		fgen.Start()
+		gens = append(gens, &fgen.Counters)
 	} else {
 		// One stream per tenant, each stamping its requests with the
 		// tenant's index and seeded apart from its siblings; a point
@@ -170,14 +180,16 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 			streams = []Tenant{{RPS: cfg.OfferedRPS, Service: cfg.Service}}
 		}
 		for i, t := range streams {
-			loadgen.New(eng, loadgen.Config{
+			g := loadgen.New(eng, loadgen.Config{
 				RPS:      t.RPS,
 				Service:  t.Service,
 				Keys:     cfg.Keys,
 				Seed:     cfg.Seed + 7919*uint64(i),
 				ClientID: uint32(i),
 				Pool:     pool,
-			}, sys.Inject).Start()
+			}, sys.Inject)
+			g.Start()
+			gens = append(gens, &g.Counters)
 		}
 	}
 
@@ -190,6 +202,19 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 	}
 	eng.AtE(sim.Time(maxT), truncate, &truncated, stop, 0)
 	eng.Run()
+
+	// Every point audits its own conservation at halt.
+	halt := probe.Halt{Streams: len(gens), Done: uint64(completions), Pending: eng.Pending(),
+		Pool: pool.Live(), FlowPool: -1}
+	for _, g := range gens {
+		halt.Generated += g.Arrivals()
+	}
+	if fgen != nil {
+		halt.FlowPool, halt.Population = flows.Live(), fgen.Population()
+	}
+	if err := probe.Conserve(sys.Ledger(), halt); err != nil {
+		panic(fmt.Sprintf("experiment: %s at %.0f rps: %v", sys.Name(), cfg.OfferedRPS, err))
+	}
 
 	now := eng.Now()
 	achieved := rec.Throughput(now)

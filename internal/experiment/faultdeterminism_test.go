@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
+	"mindgap/internal/faults"
 	"mindgap/scenarios"
 )
 
@@ -67,6 +69,29 @@ func TestFaultTimelineDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("FaultTimeline(%s) not deterministic:\n%+v\nvs\n%+v", name, a, b)
 		}
+	}
+}
+
+// TestAbandonsConserve runs the lossy-fabric point under a steady 1 % frame
+// loss with no retry budget, so every lost dispatch or notification ends at
+// its first expiry: Offload's Abandon path, which no checked-in preset
+// reaches, and the expiry of an answered request whose FINISH was lost (~30
+// of each). drive's halt audit holds both to their credits (each returns
+// one) and to the lifecycle (a drop per abandoned request, none for an
+// answered one: counting those too drives open below zero).
+func TestAbandonsConserve(t *testing.T) {
+	sp := scenarios.MustLoad("figure-faults-lossyfabric").SpecFor(1)
+	f := *sp.Faults
+	f.Retries, f.LossRate, f.LossBursts = 0, 0.01, nil
+	f.LinkLoss = []faults.Window{{End: faults.Duration(time.Second)}}
+	sp.Faults = &f
+	cfg, err := PointConfigFor(sp, faultQuality)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.OfferedRPS = 300_000
+	if r := RunPoint(cfg); r.Dropped == 0 {
+		t.Fatalf("nothing abandoned (%+v): the point no longer reaches Offload's Abandon path", r.Point)
 	}
 }
 

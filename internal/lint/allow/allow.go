@@ -34,7 +34,6 @@ var Known = map[string]bool{
 	"floateq":    true,
 	"lockedsend": true,
 	"poolsafe":   true,
-	"timerstop":  true,
 }
 
 // Directive is one parsed //lint:allow comment.

@@ -4,13 +4,14 @@
 // family (simclock, maporder, floateq, lockedsend) guards the
 // evaluation methodology: simulation output must be a deterministic
 // function of (config, seed), byte-identical at -j1 and -jN. The
-// hot-path family (poolsafe, timerstop) guards the pooled-request and
-// timing-wheel architecture: pooled requests must not be read after
-// release, and armed timers must not leak. That //mindgap:noalloc
+// hot-path analyzer (poolsafe) guards the pooled-request architecture:
+// pooled requests must not be read after release. That //mindgap:noalloc
 // functions do not allocate is the compiler's to prove, through the
-// escape gate in package escapes. See the individual analyzer packages
-// for the rules, and package allow for the //lint:allow <analyzer>
-// <reason> suppression mechanism.
+// escape gate in package escapes; that runs conserve what they inject and
+// leak no credit, record or timer is checked at runtime, by the audit
+// every drive loop runs at halt (probe.Conserve). See the individual
+// analyzer packages for the rules, and package allow for the
+// //lint:allow <analyzer> <reason> suppression mechanism.
 package lint
 
 import (
@@ -22,7 +23,6 @@ import (
 	"mindgap/internal/lint/maporder"
 	"mindgap/internal/lint/poolsafe"
 	"mindgap/internal/lint/simclock"
-	"mindgap/internal/lint/timerstop"
 )
 
 // Analyzers returns the full suite in a fixed order.
@@ -33,7 +33,6 @@ func Analyzers() []*analysis.Analyzer {
 		floateq.Analyzer,
 		lockedsend.Analyzer,
 		poolsafe.Analyzer,
-		timerstop.Analyzer,
 		allow.Analyzer,
 	}
 }

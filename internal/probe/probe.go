@@ -28,7 +28,8 @@ type Probe struct {
 	Trace *trace.Buffer
 	Attr  *attr.Collector
 
-	drops [trace.DropReasonCount]uint64
+	drops               [trace.DropReasonCount]uint64
+	arrivals, responses uint64
 }
 
 // mark traces one lifecycle step and returns the collector the caller
@@ -51,6 +52,9 @@ func (p *Probe) mark(at sim.Time, kind trace.Kind, id uint64, worker int) *attr.
 //
 //mindgap:noalloc
 func (p *Probe) Arrive(at sim.Time, id uint64, service time.Duration) {
+	if p != nil {
+		p.arrivals++
+	}
 	p.mark(at, trace.Arrive, id, -1).Arrive(at, id, service)
 }
 
@@ -113,6 +117,9 @@ func (p *Probe) Complete(at sim.Time, id uint64, worker int) {
 //
 //mindgap:noalloc
 func (p *Probe) Respond(at sim.Time, id uint64) {
+	if p != nil {
+		p.responses++
+	}
 	p.mark(at, trace.Respond, id, -1).Respond(at, id)
 }
 

@@ -18,6 +18,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -275,17 +276,22 @@ func Run[T any](ctx context.Context, r *Runner, sw Sweep[T]) ([]SeriesResult[T],
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var cur task // the point this worker runs, named by a panic
 			defer func() {
 				if p := recover(); p != nil {
 					mu.Lock()
 					if !panicSet {
-						panicked, panicSet = p, true
+						s := sw.Series[cur.si]
+						panicked = fmt.Sprintf("runner: sweep %s, series %q, point %d (key %q): %v",
+							sw.Name, s.Label, cur.pi, s.Points[cur.pi].Key, p)
+						panicSet = true
 					}
 					mu.Unlock()
 					stopFeed()
 				}
 			}()
 			for t := range ch {
+				cur = t
 				if pruned(t) {
 					continue
 				}

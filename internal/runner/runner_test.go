@@ -284,18 +284,20 @@ func TestMemoMeasuresEachKeyOncePerRunner(t *testing.T) {
 }
 
 // TestPointPanicPropagates ensures a panicking point surfaces to the
-// caller after the pool drains, rather than crashing a bare goroutine.
+// caller after the pool drains, rather than crashing a bare goroutine, and
+// names the point that broke.
 func TestPointPanicPropagates(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := Series[meas]{Points: []Point[meas]{
+	s := Series[meas]{Label: "curve", Points: []Point[meas]{
 		{Run: func() meas { return meas{V: 1} }},
-		{Run: func() meas { panic("boom") }},
+		{Key: "k2", Run: func() meas { panic("boom") }},
 		{Run: func() meas { return meas{V: 3} }},
 	}}
 	func() {
 		defer func() {
-			if p := recover(); p != "boom" {
-				t.Fatalf("recovered %v, want \"boom\"", p)
+			want := `runner: sweep panic, series "curve", point 1 (key "k2"): boom`
+			if p := recover(); p != want {
+				t.Fatalf("recovered %v, want %s", p, want)
 			}
 		}()
 		_, _ = RunOne(context.Background(), &Runner{Parallelism: 2}, "panic", s)

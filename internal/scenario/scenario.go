@@ -15,6 +15,7 @@
 package scenario
 
 import (
+	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
@@ -33,6 +34,9 @@ type System interface {
 	WorkerIdleFraction(sim.Time) float64
 	// ArmWorkerTrackers starts worker utilization accounting.
 	ArmWorkerTrackers(sim.Time)
+	// Ledger is the system's account of itself for the conservation audit
+	// every drive loop runs at halt (probe.Conserve). It only reads.
+	Ledger() probe.Ledger
 }
 
 // Factory builds a system on the given engine. done must be invoked at

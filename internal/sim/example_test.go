@@ -16,9 +16,10 @@ func Example() {
 	eng.After(1*time.Microsecond, func() {
 		fmt.Printf("first event at %v\n", eng.Now())
 	})
-	tm := eng.AfterTimer(3*time.Microsecond, func() {
+	var tm sim.Timer
+	eng.ArmAfterE(&tm, 3*time.Microsecond, func(_, _ any, _ uint64) {
 		fmt.Println("never printed")
-	})
+	}, nil, nil, 0)
 	tm.Stop()
 	eng.Run()
 	fmt.Printf("done at %v after %d events\n", eng.Now(), eng.Executed())

@@ -9,12 +9,13 @@
 // fixed seed always produces identical results.
 //
 // Models schedule through the typed form (AtE, AfterE, AtRelayE,
-// AfterTimerE, ArmAfterE): a plain function plus a receiver, an object
-// pointer and a scalar argument. Because the function is not a closure and
-// pointers stored in interfaces do not allocate, a typed schedule performs
-// zero heap allocations in steady state. The closure form (At, After,
-// AfterTimer, and fabric's Link.Send) takes a func() and allocates; it is a
-// convenience for tests and has no production caller.
+// ArmAfterE): a plain function plus a receiver, an object pointer and a
+// scalar argument. Because the function is not a closure and pointers
+// stored in interfaces do not allocate, a typed schedule performs zero heap
+// allocations in steady state. The closure form (At, After, and fabric's
+// Link.Send) takes a func() and allocates; it is a convenience for tests
+// and has no production caller. A cancellable event is always armed into a
+// caller-owned Timer (ArmAfterE).
 package sim
 
 import (
@@ -261,34 +262,12 @@ type Timer struct {
 	gen uint32
 }
 
-// AfterTimer schedules fn to run d from now and returns a cancellable
-// handle. This closure form allocates; models use AfterTimerE.
-func (e *Engine) AfterTimer(d time.Duration, fn func()) *Timer {
-	return e.AfterTimerE(d, runClosure, fn, nil, 0)
-}
-
-// AfterTimerE schedules the typed event fn(recv, obj, arg) to run d from
-// now and returns a cancellable handle.
-func (e *Engine) AfterTimerE(d time.Duration, fn EventFunc, recv, obj any, arg uint64) *Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	at := e.now.Add(d)
-	if at < e.now {
-		// Deadline overflowed Time. The wheel's total order rests on every
-		// pending event being >= the wheel origin, so a wrapped deadline
-		// must not enter the schedule.
-		panic(fmt.Sprintf("sim: delay %v from %v overflows simulated time", d, e.now))
-	}
-	ev := e.alloc(at, fn, recv, obj, arg)
-	e.schedule(ev)
-	return &Timer{e: e, ev: ev, gen: ev.gen}
-}
-
-// ArmAfterE is AfterTimerE writing into a caller-owned Timer value instead
-// of allocating a handle — for components that re-arm one timer per work
-// item (e.g. a core's slice/completion timer). tm must not be pending;
-// stale handles from fired or stopped events are fine.
+// ArmAfterE schedules the typed event fn(recv, obj, arg) to run d from now
+// and points the caller-owned handle tm at it, so a component re-arms one
+// timer per work item (a core's slice/completion timer) without allocating.
+// tm must not be pending — arming over a live timer would lose the only
+// handle that can stop it — but stale handles from fired or stopped events
+// are fine.
 //
 //mindgap:noalloc
 func (e *Engine) ArmAfterE(tm *Timer, d time.Duration, fn EventFunc, recv, obj any, arg uint64) {
@@ -300,6 +279,9 @@ func (e *Engine) ArmAfterE(tm *Timer, d time.Duration, fn EventFunc, recv, obj a
 	}
 	at := e.now.Add(d)
 	if at < e.now {
+		// Deadline overflowed Time. The wheel's total order rests on every
+		// pending event being >= the wheel origin, so a wrapped deadline
+		// must not enter the schedule.
 		panic(fmt.Sprintf("sim: delay %v from %v overflows simulated time", d, e.now))
 	}
 	ev := e.alloc(at, fn, recv, obj, arg)

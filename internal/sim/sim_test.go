@@ -155,10 +155,37 @@ func TestHaltStopsRun(t *testing.T) {
 	}
 }
 
+// armTimer arms the closure fn d from now into a fresh handle.
+func armTimer(e *Engine, d time.Duration, fn func()) *Timer {
+	tm := new(Timer)
+	e.ArmAfterE(tm, d, runClosure, fn, nil, 0)
+	return tm
+}
+
+// TestArmOverPendingTimerPanics: the one way to a cancellable event takes
+// the handle from its caller, and refuses to overwrite a live one — the
+// only handle that could stop that event.
+func TestArmOverPendingTimerPanics(t *testing.T) {
+	e := New()
+	tm := armTimer(e, time.Microsecond, func() {})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("re-arming a pending timer did not panic")
+			}
+		}()
+		e.ArmAfterE(tm, time.Microsecond, runClosure, func() {}, nil, 0)
+	}()
+	e.Run()
+	if e.ArmAfterE(tm, 0, runClosure, func() {}, nil, 0); !tm.Pending() {
+		t.Fatal("a fired handle did not re-arm")
+	}
+}
+
 func TestTimerStop(t *testing.T) {
 	e := New()
 	fired := false
-	tm := e.AfterTimer(time.Microsecond, func() { fired = true })
+	tm := armTimer(e, time.Microsecond, func() { fired = true })
 	if !tm.Pending() {
 		t.Fatal("timer not pending after creation")
 	}
@@ -176,7 +203,7 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerStopAfterFire(t *testing.T) {
 	e := New()
-	tm := e.AfterTimer(time.Microsecond, func() {})
+	tm := armTimer(e, time.Microsecond, func() {})
 	e.Run()
 	if tm.Pending() {
 		t.Fatal("timer pending after firing")
@@ -188,7 +215,7 @@ func TestTimerStopAfterFire(t *testing.T) {
 
 func TestTimerDeadline(t *testing.T) {
 	e := New()
-	tm := e.AfterTimer(7*time.Microsecond, func() {})
+	tm := armTimer(e, 7*time.Microsecond, func() {})
 	if got := tm.Deadline(); got != Time(7000) {
 		t.Fatalf("Deadline() = %v, want 7µs", got)
 	}
@@ -226,7 +253,7 @@ func TestHeapRandomized(t *testing.T) {
 		at := Time(rng.Int64N(1000)) // dense timestamps force ties
 		s := seq
 		seq++
-		timers = append(timers, e.AfterTimer(time.Duration(at), func() {
+		timers = append(timers, armTimer(e, time.Duration(at), func() {
 			fired = append(fired, rec{at, s})
 		}))
 	}
@@ -257,7 +284,7 @@ func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 	// must not be able to cancel an unrelated later event that reuses the
 	// same struct.
 	e := New()
-	tm := e.AfterTimer(time.Nanosecond, func() {})
+	tm := armTimer(e, time.Nanosecond, func() {})
 	e.Run() // fires; the event struct returns to the free list
 	fired := false
 	e.After(time.Nanosecond, func() { fired = true }) // likely reuses it
@@ -278,7 +305,7 @@ func TestTimerDuringOwnCallback(t *testing.T) {
 	// event has already fired.
 	e := New()
 	var tm *Timer
-	tm = e.AfterTimer(time.Nanosecond, func() {
+	tm = armTimer(e, time.Nanosecond, func() {
 		if tm.Stop() {
 			t.Fatal("Stop() = true inside own callback")
 		}

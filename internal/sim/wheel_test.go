@@ -185,9 +185,11 @@ func script(t *testing.T, data []byte) {
 			id := nextID
 			nextID++
 			if op == 0 { // typed API
-				timers = append(timers, eng.AfterTimerE(d, logFire, wheel, nil, uint64(id)))
-			} else { // legacy closure API
-				timers = append(timers, eng.AfterTimer(d, func() { wheel.add(id) }))
+				tm := new(Timer)
+				eng.ArmAfterE(tm, d, logFire, wheel, nil, uint64(id))
+				timers = append(timers, tm)
+			} else { // closure adapter
+				timers = append(timers, armTimer(eng, d, func() { wheel.add(id) }))
 			}
 			refTimers = append(refTimers, ref.after(d, func() { refs.add(id) }))
 		case 2: // same-instant burst
@@ -240,7 +242,8 @@ func script(t *testing.T, data []byte) {
 			var tm *Timer
 			eng.After(d, func() {
 				wheel.add(id)
-				tm = eng.AfterTimerE(0, logFire, wheel, nil, uint64(id+1))
+				tm = new(Timer)
+				eng.ArmAfterE(tm, 0, logFire, wheel, nil, uint64(id+1))
 			})
 			eng.After(d, func() {
 				wheel.add(id + 2)
@@ -561,23 +564,18 @@ func TestWheelEveryLevel(t *testing.T) {
 // TestDeadlineOverflowPanics: a timer deadline that wraps Time must not
 // enter the schedule (every pending event is >= the wheel origin).
 func TestDeadlineOverflowPanics(t *testing.T) {
-	for name, arm := range map[string]func(*Engine){
-		"AfterTimerE": func(e *Engine) { e.AfterTimerE(math.MaxInt64, logFire, nil, nil, 0) },
-		"ArmAfterE":   func(e *Engine) { e.ArmAfterE(new(Timer), math.MaxInt64, logFire, nil, nil, 0) },
-	} {
-		e := New()
-		e.RunUntil(1)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s past MaxTime did not panic", name)
-				}
-			}()
-			arm(e)
+	e := New()
+	e.RunUntil(1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ArmAfterE past MaxTime did not panic")
+			}
 		}()
-		if e.Pending() != 0 {
-			t.Errorf("%s left %d events pending", name, e.Pending())
-		}
+		e.ArmAfterE(new(Timer), math.MaxInt64, logFire, nil, nil, 0)
+	}()
+	if e.Pending() != 0 {
+		t.Errorf("ArmAfterE left %d events pending", e.Pending())
 	}
 }
 

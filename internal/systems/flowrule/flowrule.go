@@ -86,6 +86,7 @@ type FlowRule struct {
 	insertCost time.Duration // pipeline service time per rule
 	idleEvery  time.Duration // idle-eviction sweep period
 
+	onWire  int // batches injected, not yet classified
 	slowQ   queue.FIFO[*task.Request]
 	servers []*slowServer
 
@@ -205,7 +206,20 @@ func (s *FlowRule) Name() string { return "flowrule" }
 // Inject admits a client batch at the current instant; it reaches the
 // NIC classifier one wire delay later.
 func (s *FlowRule) Inject(req *task.Request) {
+	s.onWire++
 	s.eng.AfterE(s.wire, frIngress, s, req, 0)
+}
+
+// Ledger implements scenario.System. The probe opens a batch's record at
+// classification, so batches still on the client wire count as arrived
+// here; installed and pending rules are the flow records the system holds,
+// and its idle and adapt ticks and insertion pipeline its own events.
+func (s *FlowRule) Ledger() probe.Ledger {
+	l := s.pr.Ledger()
+	l.Arrived += uint64(s.onWire)
+	l.Flows = s.resident + s.pending.Len()
+	l.Events = 3
+	return l
 }
 
 // frIngress fires when a batch reaches the NIC: the classifier's
@@ -216,6 +230,7 @@ func (s *FlowRule) Inject(req *task.Request) {
 func frIngress(recv, obj any, _ uint64) {
 	s := recv.(*FlowRule)
 	req := obj.(*task.Request)
+	s.onWire--
 	f := req.FlowState
 	// The state record may be recycled the instant its last reference
 	// drops; classification is the only place this system touches it.

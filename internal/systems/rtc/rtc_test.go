@@ -115,17 +115,6 @@ func TestWorkStealingRepairsImbalance(t *testing.T) {
 	}
 }
 
-func TestStealingConservation(t *testing.T) {
-	rec, sys, _ := run(t, Config{P: params.Default(), Workers: 4, WorkStealing: true},
-		600_000, dist.Exponential{M: 5 * time.Microsecond}, nil, 10000)
-	if rec.Dropped() != 0 {
-		t.Fatalf("drops = %d", rec.Dropped())
-	}
-	if sys.Completions() < 10000 {
-		t.Fatalf("completions = %d", sys.Completions())
-	}
-}
-
 func TestBoundedQueuesDrop(t *testing.T) {
 	eng := sim.New()
 	rec := &stats.Recorder{}

@@ -61,17 +61,6 @@ func TestShinjukuFasterFloorThanOffloadPath(t *testing.T) {
 	}
 }
 
-func TestConservation(t *testing.T) {
-	rec, sys, _ := run(t, cfg(3, 10*time.Microsecond), 300_000,
-		dist.Bimodal{P1: 0.995, D1: 5 * time.Microsecond, D2: 100 * time.Microsecond}, 5000)
-	if rec.Dropped() != 0 {
-		t.Fatalf("drops = %d", rec.Dropped())
-	}
-	if sys.Completions() < 5000 {
-		t.Fatalf("completions = %d", sys.Completions())
-	}
-}
-
 func TestDispatcherDrivenPreemption(t *testing.T) {
 	rec, _, _ := run(t, cfg(2, 10*time.Microsecond), 50_000,
 		dist.Bimodal{P1: 0.9, D1: 5 * time.Microsecond, D2: 100 * time.Microsecond}, 2000)
