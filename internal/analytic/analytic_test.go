@@ -80,6 +80,8 @@ func TestErlangCValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { ErlangC(0, 0.5) },
 		func() { ErlangC(2, 1.0) },
+		func() { ErlangC(2, 1.5) },
+		func() { ErlangC(1, math.Inf(1)) },
 		func() { ErlangC(2, -0.1) },
 		func() { MM1MeanResponse(1.0, time.Microsecond) },
 		func() { MG1MeanWait(1.0, 1, time.Microsecond) },

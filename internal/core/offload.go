@@ -142,7 +142,7 @@ type Offload struct {
 	cfg  OffloadConfig
 	lgc  *Logic
 	done func(*task.Request)
-	// pr is the lifecycle probe; the drop accessors, telemetry counters and
+	// pr is the lifecycle probe; the drop accessors, telemetry gauges and
 	// the audit's ledger read its counts back.
 	pr *probe.Probe
 
@@ -365,18 +365,18 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 // registerTelemetry wires every component's probes into reg. Called once
 // from NewOffload, after all functions and workers exist.
 func (s *Offload) registerTelemetry(reg *telemetry.Registry) {
-	reg.CounterFunc("sched", "shed", s.Shed)
-	reg.CounterFunc("nic", "vf_drops", func() uint64 { return s.pr.Drops(trace.DropRingOverflow) })
+	reg.GaugeFunc("sched", "shed", func() float64 { return float64(s.Shed()) })
+	reg.GaugeFunc("nic", "vf_drops", func() float64 { return float64(s.pr.Drops(trace.DropRingOverflow)) })
 	// Every drop, whatever its cause: matches the recorder's Dropped()
 	// over a window that spans the run.
-	reg.CounterFunc("offload", "drops", s.pr.Dropped)
+	reg.GaugeFunc("offload", "drops", func() float64 { return float64(s.pr.Dropped()) })
 	if s.flt != nil {
 		s.flt.RegisterTelemetry(reg)
-		reg.CounterFunc("faults", "timeout_drops", s.TimeoutDrops)
-		reg.CounterFunc("faults", "retries", s.Retries)
-		reg.CounterFunc("faults", "degraded_steered", s.DegradedSteered)
-		reg.CounterFunc("faults", "stale_notifications", func() uint64 { return s.staleNotifs })
-		reg.CounterFunc("faults", "duplicate_responses", func() uint64 { return s.dupResponses })
+		reg.GaugeFunc("faults", "timeout_drops", func() float64 { return float64(s.TimeoutDrops()) })
+		reg.GaugeFunc("faults", "retries", func() float64 { return float64(s.Retries()) })
+		reg.GaugeFunc("faults", "degraded_steered", func() float64 { return float64(s.DegradedSteered()) })
+		reg.GaugeFunc("faults", "stale_notifications", func() float64 { return float64(s.staleNotifs) })
+		reg.GaugeFunc("faults", "duplicate_responses", func() float64 { return float64(s.dupResponses) })
 	}
 
 	s.lgc.RegisterTelemetry(reg, "sched", s.eng.Now)

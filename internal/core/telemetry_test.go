@@ -72,11 +72,11 @@ func TestDropPathTraceAndCounters(t *testing.T) {
 	// offload/drops and the recorder are fed by the same probe call, so
 	// they agree; here every drop is an admission shed.
 	snap := reg.Snapshot()
-	if got := snap.Counters["offload/drops"]; got != rec.Dropped() {
-		t.Fatalf("offload/drops = %d, Recorder.Dropped() = %d", got, rec.Dropped())
+	if got := snap.Gauges["offload/drops"]; got != float64(rec.Dropped()) {
+		t.Fatalf("offload/drops = %g, Recorder.Dropped() = %d", got, rec.Dropped())
 	}
-	if snap.Counters["sched/shed"]+snap.Counters["nic/vf_drops"] != snap.Counters["offload/drops"] {
-		t.Fatalf("drop counters inconsistent: %v", snap.Counters)
+	if snap.Gauges["sched/shed"]+snap.Gauges["nic/vf_drops"] != snap.Gauges["offload/drops"] {
+		t.Fatalf("drop counters inconsistent: %v", snap.Gauges)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestTelemetrySnapshotMatchesRecorder(t *testing.T) {
 	peakDepth := 0.0
 	sys := NewOffload(eng, cfg, &probe.Probe{Rec: rec}, func(r *task.Request) {
 		rec.RecordLatency(r.Latency(eng.Now()))
-		if d, _ := reg.GaugeValue("sched/queue_depth"); d > peakDepth {
+		if d := reg.Snapshot().Gauges["sched/queue_depth"]; d > peakDepth {
 			peakDepth = d
 		}
 	})

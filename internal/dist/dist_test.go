@@ -230,13 +230,35 @@ func TestQuickPositiveSamples(t *testing.T) {
 	}
 }
 
+// TestSamplingIsDeterministic: every distribution draws only from the
+// rng it is handed, so two streams from one seed give the same sequence.
+// A draw from the global source (or the wall clock) breaks it.
 func TestSamplingIsDeterministic(t *testing.T) {
-	b := Bimodal{P1: 0.995, D1: 5 * time.Microsecond, D2: 100 * time.Microsecond}
+	for _, d := range []Distribution{
+		Fixed{D: 5 * time.Microsecond},
+		Bimodal{P1: 0.995, D1: 5 * time.Microsecond, D2: 100 * time.Microsecond},
+		Exponential{M: 10 * time.Microsecond},
+		LogNormal{Mu: 8, Sigma: 1},
+		Pareto{Min: time.Microsecond, Alpha: 1.2, Max: time.Millisecond},
+		Uniform{Lo: time.Microsecond, Hi: 9 * time.Microsecond},
+		NewMixture([]float64{0.3, 0.7}, []Distribution{
+			Exponential{M: time.Microsecond}, Pareto{Min: time.Microsecond, Alpha: 2},
+		}),
+	} {
+		r1 := rand.New(rand.NewPCG(1, 2))
+		r2 := rand.New(rand.NewPCG(1, 2))
+		for i := 0; i < 1000; i++ {
+			if a, b := d.Sample(r1), d.Sample(r2); a != b {
+				t.Fatalf("%v: same seed produced different sample streams at draw %d: %v vs %v", d, i, a, b)
+			}
+		}
+	}
+	z := NewZipfKeys(1000, 0.99)
 	r1 := rand.New(rand.NewPCG(1, 2))
 	r2 := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 1000; i++ {
-		if b.Sample(r1) != b.Sample(r2) {
-			t.Fatal("same seed produced different sample streams")
+		if a, b := z.Sample(r1), z.Sample(r2); a != b {
+			t.Fatalf("%v: same seed produced different key streams at draw %d: %d vs %d", z, i, a, b)
 		}
 	}
 }

@@ -217,7 +217,9 @@ func TestLinkDirectDeliveryMatchesTwoEventReference(t *testing.T) {
 // messages, sends issued from delivery callbacks — through a plain link and
 // through one with a registry attached yields the same delivery instants,
 // the same order and the same Executed(), serializing or not, and the
-// registry's gauges agree with what the receiver counted. Plain engine
+// registry's gauges agree with what the receiver counted — both mid-run,
+// halted while one burst is partly serializing and partly propagating,
+// and after the drain. Plain engine
 // events are scheduled for every delivery instant from just after each
 // burst's sends, i.e. between a message's send and its departure: they
 // fire ahead of a delivery whose seq is drawn at departure, behind one
@@ -231,7 +233,8 @@ func TestLinkObservedMatchesPlain(t *testing.T) {
 		at sim.Time
 		n  int
 	}{{0, 1}, {5000, 4}, {5000, 2}, {5160, 3}, {20000, 1}, {20800, 1}}
-	run := func(cfg LinkConfig, reg *telemetry.Registry, ties []hop) ([]hop, uint64) {
+	const halt = 5700 // mid-burst: on the serializing link three messages propagate, six serialize
+	run := func(cfg LinkConfig, reg *telemetry.Registry, ties []hop, serializing int) ([]hop, uint64) {
 		eng := sim.New()
 		l := NewLink(eng, "wire", cfg)
 		// Every third message meets a latency spike; none is lost.
@@ -244,13 +247,13 @@ func TestLinkObservedMatchesPlain(t *testing.T) {
 			l.RegisterTelemetry(reg, "wire")
 		}
 		var log []hop
-		delivered := 0
+		delivered, accepted := 0, 0
 		var deliver sim.EventFunc
 		deliver = func(_, _ any, msg uint64) {
 			delivered++
 			log = append(log, hop{int(msg), eng.Now()})
-			if msg < 100 && msg%4 == 0 { // a reply from inside the delivery
-				l.SendT(200, deliver, nil, nil, msg+100)
+			if msg < 100 && msg%4 == 0 && l.SendT(200, deliver, nil, nil, msg+100) { // a reply from inside the delivery
+				accepted++
 			}
 		}
 		mark := func(_, _ any, at uint64) { log = append(log, hop{-int(at), eng.Now()}) }
@@ -260,7 +263,9 @@ func TestLinkObservedMatchesPlain(t *testing.T) {
 			eng.At(b.at, func() {
 				for k := 0; k < b.n; k++ {
 					msg++
-					l.SendT(100+msg*50, deliver, nil, nil, uint64(msg))
+					if l.SendT(100+msg*50, deliver, nil, nil, uint64(msg)) {
+						accepted++
+					}
 				}
 			})
 			eng.At(b.at+1, func() {
@@ -271,27 +276,47 @@ func TestLinkObservedMatchesPlain(t *testing.T) {
 				}
 			})
 		}
-		eng.Run()
-		if reg != nil {
-			if got, _ := reg.GaugeValue("wire/delivered"); int(got) != delivered || delivered < 12 {
-				t.Errorf("delivered gauge = %v, receiver counted %d", got, delivered)
+		check := func(when string, serializing int) {
+			if reg == nil {
+				return
 			}
-			if got, _ := reg.GaugeValue("wire/queued"); got != 0 {
-				t.Errorf("queued gauge = %v after the run", got)
+			snap := reg.Snapshot()
+			if got := snap.Gauges["wire/delivered"]; int(got) != delivered {
+				t.Errorf("%s: delivered gauge = %v, receiver counted %d", when, got, delivered)
 			}
-			if n := reg.Histogram("wire", "latency").Summary().Count; int(n) != delivered {
-				t.Errorf("latency histogram holds %d samples, want %d", n, delivered)
+			if got := snap.Gauges["wire/queued"]; int(got) != serializing {
+				t.Errorf("%s: queued gauge = %v, want %d", when, got, serializing)
+			}
+			// Latency is known at send: one sample per accepted message,
+			// delivered or still in flight.
+			if n := snap.Histograms["wire/latency"].Count; int(n) != accepted {
+				t.Errorf("%s: latency histogram holds %d samples, accepted %d", when, n, accepted)
 			}
 		}
+		eng.RunUntil(halt)
+		if inFlight := accepted - delivered; inFlight <= serializing || delivered == 0 {
+			t.Fatalf("halt at %v: %d accepted, %d delivered, %d serializing; want messages in every state",
+				eng.Now(), accepted, delivered, serializing)
+		}
+		check("mid-run", serializing)
+		eng.Run()
+		if delivered != accepted || delivered < 12 {
+			t.Errorf("%d of %d accepted messages delivered", delivered, accepted)
+		}
+		check("drained", 0)
 		return log, eng.Executed()
 	}
-	for _, cfg := range []LinkConfig{
-		{Latency: time.Microsecond},
-		{Latency: time.Microsecond, BandwidthBps: 10e9},
+	for _, tc := range []struct {
+		cfg         LinkConfig
+		serializing int // at the halt
+	}{
+		{LinkConfig{Latency: time.Microsecond}, 0},
+		{LinkConfig{Latency: time.Microsecond, BandwidthBps: 10e9}, 6},
 	} {
-		ties, _ := run(cfg, nil, nil) // the delivery instants, to tie against
-		plain, events := run(cfg, nil, ties)
-		observed, obsEvents := run(cfg, telemetry.NewRegistry(), ties)
+		cfg := tc.cfg
+		ties, _ := run(cfg, nil, nil, tc.serializing) // the delivery instants, to tie against
+		plain, events := run(cfg, nil, ties, tc.serializing)
+		observed, obsEvents := run(cfg, telemetry.NewRegistry(), ties, tc.serializing)
 		if !slices.Equal(plain, observed) {
 			t.Fatalf("%+v: deliveries diverge\n   plain %v\nobserved %v", cfg, plain, observed)
 		}
@@ -397,7 +422,7 @@ func TestStageUtilization(t *testing.T) {
 	if !slices.Equal(keys, want) {
 		t.Fatalf("stage gauges = %v, want %v", keys, want)
 	}
-	if u, _ := reg.GaugeValue("arm/utilization"); u != 0.5 {
+	if u := reg.Snapshot().Gauges["arm/utilization"]; u != 0.5 {
 		t.Fatalf("utilization gauge = %v, want 0.5", u)
 	}
 }

@@ -27,12 +27,12 @@ type LinkConfig struct {
 // concurrent use — it lives inside a single-threaded simulation.
 //
 // A hop is one engine event when the link does not serialize, two otherwise
-// (departure, then delivery). A plain link files the receiver's own event
-// (sim.AtE, or sim.AtRelayE through the departure) and keeps no per-message
-// state; an observed link (RegisterTelemetry) is tabled: messages park in
-// pend and linkDepart/linkDeliver keep the gauges exact. Both take the same
-// positions in the (time, seq) order, so attaching a registry changes
-// neither a delivery nor Engine.Executed().
+// (departure, then delivery): every link files the receiver's own event
+// (sim.AtE, or sim.AtRelayE through the departure) at send time. An observed
+// link (RegisterTelemetry) files the same events; it only notes each
+// accepted message's latency and its (depart, deliver) instants, which the
+// gauges count at read time. Attaching a registry therefore changes neither
+// a delivery nor Engine.Executed().
 type Link struct {
 	eng  *sim.Engine
 	cfg  LinkConfig
@@ -48,26 +48,18 @@ type Link struct {
 	fault        func(sim.Time) (drop bool, extra time.Duration)
 	faultDropped uint64
 
-	// Tabled-path state, read only by the registry's gauges (a plain link
-	// does not maintain it). latency is each message's send→deliver time —
-	// the NIC↔host message latency of §3.3, inflated by serialization waits
-	// near saturation. A pend slot's index rides through both events as the
-	// scalar and recycles through freeSlots: no send allocates when warm.
-	queued    int
-	delivered uint64
-	latency   *telemetry.Histogram
-	pend      []pendingMsg
-	freeSlots []uint32
+	// Observed-link state (nil latency: a plain link keeps none). latency
+	// is each message's send→deliver time — the NIC↔host message latency
+	// of §3.3, inflated by serialization waits near saturation — known
+	// exactly at send. flight holds the spans of messages that may still be
+	// in flight; accepted counts every message sent.
+	latency  *telemetry.Histogram
+	accepted uint64
+	flight   []span
 }
 
-// pendingMsg is one accepted, not-yet-delivered message on a tabled link.
-type pendingMsg struct {
-	fn        sim.EventFunc
-	recv, obj any
-	arg       uint64
-	sent      sim.Time
-	deliverAt sim.Time
-}
+// span is one accepted message's departure and delivery instants.
+type span struct{ depart, deliver sim.Time }
 
 // NewLink creates a link on the engine. name appears in diagnostics only.
 func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
@@ -91,7 +83,7 @@ func callClosure(recv, _ any, _ uint64) { recv.(func())() }
 
 // SendT is the typed, zero-alloc Send: fn(recv, obj, arg) runs at the
 // receiver once serialization and propagation complete. See Link for when
-// a hop costs one event or two and which path carries it.
+// a hop costs one event or two.
 //
 //mindgap:noalloc
 func (l *Link) SendT(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) bool {
@@ -118,57 +110,48 @@ func (l *Link) SendT(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) boo
 	l.lastDeparture = depart
 	deliverAt := depart.Add(latency)
 
-	if l.latency == nil { // plain: nothing watches the message in flight
-		if l.cfg.BandwidthBps <= 0 {
-			l.eng.AtE(deliverAt, fn, recv, obj, arg)
-		} else {
-			l.eng.AtRelayE(depart, deliverAt, fn, recv, obj, arg)
-		}
-		return true
+	if l.latency != nil {
+		l.observe(now, depart, deliverAt)
 	}
-
-	var slot uint32
-	if n := len(l.freeSlots); n > 0 {
-		slot = l.freeSlots[n-1]
-		l.freeSlots = l.freeSlots[:n-1]
-	} else {
-		slot = uint32(len(l.pend))
-		l.pend = append(l.pend, pendingMsg{})
-	}
-	l.pend[slot] = pendingMsg{fn: fn, recv: recv, obj: obj, arg: arg, sent: now, deliverAt: deliverAt}
 	if l.cfg.BandwidthBps <= 0 {
-		l.eng.AtE(deliverAt, linkDeliver, l, nil, uint64(slot))
-		return true
+		l.eng.AtE(deliverAt, fn, recv, obj, arg)
+	} else {
+		l.eng.AtRelayE(depart, deliverAt, fn, recv, obj, arg)
 	}
-	l.queued++
-	l.eng.AtE(depart, linkDepart, l, nil, uint64(slot))
 	return true
 }
 
-// linkDepart fires when a tabled message finishes serialization: the
-// transmit queue slot frees and the propagation leg begins.
-//
-//mindgap:noalloc
-func linkDepart(recv, _ any, slot uint64) {
-	l := recv.(*Link)
-	l.queued--
-	l.eng.AtE(l.pend[slot].deliverAt, linkDeliver, l, nil, slot)
+// observe records an accepted message on an observed link and forgets the
+// spans already delivered before now. The span list grows to the link's
+// peak in-flight count, so observe is not noalloc.
+func (l *Link) observe(now, depart, deliver sim.Time) {
+	l.latency.Observe(deliver.Sub(now))
+	l.accepted++
+	done := 0
+	for done < len(l.flight) && l.flight[done].deliver < now {
+		done++
+	}
+	if done > 0 {
+		l.flight = append(l.flight[:0], l.flight[done:]...)
+	}
+	l.flight = append(l.flight, span{depart, deliver})
 }
 
-// linkDeliver fires at the receiver of a tabled message and hands off to
-// its callback after releasing the in-flight slot.
-//
-//mindgap:noalloc
-func linkDeliver(recv, _ any, slot uint64) {
-	l := recv.(*Link)
-	p := l.pend[slot]
-	l.pend[slot] = pendingMsg{}
-	l.freeSlots = append(l.freeSlots, uint32(slot))
-	l.delivered++
-	if l.latency != nil {
-		l.latency.Observe(l.eng.Now().Sub(p.sent))
+// inFlight counts the recorded messages still serializing and those not
+// yet delivered at the current instant. A message due exactly now counts as
+// delivered, as it is once RunUntil returns (it fires every event at its
+// bound).
+func (l *Link) inFlight() (serializing, undelivered int) {
+	now := l.eng.Now()
+	for _, s := range l.flight {
+		if s.depart > now {
+			serializing++
+		}
+		if s.deliver > now {
+			undelivered++
+		}
 	}
-	p.fn(p.recv, p.obj, p.arg)
+	return serializing, undelivered
 }
 
 // serialization returns how long a message of the given size occupies the
@@ -192,13 +175,18 @@ func (l *Link) FaultDropped() uint64 { return l.faultDropped }
 
 // RegisterTelemetry exposes the link's counters on reg under the given
 // component label and starts recording per-message latency into the
-// registry's component/"latency" histogram. It moves the link onto the
-// tabled path (see Link); attach before the simulation starts, as messages
-// already in flight are not counted.
+// registry's component/"latency" histogram. Attach before the simulation
+// starts, as messages already in flight are not counted.
 func (l *Link) RegisterTelemetry(reg *telemetry.Registry, component string) {
 	l.latency = reg.Histogram(component, "latency")
-	reg.GaugeFunc(component, "queued", func() float64 { return float64(l.queued) })
-	reg.GaugeFunc(component, "delivered", func() float64 { return float64(l.delivered) })
+	reg.GaugeFunc(component, "queued", func() float64 {
+		serializing, _ := l.inFlight()
+		return float64(serializing)
+	})
+	reg.GaugeFunc(component, "delivered", func() float64 {
+		_, undelivered := l.inFlight()
+		return float64(l.accepted - uint64(undelivered))
+	})
 	reg.GaugeFunc(component, "stalls", func() float64 { return float64(l.stalls) })
 	reg.GaugeFunc(component, "fault_dropped", func() float64 { return float64(l.faultDropped) })
 }

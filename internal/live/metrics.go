@@ -13,11 +13,11 @@ import (
 // the simulator's Snapshot path. Two endpoints:
 //
 //   - /metrics: expvar-style "key value" plain text, one metric per line.
-//   - /debug/vars: the full snapshot as JSON (counters, gauges, histogram
+//   - /debug/vars: the full snapshot as JSON (gauges, histogram
 //     summaries), mirroring the stdlib expvar convention.
 //
-// Every read takes a fresh Snapshot, so probe-backed gauges (queue depth,
-// in-flight count) reflect the instant of the scrape.
+// Every read takes a fresh Snapshot, so gauges (queue depth, in-flight
+// count) reflect the instant of the scrape.
 type MetricsServer struct {
 	ln  net.Listener
 	srv *http.Server

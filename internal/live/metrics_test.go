@@ -31,7 +31,7 @@ func scrape(t *testing.T, url string) string {
 
 func TestMetricsServerEndpoints(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter("proto", "datagrams").Add(42)
+	reg.GaugeFunc("proto", "datagrams", func() float64 { return 42 })
 	reg.GaugeFunc("q", "depth", func() float64 { return 3 })
 	reg.Histogram("rt", "latency").Observe(time.Millisecond)
 
@@ -52,7 +52,7 @@ func TestMetricsServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(scrape(t, ms.URL()+"/debug/vars")), &snap); err != nil {
 		t.Fatalf("/debug/vars is not valid snapshot JSON: %v", err)
 	}
-	if snap.Counters["proto/datagrams"] != 42 || snap.Gauges["q/depth"] != 3 {
+	if snap.Gauges["proto/datagrams"] != 42 || snap.Gauges["q/depth"] != 3 {
 		t.Fatalf("/debug/vars snapshot wrong: %+v", snap)
 	}
 	if snap.Histograms["rt/latency"].Count != 1 {

@@ -3,14 +3,12 @@ package loadgen
 import (
 	"math/rand/v2"
 	"time"
-
-	"mindgap/internal/telemetry"
 )
 
 // Counters is the arrival accounting shared by every generator in this
 // package. Both the open-loop request generator and the flow generator
-// embed it, so callers read one accessor set — and telemetry exposes
-// one probe set — instead of per-generator ad-hoc getters.
+// embed it, so callers read one accessor set instead of per-generator
+// ad-hoc getters.
 type Counters struct {
 	arrivals uint64 // requests handed to the sink
 	packets  uint64 // wire packets those requests stand for
@@ -28,19 +26,6 @@ func (c *Counters) Packets() uint64 { return c.packets }
 // Flows returns the number of flows started so far (zero for
 // generators without flow identity).
 func (c *Counters) Flows() uint64 { return c.flows }
-
-// PublishMetrics registers the counters as probe-backed gauges under
-// the given component name ("loadgen", "loadgen/flow", ...). A nil
-// registry is a no-op, so generators can offer telemetry without
-// forcing it on every caller.
-func (c *Counters) PublishMetrics(reg *telemetry.Registry, component string) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc(component, "arrivals", func() float64 { return float64(c.arrivals) })
-	reg.GaugeFunc(component, "packets", func() float64 { return float64(c.packets) })
-	reg.GaugeFunc(component, "flows", func() float64 { return float64(c.flows) })
-}
 
 // expGap draws one exponential inter-arrival gap for a Poisson process
 // at the given rate — the sampling step both generators share.

@@ -8,7 +8,6 @@ import (
 	"mindgap/internal/dist"
 	"mindgap/internal/sim"
 	"mindgap/internal/task"
-	"mindgap/internal/telemetry"
 )
 
 // drainSink classifies like a flow-aware system: count the batch,
@@ -338,18 +337,15 @@ func TestFlowGeneratorDeterministicStreams(t *testing.T) {
 }
 
 // TestCounterMetricsShared pins the deduped counter-accessor pattern:
-// both generators publish the same probe set through the same embedded
-// Counters, and the gauges read the live values.
+// both generators count through the same embedded Counters.
 func TestCounterMetricsShared(t *testing.T) {
 	eng := sim.New()
-	reg := telemetry.NewRegistry()
 	g := New(eng, Config{
 		RPS:         1_000_000,
 		Service:     dist.Fixed{D: time.Microsecond},
 		Seed:        1,
 		MaxArrivals: 100,
 	}, func(r *task.Request) {})
-	g.PublishMetrics(reg, "loadgen")
 	fg := NewFlow(eng, FlowConfig{
 		RPS:              1_000_000,
 		Service:          dist.Fixed{D: time.Microsecond},
@@ -363,24 +359,17 @@ func TestCounterMetricsShared(t *testing.T) {
 		f.InFlight--
 		f.ReleaseIfIdle()
 	})
-	fg.PublishMetrics(reg, "flowgen")
 	g.Start()
 	fg.Start()
 	eng.Run()
-	for key, want := range map[string]float64{
-		"loadgen/arrivals": float64(g.Arrivals()),
-		"loadgen/packets":  float64(g.Packets()),
-		"flowgen/arrivals": float64(fg.Arrivals()),
-		"flowgen/packets":  float64(fg.Packets()),
-		"flowgen/flows":    float64(fg.Flows()),
-	} {
-		got, ok := reg.GaugeValue(key)
-		if !ok {
-			t.Fatalf("gauge %q not published", key)
+	for _, c := range []*Counters{&g.Counters, &fg.Counters} {
+		if c.Packets() < c.Arrivals() {
+			t.Fatalf("packets %d < arrivals %d", c.Packets(), c.Arrivals())
 		}
-		if got != want {
-			t.Fatalf("gauge %q = %v, want %v", key, got, want)
-		}
+	}
+	if g.Packets() != g.Arrivals() || g.Flows() != 0 || fg.Flows() == 0 {
+		t.Fatalf("request generator packets/flows = %d/%d for %d arrivals; flow generator started %d flows",
+			g.Packets(), g.Flows(), g.Arrivals(), fg.Flows())
 	}
 	if g.Arrivals() != 100 || fg.Arrivals() != 100 {
 		t.Fatalf("arrivals = %d/%d, want 100 each", g.Arrivals(), fg.Arrivals())

@@ -8,7 +8,7 @@ import (
 )
 
 // renderSeriesTable emits a registry's gauges the way a results consumer
-// does: the snapshot as CSV. The registry keeps its metrics in maps, so
+// does: the snapshot as text. The registry keeps its metrics in maps, so
 // this is the emission path maporder guards — rows in map-iteration order
 // would make the table's order random per process.
 func renderSeriesTable() []byte {
@@ -18,7 +18,7 @@ func renderSeriesTable() []byte {
 		reg.GaugeFunc(fmt.Sprintf("comp%02d", i), "depth", func() float64 { return v })
 	}
 	var buf bytes.Buffer
-	if err := reg.Snapshot().WriteCSV(&buf); err != nil {
+	if err := reg.Snapshot().WriteText(&buf); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
