@@ -323,23 +323,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if which == "" || which == "attribution" {
 			fmt.Fprintln(stdout, "== X13: latency attribution (per-phase share of the tail + decision audit, 450 krps)")
 			res, err := experiment.Run(ctx, rn, scenarios.MustLoad("table-attribution"), q, experiment.Attributed)
-			for _, r := range experiment.Rows(res) {
-				fmt.Fprintf(stdout, "%s — p50=%v p99=%v achieved=%.0f rps\n",
-					r.Label, r.Result.P50, r.Result.P99, r.Result.AchievedRPS)
-				fmt.Fprintf(stdout, "  %-12s %12s %12s %12s %10s %10s\n",
-					"phase", "mean", "p50", "p99", "mean-share", "tail-share")
-				for _, ph := range r.Phases {
-					if ph.Mean == 0 && ph.P99 == 0 {
-						continue // phase the system never enters (e.g. fabric on rss)
+			for _, sr := range res {
+				for _, r := range sr.Results {
+					fmt.Fprintf(stdout, "%s — p50=%v p99=%v achieved=%.0f rps\n",
+						sr.Label, r.Result.P50, r.Result.P99, r.Result.AchievedRPS)
+					fmt.Fprintf(stdout, "  %-12s %12s %12s %12s %10s %10s\n",
+						"phase", "mean", "p50", "p99", "mean-share", "tail-share")
+					for _, ph := range r.Phases {
+						if ph.Mean == 0 && ph.P99 == 0 {
+							continue // phase the system never enters (e.g. fabric on rss)
+						}
+						fmt.Fprintf(stdout, "  %-12s %12v %12v %12v %9.1f%% %9.1f%%\n",
+							ph.Phase, ph.Mean, ph.P50, ph.P99, ph.MeanShare*100, ph.TailShare*100)
 					}
-					fmt.Fprintf(stdout, "  %-12s %12v %12v %12v %9.1f%% %9.1f%%\n",
-						ph.Phase, ph.Mean, ph.P50, ph.P99, ph.MeanShare*100, ph.TailShare*100)
+					a := r.Audit
+					fmt.Fprintf(stdout, "  decisions=%d informed=%d mis-dispatch=%.1f%% staleness(mean/p99)=%v/%v est-err=%v excess(mean/p99)=%v/%v\n\n",
+						a.Decisions, a.Informed, a.MisRate*100,
+						a.MeanStaleness, a.P99Staleness, a.MeanEstimateError,
+						a.MeanExcess, a.P99Excess)
 				}
-				a := r.Audit
-				fmt.Fprintf(stdout, "  decisions=%d informed=%d mis-dispatch=%.1f%% staleness(mean/p99)=%v/%v est-err=%v excess(mean/p99)=%v/%v\n\n",
-					a.Decisions, a.Informed, a.MisRate*100,
-					a.MeanStaleness, a.P99Staleness, a.MeanEstimateError,
-					a.MeanExcess, a.P99Excess)
 			}
 			interrupted(err)
 		}
@@ -368,11 +370,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-34s %10s %8s %12s %10s %10s %10s %10s %10s %8s %8s\n",
 				"policy", "flows", "hit", "p99", "fast", "slow", "drop", "inserted", "refused", "evicted", "thr")
 			res, err := flowRule()
-			for _, r := range experiment.Rows(res) {
-				fmt.Fprintf(stdout, "%-34s %10d %7.1f%% %12v %10.0f %10.0f %10.0f %10.0f %10.0f %8.0f %8.0f\n",
-					r.Label, r.Flows, r.FastHitRate*100, r.Result.P99,
-					r.FastPackets, r.SlowPackets, r.DropPackets,
-					r.Insertions, r.OffloadRefused, r.LRUEvictions+r.IdleEvictions, r.Threshold)
+			for _, sr := range res {
+				for _, r := range sr.Results {
+					fmt.Fprintf(stdout, "%-34s %10d %7.1f%% %12v %10.0f %10.0f %10.0f %10.0f %10.0f %8.0f %8.0f\n",
+						sr.Label, r.Flows, r.FastHitRate*100, r.Result.P99,
+						r.FastPackets, r.SlowPackets, r.DropPackets,
+						r.Insertions, r.OffloadRefused, r.LRUEvictions+r.IdleEvictions, r.Threshold)
+				}
 			}
 			interrupted(err)
 			fmt.Fprintln(stdout)

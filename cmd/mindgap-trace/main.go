@@ -217,7 +217,7 @@ func tracedPoint(sp scenario.Spec, o scenario.Options) (experiment.PointConfig, 
 		return cfg, err
 	}
 	if len(loads) != 1 || loads[0] <= 0 {
-		return cfg, fmt.Errorf("scenario %q needs a single offered rate (pass -rps)", sp.Name)
+		return cfg, fmt.Errorf("%s scenario needs a single offered rate (pass -rps)", sp.System)
 	}
 	cfg.OfferedRPS = loads[0]
 	cfg.Warmup, cfg.Measure = 0, 500

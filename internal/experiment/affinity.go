@@ -38,7 +38,6 @@ type migrationCounter interface {
 // Affinity is the X11 row kind: a measured point plus the system's
 // whole-run migration and preemption counters.
 var Affinity = Kind[AffinityMeasure]{
-	salt: "affinity1",
 	run: func(cfg PointConfig, _ scenario.Spec, _ float64) AffinityMeasure {
 		r, sys := drive(cfg, nil)
 		mc := sys.(migrationCounter)

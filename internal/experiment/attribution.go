@@ -33,8 +33,6 @@ type PhaseRow struct {
 // AttributionRow is one measured system of the attribution table: the
 // usual latency point plus its phase waterfall and decision audit.
 type AttributionRow struct {
-	// Label names the series (from the preset).
-	Label string
 	// Result is the conventional measured point.
 	Result Result
 	// Phases is the latency waterfall, in phase order.
@@ -61,12 +59,11 @@ func (r AttributionRow) HostQueueTailShare() float64 {
 // inside the point run — never shared across concurrent sweep points — so
 // attribution tables are byte-identical at any runner parallelism.
 var Attributed = Kind[AttributionRow]{
-	salt: "attr1",
 	run: func(cfg PointConfig, sp scenario.Spec, x float64) AttributionRow {
 		col := attr.New(attr.Config{TailK: attributionTailK})
 		cfg.Factory = observed(sp, scenario.Options{Attr: col})
 		res := Plain.run(cfg, sp, x)
-		row := AttributionRow{Label: sp.Name, Result: res, Audit: col.AuditSummary()}
+		row := AttributionRow{Result: res, Audit: col.AuditSummary()}
 		for _, ps := range col.PhaseStats() {
 			row.Phases = append(row.Phases, PhaseRow{
 				Phase:     ps.Phase.String(),

@@ -57,7 +57,8 @@ var probeSystemPoints = map[string]struct {
 // at rps or (0) the series' first load point.
 func presetCase(t *testing.T, id string, series int, rps float64) probeCase {
 	t.Helper()
-	sp := scenarios.MustLoad(id).SpecFor(series)
+	p := scenarios.MustLoad(id)
+	sp := p.SpecFor(series)
 	sp.Quality = nil
 	if rps == 0 {
 		loads, err := SpecLoads(sp)
@@ -66,7 +67,7 @@ func presetCase(t *testing.T, id string, series int, rps float64) probeCase {
 		}
 		rps = loads[0]
 	}
-	return probeCase{name: id + "/" + sp.Name, spec: sp, rps: rps}
+	return probeCase{name: id + "/" + p.Series[series].Label, spec: sp, rps: rps}
 }
 
 // systemCases returns one healthy 400 kRPS point per registered system.
@@ -290,10 +291,9 @@ func TestAttributionHostQueueCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Rows(res)
 	byLabel := map[string]AttributionRow{}
-	for _, r := range rows {
-		byLabel[r.Label] = r
+	for _, sr := range res {
+		byLabel[sr.Label] = sr.Results[0]
 	}
 	off, ok := byLabel["shinjuku-offload"]
 	if !ok {

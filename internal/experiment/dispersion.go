@@ -46,7 +46,6 @@ type ShortTailMeasure struct {
 // (workload, preemption) cell is an independent point, so the whole
 // table fans out in parallel.
 var ShortTail = Kind[ShortTailMeasure]{
-	salt: "shorttail1",
 	run: func(cfg PointConfig, _ scenario.Spec, _ float64) ShortTailMeasure {
 		mean := cfg.Service.Mean()
 		var short stats.Histogram

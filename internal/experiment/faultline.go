@@ -58,9 +58,8 @@ type FaultTimelineResult struct {
 // long as the lead-in. A schedule without crash windows gets one
 // whole-run "faulted" phase sized to the quality's measurement count.
 var faultTimeline = Kind[FaultTimelineResult]{
-	salt: "faultline1",
 	run: func(cfg PointConfig, sp scenario.Spec, x float64) FaultTimelineResult {
-		res := FaultTimelineResult{Label: sp.Name, OfferedRPS: x}
+		res := FaultTimelineResult{OfferedRPS: x}
 		horizon := time.Duration(float64(cfg.Measure) / x * float64(time.Second))
 		res.Phases = []FaultPhase{{Phase: "faulted", End: horizon}}
 		if ws := faults.New(*sp.Faults, sp.Seed).CrashWindows(); len(ws) > 0 {
@@ -126,7 +125,7 @@ func FaultTimeline(ctx context.Context, rn *runner.Runner, presetID string, q Qu
 		p.Series = []scenario.SeriesSpec{{Label: p.Series[i].Label, Spec: sp}}
 		res, err := Run(ctx, rn, p, q, faultTimeline)
 		if rows := Rows(res); len(rows) > 0 {
-			rows[0].Preset = presetID
+			rows[0].Preset, rows[0].Label = presetID, res[0].Label
 			return rows[0], err
 		}
 		return FaultTimelineResult{}, err

@@ -18,8 +18,6 @@ import (
 // conventional latency point plus the rule-table counters that explain
 // it.
 type FlowRuleRow struct {
-	// Label names the series (offload policy) from the preset.
-	Label string
 	// Flows is the concurrent-flow population of the point.
 	Flows int
 	// Result is the conventional measured point.
@@ -42,15 +40,13 @@ type FlowRuleRow struct {
 // FlowRuleDetail is the X14 detail row kind: the conventional point of
 // a flow sweep plus the finished system's rule-table counters.
 var FlowRuleDetail = Kind[FlowRuleRow]{
-	salt: "flowdetail1",
-	run: func(cfg PointConfig, sp scenario.Spec, x float64) FlowRuleRow {
+	run: func(cfg PointConfig, _ scenario.Spec, x float64) FlowRuleRow {
 		r, sys := drive(cfg, nil)
 		r.Point.OfferedRPS = x
 		// Only the flowrule system takes a flow workload, so a flow-sweep
 		// spec built one.
 		fr := sys.(*flowrule.FlowRule)
 		row := FlowRuleRow{
-			Label:          sp.Name,
 			Flows:          int(x),
 			Result:         r,
 			FastPackets:    float64(fr.FastPackets()),

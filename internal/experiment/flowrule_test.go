@@ -81,14 +81,16 @@ func TestFlowRuleTableRows(t *testing.T) {
 		t.Fatalf("rows = %d, want 4 series x 5 populations", len(rows))
 	}
 	byLabel := map[string][]FlowRuleRow{}
-	for _, r := range rows {
-		if r.FastPackets+r.SlowPackets == 0 {
-			t.Fatalf("row %s/%d saw no packets", r.Label, r.Flows)
+	for _, sr := range res {
+		for _, r := range sr.Results {
+			if r.FastPackets+r.SlowPackets == 0 {
+				t.Fatalf("row %s/%d saw no packets", sr.Label, r.Flows)
+			}
+			if r.FastHitRate < 0 || r.FastHitRate > 1 {
+				t.Fatalf("row %s/%d hit rate = %v", sr.Label, r.Flows, r.FastHitRate)
+			}
 		}
-		if r.FastHitRate < 0 || r.FastHitRate > 1 {
-			t.Fatalf("row %s/%d hit rate = %v", r.Label, r.Flows, r.FastHitRate)
-		}
-		byLabel[r.Label] = append(byLabel[r.Label], r)
+		byLabel[sr.Label] = sr.Results
 	}
 	eager, ok := byLabel["threshold 4 (offload everything)"]
 	if !ok {

@@ -93,14 +93,13 @@ var paramsSig = sync.OnceValue(func() string {
 
 // SpecPointKey builds the cache identity of one measured point from the
 // spec fingerprint: the spec with its load pinned to the single offered
-// rate and the effective quality and seed baked in, salted with the
-// calibration fingerprint. Any two callers that describe the same scenario
-// — series of different figures, a table and a figure, a replicate — share
-// the entry, on disk and in the runner's memo; extra salts encode what the
-// pinned spec cannot (the swept axis value, the row kind).
+// rate and the effective quality and seed baked in, plus the calibration
+// fingerprint. Any two callers that describe the same scenario — series of
+// different figures, a table and a figure, a hypothesis arm, a replicate —
+// share the entry of each row type, on disk and in the runner's memo;
+// extra encodes what the pinned spec cannot (the swept axis value).
 func SpecPointKey(sp scenario.Spec, q Quality, rps float64, extra ...string) string {
 	id := sp
-	id.Name = ""
 	id.Load = &scenario.LoadSpec{RPS: rps}
 	id.Quality = &scenario.QualitySpec{Warmup: q.Warmup, Measure: q.Measure}
 	id.Seed = q.Seed
@@ -147,10 +146,10 @@ func PointConfigFor(sp scenario.Spec, q Quality) (PointConfig, error) {
 
 // Kind is a row kind: what measuring one point of a spec yields. The
 // kinds are Plain (a Result), Attributed, FlowRuleDetail, ShortTail,
-// Affinity and TenantMix; each owns its cache-key salt, so rows of
-// different kinds for the same scenario never collide.
+// Affinity and TenantMix. Points are keyed by the scenario alone and the
+// runner files each row under its type, so the rule every kind keeps is:
+// a kind that changes how a point runs returns its own row type.
 type Kind[T any] struct {
-	salt string
 	// run measures one compiled point of sp (the swept axis value already
 	// applied, offered rate and effective quality set in cfg). x is the
 	// point's reported coordinate: the offered rate, or the k / flow
@@ -237,12 +236,6 @@ func SpecSeries[T any](label string, sp scenario.Spec, q Quality, k Kind[T]) (ru
 			var extra []string
 			if a.tag != "" {
 				extra = append(extra, a.tag)
-			}
-			if k.salt != "" {
-				// Salted kinds may label their rows with the series name
-				// (Attributed, FlowRuleDetail, the fault timeline), which the
-				// fingerprint leaves out, so it is part of their identity.
-				extra = append(extra, k.salt+":"+a.sp.Name)
 			}
 			for _, rps := range loads {
 				cfg, x := cfg, rps

@@ -78,16 +78,12 @@ func TestFigureCancellation(t *testing.T) {
 	}
 }
 
-// pointKeys compiles one series of a preset, optionally renamed, as rows of
-// kind k and returns its points' cache keys.
-func pointKeys[T any](t *testing.T, preset string, series int, rename string, k Kind[T]) []string {
+// pointKeys compiles one series of a preset as Plain rows and returns its
+// points' cache keys.
+func pointKeys(t *testing.T, preset string, series int) []string {
 	t.Helper()
 	p := scenarios.MustLoad(preset)
-	sp := p.SpecFor(series)
-	if rename != "" {
-		sp.Name = rename
-	}
-	s, err := SpecSeries(p.Series[series].Label, sp, Quick, k)
+	s, err := SpecSeries(p.Series[series].Label, p.SpecFor(series), Quick, Plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,35 +97,19 @@ func pointKeys[T any](t *testing.T, preset string, series int, rename string, k 
 // TestPointKeysIdentifyTheScenarioNotTheSweep: two presets that declare the
 // same series (figure6 and figure6-cxl both plot shinjuku on 15 workers)
 // key its points identically, so one run of the grid measures them once;
-// what a key must still separate — another series, another row kind, and
-// for row kinds that label their rows another series name — it does.
+// another series keys apart. (The runner files each row kind under its own
+// type, so kinds need no key of their own.)
 func TestPointKeysIdentifyTheScenarioNotTheSweep(t *testing.T) {
-	shared := pointKeys(t, "figure6", 1, "", Plain)
+	shared := pointKeys(t, "figure6", 1)
 	if len(shared) == 0 || shared[0] == "" {
 		t.Fatalf("figure6's shinjuku series has no keyed points: %q", shared)
 	}
-	for what, same := range map[string][]string{
-		"under figure6-cxl":  pointKeys(t, "figure6-cxl", 1, "", Plain),
-		"under another name": pointKeys(t, "figure6", 1, "renamed", Plain),
-	} {
-		if !slices.Equal(same, shared) {
-			t.Errorf("the series is keyed differently %s:\n%q\n%q", what, same, shared)
-		}
+	if same := pointKeys(t, "figure6-cxl", 1); !slices.Equal(same, shared) {
+		t.Errorf("the series is keyed differently under figure6-cxl:\n%q\n%q", same, shared)
 	}
-	attributed := pointKeys(t, "figure6", 1, "", Attributed)
-	for what, other := range map[string][]string{
-		"another series":   pointKeys(t, "figure6", 0, "", Plain),
-		"another row kind": attributed,
-	} {
-		for _, k := range other {
-			if slices.Contains(shared, k) {
-				t.Errorf("%s shares key %q", what, k)
-			}
-		}
-	}
-	for _, k := range pointKeys(t, "figure6", 1, "renamed", Attributed) {
-		if slices.Contains(attributed, k) {
-			t.Errorf("an attributed row, which carries the series name, keeps key %q when renamed", k)
+	for _, k := range pointKeys(t, "figure6", 0) {
+		if slices.Contains(shared, k) {
+			t.Errorf("another series shares key %q", k)
 		}
 	}
 }

@@ -74,23 +74,27 @@ var tableRenderers = []struct {
 	{"attribution", func(t *testing.T, rn *runner.Runner) []byte {
 		_, res := tableRun(t, rn, "table-attribution", zeroFaultQuality, Attributed)
 		var buf bytes.Buffer
-		for _, r := range Rows(res) {
-			fmt.Fprintf(&buf, "%q %s\n", r.Label, resultFields(r.Result))
-			for _, ph := range r.Phases {
-				fmt.Fprintf(&buf, "  phase %+v\n", ph)
+		for _, sr := range res {
+			for _, r := range sr.Results {
+				fmt.Fprintf(&buf, "%q %s\n", sr.Label, resultFields(r.Result))
+				for _, ph := range r.Phases {
+					fmt.Fprintf(&buf, "  phase %+v\n", ph)
+				}
+				fmt.Fprintf(&buf, "  audit %+v\n", r.Audit)
 			}
-			fmt.Fprintf(&buf, "  audit %+v\n", r.Audit)
 		}
 		return buf.Bytes()
 	}},
 	{"flowrule", func(t *testing.T, rn *runner.Runner) []byte {
 		_, res := tableRun(t, rn, "figure-flowrule", zeroFaultQuality, FlowRuleDetail)
 		var buf bytes.Buffer
-		for _, r := range Rows(res) {
-			fmt.Fprintf(&buf, "%q flows=%d %s\n", r.Label, r.Flows, resultFields(r.Result))
-			fmt.Fprintf(&buf, "  fast=%g slow=%g drop=%g hit=%g inserted=%g lru=%g idle=%g refused=%g resident=%g threshold=%g\n",
-				r.FastPackets, r.SlowPackets, r.DropPackets, r.FastHitRate, r.Insertions,
-				r.LRUEvictions, r.IdleEvictions, r.OffloadRefused, r.Resident, r.Threshold)
+		for _, sr := range res {
+			for _, r := range sr.Results {
+				fmt.Fprintf(&buf, "%q flows=%d %s\n", sr.Label, r.Flows, resultFields(r.Result))
+				fmt.Fprintf(&buf, "  fast=%g slow=%g drop=%g hit=%g inserted=%g lru=%g idle=%g refused=%g resident=%g threshold=%g\n",
+					r.FastPackets, r.SlowPackets, r.DropPackets, r.FastHitRate, r.Insertions,
+					r.LRUEvictions, r.IdleEvictions, r.OffloadRefused, r.Resident, r.Threshold)
+			}
 		}
 		return buf.Bytes()
 	}},

@@ -26,7 +26,6 @@ type TenantResult struct {
 // then as written, under strict class priority. A series without
 // tenants has no mix to profile and yields no rows.
 var TenantMix = Kind[[]TenantResult]{
-	salt: "tenants1",
 	run: func(cfg PointConfig, sp scenario.Spec, _ float64) []TenantResult {
 		sched := "fifo"
 		for _, t := range sp.Tenants {

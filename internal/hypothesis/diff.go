@@ -44,14 +44,13 @@ func encodeDim(v any) string {
 // reflects from its struct tags, so a knob added there is diffable here.
 func specDims(sp scenario.Spec) map[string]string {
 	out := map[string]string{
-		"system":      encodeDim(sp.System),
-		"workload":    encodeDim(sp.Workload),
-		"keys":        encodeDim(sp.Keys),
-		"flow":        encodeDim(sp.Flow),
-		"tenants":     encodeDim(sp.Tenants),
-		"load":        encodeDim(sp.Load),
-		"attribution": encodeDim(sp.Attribution),
-		"faults":      encodeDim(sp.Faults),
+		"system":   encodeDim(sp.System),
+		"workload": encodeDim(sp.Workload),
+		"keys":     encodeDim(sp.Keys),
+		"flow":     encodeDim(sp.Flow),
+		"tenants":  encodeDim(sp.Tenants),
+		"load":     encodeDim(sp.Load),
+		"faults":   encodeDim(sp.Faults),
 	}
 	kn := sp.KnobsOrZero()
 	kb, err := json.Marshal(kn)

@@ -16,10 +16,10 @@ type MetricDef struct {
 	LowerBetter bool
 	// Unit labels values in FINDINGS tables ("ns", "rps", "fraction").
 	Unit string
-	// Attribution marks metrics that need a decision-audit collector
-	// attached to the run (mis_dispatch); such points are measured as
-	// experiment.Attributed rows.
-	Attribution bool
+	// Audited marks metrics read from the decision audit (mis_dispatch):
+	// their arms run as experiment.Attributed rows, which attach the
+	// collector.
+	Audited bool
 }
 
 // metrics is the closed set of supported metrics. Each reads existing
@@ -32,7 +32,7 @@ var metrics = map[string]MetricDef{
 	"max":          {Name: "max", LowerBetter: true, Unit: "ns"},
 	"goodput":      {Name: "goodput", LowerBetter: false, Unit: "rps"},
 	"drop_rate":    {Name: "drop_rate", LowerBetter: true, Unit: "fraction"},
-	"mis_dispatch": {Name: "mis_dispatch", LowerBetter: true, Unit: "fraction"},
+	"mis_dispatch": {Name: "mis_dispatch", LowerBetter: true, Unit: "fraction", Audited: true},
 }
 
 // metricNames returns the supported names, sorted, for error messages.
@@ -45,8 +45,8 @@ func metricNames() string {
 	return strings.Join(names, ", ")
 }
 
-// measurement is the per-point value carrier the executor caches: the
-// conventional result plus the audit rate when attribution ran.
+// measurement is what the verdicts read of one measured point: the
+// conventional result, plus the audit rate for audited metrics.
 type measurement struct {
 	Result experiment.Result
 	// MisRate is the decision-audit mis-dispatch fraction (attribution

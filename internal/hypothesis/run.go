@@ -9,15 +9,6 @@ import (
 	"mindgap/internal/scenario"
 )
 
-// sweepID prefixes every hypothesis point's key in the runner cache: the
-// executor caches its own carrier type (measurement), so its entries must
-// not meet a figure's Result under the scenario's bare key. It is shared
-// across hypotheses on purpose: the cache identity of a point is the
-// scenario it measures (fingerprint with load/quality/seed baked in),
-// so two hypotheses whose arms describe the same scenario — or a
-// re-run of the same hypothesis — reuse each other's results.
-const sweepID = "hyp"
-
 // Report is one executed hypothesis: the inputs, the per-seed (or
 // per-load) measurements, the criterion verdict, and the analytic-twin
 // check. Render writes it as a FINDINGS document.
@@ -68,23 +59,19 @@ func Run(ctx context.Context, rn *runner.Runner, h Spec, q experiment.Quality) (
 	}
 
 	def := metrics[h.Metric]
-	sw := runner.Sweep[measurement]{Name: sweepID + ":" + h.ID}
-	for _, side := range []struct {
-		label string
-		arm   Arm
-	}{{"a", h.A}, {"b", h.B}} {
-		series, err := armSeries(side.label, side.arm, h.Seeds, eq, def)
-		if err != nil {
-			return Report{}, fmt.Errorf("hypothesis %s: arm %s: %w", h.ID, side.label, err)
-		}
-		sw.Series = append(sw.Series, series)
+	var mA, mB []measurement
+	if def.Audited {
+		mA, mB, err = runArms(ctx, rn, h, eq, experiment.Attributed, func(r experiment.AttributionRow) measurement {
+			return measurement{Result: r.Result, MisRate: r.Audit.MisRate}
+		})
+	} else {
+		mA, mB, err = runArms(ctx, rn, h, eq, experiment.Plain, func(r experiment.Result) measurement {
+			return measurement{Result: r}
+		})
 	}
-
-	res, err := runner.Run(ctx, rn, sw)
 	if err != nil {
-		return Report{}, fmt.Errorf("hypothesis %s: %w", h.ID, err)
+		return Report{}, err
 	}
-	mA, mB := res[0].Results, res[1].Results
 	want := len(h.Seeds) * len(loadsA)
 	if len(mA) != want || len(mB) != len(h.Seeds)*len(loadsB) {
 		return Report{}, fmt.Errorf("hypothesis %s: incomplete run (%d/%d a-points, %d/%d b-points)",
@@ -131,54 +118,42 @@ func armLoads(a Arm) ([]float64, error) {
 	return loads, nil
 }
 
-// armSeries compiles one arm into a runner series: seeds outer, loads
-// inner, so per-seed rows are contiguous. Every seed's points come from
-// experiment.SpecSeries with the seed substituted into the spec — the
-// same compiler, row kinds and fingerprint-derived cache keys as
-// figures and tables, so identical scenarios measured by other
-// hypotheses share cache entries. Arms keep every grid point: a
-// crossover needs both sides of the knee.
-func armSeries(label string, a Arm, seeds []uint64, q experiment.Quality, def MetricDef) (runner.Series[measurement], error) {
-	out := runner.Series[measurement]{Label: label}
-	for _, seed := range seeds {
-		sp := a.Scenario
-		sp.Name = ""
-		sp.Seed = seed
-		var err error
-		if def.Attribution {
-			// Attribution points carry the audit collector; the kind's
-			// salt keeps them distinct from plain Result entries for
-			// the same scenario.
-			sp.Attribution = true
-			err = appendPoints(&out, sp, q, experiment.Attributed, func(row experiment.AttributionRow) measurement {
-				return measurement{Result: row.Result, MisRate: row.Audit.MisRate}
-			})
-		} else {
-			err = appendPoints(&out, sp, q, experiment.Plain, func(r experiment.Result) measurement {
-				return measurement{Result: r}
-			})
+// runArms measures both arms as rows of kind k, one series per arm: seeds
+// outer, loads inner, so per-seed rows are contiguous. Every seed's points
+// come from experiment.SpecSeries with the seed substituted into the spec —
+// the same compiler, row kinds and point keys as figures and tables, so a
+// scenario a figure or another hypothesis already measured on the runner
+// (or its cache) is reused. Arms keep every grid point: a crossover needs
+// both sides of the knee. view reduces each row to what the verdicts read.
+func runArms[T any](ctx context.Context, rn *runner.Runner, h Spec, q experiment.Quality, k experiment.Kind[T], view func(T) measurement) (mA, mB []measurement, err error) {
+	sw := runner.Sweep[T]{Name: h.ID}
+	for _, side := range []struct {
+		label string
+		arm   Arm
+	}{{"a", h.A}, {"b", h.B}} {
+		s := runner.Series[T]{Label: side.label}
+		for _, seed := range h.Seeds {
+			sp := side.arm.Scenario
+			sp.Seed = seed
+			seeded, err := experiment.SpecSeries(side.label, sp, q, k)
+			if err != nil {
+				return nil, nil, fmt.Errorf("hypothesis %s: arm %s: %w", h.ID, side.label, err)
+			}
+			s.Points = append(s.Points, seeded.Points...)
 		}
-		if err != nil {
-			return out, err
-		}
+		sw.Series = append(sw.Series, s)
 	}
-	return out, nil
-}
-
-// appendPoints compiles sp's load axis as rows of kind k and appends the
-// points to out, each row converted to the cached measurement carrier.
-func appendPoints[T any](out *runner.Series[measurement], sp scenario.Spec, q experiment.Quality, k experiment.Kind[T], conv func(T) measurement) error {
-	s, err := experiment.SpecSeries("", sp, q, k)
+	res, err := runner.Run(ctx, rn, sw)
 	if err != nil {
-		return err
+		return nil, nil, fmt.Errorf("hypothesis %s: %w", h.ID, err)
 	}
-	for _, p := range s.Points {
-		out.Points = append(out.Points, runner.Point[measurement]{
-			Key: sweepID + "|" + p.Key,
-			Run: func() measurement { return conv(p.Run()) },
-		})
+	views := make([][]measurement, len(res))
+	for i, sr := range res {
+		for _, r := range sr.Results {
+			views[i] = append(views[i], view(r))
+		}
 	}
-	return nil
+	return views[0], views[1], nil
 }
 
 // seedOutcomes pairs the single-load measurements per seed.

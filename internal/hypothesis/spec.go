@@ -252,12 +252,7 @@ func (s Spec) validateArms() error {
 			return fmt.Errorf("hypothesis %s: arm %s: hypotheses compare fixed scenarios, not k/flow sweeps", s.ID, side.name)
 		}
 		// Arms are validated exactly as the executor runs them: each
-		// pinned seed substituted (faulted arms require a nonzero seed),
-		// and the attribution collector attached when the metric needs
-		// one — a system that cannot be audited fails here, not mid-run.
-		if metrics[s.Metric].Attribution {
-			sp.Attribution = true
-		}
+		// pinned seed substituted (faulted arms require a nonzero seed).
 		for _, sd := range s.Seeds {
 			sp.Seed = sd
 			if err := sp.Validate(); err != nil {

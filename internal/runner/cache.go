@@ -14,12 +14,12 @@ import (
 // simulation model changes in a way that alters measurements without
 // changing point configurations (calibration tweaks, scheduler fixes), so
 // stale entries from older binaries are never served.
-const CacheSchemaVersion = "mindgap-runner/2"
+const CacheSchemaVersion = "mindgap-runner/3"
 
-// Cache memoises point results on disk, one JSON file per point, named by
-// the SHA-256 of (CacheSchemaVersion, point key). Point keys must encode
-// every input that determines the measurement — the experiment package
-// includes the system spec, workload, load, quality, seed, and a
+// Cache memoises point results on disk, one JSON file per entry, named by
+// the SHA-256 of (CacheSchemaVersion, row type, point key). Point keys must
+// encode every input that determines the simulation — the experiment
+// package includes the system spec, workload, load, quality, seed, and a
 // fingerprint of the calibration constants. The cache is best-effort:
 // read or write failures fall back to running the point.
 type Cache struct {

@@ -11,15 +11,18 @@
 //
 // The package is deliberately generic: a Sweep[T] measures values of any
 // JSON-serializable type T, so the figure grids (T = experiment.Result),
-// the replicate harness (T = experiment.Result per seed), and the custom
-// ablation experiments (dispersion, affinity, multi-tenant) all share one
-// execution engine instead of hand-rolled serial loops.
+// the hypothesis arms, and the custom row kinds (attribution, dispersion,
+// affinity, multi-tenant) all share one execution engine. A result is
+// filed under its row type and its point key, so callers that read the
+// same rows of the same simulation share one entry, and a type never
+// meets another type's entry.
 package runner
 
 import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -41,9 +44,10 @@ func PaceGC() {
 // simulation to completion and returns its measurement.
 type Point[T any] struct {
 	// Key is the point's stable cache identity. It must uniquely describe
-	// everything that determines the measurement (system configuration,
-	// workload, load, seed, quality, calibration constants). An empty Key
-	// disables caching for the point.
+	// everything that determines the simulation (system configuration,
+	// workload, load, seed, quality, calibration constants); the runner
+	// adds the row type T, so a key need not say what is read from the
+	// run. An empty Key disables caching for the point.
 	Key string
 	// Run executes the point. It is called at most once per sweep and may
 	// run concurrently with other points, so it must not share mutable
@@ -108,27 +112,34 @@ type Runner struct {
 	// goroutines; it must be safe for concurrent use).
 	Progress func(Event)
 
-	// memo maps a point key to the result this Runner last ran or loaded
-	// for it, so sweeps that share a point (a figure's baseline series
-	// repeated in the next figure) measure it once per process. It is keyed
-	// like the disk cache and consulted before it. Results are handed out
-	// shared: callers treat them as immutable.
+	// memo maps an entry (row type and point key) to the result this
+	// Runner last ran or loaded for it, so sweeps that share a point (a
+	// figure's baseline series repeated in the next figure, a hypothesis
+	// arm) measure it once per process. It is keyed like the disk cache
+	// and consulted before it. Results are handed out shared: callers treat
+	// them as immutable.
 	memo sync.Map
 }
 
-// recall returns the memoised or disk-cached result for key. A memo entry
-// of another type (a key reused for a different carrier) is a miss.
+// entry is where a result of type T for key is filed, in the memo and on
+// disk: the key names the simulation, the row type what was read from it,
+// so one key serves every caller that reads the same rows and no caller is
+// ever handed another type's entry.
+func entry[T any](key string) string {
+	return reflect.TypeFor[T]().String() + "|" + key
+}
+
+// recall returns the memoised or disk-cached result for key.
 func recall[T any](r *Runner, key string) (v T, ok bool) {
 	if key == "" {
 		return v, false
 	}
-	if m, hit := r.memo.Load(key); hit {
-		if v, ok = m.(T); ok {
-			return v, true
-		}
+	e := entry[T](key)
+	if m, hit := r.memo.Load(e); hit {
+		return m.(T), true
 	}
-	if r.Cache != nil && r.Cache.get(key, &v) {
-		r.memo.Store(key, v)
+	if r.Cache != nil && r.Cache.get(e, &v) {
+		r.memo.Store(e, v)
 		return v, true
 	}
 	return v, false
@@ -139,9 +150,10 @@ func remember[T any](r *Runner, key string, v T) {
 	if key == "" {
 		return
 	}
-	r.memo.Store(key, v)
+	e := entry[T](key)
+	r.memo.Store(e, v)
 	if r.Cache != nil {
-		r.Cache.put(key, v)
+		r.Cache.put(e, v)
 	}
 }
 

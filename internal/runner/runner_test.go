@@ -229,9 +229,9 @@ func TestCacheRoundTrip(t *testing.T) {
 
 // TestMemoMeasuresEachKeyOncePerRunner: sweeps run on one Runner share its
 // memo — a key measured by an earlier sweep is served (and reported Cached)
-// without running or touching the disk cache; a memo entry of another type
-// is a miss; keyless points always run; a fresh Runner starts empty and
-// falls back to the disk cache.
+// without running or touching the disk cache; keyless points always run; a
+// fresh Runner starts empty and falls back to the disk cache; and another
+// row type under the same key is a miss there too.
 func TestMemoMeasuresEachKeyOncePerRunner(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -268,18 +268,25 @@ func TestMemoMeasuresEachKeyOncePerRunner(t *testing.T) {
 		t.Fatalf("disk cache saw %d hits / %d misses, want 0/3 (the memo answers first)", hits, misses)
 	}
 
-	// Another carrier type under the key: not served. (The disk entry is
-	// not type-checked, which is why callers that cache a different carrier
-	// salt their keys.)
-	rn.memo.Store("d", "not a meas")
-	if got := run(rn, point("d", 6)); got[0].V != 6 {
-		t.Fatalf("memo entry of another type served as %+v", got[0])
-	}
-
 	// A fresh Runner on the same cache: nothing memoised, everything on disk.
 	before := ran.Load()
 	if got := run(&Runner{Cache: cache}, point("c", -4)); got[0].V != 4 || ran.Load() != before {
 		t.Fatalf("fresh runner: got %+v after %d runs", got[0], ran.Load()-before)
+	}
+
+	// Another row type under the same key, on a fresh Runner and the same
+	// disk cache: its point runs. meas's JSON would decode into it, so only
+	// the type in the entry name keeps the two apart.
+	type other struct{ V int }
+	var otherRan bool
+	got2, err := RunOne(context.Background(), &Runner{Cache: cache}, "other", Series[other]{Points: []Point[other]{
+		{Key: "a", Run: func() other { otherRan = true; return other{V: 7} }},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !otherRan || got2[0].V != 7 {
+		t.Fatalf("another row type under key \"a\" was served %+v instead of running", got2[0])
 	}
 }
 

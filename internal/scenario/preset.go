@@ -35,13 +35,9 @@ type SeriesSpec struct {
 }
 
 // SpecFor resolves series i against the preset defaults: the series
-// spec with unset Workload/Keys/Load/Seed filled from the preset and
-// Name filled from the label.
+// spec with unset Workload/Keys/Flow/Load/Seed filled from the preset.
 func (p Preset) SpecFor(i int) Spec {
 	sp := p.Series[i].Spec
-	if sp.Name == "" {
-		sp.Name = p.Series[i].Label
-	}
 	if sp.Workload == "" {
 		sp.Workload = p.Workload
 	}
@@ -84,8 +80,8 @@ func DecodePreset(b []byte) (Preset, error) {
 }
 
 // DecodeAny parses either a preset or a bare single Spec, wrapping the
-// latter into a one-series preset — so `mindgap-sim -scenario file.json`
-// accepts both shapes.
+// latter into a one-series preset labelled by its system — so
+// `mindgap-sim -scenario file.json` accepts both shapes.
 func DecodeAny(b []byte) (Preset, error) {
 	p, perr := DecodePreset(b)
 	if perr == nil && len(p.Series) > 0 {
@@ -93,13 +89,9 @@ func DecodeAny(b []byte) (Preset, error) {
 	}
 	sp, serr := Decode(b)
 	if serr == nil && sp.System != "" {
-		label := sp.Name
-		if label == "" {
-			label = sp.System
-		}
 		return Preset{
-			ID:     label,
-			Series: []SeriesSpec{{Label: label, Spec: sp}},
+			ID:     sp.System,
+			Series: []SeriesSpec{{Label: sp.System, Spec: sp}},
 		}, nil
 	}
 	if perr != nil {

@@ -23,12 +23,10 @@ import (
 )
 
 // Options carries per-run wiring that is not part of a scenario's
-// identity: the calibration constants and optional observability sinks.
-// Tracer and Attr are consumers of the lifecycle probe every system
-// reports through, so every system accepts them.
+// identity: optional observability sinks. Tracer and Attr are consumers
+// of the lifecycle probe every system reports through, so every system
+// accepts them.
 type Options struct {
-	// Params overrides the hardware cost model (nil = params.Default()).
-	Params *params.Params
 	// Tracer, when non-nil, records request lifecycles.
 	Tracer *trace.Buffer
 	// Metrics, when non-nil, wires component probes into the registry.
@@ -46,13 +44,6 @@ func factory[C any, S System](o Options, cfg C, build func(*sim.Engine, C, *prob
 	return func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
 		return build(eng, cfg, &probe.Probe{Rec: rec, Trace: o.Tracer, Attr: o.Attr}, done)
 	}, nil
-}
-
-func (o Options) params() params.Params {
-	if o.Params != nil {
-		return *o.Params
-	}
-	return params.Default()
 }
 
 // Builder registers one system kind: its registry name, documentation,
@@ -200,7 +191,7 @@ func rtcBuilder(name, doc string, cfg func(k Knobs) rtc.Config) Builder {
 		Build: func(o Options, sp Spec) (Factory, error) {
 			k := sp.KnobsOrZero()
 			c := cfg(k)
-			c.P = o.params()
+			c.P = params.Default()
 			c.Workers = k.Workers
 			c.QueueCap = k.QueueCap
 			return factory(o, c, rtc.New)
@@ -227,7 +218,7 @@ func init() {
 				return nil, fmt.Errorf("scenario: offload needs outstanding >= 1")
 			}
 			cfg := core.OffloadConfig{
-				P:              o.params(),
+				P:              params.Default(),
 				Workers:        k.Workers,
 				Outstanding:    k.Outstanding,
 				Slice:          k.Slice.D(),
@@ -270,7 +261,7 @@ func init() {
 				return nil, err
 			}
 			cfg := shinjuku.Config{
-				P:           o.params(),
+				P:           params.Default(),
 				Workers:     k.Workers,
 				Slice:       k.Slice.D(),
 				Outstanding: k.Outstanding,
@@ -297,7 +288,7 @@ func init() {
 		Knobs: []string{"workers"},
 		Build: func(o Options, sp Spec) (Factory, error) {
 			k := sp.KnobsOrZero()
-			cfg := rpcvalet.Config{P: o.params(), Workers: k.Workers}
+			cfg := rpcvalet.Config{P: params.Default(), Workers: k.Workers}
 			return factory(o, cfg, rpcvalet.New)
 		},
 	})
@@ -305,17 +296,9 @@ func init() {
 	Register(Builder{
 		Name:  "erss",
 		Doc:   "Elastic RSS: load feedback resizes the core set, fixed policy (§5.1)",
-		Knobs: []string{"workers", "min_workers", "interval", "up_threshold", "down_threshold"},
+		Knobs: []string{"workers"},
 		Build: func(o Options, sp Spec) (Factory, error) {
-			k := sp.KnobsOrZero()
-			cfg := erss.Config{
-				P:             o.params(),
-				Workers:       k.Workers,
-				MinWorkers:    k.MinWorkers,
-				Interval:      k.Interval.D(),
-				UpThreshold:   k.UpThreshold,
-				DownThreshold: k.DownThreshold,
-			}
+			cfg := erss.Config{P: params.Default(), Workers: sp.KnobsOrZero().Workers}
 			return factory(o, cfg, erss.New)
 		},
 	})
@@ -324,24 +307,20 @@ func init() {
 		Name: "flowrule",
 		Doc:  "SmartNIC flow-rule offload: bounded rule insertion, LRU table, fast/slow path steering",
 		Knobs: []string{"workers", "rule_capacity", "insert_rate", "insert_queue",
-			"offload_threshold", "adaptive_threshold", "adapt_interval", "idle_timeout",
-			"fast_latency", "slow_latency", "slow_queue"},
+			"offload_threshold", "adaptive_threshold", "idle_timeout", "slow_queue"},
 		Observable:   true,
 		FlowWorkload: true,
 		Build: func(o Options, sp Spec) (Factory, error) {
 			k := sp.KnobsOrZero()
 			cfg := flowrule.Config{
-				P:              o.params(),
+				P:              params.Default(),
 				Workers:        k.Workers,
 				RuleCapacity:   k.RuleCapacity,
 				InsertRate:     k.InsertRate,
 				InsertQueueCap: k.InsertQueue,
 				Threshold:      k.OffloadThreshold,
 				Adaptive:       k.AdaptiveThreshold,
-				AdaptInterval:  k.AdaptInterval.D(),
 				IdleTimeout:    k.IdleTimeout.D(),
-				FastLatency:    k.FastLatency.D(),
-				SlowLatency:    k.SlowLatency.D(),
 				SlowQueueCap:   k.SlowQueue,
 				Metrics:        o.Metrics,
 			}
@@ -364,7 +343,7 @@ func init() {
 				return nil, fmt.Errorf("scenario: idealnic needs outstanding >= 1")
 			}
 			cfg := idealnic.Config{
-				P:                o.params(),
+				P:                params.Default(),
 				Workers:          k.Workers,
 				Outstanding:      k.Outstanding,
 				Slice:            k.Slice.D(),

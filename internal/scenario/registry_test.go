@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mindgap/internal/attr"
 	"mindgap/internal/sim"
 	"mindgap/internal/task"
 	"mindgap/internal/telemetry"
@@ -61,7 +62,7 @@ func TestBuildEverySystem(t *testing.T) {
 		"zygos":    {Workers: 2},
 		"flowdir":  {Workers: 2},
 		"rpcvalet": {Workers: 2},
-		"erss":     {Workers: 4, MinWorkers: 1},
+		"erss":     {Workers: 4},
 		"idealnic": {Workers: 2, Outstanding: 2, CXL: true},
 		"flowrule": {Workers: 1},
 	}
@@ -121,7 +122,7 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := BuildWith(Spec{System: "rss", Knobs: &Knobs{Workers: 2}}, Options{Metrics: telemetry.NewRegistry()}); err == nil {
 		t.Error("rss with a metrics registry built; want rejection")
 	}
-	if _, err := Build(Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Attribution: true}); err != nil {
+	if _, err := BuildWith(Spec{System: "rss", Knobs: &Knobs{Workers: 2}}, Options{Attr: attr.New(attr.Config{})}); err != nil {
 		t.Errorf("rss with attribution: %v", err)
 	}
 }

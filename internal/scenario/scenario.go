@@ -1,8 +1,7 @@
 // Package scenario is the declarative layer between experiment
 // definitions and the systems they measure: a serializable Spec (system
 // kind + typed knobs, workload, keys, flow or tenant streams, load grid,
-// quality, seed, telemetry/attribution toggles, fault schedule) with a
-// canonical JSON encoding and
+// quality, seed, fault schedule) with a canonical JSON encoding and
 // fingerprint, plus a central registry that maps system names to
 // builders with per-kind knob validation.
 //

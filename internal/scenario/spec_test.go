@@ -50,7 +50,6 @@ func TestGridPointsExact(t *testing.T) {
 // any duration, but the knobs are semantically non-negative anyway).
 func randomSpec(r *rand.Rand) Spec {
 	sp := Spec{
-		Name:     "series-" + string(rune('a'+r.IntN(26))),
 		System:   SystemNames()[r.IntN(len(SystemNames()))],
 		Workload: "bimodal:0.995:5µs:100µs",
 		Seed:     r.Uint64N(1 << 40),
@@ -205,8 +204,8 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodePreset([]byte(`{"id":"x","seriez":[]}`)); err == nil {
 		t.Error("preset with unknown field decoded; want error")
 	}
-	// Fields the schema used to carry but nothing ever read.
-	for _, gone := range []string{`"seeds":[1,2]`, `"trace":true`} {
+	// Fields the schema used to carry but nothing simulated read.
+	for _, gone := range []string{`"seeds":[1,2]`, `"trace":true`, `"name":"a"`, `"attribution":false`} {
 		if _, err := Decode([]byte(`{"system":"offload",` + gone + `}`)); err == nil {
 			t.Errorf("spec with retired field %s decoded; want error", gone)
 		}
@@ -294,7 +293,7 @@ func TestWithFlatTenants(t *testing.T) {
 // TestKnobNames checks the reflected knob list against the schema: every
 // field is tagged, and a knob is set exactly when the encoding carries it.
 func TestKnobNames(t *testing.T) {
-	k := Knobs{Workers: 4, UpThreshold: 0.5, CXL: true, Slice: Duration(time.Microsecond)}
+	k := Knobs{Workers: 4, QueueCap: 3, CXL: true, Slice: Duration(time.Microsecond)}
 	all, set := k.Names()
 	if len(all) != reflect.TypeOf(k).NumField() {
 		t.Fatalf("all = %d names for %d fields", len(all), reflect.TypeOf(k).NumField())
@@ -304,7 +303,7 @@ func TestKnobNames(t *testing.T) {
 			t.Fatalf("knob without a JSON name in %v", all)
 		}
 	}
-	if want := []string{"workers", "slice", "up_threshold", "cxl"}; !reflect.DeepEqual(set, want) {
+	if want := []string{"workers", "slice", "queue_cap", "cxl"}; !reflect.DeepEqual(set, want) {
 		t.Errorf("set = %v, want %v (declaration order)", set, want)
 	}
 	b, err := json.Marshal(k)
@@ -340,7 +339,7 @@ func TestDecodeAny(t *testing.T) {
 	if p.ID != "two" || len(p.Series) != 1 {
 		t.Errorf("preset decoded wrong: %+v", p)
 	}
-	if sp := p.SpecFor(0); sp.Workload != "fixed:1µs" || sp.Load == nil || sp.Name != "a" {
+	if sp := p.SpecFor(0); sp.Workload != "fixed:1µs" || sp.Load == nil {
 		t.Errorf("series defaults not inherited: %+v", sp)
 	}
 

@@ -22,21 +22,23 @@ import (
 	"mindgap/internal/task"
 )
 
+// The provisioning loop: the set never shrinks below minWorkers cores, and
+// every interval (eRSS adapts "on the µs scale") it compares the
+// per-provisioned-core queue depth with two watermarks: above upThreshold
+// it adds a core, below downThreshold it removes one.
+const (
+	minWorkers    = 1
+	interval      = 20 * time.Microsecond
+	upThreshold   = 2.0
+	downThreshold = 0.5
+)
+
 // Config describes one eRSS deployment.
 type Config struct {
 	// P is the hardware cost model.
 	P params.Params
 	// Workers is the maximum number of provisionable cores.
 	Workers int
-	// MinWorkers is the floor of the provisioned set (default 1).
-	MinWorkers int
-	// Interval is the reprovisioning period — eRSS adapts "on the µs
-	// scale" (default 20µs).
-	Interval time.Duration
-	// UpThreshold and DownThreshold are per-provisioned-core queue-depth
-	// watermarks: above Up, add a core; below Down, remove one.
-	// Defaults: 2.0 and 0.5.
-	UpThreshold, DownThreshold float64
 }
 
 // ERSS is the simulated Elastic RSS system: the shared host-worker kit
@@ -58,30 +60,15 @@ type ERSS struct {
 // New builds the system. done runs when the client receives each response;
 // pr (optional) carries the run's observers.
 func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request)) *ERSS {
-	if cfg.MinWorkers <= 0 {
-		cfg.MinWorkers = 1
-	}
-	if cfg.MinWorkers > cfg.Workers {
-		cfg.MinWorkers = cfg.Workers
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 20 * time.Microsecond
-	}
-	if cfg.UpThreshold <= 0 {
-		cfg.UpThreshold = 2.0
-	}
-	if cfg.DownThreshold <= 0 {
-		cfg.DownThreshold = 0.5
-	}
 	p := cfg.P
-	s := &ERSS{eng: eng, cfg: cfg, pr: pr, provisioned: cfg.MinWorkers}
+	s := &ERSS{eng: eng, cfg: cfg, pr: pr, provisioned: minWorkers}
 	// No Slice: no preemption is eRSS's fixed policy. Each core parses its
 	// own packets, as in rtc.
 	s.Host = cores.NewHost(eng, cores.HostConfig{
 		P: p, Workers: cfg.Workers, Pickup: p.HostNetworkerCost + p.PickupCost(false),
 	}, pr, s.steer, done)
 	// The reprovisioning loop runs on the NIC from host load feedback.
-	eng.AfterE(cfg.Interval, erssReprovision, s, nil, 0)
+	eng.AfterE(interval, erssReprovision, s, nil, 0)
 	return s
 }
 
@@ -128,16 +115,16 @@ func (s *ERSS) reprovision() {
 	}
 	perCore := float64(backlog) / float64(s.provisioned)
 	switch {
-	case perCore > s.cfg.UpThreshold && s.provisioned < s.cfg.Workers:
+	case perCore > upThreshold && s.provisioned < s.cfg.Workers:
 		s.provisioned++
 		s.resizes++
-	case perCore < s.cfg.DownThreshold && s.provisioned > s.cfg.MinWorkers:
+	case perCore < downThreshold && s.provisioned > minWorkers:
 		// A deprovisioned core finishes its queue; new arrivals just stop
 		// hashing to it.
 		s.provisioned--
 		s.resizes++
 	}
-	s.eng.AfterE(s.cfg.Interval, erssReprovision, s, nil, 0)
+	s.eng.AfterE(interval, erssReprovision, s, nil, 0)
 }
 
 // Provisioned returns the current RSS set size.

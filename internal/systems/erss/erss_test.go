@@ -102,9 +102,9 @@ func TestValidationAndDefaults(t *testing.T) {
 			f()
 		}()
 	}
-	sys := New(eng, Config{P: params.Default(), Workers: 2, MinWorkers: 5}, nil, func(*task.Request) {})
-	if sys.Provisioned() != 2 {
-		t.Fatalf("MinWorkers not clamped: %d", sys.Provisioned())
+	sys := New(eng, cfg(2), nil, func(*task.Request) {})
+	if sys.Provisioned() != 1 {
+		t.Fatalf("starts with %d cores provisioned, want 1", sys.Provisioned())
 	}
 	if sys.Name() != "erss" {
 		t.Fatalf("Name = %q", sys.Name())

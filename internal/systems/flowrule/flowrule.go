@@ -38,6 +38,15 @@ import (
 // any elephant train, i.e. "offload nothing").
 const maxThreshold = 1 << 20
 
+// adaptInterval is the adaptive controller's adjustment period; fastLatency
+// is the hardware fast-path transit time and slowLatency the software
+// slow-path traversal overhead, paid on top of per-packet processing.
+const (
+	adaptInterval = time.Millisecond
+	fastLatency   = 10 * time.Microsecond
+	slowLatency   = 80 * time.Microsecond
+)
+
 // Config describes one flow-rule offload deployment.
 type Config struct {
 	// P is the hardware cost model (client↔NIC wire latency).
@@ -58,16 +67,9 @@ type Config struct {
 	Threshold int
 	// Adaptive enables the adaptive threshold controller.
 	Adaptive bool
-	// AdaptInterval is the controller's adjustment period (default 1ms).
-	AdaptInterval time.Duration
 	// IdleTimeout evicts rules whose flow has been quiet this long
 	// (default 100ms).
 	IdleTimeout time.Duration
-	// FastLatency is the hardware fast-path transit time (default 10µs).
-	FastLatency time.Duration
-	// SlowLatency is the software slow-path traversal overhead, paid on
-	// top of per-packet processing (default 80µs).
-	SlowLatency time.Duration
 	// SlowQueueCap bounds the slow-path queue in batches; arrivals
 	// beyond it are dropped (default 4096).
 	SlowQueueCap int
@@ -136,17 +138,8 @@ func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request))
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 16
 	}
-	if cfg.AdaptInterval <= 0 {
-		cfg.AdaptInterval = time.Millisecond
-	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 100 * time.Millisecond
-	}
-	if cfg.FastLatency <= 0 {
-		cfg.FastLatency = 10 * time.Microsecond
-	}
-	if cfg.SlowLatency <= 0 {
-		cfg.SlowLatency = 80 * time.Microsecond
 	}
 	if cfg.SlowQueueCap <= 0 {
 		cfg.SlowQueueCap = 4096
@@ -171,7 +164,7 @@ func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request))
 		eng.AfterE(s.idleEvery, frIdleTick, s, nil, 0)
 	}
 	if cfg.Adaptive {
-		eng.AfterE(cfg.AdaptInterval, frAdaptTick, s, nil, 0)
+		eng.AfterE(adaptInterval, frAdaptTick, s, nil, 0)
 	}
 	s.publishMetrics()
 	return s
@@ -251,7 +244,7 @@ func frIngress(recv, obj any, _ uint64) {
 			s.pr.Arrive(req.Arrival, req.ID, 0)
 			s.pr.Ingress(now, req.ID)
 			s.pr.Dispatch(now, req.ID, -1)
-			s.eng.AfterE(s.cfg.FastLatency, frFastDone, s, req, 0)
+			s.eng.AfterE(fastLatency, frFastDone, s, req, 0)
 			return
 		}
 		s.maybeOffload(f)
@@ -460,7 +453,7 @@ func frSlowDone(recv, obj any, _ uint64) {
 	w.busy = false
 	w.track.SetBusy(now, false)
 	s.pr.Complete(now, req.ID, w.id)
-	s.eng.AfterE(s.cfg.SlowLatency+s.wire, frRespond, s, req, 0)
+	s.eng.AfterE(slowLatency+s.wire, frRespond, s, req, 0)
 	if s.slowQ.Len() > 0 {
 		w.start()
 	}
@@ -510,7 +503,7 @@ func frAdaptTick(recv, _ any, _ uint64) {
 		s.threshold /= 2
 		s.adjustments++
 	}
-	s.eng.AfterE(s.cfg.AdaptInterval, frAdaptTick, s, nil, 0)
+	s.eng.AfterE(adaptInterval, frAdaptTick, s, nil, 0)
 }
 
 // WorkerIdleFraction returns the mean idle fraction across the

@@ -223,12 +223,7 @@ func TestRetiredFlowSkipsInstallAndReleases(t *testing.T) {
 }
 
 func TestAdaptiveThresholdController(t *testing.T) {
-	eng, s, _ := newSys(t, Config{
-		Workers:       1,
-		Threshold:     16,
-		Adaptive:      true,
-		AdaptInterval: time.Millisecond,
-	})
+	eng, s, _ := newSys(t, Config{Workers: 1, Threshold: 16, Adaptive: true})
 	// Insertion-pipeline overflow in the first interval: threshold
 	// doubles.
 	s.overOffload = 5
