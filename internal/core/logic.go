@@ -97,11 +97,8 @@ type Logic struct {
 	// cumulative number of per-worker probes the selection policy made —
 	// the queue-scan cost that grows with the worker count and bounds an
 	// ARM dispatcher core's decision rate (§5.1).
-	assigned    uint64
-	completed   uint64
-	requeued    uint64
-	scanSteps   uint64
-	loadReports uint64
+	assigned  uint64
+	scanSteps uint64
 }
 
 // NewLogic creates scheduler state for the given worker count and
@@ -187,7 +184,6 @@ func (l *Logic) EnqueueTo(out []Assignment, now sim.Time, req *task.Request) []A
 //mindgap:noalloc
 func (l *Logic) CompleteTo(out []Assignment, w int) []Assignment {
 	l.release(w)
-	l.completed++
 	return l.drain(out)
 }
 
@@ -199,7 +195,6 @@ func (l *Logic) CompleteTo(out []Assignment, w int) []Assignment {
 //mindgap:noalloc
 func (l *Logic) PreemptedTo(out []Assignment, now sim.Time, w int, req *task.Request) []Assignment {
 	l.release(w)
-	l.requeued++
 	req.Enqueued = now
 	l.queueFor(req).Push(req)
 	return l.drain(out)
@@ -217,7 +212,6 @@ func (l *Logic) ReportLoadAt(now sim.Time, w int, load int64) {
 	l.load[w] = load
 	l.hasLoad[w] = true
 	l.loadAt[w] = now
-	l.loadReports++
 }
 
 // LoadAge returns how stale worker w's last load report is at instant
@@ -247,51 +241,12 @@ func (l *Logic) EstimateFor(now sim.Time, w int) (est int64, age time.Duration, 
 	return l.load[w], age, true
 }
 
-// OldestLoadAge returns the worst staleness across workers that have
-// reported — the scheduler's view of its own information gap. It returns
-// 0 when no worker has reported.
-func (l *Logic) OldestLoadAge(now sim.Time) time.Duration {
-	var worst time.Duration
-	for w := range l.loadAt {
-		if age, ok := l.LoadAge(now, w); ok && age > worst {
-			worst = age
-		}
-	}
-	return worst
-}
-
-// Completed returns the number of FINISH notifications processed.
-func (l *Logic) Completed() uint64 { return l.completed }
-
-// RegisterTelemetry exposes the scheduler's decision counters and queue
-// probes on reg under the given component label, plus one depth gauge per
-// class when the queue has more than one. now supplies the current instant
-// for the load-staleness gauge (nil disables it).
-func (l *Logic) RegisterTelemetry(reg *telemetry.Registry, component string, now func() sim.Time) {
-	reg.GaugeFunc(component, "queue_depth", func() float64 { return float64(l.QueueLen()) })
-	reg.GaugeFunc(component, "queue_high_water", func() float64 {
-		h := 0
-		for c := range l.classes {
-			h += l.classes[c].HighWater()
-		}
-		return float64(h)
-	})
-	if len(l.classes) > 1 {
-		for c := range l.classes {
-			q := &l.classes[c]
-			reg.GaugeFunc(component, fmt.Sprintf("queue_depth_class%d", c), func() float64 { return float64(q.Len()) })
-		}
-	}
+// RegisterTelemetry exposes the scheduler's decision counters on reg under
+// the given component label: assignments made and the per-worker probes
+// they cost.
+func (l *Logic) RegisterTelemetry(reg *telemetry.Registry, component string) {
 	reg.GaugeFunc(component, "assigned", func() float64 { return float64(l.assigned) })
-	reg.GaugeFunc(component, "completed", func() float64 { return float64(l.completed) })
-	reg.GaugeFunc(component, "requeued", func() float64 { return float64(l.requeued) })
 	reg.GaugeFunc(component, "scan_steps", func() float64 { return float64(l.scanSteps) })
-	reg.GaugeFunc(component, "load_reports", func() float64 { return float64(l.loadReports) })
-	if now != nil {
-		reg.GaugeFunc(component, "load_staleness_ns", func() float64 {
-			return float64(l.OldestLoadAge(now()))
-		})
-	}
 }
 
 //mindgap:noalloc

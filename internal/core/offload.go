@@ -59,9 +59,6 @@ type OffloadConfig struct {
 	// requests the NIC sheds new arrivals before they consume any host
 	// resource (§5.2's congestion-control co-design). Zero means unbounded.
 	AdmissionLimit int
-	// Metrics, when set, wires every component's probes into the registry,
-	// each under its component's name (registerTelemetry).
-	Metrics *telemetry.Registry
 	// Affinity makes the scheduler resume preempted requests on the worker
 	// that last ran them when possible (§3.1 cache affinity), avoiding the
 	// CtxMigratePenalty of pulling the context across cores.
@@ -142,8 +139,8 @@ type Offload struct {
 	cfg  OffloadConfig
 	lgc  *Logic
 	done func(*task.Request)
-	// pr is the lifecycle probe; the drop accessors, telemetry gauges and
-	// the audit's ledger read its counts back.
+	// pr is the lifecycle probe; the drop accessors and the audit's ledger
+	// read its counts back.
 	pr *probe.Probe
 
 	// flt is the compiled fault schedule (nil on the healthy path); rec the
@@ -152,10 +149,9 @@ type Offload struct {
 	rec     *Recovery[uint64, *task.Request]
 	flights []*flight
 
-	// Fault-layer counters, read by telemetry when cfg.Metrics is set.
+	// Fault-layer counters: the accessors and the audit's ledger read them.
 	retries       uint64
 	degradedCount uint64
-	staleNotifs   uint64
 	dupResponses  uint64
 
 	networker *fabric.Stage[*task.Request]
@@ -356,30 +352,13 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		})
 		s.workers = append(s.workers, w)
 	}
-	if cfg.Metrics != nil {
-		s.registerTelemetry(cfg.Metrics)
-	}
 	return s
 }
 
-// registerTelemetry wires every component's probes into reg. Called once
-// from NewOffload, after all functions and workers exist.
-func (s *Offload) registerTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("sched", "shed", func() float64 { return float64(s.Shed()) })
-	reg.GaugeFunc("nic", "vf_drops", func() float64 { return float64(s.pr.Drops(trace.DropRingOverflow)) })
-	// Every drop, whatever its cause: matches the recorder's Dropped()
-	// over a window that spans the run.
-	reg.GaugeFunc("offload", "drops", func() float64 { return float64(s.pr.Dropped()) })
-	if s.flt != nil {
-		s.flt.RegisterTelemetry(reg)
-		reg.GaugeFunc("faults", "timeout_drops", func() float64 { return float64(s.TimeoutDrops()) })
-		reg.GaugeFunc("faults", "retries", func() float64 { return float64(s.Retries()) })
-		reg.GaugeFunc("faults", "degraded_steered", func() float64 { return float64(s.DegradedSteered()) })
-		reg.GaugeFunc("faults", "stale_notifications", func() float64 { return float64(s.staleNotifs) })
-		reg.GaugeFunc("faults", "duplicate_responses", func() float64 { return float64(s.dupResponses) })
-	}
-
-	s.lgc.RegisterTelemetry(reg, "sched", s.eng.Now)
+// RegisterTelemetry wires the components' gauges into reg, each under its
+// component's name. Call it once, before the simulation starts.
+func (s *Offload) RegisterTelemetry(reg *telemetry.Registry) {
+	s.lgc.RegisterTelemetry(reg, "sched")
 	s.networker.RegisterTelemetry(reg, "arm-networker")
 	s.queueMgr.RegisterTelemetry(reg, "arm-queue")
 	s.txCore.RegisterTelemetry(reg, "arm-tx")
@@ -389,9 +368,6 @@ func (s *Offload) registerTelemetry(reg *telemetry.Registry) {
 	s.shmRxQ.RegisterTelemetry(reg, "fabric/shm-rx→q")
 	s.nic.RegisterTelemetry(reg)
 	s.Host.RegisterTelemetry(reg)
-	reg.GaugeFunc("offload", "worker_idle_fraction", func() float64 {
-		return s.WorkerIdleFraction(s.eng.Now())
-	})
 }
 
 // Name implements the experiment System interface.
@@ -573,7 +549,6 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 //mindgap:noalloc
 func (s *Offload) acked(v Verdict, slot int) bool {
 	if v == Stale {
-		s.staleNotifs++
 		return false
 	}
 	s.flights[slot].timer.Stop()

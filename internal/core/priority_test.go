@@ -346,14 +346,13 @@ func TestQuickOneClassMatchesPlainLogic(t *testing.T) {
 	}
 }
 
-// TestLogicGaugeSet pins the sched/* registry surface: a plain Logic
-// registers exactly the single-queue gauge set (attr_offload and the
-// benchmark ledger read that registry — no per-class key may leak into
-// it), and a classful one adds one depth gauge per class.
+// TestLogicGaugeSet pins the sched/* registry surface: a Logic registers
+// exactly the two decision counters the benchmark ledger reads, classful or
+// not — no per-class or queue key may leak into it.
 func TestLogicGaugeSet(t *testing.T) {
 	keys := func(l *Logic) []string {
 		reg := telemetry.NewRegistry()
-		l.RegisterTelemetry(reg, "sched", func() sim.Time { return 0 })
+		l.RegisterTelemetry(reg, "sched")
 		var out []string
 		for k := range reg.Snapshot().Gauges {
 			out = append(out, k)
@@ -361,15 +360,10 @@ func TestLogicGaugeSet(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	plain := []string{
-		"sched/assigned", "sched/completed", "sched/load_reports", "sched/load_staleness_ns",
-		"sched/queue_depth", "sched/queue_high_water", "sched/requeued", "sched/scan_steps",
+	want := []string{"sched/assigned", "sched/scan_steps"}
+	if got := keys(NewLogic(2, 1, LeastOutstanding)); !slices.Equal(got, want) {
+		t.Fatalf("plain Logic gauges = %v, want %v", got, want)
 	}
-	if got := keys(NewLogic(2, 1, LeastOutstanding)); !slices.Equal(got, plain) {
-		t.Fatalf("plain Logic gauges = %v, want %v", got, plain)
-	}
-	want := append([]string{"sched/queue_depth_class0", "sched/queue_depth_class1"}, plain...)
-	sort.Strings(want)
 	if got := keys(classful(2, 1, 2, LeastOutstanding, nil)); !slices.Equal(got, want) {
 		t.Fatalf("two-class Logic gauges = %v, want %v", got, want)
 	}

@@ -18,7 +18,6 @@ import (
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
-	"mindgap/internal/telemetry"
 )
 
 // ExecConfig fixes the cost model for a core's execution of requests.
@@ -105,25 +104,6 @@ func (e *Exec) Preemptions() uint64 { return e.preemptions }
 // Migrations returns how many resumed requests arrived from another core
 // (each paid CtxMigrate).
 func (e *Exec) Migrations() uint64 { return e.migrations }
-
-// RegisterTelemetry exposes the core's busy state, utilization, and
-// lifetime counters on reg under the given component label. Utilization
-// reads the core's BusyTracker at the engine's current instant, so it is
-// only meaningful after Track.Arm.
-func (e *Exec) RegisterTelemetry(reg *telemetry.Registry, component string) {
-	reg.GaugeFunc(component, "busy", func() float64 {
-		if e.busy {
-			return 1
-		}
-		return 0
-	})
-	reg.GaugeFunc(component, "utilization", func() float64 {
-		return e.Track.BusyFraction(e.eng.Now())
-	})
-	reg.GaugeFunc(component, "completions", func() float64 { return float64(e.completions) })
-	reg.GaugeFunc(component, "preemptions", func() float64 { return float64(e.preemptions) })
-	reg.GaugeFunc(component, "migrations", func() float64 { return float64(e.migrations) })
-}
 
 // Start begins executing req. It panics if the core is already busy —
 // callers must serialize through their own queues.

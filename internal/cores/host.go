@@ -1,7 +1,6 @@
 package cores
 
 import (
-	"fmt"
 	"time"
 
 	"mindgap/internal/fabric"
@@ -424,14 +423,11 @@ func (h *Host) Preemptions() uint64 { return h.total((*Exec).Preemptions) }
 // core than they last ran on (each paid the cache-migration penalty).
 func (h *Host) Migrations() uint64 { return h.total((*Exec).Migrations) }
 
-// RegisterTelemetry exposes the client wire ("fabric/client→nic",
-// "fabric/nic→client") and every core ("worker<i>") on reg.
+// RegisterTelemetry exposes the client wire's two links
+// ("fabric/client→nic", "fabric/nic→client") on reg.
 func (h *Host) RegisterTelemetry(reg *telemetry.Registry) {
 	h.ingress.RegisterTelemetry(reg, "fabric/client→nic")
 	h.egress.RegisterTelemetry(reg, "fabric/nic→client")
-	for i, w := range h.Workers {
-		w.Exec.RegisterTelemetry(reg, fmt.Sprintf("worker%d", i))
-	}
 }
 
 // RSSHash is the SplitMix64 finalizer — a cheap, well-mixed hash standing

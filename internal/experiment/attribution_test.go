@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
+	"mindgap/internal/telemetry"
 	"mindgap/internal/trace"
 	"mindgap/scenarios"
 )
@@ -124,11 +127,14 @@ func probeCases(t *testing.T) []probeCase {
 // TestAttributionObservationInvariance is the lifecycle-probe contract,
 // run over every registered system, every attribution-table series and
 // the drop-producing specs. Each point runs twice from identical
-// configurations — bare, then with a tracer and a collector attached:
+// configurations — bare, then with a tracer and a collector attached, plus
+// a telemetry registry on Observable systems:
 //
 //   - the Result and the engine's executed-event count must be deeply
 //     equal (a probe consumer that schedules an event or touches an RNG
 //     stream shows here);
+//   - the registry must hold exactly the gauges the benchmark reads
+//     (registryKeys);
 //   - every traced lifecycle must be causally valid;
 //   - every completed request's phase vector must sum to exactly the
 //     latency the client observed;
@@ -174,7 +180,11 @@ func TestAttributionObservationInvariance(t *testing.T) {
 			fmt.Fprintf(&pinned, "%s events=%d %s\n", c.name, bareEvents, resultFields(bare))
 			buf := trace.New(0)
 			col := attr.New(attr.Config{KeepTimelines: true})
-			probed, events, lats := run(t, c, scenario.Options{Tracer: buf, Attr: col})
+			opts := scenario.Options{Tracer: buf, Attr: col}
+			if b, _ := scenario.Lookup(c.spec.System); b.Observable {
+				opts.Metrics = telemetry.NewRegistry()
+			}
+			probed, events, lats := run(t, c, opts)
 
 			if !reflect.DeepEqual(probed, bare) || events != bareEvents {
 				t.Errorf("attaching observers changed the run\nwith:    %+v (%d events)\nwithout: %+v (%d events)",
@@ -201,17 +211,28 @@ func TestAttributionObservationInvariance(t *testing.T) {
 				}
 			}
 
-			// Every model but flowrule grades its steering decisions against
-			// the workers' true backlogs, and hash steering does so holding
-			// no estimate.
+			if opts.Metrics != nil {
+				var got []string
+				for k := range opts.Metrics.Snapshot().Gauges {
+					got = append(got, k)
+				}
+				sort.Strings(got)
+				if want := registryKeys(c.spec); !slices.Equal(got, want) {
+					t.Errorf("registry keys\n got %v\nwant %v", got, want)
+				}
+			}
+
+			// Every model grades its steering decisions against the workers'
+			// true backlogs; hash steering and flowrule's central slow-path
+			// queue do so holding no estimate.
 			audit := col.AuditSummary()
-			if c.spec.System != "flowrule" && audit.Decisions == 0 {
+			if audit.Decisions == 0 {
 				t.Errorf("%s audited no dispatch decisions", c.spec.System)
 			}
 			switch c.spec.System {
-			case "rss", "zygos", "flowdir", "erss":
+			case "rss", "zygos", "flowdir", "erss", "flowrule":
 				if audit.Informed != 0 {
-					t.Errorf("%s recorded %d informed decisions, want 0 (hash steering holds no estimate)", c.spec.System, audit.Informed)
+					t.Errorf("%s recorded %d informed decisions, want 0 (no load estimate)", c.spec.System, audit.Informed)
 				}
 			}
 
@@ -255,6 +276,30 @@ func TestAttributionObservationInvariance(t *testing.T) {
 	if !bytes.Equal(pinned.Bytes(), want) {
 		t.Errorf("bare runs diverged from %s\ngot:\n%swant:\n%s", golden, pinned.Bytes(), want)
 	}
+}
+
+// registryKeys is the gauge set an Observable system registers: exactly
+// the keys the benchmark ledger reads. An offload-family system exposes its
+// scheduler's decision counters, the NIC's steered frames, the four ARM
+// stages' processed items and every link's delivered messages (13 +
+// workers keys); flowrule its rule table's packet split.
+func registryKeys(sp scenario.Spec) []string {
+	if sp.System == "flowrule" {
+		return []string{"flowrule/drop_packets", "flowrule/fast_packets", "flowrule/slow_packets"}
+	}
+	keys := []string{"sched/assigned", "sched/scan_steps", "nic/steered"}
+	for _, arm := range []string{"networker", "queue", "tx", "rx"} {
+		keys = append(keys, "arm-"+arm+"/processed")
+	}
+	links := []string{"client→nic", "nic→client", "shm-net→q", "shm-q→tx", "shm-rx→q", "nic→arm"}
+	for i := 0; i < sp.KnobsOrZero().Workers; i++ {
+		links = append(links, fmt.Sprintf("nic→w%d", i))
+	}
+	for _, l := range links {
+		keys = append(keys, "fabric/"+l+"/delivered")
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestAttributionParallelismIndependent pins the determinism contract for

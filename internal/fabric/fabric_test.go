@@ -217,13 +217,15 @@ func TestLinkDirectDeliveryMatchesTwoEventReference(t *testing.T) {
 // messages, sends issued from delivery callbacks — through a plain link and
 // through one with a registry attached yields the same delivery instants,
 // the same order and the same Executed(), serializing or not, and the
-// registry's gauges agree with what the receiver counted — both mid-run,
+// delivered gauge agrees with what the receiver counted — both mid-run,
 // halted while one burst is partly serializing and partly propagating,
 // and after the drain. Plain engine
 // events are scheduled for every delivery instant from just after each
 // burst's sends, i.e. between a message's send and its departure: they
 // fire ahead of a delivery whose seq is drawn at departure, behind one
-// drawn at send time, so the order pins where the relay draws it.
+// drawn at send time, so the order pins where the relay draws it. The
+// fault's per-message latency spike lets a later send overtake an earlier
+// one, and the gauge must count deliveries, not a prefix of sends.
 func TestLinkObservedMatchesPlain(t *testing.T) {
 	type hop struct {
 		msg int // negative: a plain event, by instant
@@ -247,12 +249,21 @@ func TestLinkObservedMatchesPlain(t *testing.T) {
 			l.RegisterTelemetry(reg, "wire")
 		}
 		var log []hop
+		// sent maps a message to its send position; order lists those
+		// positions in delivery order.
+		sent := map[uint64]int{}
+		var order []int
+		send := func(bytes int, fn sim.EventFunc, msg uint64) bool {
+			sent[msg] = len(sent)
+			return l.SendT(bytes, fn, nil, nil, msg)
+		}
 		delivered, accepted := 0, 0
 		var deliver sim.EventFunc
 		deliver = func(_, _ any, msg uint64) {
 			delivered++
+			order = append(order, sent[msg])
 			log = append(log, hop{int(msg), eng.Now()})
-			if msg < 100 && msg%4 == 0 && l.SendT(200, deliver, nil, nil, msg+100) { // a reply from inside the delivery
+			if msg < 100 && msg%4 == 0 && send(200, deliver, msg+100) { // a reply from inside the delivery
 				accepted++
 			}
 		}
@@ -263,7 +274,7 @@ func TestLinkObservedMatchesPlain(t *testing.T) {
 			eng.At(b.at, func() {
 				for k := 0; k < b.n; k++ {
 					msg++
-					if l.SendT(100+msg*50, deliver, nil, nil, uint64(msg)) {
+					if send(100+msg*50, deliver, uint64(msg)) {
 						accepted++
 					}
 				}
@@ -276,21 +287,12 @@ func TestLinkObservedMatchesPlain(t *testing.T) {
 				}
 			})
 		}
-		check := func(when string, serializing int) {
+		check := func(when string) {
 			if reg == nil {
 				return
 			}
-			snap := reg.Snapshot()
-			if got := snap.Gauges["wire/delivered"]; int(got) != delivered {
+			if got := reg.Snapshot().Gauges["wire/delivered"]; int(got) != delivered {
 				t.Errorf("%s: delivered gauge = %v, receiver counted %d", when, got, delivered)
-			}
-			if got := snap.Gauges["wire/queued"]; int(got) != serializing {
-				t.Errorf("%s: queued gauge = %v, want %d", when, got, serializing)
-			}
-			// Latency is known at send: one sample per accepted message,
-			// delivered or still in flight.
-			if n := snap.Histograms["wire/latency"].Count; int(n) != accepted {
-				t.Errorf("%s: latency histogram holds %d samples, accepted %d", when, n, accepted)
 			}
 		}
 		eng.RunUntil(halt)
@@ -298,12 +300,15 @@ func TestLinkObservedMatchesPlain(t *testing.T) {
 			t.Fatalf("halt at %v: %d accepted, %d delivered, %d serializing; want messages in every state",
 				eng.Now(), accepted, delivered, serializing)
 		}
-		check("mid-run", serializing)
+		check("mid-run")
 		eng.Run()
 		if delivered != accepted || delivered < 12 {
 			t.Errorf("%d of %d accepted messages delivered", delivered, accepted)
 		}
-		check("drained", 0)
+		if slices.IsSorted(order) {
+			t.Errorf("%+v: no delivery overtook an earlier send; the latency spikes no longer reorder", cfg)
+		}
+		check("drained")
 		return log, eng.Executed()
 	}
 	for _, tc := range []struct {
@@ -412,18 +417,10 @@ func TestStageUtilization(t *testing.T) {
 	if got != 0.5 {
 		t.Fatalf("busy fraction = %v, want 0.5", got)
 	}
-	// A Stage's gauges are the one-class set: no per-class breakdown.
-	want := []string{"arm/busy", "arm/dropped", "arm/processed", "arm/queue_depth", "arm/utilization"}
-	var keys []string
-	for k := range reg.Snapshot().Gauges {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	if !slices.Equal(keys, want) {
-		t.Fatalf("stage gauges = %v, want %v", keys, want)
-	}
-	if u := reg.Snapshot().Gauges["arm/utilization"]; u != 0.5 {
-		t.Fatalf("utilization gauge = %v, want 0.5", u)
+	// A stage registers its processed count, the one gauge the benchmark
+	// reads.
+	if g := reg.Snapshot().Gauges; len(g) != 1 || g["arm/processed"] != 1 {
+		t.Fatalf("stage gauges = %v, want arm/processed 1", g)
 	}
 }
 

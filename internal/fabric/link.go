@@ -3,8 +3,8 @@
 // SmartNIC ARM complex and host cores (2.56 µs one way, §3.3), host
 // cache-line channels, and the coherent CXL window of the §5 ideal NIC.
 //
-// All substrates share one abstraction, Link: a FIFO, point-to-point pipe
-// with a propagation latency and an optional serialization bandwidth.
+// All substrates share one abstraction, Link: a point-to-point pipe with a
+// propagation latency and an optional serialization bandwidth.
 package fabric
 
 import (
@@ -23,43 +23,41 @@ type LinkConfig struct {
 	BandwidthBps float64
 }
 
-// Link is a point-to-point, order-preserving message pipe. Not safe for
-// concurrent use — it lives inside a single-threaded simulation.
+// Link is a point-to-point message pipe. Not safe for concurrent use — it
+// lives inside a single-threaded simulation.
+//
+// Departures are in send order: the serializer transmits one message at a
+// time. Deliveries are too, except under an injected latency fault, which
+// adds its extra latency per message: a message sent just after a delay
+// window closes can overtake those sent inside it.
 //
 // A hop is one engine event when the link does not serialize, two otherwise
 // (departure, then delivery): every link files the receiver's own event
 // (sim.AtE, or sim.AtRelayE through the departure) at send time. An observed
-// link (RegisterTelemetry) files the same events; it only notes each
-// accepted message's latency and its (depart, deliver) instants, which the
-// gauges count at read time. Attaching a registry therefore changes neither
-// a delivery nor Engine.Executed().
+// link (RegisterTelemetry) files the same events; it only counts accepted
+// messages and notes each one's delivery instant, which the gauge counts at
+// read time. Attaching a registry therefore changes neither a delivery nor
+// Engine.Executed().
 type Link struct {
 	eng  *sim.Engine
 	cfg  LinkConfig
 	name string
 
 	lastDeparture sim.Time
-	stalls        uint64
 
 	// fault, when set, is consulted once per message at send time: a true
-	// drop loses the message on the wire (counted in faultDropped), and
-	// extra adds propagation latency (a fabric latency spike). Nil — the
-	// only state healthy systems ever see — leaves Send untouched.
-	fault        func(sim.Time) (drop bool, extra time.Duration)
-	faultDropped uint64
+	// drop loses the message on the wire, and extra adds propagation
+	// latency (a fabric latency spike). Nil — the only state healthy
+	// systems ever see — leaves Send untouched.
+	fault func(sim.Time) (drop bool, extra time.Duration)
 
-	// Observed-link state (nil latency: a plain link keeps none). latency
-	// is each message's send→deliver time — the NIC↔host message latency
-	// of §3.3, inflated by serialization waits near saturation — known
-	// exactly at send. flight holds the spans of messages that may still be
-	// in flight; accepted counts every message sent.
-	latency  *telemetry.Histogram
+	// Observed-link state (a plain link keeps none): accepted counts every
+	// message sent, and flight holds the delivery instants of those that
+	// may still be in flight.
+	observed bool
 	accepted uint64
-	flight   []span
+	flight   []sim.Time
 }
-
-// span is one accepted message's departure and delivery instants.
-type span struct{ depart, deliver sim.Time }
 
 // NewLink creates a link on the engine. name appears in diagnostics only.
 func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
@@ -71,8 +69,8 @@ func (l *Link) Name() string { return l.name }
 
 // Send enqueues a message of the given wire size; deliver runs at the
 // receiver once serialization and propagation complete. It reports false
-// (and counts a drop) when an injected wire fault loses the message. FIFO
-// order is guaranteed: deliveries happen in Send order. The closure form
+// when an injected wire fault loses the message. Deliveries keep Send order
+// unless a latency fault reorders them (see Link). The closure form
 // allocates and serves tests; models use SendT.
 func (l *Link) Send(bytes int, deliver func()) bool {
 	return l.SendT(bytes, callClosure, deliver, nil, 0)
@@ -94,7 +92,6 @@ func (l *Link) SendT(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) boo
 		if drop {
 			// Lost on the wire: the message occupies no queue slot and no
 			// serialization time, and the receiver never hears of it.
-			l.faultDropped++
 			return false
 		}
 		latency += extra
@@ -103,15 +100,14 @@ func (l *Link) SendT(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) boo
 	if l.lastDeparture > depart {
 		// The transmitter is still serializing an earlier message: this
 		// one stalls behind it (port serialization, §3.3).
-		l.stalls++
 		depart = l.lastDeparture
 	}
 	depart = depart.Add(l.serialization(bytes))
 	l.lastDeparture = depart
 	deliverAt := depart.Add(latency)
 
-	if l.latency != nil {
-		l.observe(now, depart, deliverAt)
+	if l.observed {
+		l.observe(now, deliverAt)
 	}
 	if l.cfg.BandwidthBps <= 0 {
 		l.eng.AtE(deliverAt, fn, recv, obj, arg)
@@ -122,36 +118,18 @@ func (l *Link) SendT(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) boo
 }
 
 // observe records an accepted message on an observed link and forgets the
-// spans already delivered before now. The span list grows to the link's
-// peak in-flight count, so observe is not noalloc.
-func (l *Link) observe(now, depart, deliver sim.Time) {
-	l.latency.Observe(deliver.Sub(now))
+// deliveries already past. The instant list grows to the link's peak
+// in-flight count, so observe is not noalloc.
+func (l *Link) observe(now, deliver sim.Time) {
 	l.accepted++
 	done := 0
-	for done < len(l.flight) && l.flight[done].deliver < now {
+	for done < len(l.flight) && l.flight[done] < now {
 		done++
 	}
 	if done > 0 {
 		l.flight = append(l.flight[:0], l.flight[done:]...)
 	}
-	l.flight = append(l.flight, span{depart, deliver})
-}
-
-// inFlight counts the recorded messages still serializing and those not
-// yet delivered at the current instant. A message due exactly now counts as
-// delivered, as it is once RunUntil returns (it fires every event at its
-// bound).
-func (l *Link) inFlight() (serializing, undelivered int) {
-	now := l.eng.Now()
-	for _, s := range l.flight {
-		if s.depart > now {
-			serializing++
-		}
-		if s.deliver > now {
-			undelivered++
-		}
-	}
-	return serializing, undelivered
+	l.flight = append(l.flight, deliver)
 }
 
 // serialization returns how long a message of the given size occupies the
@@ -169,24 +147,20 @@ func (l *Link) serialization(bytes int) time.Duration {
 // Install before the simulation starts.
 func (l *Link) SetFault(f func(sim.Time) (drop bool, extra time.Duration)) { l.fault = f }
 
-// FaultDropped returns the number of messages lost to injected wire
-// faults.
-func (l *Link) FaultDropped() uint64 { return l.faultDropped }
-
-// RegisterTelemetry exposes the link's counters on reg under the given
-// component label and starts recording per-message latency into the
-// registry's component/"latency" histogram. Attach before the simulation
-// starts, as messages already in flight are not counted.
+// RegisterTelemetry exposes the link's delivered-message count on reg
+// under the given component label. A message due exactly now counts as
+// delivered, as it is once RunUntil returns (it fires every event at its
+// bound). Attach before the simulation starts, as messages already in
+// flight are not counted.
 func (l *Link) RegisterTelemetry(reg *telemetry.Registry, component string) {
-	l.latency = reg.Histogram(component, "latency")
-	reg.GaugeFunc(component, "queued", func() float64 {
-		serializing, _ := l.inFlight()
-		return float64(serializing)
-	})
+	l.observed = true
 	reg.GaugeFunc(component, "delivered", func() float64 {
-		_, undelivered := l.inFlight()
+		now, undelivered := l.eng.Now(), 0
+		for _, at := range l.flight {
+			if at > now {
+				undelivered++
+			}
+		}
 		return float64(l.accepted - uint64(undelivered))
 	})
-	reg.GaugeFunc(component, "stalls", func() float64 { return float64(l.stalls) })
-	reg.GaugeFunc(component, "fault_dropped", func() float64 { return float64(l.faultDropped) })
 }

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"fmt"
 	"time"
 
 	"mindgap/internal/queue"
@@ -205,34 +204,8 @@ func (s *MultiStage[T]) Name() string { return s.name }
 // BusyTracker exposes the stage's utilization accounting.
 func (s *MultiStage[T]) BusyTracker() *stats.BusyTracker { return &s.busyTrack }
 
-// RegisterTelemetry exposes the stage's occupancy, throughput, and
-// utilization probes on reg under the given component label. A multi-class
-// stage adds a per-class queue-depth gauge ("queue_depth_0",
-// "queue_depth_1", …); with one class that would repeat the total.
-// Utilization reads the stage's BusyTracker at the engine's current
-// instant, so it is only meaningful after the tracker has been armed.
+// RegisterTelemetry exposes the stage's processed-item count on reg under
+// the given component label.
 func (s *MultiStage[T]) RegisterTelemetry(reg *telemetry.Registry, component string) {
-	reg.GaugeFunc(component, "queue_depth", func() float64 { return float64(s.TotalQueued()) })
-	if len(s.qs) > 1 {
-		for c := range s.qs {
-			c := c
-			reg.GaugeFunc(component, fmt.Sprintf("queue_depth_%d", c), func() float64 {
-				return float64(s.qs[c].Len())
-			})
-		}
-	}
-	reg.GaugeFunc(component, "busy", func() float64 { return boolGauge(s.busy) })
 	reg.GaugeFunc(component, "processed", func() float64 { return float64(s.processed) })
-	reg.GaugeFunc(component, "dropped", func() float64 { return float64(s.dropped) })
-	reg.GaugeFunc(component, "utilization", func() float64 {
-		return s.busyTrack.BusyFraction(s.eng.Now())
-	})
-}
-
-// boolGauge renders a boolean as a 0/1 gauge sample.
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

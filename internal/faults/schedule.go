@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mindgap/internal/sim"
-	"mindgap/internal/telemetry"
 )
 
 // StretchFunc converts an amount of work beginning at a simulation
@@ -167,10 +166,3 @@ func (s *Schedule) LossDrops() uint64 { return s.lossDrops }
 
 // DelayHits returns how many fabric messages took the delay penalty.
 func (s *Schedule) DelayHits() uint64 { return s.delayHits }
-
-// RegisterTelemetry exposes the schedule's counters on reg under the
-// "faults" component.
-func (s *Schedule) RegisterTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("faults", "link_loss_drops", func() float64 { return float64(s.lossDrops) })
-	reg.GaugeFunc("faults", "link_delay_hits", func() float64 { return float64(s.delayHits) })
-}

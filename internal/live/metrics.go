@@ -13,8 +13,8 @@ import (
 // the simulator's Snapshot path. Two endpoints:
 //
 //   - /metrics: expvar-style "key value" plain text, one metric per line.
-//   - /debug/vars: the full snapshot as JSON (gauges, histogram
-//     summaries), mirroring the stdlib expvar convention.
+//   - /debug/vars: the full snapshot as JSON, mirroring the stdlib expvar
+//     convention.
 //
 // Every read takes a fresh Snapshot, so gauges (queue depth, in-flight
 // count) reflect the instant of the scrape.

@@ -251,25 +251,13 @@ func (f *Function) RingDrops() uint64 { return f.ringDrops }
 // Received returns frames successfully enqueued to the RX ring.
 func (f *Function) Received() uint64 { return f.received }
 
-// FaultDropped returns frames this function's delivery link lost to
-// injected fabric faults.
-func (f *Function) FaultDropped() uint64 { return f.deliver.FaultDropped() }
-
-// RegisterTelemetry exposes device-level steering counters plus, for every
-// function registered at call time, its RX-ring occupancy probes
-// (component "nicfn-<name>") and its internal delivery link's counters and
-// latency histogram (component "fabric/nic→<name>") — the per-function
-// view behind the paper's NIC↔host communication accounting (§3.3).
+// RegisterTelemetry exposes the device's steered-frame count plus, for
+// every function registered at call time, its internal delivery link's
+// delivered count (component "fabric/nic→<name>") — the per-function view
+// behind the paper's NIC↔host communication accounting (§3.3).
 func (n *NIC) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("nic", "steered", func() float64 { return float64(n.steered) })
-	reg.GaugeFunc("nic", "unknown_mac_drops", func() float64 { return float64(n.unknownDrop) })
 	for _, f := range n.fns {
-		f := f
-		comp := "nicfn-" + f.name
-		reg.GaugeFunc(comp, "pending", func() float64 { return float64(f.rx.Len()) })
-		reg.GaugeFunc(comp, "peak_pending", func() float64 { return float64(f.rx.HighWater()) })
-		reg.GaugeFunc(comp, "received", func() float64 { return float64(f.received) })
-		reg.GaugeFunc(comp, "ring_drops", func() float64 { return float64(f.ringDrops) })
 		f.deliver.RegisterTelemetry(reg, "fabric/nic→"+f.name)
 	}
 }

@@ -7,33 +7,15 @@ package queue
 
 // FIFO is an unbounded first-in-first-out queue with amortized O(1)
 // operations. The zero value is an empty queue ready for use.
-//
-// Every queue keeps free telemetry probes — push/pop totals and the
-// depth high-water mark — that cost one integer update per operation, so
-// observability layers can read rates and peaks without wrapping the
-// container.
 type FIFO[T any] struct {
 	items []T
 	head  int
-
-	pushes  uint64
-	pops    uint64
-	highWat int
 }
 
 // Len returns the number of queued items.
 //
 //mindgap:noalloc
 func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
-
-// Pushes returns the total number of items ever enqueued.
-func (q *FIFO[T]) Pushes() uint64 { return q.pushes }
-
-// Pops returns the total number of items ever dequeued (head or tail).
-func (q *FIFO[T]) Pops() uint64 { return q.pops }
-
-// HighWater returns the largest depth the queue ever reached.
-func (q *FIFO[T]) HighWater() int { return q.highWat }
 
 // Push appends v to the tail.
 //
@@ -49,10 +31,6 @@ func (q *FIFO[T]) Push(v T) {
 		q.head = 0
 	}
 	q.items = append(q.items, v)
-	q.pushes++
-	if d := q.Len(); d > q.highWat {
-		q.highWat = d
-	}
 }
 
 // Pop removes and returns the head. ok is false on an empty queue.
@@ -70,7 +48,6 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 		q.items = q.items[:0]
 		q.head = 0
 	}
-	q.pops++
 	return v, true
 }
 
@@ -111,7 +88,6 @@ func (q *FIFO[T]) PopTail() (v T, ok bool) {
 		q.items = q.items[:0]
 		q.head = 0
 	}
-	q.pops++
 	return v, true
 }
 
@@ -123,10 +99,6 @@ type Ring[T any] struct {
 	buf   []T
 	head  int
 	count int
-
-	pushes  uint64
-	pops    uint64
-	highWat int
 }
 
 // NewRing creates a ring with the given capacity (must be positive).
@@ -158,10 +130,6 @@ func (r *Ring[T]) Push(v T) bool {
 	}
 	r.buf[(r.head+r.count)%len(r.buf)] = v
 	r.count++
-	r.pushes++
-	if r.count > r.highWat {
-		r.highWat = r.count
-	}
 	return true
 }
 
@@ -177,18 +145,8 @@ func (r *Ring[T]) Pop() (v T, ok bool) {
 	r.buf[r.head] = zero
 	r.head = (r.head + 1) % len(r.buf)
 	r.count--
-	r.pops++
 	return v, true
 }
-
-// Pushes returns the total number of items ever accepted.
-func (r *Ring[T]) Pushes() uint64 { return r.pushes }
-
-// Pops returns the total number of items ever dequeued.
-func (r *Ring[T]) Pops() uint64 { return r.pops }
-
-// HighWater returns the peak occupancy the ring ever reached.
-func (r *Ring[T]) HighWater() int { return r.highWat }
 
 // Peek returns the oldest item without removing it.
 //

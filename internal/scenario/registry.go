@@ -29,7 +29,7 @@ import (
 type Options struct {
 	// Tracer, when non-nil, records request lifecycles.
 	Tracer *trace.Buffer
-	// Metrics, when non-nil, wires component probes into the registry.
+	// Metrics, when non-nil, receives the built system's read-time gauges.
 	// Only systems whose builders declare Observable accept it.
 	Metrics *telemetry.Registry
 	// Attr, when non-nil, attaches the latency-attribution collector:
@@ -39,11 +39,23 @@ type Options struct {
 
 // factory adapts a model constructor — they all share one shape — to the
 // Factory signature, assembling the run's lifecycle probe from the
-// factory's recorder and the options' tracer and collector.
+// factory's recorder and the options' tracer and collector, and wiring the
+// built system's gauges into the options' registry when one is attached
+// (BuildWith lets only Observable builders get that far).
 func factory[C any, S System](o Options, cfg C, build func(*sim.Engine, C, *probe.Probe, func(*task.Request)) S) (Factory, error) {
 	return func(eng *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
-		return build(eng, cfg, &probe.Probe{Rec: rec, Trace: o.Tracer, Attr: o.Attr}, done)
+		sys := build(eng, cfg, &probe.Probe{Rec: rec, Trace: o.Tracer, Attr: o.Attr}, done)
+		if o.Metrics != nil {
+			any(sys).(observable).RegisterTelemetry(o.Metrics)
+		}
+		return sys
 	}, nil
+}
+
+// observable is the system an Observable builder assembles: it wires its
+// gauges into a telemetry registry.
+type observable interface {
+	RegisterTelemetry(*telemetry.Registry)
 }
 
 // Builder registers one system kind: its registry name, documentation,
@@ -56,9 +68,10 @@ type Builder struct {
 	// Knobs lists the JSON names of the knobs this kind accepts; Build
 	// rejects specs that set any other knob.
 	Knobs []string
-	// Observable marks systems that accept Options.Metrics: they wire
-	// component probes into a telemetry registry. Others refuse one
-	// instead of silently returning an empty snapshot.
+	// Observable marks systems that accept Options.Metrics: the built
+	// system implements RegisterTelemetry, which registers the gauges the
+	// benchmark reads. Others refuse a registry instead of silently
+	// returning an empty snapshot.
 	Observable bool
 	// Faultable marks systems that accept a Spec.Faults schedule — they
 	// can stretch, drop, retry, and degrade. Systems without the machinery
@@ -228,7 +241,6 @@ func init() {
 				DDIOToL1:       k.DDIOToL1,
 				AdmissionLimit: k.AdmissionLimit,
 				Affinity:       k.Affinity,
-				Metrics:        o.Metrics,
 			}
 			for _, t := range sp.Tenants {
 				cfg.PriorityClasses = max(cfg.PriorityClasses, t.Class+1)
@@ -322,7 +334,6 @@ func init() {
 				Adaptive:       k.AdaptiveThreshold,
 				IdleTimeout:    k.IdleTimeout.D(),
 				SlowQueueCap:   k.SlowQueue,
-				Metrics:        o.Metrics,
 			}
 			return factory(o, cfg, flowrule.New)
 		},
@@ -351,7 +362,6 @@ func init() {
 				CXL:              k.CXL,
 				LineRate:         k.LineRate,
 				DirectInterrupts: k.DirectInterrupts,
-				Metrics:          o.Metrics,
 			}
 			return factory(o, cfg, idealnic.New)
 		},

@@ -47,7 +47,8 @@ func (r *Recorder) RecordLatency(d time.Duration) {
 	r.completed++
 }
 
-// RecordDrop counts a request lost to a full queue.
+// RecordDrop counts a request lost for any reason: every terminal drop
+// reaches it through the lifecycle probe (probe.Probe.Drop).
 func (r *Recorder) RecordDrop() {
 	if r.armed {
 		r.dropped++

@@ -24,6 +24,7 @@ package flowrule
 import (
 	"time"
 
+	"mindgap/internal/attr"
 	"mindgap/internal/params"
 	"mindgap/internal/probe"
 	"mindgap/internal/queue"
@@ -73,8 +74,6 @@ type Config struct {
 	// SlowQueueCap bounds the slow-path queue in batches; arrivals
 	// beyond it are dropped (default 4096).
 	SlowQueueCap int
-	// Metrics, when set, exposes the rule-table probes.
-	Metrics *telemetry.Registry
 }
 
 // FlowRule is the simulated flow-rule offload system.
@@ -110,9 +109,13 @@ type FlowRule struct {
 }
 
 type slowServer struct {
-	sys         *FlowRule
-	id          int
-	busy        bool
+	sys  *FlowRule
+	id   int
+	busy bool
+	// busyUntil is when the batch in service (or, on an idle core, the
+	// last one) finishes: the ground truth the decision audit grades a
+	// slow-path dispatch against.
+	busyUntil   sim.Time
 	track       stats.BusyTracker
 	completions uint64
 }
@@ -166,31 +169,15 @@ func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request))
 	if cfg.Adaptive {
 		eng.AfterE(adaptInterval, frAdaptTick, s, nil, 0)
 	}
-	s.publishMetrics()
 	return s
 }
 
-// publishMetrics wires the rule-table probes into the registry.
-func (s *FlowRule) publishMetrics() {
-	reg := s.cfg.Metrics
-	if reg == nil {
-		return
-	}
+// RegisterTelemetry exposes the rule table's packet split on reg: packets
+// steered to the fast path, to the slow path, and dropped.
+func (s *FlowRule) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("flowrule", "fast_packets", func() float64 { return float64(s.fastPackets) })
 	reg.GaugeFunc("flowrule", "slow_packets", func() float64 { return float64(s.slowPackets) })
 	reg.GaugeFunc("flowrule", "drop_packets", func() float64 { return float64(s.dropPackets) })
-	reg.GaugeFunc("flowrule", "fast_batches", func() float64 { return float64(s.fastBatches) })
-	reg.GaugeFunc("flowrule", "slow_batches", func() float64 { return float64(s.slowBatches) })
-	reg.GaugeFunc("flowrule", "drop_batches", func() float64 { return float64(s.dropBatches) })
-	reg.GaugeFunc("flowrule", "rule_insertions", func() float64 { return float64(s.insertions) })
-	reg.GaugeFunc("flowrule", "rule_evictions_lru", func() float64 { return float64(s.lruEvictions) })
-	reg.GaugeFunc("flowrule", "rule_evictions_idle", func() float64 { return float64(s.idleEvictions) })
-	reg.GaugeFunc("flowrule", "offload_refused", func() float64 { return float64(s.overOffload) })
-	reg.GaugeFunc("flowrule", "rules_resident", func() float64 { return float64(s.resident) })
-	reg.GaugeFunc("flowrule", "offload_threshold", func() float64 { return float64(s.threshold) })
-	reg.GaugeFunc("flowrule", "threshold_adjustments", func() float64 { return float64(s.adjustments) })
-	reg.GaugeFunc("flowrule", "slow_queue_depth", func() float64 { return float64(s.slowQ.Len()) })
-	reg.GaugeFunc("flowrule", "insert_queue_depth", func() float64 { return float64(s.pending.Len()) })
 }
 
 // Name implements the experiment System interface.
@@ -427,16 +414,27 @@ func (s *FlowRule) kickServers() {
 //
 //mindgap:noalloc
 func (w *slowServer) start() {
-	req, ok := w.sys.slowQ.Pop()
+	s := w.sys
+	req, ok := s.slowQ.Pop()
 	if !ok {
 		return
 	}
-	now := w.sys.eng.Now()
+	now := s.eng.Now()
+	s.pr.Dispatch(now, req.ID, w.id)
+	// The slow path pulls from one central queue, so only an idle core
+	// ever takes a batch: the audit grades the dispatch (uninformed — no
+	// core reports its load) against every core's remaining batch time.
+	if truth := s.pr.AuditTruth(len(s.servers)); truth != nil {
+		for i, o := range s.servers {
+			truth[i] = max(int64(o.busyUntil.Sub(now)), 0)
+		}
+		s.pr.Audit(attr.Decision{At: now, ReqID: req.ID, Chosen: w.id, Truth: truth})
+	}
 	w.busy = true
+	w.busyUntil = now.Add(req.Service)
 	w.track.SetBusy(now, true)
-	w.sys.pr.Dispatch(now, req.ID, w.id)
-	w.sys.pr.Start(now, req.ID, w.id)
-	w.sys.eng.AfterE(req.Service, frSlowDone, w, req, 0)
+	s.pr.Start(now, req.ID, w.id)
+	s.eng.AfterE(req.Service, frSlowDone, w, req, 0)
 }
 
 // frSlowDone fires when a slow-path core finishes a batch's per-packet

@@ -22,7 +22,6 @@ import (
 	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/task"
-	"mindgap/internal/telemetry"
 )
 
 // Config describes the ablation point.
@@ -39,9 +38,6 @@ type Config struct {
 	CXL              bool
 	LineRate         bool
 	DirectInterrupts bool
-
-	// Metrics forwards to the underlying Offload's telemetry wiring.
-	Metrics *telemetry.Registry
 }
 
 // System is an ablated Offload with its own name, so report rows
@@ -70,7 +66,6 @@ func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request))
 		Slice:            cfg.Slice,
 		Policy:           cfg.Policy,
 		DirectInterrupts: cfg.DirectInterrupts,
-		Metrics:          cfg.Metrics,
 	}, pr, done)
 	return &System{Offload: off, name: NameFor(cfg)}
 }

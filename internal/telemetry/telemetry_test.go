@@ -3,13 +3,11 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
-func TestGaugeFuncHistogram(t *testing.T) {
+func TestGaugeFunc(t *testing.T) {
 	reg := NewRegistry()
 
 	depth := 7
@@ -24,21 +22,6 @@ func TestGaugeFuncHistogram(t *testing.T) {
 	reg.GaugeFunc("queue", "depth", func() float64 { return 1 })
 	if v := reg.Snapshot().Gauges["queue/depth"]; v != 1 {
 		t.Fatalf("re-registered probe not used: %g", v)
-	}
-
-	h := reg.Histogram("fabric", "latency")
-	if reg.Histogram("fabric", "latency") != h {
-		t.Fatal("Histogram is not get-or-create")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * time.Microsecond)
-	}
-	sum := h.Summary()
-	if sum.Count != 100 {
-		t.Fatalf("histogram count = %d, want 100", sum.Count)
-	}
-	if sum.P50 < 49*time.Microsecond || sum.P50 > 52*time.Microsecond {
-		t.Fatalf("histogram p50 = %v", sum.P50)
 	}
 }
 
@@ -55,14 +38,10 @@ func TestSnapshotFormats(t *testing.T) {
 	reg := NewRegistry()
 	reg.GaugeFunc("a", "events", func() float64 { return 3 })
 	reg.GaugeFunc("b", "depth", func() float64 { return 1.5 })
-	reg.Histogram("c", "lat").Observe(10 * time.Microsecond)
 
 	snap := reg.Snapshot()
 	if snap.Gauges["a/events"] != 3 || snap.Gauges["b/depth"] != 1.5 {
 		t.Fatalf("snapshot wrong: %+v", snap)
-	}
-	if snap.Histograms["c/lat"].Count != 1 {
-		t.Fatalf("snapshot histogram wrong: %+v", snap.Histograms)
 	}
 
 	var jsonBuf bytes.Buffer
@@ -73,7 +52,7 @@ func TestSnapshotFormats(t *testing.T) {
 	if err := json.Unmarshal(jsonBuf.Bytes(), &round); err != nil {
 		t.Fatalf("snapshot JSON does not round-trip: %v", err)
 	}
-	if round.Gauges["a/events"] != 3 || round.Histograms["c/lat"].Count != 1 {
+	if round.Gauges["a/events"] != 3 || round.Gauges["b/depth"] != 1.5 {
 		t.Fatalf("round-tripped snapshot wrong: %+v", round)
 	}
 
@@ -81,8 +60,7 @@ func TestSnapshotFormats(t *testing.T) {
 	if err := snap.WriteText(&txtBuf); err != nil {
 		t.Fatal(err)
 	}
-	want := "a/events 3\nb/depth 1.5\nc/lat/count 1\nc/lat/mean_ns "
-	if txt := txtBuf.String(); !strings.HasPrefix(txt, want) {
+	if txt, want := txtBuf.String(), "a/events 3\nb/depth 1.5\n"; txt != want {
 		t.Fatalf("text format wrong:\n%s", txt)
 	}
 }
@@ -105,17 +83,13 @@ func TestRegistryConcurrency(t *testing.T) {
 				mu.Lock()
 				n++
 				mu.Unlock()
-				reg.Histogram("h", "lat").Observe(time.Microsecond)
+				reg.GaugeFunc("r", "last", func() float64 { return 0 })
 				_ = reg.Snapshot()
 			}
 		}()
 	}
 	wg.Wait()
-	snap := reg.Snapshot()
-	if got := snap.Gauges["g/n"]; got != 8000 {
+	if got := reg.Snapshot().Gauges["g/n"]; got != 8000 {
 		t.Fatalf("gauge = %g, want 8000", got)
-	}
-	if got := snap.Histograms["h/lat"].Count; got != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }

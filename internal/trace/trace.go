@@ -71,7 +71,7 @@ const (
 	// budget — the request was lost to an injected fault and abandoned.
 	DropTimeout
 	// DropWireFault: the frame carrying the request was lost to an
-	// injected fabric fault (fabric.Link's faultDropped path) with no
+	// injected fabric fault (a fabric.Link drop fault) with no
 	// retry machinery guarding it — a permanent fault loss.
 	DropWireFault
 	// DropRingOverflow: the frame arrived at a full RX descriptor ring
