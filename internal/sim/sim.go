@@ -52,26 +52,22 @@ func (t Time) String() string { return time.Duration(t).String() }
 // are stored inline in the event, so a typed schedule allocates nothing.
 type EventFunc func(recv, obj any, arg uint64)
 
-// event is a pending callback. seq provides FIFO ordering among events that
-// share a timestamp. loc/level/slot/idx record where the event currently
-// lives (wheel slot or ready buffer) so cancellation (Timer.Stop) can
-// remove it without a linear scan. gen guards recycled
-// events against stale Timer handles: each reuse increments it. relay marks
-// an AtRelayE event on its first leg; then is the instant of its second.
+// event is a pending callback. next/prev link it into its wheel slot's list,
+// which holds the slot's events in the order they were scheduled (see
+// wheel.go), so cancellation (Timer.Stop) unlinks it in O(1). gen guards
+// recycled events against stale Timer handles: each reuse increments it.
+// relay marks an AtRelayE event on its first leg; then is the instant of
+// its second.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    EventFunc
-	recv  any
-	obj   any
-	arg   uint64
-	then  Time
-	gen   uint32
-	loc   uint8
-	level uint8
-	slot  uint16
-	idx   int32
-	relay bool
+	at         Time
+	fn         EventFunc
+	recv       any
+	obj        any
+	arg        uint64
+	then       Time
+	next, prev *event
+	gen        uint32
+	relay      bool
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -80,25 +76,18 @@ type event struct {
 //
 // Internally the engine is a hierarchical timing wheel (see wheel.go) whose
 // levels cover every representable Time; it preserves the exact (time, seq)
-// total order of a binary-heap scheduler while making schedule/fire O(1) in
-// steady state.
+// total order of a binary-heap scheduler — seq being the order events were
+// scheduled in — while making schedule/fire O(1) in steady state.
 type Engine struct {
 	now Time
-	seq uint64
 
-	// base is the wheel origin: the instant whose radix-64 digits index the
-	// wheel levels. Invariant: base <= now whenever user code can run, and
-	// every pending event has at >= base.
+	// base is the wheel origin: the instant whose bits index the wheel
+	// levels. Invariant: base <= now whenever user code can run, and every
+	// pending event has at >= base.
 	base  Time
-	occ   [wheelLevels]uint64 // per-level slot-occupancy bitmaps
-	slots [wheelLevels][wheelSlots][]*event
-
-	// ready buffers the earliest pending instant's events in seq order;
-	// readyPos is the drain cursor. Cancelled-while-ready events are
-	// tombstoned in place and skipped.
-	ready     []*event
-	readyPos  int
-	readyTime Time
+	sum0  uint64                  // bit w: occ[w] != 0, for level 0's 64 words
+	occ   [wheelHeads / 64]uint64 // slot occupancy, one bit per heads entry
+	heads [wheelHeads]*event      // each slot list's oldest event, nil if empty
 
 	free      []*event // recycled events (simulations schedule millions)
 	pending   int      // scheduled, not yet fired or cancelled
@@ -150,8 +139,8 @@ func (e *Engine) AtE(t Time, fn EventFunc, recv, obj any, arg uint64) {
 
 // AtRelayE is AtE(t1, r) where r does nothing but AtE(t2, fn, recv, obj,
 // arg), in one event: when its turn comes at t1, Step re-files the same
-// event at t2 under a freshly drawn seq instead of calling anything. The
-// seq is drawn where r would have drawn it and the first leg counts in
+// event at t2, appended as the newest event, instead of calling anything.
+// That is where r would have scheduled it, and the first leg counts in
 // Executed() and Pending(), so order and counts equal the two-event form's.
 // For stages that only delay (a link's serializer). t1 < now or t2 < t1
 // panics.
@@ -196,8 +185,6 @@ func (e *Engine) alloc(t Time, fn EventFunc, recv, obj any, arg uint64) *event {
 		ev = &event{}
 	}
 	ev.at = t
-	e.seq++
-	ev.seq = e.seq
 	ev.fn = fn
 	ev.recv = recv
 	ev.obj = obj
@@ -218,38 +205,20 @@ func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.recv = nil
 	ev.obj = nil
-	ev.loc = locNone
 	if len(e.free) < e.highWater {
 		e.free = append(e.free, ev)
 	}
 }
 
-// schedule enters an event that holds the newest seq — freshly allocated,
-// or a relay starting its second leg — into the schedule and maintains the
-// pending high-water mark. An event for the instant being drained
-// (at == now == readyTime) joins the tail of the ready buffer: every event
-// of that instant already left the wheel when the instant was drained, and
-// the new event holds the highest seq so far, so appending keeps seq order
-// and saves the trip through a level-0 slot. readyTime lags now once
-// RunUntil has advanced the clock past the last drained instant; such
-// schedules take the wheel.
+// schedule enters the newest pending event — freshly allocated, or a relay
+// starting its second leg — into the wheel and maintains the pending
+// high-water mark.
 //
 //mindgap:noalloc
 func (e *Engine) schedule(ev *event) {
 	e.pending++
 	if e.pending > e.highWater {
 		e.highWater = e.pending
-	}
-	if ev.at == e.now && ev.at == e.readyTime {
-		if e.readyPos == len(e.ready) {
-			// Fully drained: restart the buffer so a same-instant chain
-			// reuses its head instead of growing it.
-			e.ready = e.ready[:0]
-			e.readyPos = 0
-		}
-		ev.loc = locReady
-		e.ready = append(e.ready, ev)
-		return
 	}
 	e.file(ev)
 }
@@ -290,19 +259,12 @@ func (e *Engine) ArmAfterE(tm *Timer, d time.Duration, fn EventFunc, recv, obj a
 }
 
 // live reports whether the handle still refers to its original, pending
-// event (recycled events bump their generation; cancelled-while-ready
-// events are tombstoned with locReadyDead).
+// event: an event leaves the schedule only by firing or by Stop, and both
+// recycle it, which bumps its generation.
 //
 //mindgap:noalloc
 func (t *Timer) live() bool {
-	if t == nil || t.ev == nil || t.ev.gen != t.gen {
-		return false
-	}
-	switch t.ev.loc {
-	case locWheel, locReady:
-		return true
-	}
-	return false
+	return t != nil && t.ev != nil && t.ev.gen == t.gen
 }
 
 // Stop cancels the timer. It reports whether the timer was still pending:
@@ -313,7 +275,10 @@ func (t *Timer) Stop() bool {
 	if !t.live() {
 		return false
 	}
-	t.e.remove(t.ev)
+	e, ev := t.e, t.ev
+	e.unlink(e.slotOf(ev.at), ev)
+	e.pending--
+	e.recycle(ev)
 	t.ev = nil
 	return true
 }
@@ -351,8 +316,6 @@ func (e *Engine) Step() bool {
 	if ev.relay {
 		ev.relay = false
 		ev.at = ev.then
-		e.seq++
-		ev.seq = e.seq
 		e.schedule(ev)
 		return true
 	}

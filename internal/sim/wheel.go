@@ -1,36 +1,43 @@
 // Hierarchical timing wheel.
 //
-// The scheduler is an 11-level radix-64 calendar queue indexed by the digits
-// of the event's absolute nanosecond timestamp. 11 levels span 66 bits, more
-// than the 63 value bits of Time, so every schedulable instant has a slot
-// and there is no overflow structure. Scheduling and firing are O(1)
-// amortized. A measured pure binary heap was ≈1.4× slower end to end
-// (ROADMAP, "Event diet"); it survives only as the test-only reference
-// scheduler in wheel_test.go.
+// The scheduler is a hashed hierarchical timing wheel (Varghese & Lauck)
+// indexed by the bits of the event's absolute nanosecond timestamp. Level 0
+// has 4096 one-nanosecond slots covering the wheel origin's aligned 4096-ns
+// window, under a two-level occupancy bitmap (sum0 over 64 occ words);
+// levels 1–9 are radix 64 over the bits above it. 12 + 9·6 = 66 bits
+// exceed the 63 value bits of Time, so every schedulable instant has a slot
+// and there is no overflow structure. The width of level 0 is sized to the
+// delays the models schedule (most are under 4 µs), so a typical event is
+// filed straight into its own instant and fires without a cascade. A
+// measured pure binary heap was ≈1.4× slower end to end (ROADMAP, "Event
+// diet"); it survives only as the test-only reference scheduler in
+// wheel_test.go.
 //
-// Leveling uses the XOR-prefix rule: an event lives at the level of its
-// highest radix-64 digit that differs from the wheel origin `base`
-// (level 0 if at == base). Because events are never scheduled before base,
-// the differing digit of an event is always strictly greater than base's
-// digit at that level, which yields the two invariants the total order
-// rests on:
+// Leveling uses the XOR-prefix rule: an event lives at level 0 if it shares
+// every bit above the low 12 with the wheel origin `base`, else at the level
+// of its highest radix-64 digit that differs from base. Because events are
+// never scheduled before base, the differing digit of an event is always
+// strictly greater than base's digit at that level, which yields the two
+// invariants the total order rests on:
 //
-//  1. Every occupied slot at a level is strictly after base's current digit
-//     at that level — a bitmap scan from the low end finds the earliest
-//     slot with no wraparound ambiguity.
+//  1. Every occupied slot at a level lies at or after base's own slot there
+//     (strictly after, above level 0) — a bitmap scan from the low end finds
+//     the earliest slot with no wraparound ambiguity.
 //  2. All events at level L fire before any event at level L+1, because a
-//     level-L event shares digits ≥ L+1 with base while a level-(L+1)
+//     level-L event shares digits above L with base while a level-(L+1)
 //     event exceeds base in digit L+1.
 //
-// Level-0 slots are single nanosecond instants (all events in one slot
-// share a timestamp), so draining a slot and sorting it by sequence number
-// reproduces the exact (time, seq) FIFO order of a heap. Higher-level
-// slots are unordered bags; when the lowest occupied level L > 0, the wheel
-// origin advances to the earliest instant in that level's earliest slot,
-// that instant's events become the ready buffer, and the rest of the slot
-// cascades into levels < L (see ensureReady). An event scheduled for the
-// instant being drained never enters the wheel at all (see schedule), so a
-// typical event is filed once.
+// Every slot is an intrusive circular doubly-linked list, kept in the order
+// its events were scheduled: a new event (or a relay's second leg) is the
+// newest pending event and appends at the tail, and a cascade re-files one
+// list front to back into lower levels, which are all empty at that moment.
+// Where an event lives is a function of its instant and base alone, so all
+// events of one instant share one list, and a level-0 slot, which is a
+// single instant, is already in the exact (time, seq) FIFO order of a heap:
+// firing pops its head. Only when level 0 is empty does the earliest slot of
+// the lowest occupied level cascade: the origin advances to that slot's
+// earliest instant and the slot re-files below, so level 0 again holds the
+// next event.
 //
 // The origin only advances inside Step (while firing), never from a peek:
 // user code runs between steps and may schedule at any t >= now, so base
@@ -41,142 +48,135 @@ package sim
 import "math/bits"
 
 const (
+	level0Bits  = 12
+	level0Slots = 1 << level0Bits // 4096 one-nanosecond slots
 	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits         // 64 slots per level
-	wheelLevels = 11                     // 66 bits: all of Time (the top level uses slots 0..7)
-	wheelMask   = uint64(wheelSlots) - 1 // low-digit mask
+	wheelSlots  = 1 << wheelBits         // 64 slots per level above 0
+	wheelMask   = uint64(wheelSlots) - 1 // one digit
+	wheelLevels = 10                     // 12 + 9·6 = 66 bits: all of Time (the top level uses slots 0..7)
+	// wheelHeads is the number of slot lists: level 0's, then 64 per level
+	// above it, so heads index i has its occupancy bit at occ[i/64] bit i%64.
+	wheelHeads = level0Slots + (wheelLevels-1)*wheelSlots
 )
 
-// Event locations, recorded in event.loc so cancellation knows which
-// structure to remove from.
-const (
-	locNone      uint8 = iota // fired, cancelled, or on the free list
-	locWheel                  // slots[level][slot][idx]
-	locReady                  // drained into the ready buffer, not yet fired
-	locReadyDead              // cancelled while in the ready buffer
-)
+// slotOf returns the heads index of the slot an event at t belongs in
+// under the current origin (the XOR-prefix rule). Requires t >= e.base.
+//
+//mindgap:noalloc
+func (e *Engine) slotOf(t Time) uint {
+	diff := uint64(t) ^ uint64(e.base)
+	if diff < level0Slots {
+		return uint(t) % level0Slots
+	}
+	lvl := uint(bits.Len64(diff)-1-level0Bits) / wheelBits // 0 for level 1
+	return level0Slots + lvl*wheelSlots + uint(uint64(t)>>(level0Bits+lvl*wheelBits)&wheelMask)
+}
 
-// file places ev into the wheel level selected by the XOR-prefix rule.
-// Requires ev.at >= e.base.
+// file appends ev to the tail of its slot's list. Requires ev.at >= e.base
+// and ev to be the newest pending event of that list.
 //
 //mindgap:noalloc
 func (e *Engine) file(ev *event) {
-	diff := uint64(ev.at) ^ uint64(e.base)
-	lvl := 0
-	if diff != 0 {
-		lvl = (bits.Len64(diff) - 1) / wheelBits
+	i := e.slotOf(ev.at)
+	head := e.heads[i]
+	if head == nil {
+		ev.next, ev.prev = ev, ev
+		e.heads[i] = ev
+		e.occ[i/64] |= 1 << (i % 64)
+		if i < level0Slots {
+			e.sum0 |= 1 << (i / 64)
+		}
+		return
 	}
-	slot := (uint64(ev.at) >> (lvl * wheelBits)) & wheelMask
-	sl := e.slots[lvl][slot]
-	ev.loc, ev.level, ev.slot, ev.idx = locWheel, uint8(lvl), uint16(slot), int32(len(sl))
-	e.slots[lvl][slot] = append(sl, ev)
-	e.occ[lvl] |= 1 << slot
+	tail := head.prev
+	ev.next, ev.prev = head, tail
+	tail.next = ev
+	head.prev = ev
 }
 
-// lowestOccupied returns the lowest level > 0 with any occupied slot, or 0
-// when every level above 0 is empty (level 0 is checked by the caller).
+// unlink removes ev from slot i's list in O(1), wherever in the list it is.
 //
 //mindgap:noalloc
-func (e *Engine) lowestOccupied() int {
-	for lvl := 1; lvl < wheelLevels; lvl++ {
-		if e.occ[lvl] != 0 {
-			return lvl
+func (e *Engine) unlink(i uint, ev *event) {
+	if ev.next == ev {
+		e.heads[i] = nil
+		w := i / 64
+		e.occ[w] &^= 1 << (i % 64)
+		if i < level0Slots && e.occ[w] == 0 {
+			e.sum0 &^= 1 << w
 		}
+		return
 	}
-	return 0
+	ev.prev.next = ev.next
+	ev.next.prev = ev.prev
+	if e.heads[i] == ev {
+		e.heads[i] = ev.next
+	}
 }
 
-// ensureReady guarantees the ready buffer holds the earliest pending
-// instant's events in seq order, cascading one higher wheel level if
-// level 0 is empty. It reports false when nothing is pending. Only Step
-// may call it: it advances the wheel origin.
+// first0 returns the heads index of the earliest occupied level-0 slot.
+// Requires e.sum0 != 0.
 //
 //mindgap:noalloc
-func (e *Engine) ensureReady() bool {
-	// Drain cursor first: skip tombstones left by Timer.Stop on events
-	// that were already drained into the ready buffer.
-	for e.readyPos < len(e.ready) {
-		ev := e.ready[e.readyPos]
-		if ev.loc == locReady {
-			return true
-		}
-		e.ready[e.readyPos] = nil
-		e.readyPos++
-		e.recycle(ev) // pending was decremented at Stop time
-	}
-	e.ready = e.ready[:0]
-	e.readyPos = 0
+func (e *Engine) first0() uint {
+	w := uint(bits.TrailingZeros64(e.sum0))
+	return w*64 + uint(bits.TrailingZeros64(e.occ[w]))
+}
 
-	if e.occ[0] != 0 {
-		// A level-0 slot is a single instant: drain it whole, sort by
-		// seq, and it becomes the ready buffer. The buffers swap so
-		// both retain their capacity across instants.
-		slot := bits.TrailingZeros64(e.occ[0])
-		e.occ[0] &^= 1 << slot
-		sl := e.slots[0][slot]
-		e.slots[0][slot] = e.ready
-		e.ready = sl
-		e.readyTime = sl[0].at
-		e.base = e.readyTime
-		if len(sl) > 1 {
-			sortBySeq(sl)
-		}
-		for _, ev := range sl {
-			ev.loc = locReady
-		}
-		return true
-	}
-
-	lvl := e.lowestOccupied()
-	if lvl == 0 {
-		return false
-	}
-	// Cascade to the minimum: the earliest occupied slot's earliest instant
-	// is the next to fire, so its events go straight to the ready buffer and
-	// the origin advances to that instant, not to the start of the slot's
-	// window. The origin is still <= every pending event, and it keeps its
-	// digits above lvl and takes this slot's at lvl, so both wheel
-	// invariants hold. The rest of the slot agrees with the new origin on
-	// every digit >= lvl, so it re-files strictly below lvl and the slot is
-	// cleared in the same pass.
-	slot := bits.TrailingZeros64(e.occ[lvl])
-	e.occ[lvl] &^= 1 << slot
-	sl := e.slots[lvl][slot]
-	first := sl[0].at
-	for _, ev := range sl[1:] {
-		if ev.at < first {
-			first = ev.at
+// earliestUpper returns the heads index of the earliest occupied slot above
+// level 0 and that slot's earliest instant; ok is false when every level
+// above 0 is empty.
+//
+//mindgap:noalloc
+func (e *Engine) earliestUpper() (i uint, first Time, ok bool) {
+	for w := uint(level0Slots / 64); w < uint(len(e.occ)); w++ {
+		if e.occ[w] != 0 {
+			i = w*64 + uint(bits.TrailingZeros64(e.occ[w]))
+			head := e.heads[i]
+			first = head.at
+			for ev := head.next; ev != head; ev = ev.next {
+				first = min(first, ev.at)
+			}
+			return i, first, true
 		}
 	}
-	e.base, e.readyTime = first, first
-	for i, ev := range sl {
-		sl[i] = nil
-		if ev.at == first {
-			ev.loc = locReady
-			e.ready = append(e.ready, ev)
-		} else {
-			e.file(ev)
-		}
-	}
-	e.slots[lvl][slot] = sl[:0]
-	if len(e.ready) > 1 {
-		sortBySeq(e.ready)
-	}
-	return true
+	return 0, 0, false
 }
 
 // next returns the earliest pending event, removed from the schedule, or
-// nil when none is pending.
+// nil when none is pending. When level 0 is empty it first cascades the
+// earliest slot of the lowest occupied level: the origin moves to that
+// slot's earliest instant, which is <= every pending event (the slot is the
+// earliest and the levels below it are empty) and agrees with the old
+// origin on every digit above the slot's level, so the other slots keep
+// their places; the slot's own events agree with it on that level's digit
+// too and so re-file strictly below that level, into empty lists, in list
+// order.
+// Only Step may call next: it advances the origin.
 //
 //mindgap:noalloc
 func (e *Engine) next() *event {
-	if !e.ensureReady() {
-		return nil
+	if e.sum0 == 0 {
+		i, first, ok := e.earliestUpper()
+		if !ok {
+			return nil
+		}
+		head := e.heads[i]
+		e.heads[i] = nil
+		e.occ[i/64] &^= 1 << (i % 64)
+		e.base = first
+		for ev := head; ; {
+			after := ev.next // read before file relinks ev
+			e.file(ev)
+			if after == head {
+				break
+			}
+			ev = after
+		}
 	}
-	ev := e.ready[e.readyPos]
-	e.ready[e.readyPos] = nil
-	e.readyPos++
-	ev.loc = locNone
+	i := e.first0()
+	ev := e.heads[i]
+	e.unlink(i, ev)
 	return ev
 }
 
@@ -187,72 +187,9 @@ func (e *Engine) next() *event {
 //
 //mindgap:noalloc
 func (e *Engine) peekTime() (Time, bool) {
-	for e.readyPos < len(e.ready) {
-		ev := e.ready[e.readyPos]
-		if ev.loc == locReady {
-			return e.readyTime, true
-		}
-		e.ready[e.readyPos] = nil
-		e.readyPos++
-		e.recycle(ev)
+	if e.sum0 != 0 {
+		return e.heads[e.first0()].at, true
 	}
-	if e.occ[0] != 0 {
-		slot := bits.TrailingZeros64(e.occ[0])
-		return e.slots[0][slot][0].at, true
-	}
-	if lvl := e.lowestOccupied(); lvl > 0 {
-		slot := bits.TrailingZeros64(e.occ[lvl])
-		best := MaxTime
-		for _, ev := range e.slots[lvl][slot] {
-			if ev.at < best {
-				best = ev.at
-			}
-		}
-		return best, true
-	}
-	return 0, false
-}
-
-// remove cancels a pending event wherever it currently lives. Events
-// already drained into the ready buffer are tombstoned in place (the drain
-// cursor recycles them); wheel residents are removed immediately.
-//
-//mindgap:noalloc
-func (e *Engine) remove(ev *event) {
-	switch ev.loc {
-	case locWheel:
-		sl := e.slots[ev.level][ev.slot]
-		last := len(sl) - 1
-		if i := int(ev.idx); i >= 0 && i <= last && sl[i] == ev {
-			sl[i] = sl[last]
-			sl[i].idx = int32(i)
-			sl[last] = nil
-			e.slots[ev.level][ev.slot] = sl[:last]
-			if last == 0 {
-				e.occ[ev.level] &^= 1 << ev.slot
-			}
-		}
-		e.pending--
-		e.recycle(ev)
-	case locReady:
-		ev.loc = locReadyDead
-		e.pending--
-	}
-}
-
-// sortBySeq orders one drained slot by sequence number (all entries share a
-// timestamp; seqs are unique). Insertion sort: slots hold a handful of
-// same-instant events, and the common burst arrives already ordered.
-//
-//mindgap:noalloc
-func sortBySeq(sl []*event) {
-	for i := 1; i < len(sl); i++ {
-		ev := sl[i]
-		j := i - 1
-		for j >= 0 && sl[j].seq > ev.seq {
-			sl[j+1] = sl[j]
-			j--
-		}
-		sl[j+1] = ev
-	}
+	_, first, ok := e.earliestUpper()
+	return first, ok
 }
