@@ -141,7 +141,7 @@ type reqState struct {
 type Collector struct {
 	cfg Config
 
-	inflight map[uint64]*reqState
+	inflight idTable
 	free     []*reqState
 
 	wf        *stats.Waterfall
@@ -159,11 +159,9 @@ func New(cfg Config) *Collector {
 	if cfg.TailK <= 0 {
 		cfg.TailK = 8
 	}
-	return &Collector{
-		cfg:      cfg,
-		inflight: make(map[uint64]*reqState),
-		wf:       stats.NewWaterfall(int(PhaseCount)),
-	}
+	c := &Collector{cfg: cfg, wf: stats.NewWaterfall(int(PhaseCount))}
+	c.inflight.grow()
+	return c
 }
 
 func (c *Collector) acquire() *reqState {
@@ -187,13 +185,13 @@ func (c *Collector) Arrive(at sim.Time, id uint64, service time.Duration) {
 	if c == nil {
 		return
 	}
-	if _, dup := c.inflight[id]; dup {
+	if c.inflight.get(id) != nil {
 		return // defensive: duplicate arrival, keep the original record
 	}
 	st := c.acquire()
 	st.id, st.arrive, st.service = id, at, service
 	st.mark, st.last = at, mkArrive
-	c.inflight[id] = st
+	c.inflight.put(id, st)
 }
 
 // step is the hooks' inlinable front: a nil collector costs the caller a
@@ -211,7 +209,7 @@ func (c *Collector) step(at sim.Time, id uint64, k markKind) *reqState {
 // beyond the nominal service time) surface as preempt-ovh residue when the
 // record closes. It returns the request's state, nil when none is open.
 func (c *Collector) advance(at sim.Time, id uint64, k markKind) *reqState {
-	st := c.inflight[id]
+	st := c.inflight.get(id)
 	if st == nil {
 		return nil
 	}
@@ -331,7 +329,7 @@ func (c *Collector) Respond(at sim.Time, id uint64) {
 			Phases: st.phases, Segments: segs,
 		})
 	}
-	delete(c.inflight, id)
+	c.inflight.del(id)
 	c.release(st)
 }
 
@@ -343,8 +341,7 @@ func (c *Collector) Drop(at sim.Time, id uint64, reason trace.DropReason) {
 	if int(reason) < len(c.dropped) {
 		c.dropped[reason]++
 	}
-	if st := c.inflight[id]; st != nil {
-		delete(c.inflight, id)
+	if st := c.inflight.del(id); st != nil {
 		c.release(st)
 	}
 }

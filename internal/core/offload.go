@@ -342,13 +342,13 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		// the invariant.
 		w.vf = s.nic.AddFunction(fmt.Sprintf("w%d", i),
 			nicmodel.MACForIndex(i+1), cfg.Outstanding+1)
-		w.UseRing(cores.Inbox{Len: w.vf.Pending, Pop: w.pop, Backlog: w.stashed})
+		w.UseRing(cores.Inbox{Len: w.vf.Pending, Pop: w.pop})
 		w.vf.OnRx(w.Wake)
 		w.vf.OnDrop(func(f nicmodel.Frame) { s.dropDegraded(f, w.ID, trace.DropRingOverflow) })
 		w.vf.OnWireDrop(func(f nicmodel.Frame) { s.dropDegraded(f, w.ID, trace.DropWireFault) })
 		w.vf.OnDeliver(func(f nicmodel.Frame) {
 			req, _ := frameReq(f)
-			s.pr.HostArrive(s.eng.Now(), req.ID)
+			w.Land(req)
 		})
 		s.workers = append(s.workers, w)
 	}
@@ -619,19 +619,6 @@ func (w *offWorker) pop() (req *task.Request, rtc, ok bool) {
 	}
 	req, w.curDegraded = frameReq(frame)
 	return req, w.curDegraded, true
-}
-
-// stashed is the core's inbox Backlog: remaining work waiting in the VF
-// ring.
-//
-//mindgap:noalloc
-func (w *offWorker) stashed() int64 {
-	var load int64
-	w.vf.Each(func(f nicmodel.Frame) {
-		req, _ := frameReq(f)
-		load += int64(req.Remaining)
-	})
-	return load
 }
 
 // started runs once a request is executing on kw.

@@ -78,12 +78,11 @@ type Host struct {
 // requests wait in the worker's VF descriptor ring, whose occupancy
 // decides overflow drops, so the ring itself has to be what the core
 // polls. Pop reports rtc for a request that must hold the core to
-// completion (no slice timer); Backlog is the remaining work queued, in
-// ns.
+// completion (no slice timer). The model calls Worker.Land as each request
+// reaches the ring.
 type Inbox struct {
-	Len     func() int
-	Pop     func() (req *task.Request, rtc, ok bool)
-	Backlog func() int64
+	Len func() int
+	Pop func() (req *task.Request, rtc, ok bool)
 }
 
 // Worker is one serial host core: it picks a request out of its inbox,
@@ -102,6 +101,11 @@ type Worker struct {
 
 	inbox queue.FIFO[*task.Request]
 	ring  *Inbox
+	// queued is the remaining work (ns) of every request waiting in the
+	// inbox, kept as a running sum: a waiting request's Remaining cannot
+	// change, so adding it on landing and subtracting it on pickup or steal
+	// is exact.
+	queued int64
 	// stretch dilates the core's off-exec overheads (pickup, response and
 	// notification building) through a stall timeline; nil when the core
 	// never stalls.
@@ -188,11 +192,21 @@ func (w *Worker) After(d time.Duration, fn sim.EventFunc, recv, obj any, arg uin
 	w.h.eng.AfterE(d, fn, recv, obj, arg)
 }
 
+// Land records a request reaching the core's inbox: its host-arrive
+// instant and its work in the backlog. Deliver calls it; a model whose
+// inbox is a ring calls it as each request lands there.
+//
+//mindgap:noalloc
+func (w *Worker) Land(req *task.Request) {
+	w.h.pr.HostArrive(w.h.eng.Now(), req.ID)
+	w.queued += int64(req.Remaining)
+}
+
 // Deliver lands an assigned request in the core's FIFO inbox.
 //
 //mindgap:noalloc
 func (w *Worker) Deliver(req *task.Request) {
-	w.h.pr.HostArrive(w.h.eng.Now(), req.ID)
+	w.Land(req)
 	w.inbox.Push(req)
 	w.Wake()
 }
@@ -230,18 +244,14 @@ func (w *Worker) Idle() bool { return !w.Running() && !w.post && w.Queued() == 0
 // Backlog returns the core's resident backlog in ns at this instant:
 // remaining work executing plus remaining work waiting in its inbox. It is
 // both what load feedback reports and the ground truth the decision audit
-// compares estimates against.
+// compares estimates against, and it costs O(1).
 //
 //mindgap:noalloc
 func (w *Worker) Backlog() int64 {
-	var load int64
+	load := w.queued
 	if cur := w.Exec.cur; cur != nil {
 		load += int64(cur.Remaining)
 	}
-	if w.ring != nil {
-		return load + w.ring.Backlog()
-	}
-	w.inbox.Do(func(r *task.Request) { load += int64(r.Remaining) })
 	return load
 }
 
@@ -267,15 +277,18 @@ func hostPickup(recv, _ any, _ uint64) {
 	w.picking = false
 	if w.ring != nil {
 		if req, rtc, ok := w.ring.Pop(); ok {
-			w.begin(req, !rtc)
+			w.begin(w, req, !rtc)
 		}
 	} else if req, ok := w.inbox.Pop(); ok {
-		w.begin(req, true)
+		w.begin(w, req, true)
 	}
 }
 
+// begin starts req, taken out of from's inbox, on the core.
+//
 //mindgap:noalloc
-func (w *Worker) begin(req *task.Request, allowSlice bool) {
+func (w *Worker) begin(from *Worker, req *task.Request, allowSlice bool) {
+	from.queued -= int64(req.Remaining)
 	h := w.h
 	h.pr.Start(h.eng.Now(), req.ID, w.ID)
 	w.Exec.start(req, allowSlice)
@@ -301,8 +314,9 @@ func (w *Worker) StealAfter(d time.Duration, victim *Worker) {
 func hostSteal(recv, obj any, _ uint64) {
 	w := recv.(*Worker)
 	w.picking = false
-	if req, ok := obj.(*Worker).inbox.PopTail(); ok {
-		w.begin(req, true)
+	victim := obj.(*Worker)
+	if req, ok := victim.inbox.PopTail(); ok {
+		w.begin(victim, req, true)
 		return
 	}
 	w.Wake()
@@ -359,9 +373,9 @@ func (w *Worker) Release() {
 	w.Wake()
 }
 
-// AuditTruth is the decision audit's truth scan: every worker's resident
-// backlog at this instant, or nil when no collector is attached and the
-// caller should skip the audit.
+// AuditTruth is the decision audit's truth: every worker's resident
+// backlog at this instant, O(1) per worker, or nil when no collector is
+// attached and the caller should skip the audit.
 //
 //mindgap:noalloc
 func (h *Host) AuditTruth() []int64 {

@@ -25,6 +25,17 @@ func newTestHost(t *testing.T, eng *sim.Engine, workers int, slice time.Duration
 	return h
 }
 
+// walkBacklog recomputes a FIFO-inbox core's resident backlog from scratch:
+// the reference Worker.Backlog's running sum must match.
+func walkBacklog(w *Worker) int64 {
+	var load int64
+	if cur := w.Exec.Current(); cur != nil {
+		load += int64(cur.Remaining)
+	}
+	w.inbox.Do(func(r *task.Request) { load += int64(r.Remaining) })
+	return load
+}
+
 func TestHostSerialCoreAndReleaseRule(t *testing.T) {
 	// Two requests land together on one core. The second may only start
 	// once the first's Finished hook has called Release — here a
@@ -93,6 +104,10 @@ func TestHostBacklogAndAuditTruthSkip(t *testing.T) {
 	if h.Workers[1].Backlog() != 0 || !h.Workers[1].Idle() {
 		t.Fatal("untouched core reports work")
 	}
+	eng.RunUntil(sim.Time(3 * time.Microsecond)) // request 1 two fifths done
+	if got, want := w.Backlog(), walkBacklog(w); got != want {
+		t.Fatalf("running backlog %d ns, walk %d ns", got, want)
+	}
 	if h.AuditTruth() != nil {
 		t.Fatal("truth scan ran with no collector attached")
 	}
@@ -114,13 +129,18 @@ func TestHostRingInbox(t *testing.T) {
 			ring = ring[1:]
 			return r, r.ID == 1, true
 		},
-		Backlog: func() int64 { return 1 },
 	})
-	if w.Queued() != 2 || w.Backlog() != 1 {
+	for _, r := range ring {
+		w.Land(r)
+	}
+	if w.Queued() != 2 || w.Backlog() != 50_000 {
 		t.Fatalf("ring not consulted: queued=%d backlog=%d", w.Queued(), w.Backlog())
 	}
 	w.Wake()
 	eng.Run()
+	if w.Backlog() != 0 {
+		t.Fatalf("backlog %d ns once the ring drained and request 2 left the core", w.Backlog())
+	}
 	// Request 1 ran to completion; request 2 was sliced once and, with
 	// nothing re-delivering it, never finished.
 	want := []string{"start", "start", "respond", "preempt"}
@@ -148,12 +168,19 @@ func TestHostStealAfter(t *testing.T) {
 	if busy.Queued() != 1 {
 		t.Fatalf("victim queue = %d, want 1", busy.Queued())
 	}
+	for _, w := range h.Workers {
+		if got, want := w.Backlog(), walkBacklog(w); got != want {
+			t.Fatalf("core %d after the steal: running backlog %d ns, walk %d ns", w.ID, got, want)
+		}
+	}
 	// A steal that finds the victim drained falls back to the thief's own inbox.
 	eng.Run()
 	thief.Deliver(task.New(4, 0, time.Microsecond))
 	eng.Run()
 	thief.StealAfter(200*time.Nanosecond, busy)
-	thief.inbox.Push(task.New(5, 0, time.Microsecond))
+	r5 := task.New(5, 0, time.Microsecond)
+	thief.inbox.Push(r5) // behind the reservation: no Deliver, so no wake-up
+	thief.queued += int64(r5.Remaining)
 	eng.Run()
 	if h.Completions() != 5 {
 		t.Fatalf("completions = %d, want 5", h.Completions())

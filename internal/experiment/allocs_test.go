@@ -1,12 +1,24 @@
 package experiment
 
-import "testing"
+import (
+	"testing"
+
+	"mindgap/internal/attr"
+	"mindgap/internal/scenario"
+	"mindgap/internal/sim"
+	"mindgap/internal/stats"
+	"mindgap/internal/task"
+	"mindgap/internal/telemetry"
+	"mindgap/internal/trace"
+)
 
 // TestSteadyStateAllocsPerRequest holds every registered system's healthy
 // point, the lossy-fabric point with its per-dispatch timeout machinery
 // (pooled flight records, embedded timers), and the NIC-crash point whose
 // measured stretch spans the 10–14 ms degraded window (hash-steered frames,
-// degraded drops), to the pooled hot path's promise: once warm, serving a
+// degraded drops), and the attribution table's informed offload point with
+// every observer attached (collector, a 64 Ki-event trace buffer, telemetry
+// registry), to the pooled hot path's promise: once warm, serving a
 // request allocates (almost) nothing. Each point runs at two lengths; the
 // run is deterministic, so the longer one repeats the shorter and then
 // serves extra requests, and the difference in heap allocations is what
@@ -15,9 +27,12 @@ import "testing"
 // a fresh backing array per request inside //mindgap:noalloc functions.
 func TestSteadyStateAllocsPerRequest(t *testing.T) {
 	const short, long = 2000, 8000
+	probed := presetCase(t, "table-attribution", 0, 450_000)
+	probed.name = "probes-on/" + probed.name
 	cases := append(systemCases(t),
 		presetCase(t, "figure-faults-lossyfabric", 1, 300_000),
-		presetCase(t, "figure-faults-niccrash", 1, 300_000))
+		presetCase(t, "figure-faults-niccrash", 1, 300_000),
+		probed)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			allocs := func(measure int) float64 {
@@ -26,6 +41,15 @@ func TestSteadyStateAllocsPerRequest(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.OfferedRPS = c.rps
+				if c.name == probed.name {
+					cfg.Factory = func(e *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
+						return observed(c.spec, scenario.Options{
+							Tracer:  trace.New(64 << 10),
+							Attr:    attr.New(attr.Config{}),
+							Metrics: telemetry.NewRegistry(),
+						})(e, rec, done)
+					}
+				}
 				return testing.AllocsPerRun(1, func() { drive(cfg, nil) })
 			}
 			perReq := (allocs(long) - allocs(short)) / (long - short)

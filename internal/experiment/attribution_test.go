@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mindgap/internal/attr"
+	"mindgap/internal/cores"
 	"mindgap/internal/faults"
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
@@ -139,7 +140,13 @@ func probeCases(t *testing.T) []probeCase {
 //   - every completed request's phase vector must sum to exactly the
 //     latency the client observed;
 //   - the recorder, the trace and the collector — all fed by the same
-//     probe call — must agree on drops and preemptions.
+//     probe call — must agree on drops and preemptions;
+//   - every worker's Backlog — the running sum the decision audit and load
+//     feedback read — must equal a from-scratch walk of the core and its
+//     inbox (backlogWalk) at every arrival and every completion. A sum that
+//     missed an update stays wrong, so a drift cannot fall between checks.
+//     Zygos must have stolen and the NIC-crash spec hash-steered, so both
+//     inbox paths are walked.
 //
 // Measurement starts at t=0 (no warm-up) so the recorder's window covers
 // the same requests the trace and the collector see.
@@ -153,7 +160,7 @@ func probeCases(t *testing.T) []probeCase {
 //	go test ./internal/experiment -run TestAttributionObservationInvariance -update
 func TestAttributionObservationInvariance(t *testing.T) {
 	q := Quality{Warmup: 0, Measure: 1500, Seed: 7}
-	run := func(t *testing.T, c probeCase, o scenario.Options) (Result, uint64, map[uint64]time.Duration) {
+	run := func(t *testing.T, c probeCase, o scenario.Options) (Result, uint64, map[uint64]time.Duration, System) {
 		t.Helper()
 		cfg, err := PointConfigFor(c.spec, q)
 		if err != nil {
@@ -165,18 +172,37 @@ func TestAttributionObservationInvariance(t *testing.T) {
 		}
 		build := observed(c.spec, o)
 		var eng *sim.Engine
+		check := func() {}
 		cfg.Factory = func(e *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
 			eng = e
-			return build(e, rec, done)
+			sys := build(e, rec, done)
+			if o.Attr == nil {
+				return sys
+			}
+			workers, walk := backlogWalk(sys)
+			check = func() {
+				for i, w := range workers {
+					if got, want := w.Backlog(), walk(i); got != want {
+						t.Fatalf("at %v: worker %d's running backlog is %d ns, a walk finds %d ns", e.Now(), i, got, want)
+					}
+				}
+			}
+			return walkedSystem{sys, check}
 		}
 		lats := map[uint64]time.Duration{}
-		res, _ := drive(cfg, func(r *task.Request, lat time.Duration) { lats[r.ID] = lat })
-		return res, eng.Executed(), lats
+		res, sys := drive(cfg, func(r *task.Request, lat time.Duration) {
+			lats[r.ID] = lat
+			check()
+		})
+		if ws, ok := sys.(walkedSystem); ok {
+			sys = ws.System
+		}
+		return res, eng.Executed(), lats, sys
 	}
 	var pinned bytes.Buffer
 	for _, c := range probeCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			bare, bareEvents, _ := run(t, c, scenario.Options{})
+			bare, bareEvents, _, _ := run(t, c, scenario.Options{})
 			fmt.Fprintf(&pinned, "%s events=%d %s\n", c.name, bareEvents, resultFields(bare))
 			buf := trace.New(0)
 			col := attr.New(attr.Config{KeepTimelines: true})
@@ -184,7 +210,7 @@ func TestAttributionObservationInvariance(t *testing.T) {
 			if b, _ := scenario.Lookup(c.spec.System); b.Observable {
 				opts.Metrics = telemetry.NewRegistry()
 			}
-			probed, events, lats := run(t, c, opts)
+			probed, events, lats, sys := run(t, c, opts)
 
 			if !reflect.DeepEqual(probed, bare) || events != bareEvents {
 				t.Errorf("attaching observers changed the run\nwith:    %+v (%d events)\nwithout: %+v (%d events)",
@@ -259,6 +285,28 @@ func TestAttributionObservationInvariance(t *testing.T) {
 					t.Errorf("spec produced no %v drops; the case no longer exercises that path", r)
 				}
 			}
+
+			// The backlog walk must have seen a steal (a request starting on
+			// another worker than it was steered to) and a degraded frame.
+			dispatched, stolen := map[uint64]int{}, 0
+			for _, e := range buf.Events() {
+				switch e.Kind {
+				case trace.Dispatch:
+					dispatched[e.ReqID] = e.Worker
+				case trace.Start:
+					if w, ok := dispatched[e.ReqID]; ok && w != e.Worker {
+						stolen++
+					}
+				}
+			}
+			if c.name == "system/zygos" && stolen == 0 {
+				t.Error("zygos stole nothing; the backlog walk no longer covers steals")
+			}
+			if c.name == "drops/figure-faults-niccrash" {
+				if d, ok := sys.(interface{ DegradedSteered() uint64 }); !ok || d.DegradedSteered() == 0 {
+					t.Error("no frame was hash-steered; the backlog walk no longer covers degraded frames")
+				}
+			}
 		})
 	}
 
@@ -275,6 +323,60 @@ func TestAttributionObservationInvariance(t *testing.T) {
 	}
 	if !bytes.Equal(pinned.Bytes(), want) {
 		t.Errorf("bare runs diverged from %s\ngot:\n%swant:\n%s", golden, pinned.Bytes(), want)
+	}
+}
+
+// walkedSystem is a built system that checks every worker's running
+// backlog against a walk before admitting each arrival.
+type walkedSystem struct {
+	System
+	check func()
+}
+
+func (s walkedSystem) Inject(r *task.Request) {
+	s.check()
+	s.System.Inject(r)
+}
+
+// backlogWalk finds the host-worker kit inside a built system and returns
+// its workers with a from-scratch walk of each one's resident backlog; no
+// workers for a system without the kit (flowrule). The kit keeps each
+// backlog as a running sum, so the walk reads what the model holds instead:
+// the executing request plus every request in the inbox — the kit's FIFO,
+// or Offload's VF descriptor ring, hash-steered frames included — field by
+// field through reflection, as nothing in the model does any more.
+func backlogWalk(sys System) ([]*cores.Worker, func(i int) int64) {
+	v := reflect.ValueOf(sys).Elem()
+	hf := v.FieldByName("Host")
+	if !hf.IsValid() {
+		return nil, nil
+	}
+	workers := hf.Interface().(*cores.Host).Workers
+	remaining := func(req reflect.Value) int64 { return req.Elem().FieldByName("Remaining").Int() }
+	return workers, func(i int) int64 {
+		w := workers[i]
+		var load int64
+		if cur := w.Exec.Current(); cur != nil {
+			load = int64(cur.Remaining)
+		}
+		if reflect.ValueOf(w).Elem().FieldByName("ring").IsNil() {
+			in := reflect.ValueOf(w).Elem().FieldByName("inbox")
+			items := in.FieldByName("items")
+			for j := int(in.FieldByName("head").Int()); j < items.Len(); j++ {
+				load += remaining(items.Index(j))
+			}
+			return load
+		}
+		rx := v.FieldByName("workers").Index(i).Elem().FieldByName("vf").Elem().FieldByName("rx").Elem()
+		buf, head := rx.FieldByName("buf"), int(rx.FieldByName("head").Int())
+		for j := 0; j < int(rx.FieldByName("count").Int()); j++ {
+			req := buf.Index((head + j) % buf.Len()).FieldByName("Payload").Elem()
+			if req.Kind() == reflect.Struct { // a hash-steered frame's wrapper
+				req = req.Field(0)
+			}
+			load += remaining(req)
+		}
+		return load
 	}
 }
 

@@ -331,6 +331,61 @@ func TestLinkObservedMatchesPlain(t *testing.T) {
 	}
 }
 
+// TestLinkObservedAccountingUnderReordering sends a few thousand messages
+// in waves through an observed link whose latency fault holds every fifth
+// one back long enough for later sends to overtake it. At every wave's
+// instant the delivered gauge must equal what the receiver counted, and
+// the delivery-instant list must never hold more than twice the peak
+// number of messages in flight.
+func TestLinkObservedAccountingUnderReordering(t *testing.T) {
+	eng := sim.New()
+	l := NewLink(eng, "wire", LinkConfig{Latency: time.Microsecond})
+	sends := 0
+	l.SetFault(func(sim.Time) (bool, time.Duration) {
+		sends++
+		if sends%5 == 0 {
+			return false, 3 * time.Microsecond
+		}
+		return false, 0
+	})
+	reg := telemetry.NewRegistry()
+	l.RegisterTelemetry(reg, "wire")
+	delivered, accepted, peak, overtaken := 0, 0, 0, 0
+	last := 0
+	deliver := func(_, _ any, msg uint64) {
+		delivered++
+		if int(msg) < last {
+			overtaken++
+		}
+		last = int(msg)
+	}
+	for wave := 0; wave < 400; wave++ {
+		// Waves of 1–16 messages every 700 ns: the in-flight population
+		// rises and falls, so the list both compacts and grows.
+		at := sim.Time(wave * 700)
+		eng.RunUntil(at)
+		if got := reg.Snapshot().Gauges["wire/delivered"]; int(got) != delivered {
+			t.Fatalf("at %v: delivered gauge = %v, receiver counted %d", at, got, delivered)
+		}
+		for k := 0; k < 1+(wave*7)%16; k++ {
+			if l.SendT(64, deliver, nil, nil, uint64(accepted)) {
+				accepted++
+			}
+			peak = max(peak, accepted-delivered)
+			if len(l.flight) > 2*peak || cap(l.flight) > 2*peak {
+				t.Fatalf("at %v: %d instants kept (capacity %d), peak in flight %d", at, len(l.flight), cap(l.flight), peak)
+			}
+		}
+	}
+	eng.Run()
+	if got := reg.Snapshot().Gauges["wire/delivered"]; int(got) != delivered || delivered != accepted {
+		t.Fatalf("drained: gauge %v, receiver %d, accepted %d", got, delivered, accepted)
+	}
+	if overtaken == 0 {
+		t.Fatal("no delivery overtook an earlier send; the fault no longer reorders")
+	}
+}
+
 func TestStageSerialProcessing(t *testing.T) {
 	eng := sim.New()
 	var done []sim.Time

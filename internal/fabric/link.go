@@ -53,7 +53,7 @@ type Link struct {
 
 	// Observed-link state (a plain link keeps none): accepted counts every
 	// message sent, and flight holds the delivery instants of those that
-	// may still be in flight.
+	// may still be in flight, in no particular order.
 	observed bool
 	accepted uint64
 	flight   []sim.Time
@@ -117,17 +117,24 @@ func (l *Link) SendT(bytes int, fn sim.EventFunc, recv, obj any, arg uint64) boo
 	return true
 }
 
-// observe records an accepted message on an observed link and forgets the
-// deliveries already past. The instant list grows to the link's peak
-// in-flight count, so observe is not noalloc.
+// observe records an accepted message on an observed link. A full list
+// forgets the deliveries already past and, if over half is still in
+// flight, moves to twice that many slots: amortized O(1) per send, at
+// most twice the peak in flight kept, and allocating while that peak
+// grows, so observe is not noalloc.
 func (l *Link) observe(now, deliver sim.Time) {
 	l.accepted++
-	done := 0
-	for done < len(l.flight) && l.flight[done] < now {
-		done++
-	}
-	if done > 0 {
-		l.flight = append(l.flight[:0], l.flight[done:]...)
+	if len(l.flight) == cap(l.flight) {
+		live := l.flight[:0]
+		for _, at := range l.flight {
+			if at > now {
+				live = append(live, at)
+			}
+		}
+		if 2*len(live) > cap(l.flight) {
+			live = append(make([]sim.Time, 0, 2*len(live)), live...)
+		}
+		l.flight = live
 	}
 	l.flight = append(l.flight, deliver)
 }

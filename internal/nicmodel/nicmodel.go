@@ -242,9 +242,6 @@ func (f *Function) Poll() (Frame, bool) { return f.rx.Pop() }
 //mindgap:noalloc
 func (f *Function) Pending() int { return f.rx.Len() }
 
-// Each visits the queued frames, oldest first, without removing them.
-func (f *Function) Each(fn func(Frame)) { f.rx.Do(fn) }
-
 // RingDrops returns frames lost to a full RX ring.
 func (f *Function) RingDrops() uint64 { return f.ringDrops }
 

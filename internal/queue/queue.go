@@ -62,9 +62,7 @@ func (q *FIFO[T]) Peek() (v T, ok bool) {
 	return q.items[q.head], true
 }
 
-// Do calls fn for each queued item, head first, without removing any —
-// ground-truth backlog scans (the attribution layer's decision audit)
-// read per-core queues this way.
+// Do calls fn for each queued item, head first, without removing any.
 func (q *FIFO[T]) Do(fn func(T)) {
 	for i := q.head; i < len(q.items); i++ {
 		fn(q.items[i])
@@ -157,13 +155,4 @@ func (r *Ring[T]) Peek() (v T, ok bool) {
 		return zero, false
 	}
 	return r.buf[r.head], true
-}
-
-// Do calls fn for each queued item, oldest first, without removing any —
-// how a host core inspects its RX descriptor ring to summarize pending
-// work for load feedback.
-func (r *Ring[T]) Do(fn func(T)) {
-	for i := 0; i < r.count; i++ {
-		fn(r.buf[(r.head+i)%len(r.buf)])
-	}
 }

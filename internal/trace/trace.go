@@ -95,12 +95,13 @@ func (r DropReason) String() string {
 	return fmt.Sprintf("reason(%d)", uint8(r))
 }
 
-// Event is one recorded lifecycle step.
+// Event is one recorded lifecycle step. The two one-byte fields sit last
+// so an Event packs into 32 bytes.
 type Event struct {
 	At     sim.Time
-	Kind   Kind
 	ReqID  uint64
 	Worker int // meaningful for Dispatch/Start/Preempt/Complete; else -1
+	Kind   Kind
 	// Reason is set on Drop events that carry one; zero everywhere else.
 	Reason DropReason
 }
@@ -127,12 +128,13 @@ type Buffer struct {
 }
 
 // New creates a buffer holding at most max events (max <= 0 means an
-// effectively unbounded debug buffer).
+// effectively unbounded debug buffer). Up to 64 Ki events (2 MiB) are
+// allocated at once, so a buffer that size never regrows while recording.
 func New(max int) *Buffer {
 	if max <= 0 {
 		max = 1 << 20
 	}
-	return &Buffer{max: max, events: make([]Event, 0, min(max, 4096))}
+	return &Buffer{max: max, events: make([]Event, 0, min(max, 64<<10))}
 }
 
 // Record appends a lifecycle event if capacity remains.

@@ -3,6 +3,7 @@ package trace
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mindgap/internal/sim"
 )
@@ -134,5 +135,20 @@ func TestEventString(t *testing.T) {
 	e.Worker = -1
 	if strings.Contains(e.String(), "w=") {
 		t.Fatalf("workerless event mentions worker: %q", e.String())
+	}
+}
+
+func TestBufferAllocatedOnce(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size != 32 {
+		t.Fatalf("Event is %d bytes, want 32", size)
+	}
+	const n = 64 << 10
+	b := New(n)
+	first := &b.events[:1][0]
+	for i := 0; i < n+10; i++ {
+		b.Record(sim.Time(i), Arrive, uint64(i), -1)
+	}
+	if b.Len() != n || b.Truncated() != 10 || &b.events[0] != first {
+		t.Fatalf("len %d, truncated %d, regrown %v", b.Len(), b.Truncated(), &b.events[0] != first)
 	}
 }
