@@ -83,10 +83,14 @@ func TestFlowRuleFigureAndTableShareOneRun(t *testing.T) {
 	}
 	cache := t.TempDir()
 	var fig, table, stderr bytes.Buffer
-	if code := run([]string{"mindgap-bench", "-fig", "flowrule", "-quick", "-csv", "-cache", cache}, &fig, &stderr); code != 0 {
+	if code := run([]string{"mindgap-bench", "-fig", "flowrule", "-quality", "quick", "-csv", "-cache", cache}, &fig, &stderr); code != 0 {
 		t.Fatalf("-fig flowrule: exit %d, stderr %q", code, stderr.String())
 	}
-	p := scenarios.MustLoad(flowRulePreset)
+	entry, err := pick(experiment.FigureIDs, "figure", "flowrule", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := scenarios.MustLoad(entry[0].Source)
 	res, err := experiment.Run(context.Background(), nil, p, experiment.Quick, experiment.Plain)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +103,7 @@ func TestFlowRuleFigureAndTableShareOneRun(t *testing.T) {
 		t.Fatalf("-fig flowrule -csv:\n%s\nPlain run renders:\n%s", fig.Bytes(), want.Bytes())
 	}
 	stderr.Reset()
-	if code := run([]string{"mindgap-bench", "-table", "flowrule", "-quick", "-cache", cache}, &table, &stderr); code != 0 {
+	if code := run([]string{"mindgap-bench", "-table", "flowrule", "-quality", "quick", "-cache", cache}, &table, &stderr); code != 0 {
 		t.Fatalf("-table flowrule: exit %d, stderr %q", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), ": 20 hits, 0 misses") {
@@ -107,5 +111,29 @@ func TestFlowRuleFigureAndTableShareOneRun(t *testing.T) {
 	}
 	if n := strings.Count(table.String(), "\n"); n != 23 {
 		t.Fatalf("-table flowrule printed %d lines, want header + 20 rows + blank:\n%s", n, table.String())
+	}
+}
+
+// TestFigureAndTableTogether: -fig and -table given together run both,
+// the figure first, and stdout — with every wall time on stderr — is
+// byte-identical at any parallelism.
+func TestFigureAndTableTogether(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs figure 2 and the ipc table twice")
+	}
+	var outs [2]string
+	for i, j := range []string{"1", "2"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"mindgap-bench", "-fig", "2", "-table", "ipc", "-quality", "quick", "-j", j}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-j %s: exit %d, stderr %q", j, code, stderr.String())
+		}
+		outs[i] = stdout.String()
+	}
+	fig, table := strings.Index(outs[0], "== figure2:"), strings.Index(outs[0], "== T2:")
+	if fig != 0 || table < 0 {
+		t.Fatalf("want the figure 2 block, then the ipc table:\n%s", outs[0])
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("stdout differs between -j 1 and -j 2:\n-- j1 --\n%s\n-- j2 --\n%s", outs[0], outs[1])
 	}
 }

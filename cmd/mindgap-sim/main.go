@@ -95,19 +95,32 @@ func main() {
 		rn.Cache = c
 	}
 
-	q := experiment.Quality{Warmup: *warmup, Measure: *measure, Seed: *seed}
-	switch *quality {
-	case "":
-	case "quick":
-		q = experiment.Quick
-	case "full":
-		q = experiment.Full
-	default:
+	q, ok := experiment.Qualities[*quality]
+	switch {
+	case *quality == "":
+		q = experiment.Quality{Warmup: *warmup, Measure: *measure, Seed: *seed}
+	case !ok:
 		log.Fatalf("mindgap-sim: unknown -quality %q (want quick or full)", *quality)
 	}
 
 	if *scenarioArg != "" {
-		runScenario(ctx, rn, *scenarioArg, q, *csv)
+		// -scenario prints through the renderer behind mindgap-bench's
+		// figures; the output is byte-identical at any -j parallelism.
+		p, err := scenarios.LoadArg(*scenarioArg, scenario.DecodeAny, scenarios.Load)
+		if err == nil {
+			err = p.Validate()
+		}
+		if err != nil {
+			log.Fatalf("mindgap-sim: %v", err)
+		}
+		format := experiment.Text
+		if *csv {
+			format = experiment.CSV
+		}
+		if err := experiment.RenderPreset(ctx, rn, p, q, os.Stdout, format); err != nil {
+			fmt.Fprintf(os.Stderr, "mindgap-sim: %v\n", err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -200,65 +213,6 @@ func specFromFlags(system string, workers, outstanding int, slice time.Duration,
 		return scenario.Spec{}, err
 	}
 	return sp, nil
-}
-
-// runScenario resolves -scenario (embedded preset name or JSON file),
-// compiles it through the experiment harness, and prints every measured
-// series. Output is byte-identical at any -j parallelism.
-func runScenario(ctx context.Context, rn *runner.Runner, arg string, q experiment.Quality, csv bool) {
-	p, err := scenarios.LoadArg(arg, scenario.DecodeAny, scenarios.Load)
-	if err != nil {
-		log.Fatalf("mindgap-sim: %v", err)
-	}
-	if err := p.Validate(); err != nil {
-		log.Fatalf("mindgap-sim: %v", err)
-	}
-
-	// A preset whose every series is a tenant mix prints per-tenant
-	// profiles, each mix on one FIFO and then under its class priorities.
-	mixes := true
-	for i := range p.Series {
-		mixes = mixes && len(p.SpecFor(i).Tenants) > 0
-	}
-	if mixes {
-		res, err := experiment.Run(ctx, rn, p, q, experiment.TenantMix)
-		if res == nil && err != nil {
-			log.Fatalf("mindgap-sim: %v", err) // the preset did not compile
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mindgap-sim: %v\n", err)
-		}
-		fmt.Printf("# scenario %s (multi-tenant)\n", p.ID)
-		for _, mix := range experiment.Rows(res) {
-			for _, tr := range mix {
-				fmt.Printf("%s,%s,%s,%v,%v,%v,%d\n",
-					p.ID, tr.Sched, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
-			}
-		}
-		if err != nil {
-			os.Exit(1)
-		}
-		return
-	}
-
-	res, err := experiment.Run(ctx, rn, p, q, experiment.Plain)
-	if res == nil && err != nil {
-		log.Fatalf("mindgap-sim: %v", err) // the preset did not compile
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mindgap-sim: %v — results below are the completed prefix\n", err)
-	}
-	f := experiment.NewFigure(p, res)
-	if csv {
-		if werr := f.WriteCSV(os.Stdout); werr != nil {
-			log.Fatalf("mindgap-sim: %v", werr)
-		}
-	} else {
-		f.Render(os.Stdout)
-	}
-	if err != nil {
-		os.Exit(1)
-	}
 }
 
 // replicateSeeds resolves the -seeds / -replicates flags: an explicit list

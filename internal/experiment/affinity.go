@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"io"
 	"time"
 
 	"mindgap/internal/runner"
@@ -66,4 +68,12 @@ func AffinityAblation(res []runner.SeriesResult[AffinityMeasure]) AffinityResult
 		P99Off:        off.P99,
 		P99On:         on.P99,
 	}
+}
+
+// printAffinity prints X11.
+func printAffinity(w io.Writer, _ scenario.Preset, res []runner.SeriesResult[AffinityMeasure]) {
+	r := AffinityAblation(res)
+	fmt.Fprintf(w, "migrations: off=%d on=%d (preemptions %d); mean: off=%v on=%v; p99: off=%v on=%v\n\n",
+		r.MigrationsOff, r.MigrationsOn, r.Preemptions,
+		r.MeanOff, r.MeanOn, r.P99Off, r.P99On)
 }

@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"fmt"
+	"io"
 	"time"
 
 	"mindgap/internal/attr"
+	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 )
 
@@ -76,4 +79,29 @@ var Attributed = Kind[AttributionRow]{
 		}
 		return row
 	},
+}
+
+// printAttribution prints X13: per system, its point, the phases it
+// enters and its decision audit.
+func printAttribution(w io.Writer, _ scenario.Preset, res []runner.SeriesResult[AttributionRow]) {
+	for _, sr := range res {
+		for _, r := range sr.Results {
+			fmt.Fprintf(w, "%s — p50=%v p99=%v achieved=%.0f rps\n",
+				sr.Label, r.Result.P50, r.Result.P99, r.Result.AchievedRPS)
+			fmt.Fprintf(w, "  %-12s %12s %12s %12s %10s %10s\n",
+				"phase", "mean", "p50", "p99", "mean-share", "tail-share")
+			for _, ph := range r.Phases {
+				if ph.Mean == 0 && ph.P99 == 0 {
+					continue // phase the system never enters (e.g. fabric on rss)
+				}
+				fmt.Fprintf(w, "  %-12s %12v %12v %12v %9.1f%% %9.1f%%\n",
+					ph.Phase, ph.Mean, ph.P50, ph.P99, ph.MeanShare*100, ph.TailShare*100)
+			}
+			a := r.Audit
+			fmt.Fprintf(w, "  decisions=%d informed=%d mis-dispatch=%.1f%% staleness(mean/p99)=%v/%v est-err=%v excess(mean/p99)=%v/%v\n\n",
+				a.Decisions, a.Informed, a.MisRate*100,
+				a.MeanStaleness, a.P99Staleness, a.MeanEstimateError,
+				a.MeanExcess, a.P99Excess)
+		}
+	}
 }

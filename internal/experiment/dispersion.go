@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"time"
@@ -84,6 +86,16 @@ func DispersionRows(p scenario.Preset, res []runner.SeriesResult[ShortTailMeasur
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// printDispersion prints X7.
+func printDispersion(w io.Writer, p scenario.Preset, res []runner.SeriesResult[ShortTailMeasure]) {
+	fmt.Fprintf(w, "%-36s %8s %16s %16s %8s\n", "workload", "cv²", "short p99 (pre)", "short p99 (rtc)", "win")
+	for _, r := range DispersionRows(p, res) {
+		fmt.Fprintf(w, "%-36s %8.2f %16v %16v %7.1fx\n",
+			r.Workload, r.CV2, r.PreemptShortP99, r.NoPreemptShortP99, r.Win)
+	}
+	fmt.Fprintln(w)
 }
 
 // empiricalCV2 estimates the squared coefficient of variation by sampling.

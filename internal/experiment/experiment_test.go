@@ -423,3 +423,19 @@ func TestRunPointIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestQualityNamesMatchSpecValidation keeps the two readers of a quality
+// name in step: a spec's quality.preset validates exactly when
+// Qualities names it.
+func TestQualityNamesMatchSpecValidation(t *testing.T) {
+	for _, name := range []string{"quick", "full", "quik", "Quick", "medium"} {
+		sp := scenario.Spec{
+			System: "rss", Knobs: &scenario.Knobs{Workers: 2}, Workload: "fixed:1µs",
+			Load: &scenario.LoadSpec{RPS: 1000}, Quality: &scenario.QualitySpec{Preset: name},
+		}
+		_, known := Qualities[name]
+		if err := sp.Validate(); (err == nil) != known {
+			t.Errorf("quality %q: named=%t, Validate err=%v", name, known, err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -137,4 +138,26 @@ func FaultTimeline(ctx context.Context, rn *runner.Runner, presetID string, q Qu
 // renders, in output order.
 func FaultPresetIDs() []string {
 	return []string{"figure-faults-niccrash", "figure-faults-lossyfabric"}
+}
+
+// faultsTable measures and prints X12, one recovery table per fault
+// preset.
+func faultsTable(ctx context.Context, rn *runner.Runner, q Quality, w io.Writer, _ Format) error {
+	fmt.Fprintln(w, "== X12: fault recovery timeline (goodput and tail per phase of a faulted run)")
+	for _, id := range FaultPresetIDs() {
+		r, err := FaultTimeline(ctx, rn, id, q)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s — %s @ %.0f rps\n", r.Preset, r.Label, r.OfferedRPS)
+		fmt.Fprintf(w, "  %-10s %16s %10s %12s %12s %12s %12s\n",
+			"phase", "window", "completed", "goodput", "p50", "p99", "max")
+		for _, ph := range r.Phases {
+			fmt.Fprintf(w, "  %-10s %7v–%-8v %10d %12.0f %12v %12v %12v\n",
+				ph.Phase, ph.Start, ph.End, ph.Completed, ph.GoodputRPS, ph.P50, ph.P99, ph.Max)
+		}
+		fmt.Fprintf(w, "  retries=%d timeout_drops=%d degraded=%d loss_drops=%d delay_hits=%d drops=%d\n\n",
+			r.Retries, r.TimeoutDrops, r.Degraded, r.LossDrops, r.DelayHits, r.RecorderDrops)
+	}
+	return nil
 }

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"fmt"
+	"io"
+
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/internal/systems/flowrule"
@@ -78,4 +81,19 @@ func FlowRuleResults(res []runner.SeriesResult[FlowRuleRow]) []runner.SeriesResu
 		}
 	}
 	return out
+}
+
+// printFlowRule prints the X14 detail table.
+func printFlowRule(w io.Writer, _ scenario.Preset, res []runner.SeriesResult[FlowRuleRow]) {
+	fmt.Fprintf(w, "%-34s %10s %8s %12s %10s %10s %10s %10s %10s %8s %8s\n",
+		"policy", "flows", "hit", "p99", "fast", "slow", "drop", "inserted", "refused", "evicted", "thr")
+	for _, sr := range res {
+		for _, r := range sr.Results {
+			fmt.Fprintf(w, "%-34s %10d %7.1f%% %12v %10.0f %10.0f %10.0f %10.0f %10.0f %8.0f %8.0f\n",
+				sr.Label, r.Flows, r.FastHitRate*100, r.Result.P99,
+				r.FastPackets, r.SlowPackets, r.DropPackets,
+				r.Insertions, r.OffloadRefused, r.LRUEvictions+r.IdleEvictions, r.Threshold)
+		}
+	}
+	fmt.Fprintln(w)
 }

@@ -28,11 +28,8 @@ import (
 // a spec-pinned seed winning over the quality's.
 func QualityFor(sp scenario.Spec, q Quality) Quality {
 	if sp.Quality != nil {
-		switch sp.Quality.Preset {
-		case "quick":
-			q.Warmup, q.Measure = Quick.Warmup, Quick.Measure
-		case "full":
-			q.Warmup, q.Measure = Full.Warmup, Full.Measure
+		if named, ok := Qualities[sp.Quality.Preset]; ok {
+			q.Warmup, q.Measure = named.Warmup, named.Measure
 		}
 		if sp.Quality.Warmup > 0 {
 			q.Warmup = sp.Quality.Warmup

@@ -1,9 +1,69 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
+
+	"mindgap/internal/runner"
+	"mindgap/internal/scenario"
 )
+
+// RenderPreset measures preset p on rn and prints it to w. A preset whose
+// every series is a tenant mix prints one line per tenant, each mix on
+// one FIFO and then under its class priorities. Any other preset prints
+// its figure in format f; a preset whose every series sweeps flow
+// populations is measured as FlowRuleDetail rows, so its figure and the
+// X14 table share one run. After a cancelled run it prints the completed
+// prefix and returns the context error; a preset that does not compile
+// prints nothing.
+func RenderPreset(ctx context.Context, rn *runner.Runner, p scenario.Preset, q Quality, w io.Writer, f Format) error {
+	mixes, flows := true, true
+	for i := range p.Series {
+		sp := p.SpecFor(i)
+		mixes = mixes && len(sp.Tenants) > 0
+		flows = flows && sp.Load != nil && sp.Load.FSweep != nil
+	}
+	if mixes {
+		res, err := Run(ctx, rn, p, q, TenantMix)
+		if res == nil {
+			return err
+		}
+		fmt.Fprintf(w, "# scenario %s (multi-tenant)\n", p.ID)
+		for _, mix := range Rows(res) {
+			for _, tr := range mix {
+				fmt.Fprintf(w, "%s,%s,%s,%v,%v,%v,%d\n",
+					p.ID, tr.Sched, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
+			}
+		}
+		return err
+	}
+	var res []runner.SeriesResult[Result]
+	var err error
+	if flows {
+		var rows []runner.SeriesResult[FlowRuleRow]
+		if rows, err = Run(ctx, rn, p, q, FlowRuleDetail); rows != nil {
+			res = FlowRuleResults(rows)
+		}
+	} else {
+		res, err = Run(ctx, rn, p, q, Plain)
+	}
+	if res == nil {
+		return err
+	}
+	fig := NewFigure(p, res)
+	switch f {
+	case CSV:
+		if werr := fig.WriteCSV(w); werr != nil {
+			return werr
+		}
+	case Plot:
+		fig.Plot(w, 72, 20)
+	default:
+		fig.Render(w)
+	}
+	return err
+}
 
 // Render prints a figure as human-readable tables, one block per series.
 func (f Figure) Render(w io.Writer) {

@@ -27,13 +27,14 @@ func runFigure(t *testing.T, p scenario.Preset, q Quality, rn *runner.Runner) Fi
 	return NewFigure(p, res)
 }
 
-// renderFigure executes a preset at the given parallelism and returns its
-// rendered CSV bytes — what `mindgap-sim -scenario <name> -csv` prints.
+// renderFigure executes a preset at the given parallelism through
+// RenderPreset and returns its CSV bytes — what
+// `mindgap-sim -scenario <name> -csv` prints.
 func renderFigure(t *testing.T, p scenario.Preset, q Quality, parallelism int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := runFigure(t, p, q, &runner.Runner{Parallelism: parallelism}).WriteCSV(&buf); err != nil {
-		t.Fatalf("preset %s: render: %v", p.ID, err)
+	if err := RenderPreset(context.Background(), &runner.Runner{Parallelism: parallelism}, p, q, &buf, CSV); err != nil {
+		t.Fatalf("preset %s: %v", p.ID, err)
 	}
 	return buf.Bytes()
 }

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"context"
+	"fmt"
+	"io"
 	"time"
 
 	"mindgap/internal/core"
@@ -44,6 +47,19 @@ func TimerCosts(p params.Params) []TimerCostRow {
 	return rows
 }
 
+// timerTable prints T1.
+func timerTable(_ context.Context, _ *runner.Runner, _ Quality, w io.Writer, _ Format) error {
+	fmt.Fprintln(w, "== T1: §3.4.4 timer/interrupt costs (host clock 2.3 GHz)")
+	fmt.Fprintf(w, "%-26s %12s %12s %12s %12s %10s\n",
+		"operation", "linux(cyc)", "direct(cyc)", "linux", "direct", "reduction")
+	for _, r := range TimerCosts(params.Default()) {
+		fmt.Fprintf(w, "%-26s %12.0f %12.0f %12v %12v %9.0f%%\n",
+			r.Operation, r.LinuxCycles, r.DirectCycles, r.LinuxTime, r.DirectTime, r.Reduction*100)
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
 // IPCOverheadResult is the T2 experiment: the extra tail latency vanilla
 // Shinjuku's inter-thread communication adds to minimal-work requests
 // compared to single-thread run-to-completion (§2.2 item 4: ≈2 µs).
@@ -63,6 +79,13 @@ func IPCOverhead(res []runner.SeriesResult[Result]) IPCOverheadResult {
 		RSSP99:      rss.P99,
 		Overhead:    shin.P99 - rss.P99,
 	}
+}
+
+// printIPC prints T2.
+func printIPC(w io.Writer, _ scenario.Preset, res []runner.SeriesResult[Result]) {
+	r := IPCOverhead(res)
+	fmt.Fprintf(w, "shinjuku p99 = %v, single-thread (rss) p99 = %v, overhead = %v\n\n",
+		r.ShinjukuP99, r.RSSP99, r.Overhead)
 }
 
 // WorkerWaitResult is the T3 experiment: at their respective saturation
@@ -87,6 +110,13 @@ func WorkerWait(res []runner.SeriesResult[Result]) WorkerWaitResult {
 		r.ExtraWaitFrac = (r.IdleAt1us - r.IdleAt100us) / r.IdleAt100us
 	}
 	return r
+}
+
+// printWait prints T3.
+func printWait(w io.Writer, _ scenario.Preset, res []runner.SeriesResult[Result]) {
+	r := WorkerWait(res)
+	fmt.Fprintf(w, "idle@100µs = %.1f%%, idle@1µs = %.1f%%, extra waiting = %.0f%%\n\n",
+		r.IdleAt100us*100, r.IdleAt1us*100, r.ExtraWaitFrac*100)
 }
 
 // PolicyRow is one row of the X10 experiment: the same system and workload
@@ -120,6 +150,15 @@ func PolicyRows(p scenario.Preset, res []runner.SeriesResult[Result]) []PolicyRo
 	return rows
 }
 
+// printPolicy prints X10.
+func printPolicy(w io.Writer, p scenario.Preset, res []runner.SeriesResult[Result]) {
+	fmt.Fprintf(w, "%-26s %12s %12s %14s\n", "policy", "p50", "p99", "achieved")
+	for _, r := range PolicyRows(p, res) {
+		fmt.Fprintf(w, "%-26s %12v %12v %14.0f\n", r.Policy, r.P50, r.P99, r.Achieved)
+	}
+	fmt.Fprintln(w)
+}
+
 // CommLatencyResult is the T4 check: the modelled one-way NIC↔host message
 // latency against the paper's measured 2.56 µs.
 type CommLatencyResult struct {
@@ -130,4 +169,12 @@ type CommLatencyResult struct {
 // CommLatency reports T4.
 func CommLatency(p params.Params) CommLatencyResult {
 	return CommLatencyResult{Modelled: p.NicHostOneWay, Paper: 2560 * time.Nanosecond}
+}
+
+// latencyTable prints T4.
+func latencyTable(_ context.Context, _ *runner.Runner, _ Quality, w io.Writer, _ Format) error {
+	fmt.Fprintln(w, "== T4: §3.3 NIC↔host one-way latency")
+	r := CommLatency(params.Default())
+	fmt.Fprintf(w, "modelled = %v, paper = %v\n\n", r.Modelled, r.Paper)
+	return nil
 }

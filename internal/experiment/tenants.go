@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"fmt"
+	"io"
 	"time"
 
+	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
 	"mindgap/internal/stats"
 	"mindgap/internal/task"
@@ -54,4 +57,16 @@ var TenantMix = Kind[[]TenantResult]{
 		}
 		return []scenario.Spec{sp.WithFlatTenants(), sp}
 	},
+}
+
+// printTenants prints X9, one row per tenant of each mix.
+func printTenants(w io.Writer, _ scenario.Preset, res []runner.SeriesResult[[]TenantResult]) {
+	fmt.Fprintf(w, "%-22s %-10s %12s %12s %12s %10s\n", "tenant", "sched", "p50", "p99", "mean", "completed")
+	for _, mix := range Rows(res) {
+		for _, tr := range mix {
+			fmt.Fprintf(w, "%-22s %-10s %12v %12v %12v %10d\n",
+				tr.Tenant.Name, tr.Sched, tr.P50, tr.P99, tr.Mean, tr.Completed)
+		}
+	}
+	fmt.Fprintln(w)
 }

@@ -261,6 +261,7 @@ func TestValidateTenants(t *testing.T) {
 		{"unnamed", func(s *Spec) { s.Tenants[0].Name = "" }, "name"},
 		{"zero rate", func(s *Spec) { s.Tenants[1].RPS = 0 }, "rps"},
 		{"bad workload", func(s *Spec) { s.Tenants[1].Workload = "banana" }, `tenant "lo"`},
+		{"unknown quality preset", func(s *Spec) { s.Quality = &QualitySpec{Preset: "quik"} }, `"quik"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
