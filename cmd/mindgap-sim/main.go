@@ -13,7 +13,7 @@
 //	            -dist bimodal:0.995:5µs:100µs -rps 400000
 //	mindgap-sim -system shinjuku -workers 3 -rps 300000
 //	mindgap-sim -system rss|zygos|flowdir|rpcvalet|erss -workers 4 ...
-//	mindgap-sim -system idealnic -cxl -linerate ...
+//	mindgap-sim -system offload -cxl -linerate ...
 //	mindgap-sim -list-systems              # registry names, docs, knobs
 //	mindgap-sim -scenario figure2 -quality quick -csv
 //	mindgap-sim -scenario my-spec.json     # file: preset or single spec
@@ -44,7 +44,7 @@ func main() {
 	var (
 		system      = flag.String("system", "offload", "system registry name (see -list-systems)")
 		workers     = flag.Int("workers", 4, "worker cores")
-		outstanding = flag.Int("outstanding", 4, "per-worker outstanding limit (offload/idealnic)")
+		outstanding = flag.Int("outstanding", 4, "per-worker outstanding limit (offload)")
 		slice       = flag.Duration("slice", 10*time.Microsecond, "preemption quantum (0 disables)")
 		distSpec    = flag.String("dist", "bimodal:0.995:5µs:100µs", "service-time distribution")
 		rps         = flag.Float64("rps", 400_000, "offered load")
@@ -58,9 +58,9 @@ func main() {
 		cacheDir    = flag.String("cache", "", "directory for the on-disk result cache (empty = no caching)")
 		zipfN       = flag.Int("zipf-keys", 0, "key-space size for zipf keys (0 = no keys)")
 		zipfS       = flag.Float64("zipf-skew", 0.99, "zipf skew")
-		cxl         = flag.Bool("cxl", false, "idealnic: coherent-memory communication (§5.1-2)")
-		lineRate    = flag.Bool("linerate", false, "idealnic: hardware line-rate scheduler (§5.1-1)")
-		directIRQ   = flag.Bool("directirq", false, "idealnic: NIC-posted interrupts (§5.1-3)")
+		cxl         = flag.Bool("cxl", false, "offload: coherent-memory communication (§5.1-2)")
+		lineRate    = flag.Bool("linerate", false, "offload: hardware line-rate scheduler (§5.1-1)")
+		directIRQ   = flag.Bool("directirq", false, "offload: NIC-posted interrupts (§5.1-3)")
 		scenarioArg = flag.String("scenario", "", "scenario file (preset or single spec JSON) or embedded preset name")
 		quality     = flag.String("quality", "", "scenario mode sample counts: quick or full (default: -warmup/-measure/-seed)")
 		csv         = flag.Bool("csv", false, "scenario mode: CSV output")

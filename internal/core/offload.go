@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"mindgap/internal/cores"
@@ -33,9 +34,15 @@ type OffloadConfig struct {
 	// Policy is the worker-selection policy; the paper's prototype uses
 	// LeastOutstanding (idle-first FIFO dispatch).
 	Policy Policy
-	// DirectInterrupts switches to the §5.1(3) ideal-NIC ablation: the NIC
-	// posts preemption interrupts to cores directly instead of workers
-	// arming local APIC timers. Delivery latency is P.CXLOneWay.
+	// CXL, LineRate and DirectInterrupts are the §5.1 ideal-NIC ablations,
+	// each removing one hardware limit behind the Figure 6 loss. CXL swaps
+	// packet-based NIC↔host communication for coherent shared memory
+	// (P.WithCXL); LineRate runs the scheduler in line-rate hardware
+	// instead of ARM cores (P.WithLineRateScheduler); DirectInterrupts has
+	// the NIC post preemption interrupts to cores directly instead of
+	// workers arming local APIC timers, delivered after P.CXLOneWay.
+	CXL              bool
+	LineRate         bool
 	DirectInterrupts bool
 	// LoadFeedback enables periodic host→NIC load reports that upgrade the
 	// selection policy to InformedLeastLoaded data (only meaningful when
@@ -222,6 +229,14 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 	if pr == nil {
 		pr = &probe.Probe{} // Shed/TimeoutDrops read its counts back
 	}
+	// Both ablations set the ARM TX/RX costs; line rate's must win. The
+	// result lands in cfg.P because the hooks read s.cfg.P after this.
+	if cfg.CXL {
+		cfg.P = cfg.P.WithCXL()
+	}
+	if cfg.LineRate {
+		cfg.P = cfg.P.WithLineRateScheduler()
+	}
 	p := cfg.P
 	s := &Offload{eng: eng, cfg: cfg, done: done, pr: pr}
 	s.lgc = NewLogic(cfg.Workers, cfg.Outstanding, cfg.Policy)
@@ -370,8 +385,25 @@ func (s *Offload) RegisterTelemetry(reg *telemetry.Registry) {
 	s.Host.RegisterTelemetry(reg)
 }
 
-// Name implements the experiment System interface.
-func (s *Offload) Name() string { return "shinjuku-offload" }
+// Name implements the experiment System interface: "shinjuku-offload"
+// stock, or "idealnic/" plus the "+"-joined active §5.1 ablations, e.g.
+// "idealnic/cxl+linerate".
+func (s *Offload) Name() string {
+	var abl []string
+	if s.cfg.CXL {
+		abl = append(abl, "cxl")
+	}
+	if s.cfg.LineRate {
+		abl = append(abl, "linerate")
+	}
+	if s.cfg.DirectInterrupts {
+		abl = append(abl, "directirq")
+	}
+	if len(abl) == 0 {
+		return "shinjuku-offload"
+	}
+	return "idealnic/" + strings.Join(abl, "+")
+}
 
 // ingress runs when a client request frame reaches the NIC port.
 //

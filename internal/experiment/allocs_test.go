@@ -13,7 +13,7 @@ import (
 )
 
 // TestSteadyStateAllocsPerRequest holds every registered system's healthy
-// point, the lossy-fabric point with its per-dispatch timeout machinery
+// point, the §5.1 ablation points, the lossy-fabric point with its per-dispatch timeout machinery
 // (pooled flight records, embedded timers), and the NIC-crash point whose
 // measured stretch spans the 10–14 ms degraded window (hash-steered frames,
 // degraded drops), and the attribution table's informed offload point with
@@ -29,7 +29,7 @@ func TestSteadyStateAllocsPerRequest(t *testing.T) {
 	const short, long = 2000, 8000
 	probed := presetCase(t, "table-attribution", 0, 450_000)
 	probed.name = "probes-on/" + probed.name
-	cases := append(systemCases(t),
+	cases := append(append(systemCases(t), ablationCases(t)...),
 		presetCase(t, "figure-faults-lossyfabric", 1, 300_000),
 		presetCase(t, "figure-faults-niccrash", 1, 300_000),
 		probed)

@@ -54,7 +54,7 @@ var probeSystemPoints = map[string]struct {
 }{
 	"offload": {"baselines", 0}, "shinjuku": {"baselines", 1}, "rss": {"baselines", 2},
 	"zygos": {"baselines", 3}, "flowdir": {"baselines", 4}, "rpcvalet": {"baselines", 5},
-	"erss": {"baselines", 6}, "idealnic": {"figure6-cxl", 0}, "flowrule": {"figure-flowrule", 1},
+	"erss": {"baselines", 6}, "flowrule": {"figure-flowrule", 1},
 }
 
 // presetCase is the contract point for one series of a checked-in preset,
@@ -91,6 +91,19 @@ func systemCases(t *testing.T) []probeCase {
 	return cases
 }
 
+// ablationCases returns a 400 kRPS contract point for two §5.1 offload
+// ablations: the CXL preset series, and the posted-interrupt host path no
+// preset series takes.
+func ablationCases(t *testing.T) []probeCase {
+	t.Helper()
+	cxl := presetCase(t, "figure6-cxl", 0, 400_000)
+	cxl.name = "ablation/cxl"
+	directirq := presetCase(t, "baselines", 0, 400_000)
+	directirq.name = "ablation/directirq"
+	directirq.spec.Knobs.DirectInterrupts = true
+	return []probeCase{cxl, directirq}
+}
+
 func probeCases(t *testing.T) []probeCase {
 	t.Helper()
 	var cases []probeCase
@@ -98,6 +111,7 @@ func probeCases(t *testing.T) []probeCase {
 		cases = append(cases, presetCase(t, "table-attribution", i, 0))
 	}
 	cases = append(cases, systemCases(t)...)
+	cases = append(cases, ablationCases(t)...)
 
 	shed := presetCase(t, "baselines", 0, 1_500_000)
 	shed.name, shed.drops = "drops/offload-admission-limit", []trace.DropReason{trace.DropShed}

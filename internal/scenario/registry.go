@@ -13,7 +13,6 @@ import (
 	"mindgap/internal/stats"
 	"mindgap/internal/systems/erss"
 	"mindgap/internal/systems/flowrule"
-	"mindgap/internal/systems/idealnic"
 	"mindgap/internal/systems/rpcvalet"
 	"mindgap/internal/systems/rtc"
 	"mindgap/internal/systems/shinjuku"
@@ -215,9 +214,10 @@ func rtcBuilder(name, doc string, cfg func(k Knobs) rtc.Config) Builder {
 func init() {
 	Register(Builder{
 		Name: "offload",
-		Doc:  "Shinjuku-Offload: the paper's informed NIC-resident scheduler (§3)",
+		Doc:  "Shinjuku-Offload: the paper's informed NIC-resident scheduler (§3); cxl, linerate, directirq: the §5.1 ideal-NIC ablations",
 		Knobs: []string{"workers", "outstanding", "slice", "policy", "load_feedback",
-			"dispatch_burst", "ddio_to_l1", "admission_limit", "affinity"},
+			"dispatch_burst", "ddio_to_l1", "admission_limit", "affinity",
+			"cxl", "linerate", "directirq"},
 		Observable:      true,
 		Faultable:       true,
 		PriorityClasses: true,
@@ -241,6 +241,10 @@ func init() {
 				DDIOToL1:       k.DDIOToL1,
 				AdmissionLimit: k.AdmissionLimit,
 				Affinity:       k.Affinity,
+
+				CXL:              k.CXL,
+				LineRate:         k.LineRate,
+				DirectInterrupts: k.DirectInterrupts,
 			}
 			for _, t := range sp.Tenants {
 				cfg.PriorityClasses = max(cfg.PriorityClasses, t.Class+1)
@@ -336,34 +340,6 @@ func init() {
 				SlowQueueCap:   k.SlowQueue,
 			}
 			return factory(o, cfg, flowrule.New)
-		},
-	})
-
-	Register(Builder{
-		Name:       "idealnic",
-		Doc:        "§5 ideal SmartNIC ablations: CXL memory, line-rate scheduler, direct interrupts",
-		Knobs:      []string{"workers", "outstanding", "slice", "policy", "cxl", "linerate", "directirq"},
-		Observable: true,
-		Build: func(o Options, sp Spec) (Factory, error) {
-			k := sp.KnobsOrZero()
-			pol, err := ParsePolicy(k.Policy)
-			if err != nil {
-				return nil, err
-			}
-			if k.Outstanding < 1 {
-				return nil, fmt.Errorf("scenario: idealnic needs outstanding >= 1")
-			}
-			cfg := idealnic.Config{
-				P:                params.Default(),
-				Workers:          k.Workers,
-				Outstanding:      k.Outstanding,
-				Slice:            k.Slice.D(),
-				Policy:           pol,
-				CXL:              k.CXL,
-				LineRate:         k.LineRate,
-				DirectInterrupts: k.DirectInterrupts,
-			}
-			return factory(o, cfg, idealnic.New)
 		},
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mindgap/internal/attr"
+	"mindgap/internal/faults"
 	"mindgap/internal/sim"
 	"mindgap/internal/task"
 	"mindgap/internal/telemetry"
@@ -26,7 +27,6 @@ func TestRegistryCompleteness(t *testing.T) {
 		"internal/systems/rtc":      {"rss", "zygos", "flowdir"},
 		"internal/systems/rpcvalet": {"rpcvalet"},
 		"internal/systems/erss":     {"erss"},
-		"internal/systems/idealnic": {"idealnic"},
 		"internal/systems/flowrule": {"flowrule"},
 	}
 	var want []string
@@ -63,12 +63,10 @@ func TestBuildEverySystem(t *testing.T) {
 		"flowdir":  {Workers: 2},
 		"rpcvalet": {Workers: 2},
 		"erss":     {Workers: 4},
-		"idealnic": {Workers: 2, Outstanding: 2, CXL: true},
 		"flowrule": {Workers: 1},
 	}
 	wantName := map[string]string{
-		"offload":  "shinjuku-offload",
-		"idealnic": "idealnic/cxl",
+		"offload": "shinjuku-offload",
 	}
 	// Flow-workload systems refuse to build without a flow block.
 	flows := map[string]*FlowSpec{
@@ -115,6 +113,13 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(Spec{System: "offload", Knobs: &Knobs{Workers: 2, Outstanding: 2, Policy: "banana"}}); err == nil {
 		t.Error("offload with unknown policy built; want error")
+	}
+	// Posted interrupts cannot reconstruct stalled progress: a faulted
+	// directirq spec is refused here, not by NewOffload's panic mid-sweep.
+	faulted := Spec{System: "offload", Knobs: &Knobs{Workers: 2, Outstanding: 2, DirectInterrupts: true}, Seed: 7,
+		Faults: &faults.Spec{NICCrash: []faults.Window{{Start: 0, End: faults.Duration(time.Millisecond)}}}}
+	if err := faulted.Validate(); err == nil || !strings.Contains(err.Error(), "directirq") {
+		t.Errorf("faulted directirq spec: Validate err = %v, want a directirq refusal", err)
 	}
 	// Non-observable systems must refuse telemetry requests instead of
 	// silently dropping them; tracing and attribution ride the lifecycle
