@@ -3,11 +3,12 @@
 // prints the series to stdout, optionally as CSV.
 //
 // Figures and tables are declared as sweeps and executed by the parallel
-// sweep runner (internal/runner): points fan out across -j workers, results
-// are keyed by grid index so output is byte-identical at any parallelism,
-// Ctrl-C (or -timeout) cancels between points and prints what completed,
-// and -cache memoises per-point results on disk so re-renders only run
-// points the cache has not seen.
+// sweep runner (internal/runner). Every selected entry starts at once, and
+// their points share the runner's -j slots. Results are keyed by grid
+// index and each entry prints in registry order, so output is
+// byte-identical at any parallelism. Ctrl-C (or -timeout) cancels between
+// points and prints the entries that completed. -cache memoises per-point
+// results on disk so re-renders only run points the cache has not seen.
 //
 // Usage:
 //
@@ -26,6 +27,7 @@
 package main
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -37,6 +39,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"mindgap/hypotheses"
@@ -89,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csv      = fs.Bool("csv", false, "CSV output for figures")
 		plot     = fs.Bool("plot", false, "ASCII chart output for figures")
 		jobs     = fs.Int("j", runtime.GOMAXPROCS(0), "max concurrently simulated points")
-		timeout  = fs.Duration("timeout", 0, "overall deadline; on expiry, completed points are printed (0 = none)")
+		timeout  = fs.Duration("timeout", 0, "overall deadline; on expiry, completed entries are printed (0 = none)")
 		cacheDir = fs.String("cache", "", "directory for the on-disk result cache (empty = no caching)")
 		progress = fs.Bool("progress", false, "live point-completion progress on stderr")
 		list     = fs.Bool("list", false, "list figure/table/hypothesis ids and their scenario presets, then exit")
@@ -209,33 +212,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	exitCode := 0
-	// render prints entries in order; the first error — an interrupted
-	// run or a failed write — ends the run, leaving the completed prefix
-	// on stdout.
-	render := func(kind string, entries []experiment.Entry) bool {
-		for _, e := range entries {
-			start := time.Now()
-			err := e.Render(ctx, rn, q, stdout, format)
-			fmt.Fprintf(stderr, "mindgap-bench: %s %s: wall time %v\n", kind, e.ID, time.Since(start).Round(time.Millisecond))
-			if err != nil {
-				fmt.Fprintf(stderr, "mindgap-bench: %v — stdout holds the completed prefix\n", err)
-				exitCode = 1
-				return false
+	var parts []part
+	var failed atomic.Bool // a hypothesis FAIL verdict
+	if *hyp == "" {
+		add := func(kind string, entries []experiment.Entry) {
+			for _, e := range entries {
+				parts = append(parts, part{kind + " " + e.ID, func(ctx context.Context, w io.Writer) error {
+					return e.Render(ctx, rn, q, w, format)
+				}})
 			}
 		}
-		return true
-	}
-
-	if *hyp == "" {
-		if render("figure", figs) {
-			render("table", tables)
-		}
+		add("figure", figs)
+		add("table", tables)
 	} else {
 		// Hypotheses run through the same cached runner and print their
 		// FINDINGS. A FAIL verdict — a claim the simulator no longer
 		// supports — exits nonzero; a hypothesis that does not load
-		// aborts the run.
+		// aborts the run before any hypothesis runs.
 		names := []string{*hyp}
 		if *hyp == "all" {
 			names = hypotheses.Names()
@@ -249,23 +242,75 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
 				return 2
 			}
-			rep, err := hypothesis.Run(ctx, rn, s, q)
-			if err != nil {
-				fmt.Fprintf(stderr, "mindgap-bench: %v\n", err)
-				exitCode = 1
-				continue
-			}
-			stdout.Write(rep.Render())
-			if !rep.Pass {
-				exitCode = 1
-			}
+			parts = append(parts, part{"hypothesis " + s.ID, func(ctx context.Context, w io.Writer) error {
+				rep, err := hypothesis.Run(ctx, rn, s, q)
+				if err != nil {
+					return err
+				}
+				if !rep.Pass {
+					failed.Store(true)
+				}
+				_, err = w.Write(rep.Render())
+				return err
+			}})
 		}
 	}
-
+	exitCode := 0
+	if !runParts(ctx, parts, stdout, stderr) || failed.Load() {
+		exitCode = 1
+	}
+	fmt.Fprintf(stderr, "mindgap-bench: runner: %+v\n", rn.Stats())
 	if rn.Cache != nil {
-		hits, misses := rn.Cache.Stats()
-		fmt.Fprintf(stderr, "mindgap-bench: cache %s: %d hits, %d misses\n",
-			rn.Cache.Dir(), hits, misses)
+		hits, misses, writeErrs := rn.Cache.Stats()
+		fmt.Fprintf(stderr, "mindgap-bench: cache %s: %d hits, %d misses, %d write errors\n",
+			rn.Cache.Dir(), hits, misses, writeErrs)
 	}
 	return exitCode
+}
+
+// part is one block of stdout: an entry or a hypothesis, measured on the
+// shared runner and printed into w.
+type part struct {
+	name string
+	run  func(ctx context.Context, w io.Writer) error
+}
+
+// runParts starts every part at once, each into its own buffer, and
+// prints the buffers in order as soon as a part and every part before it
+// are done, so stdout is the same whatever order they finish in. The
+// first part that fails ends the run: the parts still running are
+// cancelled, and stdout holds the parts before it. Each printed part
+// gets a stderr line with the time since the run started.
+func runParts(ctx context.Context, parts []part, stdout, stderr io.Writer) bool {
+	start := time.Now()
+	ctx, cancel := context.WithCancel(ctx)
+	bufs := make([]bytes.Buffer, len(parts))
+	errs := make([]error, len(parts))
+	done := make([]chan struct{}, len(parts))
+	for i, p := range parts {
+		done[i] = make(chan struct{})
+		go func() {
+			defer close(done[i])
+			errs[i] = p.run(ctx, &bufs[i])
+		}()
+	}
+	defer func() {
+		cancel()
+		for _, d := range done {
+			<-d
+		}
+	}()
+	for i, p := range parts {
+		<-done[i]
+		err := errs[i]
+		if err == nil {
+			_, err = stdout.Write(bufs[i].Bytes())
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "mindgap-bench: %s: %v — stdout holds the completed prefix\n", p.name, err)
+			return false
+		}
+		fmt.Fprintf(stderr, "mindgap-bench: %s: printed %v after start\n", p.name, time.Since(start).Round(time.Millisecond))
+	}
+	return true
 }

@@ -119,10 +119,10 @@ func TestFlowRuleFigureAndTableShareOneRun(t *testing.T) {
 // byte-identical at any parallelism.
 func TestFigureAndTableTogether(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs figure 2 and the ipc table twice")
+		t.Skip("runs figure 2 and the ipc table three times")
 	}
-	var outs [2]string
-	for i, j := range []string{"1", "2"} {
+	var outs [3]string
+	for i, j := range []string{"1", "2", "4"} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"mindgap-bench", "-fig", "2", "-table", "ipc", "-quality", "quick", "-j", j}, &stdout, &stderr); code != 0 {
 			t.Fatalf("-j %s: exit %d, stderr %q", j, code, stderr.String())
@@ -133,7 +133,37 @@ func TestFigureAndTableTogether(t *testing.T) {
 	if fig != 0 || table < 0 {
 		t.Fatalf("want the figure 2 block, then the ipc table:\n%s", outs[0])
 	}
-	if outs[0] != outs[1] {
-		t.Fatalf("stdout differs between -j 1 and -j 2:\n-- j1 --\n%s\n-- j2 --\n%s", outs[0], outs[1])
+	for i, j := range []string{"2", "4"} {
+		if outs[0] != outs[i+1] {
+			t.Fatalf("stdout differs between -j 1 and -j %s:\n-- j1 --\n%s\n-- j%s --\n%s", j, outs[0], j, outs[i+1])
+		}
+	}
+}
+
+// TestTimeoutPrintsPrefix: a run cut short by -timeout exits 1 and prints
+// a byte prefix of the full run's stdout — the parts that finished, in
+// order, and nothing of the part the deadline interrupted.
+func TestTimeoutPrintsPrefix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the hypothesis corpus")
+	}
+	args := []string{"mindgap-bench", "-hypothesis", "all", "-quality", "quick", "-j", "2"}
+	var full, stderr bytes.Buffer
+	if code := run(args, &full, &stderr); code != 0 {
+		t.Fatalf("full run: exit %d, stderr %q", code, stderr.String())
+	}
+	for _, timeout := range []string{"1ms", "300ms"} {
+		var part bytes.Buffer
+		stderr.Reset()
+		code := run(append(args, "-timeout", timeout), &part, &stderr)
+		if !bytes.HasPrefix(full.Bytes(), part.Bytes()) {
+			t.Fatalf("-timeout %s: stdout is not a prefix of the full run's:\n%s", timeout, part.Bytes())
+		}
+		if code != 1 && part.Len() != full.Len() {
+			t.Fatalf("-timeout %s: exit %d with a partial stdout", timeout, code)
+		}
+		if code == 1 && !strings.Contains(stderr.String(), "deadline exceeded") {
+			t.Fatalf("-timeout %s: stderr does not name the deadline: %q", timeout, stderr.String())
+		}
 	}
 }

@@ -21,11 +21,11 @@ const CacheSchemaVersion = "mindgap-runner/3"
 // encode every input that determines the simulation — the experiment
 // package includes the system spec, workload, load, quality, seed, and a
 // fingerprint of the calibration constants. The cache is best-effort:
-// read or write failures fall back to running the point.
+// read or write failures fall back to running the point, and write
+// failures are counted.
 type Cache struct {
-	dir          string
-	hits, misses atomic.Int64
-	writeErr     atomic.Int64
+	dir                     string
+	hits, misses, writeErrs atomic.Int64
 }
 
 // OpenCache opens (creating if needed) a result cache rooted at dir.
@@ -42,9 +42,10 @@ func OpenCache(dir string) (*Cache, error) {
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// Stats returns the hit/miss counts observed since the cache was opened.
-func (c *Cache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
+// Stats returns the hit, miss and failed-write counts observed since the
+// cache was opened.
+func (c *Cache) Stats() (hits, misses, writeErrs int64) {
+	return c.hits.Load(), c.misses.Load(), c.writeErrs.Load()
 }
 
 // path maps a point key to its entry file.
@@ -77,24 +78,24 @@ func (c *Cache) get(key string, out any) bool {
 func (c *Cache) put(key string, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		c.writeErr.Add(1)
+		c.writeErrs.Add(1)
 		return
 	}
 	dst := c.path(key)
 	tmp, err := os.CreateTemp(c.dir, "tmp-*")
 	if err != nil {
-		c.writeErr.Add(1)
+		c.writeErrs.Add(1)
 		return
 	}
 	_, werr := tmp.Write(b)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		c.writeErr.Add(1)
+		c.writeErrs.Add(1)
 		return
 	}
 	if err := os.Rename(tmp.Name(), dst); err != nil {
 		os.Remove(tmp.Name())
-		c.writeErr.Add(1)
+		c.writeErrs.Add(1)
 	}
 }

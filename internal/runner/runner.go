@@ -1,13 +1,18 @@
 // Package runner executes declarative experiment sweeps on a bounded
-// worker pool. Every measured point in this repository is an independent,
-// deterministic simulation (its own sim.Engine, RNG streams, and
-// recorder), so a figure grid is embarrassingly parallel: the runner
-// fans points out across host cores, keys every result by its grid index
-// so output ordering — and therefore rendered figures — is byte-identical
-// at any parallelism, honours context cancellation between points, reports
-// live progress through a callback, measures each distinct keyed point once
-// per Runner (an in-memory memo across its sweeps), and can memoise results
-// in an on-disk cache so re-renders skip already-measured points.
+// pool of point slots. Every measured point in this repository is an
+// independent, deterministic simulation (its own sim.Engine, RNG streams,
+// and recorder), so a figure grid is embarrassingly parallel. A Runner
+// owns one pool of Parallelism slots, shared by every sweep running on it
+// at once: a free slot goes to the earliest-started sweep that has a
+// point no saturation cut can prune, and to a point a cut might prune
+// only when no sweep has such a point. Every result is keyed by its grid
+// index, so output ordering — and therefore rendered figures — is
+// byte-identical at any parallelism. A Runner honours context
+// cancellation between points, reports live progress through a callback,
+// runs each distinct keyed point once (an in-memory memo across its
+// sweeps; a sweep asking for a point another sweep is running waits for
+// it without holding a slot), and can memoise results in an on-disk cache
+// so re-renders skip already-measured points.
 //
 // The package is deliberately generic: a Sweep[T] measures values of any
 // JSON-serializable type T, so the figure grids (T = experiment.Result),
@@ -25,6 +30,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 )
 
@@ -49,9 +55,9 @@ type Point[T any] struct {
 	// adds the row type T, so a key need not say what is read from the
 	// run. An empty Key disables caching for the point.
 	Key string
-	// Run executes the point. It is called at most once per sweep and may
-	// run concurrently with other points, so it must not share mutable
-	// state with sibling closures.
+	// Run executes the point. It is called at most once per sweep (per
+	// Runner for a keyed point) and may run concurrently with other
+	// points, so it must not share mutable state with sibling closures.
 	Run func() T
 }
 
@@ -93,32 +99,65 @@ type Event struct {
 	Index         int
 	// Done and Total count completed and scheduled points of the sweep.
 	Done, Total int
-	// Cached is set when the result came from the Runner's memo or the
-	// on-disk cache.
+	// Cached is set when the result came from the Runner's memo (a twin
+	// in flight included) or the on-disk cache.
 	Cached bool
 }
 
 // Runner owns the execution policy for sweeps: parallelism, caching, and
-// progress reporting. The zero value is a ready-to-use serial-equivalent
-// runner at GOMAXPROCS parallelism with no cache. A single Runner may
-// execute many sweeps, concurrently if desired.
+// progress reporting. The zero value is a ready-to-use runner at
+// GOMAXPROCS parallelism with no cache. A single Runner may execute many
+// sweeps, concurrently if desired; they share its slots and its memo.
 type Runner struct {
-	// Parallelism bounds concurrently running points; values <= 0 mean
-	// runtime.GOMAXPROCS(0).
+	// Parallelism bounds concurrently running points, across every sweep
+	// on this Runner; values <= 0 mean runtime.GOMAXPROCS(0).
 	Parallelism int
 	// Cache optionally memoises results of points with non-empty keys.
 	Cache *Cache
-	// Progress is invoked after every completed point (from worker
+	// Progress is invoked after every completed point (from point
 	// goroutines; it must be safe for concurrent use).
 	Progress func(Event)
 
-	// memo maps an entry (row type and point key) to the result this
-	// Runner last ran or loaded for it, so sweeps that share a point (a
-	// figure's baseline series repeated in the next figure, a hypothesis
-	// arm) measure it once per process. It is keyed like the disk cache
-	// and consulted before it. Results are handed out shared: callers treat
-	// them as immutable.
-	memo sync.Map
+	mu     sync.Mutex
+	busy   int     // slots running a point
+	sweeps []sweep // live sweeps in start order, the order slots are offered in
+	// memo maps an entry (row type and point key) to its one flight, so
+	// sweeps that share a point (a figure's baseline series repeated in
+	// the next figure, a hypothesis arm) measure it once per process, even
+	// when both ask at once. It is consulted before the disk cache.
+	// Results are handed out shared: callers treat them as immutable.
+	memo  map[string]*flight
+	stats Stats
+}
+
+// Stats counts what a Runner did with the points its sweeps declared.
+type Stats struct {
+	// Ran counts points whose Run was called; Memo and Disk count points
+	// served from the Runner's memo and from the on-disk cache.
+	Ran, Memo, Disk int
+	// PrunedBeforeStart counts points a saturation cut skipped;
+	// PrunedAfterStart counts points claimed before the cut that
+	// discarded them was known.
+	PrunedBeforeStart, PrunedAfterStart int
+	// Twins counts points that waited, slotless, on their entry's flight.
+	Twins int
+}
+
+// Stats returns the counts since the Runner was created.
+func (r *Runner) Stats() Stats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.stats
+}
+
+// flight is the measurement of one entry, shared by every claim of its
+// key: the first claim runs it (or loads it from disk), later ones wait
+// for done.
+type flight struct {
+	done chan struct{}
+	v    any
+	// failed is the panic message of a Run that panicked.
+	failed any
 }
 
 // entry is where a result of type T for key is filed, in the memo and on
@@ -129,34 +168,6 @@ func entry[T any](key string) string {
 	return reflect.TypeFor[T]().String() + "|" + key
 }
 
-// recall returns the memoised or disk-cached result for key.
-func recall[T any](r *Runner, key string) (v T, ok bool) {
-	if key == "" {
-		return v, false
-	}
-	e := entry[T](key)
-	if m, hit := r.memo.Load(e); hit {
-		return m.(T), true
-	}
-	if r.Cache != nil && r.Cache.get(e, &v) {
-		r.memo.Store(e, v)
-		return v, true
-	}
-	return v, false
-}
-
-// remember files a freshly run result under key, in the memo and on disk.
-func remember[T any](r *Runner, key string, v T) {
-	if key == "" {
-		return
-	}
-	e := entry[T](key)
-	r.memo.Store(e, v)
-	if r.Cache != nil {
-		r.Cache.put(e, v)
-	}
-}
-
 // saturated reports whether a measurement flags itself saturated.
 func saturated(v any) bool {
 	if m, ok := v.(interface{ IsSaturated() bool }); ok {
@@ -165,15 +176,42 @@ func saturated(v any) bool {
 	return false
 }
 
-// task locates one point in the sweep grid.
-type task struct{ si, pi int }
+// sweep is a live Run call as the pool sees it.
+type sweep interface {
+	// claim starts the sweep's next point, only one no saturation cut can
+	// prune when safe is set, and reports whether it found one.
+	claim(safe bool) bool
+}
 
-// seriesState tracks per-series completion under state.mu.
+// dispatch fills free slots, under r.mu. Each goes to the earliest-started
+// sweep with a safe point; only when no sweep has one does a slot start a
+// point a cut may prune. Claims served by the memo take no slot.
+func (r *Runner) dispatch() {
+	par := r.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	for r.busy < par && (r.claim(true) || r.claim(false)) {
+	}
+}
+
+// claim offers one slot to the live sweeps in start order.
+func (r *Runner) claim(safe bool) bool {
+	for _, s := range r.sweeps {
+		if s.claim(safe) {
+			return true
+		}
+	}
+	return false
+}
+
+// seriesState tracks one series of a live sweep under Runner.mu.
 type seriesState[T any] struct {
 	results []T
 	have    []bool
-	// contig is the length of the contiguous completed prefix.
-	contig int
+	// next is the lowest unclaimed point; contig is the length of the
+	// contiguous completed prefix.
+	next, contig int
 	// satRun counts consecutive saturated points at the end of the
 	// contiguous prefix.
 	satRun int
@@ -182,162 +220,227 @@ type seriesState[T any] struct {
 	cut int
 }
 
+// sweepRun is the state of one Run call, guarded by r.mu.
+type sweepRun[T any] struct {
+	r      *Runner
+	ctx    context.Context
+	sw     Sweep[T]
+	series []seriesState[T]
+	// done counts completed points, total the declared ones.
+	done, total int
+	// left counts points not yet settled: reported, pruned, or abandoned
+	// when the sweep stopped. fin closes when it reaches zero.
+	left     int
+	fin      chan struct{}
+	panicked any
+}
+
+func (s *sweepRun[T]) claim(safe bool) bool {
+	if s.ctx.Err() != nil {
+		return false
+	}
+	for si := range s.series {
+		st := &s.series[si]
+		stop := s.sw.Series[si].StopAfterSaturated
+		// No cut can fall before contig + stop - satRun - 1: that needs
+		// every unknown point up to it to come back saturated.
+		if st.next == len(st.have) || safe && stop > 0 && st.next >= st.contig+stop-st.satRun {
+			continue
+		}
+		s.start(si, st.next)
+		st.next++
+		return true
+	}
+	return false
+}
+
+// start claims point pi of series si: it joins the point's flight if its
+// entry has one, and otherwise takes a slot to measure it.
+func (s *sweepRun[T]) start(si, pi int) {
+	r := s.r
+	var f *flight
+	if key := s.sw.Series[si].Points[pi].Key; key != "" {
+		e := entry[T](key)
+		if f = r.memo[e]; f != nil {
+			select {
+			case <-f.done:
+				r.stats.Memo++
+			default:
+				r.stats.Twins++
+			}
+			go s.point(si, pi, f, false)
+			return
+		}
+		f = &flight{done: make(chan struct{})}
+		if r.memo == nil {
+			r.memo = map[string]*flight{}
+		}
+		r.memo[e] = f
+	}
+	r.busy++
+	go s.point(si, pi, f, true)
+}
+
+// point obtains one claimed point's result — measured when own is set,
+// else from f — and files it.
+func (s *sweepRun[T]) point(si, pi int, f *flight, own bool) {
+	var v T
+	var disk bool
+	var failed any
+	if own {
+		v, disk, failed = s.measure(si, pi)
+		if f != nil {
+			f.v, f.failed = v, failed
+			close(f.done)
+		}
+	} else {
+		<-f.done
+		v, _ = f.v.(T) // a nil interface T comes back as nil
+		failed = f.failed
+	}
+	r := s.r
+	r.mu.Lock()
+	if own {
+		r.busy--
+		if disk {
+			r.stats.Disk++
+		} else {
+			r.stats.Ran++
+		}
+	}
+	ev, ok := s.record(si, pi, v, failed, !own || disk)
+	r.dispatch()
+	r.mu.Unlock()
+	if ok && r.Progress != nil {
+		r.Progress(ev)
+	}
+	r.mu.Lock()
+	s.settle(1)
+	r.mu.Unlock()
+}
+
+// measure loads point pi of series si from the disk cache, or runs it and
+// files the result there. A panic in Run comes back as failed, naming the
+// point.
+func (s *sweepRun[T]) measure(si, pi int) (v T, disk bool, failed any) {
+	p := s.sw.Series[si].Points[pi]
+	c := s.r.Cache
+	if c != nil && p.Key != "" && c.get(entry[T](p.Key), &v) {
+		return v, true, nil
+	}
+	defer func() {
+		if x := recover(); x != nil {
+			failed = fmt.Sprintf("runner: sweep %s, series %q, point %d (key %q): %v",
+				s.sw.Name, s.sw.Series[si].Label, pi, p.Key, x)
+		}
+	}()
+	v = p.Run()
+	if c != nil && p.Key != "" {
+		c.put(entry[T](p.Key), v)
+	}
+	return v, false, nil
+}
+
+// record files a finished point and advances the series' stop rule; a
+// failed point stops the sweep instead.
+func (s *sweepRun[T]) record(si, pi int, v T, failed any, cached bool) (Event, bool) {
+	if failed != nil {
+		if s.panicked == nil {
+			s.panicked = failed
+		}
+		s.stop()
+		return Event{}, false
+	}
+	st := &s.series[si]
+	stop := s.sw.Series[si].StopAfterSaturated
+	st.results[pi], st.have[pi] = v, true
+	for st.contig < len(st.have) && st.have[st.contig] {
+		if saturated(st.results[st.contig]) {
+			st.satRun++
+			if stop > 0 && st.satRun >= stop && st.cut < 0 {
+				st.cut = st.contig
+				s.r.stats.PrunedAfterStart += st.next - st.cut - 1
+				s.r.stats.PrunedBeforeStart += s.drop(st)
+			}
+		} else {
+			st.satRun = 0
+		}
+		st.contig++
+	}
+	s.done++
+	return Event{Sweep: s.sw.Name, Series: s.sw.Series[si].Label, Index: pi, Done: s.done, Total: s.total, Cached: cached}, true
+}
+
+// drop settles a series' unclaimed points and returns how many there were.
+func (s *sweepRun[T]) drop(st *seriesState[T]) int {
+	n := len(st.have) - st.next
+	st.next = len(st.have)
+	s.settle(n)
+	return n
+}
+
+// stop ends the sweep's claims; claimed points still settle.
+func (s *sweepRun[T]) stop() {
+	for si := range s.series {
+		s.drop(&s.series[si])
+	}
+}
+
+// settle retires n points; the last one takes the sweep off the Runner
+// and releases Run.
+func (s *sweepRun[T]) settle(n int) {
+	s.left -= n
+	if n > 0 && s.left == 0 {
+		s.r.sweeps = slices.DeleteFunc(s.r.sweeps, func(x sweep) bool { return x == sweep(s) })
+		close(s.fin)
+	}
+}
+
 // Run executes the sweep and returns one SeriesResult per declared
 // series, in declaration order, with results in grid order — the output
-// is byte-identical at -j1 and -jN. On context cancellation it stops
-// scheduling new points, waits for in-flight points to finish (no
-// goroutine leaks), and returns the contiguous completed prefix of every
-// series together with ctx.Err(). A nil Runner behaves like &Runner{}.
+// is byte-identical at -j1 and -jN, and whatever else runs on r. On
+// context cancellation it stops claiming new points, waits for its
+// claimed points to finish (no goroutine leaks), and returns the
+// contiguous completed prefix of every series together with ctx.Err().
+// A nil Runner behaves like &Runner{}.
 func Run[T any](ctx context.Context, r *Runner, sw Sweep[T]) ([]SeriesResult[T], error) {
 	if r == nil {
 		r = &Runner{}
 	}
-	par := r.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	s := &sweepRun[T]{r: r, ctx: ctx, sw: sw, series: make([]seriesState[T], len(sw.Series)), fin: make(chan struct{})}
+	for si, ser := range sw.Series {
+		n := len(ser.Points)
+		s.series[si] = seriesState[T]{results: make([]T, n), have: make([]bool, n), cut: -1}
+		s.total += n
 	}
-
-	var tasks []task
-	states := make([]*seriesState[T], len(sw.Series))
-	for si, s := range sw.Series {
-		states[si] = &seriesState[T]{
-			results: make([]T, len(s.Points)),
-			have:    make([]bool, len(s.Points)),
-			cut:     -1,
-		}
-		for pi := range s.Points {
-			tasks = append(tasks, task{si, pi})
-		}
-	}
-	total := len(tasks)
-
-	var (
-		mu       sync.Mutex
-		done     int
-		panicked any
-		panicSet bool
-	)
-
-	// The feeder pushes tasks in grid order (so -j1 runs the exact serial
-	// schedule) and stops at cancellation; closing the channel drains the
-	// workers.
-	runCtx, stopFeed := context.WithCancel(ctx)
-	defer stopFeed()
-	ch := make(chan task)
-	go func() {
-		defer close(ch)
-		for _, t := range tasks {
-			// Checked separately first: when a send and the cancellation are
-			// both ready, select picks randomly, and a cancelled sweep must
-			// never schedule another point.
-			if runCtx.Err() != nil {
-				return
-			}
-			select {
-			case ch <- t:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-
-	// complete records a finished point and advances the series' stop rule.
-	complete := func(t task, v T, cached bool) {
-		st := states[t.si]
-		stop := sw.Series[t.si].StopAfterSaturated
-		mu.Lock()
-		st.results[t.pi] = v
-		st.have[t.pi] = true
-		for st.contig < len(st.have) && st.have[st.contig] {
-			if saturated(st.results[st.contig]) {
-				st.satRun++
-				if stop > 0 && st.satRun >= stop && st.cut < 0 {
-					st.cut = st.contig
-				}
-			} else {
-				st.satRun = 0
-			}
-			st.contig++
-		}
-		done++
-		doneNow := done
-		mu.Unlock()
-		if r.Progress != nil {
-			r.Progress(Event{
-				Sweep:  sw.Name,
-				Series: sw.Series[t.si].Label,
-				Index:  t.pi,
-				Done:   doneNow,
-				Total:  total,
-				Cached: cached,
-			})
+	if s.left = s.total; s.left > 0 {
+		r.mu.Lock()
+		r.sweeps = append(r.sweeps, s)
+		r.dispatch()
+		r.mu.Unlock()
+		select {
+		case <-s.fin:
+		case <-ctx.Done():
+			r.mu.Lock()
+			s.stop()
+			r.mu.Unlock()
+			<-s.fin
 		}
 	}
-
-	// pruned reports whether the point lies beyond its series' cut and can
-	// be skipped without affecting the (truncated) output.
-	pruned := func(t task) bool {
-		st := states[t.si]
-		mu.Lock()
-		defer mu.Unlock()
-		return st.cut >= 0 && t.pi > st.cut
+	if s.panicked != nil {
+		panic(s.panicked)
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var cur task // the point this worker runs, named by a panic
-			defer func() {
-				if p := recover(); p != nil {
-					mu.Lock()
-					if !panicSet {
-						s := sw.Series[cur.si]
-						panicked = fmt.Sprintf("runner: sweep %s, series %q, point %d (key %q): %v",
-							sw.Name, s.Label, cur.pi, s.Points[cur.pi].Key, p)
-						panicSet = true
-					}
-					mu.Unlock()
-					stopFeed()
-				}
-			}()
-			for t := range ch {
-				cur = t
-				if pruned(t) {
-					continue
-				}
-				p := sw.Series[t.si].Points[t.pi]
-				if v, ok := recall[T](r, p.Key); ok {
-					complete(t, v, true)
-					continue
-				}
-				v := p.Run()
-				remember(r, p.Key, v)
-				complete(t, v, false)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicSet {
-		panic(panicked)
-	}
-
-	mu.Lock()
 	out := make([]SeriesResult[T], len(sw.Series))
-	for si, s := range sw.Series {
-		st := states[si]
+	for si, ser := range sw.Series {
+		st := &s.series[si]
 		n := st.contig
 		if st.cut >= 0 && st.cut+1 < n {
 			n = st.cut + 1
 		}
-		out[si] = SeriesResult[T]{Label: s.Label, Results: st.results[:n:n]}
+		out[si] = SeriesResult[T]{Label: ser.Label, Results: st.results[:n:n]}
 	}
-	mu.Unlock()
-	if ctx.Err() != nil {
-		return out, ctx.Err()
-	}
-	return out, nil
+	return out, ctx.Err()
 }
 
 // RunOne is the single-series convenience form of Run.

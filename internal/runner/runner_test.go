@@ -3,6 +3,8 @@ package runner
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -211,7 +213,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("cached results differ:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
-	if hits, misses := cache.Stats(); hits != 6 || misses != 6 {
+	if hits, misses, _ := cache.Stats(); hits != 6 || misses != 6 {
 		t.Fatalf("stats = %d hits / %d misses, want 6/6", hits, misses)
 	}
 
@@ -264,7 +266,7 @@ func TestMemoMeasuresEachKeyOncePerRunner(t *testing.T) {
 	if ran.Load() != 5 || cached.Load() != 2 {
 		t.Fatalf("ran %d points with %d served, want 5 and 2", ran.Load(), cached.Load())
 	}
-	if hits, misses := cache.Stats(); hits != 0 || misses != 3 {
+	if hits, misses, _ := cache.Stats(); hits != 0 || misses != 3 {
 		t.Fatalf("disk cache saw %d hits / %d misses, want 0/3 (the memo answers first)", hits, misses)
 	}
 
@@ -325,5 +327,241 @@ func TestNilRunner(t *testing.T) {
 	})
 	if err != nil || len(got) != 1 || got[0].V != 42 {
 		t.Fatalf("got %+v, %v", got, err)
+	}
+}
+
+// sweepOf builds a one-series sweep.
+func sweepOf(name string, pts ...Point[meas]) Sweep[meas] {
+	return Sweep[meas]{Name: name, Series: []Series[meas]{{Label: name, Points: pts}}}
+}
+
+// TestConcurrentSweepsShareSlots: two sweeps running at once on one
+// Runner share its Parallelism slots — never more than 2 points run at
+// once — and both complete in grid order.
+func TestConcurrentSweepsShareSlots(t *testing.T) {
+	var cur, peak atomic.Int64
+	mk := func(name string) Sweep[meas] {
+		var pts []Point[meas]
+		for i := 0; i < 8; i++ {
+			pts = append(pts, Point[meas]{Run: func() meas {
+				n := cur.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				time.Sleep(2 * time.Millisecond)
+				cur.Add(-1)
+				return meas{V: i}
+			}})
+		}
+		return sweepOf(name, pts...)
+	}
+	rn := &Runner{Parallelism: 2}
+	var wg sync.WaitGroup
+	for _, name := range []string{"a", "b"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := RunOne(context.Background(), rn, name, mk(name).Series[0])
+			if err != nil || len(got) != 8 {
+				t.Errorf("sweep %s: %d results, err %v", name, len(got), err)
+				return
+			}
+			for i, m := range got {
+				if m.V != i {
+					t.Errorf("sweep %s out of order at %d: %+v", name, i, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("%d points ran at once on a Runner with 2 slots", p)
+	}
+	if st := rn.Stats(); st.Ran != 16 {
+		t.Fatalf("stats %+v, want 16 run", st)
+	}
+}
+
+// TestSharedKeyRunsOnceAcrossSweeps: a keyed point that one sweep is
+// running when another sweep asks for it runs once; the second sweep
+// waits for it as a twin and gets the same result.
+func TestSharedKeyRunsOnceAcrossSweeps(t *testing.T) {
+	rn := &Runner{Parallelism: 2}
+	var runs atomic.Int64
+	var once sync.Once
+	started, release := make(chan struct{}), make(chan struct{})
+	shared := Point[meas]{Key: "shared", Run: func() meas {
+		runs.Add(1)
+		once.Do(func() { close(started) })
+		<-release
+		return meas{V: 7}
+	}}
+	got := make([][]meas, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	runSweep := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = RunOne(context.Background(), rn, fmt.Sprint("s", i), Series[meas]{Points: []Point[meas]{shared}})
+		}()
+	}
+	runSweep(0)
+	<-started
+	runSweep(1)
+	for deadline := time.Now().Add(2 * time.Second); rn.Stats().Twins == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			wg.Wait()
+			t.Fatalf("second sweep never waited on the first one's flight: %+v", rn.Stats())
+		}
+	}
+	close(release)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || len(got[i]) != 1 || got[i][0].V != 7 {
+			t.Fatalf("sweep %d: %+v, %v", i, got[i], errs[i])
+		}
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("shared key ran %d times, want 1", n)
+	}
+	if st := rn.Stats(); st.Ran != 1 || st.Twins != 1 {
+		t.Fatalf("stats %+v, want 1 run and 1 twin wait", st)
+	}
+}
+
+// TestSaturatingSeriesBesideSafeWork: with a point of another series that
+// no cut can prune available, a free slot never speculates past a
+// possible cut. The safe series' points are held until the saturated
+// point has been filed, so the second slot has no idle moment to excuse
+// speculation.
+func TestSaturatingSeriesBesideSafeWork(t *testing.T) {
+	var once sync.Once
+	cutKnown := make(chan struct{})
+	rn := &Runner{Parallelism: 2, Progress: func(ev Event) {
+		if ev.Series == "sat" && ev.Index == 0 {
+			once.Do(func() { close(cutKnown) })
+		}
+	}}
+	var satRan atomic.Int64
+	sat := Series[meas]{Label: "sat", StopAfterSaturated: 1}
+	safe := Series[meas]{Label: "safe"}
+	for i := 0; i < 4; i++ {
+		sat.Points = append(sat.Points, Point[meas]{Run: func() meas {
+			satRan.Add(1)
+			time.Sleep(5 * time.Millisecond)
+			return meas{V: i, Sat: true}
+		}})
+		safe.Points = append(safe.Points, Point[meas]{Run: func() meas {
+			<-cutKnown
+			return meas{V: i}
+		}})
+	}
+	res, err := Run(context.Background(), rn, Sweep[meas]{Name: "mixed", Series: []Series[meas]{sat, safe}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res[0].Results) != 1 || len(res[1].Results) != 4 {
+		t.Fatalf("got %d and %d results, want 1 and 4", len(res[0].Results), len(res[1].Results))
+	}
+	if n := satRan.Load(); n != 1 {
+		t.Fatalf("the saturating series ran %d points, want 1 (its cut)", n)
+	}
+	if st := rn.Stats(); st.PrunedAfterStart != 0 || st.PrunedBeforeStart != 3 || st.Ran != 5 {
+		t.Fatalf("stats %+v, want 5 run, 3 pruned before start, 0 after", st)
+	}
+}
+
+// TestConcurrentSweepsCancel cancels two sweeps sharing keys on one
+// Runner mid-run: each returns context.Canceled with an ordered prefix,
+// no key runs twice, and no goroutine is left behind.
+func TestConcurrentSweepsCancel(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gate := make(chan struct{})
+	go func() {
+		<-ctx.Done()
+		time.Sleep(10 * time.Millisecond)
+		close(gate)
+	}()
+	var mu sync.Mutex
+	runs := map[string]int{}
+	const n = 12
+	var pts []Point[meas]
+	for i := 0; i < n; i++ {
+		key := fmt.Sprint("k", i)
+		pts = append(pts, Point[meas]{Key: key, Run: func() meas {
+			mu.Lock()
+			runs[key]++
+			mu.Unlock()
+			if i >= 3 {
+				cancel()
+				<-gate
+			}
+			return meas{V: i}
+		}})
+	}
+	rn := &Runner{Parallelism: 2}
+	var wg sync.WaitGroup
+	for _, name := range []string{"a", "b"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := RunOne(ctx, rn, name, Series[meas]{Points: pts})
+			if err != context.Canceled || len(got) >= n {
+				t.Errorf("sweep %s: %d results, err %v; want a strict prefix and context.Canceled", name, len(got), err)
+			}
+			for i, m := range got {
+				if m.V != i {
+					t.Errorf("sweep %s: prefix out of order at %d: %+v", name, i, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	mu.Lock()
+	for key, k := range runs {
+		if k > 1 {
+			t.Errorf("key %s ran %d times", key, k)
+		}
+	}
+	mu.Unlock()
+	if st := rn.Stats(); st.Ran+st.Memo+st.Twins == 0 {
+		t.Fatalf("no point was claimed: %+v", st)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: before=%d now=%d", before, runtime.NumGoroutine())
+		}
+	}
+}
+
+// TestCacheWriteErrorsCounted: a cache whose directory can no longer be
+// written still serves the run — every point is measured — and counts
+// each failed write.
+func TestCacheWriteErrorsCounted(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A file where the directory was: writable by no user, root included.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o444); err != nil {
+		t.Fatal(err)
+	}
+	var pts []Point[meas]
+	for i := 0; i < 3; i++ {
+		pts = append(pts, Point[meas]{Key: fmt.Sprint("w", i), Run: func() meas { return meas{V: i} }})
+	}
+	got, err := RunOne(context.Background(), &Runner{Cache: cache}, "unwritable", Series[meas]{Points: pts})
+	if err != nil || len(got) != 3 {
+		t.Fatalf("got %+v, %v", got, err)
+	}
+	if hits, misses, writeErrs := cache.Stats(); hits != 0 || misses != 3 || writeErrs != 3 {
+		t.Fatalf("stats = %d hits, %d misses, %d write errors; want 0, 3, 3", hits, misses, writeErrs)
 	}
 }
