@@ -138,6 +138,11 @@ const (
 //	     ──shm──▶ TX core(ARM) ──2.56µs──▶ worker RX ring ──▶ worker core
 //	worker ──2.56µs──▶ RX core(ARM) ──shm──▶ queue mgr(ARM)   [notifications]
 //	worker ──wire──▶ client                                    [responses]
+//
+// The networker, TX and RX cores are FIFO servers with a fixed cost, so
+// each is one fabric.Link with the ring beside it: a request crosses
+// networker and ring in one event, and a dispatch crosses ring, TX core and
+// the NIC in one, computed when the queue manager emits it.
 type Offload struct {
 	// Host is the shared host-worker kit: the client wire, the worker
 	// cores and the worker-set surface. Each core's inbox is its VF ring.
@@ -161,13 +166,13 @@ type Offload struct {
 	degradedCount uint64
 	dupResponses  uint64
 
-	networker *fabric.Stage[*task.Request]
-	queueMgr  *fabric.MultiStage[qEvent]
-	txCore    *fabric.Stage[Assignment]
-	rxCore    *fabric.Stage[qEvent]
-	shmNetQ   *fabric.Link
-	shmQTx    *fabric.Link
-	shmRxQ    *fabric.Link
+	// netq is the networker core and the net→q ring behind it, tx the TX
+	// core, entered at the far end of the q→tx ring, and rxq the RX core
+	// and the rx→q ring; the queue manager alone is event-driven.
+	netq     *fabric.Link
+	queueMgr *fabric.MultiStage[qEvent]
+	tx       *fabric.Link
+	rxq      *fabric.Link
 
 	// nic is the modelled Stingray datapath; armFn is the ARM complex's
 	// interface (notifications from workers land here) and each worker
@@ -265,15 +270,9 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		s.Completed = s.reportLoad
 	}
 
-	s.shmNetQ = fabric.NewLink(eng, "shm net→q", fabric.LinkConfig{Latency: p.ArmShm})
-	s.shmQTx = fabric.NewLink(eng, "shm q→tx", fabric.LinkConfig{Latency: p.ArmShm})
-	s.shmRxQ = fabric.NewLink(eng, "shm rx→q", fabric.LinkConfig{Latency: p.ArmShm})
-
-	s.networker = fabric.NewStage[*task.Request](eng, "arm-networker", 0,
-		fabric.FixedCost[*task.Request](p.ArmNetworkerCost),
-		func(r *task.Request) {
-			s.shmNetQ.SendT(0, shmNewArrive, s, r, 0)
-		})
+	s.netq = fabric.NewLink(eng, "arm-networker", fabric.LinkConfig{Cost: p.ArmNetworkerCost, Latency: p.ArmShm})
+	s.tx = fabric.NewLink(eng, "arm-tx", fabric.LinkConfig{Cost: p.ArmTxCost})
+	s.rxq = fabric.NewLink(eng, "arm-rx", fabric.LinkConfig{Cost: p.ArmRxCost, Latency: p.ArmShm})
 
 	// The queue-manager core round-robins between its two input rings so a
 	// saturating arrival flood cannot starve worker notifications.
@@ -301,13 +300,10 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 	s.nic = nicmodel.New(eng, nicCfg)
 	s.armFn = s.nic.AddFunction("arm", nicmodel.MACForIndex(0), 0)
 	s.armFn.OnRx(func() {
-		// The RX ARM core drains the ring as frames land; its own input
-		// queue provides the backpressure accounting.
+		// The RX ARM core drains the ring as frames land and queues them
+		// in its own pipe.
 		if f, ok := s.armFn.Poll(); ok {
-			qe := f.Payload.(*qEvent)
-			ev := *qe
-			s.qevPut(qe)
-			s.rxCore.Submit(ev)
+			s.rxq.SendT(0, shmNotif, s, f.Payload, 0)
 		}
 	})
 	s.armFn.OnDrop(func(f nicmodel.Frame) {
@@ -317,35 +313,15 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		}
 	})
 
-	s.txCore = fabric.NewStage[Assignment](eng, "arm-tx", 0,
-		fabric.FixedCost[Assignment](p.ArmTxCost),
-		func(a Assignment) {
-			w := s.workers[a.Worker]
-			s.nic.Send(nicmodel.Frame{
-				Dst:     w.vf.MAC(),
-				Src:     s.armFn.MAC(),
-				Bytes:   p.ControlFrameBytes,
-				Payload: a.Req,
-			})
-		})
-
-	s.rxCore = fabric.NewStage[qEvent](eng, "arm-rx", 0,
-		fabric.FixedCost[qEvent](p.ArmRxCost),
-		func(ev qEvent) {
-			qe := s.qevGet()
-			*qe = ev
-			s.shmRxQ.SendT(0, shmNotif, s, qe, 0)
-		})
-
 	if s.flt != nil {
 		// Every ARM-complex stage shares the NIC crash/slowdown timeline
 		// (nil without NIC windows): a crashed ARM complex freezes the
 		// networker, queue manager, TX and RX cores together.
 		st := s.flt.NICStretch()
-		s.networker.SetStretch(st)
+		s.netq.SetStretch(st)
 		s.queueMgr.SetStretch(st)
-		s.txCore.SetStretch(st)
-		s.rxCore.SetStretch(st)
+		s.tx.SetStretch(st)
+		s.rxq.SetStretch(st)
 	}
 	for i, kw := range s.Host.Workers {
 		w := &offWorker{sys: s, Worker: kw}
@@ -374,13 +350,13 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 // component's name. Call it once, before the simulation starts.
 func (s *Offload) RegisterTelemetry(reg *telemetry.Registry) {
 	s.lgc.RegisterTelemetry(reg, "sched")
-	s.networker.RegisterTelemetry(reg, "arm-networker")
+	s.netq.RegisterGauge(reg, "arm-networker", "processed", fabric.Served)
 	s.queueMgr.RegisterTelemetry(reg, "arm-queue")
-	s.txCore.RegisterTelemetry(reg, "arm-tx")
-	s.rxCore.RegisterTelemetry(reg, "arm-rx")
-	s.shmNetQ.RegisterTelemetry(reg, "fabric/shm-net→q")
-	s.shmQTx.RegisterTelemetry(reg, "fabric/shm-q→tx")
-	s.shmRxQ.RegisterTelemetry(reg, "fabric/shm-rx→q")
+	s.tx.RegisterGauge(reg, "arm-tx", "processed", fabric.Served)
+	s.rxq.RegisterGauge(reg, "arm-rx", "processed", fabric.Served)
+	s.netq.RegisterTelemetry(reg, "fabric/shm-net→q")
+	s.tx.RegisterGauge(reg, "fabric/shm-q→tx", "delivered", fabric.Entered)
+	s.rxq.RegisterTelemetry(reg, "fabric/shm-rx→q")
 	s.nic.RegisterTelemetry(reg)
 	s.Host.RegisterTelemetry(reg)
 }
@@ -418,11 +394,11 @@ func (s *Offload) ingress(req *task.Request) {
 		s.steerDegraded(req)
 		return
 	}
-	s.networker.Submit(req)
+	s.netq.SendT(0, shmNewArrive, s, req, 0)
 }
 
-// shmNewArrive fires when a new request crosses the networker→queue-manager
-// shared-memory ring.
+// shmNewArrive fires when a new request has crossed the networker core and
+// the networker→queue-manager shared-memory ring.
 //
 //mindgap:noalloc
 func shmNewArrive(recv, obj any, _ uint64) {
@@ -431,8 +407,9 @@ func shmNewArrive(recv, obj any, _ uint64) {
 	s.queueMgr.Submit(qcNew, qEvent{kind: evNew, req: r, id: r.ID})
 }
 
-// shmNotif fires when a worker notification crosses the RX-core→queue-manager
-// shared-memory ring; the borrowed box returns to the pool here.
+// shmNotif fires when a worker notification has crossed the RX core and the
+// RX-core→queue-manager shared-memory ring; the borrowed box returns to the
+// pool here.
 //
 //mindgap:noalloc
 func shmNotif(recv, obj any, _ uint64) {
@@ -441,15 +418,6 @@ func shmNotif(recv, obj any, _ uint64) {
 	ev := *qe
 	s.qevPut(qe)
 	s.queueMgr.Submit(qcNotif, ev)
-}
-
-// shmDispatch fires when an assignment crosses the queue-manager→TX-core
-// shared-memory ring.
-//
-//mindgap:noalloc
-func shmDispatch(recv, obj any, worker uint64) {
-	s := recv.(*Offload)
-	s.txCore.Submit(Assignment{Worker: int(worker), Req: obj.(*task.Request)})
 }
 
 // steerDegraded hash-steers a request to a worker VF, bypassing the ARM
@@ -570,7 +538,16 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 		if s.rec != nil {
 			s.armTimeout(a)
 		}
-		s.shmQTx.SendT(0, shmDispatch, s, a.Req, uint64(a.Worker))
+		// The assignment crosses the q→tx ring and waits for the TX core,
+		// whose frame enters the NIC as it finishes.
+		out, _ := s.tx.Enter(now.Add(s.cfg.P.ArmShm), 0)
+		w := s.workers[a.Worker]
+		s.nic.SendAt(out, nicmodel.Frame{
+			Dst:     w.vf.MAC(),
+			Src:     s.armFn.MAC(),
+			Bytes:   s.cfg.P.ControlFrameBytes,
+			Payload: a.Req,
+		})
 	}
 	s.asScratch = as[:0]
 }
@@ -763,20 +740,6 @@ func (s *Offload) QueueLen() int { return s.lgc.QueueLen() }
 // Shed returns the number of arrivals rejected by NIC-side admission
 // control (only nonzero when AdmissionLimit is set).
 func (s *Offload) Shed() uint64 { return s.pr.Drops(trace.DropShed) }
-
-// DispatcherUtilization returns the busy fraction of the queue-manager ARM
-// core since its tracker was armed — the bottleneck metric of §5.1.
-func (s *Offload) DispatcherUtilization(now sim.Time) float64 {
-	return s.queueMgr.BusyTracker().BusyFraction(now)
-}
-
-// ArmDispatcherTracker starts dispatcher utilization accounting.
-func (s *Offload) ArmDispatcherTracker(now sim.Time) {
-	s.queueMgr.BusyTracker().Arm(now)
-	s.networker.BusyTracker().Arm(now)
-	s.txCore.BusyTracker().Arm(now)
-	s.rxCore.BusyTracker().Arm(now)
-}
 
 // FaultSchedule exposes the compiled fault schedule (nil on the healthy
 // path) — the bench recovery table reads its crash windows.

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -13,6 +14,10 @@ import (
 type ZipfKeys struct {
 	cdf []float64
 	s   float64
+	// guide[j] is the first key whose CDF reaches j/m, m = len(guide)-1 a
+	// power of two, so the key for u in [j/m, (j+1)/m) (u·m is exact) lies
+	// in [guide[j], guide[j+1]].
+	guide []int32
 }
 
 // NewZipfKeys builds the sampler for n keys with skew s >= 0.
@@ -33,7 +38,15 @@ func NewZipfKeys(n int, s float64) *ZipfKeys {
 		cdf[i] /= acc
 	}
 	cdf[n-1] = 1
-	return &ZipfKeys{cdf: cdf, s: s}
+	m := 1 << bits.Len(uint(n))
+	guide := make([]int32, m+1)
+	for j, k := 0, 0; j <= m; j++ {
+		for cdf[k] < float64(j)/float64(m) {
+			k++
+		}
+		guide[j] = int32(k)
+	}
+	return &ZipfKeys{cdf: cdf, s: s, guide: guide}
 }
 
 // N returns the key-space size.
@@ -47,9 +60,12 @@ func (z *ZipfKeys) Skew() float64 { return z.s }
 func (z *ZipfKeys) String() string { return fmt.Sprintf("zipf:%d:%g", len(z.cdf), z.s) }
 
 // Sample draws a key.
-func (z *ZipfKeys) Sample(r *rand.Rand) uint64 {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
+func (z *ZipfKeys) Sample(r *rand.Rand) uint64 { return z.key(r.Float64()) }
+
+// key returns the first key whose CDF reaches u, searching u's guide bucket.
+func (z *ZipfKeys) key(u float64) uint64 {
+	j := int(u * float64(len(z.guide)-1))
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

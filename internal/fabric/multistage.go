@@ -6,28 +6,24 @@ import (
 	"mindgap/internal/queue"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
-	"mindgap/internal/telemetry"
 )
 
-// MultiStage is the one serial server: a processing element that handles
-// one item at a time, each costing some processing time, fed by one or more
-// optionally bounded input queues served round-robin — the way a real
-// dispatcher core polls several shared memory rings (new requests from the
-// networker, notifications from the RX core) so that a flood on one input
-// cannot starve the other (§3.4.1). Stage is its one-class view.
+// MultiStage is the event-driven serial server: a processing element that
+// handles one item at a time, each costing some processing time, fed by
+// one or more optionally bounded input queues served round-robin — the way
+// a real dispatcher core polls several shared memory rings (new requests
+// from the networker, notifications from the RX core) so that a flood on
+// one input cannot starve the other (§3.4.1). Which item it serves next
+// depends on arrivals that have not happened yet, so unlike a Stage or a
+// Link it cannot compute an exit on entry: every item costs a completion
+// event.
 //
 // Without this fairness a saturating open-loop workload would bury worker
 // completion notifications behind an unbounded backlog of new-request
 // admissions and throughput would collapse instead of plateauing at the
 // stage's service rate.
 type MultiStage[T any] struct {
-	eng *sim.Engine
-	// cost returns the processing time for an item.
-	cost func(T) time.Duration
-	// done is invoked after an item's processing time has elapsed.
-	done func(T)
-
-	name   string
+	serial[T]
 	qs     []queue.FIFO[T]
 	limits []int
 	rr     int
@@ -37,20 +33,7 @@ type MultiStage[T any] struct {
 	// cur is the item in service. A serial server holds exactly one, so the
 	// completion event needs no payload: it reads cur from the receiver,
 	// which keeps scheduling allocation-free.
-	cur T
-	// served is multiStageServed[T] bound once at construction: materializing
-	// a generic function value inside a generic method would allocate a
-	// dictionary closure per event.
-	served sim.EventFunc
-
-	// stretch, when set, converts an item's processing cost into the wall
-	// duration it takes under the active fault timeline (crash windows
-	// freeze the core, slowdown windows dilate it). Nil — the only state
-	// healthy systems ever see — leaves costs untouched.
-	stretch func(sim.Time, time.Duration) time.Duration
-
-	processed uint64
-	dropped   uint64
+	cur       T
 	busyTrack stats.BusyTracker
 }
 
@@ -61,23 +44,15 @@ func NewMultiStage[T any](eng *sim.Engine, name string, classes int, limits []in
 	if classes <= 0 {
 		panic("fabric: multistage needs at least one class")
 	}
-	if done == nil {
-		panic("fabric: multistage requires a done callback")
-	}
 	if limits != nil && len(limits) != classes {
 		panic("fabric: limits length must match class count")
 	}
-	s := &MultiStage[T]{
-		eng:    eng,
-		name:   name,
+	return &MultiStage[T]{
+		serial: newSerial(eng, name, cost, done, multiStageServed[T]),
 		qs:     make([]queue.FIFO[T], classes),
 		limits: limits,
 		burst:  1,
-		cost:   cost,
-		done:   done,
 	}
-	s.served = multiStageServed[T]
-	return s
 }
 
 // SetBurst makes the server drain up to n items from one class before
@@ -114,24 +89,12 @@ func (s *MultiStage[T]) Submit(class int, item T) bool {
 	return true
 }
 
-// SetStretch installs a fault-timeline cost dilation (see the stretch
-// field). Install before the simulation starts; fabric carries the raw
-// func type so it does not depend on the faults package.
-func (s *MultiStage[T]) SetStretch(f func(sim.Time, time.Duration) time.Duration) { s.stretch = f }
-
 // serve processes one item then pulls the next in round-robin class order.
 //
 //mindgap:noalloc
 func (s *MultiStage[T]) serve(item T) {
-	var d time.Duration
-	if s.cost != nil {
-		d = s.cost(item)
-	}
-	if s.stretch != nil {
-		d = s.stretch(s.eng.Now(), d)
-	}
 	s.cur = item
-	s.eng.AfterE(d, s.served, s, nil, 0)
+	s.eng.AtE(s.exit(item), s.served, s, nil, 0)
 }
 
 // multiStageServed fires when the in-service item's processing time
@@ -192,20 +155,5 @@ func (s *MultiStage[T]) TotalQueued() int {
 // Busy reports whether an item is in service.
 func (s *MultiStage[T]) Busy() bool { return s.busy }
 
-// Processed returns the number of items fully processed.
-func (s *MultiStage[T]) Processed() uint64 { return s.processed }
-
-// Dropped returns the number of items rejected by bounded class queues.
-func (s *MultiStage[T]) Dropped() uint64 { return s.dropped }
-
-// Name returns the diagnostic name.
-func (s *MultiStage[T]) Name() string { return s.name }
-
 // BusyTracker exposes the stage's utilization accounting.
 func (s *MultiStage[T]) BusyTracker() *stats.BusyTracker { return &s.busyTrack }
-
-// RegisterTelemetry exposes the stage's processed-item count on reg under
-// the given component label.
-func (s *MultiStage[T]) RegisterTelemetry(reg *telemetry.Registry, component string) {
-	reg.GaugeFunc(component, "processed", func() float64 { return float64(s.processed) })
-}

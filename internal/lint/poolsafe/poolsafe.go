@@ -435,8 +435,8 @@ func (c *checker) taintedObjs(fd *ast.FuncDecl) map[types.Object]bool {
 }
 
 // collectCaptures finds calls that schedule a package-level EventFunc
-// together with a request payload — AtE/AfterE/AtRelayE/ArmAfterE,
-// Link.SendT, and any wrapper with the same argument convention.
+// together with a request payload — AtE/AfterE/ArmAfterE, Link.SendT and
+// SendAtT, and any wrapper with the same argument convention.
 func (c *checker) collectCaptures(fd *ast.FuncDecl, tainted map[types.Object]bool) []capture {
 	var out []capture
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -149,7 +149,15 @@ func (n *NIC) AddFunction(name string, mac wire.MAC, ringCap int) *Function {
 // keeps no in-flight table and allocates nothing.
 //
 //mindgap:noalloc
-func (n *NIC) Send(f Frame) bool {
+func (n *NIC) Send(f Frame) bool { return n.SendAt(n.eng.Now(), f) }
+
+// SendAt is Send for a frame that reaches the NIC at the known instant
+// at >= now — the exit of the sender's own pipe — so the sender's chain
+// and the NIC hop file one event, the delivery. The frame is steered and
+// counted now; a wire fault is drawn for the instant at.
+//
+//mindgap:noalloc
+func (n *NIC) SendAt(at sim.Time, f Frame) bool {
 	var target *Function
 	if i, ok := indexOfMAC(f.Dst); ok && i < len(n.byIndex) {
 		target = n.byIndex[i] // nil: an in-range index nobody registered
@@ -169,7 +177,7 @@ func (n *NIC) Send(f Frame) bool {
 		src = src<<8 | uint64(b)
 	}
 	// A link refuses a message only when an injected wire fault loses it.
-	ok := target.deliver.SendT(f.Bytes, nicDeliver, target, f.Payload, src<<16|uint64(f.Bytes))
+	ok := target.deliver.SendAtT(at, f.Bytes, nicDeliver, target, f.Payload, src<<16|uint64(f.Bytes))
 	if !ok && target.onWireDrop != nil {
 		target.onWireDrop(f)
 	}

@@ -1,10 +1,12 @@
 package nicmodel
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"time"
 
+	"mindgap/internal/fabric"
 	"mindgap/internal/sim"
 	"mindgap/internal/wire"
 )
@@ -262,5 +264,80 @@ func TestPerFunctionFIFOUnderLoad(t *testing.T) {
 	}
 	if dst.Name() != "dst" {
 		t.Fatalf("Name = %q", dst.Name())
+	}
+}
+
+// TestTxChainEnteredAtDispatch: the offload's dispatch path — a
+// shared-memory ring, the TX core's fixed cost, then the NIC hop to a VF —
+// entered once at dispatch through Link.Enter and NIC.SendAt, lands every
+// frame at the same instant and in the same order as the three-hop form
+// (ring event, TX stage, NIC send at the stage's exit), with same-instant
+// dispatch bursts and a freeze window on the TX core; and it costs one
+// event per frame where the three-hop form costs three.
+func TestTxChainEnteredAtDispatch(t *testing.T) {
+	const shm, txCost = 250 * time.Nanosecond, 700 * time.Nanosecond
+	// The TX core is frozen over [5 µs, 8 µs).
+	freeze := func(at sim.Time, work time.Duration) time.Duration {
+		if end := sim.Time(8000); at < end && at.Add(work) > 5000 {
+			return work + end.Sub(max(at, 5000))
+		}
+		return work
+	}
+	type landing struct {
+		vf, id int
+		at     sim.Time
+	}
+	run := func(seed uint64, fused bool) ([]landing, uint64) {
+		rng := rand.New(rand.NewPCG(seed, 0x7478))
+		eng := sim.New()
+		nic := New(eng, Config{InternalLatency: 2560 * time.Nanosecond, RingCap: 1024})
+		arm := nic.AddFunction("arm", MACForIndex(0), 0)
+		var log []landing
+		var vfs []*Function
+		for i := 1; i <= 3; i++ {
+			vf := nic.AddFunction("vf", MACForIndex(i), 0)
+			vf.OnDeliver(func(f Frame) { log = append(log, landing{i, f.Payload.(int), eng.Now()}) })
+			vfs = append(vfs, vf)
+		}
+		frame := func(id int) Frame {
+			return Frame{Dst: vfs[id%3].MAC(), Src: arm.MAC(), Bytes: 64, Payload: id}
+		}
+		var dispatch func(id int)
+		if fused {
+			tx := fabric.NewLink(eng, "arm-tx", fabric.LinkConfig{Cost: txCost})
+			tx.SetStretch(freeze)
+			dispatch = func(id int) {
+				out, _ := tx.Enter(eng.Now().Add(shm), 0)
+				nic.SendAt(out, frame(id))
+			}
+		} else {
+			ring := fabric.NewLink(eng, "shm q→tx", fabric.LinkConfig{Latency: shm})
+			tx := fabric.NewStage[int](eng, "arm-tx", 0, fabric.FixedCost[int](txCost), func(id int) { nic.Send(frame(id)) })
+			tx.SetStretch(freeze)
+			dispatch = func(id int) { ring.Send(0, func() { tx.Submit(id) }) }
+		}
+		id := 0
+		for at := sim.Time(0); at < 20000; at += sim.Time(rng.IntN(1500)) {
+			burst := 1 + rng.IntN(3)
+			eng.At(at, func() {
+				for k := 0; k < burst; k++ {
+					dispatch(id)
+					id++
+				}
+			})
+		}
+		eng.Run()
+		return log, eng.Executed()
+	}
+	for seed := uint64(0); seed < 50; seed++ {
+		got, events := run(seed, true)
+		want, hopEvents := run(seed, false)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: landings diverge\n got %v\nwant %v", seed, got, want)
+		}
+		frames := uint64(len(got))
+		if hopEvents-events != 2*frames {
+			t.Fatalf("seed %d: %d frames cost %d events fused, %d hop by hop; want 2 fewer per frame", seed, frames, events, hopEvents)
+		}
 	}
 }

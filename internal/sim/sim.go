@@ -8,13 +8,13 @@
 // same instant fire in the order they were scheduled, so a simulation with a
 // fixed seed always produces identical results.
 //
-// Models schedule through the typed form (AtE, AfterE, AtRelayE,
-// ArmAfterE): a plain function plus a receiver, an object pointer and a
-// scalar argument. Because the function is not a closure and pointers
-// stored in interfaces do not allocate, a typed schedule performs zero heap
-// allocations in steady state. The closure form (At, After, and fabric's
-// Link.Send) takes a func() and allocates; it is a convenience for tests
-// and has no production caller. A cancellable event is always armed into a
+// Models schedule through the typed form (AtE, AfterE, ArmAfterE): a
+// plain function plus a receiver, an object pointer and a scalar argument.
+// Because the function is not a closure and pointers stored in interfaces
+// do not allocate, a typed schedule performs zero heap allocations in
+// steady state. The closure form (At, After, and fabric's Link.Send) takes
+// a func() and allocates; it is a convenience for tests and has no
+// production caller. A cancellable event is always armed into a
 // caller-owned Timer (ArmAfterE).
 package sim
 
@@ -56,18 +56,14 @@ type EventFunc func(recv, obj any, arg uint64)
 // which holds the slot's events in the order they were scheduled (see
 // wheel.go), so cancellation (Timer.Stop) unlinks it in O(1). gen guards
 // recycled events against stale Timer handles: each reuse increments it.
-// relay marks an AtRelayE event on its first leg; then is the instant of
-// its second.
 type event struct {
 	at         Time
 	fn         EventFunc
 	recv       any
 	obj        any
 	arg        uint64
-	then       Time
 	next, prev *event
 	gen        uint32
-	relay      bool
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -107,8 +103,7 @@ func (e *Engine) Now() Time { return e.now }
 // Pending reports the number of scheduled (not yet fired) events.
 func (e *Engine) Pending() int { return e.pending }
 
-// Executed reports how many positions of the (time, seq) order have had
-// their turn: a callback ran, or a relay (AtRelayE) started its second leg.
+// Executed reports how many event callbacks have run.
 func (e *Engine) Executed() uint64 { return e.stepped }
 
 // HighWater reports the maximum number of simultaneously pending events
@@ -134,25 +129,7 @@ func (e *Engine) AtE(t Time, fn EventFunc, recv, obj any, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v which is before now %v", t, e.now))
 	}
-	e.schedule(e.alloc(t, fn, recv, obj, arg))
-}
-
-// AtRelayE is AtE(t1, r) where r does nothing but AtE(t2, fn, recv, obj,
-// arg), in one event: when its turn comes at t1, Step re-files the same
-// event at t2, appended as the newest event, instead of calling anything.
-// That is where r would have scheduled it, and the first leg counts in
-// Executed() and Pending(), so order and counts equal the two-event form's.
-// For stages that only delay (a link's serializer). t1 < now or t2 < t1
-// panics.
-//
-//mindgap:noalloc
-func (e *Engine) AtRelayE(t1, t2 Time, fn EventFunc, recv, obj any, arg uint64) {
-	if t1 < e.now || t2 < t1 {
-		panic(fmt.Sprintf("sim: relay %v -> %v runs backwards from now %v", t1, t2, e.now))
-	}
-	ev := e.alloc(t1, fn, recv, obj, arg)
-	ev.then, ev.relay = t2, true
-	e.schedule(ev)
+	e.schedule(t, fn, recv, obj, arg)
 }
 
 // After schedules fn to run d after the current instant. Negative d panics.
@@ -174,8 +151,10 @@ func (e *Engine) AfterE(d time.Duration, fn EventFunc, recv, obj any, arg uint64
 	e.AtE(e.now.Add(d), fn, recv, obj, arg)
 }
 
-// alloc takes an event from the free list or the heap allocator.
-func (e *Engine) alloc(t Time, fn EventFunc, recv, obj any, arg uint64) *event {
+// schedule files the typed event fn(recv, obj, arg) at t — taken from the
+// free list, or from the heap until the list is warm — and maintains the
+// pending high-water mark.
+func (e *Engine) schedule(t Time, fn EventFunc, recv, obj any, arg uint64) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -184,11 +163,10 @@ func (e *Engine) alloc(t Time, fn EventFunc, recv, obj any, arg uint64) *event {
 	} else {
 		ev = &event{}
 	}
-	ev.at = t
-	ev.fn = fn
-	ev.recv = recv
-	ev.obj = obj
-	ev.arg = arg
+	ev.at, ev.fn, ev.recv, ev.obj, ev.arg = t, fn, recv, obj, arg
+	e.pending++
+	e.highWater = max(e.highWater, e.pending)
+	e.file(ev)
 	return ev
 }
 
@@ -210,19 +188,6 @@ func (e *Engine) recycle(ev *event) {
 	}
 }
 
-// schedule enters the newest pending event — freshly allocated, or a relay
-// starting its second leg — into the wheel and maintains the pending
-// high-water mark.
-//
-//mindgap:noalloc
-func (e *Engine) schedule(ev *event) {
-	e.pending++
-	if e.pending > e.highWater {
-		e.highWater = e.pending
-	}
-	e.file(ev)
-}
-
 // Timer is a handle to a scheduled event that can be cancelled before it
 // fires. The zero value is an inert, already-stopped timer.
 type Timer struct {
@@ -240,7 +205,7 @@ type Timer struct {
 //
 //mindgap:noalloc
 func (e *Engine) ArmAfterE(tm *Timer, d time.Duration, fn EventFunc, recv, obj any, arg uint64) {
-	if tm.live() {
+	if tm.Pending() {
 		panic("sim: ArmAfterE on a pending timer")
 	}
 	if d < 0 {
@@ -253,17 +218,17 @@ func (e *Engine) ArmAfterE(tm *Timer, d time.Duration, fn EventFunc, recv, obj a
 		// must not enter the schedule.
 		panic(fmt.Sprintf("sim: delay %v from %v overflows simulated time", d, e.now))
 	}
-	ev := e.alloc(at, fn, recv, obj, arg)
-	e.schedule(ev)
+	ev := e.schedule(at, fn, recv, obj, arg)
 	tm.e, tm.ev, tm.gen = e, ev, ev.gen
 }
 
-// live reports whether the handle still refers to its original, pending
-// event: an event leaves the schedule only by firing or by Stop, and both
-// recycle it, which bumps its generation.
+// Pending reports whether the timer has yet to fire: whether the handle
+// still refers to its original, pending event. An event leaves the
+// schedule only by firing or by Stop, and both recycle it, which bumps its
+// generation.
 //
 //mindgap:noalloc
-func (t *Timer) live() bool {
+func (t *Timer) Pending() bool {
 	return t != nil && t.ev != nil && t.ev.gen == t.gen
 }
 
@@ -272,7 +237,7 @@ func (t *Timer) live() bool {
 //
 //mindgap:noalloc
 func (t *Timer) Stop() bool {
-	if !t.live() {
+	if !t.Pending() {
 		return false
 	}
 	e, ev := t.e, t.ev
@@ -283,23 +248,17 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Pending reports whether the timer has yet to fire.
-//
-//mindgap:noalloc
-func (t *Timer) Pending() bool { return t.live() }
-
 // Deadline returns the instant the timer will fire. It is only meaningful
 // while Pending reports true.
 func (t *Timer) Deadline() Time {
-	if !t.live() {
+	if !t.Pending() {
 		return 0
 	}
 	return t.ev.at
 }
 
-// Step executes the single earliest pending event (for a relay on its first
-// leg: moves it on to its second). It reports false when the queue is empty
-// or the engine has been halted.
+// Step executes the single earliest pending event. It reports false when
+// the queue is empty or the engine has been halted.
 //
 //mindgap:noalloc
 func (e *Engine) Step() bool {
@@ -313,12 +272,6 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.pending--
 	e.stepped++
-	if ev.relay {
-		ev.relay = false
-		ev.at = ev.then
-		e.schedule(ev)
-		return true
-	}
 	fn, recv, obj, arg := ev.fn, ev.recv, ev.obj, ev.arg
 	e.recycle(ev)
 	fn(recv, obj, arg)

@@ -28,8 +28,8 @@
 //     event exceeds base in digit L+1.
 //
 // Every slot is an intrusive circular doubly-linked list, kept in the order
-// its events were scheduled: a new event (or a relay's second leg) is the
-// newest pending event and appends at the tail, and a cascade re-files one
+// its events were scheduled: a new event is the newest pending event and
+// appends at the tail, and a cascade re-files one
 // list front to back into lower levels, which are all empty at that moment.
 // Where an event lives is a function of its instant and base alone, so all
 // events of one instant share one list, and a level-0 slot, which is a

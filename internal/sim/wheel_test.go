@@ -129,13 +129,7 @@ func logFire(recv, _ any, arg uint64) { recv.(*side).add(int(arg)) }
 // to a slot's minimum: a zero-delay timer stopped at the tail of the list
 // being drained, zero-delay chains, current-instant schedules between
 // RunUntil probes inside and outside the origin's level-0 window, and
-// bursts that share a far-level slot with tied and distinct instants — and
-// relays (AtRelayE), which the reference side schedules as literally two
-// plain events.
-//
-// An op byte selects op%11, except the 14 values from 242 up (what 256
-// leaves after 22 whole cycles of 11), which select the relay op: every
-// corpus entry written before the relay existed keeps its meaning.
+// bursts that share a far-level slot with tied and distinct instants.
 func script(t *testing.T, data []byte) {
 	t.Helper()
 	eng, ref := New(), &refSched{}
@@ -164,13 +158,7 @@ func script(t *testing.T, data []byte) {
 	}
 
 	for pos < len(data) {
-		op := next()
-		if op >= 242 {
-			op = 11
-		} else {
-			op %= 11
-		}
-		switch op {
+		switch op := next() % 11; op {
 		case 0, 1: // schedule one event; delay spans every wheel level
 			lo := uint64(next()) | uint64(next())<<8
 			shift := uint(next()) % 48
@@ -315,14 +303,6 @@ func script(t *testing.T, data []byte) {
 				}
 				emit(d + time.Duration(off))
 			}
-		case 11: // relay: one wheel event against the two-event oracle; either leg may be zero
-			d1 := time.Duration(uint64(next()) << (uint(next()) % 20))
-			d2 := time.Duration(uint64(next()) << (uint(next()) % 20))
-			id := nextID
-			nextID++
-			t1 := eng.Now().Add(d1)
-			eng.AtRelayE(t1, t1.Add(d2), logFire, wheel, nil, uint64(id))
-			ref.after(d1, func() { ref.after(d2, func() { refs.add(id) }) })
 		}
 		if eng.Now() != ref.now {
 			t.Fatalf("clocks diverged: wheel=%v ref=%v", eng.Now(), ref.now)
@@ -376,7 +356,7 @@ func TestWheelVsHeapRandomized(t *testing.T) {
 // the reference heap disagree. The checked-in corpus covers each op plus
 // known-delicate shapes: delays past 2^42 ns, cancellation inside the
 // instant being drained, same-instant bursts straddling a cascade, the
-// slot lists' FIFO order, and relays around ties and RunUntil boundaries.
+// slot lists' FIFO order.
 func FuzzWheelVsHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0})
 	f.Add([]byte{2, 5, 0, 0, 1, 255, 255, 47, 4, 0, 5, 15})
@@ -406,103 +386,12 @@ func FuzzWheelVsHeap(f *testing.F) {
 	// tie at a far instant stepped in part and its head stopped.
 	f.Add([]byte{0, 1, 0, 30, 0, 2, 0, 29, 0, 5, 0, 28, 0, 1, 0, 30, 0, 3, 0, 28, 4, 1, 4, 0, 4, 3, 5, 2,
 		0, 1, 0, 32, 0, 1, 0, 32, 0, 9, 0, 31, 5, 1, 4, 6, 5, 15})
-	// Relays: both legs zero; a second leg landing on a same-instant burst;
-	// a first leg tied with plain events and a RunUntil that stops between
-	// the legs; a far first leg stepped through in part.
-	f.Add([]byte{242, 0, 0, 0, 0, 2, 3, 7, 242, 7, 0, 0, 0, 242, 0, 0, 7, 0, 242, 7, 0, 9, 4, 6, 10, 0, 5, 4, 250, 200, 13, 1, 0, 5, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip("cap script length")
 		}
 		script(t, data)
 	})
-}
-
-// TestRelayEqualsTwoEvents runs one schedule twice — relays as AtRelayE, and
-// as the two plain events the primitive is defined by — and requires the
-// same firings and the same Now/Executed/Pending/HighWater at every
-// checkpoint: both legs at one instant (the second queues behind what that
-// instant already holds), a second leg landing in the instant being
-// drained, first legs tied with plain events, and RunUntil stopping between
-// the legs.
-func TestRelayEqualsTwoEvents(t *testing.T) {
-	type counts struct {
-		now                Time
-		executed           uint64
-		pending, highWater int
-	}
-	run := func(relay func(e *Engine, s *side, t1, t2 Time, id uint64)) ([]firing, []counts) {
-		e := New()
-		s := &side{now: e.Now}
-		var marks []counts
-		mark := func() { marks = append(marks, counts{e.Now(), e.Executed(), e.Pending(), e.HighWater()}) }
-		relay(e, s, 0, 0, 1) // both legs now, before anything runs
-		e.AtE(0, logFire, s, nil, 2)
-		e.AtE(100, func(_, _ any, _ uint64) {
-			s.add(3)
-			e.AtE(100, logFire, s, nil, 4)
-			relay(e, s, 100, 100, 5) // second leg joins the instant being drained
-			e.AtE(100, logFire, s, nil, 6)
-			relay(e, s, 100, 300, 7)
-		}, nil, nil, 0)
-		relay(e, s, 100, 200, 8) // first leg tied with the event above
-		e.AtE(200, logFire, s, nil, 9)
-		relay(e, s, 150, 200, 10)
-		mark()
-		e.RunUntil(0)
-		mark()
-		e.RunUntil(120) // between the legs of 7 and 8, before 10's first
-		mark()
-		e.RunUntil(150) // 10's first leg has had its turn
-		mark()
-		e.Run()
-		mark()
-		return s.log, marks
-	}
-	got, gotMarks := run(func(e *Engine, s *side, t1, t2 Time, id uint64) {
-		e.AtRelayE(t1, t2, logFire, s, nil, id)
-	})
-	want, wantMarks := run(func(e *Engine, s *side, t1, t2 Time, id uint64) {
-		e.AtE(t1, func(_, _ any, _ uint64) { e.AtE(t2, logFire, s, nil, id) }, nil, nil, 0)
-	})
-	if !slices.Equal(got, want) {
-		t.Fatalf("firings\n got %v\nwant %v", got, want)
-	}
-	if !slices.Equal(gotMarks, wantMarks) {
-		t.Fatalf("now/executed/pending/highwater\n got %v\nwant %v", gotMarks, wantMarks)
-	}
-	// The oracle itself, pinned where it is easy to get wrong: a relay is
-	// pending across both legs, and each leg is one Executed().
-	if m := wantMarks[2]; m != (counts{120, 10, 4, 7}) {
-		t.Fatalf("between the legs: %+v", m)
-	}
-	ids := make([]int, len(want))
-	for i, f := range want {
-		ids[i] = f.id
-	}
-	if order := []int{2, 1, 3, 4, 6, 5, 9, 8, 10, 7}; !slices.Equal(ids, order) {
-		t.Fatalf("fired ids %v, want %v", ids, order)
-	}
-}
-
-// TestRelayBackwardsPanics: a relay may not start before now nor run its
-// second leg before its first, and a refused relay leaves nothing pending.
-func TestRelayBackwardsPanics(t *testing.T) {
-	for name, legs := range map[string][2]Time{"t1 < now": {9, 20}, "t2 < t1": {20, 19}} {
-		e := New()
-		e.RunUntil(10)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			e.AtRelayE(legs[0], legs[1], logFire, nil, nil, 0)
-		}()
-		if e.Pending() != 0 {
-			t.Errorf("%s left %d events pending", name, e.Pending())
-		}
-	}
 }
 
 // levelOf returns the wheel level of heads index i.

@@ -58,8 +58,9 @@ type Shinjuku struct {
 	cfg Config
 	pr  *probe.Probe
 
-	networker  *fabric.Stage[*task.Request]
-	shmNetDisp *fabric.Link
+	// net is the networker thread and the cache-line channel behind it,
+	// one FIFO pipe into the dispatcher.
+	net        *fabric.Link
 	dispatcher *core.Central
 }
 
@@ -89,12 +90,7 @@ func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request))
 		core.NewLogic(cfg.Workers, cfg.Outstanding, cfg.Policy),
 		"host-dispatcher", p.HostDispatchCost, p.HostCompletionCost, p.CacheLine)
 
-	s.shmNetDisp = fabric.NewLink(eng, "shm net→disp", fabric.LinkConfig{Latency: p.CacheLine})
-	s.networker = fabric.NewStage[*task.Request](eng, "host-networker", 0,
-		fabric.FixedCost[*task.Request](p.HostNetworkerCost),
-		func(r *task.Request) {
-			s.shmNetDisp.SendT(0, shmArrive, s, r, 0)
-		})
+	s.net = fabric.NewLink(eng, "host-networker", fabric.LinkConfig{Cost: p.HostNetworkerCost, Latency: p.CacheLine})
 	return s
 }
 
@@ -106,11 +102,11 @@ func (s *Shinjuku) Name() string { return "shinjuku" }
 //mindgap:noalloc
 func (s *Shinjuku) ingress(req *task.Request) {
 	s.pr.Ingress(s.eng.Now(), req.ID)
-	s.networker.Submit(req)
+	s.net.SendT(0, shmArrive, s, req, 0)
 }
 
-// shmArrive fires when a new request crosses the networker→dispatcher
-// cache-line channel.
+// shmArrive fires when a new request has crossed the networker thread and
+// the networker→dispatcher cache-line channel.
 //
 //mindgap:noalloc
 func shmArrive(recv, obj any, _ uint64) {
@@ -165,5 +161,4 @@ func (s *Shinjuku) DispatcherUtilization(now sim.Time) float64 {
 // ArmDispatcherTracker starts dispatcher utilization accounting.
 func (s *Shinjuku) ArmDispatcherTracker(now sim.Time) {
 	s.dispatcher.BusyTracker().Arm(now)
-	s.networker.BusyTracker().Arm(now)
 }
