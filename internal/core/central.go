@@ -9,7 +9,6 @@ import (
 	"mindgap/internal/fabric"
 	"mindgap/internal/probe"
 	"mindgap/internal/sim"
-	"mindgap/internal/stats"
 	"mindgap/internal/task"
 )
 
@@ -74,9 +73,6 @@ func (c *Central) Submit(req *task.Request) {
 
 // QueueLen exposes the central queue depth.
 func (c *Central) QueueLen() int { return c.lgc.QueueLen() }
-
-// BusyTracker accounts the dispatcher's busy time.
-func (c *Central) BusyTracker() *stats.BusyTracker { return c.stage.BusyTracker() }
 
 // handle runs on the dispatcher.
 //

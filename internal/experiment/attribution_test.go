@@ -116,9 +116,9 @@ func probeCases(t *testing.T) []probeCase {
 	shed := presetCase(t, "baselines", 0, 1_500_000)
 	shed.name, shed.drops = "drops/offload-admission-limit", []trace.DropReason{trace.DropShed}
 	shed.spec.Knobs.AdmissionLimit = 8
-	capped := presetCase(t, "baselines", 2, 1_500_000)
-	capped.name, capped.drops = "drops/rss-queue-cap", []trace.DropReason{trace.DropQueueCap}
-	capped.spec.Knobs.QueueCap = 4
+	capped := presetCase(t, "figure-flowrule", 1, 800_000)
+	capped.name, capped.drops = "drops/flowrule-slow-queue", []trace.DropReason{trace.DropQueueCap}
+	capped.spec.Knobs.SlowQueue = 4
 	crash := presetCase(t, "figure-faults-niccrash", 1, 300_000)
 	crash.name, crash.drops, crash.retries = "drops/figure-faults-niccrash", []trace.DropReason{trace.DropRingOverflow}, true
 	crash.measure = 5000 // past the 10–14 ms crash window

@@ -5,7 +5,6 @@ import (
 
 	"mindgap/internal/queue"
 	"mindgap/internal/sim"
-	"mindgap/internal/stats"
 )
 
 // MultiStage is the event-driven serial server: a processing element that
@@ -33,8 +32,7 @@ type MultiStage[T any] struct {
 	// cur is the item in service. A serial server holds exactly one, so the
 	// completion event needs no payload: it reads cur from the receiver,
 	// which keeps scheduling allocation-free.
-	cur       T
-	busyTrack stats.BusyTracker
+	cur T
 }
 
 // NewMultiStage creates a round-robin server with the given number of input
@@ -77,7 +75,6 @@ func (s *MultiStage[T]) Submit(class int, item T) bool {
 		s.busy = true
 		s.rr = class
 		s.inRun = 1
-		s.busyTrack.SetBusy(s.eng.Now(), true)
 		s.serve(item)
 		return true
 	}
@@ -113,7 +110,6 @@ func multiStageServed[T any](recv, _ any, _ uint64) {
 	s.busy = false
 	var zero T
 	s.cur = zero
-	s.busyTrack.SetBusy(s.eng.Now(), false)
 }
 
 // next picks the following item: continue the current class while its
@@ -154,6 +150,3 @@ func (s *MultiStage[T]) TotalQueued() int {
 
 // Busy reports whether an item is in service.
 func (s *MultiStage[T]) Busy() bool { return s.busy }
-
-// BusyTracker exposes the stage's utilization accounting.
-func (s *MultiStage[T]) BusyTracker() *stats.BusyTracker { return &s.busyTrack }

@@ -140,8 +140,8 @@ func TestValidateCriterionParams(t *testing.T) {
 func TestValidateDiffContract(t *testing.T) {
 	// An undeclared difference is a confounded comparison.
 	s := base()
-	s.A.Scenario.Knobs.QueueCap = 64
-	wantErr(t, s, "undeclared dimensions [queue_cap]")
+	s.A.Scenario.Keys = &scenario.KeysSpec{N: 64, Skew: 1.2}
+	wantErr(t, s, "undeclared dimensions [keys]")
 
 	// Declared varied but identical.
 	s = base()

@@ -11,7 +11,6 @@ import (
 	"mindgap/internal/probe"
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
-	"mindgap/internal/systems/erss"
 	"mindgap/internal/systems/flowrule"
 	"mindgap/internal/systems/rpcvalet"
 	"mindgap/internal/systems/rtc"
@@ -193,19 +192,16 @@ func ParsePolicy(s string) (core.Policy, error) {
 		s, core.LeastOutstanding, core.RoundRobin, core.InformedLeastLoaded)
 }
 
-// rtcBuilder makes a run-to-completion variant builder (RSS, ZygOS,
-// Flow Director differ only in steering and stealing).
-func rtcBuilder(name, doc string, cfg func(k Knobs) rtc.Config) Builder {
+// rtcBuilder makes a steered-pool builder (RSS, ZygOS, Flow Director and
+// eRSS differ only in steering and stealing).
+func rtcBuilder(name, doc string, cfg rtc.Config) Builder {
 	return Builder{
 		Name:  name,
 		Doc:   doc,
-		Knobs: []string{"workers", "queue_cap"},
+		Knobs: []string{"workers"},
 		Build: func(o Options, sp Spec) (Factory, error) {
-			k := sp.KnobsOrZero()
-			c := cfg(k)
-			c.P = params.Default()
-			c.Workers = k.Workers
-			c.QueueCap = k.QueueCap
+			c := cfg
+			c.P, c.Workers = params.Default(), sp.KnobsOrZero().Workers
 			return factory(o, c, rtc.New)
 		},
 	}
@@ -290,13 +286,13 @@ func init() {
 
 	Register(rtcBuilder("rss",
 		"IX-style RSS: hash steering, run to completion, no preemption (§2.1)",
-		func(Knobs) rtc.Config { return rtc.Config{} }))
+		rtc.Config{}))
 	Register(rtcBuilder("zygos",
 		"ZygOS: RSS steering plus work stealing from sibling queues (§2.1)",
-		func(Knobs) rtc.Config { return rtc.Config{WorkStealing: true} }))
+		rtc.Config{WorkStealing: true}))
 	Register(rtcBuilder("flowdir",
 		"MICA-style Flow Director: key-affinity steering, run to completion (§2.1)",
-		func(Knobs) rtc.Config { return rtc.Config{Steering: rtc.SteerKey} }))
+		rtc.Config{Steering: rtc.SteerKey}))
 
 	Register(Builder{
 		Name:  "rpcvalet",
@@ -309,15 +305,9 @@ func init() {
 		},
 	})
 
-	Register(Builder{
-		Name:  "erss",
-		Doc:   "Elastic RSS: load feedback resizes the core set, fixed policy (§5.1)",
-		Knobs: []string{"workers"},
-		Build: func(o Options, sp Spec) (Factory, error) {
-			cfg := erss.Config{P: params.Default(), Workers: sp.KnobsOrZero().Workers}
-			return factory(o, cfg, erss.New)
-		},
-	})
+	Register(rtcBuilder("erss",
+		"Elastic RSS: load feedback resizes the core set, fixed policy (§5.1)",
+		rtc.Config{Steering: rtc.SteerElastic}))
 
 	Register(Builder{
 		Name: "flowrule",

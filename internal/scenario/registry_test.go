@@ -24,9 +24,8 @@ func TestRegistryCompleteness(t *testing.T) {
 	inventory := map[string][]string{
 		"internal/core":             {"offload"},
 		"internal/systems/shinjuku": {"shinjuku"},
-		"internal/systems/rtc":      {"rss", "zygos", "flowdir"},
+		"internal/systems/rtc":      {"rss", "zygos", "flowdir", "erss"},
 		"internal/systems/rpcvalet": {"rpcvalet"},
-		"internal/systems/erss":     {"erss"},
 		"internal/systems/flowrule": {"flowrule"},
 	}
 	var want []string

@@ -294,7 +294,7 @@ func TestWithFlatTenants(t *testing.T) {
 // TestKnobNames checks the reflected knob list against the schema: every
 // field is tagged, and a knob is set exactly when the encoding carries it.
 func TestKnobNames(t *testing.T) {
-	k := Knobs{Workers: 4, QueueCap: 3, CXL: true, Slice: Duration(time.Microsecond)}
+	k := Knobs{Workers: 4, Sockets: 3, CXL: true, Slice: Duration(time.Microsecond)}
 	all, set := k.Names()
 	if len(all) != reflect.TypeOf(k).NumField() {
 		t.Fatalf("all = %d names for %d fields", len(all), reflect.TypeOf(k).NumField())
@@ -304,7 +304,7 @@ func TestKnobNames(t *testing.T) {
 			t.Fatalf("knob without a JSON name in %v", all)
 		}
 	}
-	if want := []string{"workers", "slice", "queue_cap", "cxl"}; !reflect.DeepEqual(set, want) {
+	if want := []string{"workers", "slice", "sockets", "cxl"}; !reflect.DeepEqual(set, want) {
 		t.Errorf("set = %v, want %v (declaration order)", set, want)
 	}
 	b, err := json.Marshal(k)

@@ -21,21 +21,26 @@ func run(t *testing.T, cfg Config, rps float64, svc dist.Distribution, keys *dis
 	}, loadgen.Config{RPS: rps, Service: svc, Keys: keys, Seed: 11}, measure)
 }
 
+func elastic(workers int) Config {
+	return Config{P: params.Default(), Workers: workers, Steering: SteerElastic}
+}
+
 func TestNames(t *testing.T) {
 	eng := sim.New()
 	done := func(*task.Request) {}
 	p := params.Default()
-	if got := New(eng, Config{P: p, Workers: 1}, nil, done).Name(); got != "rss" {
-		t.Fatalf("Name = %q", got)
-	}
-	if got := New(eng, Config{P: p, Workers: 1, WorkStealing: true}, nil, done).Name(); got != "zygos" {
-		t.Fatalf("Name = %q", got)
-	}
-	if got := New(eng, Config{P: p, Workers: 1, Steering: SteerKey}, nil, done).Name(); got != "flow-director" {
-		t.Fatalf("Name = %q", got)
-	}
-	if got := New(eng, Config{P: p, Workers: 1, NameOverride: "ix"}, nil, done).Name(); got != "ix" {
-		t.Fatalf("Name = %q", got)
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{P: p, Workers: 1}, "rss"},
+		{Config{P: p, Workers: 1, WorkStealing: true}, "zygos"},
+		{Config{P: p, Workers: 1, Steering: SteerKey}, "flow-director"},
+		{elastic(1), "erss"},
+	} {
+		if got := New(eng, c.cfg, nil, done).Name(); got != c.want {
+			t.Fatalf("Name = %q, want %q", got, c.want)
+		}
 	}
 }
 
@@ -115,25 +120,6 @@ func TestWorkStealingRepairsImbalance(t *testing.T) {
 	}
 }
 
-func TestBoundedQueuesDrop(t *testing.T) {
-	eng := sim.New()
-	rec := &stats.Recorder{}
-	rec.Arm(0)
-	sys := New(eng, Config{P: params.Default(), Workers: 1, QueueCap: 2}, &probe.Probe{Rec: rec}, func(*task.Request) {})
-	// Burst of simultaneous arrivals at one instant: queue cap 2 forces
-	// drops once the backlog exceeds it.
-	for i := uint64(0); i < 10; i++ {
-		sys.Inject(task.New(i, 0, 100*time.Microsecond))
-	}
-	eng.Run()
-	if rec.Dropped() == 0 {
-		t.Fatal("no drops despite bounded queue and burst")
-	}
-	if got := sys.Completions() + uint64(rec.Dropped()); got != 10 {
-		t.Fatalf("completions+drops = %d, want 10", got)
-	}
-}
-
 func TestHeadOfLineBlockingWithoutPreemption(t *testing.T) {
 	// The §2.2 item-2 pathology: a single worker, one long request, then
 	// short ones — they must all wait (contrast with the Offload test).
@@ -172,13 +158,78 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestQueueLensSnapshot(t *testing.T) {
-	eng := sim.New()
-	sys := New(eng, Config{P: params.Default(), Workers: 3}, nil, func(*task.Request) {})
-	if got := sys.QueueLens(); len(got) != 3 {
-		t.Fatalf("QueueLens = %v", got)
+func TestElasticScalesUpUnderLoad(t *testing.T) {
+	// Start at 1 provisioned core; a load needing ~3 cores must grow the
+	// set.
+	_, sys, _ := run(t, elastic(8), 600_000, dist.Fixed{D: 5 * time.Microsecond}, nil, 10000)
+	if sys.provisioned < 3 {
+		t.Fatalf("provisioned = %d, want ≥ 3 under 600k×5µs load", sys.provisioned)
 	}
-	if sys.String() == "" {
-		t.Fatal("empty String()")
+}
+
+func TestElasticScalesDownWhenIdle(t *testing.T) {
+	eng := sim.New()
+	sys := New(eng, elastic(8), nil, func(*task.Request) {})
+	// Force a large provisioned set, then run with no load.
+	sys.provisioned = 8
+	eng.RunUntil(sim.Time(int64(2 * time.Millisecond)))
+	if sys.provisioned != 1 {
+		t.Fatalf("provisioned = %d after idle period, want 1", sys.provisioned)
+	}
+}
+
+func TestElasticKeepsFewCoresBusyAtLowLoad(t *testing.T) {
+	// The eRSS pitch: at low load, most cores stay unprovisioned (idle
+	// and reusable). Mean idle fraction across all 8 cores must stay very
+	// high for a load one core can handle.
+	_, sys, eng := run(t, elastic(8), 50_000, dist.Fixed{D: 5 * time.Microsecond}, nil, 4000)
+	if idle := sys.WorkerIdleFraction(eng.Now()); idle < 0.85 {
+		t.Fatalf("idle fraction %v, want ≥ 0.85 (cores should be deprovisioned)", idle)
+	}
+	if sys.provisioned > 3 {
+		t.Fatalf("provisioned = %d at trivial load", sys.provisioned)
+	}
+}
+
+func TestElasticCompletesEverythingWhileResizing(t *testing.T) {
+	// Requests hashed to a core that later gets deprovisioned must still
+	// complete (the core drains its queue); run fails on any drop.
+	_, sys, _ := run(t, elastic(6), 400_000, dist.Exponential{M: 5 * time.Microsecond}, nil, 12000)
+	if sys.Completions() < 12000 {
+		t.Fatalf("completions = %d", sys.Completions())
+	}
+}
+
+func TestElasticNoPreemptionHeadOfLineBlocking(t *testing.T) {
+	// eRSS fixes provisioning, not blocking: a long request still blocks
+	// shorts on its core.
+	rec, _, _ := run(t, elastic(4), 300_000,
+		dist.Bimodal{P1: 0.99, D1: 2 * time.Microsecond, D2: 300 * time.Microsecond}, nil, 8000)
+	if rec.Preemptions() != 0 {
+		t.Fatal("erss must never preempt")
+	}
+	if rec.Latency.P99() < 100*time.Microsecond {
+		t.Fatalf("p99 = %v; expected head-of-line blocking to push it high", rec.Latency.P99())
+	}
+}
+
+func TestElasticValidationAndDefaults(t *testing.T) {
+	eng := sim.New()
+	for _, f := range []func(){
+		func() { New(eng, Config{P: params.Default(), Steering: SteerElastic}, nil, func(*task.Request) {}) },
+		func() { New(eng, elastic(1), nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("invalid config did not panic")
+				}
+			}()
+			f()
+		}()
+	}
+	sys := New(eng, elastic(2), nil, func(*task.Request) {})
+	if sys.provisioned != minWorkers {
+		t.Fatalf("starts with %d cores provisioned, want %d", sys.provisioned, minWorkers)
 	}
 }

@@ -152,13 +152,3 @@ func (s *Shinjuku) socket(id int) int {
 
 // QueueLen exposes the central queue depth.
 func (s *Shinjuku) QueueLen() int { return s.dispatcher.QueueLen() }
-
-// DispatcherUtilization returns the dispatcher core's busy fraction.
-func (s *Shinjuku) DispatcherUtilization(now sim.Time) float64 {
-	return s.dispatcher.BusyTracker().BusyFraction(now)
-}
-
-// ArmDispatcherTracker starts dispatcher utilization accounting.
-func (s *Shinjuku) ArmDispatcherTracker(now sim.Time) {
-	s.dispatcher.BusyTracker().Arm(now)
-}

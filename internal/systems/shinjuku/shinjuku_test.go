@@ -1,6 +1,7 @@
 package shinjuku
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -17,9 +18,7 @@ import (
 func run(t *testing.T, cfg Config, rps float64, svc dist.Distribution, measure int) (*stats.Recorder, *Shinjuku, *sim.Engine) {
 	t.Helper()
 	return systest.Run(t, func(eng *sim.Engine, pr *probe.Probe, done func(*task.Request)) *Shinjuku {
-		sys := New(eng, cfg, pr, done)
-		sys.ArmDispatcherTracker(0)
-		return sys
+		return New(eng, cfg, pr, done)
 	}, loadgen.Config{RPS: rps, Service: svc, Seed: 5}, measure)
 }
 
@@ -92,19 +91,15 @@ func TestPreemptionBoundsShortRequestTail(t *testing.T) {
 }
 
 func TestDispatcherCapBounds(t *testing.T) {
-	// Saturating 1µs load on 15 workers: the dispatcher (≈3.5M/s with
-	// completion processing) must be the binding constraint, far below
-	// the 15M/s worker capacity.
-	rec, sys, eng := run(t, cfg(15, 0), 6_000_000, dist.Fixed{D: time.Microsecond}, 10000)
-	got := rec.Throughput(eng.Now())
-	if got > 4_500_000 {
-		t.Fatalf("throughput %.0f exceeds plausible dispatcher cap", got)
-	}
-	if got < 2_500_000 {
-		t.Fatalf("throughput %.0f far below dispatcher cap", got)
-	}
-	if util := sys.DispatcherUtilization(eng.Now()); util < 0.9 {
-		t.Fatalf("dispatcher utilization %.2f at saturating load, want >= 0.9", util)
+	// Saturating 1µs load on 15 workers: the dispatcher, which pays a
+	// dispatch and a completion per request, must be the binding
+	// constraint, far below the 15M/s worker capacity — throughput sits at
+	// its closed-form cap.
+	rec, _, eng := run(t, cfg(15, 0), 6_000_000, dist.Fixed{D: time.Microsecond}, 10000)
+	p := params.Default()
+	want := float64(time.Second) / float64(p.HostDispatchCost+p.HostCompletionCost)
+	if got := rec.Throughput(eng.Now()); math.Abs(got-want) > 0.02*want {
+		t.Fatalf("throughput %.0f, want the dispatcher cap %.0f ± 2%%", got, want)
 	}
 }
 
@@ -144,10 +139,6 @@ func TestNameAndAccessors(t *testing.T) {
 	}
 	if sys.QueueLen() != 0 {
 		t.Fatalf("QueueLen = %d", sys.QueueLen())
-	}
-	sys.ArmDispatcherTracker(0)
-	if sys.DispatcherUtilization(0) != 0 {
-		t.Fatal("fresh dispatcher utilization nonzero")
 	}
 }
 

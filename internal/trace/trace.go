@@ -65,7 +65,7 @@ const (
 	DropUnspecified DropReason = iota
 	// DropShed: NIC-side admission control rejected the arrival (policy).
 	DropShed
-	// DropQueueCap: a bounded per-core queue was full (policy).
+	// DropQueueCap: flowrule's slow-path queue was full (policy).
 	DropQueueCap
 	// DropTimeout: the dispatch timeout machinery exhausted its retry
 	// budget — the request was lost to an injected fault and abandoned.
