@@ -167,3 +167,21 @@ func TestTimeoutPrintsPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestFigureRegistryComplete: every -fig entry names a preset that loads,
+// and the paper's eight figures are all registered.
+func TestFigureRegistryComplete(t *testing.T) {
+	sources := map[string]bool{}
+	for _, f := range experiment.FigureIDs {
+		sources[f.Source] = true
+		if _, err := scenarios.Load(f.Source); err != nil {
+			t.Errorf("-fig %s: %v", f.ID, err)
+		}
+	}
+	for _, want := range []string{"figure2", "figure3", "figure4", "figure5", "figure6",
+		"figure-faults-niccrash", "figure-faults-lossyfabric", "figure-flowrule"} {
+		if !sources[want] {
+			t.Errorf("paper figure %q missing from experiment.FigureIDs", want)
+		}
+	}
+}

@@ -1,0 +1,188 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+
+	"mindgap/internal/attr"
+	"mindgap/internal/experiment"
+	"mindgap/internal/scenario"
+	"mindgap/internal/sim"
+	"mindgap/internal/stats"
+	"mindgap/internal/task"
+	"mindgap/internal/trace"
+	"mindgap/scenarios"
+)
+
+// runSim runs the command on args and returns its stdout and stderr,
+// failing the test unless it exits with code want.
+func runSim(t *testing.T, want int, args ...string) (string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(append([]string{"mindgap-sim"}, args...), &stdout, &stderr); code != want {
+		t.Fatalf("%v: exit %d, want %d; stderr %q", args, code, want, stderr.String())
+	}
+	return stdout.String(), stderr.String()
+}
+
+// TestPointGolden pins flag-mode stdout byte for byte. The goldens were
+// captured from the command before -set replaced its per-knob flags
+// (-workers 3, -cxl), with the wall time stripped; the -set spellings must
+// reproduce them.
+func TestPointGolden(t *testing.T) {
+	small := []string{"-warmup", "200", "-measure", "2000"}
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"offload", nil},
+		{"shinjuku", []string{"-system", "shinjuku", "-set", "workers=3", "-rps", "300000"}},
+		{"rss", []string{"-system", "rss"}},
+		{"cxl", []string{"-set", "cxl=true"}},
+		{"flowdir-zipf", []string{"-system", "flowdir", "-zipf-keys", "1000", "-zipf-skew", "1.1"}},
+		{"replicates", []string{"-replicates", "3", "-j", "2"}},
+	} {
+		want, err := os.ReadFile("testdata/point-" + c.name + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stderr := runSim(t, 0, append(c.args, small...)...)
+		if got != string(want) {
+			t.Errorf("%s: stdout drifted from testdata/point-%s.golden:\n%s", c.name, c.name, got)
+		}
+		if !strings.HasPrefix(stderr, "walltime=") {
+			t.Errorf("%s: stderr lacks the wall time: %q", c.name, stderr)
+		}
+	}
+}
+
+// TestOverridesApplyToFirstSeries: with an override, -scenario measures
+// its first series as one point (the preset's workload and rate, the
+// overriding system and knobs) instead of rendering the preset.
+func TestOverridesApplyToFirstSeries(t *testing.T) {
+	got, _ := runSim(t, 0, "-scenario", "trace-default", "-system", "rss", "-set", "workers=3", "-warmup", "100", "-measure", "500")
+	if want := "system=rss workload=bimodal:0.8:3µs:40µs offered=200000 rps\n"; !strings.HasPrefix(got, want) {
+		t.Errorf("got %q, want a point starting %q", got, want)
+	}
+}
+
+// TestUsageErrors: flags that do not apply, a seed list over a spec that
+// pins its seed, and unknown names or values exit 2 with the reason on
+// stderr and nothing on stdout.
+func TestUsageErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-csv"}, "-csv does not apply in point mode"},
+		{[]string{"-scenario", "trace-default", "-set", "workers=3", "-csv"}, "-csv does not apply in point mode"},
+		{[]string{"-trace", "text", "-csv"}, "-csv does not apply in trace mode"},
+		{[]string{"-trace", "text", "-replicates", "2"}, "-replicates does not apply in trace mode"},
+		{[]string{"-n", "3"}, "-n does not apply in point mode"},
+		{[]string{"-trace", "xml"}, `unknown -trace "xml"`},
+		{[]string{"-trace", "text", "-show", "bogus"}, `unknown -show "bogus"`},
+		{[]string{"-scenario", "trace-default", "-replicates", "2"}, "scenario trace-default pins seed 7"},
+		{[]string{"-set", "bogus=1"}, `unknown knob "bogus" (want name=value, name one of workers, outstanding,`},
+		{[]string{"-set", "workers=many"}, "knobs.workers of type int"},
+		{[]string{"-system", "rss", "-set", "slice=10µs"}, `system "rss" does not accept knob(s) slice`},
+	} {
+		stdout, stderr := runSim(t, 2, c.args...)
+		if stdout != "" || !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: stdout %q, stderr %q; want stderr naming %q", c.args, stdout, stderr, c.want)
+		}
+	}
+}
+
+// TestTraceDefaultGolden pins the trace-default preset's text trace with
+// -attr (lifecycle listing, phase waterfall, decision audit, slowest-K)
+// byte for byte: it was captured before the lifecycle probe replaced the
+// separate tracer and collector hooks, and both consumers must keep
+// seeing the stream they saw then.
+func TestTraceDefaultGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/trace-default-attr.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := runSim(t, 0, "-trace", "text", "-attr", "-scenario", "trace-default"); got != string(want) {
+		t.Errorf("-trace text -attr drifted from testdata/trace-default-attr.golden:\n%s", got)
+	}
+}
+
+// TestEverySystemTraces drives the CLI over baselines whose models once
+// refused a tracer or a collector: each must print lifecycles and export
+// well-formed Chrome JSON with the attribution tracks appended.
+func TestEverySystemTraces(t *testing.T) {
+	for _, preset := range []string{"table-ipc", "figure6-cxl"} {
+		text, _ := runSim(t, 0, "-trace", "text", "-scenario", preset, "-rps", "100000", "-attr")
+		if !strings.Contains(text, "respond req=") || !strings.Contains(text, "latency attribution (500 completed requests)") {
+			t.Errorf("%s: text output lacks lifecycles or the waterfall:\n%s", preset, text)
+		}
+		chrome, _ := runSim(t, 0, "-trace", "chrome", "-scenario", preset, "-rps", "100000", "-attr")
+		var doc struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal([]byte(chrome), &doc); err != nil || len(doc.TraceEvents) == 0 {
+			t.Errorf("%s: chrome export is not a populated trace (err %v)", preset, err)
+		}
+	}
+}
+
+// TestTracedPointIsThePointTheFiguresMeasure traces a flow population, a
+// tenant mix and a keyed series through the CLI, then measures each spec
+// twice through the CLI's own compile step — bare, and with the tracer
+// and collector attached: the traced run must be causally valid and agree
+// with the untraced one on every Result field and on Engine.Executed().
+// The drive loop is experiment's, so the flow generator, one stream per
+// tenant and the zipf keys are the ones the figures use; attaching
+// observers moves nothing.
+func TestTracedPointIsThePointTheFiguresMeasure(t *testing.T) {
+	for _, c := range []struct {
+		preset string
+		rps    float64 // a grid preset needs the one rate -rps gives it
+	}{
+		{preset: "figure-flowrule"},
+		{preset: "table-tenants"},
+		{preset: "baselines", rps: 400_000},
+	} {
+		args := []string{"-trace", "text", "-scenario", c.preset, "-attr"}
+		sp := scenarios.MustLoad(c.preset).SpecFor(0)
+		if c.rps > 0 {
+			args = append(args, "-rps", strconv.FormatFloat(c.rps, 'f', -1, 64))
+			sp.Load = &scenario.LoadSpec{RPS: c.rps}
+		}
+		if out, _ := runSim(t, 0, args...); !strings.Contains(out, "respond req=") || !strings.Contains(out, "latency attribution (") {
+			t.Errorf("%v: output lacks lifecycles or the waterfall:\n%s", args, out)
+		}
+
+		measure := func(o scenario.Options) (experiment.Result, uint64) {
+			cfg, err := tracedPoint(sp, o)
+			if err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			build := cfg.Factory
+			var eng *sim.Engine
+			cfg.Factory = func(e *sim.Engine, rec *stats.Recorder, done func(*task.Request)) scenario.System {
+				eng = e
+				return build(e, rec, done)
+			}
+			return experiment.RunPoint(cfg), eng.Executed()
+		}
+		bare, bareEvents := measure(scenario.Options{})
+		buf := trace.New(0)
+		traced, events := measure(scenario.Options{Tracer: buf, Attr: attr.New(attr.Config{})})
+		if err := buf.ValidateAll(); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+		if traced != bare || events != bareEvents {
+			t.Errorf("%v: attaching observers changed the run\nwith:    %+v (%d events)\nwithout: %+v (%d events)",
+				args, traced, events, bare, bareEvents)
+		}
+		if bare.Completed != 500 || bare.P50 <= 0 || bare.P99 < bare.P50 {
+			t.Errorf("%v: implausible point %+v", args, bare)
+		}
+	}
+}

@@ -30,6 +30,8 @@
 package attr
 
 import (
+	"fmt"
+	"io"
 	"time"
 
 	"mindgap/internal/sim"
@@ -451,4 +453,35 @@ func (c *Collector) PhaseStats() []PhaseStat {
 		out[p] = ps
 	}
 	return out
+}
+
+// WriteText prints the phase waterfall, the decision-audit summary and
+// the slowest-K requests: the text twin of ChromeEvents.
+func (c *Collector) WriteText(w io.Writer) {
+	fmt.Fprintf(w, "\nlatency attribution (%d completed requests):\n", c.Completed())
+	fmt.Fprintf(w, "  %-12s %12s %12s %12s %10s %10s\n",
+		"phase", "mean", "p50", "p99", "mean-share", "tail-share")
+	for _, ps := range c.PhaseStats() {
+		if ps.Mean == 0 && ps.P99 == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "  %-12s %12v %12v %12v %9.1f%% %9.1f%%\n",
+			ps.Phase, ps.Mean, ps.P50, ps.P99, ps.MeanShare*100, ps.TailShare*100)
+	}
+	a := c.AuditSummary()
+	fmt.Fprintf(w, "decision audit: decisions=%d informed=%d mis-dispatch=%.1f%% staleness(mean/p99)=%v/%v excess(mean/p99)=%v/%v\n",
+		a.Decisions, a.Informed, a.MisRate*100,
+		a.MeanStaleness, a.P99Staleness, a.MeanExcess, a.P99Excess)
+	if tail := c.Tail(); len(tail) > 0 {
+		fmt.Fprintf(w, "slowest %d requests:\n", len(tail))
+		for _, t := range tail {
+			fmt.Fprintf(w, "  req %-6d total=%-10v", t.ReqID, t.Total)
+			for p := Phase(0); p < PhaseCount; p++ {
+				if d := t.Phases[p]; d > 0 {
+					fmt.Fprintf(w, " %s=%v", p, d)
+				}
+			}
+			fmt.Fprintln(w)
+		}
+	}
 }

@@ -34,8 +34,7 @@ var Qualities = map[string]Quality{"quick": Quick, "full": Full}
 // JSON files — and every one of them is measured by Run. The two
 // registries below are the only place a command-line id is tied to a
 // preset and to what prints it: mindgap-bench's -fig/-table flags, their
-// help text, -list and the all-entries run order, and the mindgap
-// library's Figures(), all derive from them.
+// help text, -list and the all-entries run order all derive from them.
 
 // Format selects how a figure prints: text blocks, CSV rows or an ASCII
 // chart. Tables print the same text in every format.

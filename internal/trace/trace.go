@@ -9,6 +9,8 @@ package trace
 
 import (
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -196,6 +198,34 @@ func (b *Buffer) Format(reqID uint64) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// WriteText prints the first n lifecycles that completed (with
+// preemptedOnly, only those preempted at least once), one indented line
+// per event, then a summary line: the text twin of WriteJSON.
+func WriteText(w io.Writer, b *Buffer, n int, preemptedOnly bool) {
+	printed := 0
+	for _, id := range b.Requests() {
+		if printed >= n {
+			break
+		}
+		lc := b.Lifecycle(id)
+		if len(lc) == 0 || lc[len(lc)-1].Kind != Respond {
+			continue // still in flight at halt
+		}
+		if preemptedOnly && !slices.ContainsFunc(lc, func(e Event) bool { return e.Kind == Preempt }) {
+			continue
+		}
+		fmt.Fprintf(w, "request %d (%d events, latency %v):\n", id, len(lc), lc[len(lc)-1].At.Sub(lc[0].At))
+		for _, e := range lc {
+			fmt.Fprintf(w, "  %v\n", e)
+		}
+		printed++
+	}
+	if printed == 0 {
+		fmt.Fprintln(w, "no matching lifecycles; try -show any or a longer run")
+	}
+	fmt.Fprintf(w, "traced %d events across %d requests (%d truncated)\n", b.Len(), len(b.Requests()), b.Truncated())
 }
 
 // Validate checks the causal well-formedness of one request's lifecycle.

@@ -1,8 +1,8 @@
 // Package scenarios holds the checked-in scenario presets: every figure,
-// table, and CLI default of the paper reproduction as declarative JSON
+// table, and traced example of the paper reproduction as declarative JSON
 // (see internal/scenario). The files are embedded so the experiment
-// harness, mindgap-sim, and mindgap-trace resolve preset names without
-// caring where the binary runs.
+// harness and mindgap-sim resolve preset names without caring where the
+// binary runs.
 //
 // Files are canonical: for every preset,
 // scenario.DecodePreset(file).Encode() reproduces the file byte for
