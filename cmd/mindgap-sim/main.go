@@ -242,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if len(rep.Runs) > 0 {
 			fmt.Fprintf(stdout, "system=%s workload=%v offered=%.0f rps replicates=%d seeds=%v\n",
-				rep.Runs[0].SystemName, cfg.Service, cfg.OfferedRPS, len(rep.Runs), seeds[:len(rep.Runs)])
+				rep.Runs[0].SystemName, workloadOf(cfg), cfg.OfferedRPS, len(rep.Runs), seeds[:len(rep.Runs)])
 			fmt.Fprintf(stdout, "p99 = %v ± %v   achieved = %.0f ± %.0f rps   saturated=%t\n",
 				rep.MeanP99, rep.P99StdDev, rep.MeanAchieved, rep.AchievedStdDev, rep.AnySaturated)
 			fmt.Fprintf(stdout, "relative p99 spread = %.2f%% (std dev / mean across seeds)\n", rep.RelativeP99Spread()*100)
@@ -252,7 +252,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		r := experiment.RunPoint(cfg)
-		fmt.Fprintf(stdout, "system=%s workload=%v offered=%.0f rps\n%s\n", r.SystemName, cfg.Service, cfg.OfferedRPS, r.Point)
+		fmt.Fprintf(stdout, "system=%s workload=%v offered=%.0f rps\n%s\n", r.SystemName, workloadOf(cfg), cfg.OfferedRPS, r.Point)
 		fmt.Fprintf(stdout, "mean=%v max=%v preemptions=%d drops=%d simtime=%v\n",
 			r.Mean, r.Max, r.Preemptions, r.Dropped, r.SimTime.Round(time.Millisecond))
 	}
@@ -290,6 +290,19 @@ func knobsWith(sp scenario.Spec, drop bool, sets []string) (scenario.Knobs, erro
 	b, _ = json.Marshal(map[string]any{"knobs": m})
 	dec, err := scenario.Decode(b)
 	return dec.KnobsOrZero(), err
+}
+
+// workloadOf names what drives the point: its service distribution, or
+// each tenant's, comma-separated, for a tenant mix.
+func workloadOf(cfg experiment.PointConfig) string {
+	if len(cfg.Tenants) == 0 {
+		return fmt.Sprint(cfg.Service)
+	}
+	ws := make([]string, len(cfg.Tenants))
+	for i, t := range cfg.Tenants {
+		ws[i] = fmt.Sprint(t.Service)
+	}
+	return strings.Join(ws, ",")
 }
 
 // pointFor compiles sp into one measured point: the spec's own

@@ -70,6 +70,20 @@ func TestOverridesApplyToFirstSeries(t *testing.T) {
 	}
 }
 
+// TestTenantMixNamesItsWorkloads: a tenant-mix spec has no single service
+// distribution, so a point's header — measured and replicated alike —
+// names each tenant's.
+func TestTenantMixNamesItsWorkloads(t *testing.T) {
+	small := []string{"-scenario", "table-tenants", "-set", "workers=4", "-warmup", "100", "-measure", "500"}
+	want := "system=shinjuku-offload workload=fixed:2µs,uniform:100µs:400µs offered=308000 rps"
+	for _, extra := range [][]string{nil, {"-replicates", "2"}} {
+		got, _ := runSim(t, 0, append(small, extra...)...)
+		if !strings.HasPrefix(got, want) {
+			t.Errorf("%v: got %q, want a point starting %q", extra, got, want)
+		}
+	}
+}
+
 // TestUsageErrors: flags that do not apply, a seed list over a spec that
 // pins its seed, and unknown names or values exit 2 with the reason on
 // stderr and nothing on stdout.

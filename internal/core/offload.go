@@ -44,9 +44,11 @@ type OffloadConfig struct {
 	CXL              bool
 	LineRate         bool
 	DirectInterrupts bool
-	// LoadFeedback enables periodic host→NIC load reports that upgrade the
-	// selection policy to InformedLeastLoaded data (only meaningful when
-	// Policy == InformedLeastLoaded).
+	// LoadFeedback enables host→NIC load reports that upgrade the selection
+	// policy to InformedLeastLoaded data (only meaningful when Policy ==
+	// InformedLeastLoaded): every FINISH and PREEMPTED carries the worker's
+	// backlog, and a start sends its own report only when the backlog
+	// differs from the last one the worker sent.
 	LoadFeedback bool
 	// DispatchBurst is the queue-manager core's DPDK-style burst size: how
 	// many events it drains from one input ring before polling the other
@@ -100,8 +102,10 @@ type qEvent struct {
 	// by the time a FINISH crosses the NIC the response may have recycled
 	// req into another request, so Recovery is keyed by this snapshot. (req
 	// stays the attempt token: pointers are stable across recycling.)
-	id   uint64
-	load int64 // evLoad only: reported instantaneous load (ns)
+	id uint64
+	// load is the worker's backlog (ns) when the frame was built: evLoad's
+	// report, and the one FINISH and PREEMPTED carry along.
+	load int64
 }
 
 // degradedReq wraps a request hash-steered directly to a worker VF while
@@ -201,6 +205,9 @@ type offWorker struct {
 	sys *Offload
 	*cores.Worker
 	vf *nicmodel.Function
+	// sent is the backlog the last notification carried (-1 before the
+	// first): a start reports only a backlog the NIC has not been sent.
+	sent int64
 	// curDegraded marks the request last picked up as hash-steered while
 	// the NIC was down: run to completion, no FINISH notification.
 	curDegraded bool
@@ -266,9 +273,6 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		Slice: cfg.Slice, SelfArm: !cfg.DirectInterrupts,
 	}, pr, s.ingress, done)
 	s.Started, s.Finished, s.Preempted, s.Account = s.started, s.finished, s.preempted, s.account
-	if cfg.LoadFeedback {
-		s.Completed = s.reportLoad
-	}
 
 	s.netq = fabric.NewLink(eng, "arm-networker", fabric.LinkConfig{Cost: p.ArmNetworkerCost, Latency: p.ArmShm})
 	s.tx = fabric.NewLink(eng, "arm-tx", fabric.LinkConfig{Cost: p.ArmTxCost})
@@ -299,19 +303,9 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 	}
 	s.nic = nicmodel.New(eng, nicCfg)
 	s.armFn = s.nic.AddFunction("arm", nicmodel.MACForIndex(0), 0)
-	s.armFn.OnRx(func() {
-		// The RX ARM core drains the ring as frames land and queues them
-		// in its own pipe.
-		if f, ok := s.armFn.Poll(); ok {
-			s.rxq.SendT(0, shmNotif, s, f.Payload, 0)
-		}
-	})
-	s.armFn.OnDrop(func(f nicmodel.Frame) {
-		// A notification lost to ARM ring overflow: reclaim its box.
-		if qe, ok := f.Payload.(*qEvent); ok {
-			s.qevPut(qe)
-		}
-	})
+	// The RX ARM core drains the ring as frames land and queues them in its
+	// own pipe.
+	s.armFn.DrainTo(s.rxq, shmNotif, s)
 
 	if s.flt != nil {
 		// Every ARM-complex stage shares the NIC crash/slowdown timeline
@@ -324,7 +318,7 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		s.rxq.SetStretch(st)
 	}
 	for i, kw := range s.Host.Workers {
-		w := &offWorker{sys: s, Worker: kw}
+		w := &offWorker{sys: s, Worker: kw, sent: -1}
 		if s.flt != nil {
 			w.SetStretch(s.flt.WorkerStretch(i))
 		}
@@ -517,18 +511,20 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 		s.pr.Enqueue(now, ev.id)
 		as = s.lgc.EnqueueTo(as, now, ev.req)
 	case evFinish:
+		s.loadArrived(now, ev)
 		if s.rec != nil && !s.acked(s.rec.Finish(ev.id, ev.req, ev.worker)) {
 			return
 		}
 		as = s.lgc.CompleteTo(as, ev.worker)
 	case evPreempted:
+		s.loadArrived(now, ev)
 		if s.rec != nil && !s.acked(s.rec.Preempted(ev.id, ev.req, ev.worker)) {
 			return
 		}
 		s.pr.Enqueue(now, ev.id)
 		as = s.lgc.PreemptedTo(as, now, ev.worker, ev.req)
 	case evLoad:
-		s.lgc.ReportLoadAt(now, ev.worker, ev.load)
+		s.loadArrived(now, ev)
 	case evTimeout:
 		as = s.expired(as, now, ev)
 	}
@@ -550,6 +546,17 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 		})
 	}
 	s.asScratch = as[:0]
+}
+
+// loadArrived applies the backlog a worker notification carries; a FINISH
+// or PREEMPTED applies it whatever Recovery makes of the notification, as
+// the load is news either way.
+//
+//mindgap:noalloc
+func (s *Offload) loadArrived(now sim.Time, ev qEvent) {
+	if s.cfg.LoadFeedback {
+		s.lgc.ReportLoadAt(now, ev.worker, ev.load)
+	}
 }
 
 // acked applies Recovery's verdict on a FINISH or PREEMPTED: a stale one's
@@ -634,8 +641,11 @@ func (w *offWorker) pop() (req *task.Request, rtc, ok bool) {
 //
 //mindgap:noalloc
 func (s *Offload) started(kw *cores.Worker, req *task.Request) {
-	if s.cfg.LoadFeedback {
-		s.reportLoad(kw, req)
+	// A start moves work from the inbox onto the core, so the backlog is
+	// news only if requests landed since the last notification: a start
+	// from idle, not one straight out of a FINISH.
+	if w := s.workers[kw.ID]; s.cfg.LoadFeedback && kw.Backlog() != w.sent {
+		w.notifyDispatcher(evLoad, nil, 0)
 	}
 	if s.cfg.DirectInterrupts && s.cfg.Slice > 0 && req.Remaining > s.cfg.Slice {
 		// The §5.1(3) ablation: the NIC tracks the slice and posts an
@@ -683,9 +693,6 @@ func (s *Offload) finished(kw *cores.Worker, req *task.Request) {
 func (s *Offload) preempted(kw *cores.Worker, req *task.Request) {
 	w := s.workers[kw.ID]
 	w.After(s.cfg.P.WorkerNotifyCost, workerNotifyPreempt, w, req, req.ID)
-	if s.cfg.LoadFeedback {
-		s.reportLoad(kw, req)
-	}
 }
 
 // workerNotifyFinish fires once the FINISH notification is built. id is the
@@ -694,7 +701,7 @@ func (s *Offload) preempted(kw *cores.Worker, req *task.Request) {
 //mindgap:noalloc
 func workerNotifyFinish(recv, obj any, id uint64) {
 	w := recv.(*offWorker)
-	w.notifyDispatcher(qEvent{kind: evFinish, worker: w.ID, req: obj.(*task.Request), id: id})
+	w.notifyDispatcher(evFinish, obj.(*task.Request), id)
 	w.Release()
 }
 
@@ -703,18 +710,20 @@ func workerNotifyFinish(recv, obj any, id uint64) {
 //mindgap:noalloc
 func workerNotifyPreempt(recv, obj any, id uint64) {
 	w := recv.(*offWorker)
-	w.notifyDispatcher(qEvent{kind: evPreempted, worker: w.ID, req: obj.(*task.Request), id: id})
+	w.notifyDispatcher(evPreempted, obj.(*task.Request), id)
 	w.Release()
 }
 
 // notifyDispatcher sends a worker→dispatcher control frame through the NIC
-// to the ARM complex's interface.
+// to the ARM complex's interface. Every frame carries the worker's backlog
+// as it stands now — the fine-grained feedback of §3.1.
 //
 //mindgap:noalloc
-func (w *offWorker) notifyDispatcher(ev qEvent) {
+func (w *offWorker) notifyDispatcher(kind qEventKind, req *task.Request, id uint64) {
 	s := w.sys
 	qe := s.qevGet()
-	*qe = ev
+	*qe = qEvent{kind: kind, worker: w.ID, req: req, id: id, load: w.Backlog()}
+	w.sent = qe.load
 	if !s.nic.Send(nicmodel.Frame{
 		Dst:     s.armFn.MAC(),
 		Src:     w.vf.MAC(),
@@ -724,14 +733,6 @@ func (w *offWorker) notifyDispatcher(ev qEvent) {
 		// The frame was lost on the wire: the box will never be delivered.
 		s.qevPut(qe)
 	}
-}
-
-// reportLoad sends kw's instantaneous load (remaining work in ns, executing
-// plus stashed) to the NIC — the fine-grained feedback of §3.1.
-//
-//mindgap:noalloc
-func (s *Offload) reportLoad(kw *cores.Worker, _ *task.Request) {
-	s.workers[kw.ID].notifyDispatcher(qEvent{kind: evLoad, worker: kw.ID, load: kw.Backlog()})
 }
 
 // QueueLen exposes the central queue depth (tests and debugging).

@@ -57,9 +57,6 @@ type Host struct {
 	// Started runs once a request is executing: the place to arm an
 	// externally tracked slice or report the core's new load.
 	Started func(*Worker, *task.Request)
-	// Completed runs at the instant a request finishes, while the core
-	// starts building the response.
-	Completed func(*Worker, *task.Request)
 	// Finished runs once the response is on the wire: the place to tell
 	// the scheduler the core is free. The response may reach the client —
 	// and recycle the request — before anything scheduled here fires. The
@@ -331,9 +328,6 @@ func (w *Worker) onComplete(req *task.Request) {
 	h.pr.Complete(h.eng.Now(), req.ID, w.ID)
 	w.post = true
 	w.After(h.p.WorkerResponseCost, hostResponseBuilt, w, req, 0)
-	if h.Completed != nil {
-		h.Completed(w, req)
-	}
 }
 
 // hostResponseBuilt fires once the core has built the response packet:

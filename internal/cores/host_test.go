@@ -46,7 +46,6 @@ func TestHostSerialCoreAndReleaseRule(t *testing.T) {
 	var log []string
 	h := newTestHost(t, eng, 1, 0, &log)
 	var firstBuilt, secondStart sim.Time
-	h.Completed = func(*Worker, *task.Request) { log = append(log, "complete") }
 	h.Finished = func(w *Worker, _ *task.Request) {
 		log = append(log, "finished")
 		if firstBuilt == 0 {
@@ -72,7 +71,7 @@ func TestHostSerialCoreAndReleaseRule(t *testing.T) {
 
 	// The responses are still crossing the client wire while the core moves
 	// on — which is why a Finished hook must not re-read the request later.
-	want := []string{"start", "complete", "finished", "start", "complete", "finished", "respond", "respond"}
+	want := []string{"start", "finished", "start", "finished", "respond", "respond"}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("lifecycle order = %v, want %v", log, want)
 	}

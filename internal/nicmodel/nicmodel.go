@@ -85,6 +85,12 @@ type Function struct {
 	// this function's delivery link — the only place the lost frame's
 	// identity is still known (the link itself counts bytes, not frames).
 	onWireDrop func(Frame)
+	// drain, when set (DrainTo), is the consumer's pipe: each frame leaves
+	// the ring the instant it lands and drainFn(drainRecv, payload, 0) runs
+	// at the pipe's exit.
+	drain     *fabric.Link
+	drainFn   sim.EventFunc
+	drainRecv any
 
 	ringDrops uint64
 	received  uint64
@@ -172,6 +178,15 @@ func (n *NIC) SendAt(at sim.Time, f Frame) bool {
 		panic("nicmodel: frame size outside [0, 65535] bytes")
 	}
 	n.steered++
+	if target.drain != nil && n.cfg.LinkFault == nil {
+		// A drained ring never holds a frame and, without a fault, frames
+		// land in send order: enter the consumer's pipe at the landing
+		// instant now, one event for both hops.
+		landed, _ := target.deliver.Enter(at, f.Bytes)
+		target.received++
+		target.drain.SendAtT(landed, 0, target.drainFn, target.drainRecv, f.Payload, 0)
+		return true
+	}
 	var src uint64
 	for _, b := range f.Src {
 		src = src<<8 | uint64(b)
@@ -228,6 +243,23 @@ func (f *Function) Name() string { return f.name }
 
 // OnRx registers the wake-up callback invoked after each delivery.
 func (f *Function) OnRx(fn func()) { f.onRx = fn }
+
+// DrainTo makes link the function's consumer: a core that takes each frame
+// out of the RX ring the instant it lands and serves it in link's FIFO
+// pipe, fn(recv, payload, 0) running at the pipe's exit. It stands in for
+// OnRx and OnDeliver, and a drained ring never overflows. Without a
+// LinkFault, SendAt enters the frame into link at its landing instant and
+// files no landing event, so frames must be sent at nondecreasing instants;
+// under one, latency spikes can reorder landings, so frames land by event
+// and the consumer enters link then.
+func (f *Function) DrainTo(link *fabric.Link, fn sim.EventFunc, recv any) {
+	f.drain, f.drainFn, f.drainRecv = link, fn, recv
+	f.onRx = func() {
+		if fr, ok := f.Poll(); ok {
+			link.SendT(0, fn, recv, fr.Payload, 0)
+		}
+	}
+}
 
 // OnDeliver registers a per-frame delivery callback, invoked after a frame
 // lands in the RX ring and before the OnRx wake-up edge.

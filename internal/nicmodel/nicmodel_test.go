@@ -341,3 +341,103 @@ func TestTxChainEnteredAtDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainToMatchesEventPath: frames bursting into a function whose
+// consumer is a FIFO pipe reach the consumer at the same instants and in
+// the same order whether DrainTo enters them into the pipe at their landing
+// instant or the consumer polls each landed frame and enters it then — with
+// same-instant bursts and a consumer frozen over a window — and DrainTo
+// saves the landing event of every frame. Under a LinkFault both take the
+// event path: latency spikes reorder landings, and wire drops still reach
+// OnWireDrop.
+func TestDrainToMatchesEventPath(t *testing.T) {
+	// The consumer is frozen over [6 µs, 9 µs).
+	freeze := func(at sim.Time, work time.Duration) time.Duration {
+		if end := sim.Time(9000); at < end && at.Add(work) > 6000 {
+			return work + end.Sub(max(at, 6000))
+		}
+		return work
+	}
+	// Frames sent in [4 µs, 5 µs) are lost on the wire; those sent in
+	// [10 µs, 12 µs) take 3 µs longer, so later frames overtake them.
+	fault := func(at sim.Time) (bool, time.Duration) {
+		switch {
+		case at >= 4000 && at < 5000:
+			return true, 0
+		case at >= 10000 && at < 12000:
+			return false, 3 * time.Microsecond
+		}
+		return false, 0
+	}
+	type exit struct {
+		id int
+		at sim.Time
+	}
+	var sent int
+	run := func(seed uint64, drained, faulty bool) (exits []exit, lost []int, events uint64) {
+		rng := rand.New(rand.NewPCG(seed, 0x6472))
+		eng := sim.New()
+		cfg := Config{InternalLatency: 2560 * time.Nanosecond}
+		if faulty {
+			cfg.LinkFault = fault
+		}
+		nic := New(eng, cfg)
+		arm := nic.AddFunction("arm", MACForIndex(0), 0)
+		arm.OnWireDrop(func(f Frame) { lost = append(lost, f.Payload.(int)) })
+		pipe := fabric.NewLink(eng, "arm-rx", fabric.LinkConfig{Cost: 550 * time.Nanosecond, Latency: 200 * time.Nanosecond})
+		pipe.SetStretch(freeze)
+		consume := func(_, obj any, _ uint64) { exits = append(exits, exit{obj.(int), eng.Now()}) }
+		if drained {
+			arm.DrainTo(pipe, consume, nil)
+		} else {
+			arm.OnRx(func() {
+				if f, ok := arm.Poll(); ok {
+					pipe.SendT(0, consume, nil, f.Payload, 0)
+				}
+			})
+		}
+		id := 0
+		for at := sim.Time(0); at < 16000; at += sim.Time(rng.IntN(900)) {
+			burst := 1 + rng.IntN(3)
+			eng.At(at, func() {
+				for k := 0; k < burst; k++ {
+					nic.Send(Frame{Dst: arm.MAC(), Src: MACForIndex(1 + k), Bytes: 64, Payload: id})
+					id++
+				}
+			})
+		}
+		eng.Run()
+		sent = id
+		if arm.Pending() != 0 || arm.RingDrops() != 0 {
+			t.Fatalf("seed %d: a drained ring holds %d frames, dropped %d", seed, arm.Pending(), arm.RingDrops())
+		}
+		return exits, lost, eng.Executed()
+	}
+	reordered := false
+	for seed := uint64(0); seed < 40; seed++ {
+		got, _, events := run(seed, true, false)
+		want, _, polledEvents := run(seed, false, false)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: drained exits diverge\n got %v\nwant %v", seed, got, want)
+		}
+		if frames := uint64(len(got)); polledEvents-events != frames {
+			t.Fatalf("seed %d: %d frames cost %d events drained, %d polled; want one fewer per frame", seed, frames, events, polledEvents)
+		}
+
+		got, gotLost, events := run(seed, true, true)
+		want, wantLost, polledEvents := run(seed, false, true)
+		if !slices.Equal(got, want) || !slices.Equal(gotLost, wantLost) || events != polledEvents {
+			t.Fatalf("seed %d under faults: drained exits %v, lost %v, %d events\nwant %v, lost %v, %d events",
+				seed, got, gotLost, events, want, wantLost, polledEvents)
+		}
+		if len(gotLost) == 0 || len(got)+len(gotLost) != sent {
+			t.Fatalf("seed %d: %d delivered + %d lost of %d frames sent", seed, len(got), len(gotLost), sent)
+		}
+		for i := 1; i < len(got); i++ {
+			reordered = reordered || got[i].id < got[i-1].id
+		}
+	}
+	if !reordered {
+		t.Fatal("no latency spike reordered a frame: the fault case tests nothing")
+	}
+}
