@@ -32,7 +32,9 @@ func runSim(t *testing.T, want int, args ...string) (string, string) {
 // TestPointGolden pins flag-mode stdout byte for byte. The goldens were
 // captured from the command before -set replaced its per-knob flags
 // (-workers 3, -cxl), with the wall time stripped; the -set spellings must
-// reproduce them.
+// reproduce them. point-shinjuku was re-captured when shinjuku stopped
+// accepting outstanding: -system shinjuku had carried the default spec's
+// k = 4 over, and vanilla Shinjuku keeps one request per core.
 func TestPointGolden(t *testing.T) {
 	small := []string{"-warmup", "200", "-measure", "2000"}
 	for _, c := range []struct {
@@ -103,6 +105,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-set", "bogus=1"}, `unknown knob "bogus" (want name=value, name one of workers, outstanding,`},
 		{[]string{"-set", "workers=many"}, "knobs.workers of type int"},
 		{[]string{"-system", "rss", "-set", "slice=10µs"}, `system "rss" does not accept knob(s) slice`},
+		{[]string{"-system", "shinjuku", "-set", "policy=informed-least-loaded"}, `system "shinjuku" does not accept knob(s) policy`},
 	} {
 		stdout, stderr := runSim(t, 2, c.args...)
 		if stdout != "" || !strings.Contains(stderr, c.want) {

@@ -34,7 +34,7 @@ func notifications(s *Offload) *[]notified {
 
 func feedbackCfg(k int, slice time.Duration) OffloadConfig {
 	cfg := defaultCfg(1, k, slice)
-	cfg.Policy, cfg.LoadFeedback = InformedLeastLoaded, true
+	cfg.Policy = InformedLeastLoaded
 	return cfg
 }
 

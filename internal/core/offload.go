@@ -32,7 +32,11 @@ type OffloadConfig struct {
 	// paper's fixed-service-time figures turn preemption off).
 	Slice time.Duration
 	// Policy is the worker-selection policy; the paper's prototype uses
-	// LeastOutstanding (idle-first FIFO dispatch).
+	// LeastOutstanding (idle-first FIFO dispatch). InformedLeastLoaded
+	// turns on the host→NIC load reports it reads: every FINISH and
+	// PREEMPTED carries the worker's backlog, and a start sends its own
+	// report only when the backlog differs from the last one the worker
+	// sent.
 	Policy Policy
 	// CXL, LineRate and DirectInterrupts are the §5.1 ideal-NIC ablations,
 	// each removing one hardware limit behind the Figure 6 loss. CXL swaps
@@ -44,12 +48,6 @@ type OffloadConfig struct {
 	CXL              bool
 	LineRate         bool
 	DirectInterrupts bool
-	// LoadFeedback enables host→NIC load reports that upgrade the selection
-	// policy to InformedLeastLoaded data (only meaningful when Policy ==
-	// InformedLeastLoaded): every FINISH and PREEMPTED carries the worker's
-	// backlog, and a start sends its own report only when the backlog
-	// differs from the last one the worker sent.
-	LoadFeedback bool
 	// DispatchBurst is the queue-manager core's DPDK-style burst size: how
 	// many events it drains from one input ring before polling the other
 	// (0 or 1 alternates fairly; rx_burst-sized batches delay credit
@@ -93,7 +91,8 @@ const (
 	evTimeout
 )
 
-// qEvent is one input to the queue-manager stage.
+// qEvent is one input to a dispatcher stage: Offload's queue manager or
+// Central's.
 type qEvent struct {
 	kind   qEventKind
 	worker int
@@ -125,8 +124,9 @@ type flight struct {
 	orig   task.Request
 }
 
-// Queue-manager input classes: the networker's new-request ring and the RX
-// core's notification ring, polled round-robin.
+// Dispatcher input classes, polled round-robin: new requests (the
+// networker's ring) and worker notifications (the RX core's ring, Central's
+// flags).
 const (
 	qcNew = iota
 	qcNotif
@@ -554,7 +554,7 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 //
 //mindgap:noalloc
 func (s *Offload) loadArrived(now sim.Time, ev qEvent) {
-	if s.cfg.LoadFeedback {
+	if s.cfg.Policy == InformedLeastLoaded {
 		s.lgc.ReportLoadAt(now, ev.worker, ev.load)
 	}
 }
@@ -644,27 +644,13 @@ func (s *Offload) started(kw *cores.Worker, req *task.Request) {
 	// A start moves work from the inbox onto the core, so the backlog is
 	// news only if requests landed since the last notification: a start
 	// from idle, not one straight out of a FINISH.
-	if w := s.workers[kw.ID]; s.cfg.LoadFeedback && kw.Backlog() != w.sent {
+	if w := s.workers[kw.ID]; s.cfg.Policy == InformedLeastLoaded && kw.Backlog() != w.sent {
 		w.notifyDispatcher(evLoad, nil, 0)
 	}
-	if s.cfg.DirectInterrupts && s.cfg.Slice > 0 && req.Remaining > s.cfg.Slice {
+	if s.cfg.DirectInterrupts {
 		// The §5.1(3) ablation: the NIC tracks the slice and posts an
-		// interrupt over the low-latency path when it expires. The
-		// generation guards against pooled-request reuse: by the time the
-		// interrupt lands, req may have completed, been recycled, and
-		// started over on this same worker as a different request.
-		s.eng.AfterE(s.cfg.Slice+s.cfg.P.CXLOneWay, remoteSliceFire, kw, req, uint64(req.Gen))
-	}
-}
-
-// remoteSliceFire posts the NIC-tracked preemption interrupt (§5.1(3)).
-//
-//mindgap:noalloc
-func remoteSliceFire(recv, obj any, gen uint64) {
-	w := recv.(*cores.Worker)
-	req := obj.(*task.Request)
-	if w.Exec.Current() == req && uint64(req.Gen) == gen {
-		w.Exec.Interrupt()
+		// interrupt over the low-latency path when it expires.
+		kw.PostSlice(req, s.cfg.P.CXLOneWay)
 	}
 }
 

@@ -175,7 +175,6 @@ func TestOffloadLatencyRisesWithLoad(t *testing.T) {
 func TestOffloadInformedPolicyWithFeedback(t *testing.T) {
 	cfg := defaultCfg(4, 3, 0)
 	cfg.Policy = InformedLeastLoaded
-	cfg.LoadFeedback = true
 	rec, _, eng := runOffload(t, cfg, 400_000, dist.Fixed{D: 5 * time.Microsecond}, 3000)
 	if rec.Completed() != 3000 {
 		t.Fatalf("completed = %d", rec.Completed())

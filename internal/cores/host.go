@@ -216,6 +216,29 @@ func DeliverE(recv, obj any, _ uint64) {
 	recv.(*Worker).Deliver(obj.(*task.Request))
 }
 
+// PostSlice is preemption posted from off the core (§2.1's dispatcher,
+// §5.1(3)'s NIC): a Started hook calls it, and if req outlasts the slice
+// the core is interrupted Slice + delay later. The generation guards
+// against pooled-request reuse: by then req may have completed, been
+// recycled and started over on this core as a different request.
+//
+//mindgap:noalloc
+func (w *Worker) PostSlice(req *task.Request, delay time.Duration) {
+	if slice := w.Exec.cfg.Slice; slice > 0 && req.Remaining > slice {
+		w.h.eng.AfterE(slice+delay, postedSliceFire, w, req, uint64(req.Gen))
+	}
+}
+
+// postedSliceFire delivers a posted slice interrupt.
+//
+//mindgap:noalloc
+func postedSliceFire(recv, obj any, gen uint64) {
+	w := recv.(*Worker)
+	if req := obj.(*task.Request); w.Exec.Current() == req && uint64(req.Gen) == gen {
+		w.Exec.Interrupt()
+	}
+}
+
 // Queued returns how many requests wait in the core's inbox.
 //
 //mindgap:noalloc

@@ -186,6 +186,75 @@ func TestHostStealAfter(t *testing.T) {
 	}
 }
 
+// TestPostSlice: a posted slice interrupt is armed only for a request that
+// outlasts the slice, and it lands only on the request it was posted for —
+// not on a recycled struct that restarted on the same core meanwhile.
+func TestPostSlice(t *testing.T) {
+	const slice = 10 * time.Microsecond
+	build := func(eng *sim.Engine, done func(*task.Request)) *Host {
+		var h *Host
+		h = NewHost(eng, HostConfig{P: params.Default(), Workers: 1, Slice: slice, Pickup: testPickup},
+			nil, func(r *task.Request) { h.Workers[0].Deliver(r) }, done)
+		h.Preempted = func(w *Worker, _ *task.Request) { w.Release() }
+		return h
+	}
+	t.Run("short request arms nothing", func(t *testing.T) {
+		eng := sim.New()
+		h := build(eng, func(*task.Request) {})
+		h.Started = func(w *Worker, r *task.Request) {
+			before := eng.Pending()
+			w.PostSlice(r, time.Microsecond)
+			if eng.Pending() != before {
+				t.Errorf("a %v request armed a posted slice of %v", r.Remaining, slice)
+			}
+		}
+		h.Inject(task.New(1, 0, slice))
+		eng.Run()
+		if h.Completions() != 1 || h.Preemptions() != 0 {
+			t.Fatalf("completions=%d preemptions=%d, want 1 and 0", h.Completions(), h.Preemptions())
+		}
+	})
+	t.Run("long request is interrupted", func(t *testing.T) {
+		eng := sim.New()
+		h := build(eng, func(*task.Request) {})
+		h.Started = func(w *Worker, r *task.Request) { w.PostSlice(r, time.Microsecond) }
+		h.Inject(task.New(1, 0, 3*slice))
+		eng.Run()
+		if h.Preemptions() != 1 {
+			t.Fatalf("preemptions = %d, want 1 (nothing re-delivers the request)", h.Preemptions())
+		}
+	})
+	t.Run("recycled request is not interrupted", func(t *testing.T) {
+		// Request 1 (15 µs) posts an interrupt due 110 µs after its start.
+		// It completes, its struct is recycled as request 2 (300 µs) and
+		// starts on the same core long before the interrupt lands: same
+		// pointer, next generation.
+		eng := sim.New()
+		pool := &task.Pool{}
+		var h *Host
+		h = build(eng, func(r *task.Request) {
+			if r.ID == 1 {
+				pool.Put(r)
+				h.Workers[0].Deliver(pool.Get(2, eng.Now(), 30*slice))
+			}
+		})
+		var first *task.Request
+		h.Started = func(w *Worker, r *task.Request) {
+			if r.ID == 1 {
+				first = r
+				w.PostSlice(r, 100*time.Microsecond)
+			} else if r != first {
+				t.Fatal("request 2 did not reuse request 1's struct")
+			}
+		}
+		h.Inject(pool.Get(1, 0, 15*time.Microsecond))
+		eng.Run()
+		if h.Completions() != 2 || h.Preemptions() != 0 {
+			t.Fatalf("completions=%d preemptions=%d, want 2 and 0", h.Completions(), h.Preemptions())
+		}
+	})
+}
+
 func TestHostValidation(t *testing.T) {
 	eng := sim.New()
 	nop := func(*task.Request) {}

@@ -21,11 +21,11 @@ var runQuality = experiment.Quality{Warmup: 500, Measure: 3_000, Seed: 7}
 // of its decisions; an arm that reads 0 measured nothing, and any claim
 // over it would pass or fail vacuously.
 func TestMisDispatchIsMeasured(t *testing.T) {
-	arm := func(policy string, feedback bool) scenario.Spec {
+	arm := func(policy string) scenario.Spec {
 		return scenario.Spec{
 			System: "offload",
 			Knobs: &scenario.Knobs{Workers: 4, Outstanding: 4, Slice: scenario.Duration(10 * time.Microsecond),
-				Policy: policy, LoadFeedback: feedback},
+				Policy: policy},
 			Workload: "bimodal:0.995:5µs:100µs",
 			Load:     &scenario.LoadSpec{RPS: 450_000},
 		}
@@ -36,9 +36,9 @@ func TestMisDispatchIsMeasured(t *testing.T) {
 		Metric:     "mis_dispatch",
 		Seeds:      []uint64{7, 11},
 		Controlled: []string{"system", "workload", "workers", "outstanding", "slice", "load"},
-		Varied:     []string{"policy", "load_feedback"},
-		A:          Arm{Label: "informed", Scenario: arm("informed-least-loaded", true)},
-		B:          Arm{Label: "round-robin", Scenario: arm("round-robin", false)},
+		Varied:     []string{"policy"},
+		A:          Arm{Label: "informed", Scenario: arm("informed-least-loaded")},
+		B:          Arm{Label: "round-robin", Scenario: arm("round-robin")},
 		Criterion:  CriterionSpec{Kind: Equivalence, Tolerance: 0.5},
 	}
 	rep, err := Run(context.Background(), &runner.Runner{Parallelism: 2}, h, runQuality)
@@ -79,7 +79,7 @@ func TestHypothesesReuseFigurePoints(t *testing.T) {
 		Metric:     "p99",
 		Seeds:      []uint64{runQuality.Seed},
 		Controlled: []string{"workload", "workers", "load"},
-		Varied:     []string{"system", "outstanding", "slice", "policy", "load_feedback"},
+		Varied:     []string{"system", "outstanding", "slice", "policy"},
 		A:          Arm{Label: "offload", Scenario: p.SpecFor(0)},
 		B:          Arm{Label: "rss", Scenario: p.SpecFor(1)},
 		Criterion:  CriterionSpec{Kind: Dominance},

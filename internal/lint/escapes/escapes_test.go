@@ -65,27 +65,26 @@ func TestCount(t *testing.T) {
 		want                 map[string]int
 	}{{
 		name: "func literal",
-		pkg:  "mindgap/internal/systems/shinjuku",
-		file: "internal/systems/shinjuku/shinjuku.go",
-		src: `package shinjuku
+		pkg:  "mindgap/internal/cores",
+		file: "internal/cores/host.go",
+		src: `package cores
 
 //mindgap:noalloc
-func (s *Shinjuku) armSlice(w *cores.Worker, req *task.Request) {
+func (w *Worker) PostSlice(req *task.Request, delay time.Duration) {
 	gen := req.Gen
-	s.eng.After(s.cfg.Slice, func() {
+	w.h.eng.After(w.Exec.cfg.Slice+delay, func() {
 		if w.Exec.Current() == req && req.Gen == gen {
 			w.Exec.Interrupt()
 		}
 	})
 }
 `,
-		diags: `internal/systems/shinjuku/shinjuku.go:6:27: can inline (*Shinjuku).armSlice.func1
-internal/systems/shinjuku/shinjuku.go:7:20: inlining call to cores.(*Exec).Current
-internal/systems/shinjuku/shinjuku.go:4:7: leaking param content: s
-internal/systems/shinjuku/shinjuku.go:4:29: leaking param: w
-internal/systems/shinjuku/shinjuku.go:4:46: leaking param: req
-internal/systems/shinjuku/shinjuku.go:6:27: func literal escapes to heap`,
-		want: map[string]int{"mindgap/internal/systems/shinjuku.(*Shinjuku).armSlice": 1},
+		diags: `internal/cores/host.go:6:40: can inline (*Worker).PostSlice.func1
+internal/cores/host.go:7:20: inlining call to (*Exec).Current
+internal/cores/host.go:4:7: leaking param content: w
+internal/cores/host.go:4:28: leaking param: req
+internal/cores/host.go:6:40: func literal escapes to heap`,
+		want: map[string]int{"mindgap/internal/cores.(*Worker).PostSlice": 1},
 	}, {
 		name: "fmt boxes its arguments",
 		pkg:  "mindgap/internal/core",
@@ -133,7 +132,7 @@ internal/core/offload.go:8:22: string(buf[:]) escapes to heap`,
 		src: `package core
 
 //mindgap:noalloc
-func (c *Central) handle(ev centralEvent) {
+func (c *Central) handle(ev qEvent) {
 	for _, a := range c.lgc.EnqueueTo(c.asScratch[:0], c.eng.Now(), ev.req) {
 		c.down[a.Worker].SendT(0, centralDeliverBoxed, c.host.Workers[a.Worker], a, 0)
 	}

@@ -12,9 +12,7 @@ import (
 	"mindgap/internal/sim"
 	"mindgap/internal/stats"
 	"mindgap/internal/systems/flowrule"
-	"mindgap/internal/systems/rpcvalet"
 	"mindgap/internal/systems/rtc"
-	"mindgap/internal/systems/shinjuku"
 	"mindgap/internal/task"
 	"mindgap/internal/telemetry"
 	"mindgap/internal/trace"
@@ -207,13 +205,28 @@ func rtcBuilder(name, doc string, cfg rtc.Config) Builder {
 	}
 }
 
+// centralBuilder makes a builder for a dispatcher beside the cores
+// (vanilla Shinjuku and RPCValet differ in where it sits); a knob the kind
+// does not accept is zero here.
+func centralBuilder(name, doc string, mode core.CentralMode, knobs ...string) Builder {
+	return Builder{
+		Name:  name,
+		Doc:   doc,
+		Knobs: knobs,
+		Build: func(o Options, sp Spec) (Factory, error) {
+			k := sp.KnobsOrZero()
+			cfg := core.CentralConfig{P: params.Default(), Workers: k.Workers, Slice: k.Slice.D(), Sockets: k.Sockets, Mode: mode}
+			return factory(o, cfg, core.NewCentral)
+		},
+	}
+}
+
 func init() {
 	Register(Builder{
 		Name: "offload",
 		Doc:  "Shinjuku-Offload: the paper's informed NIC-resident scheduler (§3); cxl, linerate, directirq: the §5.1 ideal-NIC ablations",
-		Knobs: []string{"workers", "outstanding", "slice", "policy", "load_feedback",
-			"dispatch_burst", "ddio_to_l1", "admission_limit", "affinity",
-			"cxl", "linerate", "directirq"},
+		Knobs: []string{"workers", "outstanding", "slice", "policy", "dispatch_burst",
+			"ddio_to_l1", "admission_limit", "affinity", "cxl", "linerate", "directirq"},
 		Observable:      true,
 		Faultable:       true,
 		PriorityClasses: true,
@@ -232,7 +245,6 @@ func init() {
 				Outstanding:    k.Outstanding,
 				Slice:          k.Slice.D(),
 				Policy:         pol,
-				LoadFeedback:   k.LoadFeedback,
 				DispatchBurst:  k.DispatchBurst,
 				DDIOToL1:       k.DDIOToL1,
 				AdmissionLimit: k.AdmissionLimit,
@@ -262,27 +274,9 @@ func init() {
 		},
 	})
 
-	Register(Builder{
-		Name:  "shinjuku",
-		Doc:   "vanilla Shinjuku: host-core networker + dispatcher baseline (§2.1)",
-		Knobs: []string{"workers", "outstanding", "slice", "policy", "sockets"},
-		Build: func(o Options, sp Spec) (Factory, error) {
-			k := sp.KnobsOrZero()
-			pol, err := ParsePolicy(k.Policy)
-			if err != nil {
-				return nil, err
-			}
-			cfg := shinjuku.Config{
-				P:           params.Default(),
-				Workers:     k.Workers,
-				Slice:       k.Slice.D(),
-				Outstanding: k.Outstanding,
-				Policy:      pol,
-				Sockets:     k.Sockets,
-			}
-			return factory(o, cfg, shinjuku.New)
-		},
-	})
+	Register(centralBuilder("shinjuku",
+		"vanilla Shinjuku: host-core networker + dispatcher baseline (§2.1)",
+		core.HostCore, "workers", "slice", "sockets"))
 
 	Register(rtcBuilder("rss",
 		"IX-style RSS: hash steering, run to completion, no preemption (§2.1)",
@@ -294,16 +288,9 @@ func init() {
 		"MICA-style Flow Director: key-affinity steering, run to completion (§2.1)",
 		rtc.Config{Steering: rtc.SteerKey}))
 
-	Register(Builder{
-		Name:  "rpcvalet",
-		Doc:   "RPCValet: NI-integrated single queue, no preemption (§2.1)",
-		Knobs: []string{"workers"},
-		Build: func(o Options, sp Spec) (Factory, error) {
-			k := sp.KnobsOrZero()
-			cfg := rpcvalet.Config{P: params.Default(), Workers: k.Workers}
-			return factory(o, cfg, rpcvalet.New)
-		},
-	})
+	Register(centralBuilder("rpcvalet",
+		"RPCValet: NI-integrated single queue, no preemption (§2.1)",
+		core.IntegratedNI, "workers"))
 
 	Register(rtcBuilder("erss",
 		"Elastic RSS: load feedback resizes the core set, fixed policy (§5.1)",

