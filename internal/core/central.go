@@ -209,13 +209,14 @@ func (c *Central) handle(ev qEvent) {
 	c.asScratch = as[:0]
 }
 
-// finished raises the worker's completion flag: a cache-line (or NI
-// doorbell) write, free for the worker next to packet construction.
+// finished raises the worker's completion flag as the response is built: a
+// cache-line (or NI doorbell) write, free for the worker next to packet
+// construction.
 //
 //mindgap:noalloc
-func (c *Central) finished(w *cores.Worker, _ *task.Request) {
-	c.ports[w.ID].up.SendT(0, centralFinish, &c.ports[w.ID], nil, 0)
-	w.Release()
+func (c *Central) finished(w *cores.Worker, _ *task.Request, built sim.Time) {
+	c.ports[w.ID].up.SendAtT(built, 0, centralFinish, &c.ports[w.ID], nil, 0)
+	w.ReleaseAt(built)
 }
 
 // preempted hands the preempted request's descriptor back, its ID

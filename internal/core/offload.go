@@ -658,18 +658,18 @@ func (s *Offload) started(kw *cores.Worker, req *task.Request) {
 // that returns the request's credit, then pick up the next stashed request.
 //
 //mindgap:noalloc
-func (s *Offload) finished(kw *cores.Worker, req *task.Request) {
+func (s *Offload) finished(kw *cores.Worker, req *task.Request, built sim.Time) {
 	w := s.workers[kw.ID]
 	if w.curDegraded {
 		// Degraded requests consumed no credit and the dispatcher never
 		// saw them: no FINISH notification to build.
 		w.curDegraded = false
-		w.Release()
+		w.ReleaseAt(built)
 		return
 	}
 	// The ID rides as the event argument: the response is now in flight, so
 	// by the time the notification is built req may already be recycled.
-	w.After(s.cfg.P.WorkerNotifyCost, workerNotifyFinish, w, req, req.ID)
+	w.After(built, s.cfg.P.WorkerNotifyCost, workerNotifyFinish, w, req, req.ID)
 }
 
 // preempted runs on a slice expiry: notify the dispatcher (only the
@@ -678,7 +678,7 @@ func (s *Offload) finished(kw *cores.Worker, req *task.Request) {
 //mindgap:noalloc
 func (s *Offload) preempted(kw *cores.Worker, req *task.Request) {
 	w := s.workers[kw.ID]
-	w.After(s.cfg.P.WorkerNotifyCost, workerNotifyPreempt, w, req, req.ID)
+	w.After(s.eng.Now(), s.cfg.P.WorkerNotifyCost, workerNotifyPreempt, w, req, req.ID)
 }
 
 // workerNotifyFinish fires once the FINISH notification is built. id is the

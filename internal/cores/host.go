@@ -50,6 +50,9 @@ type Host struct {
 	done  func(*task.Request)
 
 	ingress, egress *fabric.Link
+	// chain files each response's built instant as an event: stalls can
+	// reorder built instants, and the egress wire is a FIFO server.
+	chain bool
 
 	// Workers are the worker cores, indexed by ID.
 	Workers []*Worker
@@ -57,12 +60,12 @@ type Host struct {
 	// Started runs once a request is executing: the place to arm an
 	// externally tracked slice or report the core's new load.
 	Started func(*Worker, *task.Request)
-	// Finished runs once the response is on the wire: the place to tell
-	// the scheduler the core is free. The response may reach the client —
-	// and recycle the request — before anything scheduled here fires. The
-	// hook must call Release, now or from a later event; nil releases at
-	// once.
-	Finished func(*Worker, *task.Request)
+	// Finished runs at completion, the response on the wire from its built
+	// instant: the place to tell the scheduler the core is free. The
+	// response may reach the client — and recycle the request — before
+	// anything scheduled here fires. The hook must call ReleaseAt(built),
+	// or Release from an event; nil is ReleaseAt(built).
+	Finished func(w *Worker, req *task.Request, built sim.Time)
 	// Preempted runs when a slice expiry takes a request off its core and
 	// must call Release like Finished. Required when Slice > 0.
 	Preempted func(*Worker, *task.Request)
@@ -108,7 +111,8 @@ type Worker struct {
 	// never stalls.
 	stretch func(sim.Time, time.Duration) time.Duration
 	picking bool
-	post    bool
+	post    bool     // until Release or ReleaseAt
+	postEnd sim.Time // where the last ReleaseAt ends the post span
 }
 
 // NewHost builds the client edge and the worker cores on eng. steer runs
@@ -172,21 +176,22 @@ func hostRespond(recv, obj any, _ uint64) {
 func (w *Worker) UseRing(in Inbox) { w.ring = &in }
 
 // SetStretch runs the core — execution and off-exec overheads alike —
-// through a stall timeline.
+// through a stall timeline, and puts the host on the event chain.
 func (w *Worker) SetStretch(st func(sim.Time, time.Duration) time.Duration) {
 	w.stretch = st
 	w.Exec.cfg.Stretch = st
+	w.h.chain = w.h.chain || st != nil
 }
 
 // After schedules fn(recv, obj, arg) once d of this core's busy time has
-// elapsed, dilating d through the stall timeline when one applies.
+// elapsed from the instant from >= now, dilated by any stall timeline.
 //
 //mindgap:noalloc
-func (w *Worker) After(d time.Duration, fn sim.EventFunc, recv, obj any, arg uint64) {
+func (w *Worker) After(from sim.Time, d time.Duration, fn sim.EventFunc, recv, obj any, arg uint64) {
 	if w.stretch != nil {
-		d = w.stretch(w.h.eng.Now(), d)
+		d = w.stretch(from, d)
 	}
-	w.h.eng.AfterE(d, fn, recv, obj, arg)
+	w.h.eng.AtE(from.Add(d), fn, recv, obj, arg)
 }
 
 // Land records a request reaching the core's inbox: its host-arrive
@@ -259,7 +264,9 @@ func (w *Worker) Running() bool { return w.Exec.busy || w.picking }
 // post-processing, inbox empty.
 //
 //mindgap:noalloc
-func (w *Worker) Idle() bool { return !w.Running() && !w.post && w.Queued() == 0 }
+func (w *Worker) Idle() bool {
+	return !w.Running() && !w.post && w.postEnd <= w.h.eng.Now() && w.Queued() == 0
+}
 
 // Backlog returns the core's resident backlog in ns at this instant:
 // remaining work executing plus remaining work waiting in its inbox. It is
@@ -277,7 +284,7 @@ func (w *Worker) Backlog() int64 {
 
 // Wake begins the next waiting request if the core is free: the one
 // pickup guard. Deliver calls it; a model whose inbox is a ring calls it
-// when a frame lands.
+// when a frame lands. Inside a ReleaseAt span it picks up after the span.
 //
 //mindgap:noalloc
 func (w *Worker) Wake() {
@@ -285,7 +292,7 @@ func (w *Worker) Wake() {
 		return
 	}
 	w.picking = true
-	w.After(w.Pickup, hostPickup, w, nil, 0)
+	w.After(max(w.h.eng.Now(), w.postEnd), w.Pickup, hostPickup, w, nil, 0)
 }
 
 // hostPickup fires once the pickup delay has elapsed: start (or resume)
@@ -325,7 +332,7 @@ func (w *Worker) begin(from *Worker, req *task.Request, allowSlice bool) {
 //mindgap:noalloc
 func (w *Worker) StealAfter(d time.Duration, victim *Worker) {
 	w.picking = true
-	w.After(d, hostSteal, w, victim, 0)
+	w.After(w.h.eng.Now(), d, hostSteal, w, victim, 0)
 }
 
 // hostSteal fires once the steal cost has elapsed.
@@ -343,30 +350,42 @@ func hostSteal(recv, obj any, _ uint64) {
 }
 
 // onComplete handles a finished request: the core is serial, so it builds
-// the response before it looks at its inbox again.
+// the response before it looks at its inbox again. Unless the host
+// chains, the built instant needs no event of its own.
 //
 //mindgap:noalloc
 func (w *Worker) onComplete(req *task.Request) {
 	h := w.h
-	h.pr.Complete(h.eng.Now(), req.ID, w.ID)
+	now := h.eng.Now()
+	h.pr.Complete(now, req.ID, w.ID)
 	w.post = true
-	w.After(h.p.WorkerResponseCost, hostResponseBuilt, w, req, 0)
+	if h.chain {
+		w.After(now, h.p.WorkerResponseCost, hostResponseBuilt, w, req, 0)
+		return
+	}
+	w.built(req, now.Add(h.p.WorkerResponseCost))
 }
 
-// hostResponseBuilt fires once the core has built the response packet:
-// transmit it, then let the model tell its scheduler.
+// hostResponseBuilt fires on a chained host once the response is built.
 //
 //mindgap:noalloc
 func hostResponseBuilt(recv, obj any, _ uint64) {
 	w := recv.(*Worker)
+	w.built(obj.(*task.Request), w.h.eng.Now())
+}
+
+// built transmits the response built at the instant at, then lets the
+// model tell its scheduler.
+//
+//mindgap:noalloc
+func (w *Worker) built(req *task.Request, at sim.Time) {
 	h := w.h
-	req := obj.(*task.Request)
-	h.egress.SendT(h.p.ResponseFrameBytes, hostRespond, h, req, 0)
+	h.egress.SendAtT(at, h.p.ResponseFrameBytes, hostRespond, h, req, 0)
 	if h.Finished != nil {
-		h.Finished(w, req)
+		h.Finished(w, req, at)
 		return
 	}
-	w.Release()
+	w.ReleaseAt(at)
 }
 
 // onPreempt handles a slice expiry: the request body and context stay in
@@ -380,13 +399,22 @@ func (w *Worker) onPreempt(req *task.Request) {
 	h.Preempted(w, req)
 }
 
-// Release ends post-processing and turns the core to its inbox. It is the
-// only way out of the post state: a Finished or Preempted hook calls it
-// exactly once, after scheduling whatever notification it sends.
+// Release ends post-processing now and turns the core to its inbox. It
+// and ReleaseAt are the only ways out of the post state: a Finished or
+// Preempted hook calls one exactly once, after scheduling whatever
+// notification it sends.
 //
 //mindgap:noalloc
-func (w *Worker) Release() {
+func (w *Worker) Release() { w.ReleaseAt(w.h.eng.Now()) }
+
+// ReleaseAt ends post-processing at the instant at >= now with no event:
+// the core picks up at at + Pickup if its inbox holds work, or once a
+// request lands after that.
+//
+//mindgap:noalloc
+func (w *Worker) ReleaseAt(at sim.Time) {
 	w.post = false
+	w.postEnd = at
 	w.Wake()
 }
 

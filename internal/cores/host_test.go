@@ -46,15 +46,15 @@ func TestHostSerialCoreAndReleaseRule(t *testing.T) {
 	var log []string
 	h := newTestHost(t, eng, 1, 0, &log)
 	var firstBuilt, secondStart sim.Time
-	h.Finished = func(w *Worker, _ *task.Request) {
+	h.Finished = func(w *Worker, _ *task.Request, built sim.Time) {
 		log = append(log, "finished")
 		if firstBuilt == 0 {
-			firstBuilt = eng.Now()
+			firstBuilt = built
 		}
 		if w.Idle() || w.Running() {
 			t.Error("core left the post state before Release")
 		}
-		w.After(notify, func(recv, _ any, _ uint64) { recv.(*Worker).Release() }, w, nil, 0)
+		w.After(built, notify, func(recv, _ any, _ uint64) { recv.(*Worker).Release() }, w, nil, 0)
 	}
 	h.Started = func(w *Worker, r *task.Request) {
 		log = append(log, "start")
@@ -83,6 +83,78 @@ func TestHostSerialCoreAndReleaseRule(t *testing.T) {
 	}
 	if !h.Workers[0].Idle() {
 		t.Fatal("core not idle after draining")
+	}
+}
+
+// TestHostPostSpan pins the post span each way a Finished hook can end it:
+// the response enters the wire at its built instant, a request landing
+// mid-span is picked up at built + Pickup — the instant the event chain
+// gives — and only an event hook, or a chained host, files an event
+// between completion and the response.
+func TestHostPostSpan(t *testing.T) {
+	p := params.Default()
+	const service = 2 * time.Microsecond
+	wire := p.ClientWireOneWay + time.Duration(float64(p.ResponseFrameBytes*8)/p.WireBandwidth*1e9)
+	for _, c := range []struct {
+		name     string
+		finished func(eng *sim.Engine) func(*Worker, *task.Request, sim.Time)
+		chain    bool
+		// events is Executed() per completed request: its delivery, pickup,
+		// execCompleted and hostRespond, plus any post-span event.
+		events uint64
+	}{
+		{name: "nil hook", events: 4},
+		{name: "ReleaseAt hook", events: 4, finished: func(*sim.Engine) func(*Worker, *task.Request, sim.Time) {
+			return func(w *Worker, _ *task.Request, built sim.Time) { w.ReleaseAt(built) }
+		}},
+		{name: "event hook", events: 5, finished: func(eng *sim.Engine) func(*Worker, *task.Request, sim.Time) {
+			return func(w *Worker, _ *task.Request, built sim.Time) {
+				eng.AtE(built, func(recv, _ any, _ uint64) { recv.(*Worker).Release() }, w, nil, 0)
+			}
+		}},
+		{name: "chained host", events: 5, chain: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.New()
+			responded := map[uint64]sim.Time{}
+			h := NewHost(eng, HostConfig{P: p, Workers: 1, Pickup: testPickup}, nil,
+				func(*task.Request) { t.Fatal("nothing enters through the client wire") },
+				func(r *task.Request) { responded[r.ID] = eng.Now() })
+			w := h.Workers[0]
+			if c.chain {
+				w.SetStretch(func(_ sim.Time, d time.Duration) time.Duration { return d })
+			}
+			if c.finished != nil {
+				h.Finished = c.finished(eng)
+			}
+			var built, secondStart sim.Time
+			h.Started = func(w *Worker, r *task.Request) {
+				if r.ID == 2 {
+					secondStart = eng.Now()
+					return
+				}
+				built = eng.Now().Add(service + p.WorkerResponseCost)
+				// Request 2 lands while the core builds request 1's response.
+				eng.AtE(built.Add(-p.WorkerResponseCost/2), func(recv, _ any, _ uint64) {
+					recv.(*Worker).Deliver(task.New(2, 0, service))
+				}, w, nil, 0)
+			}
+			eng.AtE(0, func(recv, _ any, _ uint64) { recv.(*Worker).Deliver(task.New(1, 0, service)) }, w, nil, 0)
+			eng.Run()
+
+			if h.Completions() != 2 {
+				t.Fatalf("completions = %d, want 2", h.Completions())
+			}
+			if got := eng.Executed() / h.Completions(); got != c.events || eng.Executed()%h.Completions() != 0 {
+				t.Errorf("executed %d events for %d requests, want %d each", eng.Executed(), h.Completions(), c.events)
+			}
+			if got, want := responded[1], built.Add(wire); got != want {
+				t.Errorf("request 1 reached the client at %v, want %v (built at %v + wire)", got, want, built)
+			}
+			if want := built.Add(testPickup); secondStart != want {
+				t.Errorf("request 2 started at %v, want %v (built + pickup)", secondStart, want)
+			}
+		})
 	}
 }
 

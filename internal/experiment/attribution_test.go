@@ -136,7 +136,20 @@ func probeCases(t *testing.T) []probeCase {
 		Retries:  1,
 		Degrade:  true,
 	}
-	return append(cases, shed, capped, crash, lossy)
+	// No preset stalls a worker, so this row is the one run of a host with
+	// a stall stretch: stall windows can reorder built instants across
+	// cores, and the kit must keep its event chain on every core for them.
+	stall := presetCase(t, "baselines", 0, 300_000)
+	stall.name = "faults/worker-stall"
+	stall.spec.Faults = &faults.Spec{
+		WorkerStall: []faults.Window{
+			{Start: faults.Duration(time.Millisecond), End: faults.Duration(1500 * time.Microsecond)},
+			{Start: faults.Duration(2500 * time.Microsecond), End: faults.Duration(3 * time.Millisecond)},
+		},
+		StallWorkers: []int{0, 2},
+	}
+	stall.spec.Seed = 7
+	return append(cases, shed, capped, crash, lossy, stall)
 }
 
 // TestAttributionObservationInvariance is the lifecycle-probe contract,

@@ -6,6 +6,7 @@ package core
 
 import (
 	"mindgap/internal/cores"
+	"mindgap/internal/sim"
 	"mindgap/internal/task"
 )
 
@@ -26,8 +27,8 @@ func hookNotifySnapshot(recv, obj any, id uint64) {
 }
 
 // finished has the kit's hook shape.
-func (s *sys) finished(kw *cores.Worker, req *task.Request) {
+func (s *sys) finished(kw *cores.Worker, req *task.Request, built sim.Time) {
 	w := &worker{s: s}
-	kw.After(1, hookNotifyStale, w, req, 0)
-	kw.After(1, hookNotifySnapshot, w, req, req.ID)
+	kw.After(built, 1, hookNotifyStale, w, req, 0)
+	kw.After(built, 1, hookNotifySnapshot, w, req, req.ID)
 }

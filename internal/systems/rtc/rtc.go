@@ -174,11 +174,21 @@ func (s *Pool) wakeStealer(victim *cores.Worker) {
 	}
 }
 
-// finished runs once a stealing core has sent its response: if that left
-// it idle, it steals from the longest sibling queue.
+// finished files the steal scan at the built instant, where it reads the
+// siblings.
 //
 //mindgap:noalloc
-func (s *Pool) finished(w *cores.Worker, _ *task.Request) {
+func (s *Pool) finished(w *cores.Worker, _ *task.Request, built sim.Time) {
+	s.eng.AtE(built, zygosBuilt, s, w, 0)
+}
+
+// zygosBuilt fires once a stealing core has built its response: if
+// releasing it left the core idle, it steals from the longest sibling
+// queue.
+//
+//mindgap:noalloc
+func zygosBuilt(recv, obj any, _ uint64) {
+	s, w := recv.(*Pool), obj.(*cores.Worker)
 	w.Release()
 	if !w.Idle() {
 		return
