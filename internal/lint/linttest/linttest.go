@@ -19,6 +19,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -59,6 +60,19 @@ func exportsFor(t *testing.T, imports []string) map[string]string {
 		}
 		for p, f := range driver.Exports(pkgs) {
 			exportCache.m[p] = f
+		}
+		// The export data is built by a subprocess the test cache does not
+		// see; opening the module sources it came from puts them in the
+		// cache key, so an edit to them reruns the test.
+		for _, lp := range pkgs {
+			if lp.Standard {
+				continue
+			}
+			for _, name := range lp.GoFiles {
+				if f, err := os.Open(filepath.Join(lp.Dir, name)); err == nil {
+					f.Close()
+				}
+			}
 		}
 	}
 	out := make(map[string]string, len(exportCache.m))

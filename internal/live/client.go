@@ -28,7 +28,7 @@ type ClientConfig struct {
 	// ClientID tags requests from this client.
 	ClientID uint32
 	// Timeout bounds the wait for stragglers after the last send
-	// (default 5s).
+	// (default 5s); until then the receiver waits without a deadline.
 	Timeout time.Duration
 }
 
@@ -75,7 +75,6 @@ func RunClient(cfg ClientConfig) (*ClientReport, error) {
 		buf := make([]byte, maxDatagram)
 		var h wire.Header
 		for report.Received < cfg.Requests {
-			_ = conn.SetReadDeadline(time.Now().Add(cfg.Timeout))
 			n, _, err := conn.ReadFromUDP(buf)
 			if err != nil {
 				return // timeout or closed: give up on stragglers
@@ -123,6 +122,8 @@ func RunClient(cfg ClientConfig) (*ClientReport, error) {
 		}
 		report.Sent++
 	}
+	// The deadline also wakes a read already blocked.
+	_ = conn.SetReadDeadline(time.Now().Add(cfg.Timeout))
 	<-done
 	report.Wall = time.Since(start)
 	if report.Wall > 0 {

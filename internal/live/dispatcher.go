@@ -5,9 +5,9 @@
 // with internal/wire.
 //
 // It exists to demonstrate that the scheduling library is an executable
-// artifact, not just a model: cmd/dispatcherd, cmd/workerd and cmd/loadgen
-// run it across processes, and examples/livewire runs all three roles in
-// one process over loopback.
+// artifact, not just a model: cmd/mindgap-live runs each role in its own
+// process, or all three in one over loopback. Counters are read through a
+// telemetry registry (RegisterMetrics) only.
 //
 // Fidelity notes (documented deviations from the SmartNIC prototype):
 //   - The "NIC" is the kernel UDP stack; MAC steering becomes UDP
@@ -320,20 +320,6 @@ func (d *Dispatcher) dispatch(as []core.Assignment) {
 		_, _ = d.conn.WriteToUDP(buf, addr)
 	}
 }
-
-// Stats reports scheduling counters.
-func (d *Dispatcher) Stats() (assigned, completed, preempted uint64, queued int) {
-	d.mu.Lock()
-	queued = d.lgc.QueueLen()
-	d.mu.Unlock()
-	return d.assigned.Load(), d.completed.Load(), d.preempted.Load(), queued
-}
-
-// Retried returns how many assignments timed out and were requeued.
-func (d *Dispatcher) Retried() uint64 { return d.retried.Load() }
-
-// Abandoned returns how many requests exhausted MaxAttempts.
-func (d *Dispatcher) Abandoned() uint64 { return d.abandoned.Load() }
 
 // encodeAddr packs an IPv4 UDP address into 6 payload bytes.
 func encodeAddr(dst []byte, a *net.UDPAddr) []byte {

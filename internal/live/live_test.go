@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -11,9 +12,9 @@ import (
 	"mindgap/internal/wire"
 )
 
-// startSystem boots a dispatcher and workers on loopback, returning a
-// cleanup function.
-func startSystem(t *testing.T, workers int, k int, slice time.Duration) (*Dispatcher, []*Worker, func()) {
+// startSystem boots a dispatcher and workers on loopback, returning the
+// registry they report through and a cleanup function.
+func startSystem(t *testing.T, workers int, k int, slice time.Duration) (*Dispatcher, []*Worker, *telemetry.Registry, func()) {
 	t.Helper()
 	d, err := NewDispatcher("127.0.0.1:0", DispatcherConfig{
 		Workers: workers, Outstanding: k, Policy: core.LeastOutstanding,
@@ -26,6 +27,8 @@ func startSystem(t *testing.T, workers int, k int, slice time.Duration) (*Dispat
 		t.Fatal(err)
 	}
 	go func() { _ = d.Serve() }()
+	reg := telemetry.NewRegistry()
+	d.RegisterMetrics(reg)
 	var ws []*Worker
 	for i := 0; i < workers; i++ {
 		// SpinFloor 1ns: always sleep instead of busy-spinning, so the
@@ -39,6 +42,7 @@ func startSystem(t *testing.T, workers int, k int, slice time.Duration) (*Dispat
 			t.Fatal(err)
 		}
 		go func() { _ = w.Serve() }()
+		w.RegisterMetrics(reg)
 		ws = append(ws, w)
 	}
 	cleanup := func() {
@@ -47,11 +51,16 @@ func startSystem(t *testing.T, workers int, k int, slice time.Duration) (*Dispat
 		}
 		_ = d.Close()
 	}
-	return d, ws, cleanup
+	return d, ws, reg, cleanup
+}
+
+// gauge reads one counter from a fresh snapshot of reg.
+func gauge(reg *telemetry.Registry, key string) uint64 {
+	return uint64(reg.Snapshot().Gauges[key])
 }
 
 func TestLiveEndToEnd(t *testing.T) {
-	d, _, cleanup := startSystem(t, 3, 2, 0)
+	d, _, reg, cleanup := startSystem(t, 3, 2, 0)
 	defer cleanup()
 	rep, err := RunClient(ClientConfig{
 		Dispatcher: d.Addr(),
@@ -78,7 +87,7 @@ func TestLiveEndToEnd(t *testing.T) {
 	var assigned, completed uint64
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		assigned, completed, _, _ = d.Stats()
+		assigned, completed = gauge(reg, "dispatcher/assigned"), gauge(reg, "dispatcher/completed")
 		if completed >= uint64(rep.Received) || time.Now().After(deadline) {
 			break
 		}
@@ -92,8 +101,30 @@ func TestLiveEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLiveClientWaitsOutSparseLoad offers load so sparse that the gaps
+// between responses exceed the client's Timeout: that deadline starts at
+// the last send, so no response is given up on mid-run.
+func TestLiveClientWaitsOutSparseLoad(t *testing.T) {
+	d, _, _, cleanup := startSystem(t, 1, 1, 0)
+	defer cleanup()
+	rep, err := RunClient(ClientConfig{
+		Dispatcher: d.Addr(),
+		RPS:        5,
+		Service:    dist.Fixed{D: 20 * time.Microsecond},
+		Requests:   6,
+		Seed:       1,
+		Timeout:    100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sent != 6 || rep.Received != 6 {
+		t.Fatalf("sent %d received %d, want 6 and 6", rep.Sent, rep.Received)
+	}
+}
+
 func TestLiveCooperativePreemption(t *testing.T) {
-	d, ws, cleanup := startSystem(t, 2, 2, 50*time.Microsecond)
+	d, _, reg, cleanup := startSystem(t, 2, 2, 50*time.Microsecond)
 	defer cleanup()
 	rep, err := RunClient(ClientConfig{
 		Dispatcher: d.Addr(),
@@ -111,10 +142,7 @@ func TestLiveCooperativePreemption(t *testing.T) {
 	if rep.Received < 792 {
 		t.Fatalf("received %d/%d", rep.Received, rep.Sent)
 	}
-	var preempts uint64
-	for _, w := range ws {
-		preempts += w.Preempted()
-	}
+	preempts := gauge(reg, "worker0/preempted") + gauge(reg, "worker1/preempted")
 	if preempts == 0 {
 		t.Fatal("no cooperative preemptions despite 300µs requests at 50µs slice")
 	}
@@ -125,7 +153,7 @@ func TestLiveCooperativePreemption(t *testing.T) {
 	var dp uint64
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		_, _, dp, _ = d.Stats()
+		dp = gauge(reg, "dispatcher/preempted")
 		if dp >= preempts || time.Now().After(deadline) {
 			break
 		}
@@ -140,7 +168,7 @@ func TestLiveCooperativePreemption(t *testing.T) {
 }
 
 func TestLiveWorkSpreadsAcrossWorkers(t *testing.T) {
-	d, ws, cleanup := startSystem(t, 4, 1, 0)
+	d, ws, reg, cleanup := startSystem(t, 4, 1, 0)
 	defer cleanup()
 	rep, err := RunClient(ClientConfig{
 		Dispatcher: d.Addr(),
@@ -156,9 +184,9 @@ func TestLiveWorkSpreadsAcrossWorkers(t *testing.T) {
 	if rep.Received < 1_980 {
 		t.Fatalf("received %d", rep.Received)
 	}
-	for i, w := range ws {
-		if w.Completed() < 100 {
-			t.Fatalf("worker %d only completed %d — centralized queue not balancing", i, w.Completed())
+	for i := range ws {
+		if n := gauge(reg, fmt.Sprintf("worker%d/completed", i)); n < 100 {
+			t.Fatalf("worker %d only completed %d — centralized queue not balancing", i, n)
 		}
 	}
 }
@@ -200,7 +228,7 @@ func TestLiveSurvivesMalformedDatagrams(t *testing.T) {
 	// Fire garbage at both the dispatcher and a worker mid-run: corrupted
 	// packets must be dropped like a NIC would drop bad frames, without
 	// disturbing in-flight scheduling.
-	d, ws, cleanup := startSystem(t, 2, 2, 0)
+	d, ws, _, cleanup := startSystem(t, 2, 2, 0)
 	defer cleanup()
 
 	attacker, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -266,6 +294,8 @@ func TestLiveRetryRecoversFromWorkerDeath(t *testing.T) {
 	}
 	defer d.Close()
 	go func() { _ = d.Serve() }()
+	reg := telemetry.NewRegistry()
+	d.RegisterMetrics(reg)
 	var ws []*Worker
 	for i := 0; i < 3; i++ {
 		w, err := NewWorker(WorkerConfig{
@@ -297,15 +327,15 @@ func TestLiveRetryRecoversFromWorkerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Received != 200 {
-		t.Fatalf("received %d/200 despite retries (abandoned=%d)", rep.Received, d.Abandoned())
+		t.Fatalf("received %d/200 despite retries (abandoned=%d)", rep.Received, gauge(reg, "dispatcher/abandoned"))
 	}
-	if d.Retried() == 0 {
+	if gauge(reg, "dispatcher/retried") == 0 {
 		t.Fatal("no retries recorded despite a dead worker")
 	}
 }
 
 func TestDispatcherDoubleCloseIsSafe(t *testing.T) {
-	d, _, cleanup := startSystem(t, 1, 1, 0)
+	d, _, _, cleanup := startSystem(t, 1, 1, 0)
 	cleanup()
 	if err := d.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
@@ -316,7 +346,7 @@ func TestLiveMultipleClientsDoNotCollide(t *testing.T) {
 	// Two clients use overlapping request IDs (both start at 1); the
 	// dispatcher must key its state by (client, id) so responses reach
 	// the right client.
-	d, _, cleanup := startSystem(t, 2, 2, 0)
+	d, _, _, cleanup := startSystem(t, 2, 2, 0)
 	defer cleanup()
 	type res struct {
 		rep *ClientReport
@@ -425,8 +455,8 @@ func TestLiveSupersededAttemptFinishIsStale(t *testing.T) {
 
 	first, _ := recvAssign(0)
 	second, client := recvAssign(1) // attempt 0 timed out; its credit was reclaimed
-	if d.Retried() != 1 || outstanding() != 1 {
-		t.Fatalf("after the retry: retried=%d outstanding=%d", d.Retried(), outstanding())
+	if r := gauge(reg, "dispatcher/retried"); r != 1 || outstanding() != 1 {
+		t.Fatalf("after the retry: retried=%d outstanding=%d", r, outstanding())
 	}
 	ack := wire.Header{Type: wire.MsgFinish, Flags: first.Flags, ReqID: first.ReqID, ClientID: first.ClientID}
 	send(ack, d.Addr())
@@ -437,7 +467,7 @@ func TestLiveSupersededAttemptFinishIsStale(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, completed, _, _ := d.Stats(); completed != 0 || outstanding() != 1 {
+	if completed := gauge(reg, "dispatcher/completed"); completed != 0 || outstanding() != 1 {
 		t.Fatalf("stale FINISH took effect: completed=%d outstanding=%d", completed, outstanding())
 	}
 
@@ -448,7 +478,7 @@ func TestLiveSupersededAttemptFinishIsStale(t *testing.T) {
 	ack.Flags = second.Flags
 	send(ack, d.Addr())
 	for {
-		if _, completed, _, _ := d.Stats(); completed == 1 {
+		if gauge(reg, "dispatcher/completed") == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -463,7 +493,7 @@ func TestLiveSupersededAttemptFinishIsStale(t *testing.T) {
 	if r.err != nil || r.rep.Received != 1 {
 		t.Fatalf("client: %+v, %v; want one response", r.rep, r.err)
 	}
-	if d.Abandoned() != 0 {
-		t.Fatalf("abandoned = %d", d.Abandoned())
+	if a := gauge(reg, "dispatcher/abandoned"); a != 0 {
+		t.Fatalf("abandoned = %d", a)
 	}
 }

@@ -47,9 +47,6 @@ func ServeMetrics(addr string, reg *telemetry.Registry) (*MetricsServer, error) 
 	return m, nil
 }
 
-// Addr returns the bound address.
-func (m *MetricsServer) Addr() net.Addr { return m.ln.Addr() }
-
 // URL returns the server's base URL, e.g. "http://127.0.0.1:43210".
 func (m *MetricsServer) URL() string { return "http://" + m.ln.Addr().String() }
 

@@ -56,14 +56,9 @@ func TestMetricsServerEndpoints(t *testing.T) {
 // while requests flow — with -race this also proves the probes are safe
 // against the serving goroutines.
 func TestLiveMetricsUnderLoad(t *testing.T) {
-	d, ws, cleanup := startSystem(t, 2, 2, 0)
+	d, _, reg, cleanup := startSystem(t, 2, 2, 0)
 	defer cleanup()
 
-	reg := telemetry.NewRegistry()
-	d.RegisterMetrics(reg)
-	for _, w := range ws {
-		w.RegisterMetrics(reg)
-	}
 	ms, err := ServeMetrics("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)

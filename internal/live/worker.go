@@ -93,10 +93,6 @@ func (w *Worker) Close() error {
 	return err
 }
 
-// Completed and Preempted report per-worker counters.
-func (w *Worker) Completed() uint64 { return w.completed.Load() }
-func (w *Worker) Preempted() uint64 { return w.preempted.Load() }
-
 // execute runs one assignment: fake work for RemainingNS, cooperatively
 // preempting at the slice boundary.
 func (w *Worker) execute(h *wire.Header, payload []byte) {

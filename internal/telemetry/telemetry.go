@@ -35,9 +35,6 @@ func NewRegistry() *Registry {
 	return &Registry{gauges: make(map[string]func() float64)}
 }
 
-// Key builds the canonical "component/name" metric key.
-func Key(component, name string) string { return component + "/" + name }
-
 // GaugeFunc registers a gauge whose value is fn() at read time — how a
 // component exposes a count or state it already keeps (queue depth, drops,
 // busy flags) without copying it anywhere. Re-registering a key replaces
@@ -46,7 +43,7 @@ func (r *Registry) GaugeFunc(component, name string, fn func() float64) {
 	if fn == nil {
 		panic("telemetry: nil gauge probe")
 	}
-	k := Key(component, name)
+	k := component + "/" + name
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gauges[k] = fn
