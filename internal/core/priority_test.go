@@ -212,9 +212,7 @@ func TestOffloadWithPriorityClasses(t *testing.T) {
 	})
 	sys.ArmWorkerTrackers(0)
 	// 90% 2µs critical + 10% 80µs batch at ρ≈0.8 on 2 workers.
-	mix := dist.NewMixture([]float64{0.9, 0.1}, []dist.Distribution{
-		dist.Fixed{D: 2 * time.Microsecond}, dist.Fixed{D: 80 * time.Microsecond},
-	})
+	mix := dist.Bimodal{P1: 0.9, D1: 2 * time.Microsecond, D2: 80 * time.Microsecond}
 	loadgen.New(eng, loadgen.Config{RPS: 160_000, Service: mix, Seed: 13}, sys.Inject).Start()
 	eng.Run()
 	if completions < 8000 {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -177,72 +176,6 @@ func (u Uniform) Sample(r *rand.Rand) time.Duration {
 func (u Uniform) Mean() time.Duration { return (u.Lo + u.Hi) / 2 }
 
 func (u Uniform) String() string { return fmt.Sprintf("uniform:%s:%s", u.Lo, u.Hi) }
-
-// Mixture is a general finite mixture of component distributions, used to
-// compose multi-class workloads (e.g. co-located latency classes, §2.2).
-type Mixture struct {
-	Weights    []float64
-	Components []Distribution
-	cum        []float64
-}
-
-// NewMixture builds a mixture, normalizing weights. It panics on mismatched
-// or empty inputs since a mixture is always constructed from literals.
-func NewMixture(weights []float64, components []Distribution) *Mixture {
-	if len(weights) == 0 || len(weights) != len(components) {
-		panic("dist: mixture needs equal, non-zero numbers of weights and components")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("dist: negative mixture weight")
-		}
-		total += w
-	}
-	//lint:allow floateq config validation: an all-zero weight vector sums to exactly 0, not to a rounding artifact
-	if total == 0 {
-		panic("dist: mixture weights sum to zero")
-	}
-	m := &Mixture{Weights: weights, Components: components}
-	acc := 0.0
-	for _, w := range weights {
-		acc += w / total
-		m.cum = append(m.cum, acc)
-	}
-	m.cum[len(m.cum)-1] = 1.0 // guard against rounding
-	return m
-}
-
-// Sample implements Distribution.
-func (m *Mixture) Sample(r *rand.Rand) time.Duration {
-	u := r.Float64()
-	i := sort.SearchFloat64s(m.cum, u)
-	if i >= len(m.Components) {
-		i = len(m.Components) - 1
-	}
-	return m.Components[i].Sample(r)
-}
-
-// Mean implements Distribution.
-func (m *Mixture) Mean() time.Duration {
-	total := 0.0
-	for _, w := range m.Weights {
-		total += w
-	}
-	acc := 0.0
-	for i, w := range m.Weights {
-		acc += w / total * float64(m.Components[i].Mean())
-	}
-	return time.Duration(acc)
-}
-
-func (m *Mixture) String() string {
-	parts := make([]string, len(m.Components))
-	for i, c := range m.Components {
-		parts[i] = fmt.Sprintf("%g*(%s)", m.Weights[i], c)
-	}
-	return "mix:" + strings.Join(parts, "+")
-}
 
 // Parse reads the textual mini-language used by the CLIs:
 //

@@ -130,39 +130,6 @@ func TestUniform(t *testing.T) {
 	}
 }
 
-func TestMixture(t *testing.T) {
-	m := NewMixture(
-		[]float64{3, 1},
-		[]Distribution{Fixed{D: time.Microsecond}, Fixed{D: 5 * time.Microsecond}},
-	)
-	if got, want := m.Mean(), 2*time.Microsecond; got != want {
-		t.Fatalf("Mean = %v, want %v", got, want)
-	}
-	got := sampleMean(m, 200_000)
-	if math.Abs(got-2000)/2000 > 0.02 {
-		t.Fatalf("empirical mean %v, want ≈2µs", time.Duration(got))
-	}
-}
-
-func TestMixturePanics(t *testing.T) {
-	cases := []func(){
-		func() { NewMixture(nil, nil) },
-		func() { NewMixture([]float64{1}, []Distribution{Fixed{1}, Fixed{2}}) },
-		func() { NewMixture([]float64{-1, 2}, []Distribution{Fixed{1}, Fixed{2}}) },
-		func() { NewMixture([]float64{0, 0}, []Distribution{Fixed{1}, Fixed{2}}) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestParseRoundTrip(t *testing.T) {
 	inputs := []string{
 		"fixed:5µs",
@@ -241,9 +208,6 @@ func TestSamplingIsDeterministic(t *testing.T) {
 		LogNormal{Mu: 8, Sigma: 1},
 		Pareto{Min: time.Microsecond, Alpha: 1.2, Max: time.Millisecond},
 		Uniform{Lo: time.Microsecond, Hi: 9 * time.Microsecond},
-		NewMixture([]float64{0.3, 0.7}, []Distribution{
-			Exponential{M: time.Microsecond}, Pareto{Min: time.Microsecond, Alpha: 2},
-		}),
 	} {
 		r1 := rand.New(rand.NewPCG(1, 2))
 		r2 := rand.New(rand.NewPCG(1, 2))

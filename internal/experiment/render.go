@@ -10,13 +10,13 @@ import (
 )
 
 // RenderPreset measures preset p on rn and prints it to w. A preset whose
-// every series is a tenant mix prints one line per tenant, each mix on
-// one FIFO and then under its class priorities. Any other preset prints
-// its figure in format f; a preset whose every series sweeps flow
-// populations is measured as FlowRuleDetail rows, so its figure and the
-// X14 table share one run. After a cancelled run it prints the completed
-// prefix and returns the context error; a preset that does not compile
-// prints nothing.
+// every series is a tenant mix prints one line per tenant led by its
+// series label, a mix with classes on one FIFO and then under its class
+// priorities. Any other preset prints its figure in format f; a preset
+// whose every series sweeps flow populations is measured as
+// FlowRuleDetail rows, so its figure and the X14 table share one run.
+// After a cancelled run it prints the completed prefix and returns the
+// context error; a preset that does not compile prints nothing.
 func RenderPreset(ctx context.Context, rn *runner.Runner, p scenario.Preset, q Quality, w io.Writer, f Format) error {
 	mixes, flows := true, true
 	for i := range p.Series {
@@ -30,10 +30,12 @@ func RenderPreset(ctx context.Context, rn *runner.Runner, p scenario.Preset, q Q
 			return err
 		}
 		fmt.Fprintf(w, "# scenario %s (multi-tenant)\n", p.ID)
-		for _, mix := range Rows(res) {
-			for _, tr := range mix {
-				fmt.Fprintf(w, "%s,%s,%s,%v,%v,%v,%d\n",
-					p.ID, tr.Sched, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
+		for _, sr := range res {
+			for _, mix := range sr.Results {
+				for _, tr := range mix {
+					fmt.Fprintf(w, "%s,%s,%s,%v,%v,%v,%d\n",
+						sr.Label, tr.Sched, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
+				}
 			}
 		}
 		return err

@@ -24,17 +24,16 @@ type TenantResult struct {
 
 // TenantMix is the X9 row kind: several tenants sharing one server
 // (§2.2: "multiple co-located applications from different latency
-// classes"), profiled per tenant. Every tenants series is measured
-// twice: with all tenants flattened into class 0 — one shared FIFO —
-// then as written, under strict class priority. A series without
+// classes"), profiled per tenant. A tenants series with classes is
+// measured twice: with all tenants flattened into class 0 — one shared
+// FIFO — then as written, under strict class priority; an all-class-0
+// series is that FIFO already and is measured once. A series without
 // tenants has no mix to profile and yields no rows.
 var TenantMix = Kind[[]TenantResult]{
 	run: func(cfg PointConfig, sp scenario.Spec, _ float64) []TenantResult {
 		sched := "fifo"
-		for _, t := range sp.Tenants {
-			if t.Class > 0 {
-				sched = "priority"
-			}
+		if classed(sp) {
+			sched = "priority"
 		}
 		// drive stamps each request with its tenant's index.
 		hist := make([]stats.Histogram, len(sp.Tenants))
@@ -52,11 +51,25 @@ var TenantMix = Kind[[]TenantResult]{
 		return out
 	},
 	variants: func(sp scenario.Spec) []scenario.Spec {
-		if len(sp.Tenants) == 0 {
+		switch {
+		case len(sp.Tenants) == 0:
 			return nil
+		case classed(sp):
+			return []scenario.Spec{sp.WithFlatTenants(), sp}
+		default:
+			return []scenario.Spec{sp}
 		}
-		return []scenario.Spec{sp.WithFlatTenants(), sp}
 	},
+}
+
+// classed reports whether some tenant of sp is in a class other than 0.
+func classed(sp scenario.Spec) bool {
+	for _, t := range sp.Tenants {
+		if t.Class > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // printTenants prints X9, one row per tenant of each mix.

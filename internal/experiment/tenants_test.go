@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mindgap/internal/runner"
@@ -57,6 +59,53 @@ func TestMultiTenantPriorityProtectsCriticalClass(t *testing.T) {
 	// ...while the batch tenant still completes its work.
 	if prio[1].Completed == 0 {
 		t.Fatal("batch tenant starved under priority scheduling")
+	}
+}
+
+// fifoMix is a two-series mix whose tenants all sit in class 0.
+func fifoMix() scenario.Preset {
+	tenants := []scenario.TenantSpec{
+		{Name: "short", RPS: 100_000, Workload: "fixed:2µs"},
+		{Name: "long", RPS: 5_000, Workload: "fixed:50µs"},
+	}
+	return scenario.Preset{ID: "fifo-mix", Series: []scenario.SeriesSpec{
+		{Label: "offload", Spec: scenario.Spec{System: "offload", Tenants: tenants,
+			Knobs: &scenario.Knobs{Workers: 2, Outstanding: 2}}},
+		{Label: "rss", Spec: scenario.Spec{System: "rss", Tenants: tenants,
+			Knobs: &scenario.Knobs{Workers: 2}}},
+	}}
+}
+
+// TestFIFOMixMeasuredOnce: a mix with no class above 0 is its own FIFO
+// baseline, so each series yields one profile, one row per tenant.
+func TestFIFOMixMeasuredOnce(t *testing.T) {
+	res, err := Run(context.Background(), nil, fifoMix(), testQuality, TenantMix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range res {
+		if len(sr.Results) != 1 || len(sr.Results[0]) != 2 || sr.Results[0][0].Sched != "fifo" {
+			t.Errorf("series %s: rows %+v, want one fifo profile of 2 tenants", sr.Label, sr.Results)
+		}
+	}
+}
+
+// TestRenderedMixRowsNameTheirSeries: each tenant line of a rendered
+// multi-series mix starts with its own series' label.
+func TestRenderedMixRowsNameTheirSeries(t *testing.T) {
+	var buf bytes.Buffer
+	if err := RenderPreset(context.Background(), nil, fifoMix(), testQuality, &buf, CSV); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:]
+	want := []string{"offload,", "offload,", "rss,", "rss,"}
+	if len(lines) != len(want) {
+		t.Fatalf("%d tenant lines, want %d:\n%s", len(lines), len(want), buf.String())
+	}
+	for i, l := range lines {
+		if !strings.HasPrefix(l, want[i]) {
+			t.Errorf("line %d %q does not start with %q", i, l, want[i])
+		}
 	}
 }
 

@@ -12,5 +12,5 @@ func TestStatsPackage(t *testing.T) {
 }
 
 func TestExemptPackage(t *testing.T) {
-	linttest.Run(t, floateq.Analyzer, "mindgap/examples/demo", "testdata/exempt")
+	linttest.Run(t, floateq.Analyzer, "mindgap/cmd/demo", "testdata/exempt")
 }

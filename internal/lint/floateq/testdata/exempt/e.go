@@ -1,4 +1,4 @@
-// Fixture loaded as package path "mindgap/examples/demo": floateq only
+// Fixture loaded as package path "mindgap/cmd/demo": floateq only
 // applies to simulation/stats packages.
 package e
 

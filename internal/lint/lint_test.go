@@ -65,7 +65,7 @@ func moduleRoot(t *testing.T) string {
 // must update this table — the point is that every new exemption is an
 // explicit, reviewed diff, not a drive-by comment.
 var auditedSuppressions = map[string]int{
-	"internal/dist/dist.go floateq":       3,
+	"internal/dist/dist.go floateq":       2,
 	"internal/faults/faults.go floateq":   3,
 	"internal/hypothesis/spec.go floateq": 3,
 	// relMargin/symGap: zero denominators mean "both arms measured

@@ -7,9 +7,9 @@
 // package of the module computes or renders simulated results — the
 // models, the calibration constants, the exporters whose output feeds
 // golden files — except the ones named in exempt: live-serving code
-// (internal/live), command-line frontends (cmd/...), examples and the
-// linter itself are free to read the wall clock. A new package is
-// checked unless it is added here.
+// (internal/live), command-line frontends (cmd/...) and the linter
+// itself are free to read the wall clock. A new package is checked
+// unless it is added here.
 package simpkg
 
 import "strings"
@@ -21,7 +21,6 @@ const module = "mindgap"
 // exempt are the module subtrees the determinism rules skip.
 var exempt = []string{
 	"mindgap/cmd",
-	"mindgap/examples",
 	"mindgap/internal/live",
 	"mindgap/internal/lint",
 }

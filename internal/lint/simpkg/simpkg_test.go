@@ -13,7 +13,7 @@ func TestIsSimPackage(t *testing.T) {
 		"mindgap/internal/sim.test":                               true,
 		"mindgap/internal/liveness":                               true,
 		"mindgap/cmd/mindgap-bench":                               false,
-		"mindgap/examples/faas":                                   false,
+		"mindgap/examples/demo":                                   true,
 		"mindgap/internal/live":                                   false,
 		"mindgap/internal/live_test [mindgap/internal/live.test]": false,
 		"mindgap/internal/lint/simpkg":                            false,

@@ -7,10 +7,10 @@
 //
 // Every system in the repository — the paper's Shinjuku-Offload and all
 // §2.1 baselines — is assembled through Build, so scenarios are data:
-// the experiment harness, the CLIs, and the examples all construct
-// systems from the same audited specs, the runner's result cache keys
-// derive from Spec.Fingerprint, and checked-in presets under scenarios/
-// replace hand-rolled factory closures.
+// the experiment harness and the CLIs construct systems from the same
+// audited specs, the runner's result cache keys derive from
+// Spec.Fingerprint, and checked-in presets under scenarios/ replace
+// hand-rolled factory closures.
 package scenario
 
 import (

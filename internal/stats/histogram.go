@@ -137,11 +137,10 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(h.max)
 }
 
-// P50, P99 and P999 are the quantiles the paper plots ("we refer to the 99th
+// P50 and P99 are the quantiles the paper plots ("we refer to the 99th
 // percentile latency as the tail latency", §4).
-func (h *Histogram) P50() time.Duration  { return h.Quantile(0.50) }
-func (h *Histogram) P99() time.Duration  { return h.Quantile(0.99) }
-func (h *Histogram) P999() time.Duration { return h.Quantile(0.999) }
+func (h *Histogram) P50() time.Duration { return h.Quantile(0.50) }
+func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
 
 // Merge adds all of o's observations into h.
 func (h *Histogram) Merge(o *Histogram) {
