@@ -63,14 +63,10 @@ type CentralConfig struct {
 // on the shared host-worker kit.
 type Central struct {
 	*cores.Host
-	eng *sim.Engine
-	cfg CentralConfig
-	pr  *probe.Probe
-	lgc *Logic
-	// net is HostCore's networker thread and the cache-line channel behind
-	// it, one FIFO pipe into the dispatcher; nil for IntegratedNI, which
-	// submits at ingress.
-	net   *fabric.Link
+	eng   *sim.Engine
+	cfg   CentralConfig
+	pr    *probe.Probe
+	lgc   *Logic
 	stage *fabric.MultiStage[qEvent]
 	ports []centralPort
 	// asScratch is the reusable assignment buffer for the scheduling calls
@@ -93,7 +89,7 @@ func NewCentral(eng *sim.Engine, cfg CentralConfig, pr *probe.Probe, done func(*
 	c := &Central{eng: eng, cfg: cfg, pr: pr}
 	// No SelfArm: preemption is dispatcher-posted.
 	c.Host = cores.NewHost(eng, cores.HostConfig{P: p, Workers: cfg.Workers, Pickup: p.PickupCost(false), Slice: cfg.Slice},
-		pr, c.ingress, done)
+		pr, c.submit, done)
 	for _, w := range c.Workers {
 		if c.socket(w.ID) != 0 {
 			// The packet sits in socket 0's LLC; a remote worker fetches it
@@ -109,7 +105,10 @@ func NewCentral(eng *sim.Engine, cfg CentralConfig, pr *probe.Probe, done func(*
 	name, dispatch, completion, hop := "ni-queue", p.RPCValetDispatchCost, p.RPCValetDispatchCost, p.RPCValetLinkLatency
 	if cfg.Mode == HostCore {
 		name, dispatch, completion, hop = "host-dispatcher", p.HostDispatchCost, p.HostCompletionCost, p.CacheLine
-		c.net = fabric.NewLink(eng, "host-networker", fabric.LinkConfig{Cost: p.HostNetworkerCost, Latency: p.CacheLine})
+		// The networker thread and the cache-line channel behind it are one
+		// FIFO pipe into the dispatcher, the rest of the front; the
+		// integrated NI submits at the NIC port.
+		c.Front(fabric.NewLink(eng, "host-networker", fabric.LinkConfig{Cost: p.HostNetworkerCost, Latency: p.CacheLine, Front: true}), nil, nil)
 	}
 	c.stage = fabric.NewMultiStage[qEvent](eng, name, 2, nil,
 		func(ev qEvent) time.Duration {
@@ -150,27 +149,8 @@ func (c *Central) socket(id int) int {
 	return id * c.cfg.Sockets / c.cfg.Workers
 }
 
-// ingress runs when a request frame reaches the NIC.
-//
-//mindgap:noalloc
-func (c *Central) ingress(req *task.Request) {
-	c.pr.Ingress(c.eng.Now(), req.ID)
-	if c.net == nil {
-		c.submit(req)
-		return
-	}
-	c.net.SendT(0, centralArrive, c, req, 0)
-}
-
-// centralArrive fires when a new request has crossed the networker thread
-// and the networker→dispatcher cache-line channel.
-//
-//mindgap:noalloc
-func centralArrive(recv, obj any, _ uint64) {
-	recv.(*Central).submit(obj.(*task.Request))
-}
-
-// submit hands a newly arrived request to the dispatcher.
+// submit hands a newly arrived request to the dispatcher: the NIC port
+// steers it there, or HostCore's networker once it has crossed it.
 //
 //mindgap:noalloc
 func (c *Central) submit(req *task.Request) {

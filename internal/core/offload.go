@@ -271,10 +271,17 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 	s.Host = cores.NewHost(eng, cores.HostConfig{
 		P: p, Workers: cfg.Workers, Pickup: p.PickupCost(cfg.DDIOToL1),
 		Slice: cfg.Slice, SelfArm: !cfg.DirectInterrupts,
-	}, pr, s.ingress, done)
+	}, pr, s.admit, done)
 	s.Started, s.Finished, s.Preempted, s.Account = s.started, s.finished, s.preempted, s.account
 
-	s.netq = fabric.NewLink(eng, "arm-networker", fabric.LinkConfig{Cost: p.ArmNetworkerCost, Latency: p.ArmShm})
+	// The networker and its ring are the rest of the front: only the client
+	// wire feeds them.
+	s.netq = fabric.NewLink(eng, "arm-networker", fabric.LinkConfig{Cost: p.ArmNetworkerCost, Latency: p.ArmShm, Front: true})
+	var skip func(from, to sim.Time) bool
+	if s.flt != nil && s.flt.Degrade() {
+		skip = s.flt.NICDown
+	}
+	s.Front(s.netq, skip, s.steerDegraded)
 	s.tx = fabric.NewLink(eng, "arm-tx", fabric.LinkConfig{Cost: p.ArmTxCost})
 	s.rxq = fabric.NewLink(eng, "arm-rx", fabric.LinkConfig{Cost: p.ArmRxCost, Latency: p.ArmShm})
 
@@ -375,30 +382,13 @@ func (s *Offload) Name() string {
 	return "idealnic/" + strings.Join(abl, "+")
 }
 
-// ingress runs when a client request frame reaches the NIC port.
+// admit runs when a new request has crossed the networker core and the
+// networker→queue-manager shared-memory ring. A request reaching the NIC
+// port while the ARM cores are down skips them for steerDegraded (Front).
 //
 //mindgap:noalloc
-func (s *Offload) ingress(req *task.Request) {
-	s.pr.Ingress(s.eng.Now(), req.ID)
-	if s.flt != nil && s.flt.Degrade() && s.flt.NICDown(s.eng.Now()) {
-		// Graceful degradation: the MAC-steering hardware outlives the
-		// ARM cores, so the NIC falls back to RSS-style hash steering
-		// straight into a worker VF ring instead of queueing behind a
-		// dead dispatcher. Informed scheduling is lost; goodput is not.
-		s.steerDegraded(req)
-		return
-	}
-	s.netq.SendT(0, shmNewArrive, s, req, 0)
-}
-
-// shmNewArrive fires when a new request has crossed the networker core and
-// the networker→queue-manager shared-memory ring.
-//
-//mindgap:noalloc
-func shmNewArrive(recv, obj any, _ uint64) {
-	s := recv.(*Offload)
-	r := obj.(*task.Request)
-	s.queueMgr.Submit(qcNew, qEvent{kind: evNew, req: r, id: r.ID})
+func (s *Offload) admit(req *task.Request) {
+	s.queueMgr.Submit(qcNew, qEvent{kind: evNew, req: req, id: req.ID})
 }
 
 // shmNotif fires when a worker notification has crossed the RX core and the
@@ -414,9 +404,12 @@ func shmNotif(recv, obj any, _ uint64) {
 	s.queueMgr.Submit(qcNotif, ev)
 }
 
-// steerDegraded hash-steers a request to a worker VF, bypassing the ARM
-// pipeline. No credit is consumed and no FINISH notification will be
-// sent; overflowing the VF ring sheds the request (graceful shedding).
+// steerDegraded hash-steers a request to a worker VF at the NIC port,
+// bypassing the ARM pipeline: the MAC-steering hardware outlives the ARM
+// cores, so the NIC falls back to RSS-style hash steering instead of
+// queueing behind a dead dispatcher. Informed scheduling is lost; goodput
+// is not. No credit is consumed and no FINISH notification will be sent;
+// overflowing the VF ring sheds the request (graceful shedding).
 //
 //mindgap:noalloc
 func (s *Offload) steerDegraded(req *task.Request) {

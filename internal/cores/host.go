@@ -33,10 +33,10 @@ type HostConfig struct {
 	Pickup time.Duration
 }
 
-// Host is the host-worker kit: the client edge (ingress and egress wire,
+// Host is the host-worker kit: the client edge (the front, egress wire,
 // Inject, the respond event), one serial-core state machine per worker,
 // and the worker-set surface scenario.System reads. A model embeds *Host,
-// supplies steer — what happens when a request frame reaches the NIC —
+// supplies steer — what happens when a request leaves the front —
 // and sets the hook fields for what its channel back to the scheduler
 // does differently; everything else about a worker is defined here once.
 //
@@ -50,6 +50,12 @@ type Host struct {
 	done  func(*task.Request)
 
 	ingress, egress *fabric.Link
+	// front is the model's pipe behind the NIC port, nil when steer runs
+	// there; a request reaching the port while skip holds goes to bypass.
+	front  *fabric.Link
+	skip   func(from, to sim.Time) bool
+	bypass func(*task.Request)
+	pull   func() // transmits the run's next request (Pull)
 	// chain files each response's built instant as an event: stalls can
 	// reorder built instants, and the egress wire is a FIFO server.
 	chain bool
@@ -116,7 +122,7 @@ type Worker struct {
 }
 
 // NewHost builds the client edge and the worker cores on eng. steer runs
-// when a request frame reaches the NIC port; done runs at the instant the
+// when a request leaves the front (see Inject); done runs at the instant the
 // client receives each response; pr (optional) carries the run's observers.
 func NewHost(eng *sim.Engine, cfg HostConfig, pr *probe.Probe, steer, done func(*task.Request)) *Host {
 	if cfg.Workers <= 0 {
@@ -127,9 +133,11 @@ func NewHost(eng *sim.Engine, cfg HostConfig, pr *probe.Probe, steer, done func(
 	}
 	p := cfg.P
 	wire := fabric.LinkConfig{Latency: p.ClientWireOneWay, BandwidthBps: p.WireBandwidth}
+	front := wire
+	front.Front = true
 	h := &Host{
 		eng: eng, p: p, pr: pr, steer: steer, done: done,
-		ingress: fabric.NewLink(eng, "client→nic", wire),
+		ingress: fabric.NewLink(eng, "client→nic", front),
 		egress:  fabric.NewLink(eng, "nic→client", wire),
 	}
 	ec := ExecConfig{
@@ -149,17 +157,64 @@ func NewHost(eng *sim.Engine, cfg HostConfig, pr *probe.Probe, steer, done func(
 	return h
 }
 
-// Inject admits a client request at the current instant (its Arrival time).
-func (h *Host) Inject(req *task.Request) {
-	h.pr.Arrive(h.eng.Now(), req.ID, req.Service)
-	h.ingress.SendT(h.p.RequestFrameBytes, hostIngress, h, req, 0)
-}
-
-// hostIngress fires when a client request frame reaches the NIC port.
+// Inject has the client transmit req at req.Arrival, which a pulled run
+// may compute after the fact: the request crosses the front — the client
+// wire, then any Front pipe — in one event at its exit. Arrive and Ingress
+// are recorded at their own instants.
 //
 //mindgap:noalloc
-func hostIngress(recv, obj any, _ uint64) {
-	recv.(*Host).steer(obj.(*task.Request))
+func (h *Host) Inject(req *task.Request) {
+	h.pr.Arrive(req.Arrival, req.ID, req.Service)
+	port, _ := h.ingress.Enter(req.Arrival, h.p.RequestFrameBytes)
+	h.pr.Ingress(port, req.ID)
+	exit, route := port, frontExit
+	if h.front != nil {
+		if h.skip != nil && h.skip(port, port) {
+			route = frontSkipped
+		} else if exit, _ = h.front.Enter(port, 0); h.skip != nil && h.skip(port, exit) {
+			// A later request may skip front and reach the port before
+			// this one leaves it: transmit that one now.
+			route = frontPulled
+		}
+	}
+	h.eng.AtE(exit, hostArrive, h, req, route)
+	if route == frontPulled && h.pull != nil {
+		h.pull()
+	}
+}
+
+// hostArrive's arg: how a request left the front.
+const (
+	frontExit    uint64 = iota // through it
+	frontSkipped               // past the Front pipe, to bypass
+	frontPulled                // through it, the next request already pulled
+)
+
+// Front extends the front past the NIC port through l, a Front link. A
+// request reaching the port where skip(port, port) holds — skip(from, to):
+// at some instant of [from, to] — goes to bypass there.
+func (h *Host) Front(l *fabric.Link, skip func(from, to sim.Time) bool, bypass func(*task.Request)) {
+	h.front, h.skip, h.bypass = l, skip, bypass
+}
+
+// Pull has each request leaving the front call next, which transmits the
+// run's next request through Inject: arrivals file no events of their own.
+func (h *Host) Pull(next func()) { h.pull = next }
+
+// hostArrive fires when a client request leaves the front: steer it, then
+// pull the next.
+//
+//mindgap:noalloc
+func hostArrive(recv, obj any, route uint64) {
+	h, req := recv.(*Host), obj.(*task.Request)
+	if route == frontSkipped {
+		h.bypass(req)
+	} else {
+		h.steer(req)
+	}
+	if route != frontPulled && h.pull != nil {
+		h.pull()
+	}
 }
 
 // hostRespond fires when the response frame reaches the client.

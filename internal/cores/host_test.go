@@ -1,10 +1,12 @@
 package cores
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
 
+	"mindgap/internal/fabric"
 	"mindgap/internal/params"
 	"mindgap/internal/sim"
 	"mindgap/internal/task"
@@ -325,6 +327,107 @@ func TestPostSlice(t *testing.T) {
 			t.Fatalf("completions=%d preemptions=%d, want 2 and 0", h.Completions(), h.Preemptions())
 		}
 	})
+}
+
+// frontStep is one request leaving a test host's front: where, when, and
+// whether it skipped the Front pipe.
+type frontStep struct {
+	id      uint64
+	at      sim.Time
+	skipped bool
+}
+
+// runFront drives a one-worker host with n requests at random transmit
+// instants, pushed (each Injected at its instant by an event) or pulled
+// (Pull), with a Front pipe frozen over [down0, down1) that requests
+// reaching the port inside that window skip. It logs each front exit and
+// returns the engine.
+func runFront(t *testing.T, n int, front, pull bool) ([]frontStep, *sim.Engine) {
+	t.Helper()
+	const down0, down1 = sim.Time(40 * time.Microsecond), sim.Time(55 * time.Microsecond)
+	eng := sim.New()
+	var log []frontStep
+	var h *Host
+	h = NewHost(eng, HostConfig{P: params.Default(), Workers: 1, Pickup: testPickup}, nil,
+		func(r *task.Request) {
+			log = append(log, frontStep{r.ID, eng.Now(), false})
+			h.Workers[0].Deliver(r)
+		},
+		func(*task.Request) {})
+	if front {
+		l := fabric.NewLink(eng, "networker", fabric.LinkConfig{Cost: 700, Latency: 300, Front: true})
+		l.SetStretch(func(at sim.Time, work time.Duration) time.Duration {
+			switch {
+			case at >= down1 || at.Add(work) <= down0:
+				return work
+			case at >= down0:
+				return down1.Sub(at) + work
+			default:
+				return down1.Sub(down0) + work
+			}
+		})
+		h.Front(l, func(from, to sim.Time) bool { return from < down1 && to >= down0 },
+			func(r *task.Request) {
+				log = append(log, frontStep{r.ID, eng.Now(), true})
+				h.Workers[0].Deliver(r)
+			})
+	}
+	rng := rand.New(rand.NewPCG(7, 11))
+	arrivals := make([]sim.Time, n)
+	for i := 1; i < n; i++ {
+		arrivals[i] = arrivals[i-1] + sim.Time(rng.IntN(1500))
+	}
+	inject := func(i int) { h.Inject(task.New(uint64(i+1), arrivals[i], 600*time.Nanosecond)) }
+	if pull {
+		next := 0
+		h.Pull(func() {
+			if next < n {
+				next++
+				inject(next - 1)
+			}
+		})
+		h.pull()
+	} else {
+		for i, at := range arrivals {
+			eng.At(at, func() { inject(i) })
+		}
+	}
+	eng.Run()
+	return log, eng
+}
+
+// TestHostPull: a pulled host files one event per arrival, its front exit,
+// so a one-worker run-to-completion host costs 4 events per request (exit,
+// pickup, completion, response) where a pushed one costs 5; and pulled or
+// pushed, every request leaves the front at the same instant by the same
+// route — through a Front pipe frozen by a crash window whose requests
+// skip it, reaching the port before those still frozen inside leave.
+func TestHostPull(t *testing.T) {
+	const n = 400
+	pushed, pushEng := runFront(t, n, false, false)
+	pulled, pullEng := runFront(t, n, false, true)
+	if !reflect.DeepEqual(pulled, pushed) {
+		t.Fatalf("pulled front exits diverge from pushed:\n got %v\nwant %v", pulled, pushed)
+	}
+	if got := pullEng.Executed(); got != 4*n {
+		t.Errorf("pulled host executed %d events for %d requests, want 4 each", got, n)
+	}
+	if got := pushEng.Executed(); got != 5*n {
+		t.Errorf("pushed host executed %d events for %d requests, want 5 each", got, n)
+	}
+
+	pushed, _ = runFront(t, n, true, false)
+	pulled, _ = runFront(t, n, true, true)
+	if !reflect.DeepEqual(pulled, pushed) {
+		t.Fatalf("pulled front exits through a frozen pipe diverge from pushed:\n got %v\nwant %v", pulled, pushed)
+	}
+	overtaken := false
+	for i := 1; i < len(pulled); i++ {
+		overtaken = overtaken || pulled[i].id < pulled[i-1].id
+	}
+	if !overtaken {
+		t.Fatal("no request skipped the frozen pipe ahead of one inside it: the window missed the traffic")
+	}
 }
 
 func TestHostValidation(t *testing.T) {

@@ -87,13 +87,13 @@ func RunPoint(cfg PointConfig) Result {
 }
 
 // drive is the one open-loop drive loop behind every measured point:
-// build the system, start the generator (one per tenant), discard Warmup
-// completions, record Measure more, stop — or let the watchdog truncate a
-// saturated run — and audit the halted run (probe.Conserve), panicking
-// with the broken equation. observe, when set, sees every measured
-// completion before its request is recycled (row kinds that keep their own
-// histogram); the finished system is returned for row kinds that read its
-// counters.
+// build the system, have it pull the tenant streams (or start the flow
+// generator), discard Warmup completions, record Measure more, stop — or
+// let the watchdog truncate a saturated run — and audit the halted run
+// (probe.Conserve), panicking with the broken equation. observe, when set,
+// sees every measured completion before its request is recycled (row kinds
+// that keep their own histogram); the finished system is returned for row
+// kinds that read its counters.
 func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)) (Result, System) {
 	if cfg.Warmup < 0 || cfg.Measure <= 0 {
 		panic("experiment: need a positive measurement count")
@@ -179,8 +179,10 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 		if len(streams) == 0 {
 			streams = []Tenant{{RPS: cfg.OfferedRPS, Service: cfg.Service}}
 		}
+		// Each request leaving the system's front transmits the next.
+		gs := make([]*loadgen.Generator, len(streams))
 		for i, t := range streams {
-			g := loadgen.New(eng, loadgen.Config{
+			gs[i] = loadgen.New(eng, loadgen.Config{
 				RPS:      t.RPS,
 				Service:  t.Service,
 				Keys:     cfg.Keys,
@@ -188,9 +190,11 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 				ClientID: uint32(i),
 				Pool:     pool,
 			}, sys.Inject)
-			g.Start()
-			gens = append(gens, &g.Counters)
+			gens = append(gens, &gs[i].Counters)
 		}
+		src := loadgen.NewSource(gs...)
+		sys.Pull(src.Pull)
+		src.Pull()
 	}
 
 	maxT := cfg.MaxSimTime
@@ -204,13 +208,12 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 	eng.Run()
 
 	// Every point audits its own conservation at halt.
-	halt := probe.Halt{Streams: len(gens), Done: uint64(completions), Pending: eng.Pending(),
-		Pool: pool.Live(), FlowPool: -1}
+	halt := probe.Halt{Done: uint64(completions), Pending: eng.Pending(), Pool: pool.Live(), FlowPool: -1}
 	for _, g := range gens {
 		halt.Generated += g.Arrivals()
 	}
 	if fgen != nil {
-		halt.FlowPool, halt.Population = flows.Live(), fgen.Population()
+		halt.Streams, halt.FlowPool, halt.Population = 1, flows.Live(), fgen.Population()
 	}
 	if err := probe.Conserve(sys.Ledger(), halt); err != nil {
 		panic(fmt.Sprintf("experiment: %s at %.0f rps: %v", sys.Name(), cfg.OfferedRPS, err))

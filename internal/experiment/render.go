@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 
 	"mindgap/internal/runner"
 	"mindgap/internal/scenario"
@@ -30,13 +32,18 @@ func RenderPreset(ctx context.Context, rn *runner.Runner, p scenario.Preset, q Q
 			return err
 		}
 		fmt.Fprintf(w, "# scenario %s (multi-tenant)\n", p.ID)
+		// Labels and tenant names are quoted only where a field needs it.
+		cw := csv.NewWriter(w)
 		for _, sr := range res {
 			for _, mix := range sr.Results {
 				for _, tr := range mix {
-					fmt.Fprintf(w, "%s,%s,%s,%v,%v,%v,%d\n",
-						sr.Label, tr.Sched, tr.Tenant.Name, tr.P50, tr.P99, tr.Mean, tr.Completed)
+					cw.Write([]string{sr.Label, tr.Sched, tr.Tenant.Name, tr.P50.String(), tr.P99.String(),
+						tr.Mean.String(), strconv.FormatInt(tr.Completed, 10)})
 				}
 			}
+		}
+		if cw.Flush(); cw.Error() != nil {
+			return cw.Error()
 		}
 		return err
 	}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"reflect"
 	"strings"
 	"testing"
@@ -106,6 +107,37 @@ func TestRenderedMixRowsNameTheirSeries(t *testing.T) {
 		if !strings.HasPrefix(l, want[i]) {
 			t.Errorf("line %d %q does not start with %q", i, l, want[i])
 		}
+	}
+}
+
+// TestRenderedMixQuotesFields: a series label or tenant name holding a
+// comma is quoted, so every rendered tenant line still parses as the
+// row's seven fields; a plain one is not.
+func TestRenderedMixQuotesFields(t *testing.T) {
+	p := fifoMix()
+	p.Series[0].Label = "offload (2 workers, k=2)"
+	p.Series[0].Tenants = append([]scenario.TenantSpec(nil), p.Series[0].Tenants...)
+	p.Series[0].Tenants[0].Name = "short, cached"
+	var buf bytes.Buffer
+	if err := RenderPreset(context.Background(), nil, p, testQuality, &buf, CSV); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.String()[strings.Index(buf.String(), "\n")+1:]
+	rows, err := csv.NewReader(strings.NewReader(body)).ReadAll()
+	if err != nil {
+		t.Fatalf("%v:\n%s", err, buf.String())
+	}
+	want := [][2]string{{p.Series[0].Label, "short, cached"}, {p.Series[0].Label, "long"}, {"rss", "short"}, {"rss", "long"}}
+	if len(rows) != len(want) {
+		t.Fatalf("%d tenant rows, want %d:\n%s", len(rows), len(want), buf.String())
+	}
+	for i, r := range rows {
+		if len(r) != 7 || r[0] != want[i][0] || r[2] != want[i][1] {
+			t.Errorf("row %d = %q, want 7 fields led by %q with tenant %q", i, r, want[i][0], want[i][1])
+		}
+	}
+	if !strings.Contains(body, "\nrss,fifo,short,") {
+		t.Errorf("a plain label or tenant name was quoted:\n%s", body)
 	}
 }
 

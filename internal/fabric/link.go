@@ -31,6 +31,9 @@ type LinkConfig struct {
 	// Cost is a fixed per-message service time at the link's server (an
 	// ARM core's per-request work in front of its shared-memory ring).
 	Cost time.Duration
+	// Front marks a link only the client feeds, in transmit order, so it
+	// may be entered before now, its exits exact FIFO arithmetic still.
+	Front bool
 }
 
 // server is the FIFO arithmetic every serial server in fabric shares.
@@ -142,13 +145,14 @@ func (l *Link) SendAtT(at sim.Time, bytes int, fn sim.EventFunc, recv, obj any, 
 	return ok
 }
 
-// Enter admits a message at the instant at >= now and returns its delivery
-// instant, filing no event. ok is false when an injected wire fault loses
-// the message, which then occupies no server time.
+// Enter admits a message at the instant at >= now (any instant in entry
+// order on a Front link) and returns its delivery instant, filing no
+// event. ok is false when an injected wire fault loses the message, which
+// then occupies no server time.
 //
 //mindgap:noalloc
 func (l *Link) Enter(at sim.Time, bytes int) (deliver sim.Time, ok bool) {
-	if at < l.eng.Now() {
+	if at < l.eng.Now() && !l.cfg.Front {
 		panic(fmt.Sprintf("fabric: %s entered at %v, before now %v", l.name, at, l.eng.Now()))
 	}
 	latency := l.cfg.Latency

@@ -157,6 +157,27 @@ func TestPipeMatchesEventDrivenServer(t *testing.T) {
 		if events != uint64(2*n) {
 			t.Fatalf("seed %d: %d submits cost %d events, want one each plus the delivery", seed, n, events)
 		}
+		// A front link entered late, in order — every entry made at the
+		// last submit instant, so all but one lie in the past — delivers
+		// each message where the event-driven entries did.
+		late := func() (log []exitAt) {
+			eng := sim.New()
+			fcfg := cfg
+			fcfg.Front = true
+			front := NewLink(eng, "front", fcfg)
+			front.SetStretch(stretch)
+			eng.At(instants[n-1], func() {
+				for i, at := range instants {
+					deliver, _ := front.Enter(at, bytes[i])
+					log = append(log, exitAt{i, deliver})
+				}
+			})
+			eng.Run()
+			return log
+		}()
+		if !slices.Equal(late, want) {
+			t.Fatalf("seed %d, %+v, windows %v: late front entries diverge\n got %v\nwant %v", seed, cfg, windows, late, want)
+		}
 
 		// A stage with per-item costs against the reference server alone.
 		costs := make([]time.Duration, n)
@@ -188,7 +209,7 @@ func TestPipeMatchesEventDrivenServer(t *testing.T) {
 // TestLinkEnterAtChains: a message entered at a later instant through
 // SendAtT or carried on from Enter arrives exactly where the hop-by-hop
 // form puts it, and entering a server before its previous entry, or any
-// link before now, panics.
+// link but a front one before now, panics.
 func TestLinkEnterAtChains(t *testing.T) {
 	eng := sim.New()
 	first := NewLink(eng, "first", LinkConfig{Cost: 300, Latency: 100})
@@ -209,6 +230,12 @@ func TestLinkEnterAtChains(t *testing.T) {
 	for name, enter := range map[string]func(){
 		"server entry before the previous one": func() { second.Enter(eng.Now()+100, 0); second.Enter(eng.Now()+50, 0) },
 		"entry before now":                     func() { NewLink(eng, "x", LinkConfig{}).Enter(eng.Now()-1, 0) },
+		"server entry before now":              func() { NewLink(eng, "x", LinkConfig{Cost: 10}).Enter(eng.Now()-1, 0) },
+		"front entry before the previous one": func() {
+			front := NewLink(eng, "front", LinkConfig{Cost: 10, Front: true})
+			front.Enter(eng.Now()-1, 0)
+			front.Enter(eng.Now()-2, 0)
+		},
 	} {
 		func() {
 			defer func() {
@@ -218,5 +245,8 @@ func TestLinkEnterAtChains(t *testing.T) {
 			}()
 			enter()
 		}()
+	}
+	if out, _ := NewLink(eng, "front", LinkConfig{Cost: 10, Front: true}).Enter(eng.Now()-100, 0); out != eng.Now()-90 {
+		t.Errorf("front entry 100 ns before now left at %v, want %v", out, eng.Now()-90)
 	}
 }

@@ -290,14 +290,22 @@ func TestWorkerStretchSelectsWorkers(t *testing.T) {
 
 func TestNICDownAndRecovery(t *testing.T) {
 	s := New(validBase(), 1)
-	if s.NICDown(sim.Time(9 * time.Millisecond)) {
-		t.Fatal("NICDown before the crash window")
-	}
-	if !s.NICDown(sim.Time(10 * time.Millisecond)) {
-		t.Fatal("NICDown false at crash start (window is half-open)")
-	}
-	if s.NICDown(sim.Time(14 * time.Millisecond)) {
-		t.Fatal("NICDown true at crash end (window is half-open)")
+	ms := func(n int) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
+	for _, c := range []struct {
+		from, to int
+		down     bool
+		why      string
+	}{
+		{9, 9, false, "before the crash window"},
+		{10, 10, true, "at crash start (window is half-open)"},
+		{14, 14, false, "at crash end (window is half-open)"},
+		{5, 10, true, "over an interval closed at crash start"},
+		{14, 20, false, "over an interval after the window"},
+		{11, 12, true, "inside the window"},
+	} {
+		if got := s.NICDown(ms(c.from), ms(c.to)); got != c.down {
+			t.Errorf("NICDown(%d ms, %d ms) = %v %s", c.from, c.to, got, c.why)
+		}
 	}
 }
 

@@ -107,8 +107,9 @@ func (s *Schedule) WorkerStretch(id int) StretchFunc {
 	return s.workers.stretch
 }
 
-// NICDown reports whether every NIC ARM core is inside a crash window.
-func (s *Schedule) NICDown(now sim.Time) bool { return s.crash.contains(now) }
+// NICDown reports whether every NIC ARM core is inside a crash window at
+// some instant of [from, to].
+func (s *Schedule) NICDown(from, to sim.Time) bool { return s.crash.holds(from, to) }
 
 // CrashWindows returns the resolved crash windows — the bench recovery
 // table uses them to place its phase boundaries.
@@ -129,11 +130,11 @@ func (s *Schedule) HasLinkFaults() bool { return len(s.loss) > 0 || len(s.delay)
 // latency. Loss draws happen only inside loss windows, in simulation
 // event order, so the stream is deterministic.
 func (s *Schedule) LinkFault(now sim.Time) (drop bool, extra time.Duration) {
-	if s.loss.contains(now) && s.rng.Float64() < s.spec.LossRate {
+	if s.loss.holds(now, now) && s.rng.Float64() < s.spec.LossRate {
 		s.lossDrops++
 		return true, 0
 	}
-	if s.delay.contains(now) {
+	if s.delay.holds(now, now) {
 		s.delayHits++
 		extra = s.spec.DelayExtra.D()
 	}

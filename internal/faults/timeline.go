@@ -80,10 +80,11 @@ func overlay(slow, crash timeline) timeline {
 	return out
 }
 
-// contains reports whether now falls inside a span of the timeline.
-func (t timeline) contains(now sim.Time) bool {
-	i := sort.Search(len(t), func(j int) bool { return t[j].end > now })
-	return i < len(t) && t[i].start <= now
+// holds reports whether a span of the timeline holds an instant of
+// [from, to].
+func (t timeline) holds(from, to sim.Time) bool {
+	i := sort.Search(len(t), func(j int) bool { return t[j].end > from })
+	return i < len(t) && t[i].start <= to
 }
 
 // stretch converts an amount of work starting at `at` into the wall

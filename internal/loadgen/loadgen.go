@@ -39,7 +39,8 @@ type Config struct {
 }
 
 // Generator produces requests on a simulation engine and hands them to a
-// sink (a System's Inject method) at their arrival instants.
+// sink (a System's Inject method), at their arrival instants once started
+// or as a Source pulls them.
 type Generator struct {
 	// Counters holds the shared arrival accounting (Arrivals, Packets,
 	// Flows accessors).
@@ -51,10 +52,11 @@ type Generator struct {
 	sink func(*task.Request)
 
 	nextID uint64
+	at     sim.Time // the next request's transmit instant
 }
 
-// New creates a generator. sink is called exactly at each request's arrival
-// instant with a freshly built request.
+// New creates a generator. sink is called with each freshly built request,
+// exactly at its Arrival instant once started.
 func New(eng *sim.Engine, cfg Config, sink func(*task.Request)) *Generator {
 	if cfg.RPS <= 0 {
 		panic("loadgen: RPS must be positive")
@@ -77,34 +79,48 @@ func New(eng *sim.Engine, cfg Config, sink func(*task.Request)) *Generator {
 // Start schedules the first arrival. Generation continues open-loop until
 // MaxArrivals (if set) or until the engine halts.
 func (g *Generator) Start() {
-	g.eng.AfterE(g.interarrival(), genArrive, g, nil, 0)
+	g.at = g.eng.Now().Add(g.interarrival())
+	g.eng.AtE(g.at, genArrive, g, nil, 0)
 }
 
-// genArrive fires at each arrival instant: build (or recycle) the request,
-// hand it to the sink, and schedule the next arrival. Typed event + pooled
-// request make the steady-state arrival path allocation-free.
+// genArrive fires at each arrival instant: emit the request and schedule
+// the next arrival. Typed event + pooled request make the steady-state
+// arrival path allocation-free.
 //
 //mindgap:noalloc
 func genArrive(recv, _ any, _ uint64) {
-	g := recv.(*Generator)
-	if g.cfg.MaxArrivals > 0 && g.arrivals >= g.cfg.MaxArrivals {
-		return
+	if g := recv.(*Generator); !g.exhausted() {
+		g.emit()
+		g.eng.AtE(g.at, genArrive, g, nil, 0)
 	}
+}
+
+// exhausted reports whether the generator has sent MaxArrivals.
+//
+//mindgap:noalloc
+func (g *Generator) exhausted() bool { return g.cfg.MaxArrivals > 0 && g.arrivals >= g.cfg.MaxArrivals }
+
+// emit builds (or recycles) the request transmitted at g.at, draws the
+// next gap — service, key, gap, however the generator is driven — and
+// hands the request to the sink.
+//
+//mindgap:noalloc
+func (g *Generator) emit() {
 	g.nextID++
 	g.arrivals++
 	g.packets++
 	var req *task.Request
 	if g.cfg.Pool != nil {
-		req = g.cfg.Pool.Get(g.nextID, g.eng.Now(), g.cfg.Service.Sample(g.rng))
+		req = g.cfg.Pool.Get(g.nextID, g.at, g.cfg.Service.Sample(g.rng))
 	} else {
-		req = task.New(g.nextID, g.eng.Now(), g.cfg.Service.Sample(g.rng))
+		req = task.New(g.nextID, g.at, g.cfg.Service.Sample(g.rng))
 	}
 	req.ClientID = g.cfg.ClientID
 	if g.cfg.Keys != nil {
 		req.Key = g.cfg.Keys.Sample(g.rng)
 	}
+	g.at = g.at.Add(g.interarrival())
 	g.sink(req)
-	g.eng.AfterE(g.interarrival(), genArrive, g, nil, 0)
 }
 
 // interarrival draws the next Poisson gap.
@@ -112,4 +128,32 @@ func genArrive(recv, _ any, _ uint64) {
 //mindgap:noalloc
 func (g *Generator) interarrival() time.Duration {
 	return expGap(g.rng, g.cfg.RPS)
+}
+
+// Source merges streams into the one arrival sequence a system pulls
+// (scenario.System.Pull), filing no event: each Pull transmits the next
+// request of the stream that sends first, ties to the lower index.
+type Source []*Generator
+
+// NewSource draws each stream's first gap from now.
+func NewSource(gens ...*Generator) Source {
+	for _, g := range gens {
+		g.at = g.eng.Now().Add(g.interarrival())
+	}
+	return gens
+}
+
+// Pull transmits the earliest next request, if any stream has one left.
+//
+//mindgap:noalloc
+func (s Source) Pull() {
+	var next *Generator
+	for _, g := range s {
+		if !g.exhausted() && (next == nil || g.at < next.at) {
+			next = g
+		}
+	}
+	if next != nil {
+		next.emit()
+	}
 }

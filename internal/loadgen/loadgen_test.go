@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -100,6 +101,72 @@ func TestDeterministicStreams(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different workloads")
+		}
+	}
+}
+
+// TestSourceMergesLoneStreams: pulled through one Source, each stream
+// transmits exactly the (Arrival, Service, Key) sequence a lone started
+// generator with its config produces, the merge is in transmit order with
+// ties to the lower stream, and a stream stops at its MaxArrivals.
+func TestSourceMergesLoneStreams(t *testing.T) {
+	type sent struct {
+		id      uint64
+		arrival sim.Time
+		service time.Duration
+		key     uint64
+	}
+	cfgs := []Config{
+		{RPS: 300_000, Service: dist.Exponential{M: 2 * time.Microsecond}, Keys: dist.NewZipfKeys(64, 0.99), Seed: 7},
+		{RPS: 100_000, Service: dist.Fixed{D: time.Microsecond}, Seed: 7 + 7919, ClientID: 1, MaxArrivals: 40},
+		{RPS: 50_000, Service: dist.Bimodal{P1: 0.9, D1: time.Microsecond, D2: 100 * time.Microsecond}, Keys: dist.NewZipfKeys(64, 0.5), Seed: 9, ClientID: 2},
+	}
+	const pulls = 600
+	lone := make([][]sent, len(cfgs))
+	for i, cfg := range cfgs {
+		eng := sim.New()
+		g := New(eng, cfg, func(r *task.Request) {
+			if eng.Now() != r.Arrival {
+				t.Fatalf("a started generator transmitted request %d at %v, stamped %v", r.ID, eng.Now(), r.Arrival)
+			}
+			if len(lone[i]) < pulls {
+				lone[i] = append(lone[i], sent{r.ID, r.Arrival, r.Service, r.Key})
+			}
+		})
+		g.Start()
+		for eng.Step() && len(lone[i]) < pulls {
+		}
+	}
+
+	eng := sim.New()
+	merged := make([][]sent, len(cfgs))
+	var order []sent
+	gens := make([]*Generator, len(cfgs))
+	for i, cfg := range cfgs {
+		gens[i] = New(eng, cfg, func(r *task.Request) {
+			s := sent{r.ID, r.Arrival, r.Service, r.Key}
+			merged[i] = append(merged[i], s)
+			order = append(order, s)
+		})
+	}
+	src := NewSource(gens...)
+	for k := 0; k < pulls; k++ {
+		src.Pull()
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("a pulled source filed %d events", eng.Pending())
+	}
+	for i := range cfgs {
+		if want := lone[i][:len(merged[i])]; !reflect.DeepEqual(merged[i], want) {
+			t.Errorf("stream %d: merged sequence diverges from a lone generator's\n got %v\nwant %v", i, merged[i], want)
+		}
+	}
+	if got := len(merged[1]); got != 40 {
+		t.Errorf("stream 1 transmitted %d requests, want its MaxArrivals 40", got)
+	}
+	for k := 1; k < len(order); k++ {
+		if a, b := order[k-1], order[k]; b.arrival < a.arrival || b.arrival == a.arrival && b.id>>32 < a.id>>32 {
+			t.Fatalf("pull %d transmitted %+v after %+v", k, b, a)
 		}
 	}
 }

@@ -42,7 +42,9 @@ func (p *Probe) Ledger() Ledger {
 // the other half of the audit.
 type Halt struct {
 	// Generated sums the generators' Arrivals(); Streams counts the
-	// generators, each holding one pending arrival event.
+	// self-timed generators, each holding one pending arrival event. A
+	// pulled stream holds none: its next request is on the system's front,
+	// already arrived and open.
 	Generated uint64
 	Streams   int
 	// Done counts the responses the loop received.

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"strings"
 	"testing"
 
 	"mindgap/internal/attr"
@@ -82,5 +83,25 @@ func TestOneCallFeedsEveryConsumer(t *testing.T) {
 	p.Audit(attr.Decision{At: 200, ReqID: 1, Chosen: 0, Truth: truth})
 	if a := p.Attr.AuditSummary(); a.Decisions != 1 || a.MisDispatches != 1 {
 		t.Errorf("audit: %+v, want one graded mis-dispatch", a)
+	}
+}
+
+// TestConserveEngineBound: the engine equation is exact at its bound. A
+// halted run may hold its watchdog, one event per open request and the
+// system's own events, plus one pending arrival per self-timed generator;
+// a pulled stream adds none, as its next request is already open on the
+// system's front. One event past the bound breaks the equation.
+func TestConserveEngineBound(t *testing.T) {
+	l := Ledger{Arrived: 5, Responded: 2, Events: 3} // 3 open
+	for _, streams := range []int{0, 1} {
+		h := Halt{Generated: 5, Done: 2, Streams: streams, Pool: -1, FlowPool: -1}
+		h.Pending = streams + 1 + 3 + 3
+		if err := Conserve(l, h); err != nil {
+			t.Errorf("%d self-timed streams, pending at the bound: %v", streams, err)
+		}
+		h.Pending++
+		if err := Conserve(l, h); err == nil || !strings.Contains(err.Error(), "audit: engine broken") {
+			t.Errorf("%d self-timed streams, one event past the bound: %v, want the engine equation broken", streams, err)
+		}
 	}
 }

@@ -26,8 +26,14 @@ import (
 type System interface {
 	// Name identifies the system in reports.
 	Name() string
-	// Inject admits a request at the current engine instant.
+	// Inject has the client transmit a request at its Arrival instant,
+	// which a pulled run may compute after the fact. The request crosses
+	// the system's front — the FIFO pipes only the client feeds — in one
+	// event, at its exit.
 	Inject(*task.Request)
+	// Pull has each request leaving the front call next, which transmits
+	// the run's next request through Inject, so no generator files events.
+	Pull(next func())
 	// WorkerIdleFraction returns the mean worker idle fraction since
 	// ArmWorkerTrackers.
 	WorkerIdleFraction(sim.Time) float64

@@ -190,6 +190,10 @@ func (s *FlowRule) Inject(req *task.Request) {
 	s.eng.AfterE(s.wire, frIngress, s, req, 0)
 }
 
+// Pull implements scenario.System: nothing pulls a flowrule run, whose
+// batches the flow generator transmits at their instants.
+func (s *FlowRule) Pull(func()) { panic("flowrule: batches come from the flow generator") }
+
 // Ledger implements scenario.System. The probe opens a batch's record at
 // classification, so batches still on the client wire count as arrived
 // here; installed and pending rules are the flow records the system holds,

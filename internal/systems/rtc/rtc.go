@@ -141,9 +141,8 @@ func (s *Pool) steer(req *task.Request) {
 	now := s.eng.Now()
 	target := s.Workers[w]
 	// Steering collapses ingress-processing, dispatch and the NIC→core
-	// DMA into one instant: the request's wait from here to Start is pure
-	// host-queue time, which is where run-to-completion tails live.
-	s.pr.Ingress(now, req.ID)
+	// DMA into the port instant: the request's wait from here to Start is
+	// pure host-queue time, which is where run-to-completion tails live.
 	s.pr.Enqueue(now, req.ID)
 	s.pr.Dispatch(now, req.ID, w)
 	// Hash steering is uninformed by construction: the NIC holds no belief
