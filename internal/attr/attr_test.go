@@ -175,14 +175,14 @@ func TestDropClosesRecord(t *testing.T) {
 	c := New(Config{})
 	c.Arrive(0, 1, 1000)
 	c.Ingress(10, 1)
-	c.Drop(20, 1, trace.DropShed)
+	c.Drop(20, 1, trace.DropQueueCap)
 	c.Respond(30, 1) // stale respond after drop must be ignored
 
 	if c.Completed() != 0 {
 		t.Errorf("Completed = %d, want 0", c.Completed())
 	}
-	if got := c.DropCount(trace.DropShed); got != 1 {
-		t.Errorf("DropCount(shed) = %d, want 1", got)
+	if got := c.DropCount(trace.DropQueueCap); got != 1 {
+		t.Errorf("DropCount(queue-cap) = %d, want 1", got)
 	}
 	if got := c.DropCount(trace.DropTimeout); got != 0 {
 		t.Errorf("DropCount(timeout) = %d, want 0", got)
@@ -203,10 +203,10 @@ func TestNilCollector(t *testing.T) {
 	c.Preempt(6, 1)
 	c.Complete(7, 1)
 	c.Respond(8, 1)
-	c.Drop(9, 1, trace.DropShed)
+	c.Drop(9, 1, trace.DropQueueCap)
 	c.Audit(Decision{Chosen: 0, Truth: []int64{1}})
 
-	if c.Completed() != 0 || c.DropCount(trace.DropShed) != 0 {
+	if c.Completed() != 0 || c.DropCount(trace.DropQueueCap) != 0 {
 		t.Error("nil collector reported non-zero counts")
 	}
 	if got := c.AuditSummary(); got != (AuditSummary{}) {

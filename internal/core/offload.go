@@ -62,10 +62,6 @@ type OffloadConfig struct {
 	// request to a class in [0, PriorityClasses), highest first.
 	PriorityClasses int
 	ClassOf         func(*task.Request) int
-	// AdmissionLimit bounds the central queue: when it holds this many
-	// requests the NIC sheds new arrivals before they consume any host
-	// resource (§5.2's congestion-control co-design). Zero means unbounded.
-	AdmissionLimit int
 	// Affinity makes the scheduler resume preempted requests on the worker
 	// that last ran them when possible (§3.1 cache affinity), avoiding the
 	// CtxMigratePenalty of pulling the context across cores.
@@ -239,7 +235,7 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		cfg.Outstanding = 1
 	}
 	if pr == nil {
-		pr = &probe.Probe{} // Shed/TimeoutDrops read its counts back
+		pr = &probe.Probe{} // TimeoutDrops reads its counts back
 	}
 	// Both ablations set the ARM TX/RX costs; line rate's must win. The
 	// result lands in cfg.P because the hooks read s.cfg.P after this.
@@ -494,13 +490,6 @@ func (s *Offload) handleQueueEvent(ev qEvent) {
 	now := s.eng.Now()
 	switch ev.kind {
 	case evNew:
-		if s.cfg.AdmissionLimit > 0 && s.lgc.QueueLen() >= s.cfg.AdmissionLimit {
-			// NIC-side load shedding: the request is dropped before it
-			// consumes any host resource (§5.2). The client sees no
-			// response — open-loop clients count it as a loss.
-			s.pr.Drop(now, ev.id, -1, trace.DropShed)
-			return
-		}
 		s.pr.Enqueue(now, ev.id)
 		as = s.lgc.EnqueueTo(as, now, ev.req)
 	case evFinish:
@@ -716,10 +705,6 @@ func (w *offWorker) notifyDispatcher(kind qEventKind, req *task.Request, id uint
 
 // QueueLen exposes the central queue depth (tests and debugging).
 func (s *Offload) QueueLen() int { return s.lgc.QueueLen() }
-
-// Shed returns the number of arrivals rejected by NIC-side admission
-// control (only nonzero when AdmissionLimit is set).
-func (s *Offload) Shed() uint64 { return s.pr.Drops(trace.DropShed) }
 
 // FaultSchedule exposes the compiled fault schedule (nil on the healthy
 // path) — the bench recovery table reads its crash windows.

@@ -226,44 +226,6 @@ func TestOffloadWithPriorityClasses(t *testing.T) {
 	}
 }
 
-func TestOffloadAdmissionControlBoundsTail(t *testing.T) {
-	// §5.2 co-design: with a bounded central queue the NIC sheds overload
-	// and the accepted requests keep a bounded tail, at the cost of loss.
-	run := func(limit int) (p99 time.Duration, shed uint64) {
-		eng := sim.New()
-		cfg := defaultCfg(2, 1, 0)
-		cfg.AdmissionLimit = limit
-		var worst time.Duration
-		completions := 0
-		var sys *Offload
-		sys = NewOffload(eng, cfg, nil, func(r *task.Request) {
-			if lat := r.Latency(eng.Now()); lat > worst {
-				worst = lat
-			}
-			completions++
-			if completions >= 5000 {
-				eng.Halt()
-			}
-		})
-		loadgen.New(eng, loadgen.Config{
-			RPS: 600_000, Service: dist.Fixed{D: 5 * time.Microsecond}, Seed: 21,
-		}, sys.Inject).Start() // ~1.7× overload for 2 workers
-		eng.Run()
-		return worst, sys.Shed()
-	}
-	boundedWorst, shed := run(64)
-	unboundedWorst, noShed := run(0)
-	if shed == 0 {
-		t.Fatal("admission control shed nothing under overload")
-	}
-	if noShed != 0 {
-		t.Fatalf("unbounded system shed %d requests", noShed)
-	}
-	if boundedWorst >= unboundedWorst/2 {
-		t.Fatalf("bounded worst %v not ≪ unbounded worst %v", boundedWorst, unboundedWorst)
-	}
-}
-
 // Property: classes are only a queue-selection rule. A Logic told it has
 // one class (whatever classOf says) emits exactly the assignment sequence
 // of a plain NewLogic on any enqueue/complete/preempt/load-report script,

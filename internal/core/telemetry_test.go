@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mindgap/internal/dist"
+	"mindgap/internal/faults"
 	"mindgap/internal/loadgen"
 	"mindgap/internal/probe"
 	"mindgap/internal/sim"
@@ -14,23 +15,29 @@ import (
 	"mindgap/internal/trace"
 )
 
-// TestDropPathTraceAndCounters floods an admission-limited system and
-// checks two invariants of the shed path: a dropped request's lifecycle
-// ends at the Drop event (no Dispatch/Start/Complete afterwards), and the
-// trace, the Recorder and the shed counter agree on the drops.
+// TestDropPathTraceAndCounters loses every NIC↔host frame for the first
+// millisecond with no retry budget and checks two invariants of the drop
+// path: a dropped request's lifecycle ends at the Drop event (no
+// Dispatch/Start/Complete afterwards), and the trace, the Recorder and the
+// timeout-drop counter agree on the drops.
 func TestDropPathTraceAndCounters(t *testing.T) {
 	eng := sim.New()
 	rec := &stats.Recorder{}
 	rec.Arm(0)
 	buf := trace.New(0)
 	cfg := defaultCfg(1, 1, 0)
-	cfg.AdmissionLimit = 2
+	cfg.FaultSpec = &faults.Spec{
+		LinkLoss: []faults.Window{{Start: 0, End: faults.Duration(time.Millisecond)}},
+		LossRate: 1,
+		Timeout:  faults.Duration(100 * time.Microsecond),
+	}
+	cfg.FaultSeed = 7
 
 	sys := NewOffload(eng, cfg, &probe.Probe{Rec: rec, Trace: buf}, func(r *task.Request) {
 		rec.RecordLatency(r.Latency(eng.Now()))
 	})
-	// Burst of 40 slow requests at t=0: one worker with k=1 and a
-	// 2-deep central queue must shed most of them.
+	// Burst of 40 requests at t=0 on one worker with k=1: each dispatch
+	// inside the loss window is abandoned at its timeout, the rest complete.
 	for i := 0; i < 40; i++ {
 		id := uint64(i + 1)
 		eng.At(0, func() { sys.Inject(task.New(id, eng.Now(), 5*time.Microsecond)) })
@@ -38,7 +45,7 @@ func TestDropPathTraceAndCounters(t *testing.T) {
 	eng.Run()
 
 	if rec.Dropped() == 0 {
-		t.Fatal("flood produced no drops; admission limit not exercised")
+		t.Fatal("the loss window produced no drops; the drop path is not exercised")
 	}
 	if err := buf.ValidateAll(); err != nil {
 		t.Fatalf("trace validation: %v", err)
@@ -64,10 +71,10 @@ func TestDropPathTraceAndCounters(t *testing.T) {
 	if int64(drops) != rec.Dropped() {
 		t.Fatalf("trace has %d Drop events, recorder counted %d", drops, rec.Dropped())
 	}
-	// Shed and the recorder are fed by the same probe call; here every drop
-	// is an admission shed.
-	if sys.Shed() != uint64(rec.Dropped()) {
-		t.Fatalf("Shed() = %d, Recorder.Dropped() = %d", sys.Shed(), rec.Dropped())
+	// TimeoutDrops and the recorder are fed by the same probe call; here
+	// every drop is an abandoned dispatch.
+	if sys.TimeoutDrops() != uint64(rec.Dropped()) {
+		t.Fatalf("TimeoutDrops() = %d, Recorder.Dropped() = %d", sys.TimeoutDrops(), rec.Dropped())
 	}
 }
 

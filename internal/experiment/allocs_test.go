@@ -42,7 +42,7 @@ func TestSteadyStateAllocsPerRequest(t *testing.T) {
 				}
 				cfg.OfferedRPS = c.rps
 				if c.name == probed.name {
-					cfg.Factory = func(e *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
+					cfg.Factory = func(e *sim.Engine, rec *stats.Recorder, done func(*task.Request)) scenario.System {
 						return observed(c.spec, scenario.Options{
 							Tracer:  trace.New(64 << 10),
 							Attr:    attr.New(attr.Config{}),

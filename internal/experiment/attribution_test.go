@@ -113,12 +113,8 @@ func probeCases(t *testing.T) []probeCase {
 	cases = append(cases, systemCases(t)...)
 	cases = append(cases, ablationCases(t)...)
 
-	shed := presetCase(t, "baselines", 0, 1_500_000)
-	shed.name, shed.drops = "drops/offload-admission-limit", []trace.DropReason{trace.DropShed}
-	shed.spec.Knobs.AdmissionLimit = 8
 	capped := presetCase(t, "figure-flowrule", 1, 800_000)
 	capped.name, capped.drops = "drops/flowrule-slow-queue", []trace.DropReason{trace.DropQueueCap}
-	capped.spec.Knobs.SlowQueue = 4
 	crash := presetCase(t, "figure-faults-niccrash", 1, 300_000)
 	crash.name, crash.drops, crash.retries = "drops/figure-faults-niccrash", []trace.DropReason{trace.DropRingOverflow}, true
 	crash.measure = 5000 // past the 10–14 ms crash window
@@ -149,7 +145,7 @@ func probeCases(t *testing.T) []probeCase {
 		StallWorkers: []int{0, 2},
 	}
 	stall.spec.Seed = 7
-	return append(cases, shed, capped, crash, lossy, stall)
+	return append(cases, capped, crash, lossy, stall)
 }
 
 // TestAttributionObservationInvariance is the lifecycle-probe contract,
@@ -187,7 +183,7 @@ func probeCases(t *testing.T) []probeCase {
 //	go test ./internal/experiment -run TestAttributionObservationInvariance -update
 func TestAttributionObservationInvariance(t *testing.T) {
 	q := Quality{Warmup: 0, Measure: 1500, Seed: 7}
-	run := func(t *testing.T, c probeCase, o scenario.Options) (Result, uint64, map[uint64]time.Duration, System) {
+	run := func(t *testing.T, c probeCase, o scenario.Options) (Result, uint64, map[uint64]time.Duration, scenario.System) {
 		t.Helper()
 		cfg, err := PointConfigFor(c.spec, q)
 		if err != nil {
@@ -200,7 +196,7 @@ func TestAttributionObservationInvariance(t *testing.T) {
 		build := observed(c.spec, o)
 		var eng *sim.Engine
 		check := func() {}
-		cfg.Factory = func(e *sim.Engine, rec *stats.Recorder, done func(*task.Request)) System {
+		cfg.Factory = func(e *sim.Engine, rec *stats.Recorder, done func(*task.Request)) scenario.System {
 			eng = e
 			sys := build(e, rec, done)
 			if o.Attr == nil {
@@ -356,7 +352,7 @@ func TestAttributionObservationInvariance(t *testing.T) {
 // walkedSystem is a built system that checks every worker's running
 // backlog against a walk before admitting each arrival.
 type walkedSystem struct {
-	System
+	scenario.System
 	check func()
 }
 
@@ -372,7 +368,7 @@ func (s walkedSystem) Inject(r *task.Request) {
 // the executing request plus every request in the inbox — the kit's FIFO,
 // or Offload's VF descriptor ring, hash-steered frames included — field by
 // field through reflection, as nothing in the model does any more.
-func backlogWalk(sys System) ([]*cores.Worker, func(i int) int64) {
+func backlogWalk(sys scenario.System) ([]*cores.Worker, func(i int) int64) {
 	v := reflect.ValueOf(sys).Elem()
 	hf := v.FieldByName("Host")
 	if !hf.IsValid() {

@@ -19,26 +19,17 @@ import (
 	"mindgap/internal/task"
 )
 
-// System and Factory are defined by the scenario layer — the registry in
-// internal/scenario is the single assembly point for every system in
-// this repository — and aliased here so experiment code and its callers
-// keep their historical names.
-type (
-	System  = scenario.System
-	Factory = scenario.Factory
-)
-
 // PointConfig describes a single measured load point.
 type PointConfig struct {
 	// Factory builds the system under test.
-	Factory Factory
+	Factory scenario.Factory
 	// Service is the fake-work service-time distribution. For flow
 	// workloads it is the slow-path per-packet processing cost.
 	Service dist.Distribution
 	// Keys optionally samples per-request application keys.
 	Keys *dist.ZipfKeys
 	// Flow, when set, drives the point with the flow-keyed generator
-	// (population, elephant/rat mix, batches, trains) instead of the
+	// (the constant flow shape at the spec's population) instead of the
 	// open-loop i.i.d. stream; OfferedRPS is then the batch rate.
 	Flow *scenario.FlowSpec
 	// Tenants, when set, drives the point with one open-loop stream per
@@ -86,6 +77,14 @@ func RunPoint(cfg PointConfig) Result {
 	return r
 }
 
+// The one flow shape every flow-keyed point drives (X14): a fifth of the
+// spawned flows are elephants and a rat lives for 16 packets; batch sizes
+// and elephant trains take loadgen's defaults.
+const (
+	flowElephantFraction = 0.2
+	flowRatTrain         = 16
+)
+
 // drive is the one open-loop drive loop behind every measured point:
 // build the system, have it pull the tenant streams (or start the flow
 // generator), discard Warmup completions, record Measure more, stop — or
@@ -94,7 +93,7 @@ func RunPoint(cfg PointConfig) Result {
 // sees every measured completion before its request is recycled (row kinds
 // that keep their own histogram); the finished system is returned for row
 // kinds that read its counters.
-func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)) (Result, System) {
+func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)) (Result, scenario.System) {
 	if cfg.Warmup < 0 || cfg.Measure <= 0 {
 		panic("experiment: need a positive measurement count")
 	}
@@ -103,7 +102,7 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 	completions := 0
 	target := cfg.Warmup + cfg.Measure
 
-	var sys System
+	var sys scenario.System
 	var idleAtStop float64
 	truncated := false
 
@@ -160,11 +159,8 @@ func drive(cfg PointConfig, observe func(r *task.Request, latency time.Duration)
 			RPS:              cfg.OfferedRPS,
 			Service:          cfg.Service,
 			Flows:            fl.Flows,
-			ElephantFraction: fl.ElephantFraction,
-			RatBatch:         fl.RatBatch,
-			ElephantBatch:    fl.ElephantBatch,
-			RatTrain:         fl.RatTrain,
-			ElephantTrain:    fl.ElephantTrain,
+			ElephantFraction: flowElephantFraction,
+			RatTrain:         flowRatTrain,
 			Seed:             cfg.Seed,
 			Pool:             pool,
 			FlowPool:         flows,

@@ -17,7 +17,7 @@ import (
 var tiny = Quality{Warmup: 500, Measure: 3000, Seed: 7}
 
 // factoryFor assembles a system through the scenario registry.
-func factoryFor(t *testing.T, system string, k scenario.Knobs) Factory {
+func factoryFor(t *testing.T, system string, k scenario.Knobs) scenario.Factory {
 	t.Helper()
 	f, err := scenario.Build(scenario.Spec{System: system, Knobs: &k})
 	if err != nil {
@@ -420,22 +420,6 @@ func TestRunPointIsDeterministic(t *testing.T) {
 		b := RunPoint(cfg)
 		if a.Point != b.Point {
 			t.Errorf("%s: rerun diverged:\n  %+v\n  %+v", name, a.Point, b.Point)
-		}
-	}
-}
-
-// TestQualityNamesMatchSpecValidation keeps the two readers of a quality
-// name in step: a spec's quality.preset validates exactly when
-// Qualities names it.
-func TestQualityNamesMatchSpecValidation(t *testing.T) {
-	for _, name := range []string{"quick", "full", "quik", "Quick", "medium"} {
-		sp := scenario.Spec{
-			System: "rss", Knobs: &scenario.Knobs{Workers: 2}, Workload: "fixed:1µs",
-			Load: &scenario.LoadSpec{RPS: 1000}, Quality: &scenario.QualitySpec{Preset: name},
-		}
-		_, known := Qualities[name]
-		if err := sp.Validate(); (err == nil) != known {
-			t.Errorf("quality %q: named=%t, Validate err=%v", name, known, err)
 		}
 	}
 }

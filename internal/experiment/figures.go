@@ -26,7 +26,7 @@ var (
 )
 
 // Qualities names the standard qualities: the values both CLIs' -quality
-// flag and a spec's quality.preset take.
+// flag takes.
 var Qualities = map[string]Quality{"quick": Quick, "full": Full}
 
 // The figure and table definitions are checked-in scenario presets under

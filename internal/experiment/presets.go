@@ -28,9 +28,6 @@ import (
 // a spec-pinned seed winning over the quality's.
 func QualityFor(sp scenario.Spec, q Quality) Quality {
 	if sp.Quality != nil {
-		if named, ok := Qualities[sp.Quality.Preset]; ok {
-			q.Warmup, q.Measure = named.Warmup, named.Measure
-		}
 		if sp.Quality.Warmup > 0 {
 			q.Warmup = sp.Quality.Warmup
 		}
@@ -172,7 +169,7 @@ var Plain = Kind[Result]{
 // running on a worker. SpecSeries already built the spec once, so
 // failure means the system cannot carry the observer — a programmer
 // error in the preset, not a run-time condition.
-func observed(sp scenario.Spec, o scenario.Options) Factory {
+func observed(sp scenario.Spec, o scenario.Options) scenario.Factory {
 	f, err := scenario.BuildWith(sp, o)
 	if err != nil {
 		panic(fmt.Sprintf("experiment: rebuild with observers failed: %v", err))

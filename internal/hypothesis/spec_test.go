@@ -175,8 +175,8 @@ func TestValidateDiffContract(t *testing.T) {
 func TestValidateScenarioErrorsSurface(t *testing.T) {
 	// A knob the system rejects fails through the scenario validator.
 	s := base()
-	s.A.Scenario.Knobs.RuleCapacity = 100
-	s.Varied = []string{"system", "rule_capacity"}
+	s.A.Scenario.Knobs.OffloadThreshold = 4
+	s.Varied = []string{"system", "offload_threshold"}
 	if err := s.Validate(); err == nil {
 		t.Fatal("zygos must reject flowrule knobs")
 	}

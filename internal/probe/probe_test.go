@@ -22,16 +22,16 @@ func TestNilAndBareProbes(t *testing.T) {
 		p.Preempt(6, 1, 0)
 		p.Complete(7, 1, 0)
 		p.Respond(8, 1)
-		p.Drop(9, 2, -1, trace.DropShed)
+		p.Drop(9, 2, -1, trace.DropQueueCap)
 		if p.AuditTruth(4) != nil {
 			t.Error("AuditTruth without a collector must be nil: there is nothing to scan for")
 		}
 	}
 	bare := &Probe{}
-	bare.Drop(0, 1, -1, trace.DropShed)
+	bare.Drop(0, 1, -1, trace.DropQueueCap)
 	bare.Drop(0, 2, 3, trace.DropTimeout)
-	if bare.Drops(trace.DropShed) != 1 || bare.Drops(trace.DropTimeout) != 1 || bare.Dropped() != 2 {
-		t.Errorf("bare probe counts: shed %d timeout %d total %d", bare.Drops(trace.DropShed), bare.Drops(trace.DropTimeout), bare.Dropped())
+	if bare.Drops(trace.DropQueueCap) != 1 || bare.Drops(trace.DropTimeout) != 1 || bare.Dropped() != 2 {
+		t.Errorf("bare probe counts: queue-cap %d timeout %d total %d", bare.Drops(trace.DropQueueCap), bare.Drops(trace.DropTimeout), bare.Dropped())
 	}
 }
 

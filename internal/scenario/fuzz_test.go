@@ -18,7 +18,7 @@ func FuzzSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"system":"rss","workload":"exp:10µs","load":{"rps":100000},"seed":3}`))
 	f.Add([]byte(`{"system":"offload","seed":7,"faults":{"nic_crash":[{"start":"10ms","end":"14ms"}],"timeout":"1ms","retries":3,"degrade":true}}`))
 	f.Add([]byte(`{"system":"offload","seed":7,"faults":{"loss_rate":0.05,"loss_bursts":{"n":4,"horizon":"150ms","mean_len":"250µs"},"delay_extra":"20µs","timeout":500000}}`))
-	f.Add([]byte(`{"system":"flowrule","seed":7,"flow":{"flows":4096,"elephant_fraction":0.2,"rat_train":16,"elephant_batch":64},"knobs":{"workers":1,"rule_capacity":1536,"insert_rate":20000,"insert_queue":256,"offload_threshold":16,"adaptive_threshold":true,"idle_timeout":"50ms","slow_queue":512}}`))
+	f.Add([]byte(`{"system":"flowrule","seed":7,"flow":{"flows":4096},"knobs":{"workers":1,"offload_threshold":16,"adaptive_threshold":true}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"faults":{}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -50,7 +50,7 @@ func FuzzPresetDecode(f *testing.F) {
 	f.Add([]byte(`{"id":"x","series":[{"label":"a","system":"rss"}]}`))
 	f.Add([]byte(`{"id":"f","workload":"bimodal:0.995:5µs:100µs","load":{"grid":{"lo":100000,"hi":300000,"step":100000}},"seed":7,"series":[{"label":"y","system":"offload","knobs":{"workers":4},"faults":{"timeout":"1ms","degrade":true}}]}`))
 	f.Add([]byte(`{"id":"t","series":[{"label":"mt","tenants":[{"name":"a","rps":1000,"workload":"exp:10µs"}]}]}`))
-	f.Add([]byte(`{"id":"fr","workload":"fixed:170ns","flow":{"flows":4096,"elephant_fraction":0.2},"load":{"rps":400000,"fsweep":{"lo":4096,"hi":1048576,"mul":4}},"seed":7,"series":[{"label":"t16","system":"flowrule","knobs":{"workers":1,"offload_threshold":16},"quality":{"warmup":10000,"measure":30000}}]}`))
+	f.Add([]byte(`{"id":"fr","workload":"fixed:170ns","flow":{"flows":4096},"load":{"rps":400000,"fsweep":{"lo":4096,"hi":1048576,"mul":4}},"seed":7,"series":[{"label":"t16","system":"flowrule","knobs":{"workers":1,"offload_threshold":16},"quality":{"warmup":10000,"measure":30000}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePreset(data)
 		if err != nil {

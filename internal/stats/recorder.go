@@ -71,29 +71,6 @@ func (r *Recorder) Dropped() int64 { return r.dropped }
 // Preemptions returns the number of preemptions inside the window.
 func (r *Recorder) Preemptions() int64 { return r.preempts }
 
-// PreemptionRate returns preemptions per completed request — how many
-// extra scheduling round trips and context switches the average request
-// cost. It returns 0 when nothing completed.
-func (r *Recorder) PreemptionRate() float64 {
-	if r.completed == 0 {
-		return 0
-	}
-	return float64(r.preempts) / float64(r.completed)
-}
-
-// Summary renders the recorder's counters at instant now as one report
-// line, including the preemption rate and latency percentiles.
-func (r *Recorder) Summary(now sim.Time) string {
-	return fmt.Sprintf(
-		"completed=%d dropped=%d preempts=%d preempt_rate=%.3f throughput=%.0f rps p50=%v p99=%v max=%v",
-		r.completed, r.dropped, r.preempts, r.PreemptionRate(),
-		r.Throughput(now), r.Latency.P50(), r.Latency.P99(), r.Latency.Max())
-}
-
-// String is Summary at the end of the measurement window (zero throughput
-// if the recorder was never stopped).
-func (r *Recorder) String() string { return r.Summary(r.stopped) }
-
 // Window returns the measurement window length, using now if the recorder
 // has not been stopped yet.
 func (r *Recorder) Window(now sim.Time) time.Duration {

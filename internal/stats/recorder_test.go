@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -130,47 +129,5 @@ func TestPointString(t *testing.T) {
 	sat := Point{Saturated: true}
 	if got := sat.String(); len(got) <= len(Point{}.String()) {
 		t.Fatal("saturated marker missing")
-	}
-}
-
-func TestRecorderPreemptionRate(t *testing.T) {
-	var r Recorder
-	r.Arm(0)
-	if r.PreemptionRate() != 0 {
-		t.Fatal("empty recorder must report rate 0")
-	}
-	for i := 0; i < 4; i++ {
-		r.RecordLatency(10 * time.Microsecond)
-	}
-	for i := 0; i < 6; i++ {
-		r.RecordPreemption()
-	}
-	if got := r.PreemptionRate(); got != 1.5 {
-		t.Fatalf("PreemptionRate = %v, want 1.5", got)
-	}
-}
-
-func TestRecorderSummary(t *testing.T) {
-	var r Recorder
-	r.Arm(0)
-	r.RecordLatency(10 * time.Microsecond)
-	r.RecordLatency(30 * time.Microsecond)
-	r.RecordPreemption()
-	r.RecordDrop()
-
-	// While armed, Summary measures up to the supplied instant.
-	if got := r.Summary(sim.Time(2 * time.Millisecond.Nanoseconds())); !strings.Contains(got, "throughput=1000 rps") {
-		t.Fatalf("Summary(now) wrong: %s", got)
-	}
-
-	r.Stop(sim.Time(time.Millisecond.Nanoseconds()))
-	s := r.String()
-	for _, want := range []string{
-		"completed=2", "dropped=1", "preempts=1", "preempt_rate=0.500",
-		"throughput=2000 rps",
-	} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("Summary missing %q: %s", want, s)
-		}
 	}
 }

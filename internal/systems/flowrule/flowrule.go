@@ -4,8 +4,8 @@
 // rule-resident flow traverse the 10 µs hardware fast path, everything
 // else climbs to a saturating (and, at the limit, dropping) 80 µs
 // software slow path. Rules are installed through a bounded insertion
-// pipeline (~200k rules/s) and evicted by LRU when the table fills or
-// by idle timeout when a flow goes quiet.
+// pipeline (20k rules/s) and evicted by LRU when the table fills or by
+// idle timeout when a flow goes quiet.
 //
 // The model follows the chen622/SmartNICSimulator exemplar (bounded
 // insertion rate, fast/slow path constants, elephant/rat mixes) and the
@@ -48,19 +48,31 @@ const (
 	slowLatency   = 80 * time.Microsecond
 )
 
-// Config describes one flow-rule offload deployment.
+// The rule table every scenario measures (Config's zero values): 1536
+// rules, filled at 20k rules/s through a 256-deep insertion pipeline,
+// evicted after 50 ms idle, in front of a 512-batch slow-path queue.
+const (
+	ruleCapacity   = 1536
+	insertRate     = 20_000
+	insertQueueCap = 256
+	idleTimeout    = 50 * time.Millisecond
+	slowQueueCap   = 512
+)
+
+// Config describes one flow-rule offload deployment. The rule-table
+// sizes exist for unit tests; zero takes the constants above.
 type Config struct {
 	// P is the hardware cost model (client↔NIC wire latency).
 	P params.Params
 	// Workers is the number of slow-path cores.
 	Workers int
-	// RuleCapacity bounds the fast-path rule table (default 65536).
+	// RuleCapacity bounds the fast-path rule table.
 	RuleCapacity int
 	// InsertRate is the rule-insertion pipeline's drain rate in rules
-	// per second (default 200000, the exemplar's MAX_OFFLOAD_SPEED).
+	// per second.
 	InsertRate float64
 	// InsertQueueCap bounds the insertion pipeline's backlog; offload
-	// requests beyond it are refused and counted (default 1024).
+	// requests beyond it are refused and counted.
 	InsertQueueCap int
 	// Threshold is the static offload threshold: a flow becomes an
 	// offload candidate once the classifier has seen this many of its
@@ -68,11 +80,10 @@ type Config struct {
 	Threshold int
 	// Adaptive enables the adaptive threshold controller.
 	Adaptive bool
-	// IdleTimeout evicts rules whose flow has been quiet this long
-	// (default 100ms).
+	// IdleTimeout evicts rules whose flow has been quiet this long.
 	IdleTimeout time.Duration
 	// SlowQueueCap bounds the slow-path queue in batches; arrivals
-	// beyond it are dropped (default 4096).
+	// beyond it are dropped.
 	SlowQueueCap int
 }
 
@@ -130,22 +141,22 @@ func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request))
 		panic("flowrule: need a completion callback")
 	}
 	if cfg.RuleCapacity <= 0 {
-		cfg.RuleCapacity = 65536
+		cfg.RuleCapacity = ruleCapacity
 	}
 	if cfg.InsertRate <= 0 {
-		cfg.InsertRate = 200_000
+		cfg.InsertRate = insertRate
 	}
 	if cfg.InsertQueueCap <= 0 {
-		cfg.InsertQueueCap = 1024
+		cfg.InsertQueueCap = insertQueueCap
 	}
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 16
 	}
 	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 100 * time.Millisecond
+		cfg.IdleTimeout = idleTimeout
 	}
 	if cfg.SlowQueueCap <= 0 {
-		cfg.SlowQueueCap = 4096
+		cfg.SlowQueueCap = slowQueueCap
 	}
 	s := &FlowRule{
 		eng: eng, cfg: cfg, done: done, pr: pr,

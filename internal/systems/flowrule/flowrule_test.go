@@ -63,7 +63,7 @@ func TestSlowThenFastSteering(t *testing.T) {
 		t.Fatalf("slow-path latency = %v, want %v", got, wantSlow)
 	}
 	// One observed batch ≥ threshold 1: the rule must now be installed
-	// (insertion pipeline drained long ago at 200k rules/s).
+	// (insertion pipeline drained long ago at 20k rules/s).
 	if s.Resident() != 1 || s.Insertions() != 1 {
 		t.Fatalf("resident=%d insertions=%d after qualifying batch, want 1/1", s.Resident(), s.Insertions())
 	}

@@ -39,7 +39,7 @@ const (
 	Complete
 	// Respond: the response reached the client.
 	Respond
-	// Drop: the request was shed (admission control or full queue).
+	// Drop: the request was lost (full queue or an injected fault).
 	Drop
 	kindCount
 )
@@ -65,8 +65,6 @@ type DropReason uint8
 const (
 	// DropUnspecified is the zero value: no reason was recorded.
 	DropUnspecified DropReason = iota
-	// DropShed: NIC-side admission control rejected the arrival (policy).
-	DropShed
 	// DropQueueCap: flowrule's slow-path queue was full (policy).
 	DropQueueCap
 	// DropTimeout: the dispatch timeout machinery exhausted its retry
@@ -86,7 +84,7 @@ const (
 const DropReasonCount = int(dropReasonCount)
 
 var dropReasonNames = [...]string{
-	"", "shed", "queue-cap", "timeout", "wire-fault", "ring-overflow",
+	"", "queue-cap", "timeout", "wire-fault", "ring-overflow",
 }
 
 // String returns the reason name ("" for DropUnspecified).
@@ -146,7 +144,7 @@ func (b *Buffer) Record(at sim.Time, kind Kind, reqID uint64, worker int) {
 
 // Add appends a fully-formed event if capacity remains — the way to record
 // a Drop carrying the reason the request was lost, so attribution can
-// distinguish policy drops (shed, queue cap) from injected-fault losses.
+// distinguish policy drops (queue cap) from injected-fault losses.
 func (b *Buffer) Add(e Event) {
 	if len(b.events) >= b.max {
 		b.dropped++
