@@ -16,7 +16,8 @@
 // Usage:
 //
 //	mindgap-sim -system shinjuku -set workers=3 -rps 300000
-//	mindgap-sim -set cxl=true -set policy=informed-least-loaded
+//	mindgap-sim -scenario figure6-cxl -rps 400000   # its calibrated series
+//	mindgap-sim -set directirq=true -set policy=informed-least-loaded
 //	mindgap-sim -replicates 5 -j 5              # error bars across seeds 7..11
 //	mindgap-sim -list-systems                   # registry names, docs, knobs
 //	mindgap-sim -scenario figure2 -quality quick -csv

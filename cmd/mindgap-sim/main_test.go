@@ -34,7 +34,8 @@ func runSim(t *testing.T, want int, args ...string) (string, string) {
 // (-workers 3, -cxl), with the wall time stripped; the -set spellings must
 // reproduce them. point-shinjuku was re-captured when shinjuku stopped
 // accepting outstanding: -system shinjuku had carried the default spec's
-// k = 4 over, and vanilla Shinjuku keeps one request per core.
+// k = 4 over, and vanilla Shinjuku keeps one request per core. point-cxl
+// runs figure6-cxl's calibrated series at the default point.
 func TestPointGolden(t *testing.T) {
 	small := []string{"-warmup", "200", "-measure", "2000"}
 	for _, c := range []struct {
@@ -44,7 +45,8 @@ func TestPointGolden(t *testing.T) {
 		{"offload", nil},
 		{"shinjuku", []string{"-system", "shinjuku", "-set", "workers=3", "-rps", "300000"}},
 		{"rss", []string{"-system", "rss"}},
-		{"cxl", []string{"-set", "cxl=true"}},
+		{"cxl", []string{"-scenario", "figure6-cxl", "-dist", "bimodal:0.995:5µs:100µs", "-rps", "400000",
+			"-set", "workers=4", "-set", "outstanding=4", "-set", "slice=10µs"}},
 		{"flowdir-zipf", []string{"-system", "flowdir", "-zipf-keys", "1000", "-zipf-skew", "1.1"}},
 		{"replicates", []string{"-replicates", "3", "-j", "2"}},
 	} {

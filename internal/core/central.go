@@ -88,7 +88,7 @@ func NewCentral(eng *sim.Engine, cfg CentralConfig, pr *probe.Probe, done func(*
 	p := cfg.P
 	c := &Central{eng: eng, cfg: cfg, pr: pr}
 	// No SelfArm: preemption is dispatcher-posted.
-	c.Host = cores.NewHost(eng, cores.HostConfig{P: p, Workers: cfg.Workers, Pickup: p.PickupCost(false), Slice: cfg.Slice},
+	c.Host = cores.NewHost(eng, cores.HostConfig{P: p, Workers: cfg.Workers, Pickup: p.PickupCost(), Slice: cfg.Slice},
 		pr, c.submit, done)
 	for _, w := range c.Workers {
 		if c.socket(w.ID) != 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"mindgap/internal/cores"
@@ -38,25 +37,17 @@ type OffloadConfig struct {
 	// report only when the backlog differs from the last one the worker
 	// sent.
 	Policy Policy
-	// CXL, LineRate and DirectInterrupts are the §5.1 ideal-NIC ablations,
-	// each removing one hardware limit behind the Figure 6 loss. CXL swaps
-	// packet-based NIC↔host communication for coherent shared memory
-	// (P.WithCXL); LineRate runs the scheduler in line-rate hardware
-	// instead of ARM cores (P.WithLineRateScheduler); DirectInterrupts has
-	// the NIC post preemption interrupts to cores directly instead of
-	// workers arming local APIC timers, delivered after P.CXLOneWay.
-	CXL              bool
-	LineRate         bool
+	// DirectInterrupts is the §5.1 ablation that changes a mechanism: the
+	// NIC posts preemption interrupts to cores directly instead of workers
+	// arming local APIC timers, delivered after P.CXLOneWay. The ablations
+	// that only change costs (coherent NIC↔host memory, a line-rate
+	// scheduler, §5.2 DDIO-to-L1) are calibrations of P.
 	DirectInterrupts bool
 	// DispatchBurst is the queue-manager core's DPDK-style burst size: how
 	// many events it drains from one input ring before polling the other
 	// (0 or 1 alternates fairly; rx_burst-sized batches delay credit
 	// handling under a flood of arrivals, the Figure 3 burst ablation).
 	DispatchBurst int
-	// DDIOToL1 models §5.2: with outstanding requests per core bounded, the
-	// NIC places packets straight into the worker's L1, waiving the
-	// near-cache fetch penalty on pickup.
-	DDIOToL1 bool
 	// PriorityClasses > 1 splits the central queue into strict priority
 	// classes (§2.2's co-located latency classes); ClassOf maps each
 	// request to a class in [0, PriorityClasses), highest first.
@@ -237,14 +228,6 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 	if pr == nil {
 		pr = &probe.Probe{} // TimeoutDrops reads its counts back
 	}
-	// Both ablations set the ARM TX/RX costs; line rate's must win. The
-	// result lands in cfg.P because the hooks read s.cfg.P after this.
-	if cfg.CXL {
-		cfg.P = cfg.P.WithCXL()
-	}
-	if cfg.LineRate {
-		cfg.P = cfg.P.WithLineRateScheduler()
-	}
 	p := cfg.P
 	s := &Offload{eng: eng, cfg: cfg, done: done, pr: pr}
 	s.lgc = NewLogic(cfg.Workers, cfg.Outstanding, cfg.Policy)
@@ -265,7 +248,7 @@ func NewOffload(eng *sim.Engine, cfg OffloadConfig, pr *probe.Probe, done func(*
 		}
 	}
 	s.Host = cores.NewHost(eng, cores.HostConfig{
-		P: p, Workers: cfg.Workers, Pickup: p.PickupCost(cfg.DDIOToL1),
+		P: p, Workers: cfg.Workers, Pickup: p.PickupCost(),
 		Slice: cfg.Slice, SelfArm: !cfg.DirectInterrupts,
 	}, pr, s.admit, done)
 	s.Started, s.Finished, s.Preempted, s.Account = s.started, s.finished, s.preempted, s.account
@@ -359,23 +342,12 @@ func (s *Offload) RegisterTelemetry(reg *telemetry.Registry) {
 }
 
 // Name implements the experiment System interface: "shinjuku-offload"
-// stock, or "idealnic/" plus the "+"-joined active §5.1 ablations, e.g.
-// "idealnic/cxl+linerate".
+// stock, "idealnic/directirq" with the NIC posting preemption interrupts.
 func (s *Offload) Name() string {
-	var abl []string
-	if s.cfg.CXL {
-		abl = append(abl, "cxl")
-	}
-	if s.cfg.LineRate {
-		abl = append(abl, "linerate")
-	}
 	if s.cfg.DirectInterrupts {
-		abl = append(abl, "directirq")
+		return "idealnic/directirq"
 	}
-	if len(abl) == 0 {
-		return "shinjuku-offload"
-	}
-	return "idealnic/" + strings.Join(abl, "+")
+	return "shinjuku-offload"
 }
 
 // admit runs when a new request has crossed the networker core and the

@@ -33,7 +33,7 @@ func encodeDim(v any) string {
 	}
 	s := string(b)
 	switch s {
-	case "null", `""`, "0", "false", "[]":
+	case "null", `""`, "0", "false", "[]", "{}":
 		return "" // zero values read as "unset", matching omitempty
 	}
 	return s
@@ -51,6 +51,8 @@ func specDims(sp scenario.Spec) map[string]string {
 		"tenants":  encodeDim(sp.Tenants),
 		"load":     encodeDim(sp.Load),
 		"faults":   encodeDim(sp.Faults),
+
+		"calibration": encodeDim(sp.Calibration),
 	}
 	kn := sp.KnobsOrZero()
 	kb, err := json.Marshal(kn)

@@ -143,6 +143,18 @@ func TestValidateDiffContract(t *testing.T) {
 	s.A.Scenario.Keys = &scenario.KeysSpec{N: 64, Skew: 1.2}
 	wantErr(t, s, "undeclared dimensions [keys]")
 
+	// Arms of one system that differ only in a model constant are
+	// confounded unless the calibration is the declared variable.
+	s = base()
+	s.B.Scenario.System = "zygos"
+	s.Varied = nil
+	s.A.Scenario.Calibration = map[string]scenario.Duration{"StealCost": 0}
+	wantErr(t, s, "undeclared dimensions [calibration]")
+	s.Varied = []string{"calibration"}
+	if err := s.Validate(); err != nil {
+		t.Errorf("declared calibration arms: %v", err)
+	}
+
 	// Declared varied but identical.
 	s = base()
 	s.Varied = []string{"system", "workers"}

@@ -51,9 +51,6 @@ var (
 type Params struct {
 	// HostClock is the x86 server clock (2.3 GHz Intel E5-2658, §4).
 	HostClock Clock
-	// ArmClock is the SmartNIC ARM A72 clock. Only used to convert the few
-	// ARM-side cycle costs; stage costs below are stated in time directly.
-	ArmClock Clock
 
 	// NicHostOneWay is the measured one-way latency for a message from the
 	// SmartNIC ARM CPU to a host core (or back), including packet
@@ -61,7 +58,8 @@ type Params struct {
 	NicHostOneWay time.Duration
 	// CXLOneWay is the projected one-way latency for a coherent
 	// shared-memory path (§5.1: "a few hundred nanoseconds to a
-	// microsecond"); used by the ideal-NIC ablations.
+	// microsecond"): the delay of the directirq ablation's posted
+	// interrupts.
 	CXLOneWay time.Duration
 	// CacheLine is the one-way latency of host inter-thread communication
 	// through a shared cache line (vanilla Shinjuku's IPC mechanism).
@@ -118,7 +116,7 @@ type Params struct {
 	// PickupMemPenalty is the extra cost of fetching the packet from LLC
 	// or DRAM into the core's L1 on pickup. §5.2's DDIO-to-L1 idea — safe
 	// because the scheduler bounds outstanding requests per core — waives
-	// this penalty (see OffloadConfig.DDIOToL1).
+	// this penalty: a spec calibrates it to zero.
 	PickupMemPenalty time.Duration
 	// NUMAPenalty is the additional pickup cost when the packet was
 	// DDIO-placed into the LLC of a *different* socket than the worker's
@@ -146,10 +144,6 @@ type Params struct {
 	// default); LinuxTimerProfile kept for the T1 comparison table.
 	HostTimer TimerProfile
 
-	// TimeSlice is the preemption quantum (§3.4.4: e.g. 10 µs). Zero
-	// disables preemption.
-	TimeSlice time.Duration
-
 	// StealCost is the one-off cost a ZygOS worker pays to steal a request
 	// from a sibling's queue (cross-core cache traffic, §2.2 item 4).
 	StealCost time.Duration
@@ -163,11 +157,10 @@ type Params struct {
 }
 
 // Default returns the calibrated parameter set used by every experiment
-// unless a figure overrides a field.
+// unless a spec's calibration block overrides a field.
 func Default() Params {
 	return Params{
 		HostClock: Clock{Hz: 2.3e9},
-		ArmClock:  Clock{Hz: 3.0e9},
 
 		NicHostOneWay:    2560 * time.Nanosecond,
 		CXLOneWay:        500 * time.Nanosecond,
@@ -201,36 +194,11 @@ func Default() Params {
 
 		HostTimer: DirectAPIC,
 
-		TimeSlice: 10 * time.Microsecond,
-
 		StealCost: 600 * time.Nanosecond,
 
 		RPCValetDispatchCost: 40 * time.Nanosecond,
 		RPCValetLinkLatency:  50 * time.Nanosecond,
 	}
-}
-
-// WithCXL returns a copy of p where all dispatcher↔worker traffic uses a
-// coherent shared-memory window instead of packets through the NIC
-// (§5.1 suggestion 2). Message build costs drop to cache-line writes.
-func (p Params) WithCXL() Params {
-	p.NicHostOneWay = p.CXLOneWay
-	p.WorkerNotifyCost = 30 * time.Nanosecond
-	p.ArmTxCost = 250 * time.Nanosecond
-	p.ArmRxCost = 250 * time.Nanosecond
-	return p
-}
-
-// WithLineRateScheduler returns a copy of p where the NIC scheduler runs in
-// dedicated hardware (FPGA/ASIC, §5.1 suggestion 1) instead of ARM cores.
-func (p Params) WithLineRateScheduler() Params {
-	p.ArmNetworkerCost = 40 * time.Nanosecond
-	p.ArmQueueCost = 25 * time.Nanosecond
-	p.ArmCreditCost = 10 * time.Nanosecond
-	p.ArmTxCost = 25 * time.Nanosecond
-	p.ArmRxCost = 25 * time.Nanosecond
-	p.ArmShm = 10 * time.Nanosecond
-	return p
 }
 
 // ArmStageMax returns the per-request cost of the busiest ARM dispatcher
@@ -252,13 +220,8 @@ func (p Params) ArmStageMax() time.Duration {
 }
 
 // PickupCost returns the total cost of pulling a request into execution on
-// a worker core: descriptor handling plus, unless the NIC placed the packet
-// directly into the core's L1 (§5.2 DDIO-to-L1), the near-cache fetch
-// penalty.
-func (p Params) PickupCost(ddioL1 bool) time.Duration {
-	if ddioL1 {
-		return p.WorkerPickupCost
-	}
+// a worker core: descriptor handling plus the near-cache fetch penalty.
+func (p Params) PickupCost() time.Duration {
 	return p.WorkerPickupCost + p.PickupMemPenalty
 }
 

@@ -37,9 +37,6 @@ func TestPaperConstants(t *testing.T) {
 	if p.NicHostOneWay != 2560*time.Nanosecond {
 		t.Errorf("NicHostOneWay = %v, want 2.56µs (§3.3)", p.NicHostOneWay)
 	}
-	if p.TimeSlice != 10*time.Microsecond {
-		t.Errorf("TimeSlice = %v, want 10µs (§3.4.4)", p.TimeSlice)
-	}
 	// 200 ns dispatch cost ⇒ 5 M req/s dispatcher capacity (§1).
 	if got := time.Second / p.HostDispatchCost; got != 5_000_000 {
 		t.Errorf("host dispatcher capacity = %d req/s, want 5M", got)
@@ -90,30 +87,5 @@ func TestFrameWireTime(t *testing.T) {
 	var zero Params
 	if zero.FrameWireTime(128) != 0 {
 		t.Fatal("zero-bandwidth params should yield zero wire time")
-	}
-}
-
-func TestWithCXL(t *testing.T) {
-	p := Default()
-	c := p.WithCXL()
-	if c.NicHostOneWay != p.CXLOneWay {
-		t.Fatalf("WithCXL NicHostOneWay = %v, want %v", c.NicHostOneWay, p.CXLOneWay)
-	}
-	if c.NicHostOneWay >= p.NicHostOneWay {
-		t.Fatal("CXL path should be faster than packet path")
-	}
-	// Original must be unmodified (value semantics).
-	if p.NicHostOneWay != 2560*time.Nanosecond {
-		t.Fatal("WithCXL mutated the receiver")
-	}
-}
-
-func TestWithLineRateScheduler(t *testing.T) {
-	p := Default().WithLineRateScheduler()
-	// Hardware scheduler should comfortably exceed the host dispatcher's
-	// 5 M req/s so the Fig. 6 crossover disappears.
-	cap := float64(time.Second) / float64(p.ArmStageMax())
-	if cap < 10e6 {
-		t.Fatalf("line-rate scheduler cap = %.0f req/s, want > 10M", cap)
 	}
 }

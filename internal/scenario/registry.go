@@ -83,8 +83,9 @@ type Builder struct {
 	// class is above 0 instead of quietly serving it from one FIFO.
 	PriorityClasses bool
 	// Build assembles the factory from the validated spec (knobs have
-	// passed checkKnobs; faulted specs have passed the fault gate).
-	Build func(o Options, sp Spec) (Factory, error)
+	// passed checkKnobs; faulted specs have passed the fault gate) and the
+	// model constants its calibration yields (Spec.Params).
+	Build func(o Options, sp Spec, p params.Params) (Factory, error)
 }
 
 // checkKnobs rejects knobs the kind does not accept.
@@ -171,7 +172,11 @@ func BuildWith(sp Spec, o Options) (Factory, error) {
 	if o.Metrics != nil && !b.Observable {
 		return nil, fmt.Errorf("scenario: system %q does not support telemetry", sp.System)
 	}
-	return b.Build(o, sp)
+	p, err := sp.Params()
+	if err != nil {
+		return nil, err
+	}
+	return b.Build(o, sp, p)
 }
 
 // ParsePolicy maps a policy knob string to the core policy; the empty
@@ -197,9 +202,9 @@ func rtcBuilder(name, doc string, cfg rtc.Config) Builder {
 		Name:  name,
 		Doc:   doc,
 		Knobs: []string{"workers"},
-		Build: func(o Options, sp Spec) (Factory, error) {
+		Build: func(o Options, sp Spec, p params.Params) (Factory, error) {
 			c := cfg
-			c.P, c.Workers = params.Default(), sp.KnobsOrZero().Workers
+			c.P, c.Workers = p, sp.KnobsOrZero().Workers
 			return factory(o, c, rtc.New)
 		},
 	}
@@ -213,9 +218,9 @@ func centralBuilder(name, doc string, mode core.CentralMode, knobs ...string) Bu
 		Name:  name,
 		Doc:   doc,
 		Knobs: knobs,
-		Build: func(o Options, sp Spec) (Factory, error) {
+		Build: func(o Options, sp Spec, p params.Params) (Factory, error) {
 			k := sp.KnobsOrZero()
-			cfg := core.CentralConfig{P: params.Default(), Workers: k.Workers, Slice: k.Slice.D(), Sockets: k.Sockets, Mode: mode}
+			cfg := core.CentralConfig{P: p, Workers: k.Workers, Slice: k.Slice.D(), Sockets: k.Sockets, Mode: mode}
 			return factory(o, cfg, core.NewCentral)
 		},
 	}
@@ -223,14 +228,13 @@ func centralBuilder(name, doc string, mode core.CentralMode, knobs ...string) Bu
 
 func init() {
 	Register(Builder{
-		Name: "offload",
-		Doc:  "Shinjuku-Offload: the paper's informed NIC-resident scheduler (§3); cxl, linerate, directirq: the §5.1 ideal-NIC ablations",
-		Knobs: []string{"workers", "outstanding", "slice", "policy", "dispatch_burst",
-			"ddio_to_l1", "affinity", "cxl", "linerate", "directirq"},
+		Name:            "offload",
+		Doc:             "Shinjuku-Offload: the paper's informed NIC-resident scheduler (§3); directirq: the §5.1 posted-interrupt ablation (the cost-only ablations are calibration blocks)",
+		Knobs:           []string{"workers", "outstanding", "slice", "policy", "dispatch_burst", "affinity", "directirq"},
 		Observable:      true,
 		Faultable:       true,
 		PriorityClasses: true,
-		Build: func(o Options, sp Spec) (Factory, error) {
+		Build: func(o Options, sp Spec, p params.Params) (Factory, error) {
 			k := sp.KnobsOrZero()
 			pol, err := ParsePolicy(k.Policy)
 			if err != nil {
@@ -240,17 +244,13 @@ func init() {
 				return nil, fmt.Errorf("scenario: offload needs outstanding >= 1")
 			}
 			cfg := core.OffloadConfig{
-				P:             params.Default(),
-				Workers:       k.Workers,
-				Outstanding:   k.Outstanding,
-				Slice:         k.Slice.D(),
-				Policy:        pol,
-				DispatchBurst: k.DispatchBurst,
-				DDIOToL1:      k.DDIOToL1,
-				Affinity:      k.Affinity,
-
-				CXL:              k.CXL,
-				LineRate:         k.LineRate,
+				P:                p,
+				Workers:          k.Workers,
+				Outstanding:      k.Outstanding,
+				Slice:            k.Slice.D(),
+				Policy:           pol,
+				DispatchBurst:    k.DispatchBurst,
+				Affinity:         k.Affinity,
 				DirectInterrupts: k.DirectInterrupts,
 			}
 			for _, t := range sp.Tenants {
@@ -301,10 +301,10 @@ func init() {
 		Knobs:        []string{"workers", "offload_threshold", "adaptive_threshold"},
 		Observable:   true,
 		FlowWorkload: true,
-		Build: func(o Options, sp Spec) (Factory, error) {
+		Build: func(o Options, sp Spec, p params.Params) (Factory, error) {
 			k := sp.KnobsOrZero()
 			cfg := flowrule.Config{
-				P:         params.Default(),
+				P:         p,
 				Workers:   k.Workers,
 				Threshold: k.OffloadThreshold,
 				Adaptive:  k.AdaptiveThreshold,

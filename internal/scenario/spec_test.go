@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mindgap/internal/params"
 )
 
 // TestGridPointsExact pins the integer-index grid generation: every point
@@ -293,7 +295,7 @@ func TestWithFlatTenants(t *testing.T) {
 // TestKnobNames checks the reflected knob list against the schema: every
 // field is tagged, and a knob is set exactly when the encoding carries it.
 func TestKnobNames(t *testing.T) {
-	k := Knobs{Workers: 4, Sockets: 3, CXL: true, Slice: Duration(time.Microsecond)}
+	k := Knobs{Workers: 4, Sockets: 3, DirectInterrupts: true, Slice: Duration(time.Microsecond)}
 	all, set := k.Names()
 	if len(all) != reflect.TypeOf(k).NumField() {
 		t.Fatalf("all = %d names for %d fields", len(all), reflect.TypeOf(k).NumField())
@@ -303,7 +305,7 @@ func TestKnobNames(t *testing.T) {
 			t.Fatalf("knob without a JSON name in %v", all)
 		}
 	}
-	if want := []string{"workers", "slice", "sockets", "cxl"}; !reflect.DeepEqual(set, want) {
+	if want := []string{"workers", "slice", "sockets", "directirq"}; !reflect.DeepEqual(set, want) {
 		t.Errorf("set = %v, want %v (declaration order)", set, want)
 	}
 	b, err := json.Marshal(k)
@@ -316,6 +318,45 @@ func TestKnobNames(t *testing.T) {
 	}
 	if len(enc) != len(set) {
 		t.Errorf("encoding carries %d knobs, Names reports %d set", len(enc), len(set))
+	}
+}
+
+// TestCalibrationGate: a calibration block names duration fields of
+// params.Params by their Go names and gives each a non-negative value;
+// anything else fails Validate and Build, naming the key.
+func TestCalibrationGate(t *testing.T) {
+	base := Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Workload: "fixed:1µs", Load: &LoadSpec{RPS: 1000}}
+	for _, c := range []struct {
+		name string
+		cal  map[string]Duration
+		want string // "" accepts
+	}{
+		{"unknown name", map[string]Duration{"NicHostOneway": 1}, `"NicHostOneway"`},
+		{"float field", map[string]Duration{"WireBandwidth": 1}, `"WireBandwidth"`},
+		{"struct field", map[string]Duration{"HostTimer": 1}, `"HostTimer"`},
+		{"negative", map[string]Duration{"StealCost": -1}, "StealCost is negative"},
+		{"zero", map[string]Duration{"PickupMemPenalty": 0}, ""},
+		{"several", map[string]Duration{"ArmTxCost": 25, "NicHostOneWay": 500}, ""},
+	} {
+		sp := base
+		sp.Calibration = c.cal
+		err := sp.Validate()
+		if _, berr := Build(sp); (berr == nil) != (err == nil) {
+			t.Errorf("%s: Validate says %v, Build says %v", c.name, err, berr)
+		}
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want a refusal naming %s", c.name, err, c.want)
+		}
+	}
+	sp := base
+	sp.Calibration = map[string]Duration{"NicHostOneWay": Duration(500 * time.Nanosecond), "PickupMemPenalty": 0}
+	p, err := sp.Params()
+	if want := params.Default(); err != nil || p.NicHostOneWay != 500*time.Nanosecond || p.PickupMemPenalty != 0 ||
+		p.ArmTxCost != want.ArmTxCost {
+		t.Errorf("Params() = %+v, %v: want the two fields replaced and the rest default", p, err)
 	}
 }
 

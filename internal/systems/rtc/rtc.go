@@ -97,7 +97,7 @@ func New(eng *sim.Engine, cfg Config, pr *probe.Probe, done func(*task.Request))
 		// No Slice — run to completion is the defining property — and a
 		// run-to-completion core does its own packet parsing (that is the
 		// point: no inter-core handoff).
-		Pickup: p.HostNetworkerCost + p.PickupCost(false),
+		Pickup: p.HostNetworkerCost + p.PickupCost(),
 	}, pr, s.steer, done)
 	if cfg.WorkStealing {
 		s.Finished = s.finished

@@ -2,6 +2,9 @@ package scenarios
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"mindgap/internal/scenario"
@@ -71,6 +74,33 @@ func TestPresetSystemsBuild(t *testing.T) {
 				t.Errorf("%s series %q: built a nameless system", name, s.Label)
 			}
 		}
+	}
+}
+
+// TestUncalibratedFingerprintsHold pins the fingerprint of every series
+// that carries no calibration block, one "preset<TAB>label<TAB>fingerprint"
+// line each: the block is omitted from their encoding, so their cached
+// results and memo entries stay theirs. A preset edit that moves one on
+// purpose updates the line.
+func TestUncalibratedFingerprintsHold(t *testing.T) {
+	want, err := os.ReadFile("testdata/fingerprints.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, name := range Names() {
+		p, err := Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range p.Series {
+			if sp := p.SpecFor(i); sp.Calibration == nil {
+				fmt.Fprintf(&got, "%s\t%s\t%s\n", name, s.Label, sp.Fingerprint())
+			}
+		}
+	}
+	if got.String() != string(want) {
+		t.Errorf("uncalibrated series fingerprints moved:\n--- want ---\n%s--- got ---\n%s", want, got.String())
 	}
 }
 
