@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"reflect"
 	"slices"
 	"sort"
@@ -333,20 +332,7 @@ func TestAttributionObservationInvariance(t *testing.T) {
 		})
 	}
 
-	const golden = "testdata/probe_points.golden"
-	if *updateGolden {
-		if err := os.WriteFile(golden, pinned.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update): %v", err)
-	}
-	if !bytes.Equal(pinned.Bytes(), want) {
-		t.Errorf("bare runs diverged from %s\ngot:\n%swant:\n%s", golden, pinned.Bytes(), want)
-	}
+	checkGolden(t, "testdata/probe_points.golden", pinned.Bytes())
 }
 
 // walkedSystem is a built system that checks every worker's running
