@@ -19,7 +19,7 @@
 //	mindgap-sim -scenario figure6-cxl -rps 400000   # its calibrated series
 //	mindgap-sim -set directirq=true -set policy=informed-least-loaded
 //	mindgap-sim -replicates 5 -j 5              # error bars across seeds 7..11
-//	mindgap-sim -list-systems                   # registry names, docs, knobs
+//	mindgap-sim -list-systems                   # registry names, docs, read sets
 //	mindgap-sim -scenario figure2 -quality quick -csv
 //	mindgap-sim -trace text -attr -scenario trace-default
 //	mindgap-sim -trace chrome > trace.json      # then open ui.perfetto.dev
@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "registered systems (build any of them with -system or a scenario file):")
 		for _, b := range scenario.Systems() {
 			fmt.Fprintf(stdout, "  %-10s %s\n", b.Name, b.Doc)
-			fmt.Fprintf(stdout, "  %-10s knobs: %s\n", "", strings.Join(b.Knobs, ", "))
+			fmt.Fprintf(stdout, "  %-10s reads: %s\n", "", strings.Join(b.Reads, ", "))
 		}
 		fmt.Fprintln(stdout, "\nembedded presets (run with -scenario <name>):")
 		fmt.Fprintf(stdout, "  %s\n", strings.Join(scenarios.Names(), ", "))
@@ -266,14 +266,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // knobsWith returns sp's knobs with the -set overrides applied through
 // the scenario schema's strict decoder, each value a JSON literal or else
-// a JSON string. With drop, the knobs sp's system rejects go first.
+// a JSON string. With drop, the knobs sp's system does not read go first.
 func knobsWith(sp scenario.Spec, drop bool, sets []string) (scenario.Knobs, error) {
 	m := map[string]json.RawMessage{}
 	b, _ := json.Marshal(sp.KnobsOrZero()) // plain data: cannot fail
 	json.Unmarshal(b, &m)
 	if sys, ok := scenario.Lookup(sp.System); ok && drop {
 		for name := range m {
-			if !slices.Contains(sys.Knobs, name) {
+			if !slices.Contains(sys.Reads, name) {
 				delete(m, name)
 			}
 		}

@@ -140,8 +140,9 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-scenario", "trace-default", "-replicates", "2"}, "scenario trace-default pins seed 7"},
 		{[]string{"-set", "bogus=1"}, `unknown knob "bogus" (want name=value, name one of workers, outstanding,`},
 		{[]string{"-set", "workers=many"}, "knobs.workers of type int"},
-		{[]string{"-system", "rss", "-set", "slice=10µs"}, `system "rss" does not accept knob(s) slice`},
-		{[]string{"-system", "shinjuku", "-set", "policy=informed-least-loaded"}, `system "shinjuku" does not accept knob(s) policy`},
+		{[]string{"-system", "rss", "-set", "slice=10µs"}, `system "rss" does not read slice`},
+		{[]string{"-system", "shinjuku", "-set", "policy=informed-least-loaded"}, `system "shinjuku" does not read policy`},
+		{[]string{"-scenario", "figure6-cxl", "-system", "rss", "-set", "workers=4", "-rps", "400000"}, `system "rss" does not read ArmRxCost, ArmTxCost, NicHostOneWay`},
 	} {
 		stdout, stderr := runSim(t, 2, c.args...)
 		if stdout != "" || !strings.Contains(stderr, c.want) {

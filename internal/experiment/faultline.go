@@ -91,7 +91,7 @@ var faultTimeline = Kind[FaultTimelineResult]{
 			ph.GoodputRPS = float64(h.Count()) / (ph.End - ph.Start).Seconds()
 			ph.P50, ph.P99, ph.Max = h.P50(), h.P99(), h.Max()
 		}
-		// Only the offload system is Faultable, so a faulted spec built one.
+		// Only the offload system reads faults, so a faulted spec built one.
 		off := sys.(*core.Offload)
 		res.Retries, res.TimeoutDrops, res.Degraded = off.Retries(), off.TimeoutDrops(), off.DegradedSteered()
 		res.LossDrops, res.DelayHits = off.FaultSchedule().LossDrops(), off.FaultSchedule().DelayHits()

@@ -357,9 +357,6 @@ func (s Spec) validateAnalytic() error {
 	if !strings.HasPrefix(arm.Scenario.Workload, "exp:") {
 		return fmt.Errorf("hypothesis %s: M/M models assume exponential service, arm %s runs %q", s.ID, a.Arm, arm.Scenario.Workload)
 	}
-	if a.servers(arm) < 1 {
-		return fmt.Errorf("hypothesis %s: analytic twin needs servers (or a workers knob on arm %s)", s.ID, a.Arm)
-	}
 	return nil
 }
 

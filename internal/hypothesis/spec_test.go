@@ -228,7 +228,7 @@ func TestValidateAnalytic(t *testing.T) {
 	s.B.Scenario.Knobs.Workers = 0
 	s.A.Scenario.Knobs.Workers = 0
 	s.Controlled = []string{"workload", "load"}
-	wantErr(t, s, "needs servers")
+	wantErr(t, s, "needs workers >= 1") // the arm refuses before the twin asks for servers
 	// Crossover hypotheses cannot carry a twin.
 	s = good()
 	s.Criterion = CriterionSpec{Kind: Crossover, Bracket: &Bracket{Lo: 1, Hi: 2}}

@@ -21,7 +21,9 @@ type Config struct {
 	// Service is the fake-work service-time distribution (§4.1).
 	Service dist.Distribution
 	// Keys optionally samples an application key per request (used by
-	// flow-steering baselines). Nil leaves keys zero.
+	// flow-steering baselines). The key is drawn from the same stream as
+	// arrivals and service times, so setting Keys advances that stream
+	// and moves every later draw. Nil leaves keys zero.
 	Keys *dist.ZipfKeys
 	// Seed makes the arrival and service streams reproducible.
 	Seed uint64

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestFaultGate(t *testing.T) {
 		{"non-degradable system", func(s *Spec) {
 			s.System = "rss"
 			s.Knobs = &Knobs{Workers: 2}
-		}, "cannot degrade"},
+		}, `system "rss" does not read faults`},
 		{"empty fault block", func(s *Spec) { s.Faults = &faults.Spec{} }, "empty"},
 		{"zero seed", func(s *Spec) { s.Seed = 0 }, "seed"},
 		{"invalid fault block", func(s *Spec) { s.Faults.Retries = -1 }, "retries"},
@@ -87,15 +88,15 @@ func TestFaultedBuildCompilesSchedule(t *testing.T) {
 	}
 }
 
-// TestFaultableFlag pins which systems advertise fault tolerance: only
-// the offload system carries the recovery machinery today. Extending
-// another system requires flipping its Faultable flag deliberately, not
-// by accident.
+// TestFaultableFlag pins which systems read a fault schedule: only the
+// offload system carries the recovery machinery today. Extending another
+// system requires adding "faults" to its read set deliberately, not by
+// accident.
 func TestFaultableFlag(t *testing.T) {
 	for _, b := range Systems() {
 		want := b.Name == "offload"
-		if b.Faultable != want {
-			t.Errorf("system %q Faultable = %v, want %v", b.Name, b.Faultable, want)
+		if got := slices.Contains(b.Reads, "faults"); got != want {
+			t.Errorf("system %q reads faults = %v, want %v", b.Name, got, want)
 		}
 	}
 }

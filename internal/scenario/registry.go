@@ -55,57 +55,28 @@ type observable interface {
 }
 
 // Builder registers one system kind: its registry name, documentation,
-// the knobs it accepts, and the function that assembles it.
+// what a spec may set on it, and the function that assembles it.
 type Builder struct {
 	// Name is the registry key ("offload", "shinjuku", ...).
 	Name string
 	// Doc is a one-line description for -list-systems.
 	Doc string
-	// Knobs lists the JSON names of the knobs this kind accepts; Build
-	// rejects specs that set any other knob.
-	Knobs []string
+	// Reads is everything a spec may set on this kind, because the built
+	// system reads it: knobs by JSON name ("workers"), the blocks "faults",
+	// "flow" (then also required) and "class" (a tenant class above 0),
+	// and params.Params durations by Go name ("NicHostOneWay"). A spec
+	// that sets anything else is refused, so a misplaced value fails
+	// loudly instead of silently running the wrong experiment.
+	Reads []string
 	// Observable marks systems that accept Options.Metrics: the built
 	// system implements RegisterTelemetry, which registers the gauges the
 	// benchmark reads. Others refuse a registry instead of silently
 	// returning an empty snapshot.
 	Observable bool
-	// Faultable marks systems that accept a Spec.Faults schedule — they
-	// can stretch, drop, retry, and degrade. Systems without the machinery
-	// refuse faulted specs instead of silently simulating healthy hardware.
-	Faultable bool
-	// FlowWorkload marks systems that key on flow identity: they require
-	// a Spec.Flow block (and are driven by the flow generator), while
-	// every other system rejects one — the workload model is part of the
-	// contract, not a silent default.
-	FlowWorkload bool
-	// PriorityClasses marks systems whose central queue can be split into
-	// strict priority classes; every other system refuses a tenant whose
-	// class is above 0 instead of quietly serving it from one FIFO.
-	PriorityClasses bool
-	// Build assembles the factory from the validated spec (knobs have
-	// passed checkKnobs; faulted specs have passed the fault gate) and the
-	// model constants its calibration yields (Spec.Params).
+	// Build assembles the factory from the validated spec (it sets only
+	// what Reads lists) and the model constants its calibration yields
+	// (Spec.Params).
 	Build func(o Options, sp Spec, p params.Params) (Factory, error)
-}
-
-// checkKnobs rejects knobs the kind does not accept.
-func (b Builder) checkKnobs(k Knobs) error {
-	allowed := make(map[string]bool, len(b.Knobs))
-	for _, n := range b.Knobs {
-		allowed[n] = true
-	}
-	var bad []string
-	_, set := k.Names()
-	for _, n := range set {
-		if !allowed[n] {
-			bad = append(bad, n)
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("scenario: system %q does not accept knob(s) %s (accepted: %s)",
-			b.Name, strings.Join(bad, ", "), strings.Join(b.Knobs, ", "))
-	}
-	return nil
 }
 
 // registry maps system names to builders. It is written once during
@@ -196,12 +167,13 @@ func ParsePolicy(s string) (core.Policy, error) {
 }
 
 // rtcBuilder makes a steered-pool builder (RSS, ZygOS, Flow Director and
-// eRSS differ only in steering and stealing).
-func rtcBuilder(name, doc string, cfg rtc.Config) Builder {
+// eRSS differ only in steering and stealing, which may read more).
+func rtcBuilder(name, doc string, cfg rtc.Config, reads ...string) Builder {
 	return Builder{
-		Name:  name,
-		Doc:   doc,
-		Knobs: []string{"workers"},
+		Name: name,
+		Doc:  doc,
+		Reads: append([]string{"workers",
+			"ClientWireOneWay", "HostNetworkerCost", "PickupMemPenalty", "WorkerPickupCost", "WorkerResponseCost"}, reads...),
 		Build: func(o Options, sp Spec, p params.Params) (Factory, error) {
 			c := cfg
 			c.P, c.Workers = p, sp.KnobsOrZero().Workers
@@ -212,12 +184,12 @@ func rtcBuilder(name, doc string, cfg rtc.Config) Builder {
 
 // centralBuilder makes a builder for a dispatcher beside the cores
 // (vanilla Shinjuku and RPCValet differ in where it sits); a knob the kind
-// does not accept is zero here.
-func centralBuilder(name, doc string, mode core.CentralMode, knobs ...string) Builder {
+// does not read is zero here.
+func centralBuilder(name, doc string, mode core.CentralMode, reads ...string) Builder {
 	return Builder{
 		Name:  name,
 		Doc:   doc,
-		Knobs: knobs,
+		Reads: reads,
 		Build: func(o Options, sp Spec, p params.Params) (Factory, error) {
 			k := sp.KnobsOrZero()
 			cfg := core.CentralConfig{P: p, Workers: k.Workers, Slice: k.Slice.D(), Sockets: k.Sockets, Mode: mode}
@@ -228,12 +200,13 @@ func centralBuilder(name, doc string, mode core.CentralMode, knobs ...string) Bu
 
 func init() {
 	Register(Builder{
-		Name:            "offload",
-		Doc:             "Shinjuku-Offload: the paper's informed NIC-resident scheduler (§3); directirq: the §5.1 posted-interrupt ablation (the cost-only ablations are calibration blocks)",
-		Knobs:           []string{"workers", "outstanding", "slice", "policy", "dispatch_burst", "affinity", "directirq"},
-		Observable:      true,
-		Faultable:       true,
-		PriorityClasses: true,
+		Name: "offload",
+		Doc:  "Shinjuku-Offload: the paper's informed NIC-resident scheduler (§3); directirq: the §5.1 posted-interrupt ablation (the cost-only ablations are calibration blocks)",
+		Reads: []string{"workers", "outstanding", "slice", "policy", "dispatch_burst", "affinity", "directirq", "faults", "class",
+			"ArmCreditCost", "ArmNetworkerCost", "ArmQueueCost", "ArmRxCost", "ArmShm", "ArmTxCost", "ClientWireOneWay",
+			"CtxMigratePenalty", "CtxResumeCost", "CtxSaveCost", "NicHostOneWay", "PickupMemPenalty", "WorkerNotifyCost",
+			"WorkerPickupCost", "WorkerResponseCost", "CXLOneWay"},
+		Observable: true,
 		Build: func(o Options, sp Spec, p params.Params) (Factory, error) {
 			k := sp.KnobsOrZero()
 			pol, err := ParsePolicy(k.Policy)
@@ -275,32 +248,34 @@ func init() {
 
 	Register(centralBuilder("shinjuku",
 		"vanilla Shinjuku: host-core networker + dispatcher baseline (§2.1)",
-		core.HostCore, "workers", "slice", "sockets"))
+		core.HostCore, "workers", "slice", "sockets",
+		"CacheLine", "ClientWireOneWay", "CtxMigratePenalty", "CtxResumeCost", "CtxSaveCost", "HostCompletionCost",
+		"HostDispatchCost", "HostNetworkerCost", "PickupMemPenalty", "WorkerPickupCost", "WorkerResponseCost", "NUMAPenalty"))
 
 	Register(rtcBuilder("rss",
 		"IX-style RSS: hash steering, run to completion, no preemption (§2.1)",
 		rtc.Config{}))
 	Register(rtcBuilder("zygos",
 		"ZygOS: RSS steering plus work stealing from sibling queues (§2.1)",
-		rtc.Config{WorkStealing: true}))
+		rtc.Config{WorkStealing: true}, "StealCost"))
 	Register(rtcBuilder("flowdir",
 		"MICA-style Flow Director: key-affinity steering, run to completion (§2.1)",
 		rtc.Config{Steering: rtc.SteerKey}))
 
 	Register(centralBuilder("rpcvalet",
 		"RPCValet: NI-integrated single queue, no preemption (§2.1)",
-		core.IntegratedNI, "workers"))
+		core.IntegratedNI, "workers",
+		"ClientWireOneWay", "PickupMemPenalty", "RPCValetDispatchCost", "RPCValetLinkLatency", "WorkerPickupCost", "WorkerResponseCost"))
 
 	Register(rtcBuilder("erss",
 		"Elastic RSS: load feedback resizes the core set, fixed policy (§5.1)",
 		rtc.Config{Steering: rtc.SteerElastic}))
 
 	Register(Builder{
-		Name:         "flowrule",
-		Doc:          "SmartNIC flow-rule offload: bounded rule insertion, LRU table, fast/slow path steering",
-		Knobs:        []string{"workers", "offload_threshold", "adaptive_threshold"},
-		Observable:   true,
-		FlowWorkload: true,
+		Name:       "flowrule",
+		Doc:        "SmartNIC flow-rule offload: bounded rule insertion, LRU table, fast/slow path steering",
+		Reads:      []string{"workers", "offload_threshold", "adaptive_threshold", "flow", "ClientWireOneWay"},
+		Observable: true,
 		Build: func(o Options, sp Spec, p params.Params) (Factory, error) {
 			k := sp.KnobsOrZero()
 			cfg := flowrule.Config{

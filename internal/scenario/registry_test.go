@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -140,13 +141,14 @@ func TestBuildValidation(t *testing.T) {
 func TestRetiredKnobsRefused(t *testing.T) {
 	for _, k := range []Knobs{{Workers: 2, Outstanding: 2}, {Workers: 2, Policy: "informed-least-loaded"}} {
 		if _, err := Build(Spec{System: "shinjuku", Knobs: &k}); err == nil ||
-			!strings.Contains(err.Error(), `system "shinjuku" does not accept knob(s)`) {
+			!strings.Contains(err.Error(), `system "shinjuku" does not read`) {
 			t.Errorf("shinjuku with %+v: err = %v, want a knob refusal", k, err)
 		}
 	}
 	b, _ := Lookup("offload")
-	if len(b.Knobs) != 7 {
-		t.Errorf("offload accepts %d knobs %v, want 7", len(b.Knobs), b.Knobs)
+	all, _ := Knobs{}.Names()
+	if knobs := slices.DeleteFunc(slices.Clone(b.Reads), func(n string) bool { return !slices.Contains(all, n) }); len(knobs) != 7 {
+		t.Errorf("offload reads %d knobs %v, want 7", len(knobs), knobs)
 	}
 	// Spelled in two parts so the CI step that greps for retired names
 	// passes over this test.
@@ -181,20 +183,14 @@ func TestRetiredKnobsRefused(t *testing.T) {
 }
 
 // TestBuilderMetadata checks every builder carries the -list-systems
-// surface: a doc line and at least the workers knob.
+// surface: a doc line and a read set with at least the workers knob.
 func TestBuilderMetadata(t *testing.T) {
 	for _, b := range Systems() {
 		if b.Doc == "" {
 			t.Errorf("system %q has no doc line", b.Name)
 		}
-		found := false
-		for _, k := range b.Knobs {
-			if k == "workers" {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("system %q does not accept the workers knob: %v", b.Name, b.Knobs)
+		if !slices.Contains(b.Reads, "workers") {
+			t.Errorf("system %q does not read the workers knob: %v", b.Name, b.Reads)
 		}
 	}
 }

@@ -128,21 +128,29 @@ func TestFingerprintStable(t *testing.T) {
 }
 
 // TestValidateRejectsForeignKnobs checks the loud-failure contract: a
-// knob a system does not accept refuses to validate or build.
+// knob a system does not read, or a spec Build would refuse, refuses to
+// validate or build.
 func TestValidateRejectsForeignKnobs(t *testing.T) {
-	sp := Spec{
-		System:   "rss",
-		Knobs:    &Knobs{Workers: 4, Slice: Duration(10 * time.Microsecond)},
-		Workload: "fixed:1µs",
-		Load:     &LoadSpec{RPS: 1000},
+	for _, c := range []struct {
+		name string
+		sp   Spec
+		want string
+	}{
+		{"slice on rss", Spec{System: "rss", Knobs: &Knobs{Workers: 4, Slice: Duration(10 * time.Microsecond)}}, `system "rss" does not read slice`},
+		{"rss without workers", Spec{System: "rss"}, "needs workers >= 1"},
+		{"offload without outstanding", Spec{System: "offload", Knobs: &Knobs{Workers: 4}}, "needs outstanding >= 1"},
+		{"unknown policy", Spec{System: "offload", Knobs: &Knobs{Workers: 4, Outstanding: 2, Policy: "bogus"}}, `unknown policy "bogus"`},
+	} {
+		sp := c.sp
+		sp.Workload, sp.Load = "fixed:1µs", &LoadSpec{RPS: 1000}
+		if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate err = %v, want a refusal naming %q", c.name, err, c.want)
+		}
+		if _, err := Build(sp); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Build err = %v, want a refusal naming %q", c.name, err, c.want)
+		}
 	}
-	if err := sp.Validate(); err == nil {
-		t.Error("rss spec with a slice knob validated; want rejection")
-	}
-	if _, err := Build(sp); err == nil {
-		t.Error("rss spec with a slice knob built; want rejection")
-	}
-	sp.Knobs.Slice = 0
+	sp := Spec{System: "rss", Knobs: &Knobs{Workers: 4}, Workload: "fixed:1µs", Load: &LoadSpec{RPS: 1000}}
 	if err := sp.Validate(); err != nil {
 		t.Errorf("clean rss spec failed validation: %v", err)
 	}
@@ -159,6 +167,7 @@ func TestValidateLoad(t *testing.T) {
 		{KSweep: &KSweep{Lo: 1, Hi: 4}},                      // ksweep without rps
 		{RPS: 1000, Rho: 0.5, KSweep: &KSweep{Lo: 1, Hi: 4}}, // ksweep + rho
 		{RPS: -5}, // negative
+		{RPS: 1000, KSweep: &KSweep{Lo: 1, Hi: 7}}, // rpcvalet does not read outstanding
 	}
 	for _, l := range bad {
 		sp := base
@@ -171,7 +180,6 @@ func TestValidateLoad(t *testing.T) {
 		{RPS: 1000},
 		{Rho: 0.7},
 		{Grid: &Grid{Lo: 1000, Hi: 5000, Step: 1000}},
-		{RPS: 1000, KSweep: &KSweep{Lo: 1, Hi: 7}},
 	}
 	for _, l := range good {
 		sp := base
@@ -179,6 +187,11 @@ func TestValidateLoad(t *testing.T) {
 		if err := sp.Validate(); err != nil {
 			t.Errorf("load %+v failed validation: %v", *l, err)
 		}
+	}
+	// A k sweep supplies the outstanding knob it varies.
+	ks := Spec{System: "offload", Knobs: &Knobs{Workers: 2}, Workload: "fixed:1µs", Load: &LoadSpec{RPS: 1000, KSweep: &KSweep{Lo: 1, Hi: 7}}}
+	if err := ks.Validate(); err != nil {
+		t.Errorf("offload k sweep failed validation: %v", err)
 	}
 }
 
@@ -257,7 +270,7 @@ func TestValidateTenants(t *testing.T) {
 		{"with workload", func(s *Spec) { s.Workload = "fixed:1µs" }, "drop workload"},
 		{"with load", func(s *Spec) { s.Load = &LoadSpec{RPS: 1000} }, "drop workload"},
 		{"with flow", func(s *Spec) { s.Flow = &FlowSpec{Flows: 8} }, "flow"},
-		{"class on rss", func(s *Spec) { s.System, s.Knobs = "rss", &Knobs{Workers: 2} }, "no class-aware queue"},
+		{"class on rss", func(s *Spec) { s.System, s.Knobs = "rss", &Knobs{Workers: 2} }, `system "rss" does not read class`},
 		{"class out of range", func(s *Spec) { s.Tenants[1].Class = 2 }, "outside"},
 		{"negative class", func(s *Spec) { s.Tenants[0].Class = -1 }, "outside"},
 		{"unnamed", func(s *Spec) { s.Tenants[0].Name = "" }, "name"},
@@ -322,23 +335,29 @@ func TestKnobNames(t *testing.T) {
 }
 
 // TestCalibrationGate: a calibration block names duration fields of
-// params.Params by their Go names and gives each a non-negative value;
-// anything else fails Validate and Build, naming the key.
+// params.Params its system reads by their Go names and gives each a
+// non-negative value; anything else fails Validate and Build, naming the
+// key.
 func TestCalibrationGate(t *testing.T) {
 	base := Spec{System: "rss", Knobs: &Knobs{Workers: 2}, Workload: "fixed:1µs", Load: &LoadSpec{RPS: 1000}}
 	for _, c := range []struct {
-		name string
-		cal  map[string]Duration
-		want string // "" accepts
+		name    string
+		cal     map[string]Duration
+		offload bool   // on an offload spec instead of base
+		want    string // "" accepts
 	}{
-		{"unknown name", map[string]Duration{"NicHostOneway": 1}, `"NicHostOneway"`},
-		{"float field", map[string]Duration{"WireBandwidth": 1}, `"WireBandwidth"`},
-		{"struct field", map[string]Duration{"HostTimer": 1}, `"HostTimer"`},
-		{"negative", map[string]Duration{"StealCost": -1}, "StealCost is negative"},
-		{"zero", map[string]Duration{"PickupMemPenalty": 0}, ""},
-		{"several", map[string]Duration{"ArmTxCost": 25, "NicHostOneWay": 500}, ""},
+		{"unknown name", map[string]Duration{"NicHostOneway": 1}, false, `"NicHostOneway"`},
+		{"float field", map[string]Duration{"WireBandwidth": 1}, false, `"WireBandwidth"`},
+		{"struct field", map[string]Duration{"HostTimer": 1}, false, `"HostTimer"`},
+		{"negative", map[string]Duration{"StealCost": -1}, false, "StealCost is negative"},
+		{"zero", map[string]Duration{"PickupMemPenalty": 0}, false, ""},
+		{"unread on rss", map[string]Duration{"ArmTxCost": 25, "NicHostOneWay": 500}, false, `system "rss" does not read ArmTxCost, NicHostOneWay`},
+		{"several on offload", map[string]Duration{"ArmTxCost": 25, "NicHostOneWay": 500}, true, ""},
 	} {
 		sp := base
+		if c.offload {
+			sp.System, sp.Knobs = "offload", &Knobs{Workers: 2, Outstanding: 2}
+		}
 		sp.Calibration = c.cal
 		err := sp.Validate()
 		if _, berr := Build(sp); (berr == nil) != (err == nil) {
